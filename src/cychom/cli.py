@@ -95,7 +95,7 @@ def cmd_hc(args) -> int:
             lines.append(_shape_line(closed))
             lines.append(f"agreement: {record['agreement']}")
     _emit(record, args.format, args.out, lines)
-    return 0
+    return 3 if record.get("agreement") is False else 0
 
 
 def cmd_hcneg(args) -> int:
@@ -328,6 +328,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:
+        # The engine raises ArithmeticError when its two routes disagree or
+        # an exactness guard trips.
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -103,6 +103,33 @@ def test_verify_reports_mismatch_with_exit_3(capsys, monkeypatch):
     assert "R/p^99" in out  # the diff names both shapes
 
 
+def test_hc_disagreement_exits_3(capsys, monkeypatch):
+    from cychom import cli, homology
+    from cychom.linalg import ModuleShape
+
+    monkeypatch.setattr(
+        cli.homology,
+        "hc_closed_form",
+        lambda p, i: homology.HomologyResult("HC", i, ModuleShape((99,)), "closed_form"),
+    )
+    code, out, _ = run(capsys, ["hc", "--prime", "3", "--degree", "6", "--format", "json"])
+    assert code == 3
+    assert json.loads(out)["agreement"] is False
+
+
+def test_arithmetic_error_exits_3(capsys, monkeypatch):
+    from cychom import cli
+
+    def broken(p, i):
+        raise ArithmeticError("routes disagree")
+
+    monkeypatch.setattr(cli.homology, "hc_oracle", broken)
+    code, out, err = run(capsys, ["hc", "--prime", "3", "--degree", "6"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "routes disagree" in err
+
+
 def test_csv_and_out_file(tmp_path, capsys):
     target = tmp_path / "hc.csv"
     code, out, _ = run(

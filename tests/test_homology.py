@@ -70,6 +70,35 @@ def test_hc_oracle_values():
     assert hc_oracle(P3, 11).shape == TRIVIAL_SHAPE
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_two_routes_agree_near_degree_1000(p):
+    prime = Prime(p)
+    covered = 0
+    for i in (998, 1000, 1002):
+        oracle = hc_oracle(prime, i).shape
+        assert oracle.p_length == i + 1  # Connes
+        closed = hc_closed_form(prime, i)
+        if closed is not None:
+            covered += 1
+            assert closed.shape == oracle
+    assert covered >= 2
+
+
+def test_oracle_makes_no_integer_snf(monkeypatch):
+    from cychom import homology, linalg
+
+    def forbidden(m):
+        raise AssertionError("integer snf called")
+
+    monkeypatch.setattr(linalg, "snf", forbidden)
+    monkeypatch.setattr(homology, "snf", forbidden, raising=False)
+    for i in range(0, 13):
+        hc_oracle(P3, i)
+        hochschild(P5, i)
+    assert hc_neg_truncation_probe(P3, 6, 6).ok
+    assert verify_presentation(P3, 5).ok
+
+
 def test_hc_closed_form_examples():
     assert hc_closed_form(P3, 6).shape == hc_oracle(P3, 6).shape == ModuleShape((6, 1))
     # 29 is excluded from Z1 but 31 is in Z2: covered through the second clause.

@@ -3,7 +3,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cychom.linalg import IntMatrix, ModuleShape, TRIVIAL_SHAPE, cokernel_shape, snf, submodule_equal_mod
+from cychom.homology import cyclic_matrix
+from cychom.linalg import (
+    IntMatrix,
+    ModuleShape,
+    TRIVIAL_SHAPE,
+    bareiss_rank,
+    cokernel_shape,
+    local_snf,
+    snf,
+    submodule_equal_mod,
+)
 from cychom.padic import Prime, vp
 
 P3 = Prime(3)
@@ -134,6 +144,91 @@ def test_cokernel_drops_prime_to_p_part():
 def test_cokernel_p_length_matches_det_valuation():
     for mat in (IntMatrix([[3, 0], [1, 9]]), IntMatrix([[9, 0], [7, 9]]), IntMatrix([[27]])):
         assert cokernel_shape(mat, P3).p_length == vp(P3, mat.det())
+
+
+def _snf_shape(m, p):
+    # Reference route: p-parts of the integer Smith normal form.
+    res = snf(m)
+    return ModuleShape(tuple(vp(p, d) for d in res.invariant_factors), free_rank=m.rows - res.rank)
+
+
+@st.composite
+def small_matrices(draw):
+    """Square, non-square and rank-deficient integer matrices, entries of
+    both signs; rank deficiency comes from a product through a narrow
+    middle dimension."""
+    rows = draw(st.integers(min_value=0, max_value=5))
+    cols = draw(st.integers(min_value=0, max_value=5))
+    entries = st.integers(min_value=-30, max_value=30)
+    if draw(st.booleans()):
+        return IntMatrix([[draw(entries) for _ in range(cols)] for _ in range(rows)], rows, cols)
+    inner = draw(st.integers(min_value=0, max_value=max(0, min(rows, cols) - 1)))
+    small = st.integers(min_value=-6, max_value=6)
+    left = [[draw(small) for _ in range(inner)] for _ in range(rows)]
+    right = [[draw(small) for _ in range(cols)] for _ in range(inner)]
+    data = [[sum(left[i][k] * right[k][j] for k in range(inner)) for j in range(cols)] for i in range(rows)]
+    return IntMatrix(data, rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices(), st.sampled_from([3, 5, 7]))
+def test_cokernel_shape_matches_integer_snf(m, p):
+    prime = Prime(p)
+    assert cokernel_shape(m, prime) == _snf_shape(m, prime)
+
+
+def test_cokernel_shape_matches_sympy_snf():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    rng = random.Random(1914)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = IntMatrix([[rng.randint(-25, 25) for _ in range(cols)] for _ in range(rows)])
+        if rng.random() < 0.3:
+            m.data[-1] = [2 * x for x in m.data[0]]  # force a dependent row
+        diag = smith_normal_form(sympy.Matrix(m.data), domain=sympy.ZZ)
+        factors = [abs(diag[k, k]) for k in range(min(rows, cols)) if diag[k, k]]
+        for p in (Prime(3), Prime(5)):
+            want = ModuleShape(tuple(vp(p, d) for d in factors), free_rank=rows - len(factors))
+            assert cokernel_shape(m, p) == want
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 101])
+def test_cokernel_shape_matches_integer_snf_on_staircases(p):
+    prime = Prime(p)
+    for i in range(2, 62, 2):
+        m = cyclic_matrix(prime, i).matrix
+        assert cokernel_shape(m, prime) == _snf_shape(m, prime)
+
+
+def test_local_snf_modulus_guard():
+    # HC_6 at p = 3 is R/p^6 x R/p: any precision that hides the head
+    # factor raises instead of answering.
+    m = cyclic_matrix(P3, 6).matrix
+    for precision in range(1, 7):
+        with pytest.raises(ArithmeticError, match="too small"):
+            local_snf(m, P3, precision, m.rows)
+    for precision in (7, 8, 20):
+        assert local_snf(m, P3, precision, m.rows) == (0, 0, 1, 6)
+    with pytest.raises(ArithmeticError):
+        local_snf(IntMatrix([[27]]), P3, 3, 1)
+    with pytest.raises(ValueError):
+        local_snf(m, P3, 0, m.rows)
+
+
+def test_local_snf_keeps_unit_factors():
+    assert local_snf(IntMatrix([[10, 0], [0, 4]]), Prime(5), 2, 2) == (0, 1)
+    assert local_snf(IntMatrix.zero(2, 3), P3, 1, 0) == ()
+
+
+def test_bareiss_rank():
+    assert bareiss_rank(IntMatrix.zero(3, 2)) == (0, 1)
+    assert bareiss_rank(IntMatrix([], rows=0, cols=0)) == (0, 1)
+    assert bareiss_rank(IntMatrix([[0, 2, 4], [0, 1, 2]])) == (1, 2)
+    rank, minor = bareiss_rank(IntMatrix([[1, 2, 3], [2, 4, 7], [1, 2, 4]]))
+    assert rank == 2 and abs(minor) == 1
+    assert bareiss_rank(IntMatrix([[0, 1], [1, 0]])) == (2, -1)
 
 
 def test_module_shape_canonical_form():

@@ -49,15 +49,22 @@ def _emit(payload: dict, fmt: str, out: str | None, table_lines: list[str]) -> N
 def _to_csv(payload: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    rows = payload.get("rows")
-    if rows:
-        writer.writerow(rows[0].keys())
-        for row in rows:
-            writer.writerow(_csv_cell(v) for v in row.values())
-    else:
-        writer.writerow(payload.keys())
-        writer.writerow(_csv_cell(v) for v in payload.values())
+    rows = [_flatten(row) for row in payload.get("rows") or [payload]]
+    writer.writerow(rows[0].keys())
+    for row in rows:
+        writer.writerow(_csv_cell(v) for v in row.values())
     return buf.getvalue()
+
+
+def _flatten(record: dict, prefix: str = "") -> dict:
+    """Nested records become prefixed columns: {"a": {"b": 1}} -> {"a.b": 1}."""
+    flat = {}
+    for key, value in record.items():
+        if isinstance(value, dict):
+            flat.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            flat[prefix + key] = value
+    return flat
 
 
 def _csv_cell(v):
@@ -183,26 +190,34 @@ def cmd_density(args) -> int:
 def cmd_coeffs(args) -> int:
     p = Prime(args.prime)
     vec = homology.phi_coeffs(p, args.j, args.i)
-    rows = [
-        {
-            "modulus": n,
-            "value": str(v.value),
-            "valuation": (None if v.value == 0 else v.valuation),
+    # A_j and B_{j-1} exceed Python's default 4300-digit int->str limit
+    # from j ~ 3000.  Lift it only while formatting, so argparse still
+    # refuses absurdly long integer arguments.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rows = [
+            {
+                "modulus": n,
+                "value": str(v.value),
+                "valuation": (None if v.value == 0 else v.valuation),
+            }
+            for n, v in vec.components
+        ]
+        payload = {
+            "prime": args.prime,
+            "j": args.j,
+            "i": args.i,
+            "head": str(vec.head.value),
+            "head_valuation": vec.head.valuation,
+            "rows": rows,
         }
-        for n, v in vec.components
-    ]
-    payload = {
-        "prime": args.prime,
-        "j": args.j,
-        "i": args.i,
-        "head": str(vec.head.value),
-        "head_valuation": vec.head.valuation,
-        "rows": rows,
-    }
-    lines = [f"generator {args.j} in colimit {args.i}: head {vec.head.value} (v={vec.head.valuation})"]
-    for row in rows:
-        lines.append(f"  R/{row['modulus']}: {row['value']}")
-    _emit(payload, args.format, args.out, lines)
+        lines = [f"generator {args.j} in colimit {args.i}: head {vec.head.value} (v={vec.head.valuation})"]
+        for row in rows:
+            lines.append(f"  R/{row['modulus']}: {row['value']}")
+        _emit(payload, args.format, args.out, lines)
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -11,12 +11,18 @@ universal dga admits a closed-form decomposition.
 Note on 1: no window can reach down to 1 (windows have radius
 g(n) < (p^{v_p(n)}-1)/2), so 1 belongs to both sets even though informal
 listings of Z1/Z2 often start at the first element above p.
+
+Membership of one i is a scan of the windows near i.  Enumeration and
+the density counts use a sieve instead: g is nondecreasing in v_p(n), so
+every odd multiple of p^v carries at least the offsets |d| <= g(p^v), and
+each such offset is one stride-2p^v slice assignment over the whole range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .padic import Prime, b_val, vp
 
@@ -141,17 +147,30 @@ def in_z2(p: Prime, i: int) -> bool:
 
 
 def _excluded_sieve(p: Prime, upper: int, symmetric: bool) -> bytearray:
-    """Mark every odd i <= upper lying in some window; index i -> flag."""
+    """Mark every odd i <= upper lying in some window; index i -> flag.
+
+    A window of an odd multiple n of p^v holds n + d for every even
+    |d| <= g(p^v) (d >= 0 one-sided), because g(n) = g(p^{v_p(n)}) >= g(p^v).
+    So level v marks each offset d once, over all odd multiples of p^v at
+    once, by one slice of stride 2p^v.  Offsets |d| <= g(p^{v-1}) were
+    marked at level v-1 over a superset, so each level adds only its new
+    offsets.
+    """
     marked = bytearray(upper + 1)
     n_top = upper if not symmetric else upper + _upper_scan_radius(p, upper)
-    n = p.p
-    while n <= n_top:
-        g = gap(p, n)
-        lo = n - g if symmetric else n
-        for i in range(max(1, lo), min(upper, n + g) + 1, 2):
-            marked[i] = 1
-        n += 2 * p.p
+    q, v, done = p.p, 1, -2
+    while q <= n_top:
+        g = _gap_for_valuation(p, v)
+        for d in range(done + 2, g + 1, 2):
+            for start in (q + d, q - d) if symmetric and d else (q + d,):
+                marked[start :: 2 * q] = b"\x01" * len(range(start, upper + 1, 2 * q))
+        done = g
+        q, v = q * p.p, v + 1
     return marked
+
+
+# Maps a sieve byte to "unmarked": 0 -> 1, 1 -> 0.
+_UNMARKED = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def enumerate_z1(p: Prime, upper: int) -> list[int]:
@@ -159,7 +178,7 @@ def enumerate_z1(p: Prime, upper: int) -> list[int]:
     if upper < 1:
         raise ValueError("upper bound must be >= 1")
     marked = _excluded_sieve(p, upper, symmetric=False)
-    return [i for i in range(1, upper + 1, 2) if not marked[i]]
+    return list(compress(range(1, upper + 1, 2), marked[1::2].translate(_UNMARKED)))
 
 
 def enumerate_z2(p: Prime, upper: int) -> list[int]:
@@ -167,7 +186,7 @@ def enumerate_z2(p: Prime, upper: int) -> list[int]:
     if upper < 1:
         raise ValueError("upper bound must be >= 1")
     marked = _excluded_sieve(p, upper, symmetric=True)
-    return [i for i in range(1, upper + 1, 2) if not marked[i]]
+    return list(compress(range(1, upper + 1, 2), marked[1::2].translate(_UNMARKED)))
 
 
 def count_shifted(p: Prime, e: int, b: int, upper: int) -> int:
@@ -292,15 +311,16 @@ def _bound(p: Prime, upper: int | None, weight: int, exact: bool) -> Fraction:
 def density_bounds(p: Prime, upper: int) -> DensityReport:
     """Empirical densities of Z1 and Z2 up to upper, with proven bounds.
 
-    The empirical counts come from the window sieve; every bound field is
-    a certified lower bound for the corresponding density (the series
+    The empirical counts are the unmarked odd indices of the window
+    sieve, counted without building the member lists; every bound field
+    is a certified lower bound for the corresponding density (the series
     tails and logarithms are rounded in the safe direction).
     """
     if upper < 1:
         raise ValueError("upper bound must be >= 1")
     x_count = (upper + 1) // 2
-    emp1 = Fraction(len(enumerate_z1(p, upper)), x_count)
-    emp2 = Fraction(len(enumerate_z2(p, upper)), x_count)
+    emp1 = Fraction(x_count - _excluded_sieve(p, upper, symmetric=False).count(1), x_count)
+    emp2 = Fraction(x_count - _excluded_sieve(p, upper, symmetric=True).count(1), x_count)
     return DensityReport(
         p=p.p,
         upper=upper,

@@ -34,7 +34,7 @@ from math import lcm
 
 from .gaps import gap, in_z1, in_z2
 from .linalg import TRIVIAL_SHAPE, IntMatrix, ModuleShape, cokernel_shape, local_snf, submodule_equal_mod
-from .padic import PadicRational, Prime, a_val, b_val, seq_a, seq_b, vp
+from .padic import PadicRational, Prime, a_val, b_val, odd_valuations, seq_a, seq_b, vp
 
 
 def hc_degree_of_colimit(i: int) -> int:
@@ -180,8 +180,7 @@ def hc_closed_form(p: Prime, i: int) -> HomologyResult | None:
         head = a_val(p, i + 1)
     else:
         return None
-    tail = [vp(p, n) for n in range(3, i, 2)]
-    shape = ModuleShape((head, *tail))
+    shape = ModuleShape((head, *odd_valuations(p, 3, i - 1)))
     return HomologyResult("HC", i, shape, "closed_form")
 
 
@@ -196,8 +195,7 @@ def hp(p: Prime, i: int, n_max: int) -> HomologyResult:
         raise ValueError("n_max must be an odd positive integer")
     if i % 2 == 1:
         return HomologyResult("HP", i, TRIVIAL_SHAPE, "closed_form")
-    tors = tuple(vp(p, n) for n in range(1, n_max + 1, 2))
-    shape = ModuleShape(tors, complete_rank=1, truncated=True)
+    shape = ModuleShape(tuple(odd_valuations(p, 1, n_max)), complete_rank=1, truncated=True)
     return HomologyResult("HP", i, shape, "closed_form", n_max=n_max)
 
 
@@ -217,8 +215,7 @@ def hc_neg_closed_form(p: Prime, m: int, n_max: int) -> HomologyResult | None:
         return HomologyResult("HCneg", m, shape, "closed_form", n_max=n_max)
     if not in_z2(p, m - 1):
         return None
-    tors = tuple(vp(p, n) for n in range(m - 1, n_max + 1, 2))
-    shape = ModuleShape(tors, complete_rank=1, truncated=True)
+    shape = ModuleShape(tuple(odd_valuations(p, m - 1, n_max)), complete_rank=1, truncated=True)
     return HomologyResult("HCneg", m, shape, "closed_form", n_max=n_max)
 
 

@@ -11,6 +11,13 @@ cyclic complexes are reduced; their p-adic valuations a_j = v_p(A_j) and
 b_j = v_p(B_j) control every closed-form decomposition downstream.  Both
 sequences are p-local (denominators prime to p), which is re-checked on
 construction.
+
+The valuations never walk the index: A_j = p^j / j!! and B_j = p^j / j!!,
+so a_j and b_j follow from Legendre's formula in O(log j); ``vp`` strips
+p^e from an integer in O(log e) big-int divisions; and
+``odd_valuations`` gives the multiset {v_p(n) : n odd in [lo, hi]} by
+counting odd multiples of each p^e, without visiting the n.  Primality of
+``Prime`` is decided by deterministic Miller-Rabin.
 """
 
 from __future__ import annotations
@@ -52,34 +59,63 @@ class Prime:
         return self.p
 
 
+# Miller-Rabin with the prime bases up to 41 has no strong pseudoprime
+# below _MR_LIMIT (Sorenson and Webster), so it is exact there.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
-    # Trial division; every prime used here is desk-scale.
+    """Deterministic Miller-Rabin; refuses n it cannot decide exactly."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality is certified only below {_MR_LIMIT}, got {n}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 def vp(p: Prime, n: int) -> int:
     """Largest e with p^e dividing n.
 
+    Divides by p, p^2, p^4, ... while they divide, then by the same powers
+    in reverse where they still divide: O(log e) big-int divisions.
+
     >>> vp(Prime(3), 54)
     3
     """
     if n == 0:
         raise ValueError("valuation of zero undefined")
-    n = abs(n)
-    e = 0
     q = p.p
+    if n % q:
+        return 0
+    # Exact floor division keeps the sign, which does not matter here.
+    e, w, powers = 0, 1, []
     while n % q == 0:
         n //= q
-        e += 1
+        e += w
+        powers.append((q, w))
+        q, w = q * q, 2 * w
+    for q, w in reversed(powers):
+        if n % q == 0:
+            n //= q
+            e += w
     return e
 
 
@@ -93,6 +129,37 @@ def factorial_vp(p: Prime, m: int) -> int:
         total += m // q
         q *= p.p
     return total
+
+
+def odd_valuations(p: Prime, lo: int, hi: int) -> list[int]:
+    """v_p(n) for the odd n in [lo, hi], descending, zeros dropped.
+
+    The odd multiples of p^e in [lo, hi] are p^e * c for odd c in
+    [ceil(lo/p^e), floor(hi/p^e)], so exactly k - k' of the n have
+    valuation e, where k and k' count the odd multiples of p^e and
+    p^(e+1).  No n is visited; the cost is the length of the answer.
+
+    >>> odd_valuations(Prime(3), 1, 27)
+    [3, 2, 1, 1, 1]
+    >>> odd_valuations(Prime(5), 7, 3)
+    []
+    """
+
+    def odd_multiples(q: int) -> int:
+        a, b = -(-lo // q), hi // q  # c ranges over [a, b]
+        return max(0, (b + 1) // 2 - a // 2)
+
+    counts = []
+    q = p.p
+    while q <= max(-lo, hi):
+        counts.append(odd_multiples(q))
+        q *= p.p
+    out: list[int] = []
+    above = 0
+    for e in range(len(counts), 0, -1):
+        out += [e] * (counts[e - 1] - above)
+        above = counts[e - 1]
+    return out
 
 
 class PadicRational:
@@ -164,7 +231,6 @@ class PadicRational:
 # concurrent duplicated inserts are benign.
 _A_CACHE: dict[tuple[int, int], Fraction] = {}
 _B_CACHE: dict[tuple[int, int], Fraction] = {}
-_AVAL_CACHE: dict[tuple[int, int], int] = {}
 
 
 def seq_a(p: Prime, j: int) -> PadicRational:
@@ -213,25 +279,17 @@ def seq_b(p: Prime, j: int) -> PadicRational:
 
 
 def a_val(p: Prime, j: int) -> int:
-    """a_j = v_p(A_j), computed by the valuation recursion.
+    """a_j = v_p(A_j) = j - v_p(j!) + v_p(((j-1)/2)!).
 
-    a_1 = 1 and a_j = a_{j-2} + 2 - v_p(j); avoids the huge numerators of
-    seq_a for large j.
+    A_j = p^j / j!!, and the even factors of j! are 2^((j-1)/2) ((j-1)/2)!,
+    so Legendre's formula gives a_j in O(log j) without forming A_j.
+
+    >>> a_val(Prime(3), 7)
+    6
     """
     if j < 1 or j % 2 == 0:
         raise ValueError(f"a defined on odd positive indices, got {j}")
-    key = (p.p, j)
-    if key not in _AVAL_CACHE:
-        k = j
-        while k > 1 and (p.p, k) not in _AVAL_CACHE:
-            k -= 2
-        acc = _AVAL_CACHE.get((p.p, k), 1)
-        _AVAL_CACHE[(p.p, 1)] = 1
-        while k < j:
-            k += 2
-            acc = acc + 2 - vp(p, k)
-            _AVAL_CACHE[(p.p, k)] = acc
-    return _AVAL_CACHE[key]
+    return j - factorial_vp(p, j) + factorial_vp(p, (j - 1) // 2)
 
 
 def b_val(p: Prime, j: int) -> int:

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import pytest
@@ -161,6 +162,60 @@ def test_coeffs_output(capsys):
     payload = json.loads(out)
     assert payload["head"] == "9"
     assert payload["rows"][1] == {"modulus": 3, "value": "1", "valuation": 0}
+
+
+def _legendre(p: int, m: int) -> int:
+    total, q = 0, p
+    while q <= m:
+        total += m // q
+        q *= p
+    return total
+
+
+def test_coeffs_prints_integers_beyond_default_str_limit(capsys):
+    import sys
+
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, ["coeffs", "--prime", "3", "--j", "4001", "--i", "4001", "--format", "json"])
+    assert code == 0, err
+    payload = json.loads(out)
+    # v_p(j!!) = v_p(j!) - v_p(((j-1)/2)!) by Legendre.
+    assert payload["head_valuation"] == 4001 - (_legendre(3, 4001) - _legendre(3, 2000))
+    assert len(payload["head"]) > 4300
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_huge_integer_argument_still_refused():
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", "--prime", "3", "--j", "7" * 5000, "--i", "7"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hc", "--prime", "3", "--degree", "10"],
+        ["hc", "--prime", "3", "--degree", "28"],
+        ["hcneg", "--prime", "3", "--degree", "6", "--truncation", "8"],
+    ],
+)
+def test_csv_flattens_nested_records(capsys, argv):
+    code, out, _ = run(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 1
+    assert not any(cell.startswith("{") for cell in rows[0].values())
+    nested = "probe" if argv[0] == "hcneg" else "closed_form"
+    assert any(key.startswith(nested) for key in rows[0])
+
+
+def test_csv_nested_columns_are_prefixed(capsys):
+    code, out, _ = run(capsys, ["hc", "--prime", "3", "--degree", "10", "--format", "csv"])
+    assert code == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert row["closed_form.torsion_p_exponents"] == "8;2;1"
+    assert row["closed_form.method"] == "closed_form"
+    assert row["agreement"] == "True"
 
 
 def test_deterministic_output(capsys):

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cychom.gaps import (
     count_shifted,
@@ -221,3 +223,30 @@ def test_density_empirical_stays_above_bound_for_various_primes():
         rep = density_bounds(p, 4001)
         assert rep.empirical_z1 >= rep.bound_z1
         assert rep.empirical_z2 >= rep.bound_z2
+
+
+@cache
+def _scanned(p: int, which: str) -> list[int]:
+    member = in_z1 if which == "z1" else in_z2
+    return [i for i in range(1, 5001, 2) if member(Prime(p), i)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 5, 7, 11, 13, 101]), st.integers(min_value=1, max_value=5000))
+@example(101, 50)  # N < p
+@example(3, 1)
+@example(5, 5000)
+def test_sieve_matches_per_element_scan(p, upper):
+    # in_z1/in_z2 scan the windows near one i and share no code with the sieve.
+    prime = Prime(p)
+    assert enumerate_z1(prime, upper) == [i for i in _scanned(p, "z1") if i <= upper]
+    assert enumerate_z2(prime, upper) == [i for i in _scanned(p, "z2") if i <= upper]
+
+
+@pytest.mark.parametrize("p", [P3, P5, P7])
+@pytest.mark.parametrize("upper", [1, 2, 99, 4001])
+def test_density_counts_match_enumeration(p, upper):
+    rep = density_bounds(p, upper)
+    x_count = (upper + 1) // 2
+    assert rep.empirical_z1 == Fraction(len(enumerate_z1(p, upper)), x_count)
+    assert rep.empirical_z2 == Fraction(len(enumerate_z2(p, upper)), x_count)

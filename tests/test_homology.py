@@ -1,6 +1,6 @@
 import pytest
 
-from cychom.gaps import enumerate_z2, gap
+from cychom.gaps import enumerate_z2, gap, in_z1, in_z2
 from cychom.homology import (
     a_minimality_probe,
     connes_length_check,
@@ -263,3 +263,27 @@ def test_b_val_controls_component_vanishing():
             if vp(P3, n) > 0 and n < j:
                 dead = value.residue(3 ** vp(P3, n)) == 0
                 assert dead == (b_val(P3, j - n) >= vp(P3, n))
+
+
+@pytest.mark.parametrize("p", [P3, P5])
+def test_closed_forms_at_large_degree_match_elementwise_tail(p):
+    # The tails as one v_p call per odd n, and the head by the valuation
+    # recursion a_j = a_{j-2} + 2 - v_p(j).
+    i = 200002
+    a = {1: 1}
+    for j in range(3, i + 2, 2):
+        a[j] = a[j - 2] + 2 - vp(p, j)
+    if in_z1(p, i - 1):
+        head = a[i - 1] + 2
+    else:
+        assert in_z2(p, i + 1)
+        head = a[i + 1]
+    assert hc_closed_form(p, i).shape == ModuleShape((head, *[vp(p, n) for n in range(3, i, 2)]))
+    neg = hc_neg_closed_form(p, i, i + 21)
+    if in_z2(p, i - 1):
+        tors = tuple(vp(p, n) for n in range(i - 1, i + 22, 2))
+        assert neg.shape == ModuleShape(tors, complete_rank=1, truncated=True)
+    else:
+        assert neg is None
+    tors = tuple(vp(p, n) for n in range(1, i + 2, 2))
+    assert hp(p, 0, i + 1).shape == ModuleShape(tors, complete_rank=1, truncated=True)

@@ -2,9 +2,19 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cychom.padic import PadicRational, Prime, a_val, b_val, factorial_vp, seq_a, seq_b, vp
+from cychom.padic import (
+    PadicRational,
+    Prime,
+    a_val,
+    b_val,
+    factorial_vp,
+    odd_valuations,
+    seq_a,
+    seq_b,
+    vp,
+)
 
 P3 = Prime(3)
 P5 = Prime(5)
@@ -15,6 +25,36 @@ P7 = Prime(7)
 def test_prime_rejects_non_odd_primes(bad):
     with pytest.raises(ValueError):
         Prime(bad)
+
+
+def test_prime_accepts_large_primes():
+    assert Prime(2**61 - 1).p == 2**61 - 1
+    assert Prime(2**31 - 1).p == 2**31 - 1
+
+
+@pytest.mark.parametrize("bad", [561, 3215031751, 2**61 + 1, 3825123056546413051])
+def test_prime_rejects_pseudoprimes(bad):
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to the
+    # bases 2, 3, 5 and 7; 3825123056546413051 to every prime base up to 23.
+    with pytest.raises(ValueError):
+        Prime(bad)
+
+
+def test_prime_refuses_beyond_certified_range():
+    with pytest.raises(ValueError, match="certified"):
+        Prime(2**89 - 1)  # prime, but above the Miller-Rabin bound
+
+
+def test_primality_matches_eratosthenes_below_1e5():
+    from cychom.padic import _is_prime
+
+    limit = 10**5
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for d in range(2, int(limit**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, limit, d)))
+    assert [n for n in range(limit) if _is_prime(n)] == [n for n in range(limit) if sieve[n]]
 
 
 def test_prime_is_immutable_and_hashable():
@@ -39,6 +79,38 @@ def test_vp_zero_rejected():
 @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**6))
 def test_vp_multiplicative(m, n):
     assert vp(P3, m * n) == vp(P3, m) + vp(P3, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7, 101]),
+    st.integers(min_value=0, max_value=2000),
+    st.integers(min_value=-(10**30), max_value=10**30).filter(lambda u: u != 0),
+)
+@example(3, 2000, -1)
+@example(5, 1023, 7)
+@example(7, 1024, 1)
+def test_vp_of_prime_power_times_unit(p, e, u):
+    if u % p == 0:
+        u += 1 if u > 0 else -1
+    assert vp(Prime(p), p**e * u) == e
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7, 11, 13, 101]),
+    st.integers(min_value=-300, max_value=3000),
+    st.integers(min_value=-2, max_value=3000),
+)
+@example(3, 5, 4)  # empty: hi < lo
+@example(3, 1, 1)
+@example(3, 2, 2)  # a single even n
+@example(3, -243, 243)
+def test_odd_valuations_matches_elementwise_vp(p, lo, width):
+    prime = Prime(p)
+    hi = lo + width
+    want = sorted((e for e in (vp(prime, n) for n in range(lo, hi + 1) if n % 2) if e), reverse=True)
+    assert odd_valuations(prime, lo, hi) == want
 
 
 def test_factorial_vp_examples():
@@ -87,6 +159,16 @@ def test_a_val_examples():
     # Derived two ways: the valuation recursion and the raw fraction.
     assert a_val(P3, 7) == 6
     assert seq_a(P3, 7).valuation == 6
+
+
+@pytest.mark.parametrize("p", [P3, P5, P7, Prime(11), Prime(13), Prime(101)])
+def test_a_val_matches_valuation_recursion(p):
+    # Independent route: a_1 = 1 and a_j = a_{j-2} + 2 - v_p(j).
+    acc = 1
+    for j in range(1, 6000, 2):
+        if j > 1:
+            acc += 2 - vp(p, j)
+        assert a_val(p, j) == acc
 
 
 def test_b_val_examples():

@@ -20,7 +20,7 @@ each such offset is one stride-2p^v slice assignment over the whole range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import compress
 
@@ -55,12 +55,10 @@ def gap(p: Prime, n: int) -> int:
     return _gap_for_valuation(p, vp(p, n))
 
 
-@dataclass(frozen=True)
-class GapWindow:
+class GapWindow(namedtuple("GapWindow", "n g")):
     """The exclusion window attached to one odd multiple of p."""
 
-    n: int
-    g: int
+    __slots__ = ()
 
     @property
     def z1_interval(self) -> tuple[int, int]:
@@ -208,38 +206,51 @@ def count_shifted(p: Prime, e: int, b: int, upper: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(
+    namedtuple(
+        "DensityReport",
+        "p upper empirical_z1 empirical_z2 bound_z1 bound_z2 bound_z1_asymptotic"
+        " bound_z2_asymptotic bound_z1_geometric bound_z2_geometric lam",
+    )
+):
     """Empirical Z1/Z2 densities up to N against rigorous lower bounds.
 
-    All fields are exact rationals.  ``bound_*`` use the exact minimal
-    exponents e_k (the least e with g(p^e) >= k) for every window size k;
-    ``bound_*_geometric`` replace the k >= 6 terms by the geometric
-    overestimate p^{-lam*k}, which is simpler but strictly weaker.  The
-    ``*_asymptotic`` variants drop the finite-N correction, giving the
-    N -> infinity limit of each bound.
+    p and upper are integers; every other field is an exact rational.
+    ``bound_*`` use the exact minimal exponents e_k (the least e with
+    g(p^e) >= k) for every window size k; ``bound_*_geometric`` replace
+    the k >= 6 terms by the geometric overestimate p^{-lam*k}, which is
+    simpler but strictly weaker.  The ``*_asymptotic`` variants drop the
+    finite-N correction, giving the N -> infinity limit of each bound.
     """
 
-    p: int
-    upper: int
-    empirical_z1: Fraction
-    empirical_z2: Fraction
-    bound_z1: Fraction
-    bound_z2: Fraction
-    bound_z1_asymptotic: Fraction
-    bound_z2_asymptotic: Fraction
-    bound_z1_geometric: Fraction
-    bound_z2_geometric: Fraction
-    lam: Fraction
+    __slots__ = ()
 
 
 def _iroot_floor(n: int, d: int) -> int:
-    """floor(n ** (1/d)) for positive integers, exactly."""
+    """floor(n ** (1/d)) for nonnegative integers, exactly.
+
+    Integer Newton reaches the floor root from any seed above it, but
+    while x^d is far above n each step shrinks x only by a factor
+    (1 - 1/d).  So the seed is r + 1 shifted left by s, with r the root
+    of the top bits n >> ds: it exceeds the root by a relative 1/r, below
+    1/d, and from there Newton converges quadratically.  Short roots, of
+    at most 2 bitlen(d) + 2 bits, are found by bisection.
+    """
     if n < 0 or d < 1:
         raise ValueError("iroot needs n >= 0, d >= 1")
-    if n == 0:
-        return 0
-    x = 1 << (-(-n.bit_length() // d))  # upper seed
+    k = -(-n.bit_length() // d)  # the root is below 2^k
+    if k <= 2 * d.bit_length() + 2:
+        lo, hi = 0, 1 << k  # lo^d <= n < hi^d
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if mid**d <= n:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+    s = k // 2
+    # (r+1)^d > n >> ds for r the root of the top bits, so x^d > n.
+    x = (_iroot_floor(n >> (d * s), d) + 1) << s
     while True:
         y = ((d - 1) * x + n // x ** (d - 1)) // d
         if y >= x:

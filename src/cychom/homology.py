@@ -28,8 +28,7 @@ in public signatures.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from math import lcm
 
 from .gaps import gap, in_z1, in_z2
@@ -47,29 +46,20 @@ def hcneg_degree_of_kernel(i: int) -> int:
     return i + 3
 
 
-@dataclass(frozen=True)
-class StaircasePresentation:
-    """A staircase cokernel presentation: which theory, and the matrix."""
+class HomologyResult(
+    namedtuple("HomologyResult", "theory degree shape method n_max", defaults=(None,))
+):
+    """One homology module: theory "HH" | "HC" | "HCneg" | "HP", its degree,
+    its ModuleShape, the method "oracle" | "closed_form" | "stabilized",
+    and the display cutoff n_max of a truncated product (else None)."""
 
-    kind: str  # "cyclic" | "periodic" | "negative"
-    matrix: IntMatrix
-    degree: int | None = None
-    truncation: int | None = None
-
-
-@dataclass(frozen=True)
-class HomologyResult:
-    theory: str  # "HH" | "HC" | "HCneg" | "HP"
-    degree: int
-    shape: ModuleShape
-    method: str  # "oracle" | "closed_form" | "stabilized"
-    n_max: int | None = None
+    __slots__ = ()
 
 
-def cyclic_matrix(p: Prime, i: int) -> StaircasePresentation:
+def cyclic_matrix(p: Prime, i: int) -> IntMatrix:
     """Presentation matrix of cyclic homology in even degree i >= 2.
 
-    >>> cyclic_matrix(Prime(3), 4).matrix.data
+    >>> cyclic_matrix(Prime(3), 4).data
     [[3, 0, 0], [1, 9, 0], [0, 3, 9]]
     """
     if i < 2 or i % 2 == 1:
@@ -80,27 +70,13 @@ def cyclic_matrix(p: Prime, i: int) -> StaircasePresentation:
     for k in range(1, size):
         m.data[k][k] = p.p * p.p
         m.data[k][k - 1] = 2 * k - 1
-    return StaircasePresentation("cyclic", m, degree=i)
+    return m
 
 
-def periodic_matrix(p: Prime, truncation: int) -> StaircasePresentation:
-    """K-square truncation of the periodic staircase map.
-
-    Coincides entrywise with the cyclic presentation of degree 2(K-1).
-    """
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
-    if truncation == 1:
-        m = IntMatrix([[p.p]])
-    else:
-        m = cyclic_matrix(p, 2 * (truncation - 1)).matrix
-    return StaircasePresentation("periodic", m, truncation=truncation)
-
-
-def negative_matrix(p: Prime, m: int, truncation: int) -> StaircasePresentation:
+def negative_matrix(p: Prime, m: int, truncation: int) -> IntMatrix:
     """K-square truncation of the negative staircase map in even degree m >= 2.
 
-    >>> negative_matrix(Prime(3), 6, 3).matrix.data
+    >>> negative_matrix(Prime(3), 6, 3).data
     [[9, 0, 0], [7, 9, 0], [0, 9, 9]]
     """
     if m < 2 or m % 2 == 1:
@@ -113,7 +89,7 @@ def negative_matrix(p: Prime, m: int, truncation: int) -> StaircasePresentation:
         mat.data[k][k] = p2
         if k > 0:
             mat.data[k][k - 1] = m + 2 * k - 1
-    return StaircasePresentation("negative", mat, degree=m, truncation=truncation)
+    return mat
 
 
 def hochschild(p: Prime, i: int) -> HomologyResult:
@@ -155,11 +131,11 @@ def hc_oracle(p: Prime, i: int) -> HomologyResult:
     if i < 0:
         raise ValueError("negative degree")
     if i % 2 == 1:
-        mat = IntMatrix([[p.p]]) if i == 1 else cyclic_matrix(p, i - 1).matrix
+        mat = IntMatrix([[p.p]]) if i == 1 else cyclic_matrix(p, i - 1)
         if not all(mat.diagonal()):
             raise ArithmeticError("staircase map unexpectedly not injective")
         return HomologyResult("HC", i, TRIVIAL_SHAPE, "oracle")
-    mat = IntMatrix([[p.p]]) if i == 0 else cyclic_matrix(p, i).matrix
+    mat = IntMatrix([[p.p]]) if i == 0 else cyclic_matrix(p, i)
     return HomologyResult("HC", i, cokernel_shape(mat, p), "oracle")
 
 
@@ -219,16 +195,12 @@ def hc_neg_closed_form(p: Prime, m: int, n_max: int) -> HomologyResult | None:
     return HomologyResult("HCneg", m, shape, "closed_form", n_max=n_max)
 
 
-@dataclass(frozen=True)
-class CoeffVector:
+class CoeffVector(namedtuple("CoeffVector", "prime j i head components")):
     """Coefficients of the index-j staircase generator inside the regular
-    colimit with top index i: a head entry plus one entry per odd modulus."""
+    colimit with top index i: a head entry (a PadicRational) plus one
+    (odd modulus n, PadicRational) pair per component."""
 
-    prime: Prime
-    j: int
-    i: int
-    head: PadicRational
-    components: tuple[tuple[int, PadicRational], ...]
+    __slots__ = ()
 
     def component(self, n: int) -> PadicRational:
         for k, v in self.components:
@@ -251,12 +223,10 @@ def phi_coeffs(p: Prime, j: int, i: int) -> CoeffVector:
     return CoeffVector(p, j, i, seq_a(p, j), tuple(comps))
 
 
-@dataclass(frozen=True)
-class PresentationReport:
-    ok: bool
-    colimit_index: int
-    rebuilt: ModuleShape
-    oracle: ModuleShape
+class PresentationReport(namedtuple("PresentationReport", "ok colimit_index rebuilt oracle")):
+    """Outcome of verify_presentation: the rebuilt and oracle ModuleShapes."""
+
+    __slots__ = ()
 
 
 def verify_presentation(p: Prime, i: int) -> PresentationReport:
@@ -338,11 +308,11 @@ def verify_kernel_generators(
     return submodule_equal_mod(gens_a, gens_b, moduli)
 
 
-@dataclass(frozen=True)
-class ConnesReport:
-    ok: bool
-    lengths: tuple[tuple[int, int], ...]
-    mismatches: tuple[str, ...]
+class ConnesReport(namedtuple("ConnesReport", "ok lengths mismatches")):
+    """Outcome of connes_length_check: (degree, p-length) pairs and the
+    mismatch messages."""
+
+    __slots__ = ()
 
 
 def connes_length_check(p: Prime, i_max: int) -> ConnesReport:
@@ -363,12 +333,10 @@ def connes_length_check(p: Prime, i_max: int) -> ConnesReport:
     return ConnesReport(not mismatches, tuple(lengths), tuple(mismatches))
 
 
-@dataclass(frozen=True)
-class DipProbeReport:
-    ok: bool
-    vacuous: bool
-    witness: int | None
-    details: str
+class DipProbeReport(namedtuple("DipProbeReport", "ok vacuous witness details")):
+    """Outcome of a_minimality_probe: the first dip index (or None)."""
+
+    __slots__ = ()
 
 
 def a_minimality_probe(p: Prime, i: int, horizon: int) -> DipProbeReport:
@@ -390,12 +358,11 @@ def a_minimality_probe(p: Prime, i: int, horizon: int) -> DipProbeReport:
     return DipProbeReport(True, True, None, f"no dip below a_{i}={ai} within horizon")
 
 
-@dataclass(frozen=True)
-class StabilizationReport:
-    ok: bool
-    degrees: tuple[int, ...]
-    heads: tuple[int, ...]
-    mismatches: tuple[str, ...]
+class StabilizationReport(namedtuple("StabilizationReport", "ok degrees heads mismatches")):
+    """Outcome of hp_stabilization_check: the degrees tested, their head
+    exponents, and the mismatch messages."""
+
+    __slots__ = ()
 
 
 def hp_stabilization_check(p: Prime, i_max: int, n_max: int | None = None) -> StabilizationReport:
@@ -429,13 +396,13 @@ def hp_stabilization_check(p: Prime, i_max: int, n_max: int | None = None) -> St
     return StabilizationReport(not mismatches, tuple(degrees), tuple(heads), tuple(mismatches))
 
 
-@dataclass(frozen=True)
-class TruncationProbeReport:
-    ok: bool
-    vacuous: bool
-    stable_prefix: tuple[int, ...]
-    covered_up_to: int | None
-    details: str
+class TruncationProbeReport(
+    namedtuple("TruncationProbeReport", "ok vacuous stable_prefix covered_up_to details")
+):
+    """Outcome of hc_neg_truncation_probe: the stable valuations and the
+    odd modulus they cover up to (or None)."""
+
+    __slots__ = ()
 
 
 def hc_neg_truncation_probe(p: Prime, m: int, truncation: int | None = None) -> TruncationProbeReport:
@@ -460,7 +427,7 @@ def hc_neg_truncation_probe(p: Prime, m: int, truncation: int | None = None) -> 
     def subhead(k: int) -> list[int]:
         # The K-square staircase is triangular with diagonal p^2, so its
         # determinant has valuation 2K; unit factors come back as 0.
-        vals = local_snf(negative_matrix(p, m, k).matrix, p, 2 * k + 1, k)  # ascending
+        vals = local_snf(negative_matrix(p, m, k), p, 2 * k + 1, k)  # ascending
         return [v for v in vals[:-1] if v > 0]
 
     vals_k = subhead(truncation)

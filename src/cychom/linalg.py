@@ -18,7 +18,7 @@ integers: no overflow, no floats, no tolerances.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 from math import gcd
 
@@ -117,13 +117,10 @@ def bareiss_rank(m: IntMatrix) -> tuple[int, int]:
     return rank, sign * prev
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(namedtuple("SnfResult", "invariant_factors source_dim target_dim")):
     """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix."""
 
-    invariant_factors: tuple[int, ...]
-    source_dim: int
-    target_dim: int
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -207,8 +204,7 @@ def snf(m: IntMatrix) -> SnfResult:
     return SnfResult(tuple(factors), source_dim=cols, target_dim=rows)
 
 
-@dataclass(frozen=True)
-class ModuleShape:
+class ModuleShape(namedtuple("ModuleShape", "torsion_exponents free_rank complete_rank truncated")):
     """Canonical shape of a module over a p-torsion-free Z_(p)-algebra R.
 
     torsion_exponents lists e for each cyclic factor R/p^e, sorted in
@@ -218,14 +214,23 @@ class ModuleShape:
     stand for a finite cut of an infinite product.
     """
 
-    torsion_exponents: tuple[int, ...]
-    free_rank: int = 0
-    complete_rank: int = 0
-    truncated: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        canon = tuple(sorted((e for e in self.torsion_exponents if e > 0), reverse=True))
-        object.__setattr__(self, "torsion_exponents", canon)
+    def __new__(
+        cls,
+        torsion_exponents: tuple[int, ...],
+        free_rank: int = 0,
+        complete_rank: int = 0,
+        truncated: bool = False,
+    ):
+        canon = tuple(sorted((e for e in torsion_exponents if e > 0), reverse=True))
+        return super().__new__(cls, canon, free_rank, complete_rank, truncated)
+
+    @classmethod
+    def _make(cls, iterable):
+        # The inherited _make (and _replace, which calls it) would skip
+        # the canonical form of __new__.
+        return cls(*iterable)
 
     @property
     def p_length(self) -> int:

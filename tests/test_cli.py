@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cychom
 from cychom.cli import main
 
 EXPECTED_SHAPE_KEYS = {
@@ -223,3 +228,50 @@ def test_deterministic_output(capsys):
     first = run(capsys, argv)
     second = run(capsys, argv)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hh", "--prime", "3", "--degree", "4"],
+        ["hc", "--prime", "3", "--degree", "10"],
+        ["hc", "--prime", "3", "--degree", "28"],
+        ["hc", "--prime", "5", "--degree", "7"],
+        ["hcneg", "--prime", "3", "--degree", "6", "--truncation", "8"],
+        ["hcneg", "--prime", "3", "--degree", "28"],
+        ["hp", "--prime", "3", "--degree", "0", "--n-max", "11"],
+        ["zsets", "--prime", "3", "--max", "50"],
+        ["density", "--prime", "3", "--max", "99"],
+        ["coeffs", "--prime", "3", "--j", "3", "--i", "5"],
+        ["verify", "--prime", "3", "--hc-max", "8", "--hh-max", "2"],
+    ],
+)
+def test_json_payloads_hold_only_json_types(monkeypatch, argv):
+    # The result records are tuples: json.dumps would write one silently as
+    # a list, so every payload must convert its records field by field.
+    from cychom import cli
+
+    payloads = []
+    monkeypatch.setattr(cli, "_emit", lambda payload, *rest: payloads.append(payload))
+    assert main(argv + ["--format", "json"]) == 0
+
+    stack = [payloads[0]]
+    while stack:
+        node = stack.pop()
+        assert type(node) in (dict, list, str, int, float, bool, type(None)), node
+        if type(node) is dict:
+            stack.extend(node.values())
+        elif type(node) is list:
+            stack.extend(node)
+
+
+def test_cli_import_loads_no_code_generation_modules():
+    # Every query is a fresh interpreter, so what importing the CLI loads
+    # is paid on each one; -S keeps site's own imports out of the count.
+    src = Path(cychom.__file__).resolve().parents[1]
+    probe = "import sys, cychom.cli; print(' '.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"} & set(loaded)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cychom.gaps import (
+    _iroot_floor,
     count_shifted,
     density_bounds,
     enumerate_z1,
@@ -250,3 +251,25 @@ def test_density_counts_match_enumeration(p, upper):
     x_count = (upper + 1) // 2
     assert rep.empirical_z1 == Fraction(len(enumerate_z1(p, upper)), x_count)
     assert rep.empirical_z2 == Fraction(len(enumerate_z2(p, upper)), x_count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=750), st.integers(min_value=1, max_value=400))
+@example(b"", 1)
+@example(b"\xff" * 750, 2)
+@example(b"\xff" * 750, 400)
+def test_iroot_floor_brackets_the_root(raw, d):
+    n = int.from_bytes(raw, "big")
+    r = _iroot_floor(n, d)
+    assert r**d <= n < (r + 1) ** d
+
+
+def test_iroot_floor_at_a_large_prime():
+    # The largest root density_bounds takes at p = 1009: p^(lam * 58) with
+    # lam = 2015/2016, a 583k-bit number; a seed far above its root makes
+    # Newton crawl.
+    n = 1009**58435
+    r = _iroot_floor(n, 1008)
+    assert r**1008 <= n < (r + 1) ** 1008
+    with pytest.raises(ValueError):
+        _iroot_floor(-1, 2)

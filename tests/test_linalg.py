@@ -198,14 +198,14 @@ def test_cokernel_shape_matches_sympy_snf():
 def test_cokernel_shape_matches_integer_snf_on_staircases(p):
     prime = Prime(p)
     for i in range(2, 62, 2):
-        m = cyclic_matrix(prime, i).matrix
+        m = cyclic_matrix(prime, i)
         assert cokernel_shape(m, prime) == _snf_shape(m, prime)
 
 
 def test_local_snf_modulus_guard():
     # HC_6 at p = 3 is R/p^6 x R/p: any precision that hides the head
     # factor raises instead of answering.
-    m = cyclic_matrix(P3, 6).matrix
+    m = cyclic_matrix(P3, 6)
     for precision in range(1, 7):
         with pytest.raises(ArithmeticError, match="too small"):
             local_snf(m, P3, precision, m.rows)
@@ -235,6 +235,11 @@ def test_module_shape_canonical_form():
     s = ModuleShape((0, 1, 3, 0, 2))
     assert s.torsion_exponents == (3, 2, 1)
     assert s.p_length == 6
+    # Keyword input, and the tuple-record rebuilders, canonicalise too.
+    assert ModuleShape(torsion_exponents=(0, 1, 3)) == ModuleShape((3, 1)) == ModuleShape((1, 3, 0))
+    assert hash(ModuleShape(torsion_exponents=(0, 1, 3))) == hash(ModuleShape((3, 1)))
+    assert s._replace(torsion_exponents=(0, 1, 4)).torsion_exponents == (4, 1)
+    assert ModuleShape._make([(0, 2, 5), 1, 0, False]) == ModuleShape((5, 2), free_rank=1)
     assert str(ModuleShape((2,), complete_rank=1, truncated=True)) == "R^ x R/p^2 x ..."
     assert str(TRIVIAL_SHAPE) == "0"
 

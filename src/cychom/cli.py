@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import gaps, homology
 from .homology import HomologyResult
-from .padic import Prime, seq_a, seq_b, a_val
+from .padic import Prime
 
 
 def shape_record(res: HomologyResult) -> dict:

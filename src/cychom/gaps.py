@@ -278,8 +278,8 @@ def _exact_exponent(p: Prime, k: int) -> int:
     return best + 1
 
 
-def _tail_sum(p: Prime, weight: int, exact: bool) -> Fraction:
-    """Upper bound for weight * sum over even k >= 6 of p^{-e_k} terms.
+def _tail_sum(p: Prime, exact: bool) -> Fraction:
+    """Upper bound for the sum over even k >= 6 of p^{-e_k} terms.
 
     With exact=True the terms use the true exponents e_k; otherwise the
     geometric overestimate p^{-lam*k}.  Either way the value returned is
@@ -297,26 +297,7 @@ def _tail_sum(p: Prime, weight: int, exact: bool) -> Fraction:
     # Geometric remainder: terms from k_stop on are <= u * r^j.
     u = _pow_upper(p.p, lam * k_stop)
     r = _pow_upper(p.p, 2 * lam)
-    total += u / (1 - r)
-    return weight * total
-
-
-def _bound(p: Prime, upper: int | None, weight: int, exact: bool) -> Fraction:
-    """Lower bound for the density of Z1 (weight=1) or Z2 (weight=2)."""
-    pk = p.p
-    base = 1 - Fraction(1, pk) - Fraction(weight, pk**3) - Fraction(weight, pk**5)
-    base -= _tail_sum(p, weight, exact)
-    if upper is not None:
-        lam = Fraction(2 * pk - 3, 2 * pk - 2)
-        x_count = (upper + 1) // 2
-        # ceil(log_p upper) <= L, rounding up keeps the bound valid.
-        log_up = 0
-        q = 1
-        while q < upper:
-            q *= pk
-            log_up += 1
-        base -= Fraction(weight * (log_up + 1), 1) / (lam * x_count)
-    return base
+    return total + u / (1 - r)
 
 
 def density_bounds(p: Prime, upper: int) -> DensityReport:
@@ -329,19 +310,33 @@ def density_bounds(p: Prime, upper: int) -> DensityReport:
     """
     if upper < 1:
         raise ValueError("upper bound must be >= 1")
+    pk = p.p
+    lam = Fraction(2 * pk - 3, 2 * pk - 2)
     x_count = (upper + 1) // 2
     emp1 = Fraction(x_count - _excluded_sieve(p, upper, symmetric=False).count(1), x_count)
     emp2 = Fraction(x_count - _excluded_sieve(p, upper, symmetric=True).count(1), x_count)
+    # ceil(log_p upper) <= L, rounding up keeps the bound valid.
+    log_up = 0
+    q = 1
+    while q < upper:
+        q *= pk
+        log_up += 1
+    correction = (log_up + 1) / (lam * x_count)
+    # Z1 (weight 1) and Z2 (weight 2) lose the same series, weighted:
+    # 1 - 1/p - w (p^-3 + p^-5 + tail + correction).
+    base = 1 - Fraction(1, pk)
+    sharp = Fraction(1, pk**3) + Fraction(1, pk**5) + _tail_sum(p, exact=True)
+    geometric = Fraction(1, pk**3) + Fraction(1, pk**5) + _tail_sum(p, exact=False)
     return DensityReport(
-        p=p.p,
+        p=pk,
         upper=upper,
         empirical_z1=emp1,
         empirical_z2=emp2,
-        bound_z1=_bound(p, upper, 1, exact=True),
-        bound_z2=_bound(p, upper, 2, exact=True),
-        bound_z1_asymptotic=_bound(p, None, 1, exact=True),
-        bound_z2_asymptotic=_bound(p, None, 2, exact=True),
-        bound_z1_geometric=_bound(p, upper, 1, exact=False),
-        bound_z2_geometric=_bound(p, upper, 2, exact=False),
-        lam=Fraction(2 * p.p - 3, 2 * p.p - 2),
+        bound_z1=base - (sharp + correction),
+        bound_z2=base - 2 * (sharp + correction),
+        bound_z1_asymptotic=base - sharp,
+        bound_z2_asymptotic=base - 2 * sharp,
+        bound_z1_geometric=base - (geometric + correction),
+        bound_z2_geometric=base - 2 * (geometric + correction),
+        lam=lam,
     )

@@ -29,21 +29,12 @@ in public signatures.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from fractions import Fraction
 from math import lcm
 
 from .gaps import gap, in_z1, in_z2
 from .linalg import TRIVIAL_SHAPE, IntMatrix, ModuleShape, cokernel_shape, local_snf, submodule_equal_mod
 from .padic import PadicRational, Prime, a_val, b_val, odd_valuations, seq_a, seq_b, vp
-
-
-def hc_degree_of_colimit(i: int) -> int:
-    """Homological HC degree computed by the staircase colimit of index i."""
-    return i + 1
-
-
-def hcneg_degree_of_kernel(i: int) -> int:
-    """Homological HC^- degree computed by the kernel over colimit index i."""
-    return i + 3
 
 
 class HomologyResult(
@@ -213,14 +204,17 @@ def phi_coeffs(p: Prime, j: int, i: int) -> CoeffVector:
     """The image of the index-j generator in R + R/1 + R/3 + ... + R/i.
 
     Head coordinate A_j; coordinate at odd n <= i is B_{j-n} for n <= j and
-    zero for n > j.
+    zero for n > j.  B_0, B_2, ..., B_{j-1} come from one pass of
+    B_k = p^2 B_{k-2} / k.
     """
     if j % 2 == 0 or i % 2 == 0 or j < 1 or i < j:
         raise ValueError("need odd indices 1 <= j <= i")
-    comps = []
-    for n in range(1, i + 1, 2):
-        comps.append((n, seq_b(p, j - n) if n <= j else PadicRational(p, 0)))
-    return CoeffVector(p, j, i, seq_a(p, j), tuple(comps))
+    p2 = p.p * p.p
+    b = [Fraction(1)]
+    for k in range(2, j, 2):
+        b.append(b[-1] * p2 / k)
+    comps = tuple((n, PadicRational(p, b[(j - n) // 2] if n <= j else 0)) for n in range(1, i + 1, 2))
+    return CoeffVector(p, j, i, seq_a(p, j), comps)
 
 
 class PresentationReport(namedtuple("PresentationReport", "ok colimit_index rebuilt oracle")):
@@ -253,13 +247,8 @@ def verify_presentation(p: Prime, i: int) -> PresentationReport:
     for r in range(rows):
         mat.data[r][rows] = relation[r]
     rebuilt = cokernel_shape(mat, p)
-    oracle = hc_oracle(p, hc_degree_of_colimit(i)).shape
+    oracle = hc_oracle(p, i + 1).shape
     return PresentationReport(rebuilt == oracle, i, rebuilt, oracle)
-
-
-def default_kernel_params(p: Prime, i: int) -> tuple[int, int]:
-    """Default (head precision T, component cutoff n_max) for kernel checks."""
-    return a_val(p, i) + 6, 4 * i + 1
 
 
 def verify_kernel_generators(
@@ -273,8 +262,11 @@ def verify_kernel_generators(
 
     For i in Z2, the generators psi_{i}(1), psi_{i+2}(1), ..., psi_{i+upto}(1)
     span the same submodule as A_i * e_head, e_i, e_{i+2}, ..., e_{i+upto}
-    after truncating the head to Z/p^T and dropping coordinates above n_max.
-    Raises for i outside Z2 (the description needs the membership).
+    after truncating the head to Z/p^T and dropping coordinates above n_max
+    (defaults T = a_i + 6, n_max = 4i + 1).  A coordinate n of psi_j is
+    B_{j-n} mod p^{v_p(n)}, which is 0 without forming B_{j-n} when
+    b_{j-n} >= v_p(n).  Raises for i outside Z2 (the description needs the
+    membership).
     """
     if i % 2 == 0 or i < 1:
         raise ValueError("index must be odd and positive")
@@ -283,29 +275,30 @@ def verify_kernel_generators(
     if not in_z2(p, i):
         raise ValueError(f"closed form requires Z2 membership, {i} is excluded")
     if head_precision is None:
-        head_precision = default_kernel_params(p, i)[0]
+        head_precision = a_val(p, i) + 6
     if n_max is None:
-        n_max = default_kernel_params(p, i)[1]
+        n_max = 4 * i + 1
     if n_max < i + upto:
         raise ValueError("n_max must cover every generator index")
     head_mod = p.p**head_precision
-    coords = [n for n in range(1, n_max + 1, 2) if vp(p, n) > 0]
-    moduli = [head_mod] + [p.p ** vp(p, n) for n in coords]
+    coords = [(n, v) for n in range(1, n_max + 1, 2) if (v := vp(p, n)) > 0]
+    moduli = [head_mod] + [p.p**v for _, v in coords]
 
     def psi_vector(j: int) -> list[int]:
         vec = [seq_a(p, j).residue(head_mod)]
-        for n in coords:
-            vec.append(seq_b(p, j - n).residue(p.p ** vp(p, n)) if n <= j else 0)
+        for n, v in coords:
+            live = n <= j and b_val(p, j - n) < v
+            vec.append(seq_b(p, j - n).residue(p.p**v) if live else 0)
         return vec
 
     gens_a = [psi_vector(i + j) for j in range(0, upto + 1, 2)]
     gens_b = [[seq_a(p, i).residue(head_mod)] + [0] * len(coords)]
-    for j in range(0, upto + 1, 2):
-        if (i + j) in coords:
+    for k, (n, _) in enumerate(coords):
+        if i <= n <= i + upto:
             e = [0] * len(moduli)
-            e[1 + coords.index(i + j)] = 1
+            e[1 + k] = 1
             gens_b.append(e)
-    return submodule_equal_mod(gens_a, gens_b, moduli)
+    return submodule_equal_mod(p, gens_a, gens_b, moduli)
 
 
 class ConnesReport(namedtuple("ConnesReport", "ok lengths mismatches")):

@@ -11,7 +11,9 @@ p^N (Hafner-McCurley, SIAM J. Comput. 1991; Cohen, *A Course in
 Computational Algebraic Number Theory*, 2.4).
 
 ``snf`` is the classical integer elimination, kept as the reference the
-tests compare the local kernel against.  Everything runs over plain Python
+tests compare the local kernel against.  ``submodule_equal_mod`` compares
+submodules of a product of p-power cyclic groups by the lengths of their
+quotients, read off the same local kernel.  Everything runs over plain Python
 integers: no overflow, no floats, no tolerances.
 """
 
@@ -340,79 +342,38 @@ def cokernel_shape(m: IntMatrix, p: Prime) -> ModuleShape:
     return ModuleShape(vals, free_rank=m.rows - rank)
 
 
-def _hnf_rows(vectors: list[list[int]], width: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical Hermite normal form (row style) of the lattice spanned
-    by the given row vectors.  Deterministic, entries reduced above pivots."""
-    rows = [list(v) for v in vectors if any(v)]
-    basis: list[list[int]] = []
-    col = 0
-    while col < width and rows:
-        carrier = None
-        for r in rows:
-            if r[col]:
-                carrier = r
-                break
-        if carrier is None:
-            col += 1
-            continue
-        rows.remove(carrier)
-        # Fold every other row with a nonzero entry in this column into the
-        # carrier via the extended gcd, zeroing the column below.
-        rest = []
-        for r in rows:
-            if r[col]:
-                a, b = carrier[col], r[col]
-                g = gcd(a, b)
-                x, y = _bezout(a, b)
-                combo = [x * u + y * v for u, v in zip(carrier, r)]
-                r = [(-(b // g)) * u + (a // g) * v for u, v in zip(carrier, r)]
-                carrier = combo
-                if any(r):
-                    rest.append(r)
-            elif any(r):
-                rest.append(r)
-        if carrier[col] < 0:
-            carrier = [-u for u in carrier]
-        basis.append(carrier)
-        rows = rest
-        col += 1
-    # Reduce entries above each pivot.
-    for k in range(len(basis) - 1, -1, -1):
-        pcol = next(j for j, v in enumerate(basis[k]) if v)
-        pval = basis[k][pcol]
-        for r in range(k):
-            q = basis[r][pcol] // pval
-            if q:
-                basis[r] = [u - q * v for u, v in zip(basis[r], basis[k])]
-    return tuple(tuple(r) for r in basis)
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    # x*a + y*b == gcd(a, b)
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return x0, y0
-
-
 def submodule_equal_mod(
+    p: Prime,
     gens_a: list[list[int]] | list[tuple[int, ...]],
     gens_b: list[list[int]] | list[tuple[int, ...]],
     moduli: list[int] | tuple[int, ...],
 ) -> bool:
     """Do two generating sets span the same submodule of prod Z/moduli_k?
 
-    Decided exactly: each side is lifted to the integer lattice spanned by
-    its generators together with moduli_k * e_k, and the canonical Hermite
-    forms are compared.
+    The moduli must be powers of p.  For X = A, B and A + B the quotient
+    of prod Z/moduli_k by X is a finite p-group, the cokernel of the
+    matrix whose columns are the generators of X and moduli_k * e_k; its
+    length is the sum of the local Smith valuations, which the transpose
+    (those vectors as rows) shares.  Its rank is the width, and the
+    quotient is killed by the largest modulus p^E, so precision E + 1 is
+    exact.  A is contained in A + B, so A = B exactly
+    when the three lengths agree.
+
+    >>> submodule_equal_mod(Prime(3), [[3, 1]], [[0, 3], [3, 4]], [9, 9])
+    True
     """
     width = len(moduli)
     for g in list(gens_a) + list(gens_b):
         if len(g) != width:
             raise ValueError("generator length does not match moduli")
-    scaffold = [[moduli[k] if j == k else 0 for j in range(width)] for k in range(width)]
-    lat_a = _hnf_rows([list(g) for g in gens_a] + scaffold, width)
-    lat_b = _hnf_rows([list(g) for g in gens_b] + scaffold, width)
-    return lat_a == lat_b
+    for m in moduli:
+        if m < 1 or p.p ** vp(p, m) != m:
+            raise ValueError(f"moduli must be powers of p={p.p}, got {m}")
+    precision = max((vp(p, m) for m in moduli), default=0) + 1
+    scaffold = [[0] * k + [m] + [0] * (width - k - 1) for k, m in enumerate(moduli)]
+
+    def length(gens) -> int:
+        rows = [list(g) for g in gens] + scaffold
+        return sum(local_snf(IntMatrix(rows, len(rows), width), p, precision, width))
+
+    return length(gens_a) == length(list(gens_a) + list(gens_b)) == length(gens_b)

@@ -9,21 +9,20 @@ sequences
 are the multipliers that appear when the staircase presentations of the
 cyclic complexes are reduced; their p-adic valuations a_j = v_p(A_j) and
 b_j = v_p(B_j) control every closed-form decomposition downstream.  Both
-sequences are p-local (denominators prime to p), which is re-checked on
-construction.
+sequences are p-local (denominators prime to p).
 
-The valuations never walk the index: A_j = p^j / j!! and B_j = p^j / j!!,
-so a_j and b_j follow from Legendre's formula in O(log j); ``vp`` strips
-p^e from an integer in O(log e) big-int divisions; and
-``odd_valuations`` gives the multiset {v_p(n) : n odd in [lo, hi]} by
-counting odd multiples of each p^e, without visiting the n.  Primality of
-``Prime`` is decided by deterministic Miller-Rabin.
+In closed form A_j = p^j / j!! and B_j = p^j / j!!, so a_j and b_j
+follow from Legendre's formula in O(log j); ``vp`` strips p^e from an
+integer in O(log e) big-int divisions; and ``odd_valuations`` gives the
+multiset {v_p(n) : n odd in [lo, hi]} by counting odd multiples of each
+p^e, without visiting the n.  Primality of ``Prime`` is decided by
+deterministic Miller-Rabin.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, prod
 
 
 class Prime:
@@ -227,55 +226,26 @@ class PadicRational:
         return f"PadicRational(p={self.prime.p}, {self.value})"
 
 
-# Memo tables keyed by (p, index).  Entries are immutable once written, so
-# concurrent duplicated inserts are benign.
-_A_CACHE: dict[tuple[int, int], Fraction] = {}
-_B_CACHE: dict[tuple[int, int], Fraction] = {}
-
-
 def seq_a(p: Prime, j: int) -> PadicRational:
-    """The odd-index coefficient A_j; always p-local.
+    """The odd-index coefficient A_j = p^j / j!!; always p-local.
 
     >>> seq_a(Prime(3), 5).value
     Fraction(81, 5)
     """
     if j < 1 or j % 2 == 0:
         raise ValueError(f"A defined on odd positive indices, got {j}")
-    key = (p.p, j)
-    if key not in _A_CACHE:
-        # Fill iteratively from the largest cached index below j.
-        k = j
-        while k > 1 and (p.p, k) not in _A_CACHE:
-            k -= 2
-        acc = _A_CACHE.get((p.p, k), Fraction(p.p))
-        _A_CACHE[(p.p, 1)] = Fraction(p.p)
-        while k < j:
-            k += 2
-            acc = acc * p.p * p.p / k
-            _A_CACHE[(p.p, k)] = acc
-    return PadicRational(p, _A_CACHE[key])
+    return PadicRational(p, Fraction(p.p**j, prod(range(j, 0, -2))))
 
 
 def seq_b(p: Prime, j: int) -> PadicRational:
-    """The even-index coefficient B_j; always p-local.
+    """The even-index coefficient B_j = p^j / j!!; always p-local.
 
     >>> seq_b(Prime(3), 2).value
     Fraction(9, 2)
     """
     if j < 0 or j % 2 == 1:
         raise ValueError(f"B defined on even nonnegative indices, got {j}")
-    key = (p.p, j)
-    if key not in _B_CACHE:
-        k = j
-        while k > 0 and (p.p, k) not in _B_CACHE:
-            k -= 2
-        acc = _B_CACHE.get((p.p, k), Fraction(1))
-        _B_CACHE[(p.p, 0)] = Fraction(1)
-        while k < j:
-            k += 2
-            acc = acc * p.p * p.p / k
-            _B_CACHE[(p.p, k)] = acc
-    return PadicRational(p, _B_CACHE[key])
+    return PadicRational(p, Fraction(p.p**j, prod(range(j, 0, -2))))
 
 
 def a_val(p: Prime, j: int) -> int:

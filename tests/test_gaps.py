@@ -219,6 +219,17 @@ def test_density_bounds_are_monotone_in_sharpness():
     assert rep.bound_z2_asymptotic >= rep.bound_z2
 
 
+@pytest.mark.parametrize("p", [P3, P5, Prime(101)])
+@pytest.mark.parametrize("upper", [1, 1001])
+def test_density_z2_bound_is_z1_bound_with_double_weight(p, upper):
+    # Both bounds are 1 - 1/p minus the same series, weighted 1 and 2.
+    rep = density_bounds(p, upper)
+    base = 1 - Fraction(1, p.p)
+    assert rep.bound_z2 == 2 * rep.bound_z1 - base
+    assert rep.bound_z2_asymptotic == 2 * rep.bound_z1_asymptotic - base
+    assert rep.bound_z2_geometric == 2 * rep.bound_z1_geometric - base
+
+
 def test_density_empirical_stays_above_bound_for_various_primes():
     for p in (P5, P7):
         rep = density_bounds(p, 4001)

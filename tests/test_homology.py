@@ -146,6 +146,14 @@ def test_phi_coeffs_examples():
 
 
 @pytest.mark.parametrize("p", [P3, P5])
+def test_phi_coeffs_components_are_seq_b(p):
+    for j in range(1, 82, 2):
+        vec = phi_coeffs(p, j, j)
+        for n in range(1, j + 1, 2):
+            assert vec.component(n) == seq_b(p, j - n)
+
+
+@pytest.mark.parametrize("p", [P3, P5])
 def test_phi_coeffs_zero_pattern(p):
     # A component can survive in R/n for j > n only inside the gap window.
     for j in range(1, 40, 2):
@@ -194,7 +202,7 @@ def test_kernel_generator_equality_is_not_vacuous():
             e = [0] * len(moduli)
             e[1 + coords.index(i + j)] = 1
             gens_b.append(e)
-    assert not submodule_equal_mod(gens_a, gens_b, moduli)
+    assert not submodule_equal_mod(P3, gens_a, gens_b, moduli)
 
 
 def test_connes_length_recursion():

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cychom.homology import cyclic_matrix
 from cychom.linalg import (
@@ -246,13 +246,14 @@ def test_module_shape_canonical_form():
 
 def test_submodule_equal_trivialities():
     gens = [[1, 0], [0, 1]]
-    assert submodule_equal_mod(gens, gens, [9, 9])
-    assert not submodule_equal_mod([[1, 0]], [[0, 1]], [9, 9])
+    assert submodule_equal_mod(P3, gens, gens, [9, 9])
+    assert not submodule_equal_mod(P3, [[1, 0]], [[0, 1]], [9, 9])
 
 
 def test_submodule_change_of_generators():
     p = 3
     assert submodule_equal_mod(
+        P3,
         [[p, 0], [0, 1]],
         [[p, 1], [0, 1]],
         [p**3, p],
@@ -263,18 +264,80 @@ def test_submodule_invariant_under_recombination():
     gens = [[3, 1, 0], [0, 3, 3]]
     mixed = [[3, 1, 0], [3, 4, 3], [0, -3, -3]]
     moduli = [27, 27, 9]
-    assert submodule_equal_mod(gens, mixed, moduli)
-    assert submodule_equal_mod(list(reversed(gens)), gens, moduli)
+    assert submodule_equal_mod(P3, gens, mixed, moduli)
+    assert submodule_equal_mod(P3, list(reversed(gens)), gens, moduli)
 
 
 def test_submodule_detects_strict_containment():
     # <p*e1> is strictly inside <e1>.
-    assert not submodule_equal_mod([[3]], [[1]], [27])
+    assert not submodule_equal_mod(P3, [[3]], [[1]], [27])
 
 
 def test_submodule_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
-        submodule_equal_mod([[1, 0]], [[1]], [9])
+        submodule_equal_mod(P3, [[1, 0]], [[1]], [9])
+
+
+@pytest.mark.parametrize("moduli", [[6], [0], [-9], [25], [9, 10]])
+def test_submodule_rejects_moduli_that_are_not_p_powers(moduli):
+    gens = [[1] * len(moduli)]
+    with pytest.raises(ValueError, match="powers of p"):
+        submodule_equal_mod(P3, gens, gens, moduli)
+
+
+def _span(gens, moduli) -> frozenset:
+    # Every Z-combination of the generators in prod Z/moduli: in a finite
+    # group, closing {0} under adding generators reaches all of them.
+    zero = tuple(0 for _ in moduli)
+    seen, todo = {zero}, [zero]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = tuple((a + b) % m for a, b, m in zip(x, g, moduli))
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return frozenset(seen)
+
+
+@st.composite
+def _submodule_pairs(draw):
+    p = draw(st.sampled_from([3, 5]))
+    width = draw(st.integers(0, 3))
+    moduli = [p ** draw(st.integers(0, 2)) for _ in range(width)]
+    vector = st.lists(st.integers(-100, 100), min_size=width, max_size=width)
+    gens_a = draw(st.lists(vector, max_size=3))
+    if draw(st.booleans()):
+        gens_b = draw(st.lists(vector, max_size=3))
+    else:
+        # Recombine: shears, moduli multiples and a shuffle keep the span;
+        # dropping a generator may shrink it.
+        gens_b = [list(g) for g in gens_a]
+        coeff = st.integers(-5, 5)
+        for _ in range(draw(st.integers(0, 4))):
+            if len(gens_b) >= 2:
+                i, j = draw(st.permutations(range(len(gens_b))))[:2]
+                c = draw(coeff)
+                gens_b[i] = [x + c * y for x, y in zip(gens_b[i], gens_b[j])]
+            if gens_b and width:
+                i = draw(st.integers(0, len(gens_b) - 1))
+                k = draw(st.integers(0, width - 1))
+                gens_b[i][k] += draw(coeff) * moduli[k]
+        gens_b = draw(st.permutations(gens_b))
+        if gens_b and draw(st.booleans()):
+            gens_b = gens_b[1:]
+    return Prime(p), gens_a, gens_b, moduli
+
+
+# Equal spans that a Hermite form reduced above its pivots from the last
+# pivot upwards tells apart: rows (3, 0, -36) against (3, 0, 189).
+@example((P3, [[15, -19, -11], [0, -28, 28]], [[0, -94, 22], [15, 94, -67], [0, -75, -45]], [9, 3, 3]))
+@settings(max_examples=300, deadline=None)
+@given(_submodule_pairs())
+def test_submodule_equal_matches_span_enumeration(case):
+    p, gens_a, gens_b, moduli = case
+    want = _span(gens_a, moduli) == _span(gens_b, moduli)
+    assert submodule_equal_mod(p, gens_a, gens_b, moduli) == want
 
 
 def test_intmatrix_validation_and_det():

@@ -141,6 +141,20 @@ def test_seq_b_values():
     assert seq_b(P3, 6).valuation == 5
 
 
+@pytest.mark.parametrize("p", [P3, P5, Prime(101)])
+def test_seq_closed_forms_follow_the_recursion(p):
+    # A_1 = p, B_0 = 1, and X_j = p^2 X_{j-2} / j for both sequences.
+    a, b = Fraction(p.p), Fraction(1)
+    assert seq_a(p, 1).value == a and seq_b(p, 0).value == b
+    for j in range(2, 400):
+        if j % 2:
+            a = a * p.p**2 / j
+            assert seq_a(p, j).value == a
+        else:
+            b = b * p.p**2 / j
+            assert seq_b(p, j).value == b
+
+
 @pytest.mark.parametrize("j", [0, -1, 4, 10])
 def test_seq_a_rejects_bad_indices(j):
     with pytest.raises(ValueError):

@@ -34,16 +34,53 @@ def shape_record(res: HomologyResult) -> dict:
 
 def _emit(payload: dict, fmt: str, out: str | None, table_lines: list[str]) -> None:
     if fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        chunks = _json_chunks(payload)
     elif fmt == "csv":
-        text = _to_csv(payload)
+        chunks = [_to_csv(payload)]
     else:
-        text = "\n".join(table_lines) + "\n"
+        chunks = [f"{line}\n" for line in table_lines]
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+def _all_ints(values: list) -> bool:
+    """Nonempty, and every item exactly an int (a bool is not)."""
+    return {*map(type, values)} == {int}
+
+
+def _join_ints(values: list[int], sep: str) -> str:
+    """``sep.join(map(str, values))`` by the C JSON encoder, which makes one
+    short-lived str per int and never holds a list of them all; it needs
+    ``_all_ints(values)``."""
+    return json.dumps(values, separators=(",", ":"))[1:-1].replace(",", sep)
+
+
+def _json_chunks(payload: dict) -> list[str]:
+    """The text of ``json.dumps(payload, indent=2) + "\\n"``, in linear time.
+
+    With ``indent`` set, json.dumps runs its pure-Python encoder, several
+    generator steps per list item.  So each top-level value is encoded on
+    its own and indented one more level: a flat list of ints by
+    ``_join_ints``, anything else by json.dumps(indent=2).  ensure_ascii
+    escapes every newline inside a string, so each newline of the text
+    starts a line.  The keys are str.  The text comes in chunks, so no copy
+    of the whole is made.
+    """
+    if not payload:
+        return ["{}\n"]
+    chunks = ["{"]
+    for key, value in payload.items():
+        chunks.append(f"\n  {json.dumps(key)}: ")
+        if type(value) is list and _all_ints(value):
+            chunks += ["[\n    ", _join_ints(value, ",\n    "), "\n  ]"]
+        else:
+            chunks.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+        chunks.append(",")
+    chunks[-1] = "\n}\n"
+    return chunks
 
 
 def _to_csv(payload: dict) -> str:
@@ -142,8 +179,15 @@ def cmd_hp(args) -> int:
     return 0
 
 
+# zsets prints every member, so its time and memory grow linearly with
+# --max: at 10**7 a query takes 1-3 s and 0.2-0.6 GB (p = 3 to 101).
+ZSETS_MAX = 10**7
+
+
 def cmd_zsets(args) -> int:
     p = Prime(args.prime)
+    if args.max > ZSETS_MAX:
+        raise ValueError(f"zsets lists every member, so --max is capped at {ZSETS_MAX}; got {args.max}")
     members = (gaps.enumerate_z1 if args.set == "z1" else gaps.enumerate_z2)(p, args.max)
     payload = {
         "set": args.set,
@@ -152,8 +196,12 @@ def cmd_zsets(args) -> int:
         "members": members,
         "note": "1 is a member by definition; informal listings often omit it",
     }
-    lines = [f"{args.set} up to {args.max} for p={args.prime} ({len(members)} elements):"]
-    lines.append(" ".join(map(str, members)))
+    lines = []
+    if args.format == "table":
+        lines = [
+            f"{args.set} up to {args.max} for p={args.prime} ({len(members)} elements):",
+            _join_ints(members, " "),
+        ]
     _emit(payload, args.format, args.out, lines)
     return 0
 
@@ -189,35 +237,21 @@ def cmd_density(args) -> int:
 
 def cmd_coeffs(args) -> int:
     p = Prime(args.prime)
-    vec = homology.phi_coeffs(p, args.j, args.i)
-    # A_j and B_{j-1} exceed Python's default 4300-digit int->str limit
-    # from j ~ 3000.  Lift it only while formatting, so argparse still
-    # refuses absurdly long integer arguments.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        rows = [
-            {
-                "modulus": n,
-                "value": str(v.value),
-                "valuation": (None if v.value == 0 else v.valuation),
-            }
-            for n, v in vec.components
-        ]
-        payload = {
-            "prime": args.prime,
-            "j": args.j,
-            "i": args.i,
-            "head": str(vec.head.value),
-            "head_valuation": vec.head.valuation,
-            "rows": rows,
-        }
-        lines = [f"generator {args.j} in colimit {args.i}: head {vec.head.value} (v={vec.head.valuation})"]
-        for row in rows:
-            lines.append(f"  R/{row['modulus']}: {row['value']}")
-        _emit(payload, args.format, args.out, lines)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    j, i = args.j, args.i
+    head, head_valuation, rows = homology.phi_coeff_texts(p, j, i)
+    payload = {
+        "prime": args.prime,
+        "j": j,
+        "i": i,
+        "head": head,
+        "head_valuation": head_valuation,
+        "rows": [{"modulus": n, "value": value, "valuation": v} for n, value, v in rows],
+    }
+    lines = []
+    if args.format == "table":
+        lines = [f"generator {j} in colimit {i}: head {head} (v={head_valuation})"]
+        lines += [f"  R/{n}: {value}" for n, value, _ in rows]
+    _emit(payload, args.format, args.out, lines)
     return 0
 
 

@@ -34,7 +34,7 @@ from math import lcm
 
 from .gaps import gap, in_z1, in_z2
 from .linalg import TRIVIAL_SHAPE, IntMatrix, ModuleShape, cokernel_shape, local_snf, submodule_equal_mod
-from .padic import PadicRational, Prime, a_val, b_val, odd_valuations, seq_a, seq_b, vp
+from .padic import PadicRational, Prime, a_val, b_val, odd_valuations, seq_a, seq_b, staircase_texts, vp
 
 
 class HomologyResult(
@@ -200,6 +200,11 @@ class CoeffVector(namedtuple("CoeffVector", "prime j i head components")):
         raise KeyError(n)
 
 
+def _check_phi_indices(j: int, i: int) -> None:
+    if j % 2 == 0 or i % 2 == 0 or j < 1 or i < j:
+        raise ValueError("need odd indices 1 <= j <= i")
+
+
 def phi_coeffs(p: Prime, j: int, i: int) -> CoeffVector:
     """The image of the index-j generator in R + R/1 + R/3 + ... + R/i.
 
@@ -207,14 +212,31 @@ def phi_coeffs(p: Prime, j: int, i: int) -> CoeffVector:
     zero for n > j.  B_0, B_2, ..., B_{j-1} come from one pass of
     B_k = p^2 B_{k-2} / k.
     """
-    if j % 2 == 0 or i % 2 == 0 or j < 1 or i < j:
-        raise ValueError("need odd indices 1 <= j <= i")
+    _check_phi_indices(j, i)
     p2 = p.p * p.p
     b = [Fraction(1)]
     for k in range(2, j, 2):
         b.append(b[-1] * p2 / k)
     comps = tuple((n, PadicRational(p, b[(j - n) // 2] if n <= j else 0)) for n in range(1, i + 1, 2))
     return CoeffVector(p, j, i, seq_a(p, j), comps)
+
+
+def phi_coeff_texts(p: Prime, j: int, i: int) -> tuple[str, int, list[tuple[int, str, int | None]]]:
+    """``phi_coeffs(p, j, i)`` in decimal text: (head, head valuation, rows).
+
+    A row is (n, value, valuation) for each odd n <= i, with the value
+    written as ``str`` of its Fraction and valuation None for a zero
+    component.  The texts come from ``staircase_texts``, in time linear in
+    the digits, and the valuations from ``a_val``/``b_val``; no Fraction is
+    built.
+    """
+    _check_phi_indices(j, i)
+    texts = staircase_texts(p, j)
+    rows = [
+        (n, texts[(n + 1) // 2], b_val(p, j - n)) if n <= j else (n, "0", None)
+        for n in range(1, i + 1, 2)
+    ]
+    return texts[0], a_val(p, j), rows
 
 
 class PresentationReport(namedtuple("PresentationReport", "ok colimit_index rebuilt oracle")):

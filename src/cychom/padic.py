@@ -15,12 +15,14 @@ In closed form A_j = p^j / j!! and B_j = p^j / j!!, so a_j and b_j
 follow from Legendre's formula in O(log j); ``vp`` strips p^e from an
 integer in O(log e) big-int divisions; and ``odd_valuations`` gives the
 multiset {v_p(n) : n odd in [lo, hi]} by counting odd multiples of each
-p^e, without visiting the n.  Primality of ``Prime`` is decided by
-deterministic Miller-Rabin.
+p^e, without visiting the n; ``staircase_texts`` writes p^k / k!! in
+decimal, for k = j and every k < j of the other parity, in one exact
+pass.  Primality of ``Prime`` is decided by deterministic Miller-Rabin.
 """
 
 from __future__ import annotations
 
+import decimal
 from fractions import Fraction
 from math import gcd, inf, prod
 
@@ -246,6 +248,59 @@ def seq_b(p: Prime, j: int) -> PadicRational:
     if j < 0 or j % 2 == 1:
         raise ValueError(f"B defined on even nonnegative indices, got {j}")
     return PadicRational(p, Fraction(p.p**j, prod(range(j, 0, -2))))
+
+
+# Integer arithmetic in Decimal: any result that would be rounded raises.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded],
+)
+
+
+def staircase_texts(p: Prime, j: int) -> list[str]:
+    """The texts ``str(Fraction(p**k, k!!))`` of X_j, X_{j-1}, X_{j-3}, ...
+
+    That is X_j, then X_k for every k < j of the other parity, from the
+    top down: what column j of the staircase prints (the head, then the
+    component at each odd n <= j).  X_k = p^k / k!! satisfies
+    X_k = p^2 X_{k-2} / k with X_0 = 1 and X_1 = p, so X_k = A_k for odd k
+    and B_k for even k.  In lowest terms X_k = p^e / d: each step strips
+    the p-part p^w of k, multiplies d by k / p^w and adds 2 - w to e.
+    Numerator and denominator are Decimal integers: a product by a small
+    factor and the decimal text take time linear in the digits, where
+    CPython's int->str is quadratic.  The chain of j's parity is carried
+    along but written only at k = j.
+
+    >>> staircase_texts(Prime(3), 5)
+    ['81/5', '81/8', '9/2', '1']
+    >>> staircase_texts(Prime(3), 4)
+    ['81/8', '9', '3']
+    """
+    if j < 0:
+        raise ValueError(f"X defined on nonnegative indices, got {j}")
+    q = p.p
+    # Per parity of k: [e, p^e, d] for the last X_k of that parity.
+    chains = [[0, decimal.Decimal(1), decimal.Decimal(1)], [1, decimal.Decimal(q), decimal.Decimal(1)]]
+    texts = []
+    for k in range(j + 1):
+        chain = chains[k & 1]
+        if k >= 2:
+            u, step = k, 2
+            while u % q == 0:
+                u //= q
+                step -= 1
+            chain[0] += step
+            if step >= 0:
+                chain[1] = _EXACT.multiply(chain[1], q**step)
+            else:  # p^3 | k; a Decimal division at MAX_PREC would exhaust memory
+                chain[1] = _EXACT.power(q, chain[0])
+            chain[2] = _EXACT.multiply(chain[2], u)
+        if (j - k) & 1 or k == j:
+            texts.append(str(chain[1]) if chain[2] == 1 else f"{chain[1]}/{chain[2]}")
+    texts.reverse()
+    return texts
 
 
 def a_val(p: Prime, j: int) -> int:

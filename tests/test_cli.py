@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,8 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cychom
+from cychom import cli
 from cychom.cli import main
 
 EXPECTED_SHAPE_KEYS = {
@@ -230,22 +233,23 @@ def test_deterministic_output(capsys):
     assert first == second
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["hh", "--prime", "3", "--degree", "4"],
-        ["hc", "--prime", "3", "--degree", "10"],
-        ["hc", "--prime", "3", "--degree", "28"],
-        ["hc", "--prime", "5", "--degree", "7"],
-        ["hcneg", "--prime", "3", "--degree", "6", "--truncation", "8"],
-        ["hcneg", "--prime", "3", "--degree", "28"],
-        ["hp", "--prime", "3", "--degree", "0", "--n-max", "11"],
-        ["zsets", "--prime", "3", "--max", "50"],
-        ["density", "--prime", "3", "--max", "99"],
-        ["coeffs", "--prime", "3", "--j", "3", "--i", "5"],
-        ["verify", "--prime", "3", "--hc-max", "8", "--hh-max", "2"],
-    ],
-)
+# One command line per subcommand and output shape.
+JSON_ARGVS = [
+    ["hh", "--prime", "3", "--degree", "4"],
+    ["hc", "--prime", "3", "--degree", "10"],
+    ["hc", "--prime", "3", "--degree", "28"],
+    ["hc", "--prime", "5", "--degree", "7"],
+    ["hcneg", "--prime", "3", "--degree", "6", "--truncation", "8"],
+    ["hcneg", "--prime", "3", "--degree", "28"],
+    ["hp", "--prime", "3", "--degree", "0", "--n-max", "11"],
+    ["zsets", "--prime", "3", "--max", "50"],
+    ["density", "--prime", "3", "--max", "99"],
+    ["coeffs", "--prime", "3", "--j", "3", "--i", "5"],
+    ["verify", "--prime", "3", "--hc-max", "8", "--hh-max", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_ARGVS)
 def test_json_payloads_hold_only_json_types(monkeypatch, argv):
     # The result records are tuples: json.dumps would write one silently as
     # a list, so every payload must convert its records field by field.
@@ -263,6 +267,73 @@ def test_json_payloads_hold_only_json_types(monkeypatch, argv):
             stack.extend(node.values())
         elif type(node) is list:
             stack.extend(node)
+
+
+@pytest.mark.parametrize("argv", JSON_ARGVS + [["zsets", "--prime", "3", "--max", "100000", "--set", "z2"]])
+def test_json_output_is_json_dumps_indent_2(capsys, argv):
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+_TRICKY_TEXT = st.sampled_from(["", "two\nlines", 'say "hi"', "back\\slash", "ünïcødé ☃ \U0001d11e", "\t\r\x00"])
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text() | _TRICKY_TEXT
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text() | _TRICKY_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+_TOP_VALUES = _VALUES | st.lists(st.integers()) | st.just([True, 1]) | st.just([1, False]) | st.just([])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text() | _TRICKY_TEXT, _TOP_VALUES, max_size=6))
+def test_emit_json_matches_json_dumps(payload):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit(payload, "json", None, [])
+    assert buf.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+def test_zsets_refuses_max_above_ceiling_before_sieving(capsys, monkeypatch):
+    from cychom import gaps
+
+    class Sieved(Exception):
+        pass
+
+    def sieve(*args, **kwargs):
+        raise Sieved
+
+    monkeypatch.setattr(gaps, "_excluded_sieve", sieve)
+    for fmt in ("table", "json", "csv"):
+        code, out, err = run(capsys, ["zsets", "--prime", "3", "--max", str(cli.ZSETS_MAX + 1), "--format", fmt])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and str(cli.ZSETS_MAX) in err
+    # The ceiling itself is allowed: that query reaches the sieve.
+    with pytest.raises(Sieved):
+        main(["zsets", "--prime", "3", "--max", str(cli.ZSETS_MAX)])
+
+
+def test_coeffs_rows_match_phi_coeffs(capsys):
+    from cychom.homology import phi_coeffs
+    from cychom.padic import Prime
+
+    code, out, err = run(capsys, ["coeffs", "--prime", "3", "--j", "4001", "--i", "4005", "--format", "json"])
+    assert code == 0, err
+    payload = json.loads(out)
+    vec = phi_coeffs(Prime(3), 4001, 4005)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert payload["head"] == str(vec.head.value)
+        assert payload["head_valuation"] == vec.head.valuation
+        assert len(payload["rows"]) == len(vec.components) == 2003
+        for row, (n, v) in zip(payload["rows"], vec.components):
+            assert row["modulus"] == n
+            assert row["value"] == str(v.value)
+            assert row["valuation"] == (None if v.value == 0 else v.valuation)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_cli_import_loads_no_code_generation_modules():

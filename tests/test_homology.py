@@ -13,6 +13,7 @@ from cychom.homology import (
     hp,
     hp_stabilization_check,
     negative_matrix,
+    phi_coeff_texts,
     phi_coeffs,
     verify_kernel_generators,
     verify_presentation,
@@ -161,6 +162,22 @@ def test_phi_coeffs_zero_pattern(p):
         for n, value in vec.components:
             if n < j and vp(p, n) > 0 and value.valuation < vp(p, n):
                 assert j - n <= gap(p, n)
+
+
+@pytest.mark.parametrize("p", [P3, P5, P7, Prime(101)])
+def test_phi_coeff_texts_match_phi_coeffs(p):
+    for j in range(1, 60, 2):
+        vec = phi_coeffs(p, j, j + 4)
+        head, head_valuation, rows = phi_coeff_texts(p, j, j + 4)
+        assert (head, head_valuation) == (str(vec.head.value), vec.head.valuation)
+        assert rows == [(n, str(v.value), None if v.value == 0 else v.valuation) for n, v in vec.components]
+
+
+@pytest.mark.parametrize("j,i", [(5, 3), (2, 5), (3, 4), (0, 5), (-1, 1)])
+def test_phi_coeff_texts_rejects_what_phi_coeffs_rejects(j, i):
+    for f in (phi_coeffs, phi_coeff_texts):
+        with pytest.raises(ValueError, match="need odd indices"):
+            f(P3, j, i)
 
 
 @pytest.mark.parametrize("p,i", [(P3, 1), (P3, 5), (P3, 9), (P5, 7), (P7, 3)])

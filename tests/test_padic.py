@@ -1,9 +1,11 @@
+import decimal
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cychom import padic
 from cychom.padic import (
     PadicRational,
     Prime,
@@ -13,6 +15,7 @@ from cychom.padic import (
     odd_valuations,
     seq_a,
     seq_b,
+    staircase_texts,
     vp,
 )
 
@@ -153,6 +156,46 @@ def test_seq_closed_forms_follow_the_recursion(p):
         else:
             b = b * p.p**2 / j
             assert seq_b(p, j).value == b
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 101])
+def test_staircase_texts_match_str_of_fraction(p):
+    # k!! built by its own running product; every text stays below the
+    # 4300-digit int->str limit at k <= 1201.  Column 1201 writes X_1201
+    # and the even X_k, column 1200 X_1200 and the odd X_k.
+    double_fact = [1, 1]
+    for k in range(2, 1202):
+        double_fact.append(double_fact[k - 2] * k)
+    seen = set()
+    for j in (1201, 1200):
+        texts = staircase_texts(Prime(p), j)
+        ks = [j, *range(j - 1, -1, -2)]
+        assert len(texts) == len(ks)
+        for k, text in zip(ks, texts):
+            assert text == str(Fraction(p**k, double_fact[k])), k
+        seen.update(ks)
+    assert seen == set(range(1202))
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 3])
+def test_staircase_texts_small_columns(j):
+    expected = {0: ["1"], 1: ["3", "1"], 2: ["9/2", "3"], 3: ["9", "9/2", "1"]}
+    assert staircase_texts(P3, j) == expected[j]
+
+
+def test_staircase_texts_rejects_negative_index():
+    with pytest.raises(ValueError):
+        staircase_texts(P3, -1)
+
+
+def test_staircase_texts_raise_rather_than_round(monkeypatch):
+    # A context with room for 30 digits cannot hold X_k up to k = 201: the
+    # pass must stop at Inexact, not print a rounded text.
+    small = padic._EXACT.copy()
+    small.prec = 30
+    monkeypatch.setattr(padic, "_EXACT", small)
+    with pytest.raises(decimal.Inexact):
+        staircase_texts(P3, 201)
 
 
 @pytest.mark.parametrize("j", [0, -1, 4, 10])

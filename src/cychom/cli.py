@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import compress
 
 from . import gaps, homology
 from .homology import HomologyResult
@@ -32,13 +33,44 @@ def shape_record(res: HomologyResult) -> dict:
     }
 
 
-def _emit(payload: dict, fmt: str, out: str | None, table_lines: list[str]) -> None:
+class Members:
+    """The members of Z1 or Z2 up to a bound, held as the sieve's odd-index
+    mask: byte k is 1 iff 2k+1 is a member.  1 always is, so the mask is
+    never all zero."""
+
+    __slots__ = ("mask",)
+
+    def __init__(self, mask: bytearray):
+        self.mask = mask
+
+    def chunks(self, sep: str):
+        """The text of ``sep.join(map(str, members))``, one chunk per block.
+
+        Block k >= 1 is the 500 mask bytes of the odd numbers 1000k+1 ...
+        1000k+999, so each member there is str(k) followed by one of 500
+        three-digit suffixes: the block's text is one join over the
+        compressed suffix table, with no Python int per member.
+        """
+        mask = self.mask
+        yield sep.join(map(str, compress(range(1, 1000, 2), mask[:500])))
+        suffixes = [f"{d:03}" for d in range(1, 1000, 2)]
+        for k in range(1, -(-len(mask) // 500)):
+            lead = sep + str(k)
+            body = lead.join(compress(suffixes, mask[500 * k : 500 * k + 500]))
+            # A block without members would leak its bare prefix.
+            if body:
+                yield lead + body
+
+
+def _emit(payload: dict, fmt: str, out: str | None, table_lines: list) -> None:
+    """Write the payload as JSON or CSV, or the table lines; a ``Members``
+    line is written with spaces between its members."""
     if fmt == "json":
         chunks = _json_chunks(payload)
     elif fmt == "csv":
-        chunks = [_to_csv(payload)]
+        chunks = _csv_chunks(payload)
     else:
-        chunks = [f"{line}\n" for line in table_lines]
+        chunks = _table_chunks(table_lines)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
@@ -58,39 +90,71 @@ def _join_ints(values: list[int], sep: str) -> str:
     return json.dumps(values, separators=(",", ":"))[1:-1].replace(",", sep)
 
 
-def _json_chunks(payload: dict) -> list[str]:
+def _json_chunks(payload: dict):
     """The text of ``json.dumps(payload, indent=2) + "\\n"``, in linear time.
 
     With ``indent`` set, json.dumps runs its pure-Python encoder, several
     generator steps per list item.  So each top-level value is encoded on
-    its own and indented one more level: a flat list of ints by
-    ``_join_ints``, anything else by json.dumps(indent=2).  ensure_ascii
-    escapes every newline inside a string, so each newline of the text
-    starts a line.  The keys are str.  The text comes in chunks, so no copy
-    of the whole is made.
+    its own and indented one more level: ``Members`` by its chunks, a flat
+    list of ints by ``_join_ints``, anything else by json.dumps(indent=2).
+    ensure_ascii escapes every newline inside a string, so each newline of
+    the text starts a line.  The keys are str.  The text comes in chunks,
+    as it is made, so no copy of the whole is held.
     """
     if not payload:
-        return ["{}\n"]
-    chunks = ["{"]
+        yield "{}\n"
+        return
+    lead = "{"
     for key, value in payload.items():
-        chunks.append(f"\n  {json.dumps(key)}: ")
-        if type(value) is list and _all_ints(value):
-            chunks += ["[\n    ", _join_ints(value, ",\n    "), "\n  ]"]
+        yield f"{lead}\n  {json.dumps(key)}: "
+        if type(value) is Members:
+            yield "[\n    "
+            yield from value.chunks(",\n    ")
+            yield "\n  ]"
+        elif type(value) is list and _all_ints(value):
+            yield "[\n    " + _join_ints(value, ",\n    ") + "\n  ]"
         else:
-            chunks.append(json.dumps(value, indent=2).replace("\n", "\n  "))
-        chunks.append(",")
-    chunks[-1] = "\n}\n"
-    return chunks
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+        lead = ","
+    yield "\n}\n"
 
 
-def _to_csv(payload: dict) -> str:
+def _csv_chunks(payload: dict):
+    """The text of csv.writer over the payload's rows, in chunks."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     rows = [_flatten(row) for row in payload.get("rows") or [payload]]
     writer.writerow(rows[0].keys())
     for row in rows:
-        writer.writerow(_csv_cell(v) for v in row.values())
-    return buf.getvalue()
+        cells = [_csv_cell(v) for v in row.values()]
+        views = [k for k, cell in enumerate(cells) if type(cell) is Members]
+        if not views:
+            writer.writerow(cells)
+            continue
+        # A Members cell is digits and ';', which csv never quotes, so its
+        # row is the cells before it, its chunks and the cells after it.
+        # Each side is written with two empty cells in its place, never
+        # one: csv writes a row of one empty cell as "", not as nothing.
+        (k,) = views
+        writer.writerow(cells[:k] + ["", ""])
+        yield buf.getvalue()[: -1 - len(writer.dialect.lineterminator)]
+        buf.seek(0)
+        buf.truncate()
+        yield from cells[k].chunks(";")
+        writer.writerow(["", ""] + cells[k + 1 :])
+        yield buf.getvalue()[1:]
+        buf.seek(0)
+        buf.truncate()
+    yield buf.getvalue()
+
+
+def _table_chunks(lines: list):
+    for line in lines:
+        if type(line) is Members:
+            yield from line.chunks(" ")
+            yield "\n"
+        else:
+            yield f"{line}\n"
 
 
 def _flatten(record: dict, prefix: str = "") -> dict:
@@ -116,6 +180,33 @@ def _shape_line(res: HomologyResult) -> str:
     return f"{res.theory}_{res.degree} = {res.shape}  [{res.method}]"
 
 
+# Ceilings on the size of each command's work, measured on a 2-core Xeon
+# with Python 3.11 (CPU seconds and peak RSS at the ceiling, for p = 3 /
+# 101 / 1009).  A larger value is refused with exit 1 before anything is
+# allocated.
+# - hc --degree 4000: SNF of a 2001-square staircase, 1.0 / 5.0 / 11 s,
+#   78 MB; twice the degree costs ~7x the time and ~3.4x the memory.
+# - hcneg --truncation 2000: SNF of a 2000- and a 2001-square staircase,
+#   1.9 / 9.0 s (p = 3 / 101), 79 MB.
+# - verify --hc-max 480: the oracle at every even degree up to it, 2.2 /
+#   5.3 / 8.0 s, 17 MB; at 960 it takes 17 / 50 s (p = 3 / 101).
+# - coeffs --j/--i 8001: ~j^2 digits, 30 / 58 / 74 MB of JSON in 0.6 /
+#   0.8 / 1.0 s, 132 / 187 / 231 MB; at 16001, 130 / 242 MB of JSON
+#   (p = 3 / 101) and up to 0.7 GB.
+# - zsets --max 10**7: every member, 23-64 MB of text in 0.3-0.4 s, 30 MB
+#   (p = 3 to 101, any set and format).
+HC_MAX_DEGREE = 4000
+HCNEG_MAX_TRUNCATION = 2000
+VERIFY_MAX_HC = 480
+COEFFS_MAX = 8001
+ZSETS_MAX = 10**7
+
+
+def _cap(flag: str, value: int, ceiling: int, why: str) -> None:
+    if value > ceiling:
+        raise ValueError(f"{why}, so {flag} is capped at {ceiling}; got {value}")
+
+
 def cmd_hh(args) -> int:
     p = Prime(args.prime)
     res = homology.hochschild(p, args.degree)
@@ -125,6 +216,7 @@ def cmd_hh(args) -> int:
 
 def cmd_hc(args) -> int:
     p = Prime(args.prime)
+    _cap("--degree", args.degree, HC_MAX_DEGREE, "hc eliminates a (degree/2+1)-square staircase")
     oracle = homology.hc_oracle(p, args.degree)
     record = shape_record(oracle)
     lines = [_shape_line(oracle)]
@@ -144,6 +236,8 @@ def cmd_hc(args) -> int:
 
 def cmd_hcneg(args) -> int:
     p = Prime(args.prime)
+    if args.truncation is not None:
+        _cap("--truncation", args.truncation, HCNEG_MAX_TRUNCATION, "the probe eliminates staircases of that size")
     n_max = args.n_max if args.n_max is not None else _default_n_max(args.degree)
     res = homology.hc_neg_closed_form(p, args.degree, n_max)
     if res is None:
@@ -179,16 +273,10 @@ def cmd_hp(args) -> int:
     return 0
 
 
-# zsets prints every member, so its time and memory grow linearly with
-# --max: at 10**7 a query takes 1-3 s and 0.2-0.6 GB (p = 3 to 101).
-ZSETS_MAX = 10**7
-
-
 def cmd_zsets(args) -> int:
     p = Prime(args.prime)
-    if args.max > ZSETS_MAX:
-        raise ValueError(f"zsets lists every member, so --max is capped at {ZSETS_MAX}; got {args.max}")
-    members = (gaps.enumerate_z1 if args.set == "z1" else gaps.enumerate_z2)(p, args.max)
+    _cap("--max", args.max, ZSETS_MAX, "zsets lists every member")
+    members = Members(gaps.member_mask(p, args.max, symmetric=args.set == "z2"))
     payload = {
         "set": args.set,
         "prime": args.prime,
@@ -199,8 +287,8 @@ def cmd_zsets(args) -> int:
     lines = []
     if args.format == "table":
         lines = [
-            f"{args.set} up to {args.max} for p={args.prime} ({len(members)} elements):",
-            _join_ints(members, " "),
+            f"{args.set} up to {args.max} for p={args.prime} ({members.mask.count(1)} elements):",
+            members,
         ]
     _emit(payload, args.format, args.out, lines)
     return 0
@@ -238,6 +326,8 @@ def cmd_density(args) -> int:
 def cmd_coeffs(args) -> int:
     p = Prime(args.prime)
     j, i = args.j, args.i
+    _cap("--j", j, COEFFS_MAX, "coeffs prints about j^2 digits")
+    _cap("--i", i, COEFFS_MAX, "coeffs prints a row per odd n <= i")
     head, head_valuation, rows = homology.phi_coeff_texts(p, j, i)
     payload = {
         "prime": args.prime,
@@ -257,6 +347,9 @@ def cmd_coeffs(args) -> int:
 
 def cmd_verify(args) -> int:
     p = Prime(args.prime)
+    if args.hc_max < 2 or args.hc_max % 2:
+        raise ValueError(f"--hc-max must be even and >= 2, got {args.hc_max}")
+    _cap("--hc-max", args.hc_max, VERIFY_MAX_HC, "verify runs the oracle at every even degree up to --hc-max")
     failures: list[str] = []
     lines: list[str] = []
 

@@ -171,20 +171,26 @@ def _excluded_sieve(p: Prime, upper: int, symmetric: bool) -> bytearray:
 _UNMARKED = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-def enumerate_z1(p: Prime, upper: int) -> list[int]:
-    """All elements of Z1 up to upper, ascending."""
+def member_mask(p: Prime, upper: int, symmetric: bool) -> bytearray:
+    """The odd-index mask of Z1 (symmetric=False) or Z2 (symmetric=True)
+    up to upper: byte k is 1 iff 2k+1 is a member.
+
+    >>> list(member_mask(Prime(3), 11, symmetric=False))
+    [1, 0, 1, 1, 0, 1]
+    """
     if upper < 1:
         raise ValueError("upper bound must be >= 1")
-    marked = _excluded_sieve(p, upper, symmetric=False)
-    return list(compress(range(1, upper + 1, 2), marked[1::2].translate(_UNMARKED)))
+    return _excluded_sieve(p, upper, symmetric)[1::2].translate(_UNMARKED)
+
+
+def enumerate_z1(p: Prime, upper: int) -> list[int]:
+    """All elements of Z1 up to upper, ascending."""
+    return list(compress(range(1, upper + 1, 2), member_mask(p, upper, symmetric=False)))
 
 
 def enumerate_z2(p: Prime, upper: int) -> list[int]:
     """All elements of Z2 up to upper, ascending."""
-    if upper < 1:
-        raise ValueError("upper bound must be >= 1")
-    marked = _excluded_sieve(p, upper, symmetric=True)
-    return list(compress(range(1, upper + 1, 2), marked[1::2].translate(_UNMARKED)))
+    return list(compress(range(1, upper + 1, 2), member_mask(p, upper, symmetric=True)))
 
 
 def count_shifted(p: Prime, e: int, b: int, upper: int) -> int:

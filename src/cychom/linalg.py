@@ -225,8 +225,10 @@ class ModuleShape(namedtuple("ModuleShape", "torsion_exponents free_rank complet
         complete_rank: int = 0,
         truncated: bool = False,
     ):
-        canon = tuple(sorted((e for e in torsion_exponents if e > 0), reverse=True))
-        return super().__new__(cls, canon, free_rank, complete_rank, truncated)
+        canon = sorted(torsion_exponents, reverse=True)
+        while canon and canon[-1] <= 0:
+            canon.pop()
+        return super().__new__(cls, tuple(canon), free_rank, complete_rank, truncated)
 
     @classmethod
     def _make(cls, iterable):

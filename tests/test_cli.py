@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cychom
-from cychom import cli
+from cychom import cli, gaps
 from cychom.cli import main
+from cychom.gaps import enumerate_z1, enumerate_z2
+from cychom.padic import Prime
 
 EXPECTED_SHAPE_KEYS = {
     "theory",
@@ -259,7 +261,14 @@ def test_json_payloads_hold_only_json_types(monkeypatch, argv):
     monkeypatch.setattr(cli, "_emit", lambda payload, *rest: payloads.append(payload))
     assert main(argv + ["--format", "json"]) == 0
 
-    stack = [payloads[0]]
+    payload = payloads[0]
+    if argv[0] == "zsets":
+        # The one non-JSON type: the member view, written by its own chunks.
+        view = payload.pop("members")
+        assert type(view) is cli.Members
+        want = json.dumps({"members": enumerate_z1(Prime(3), 50)}, indent=2) + "\n"
+        assert "".join(cli._json_chunks({"members": view})) == want
+    stack = [payload]
     while stack:
         node = stack.pop()
         assert type(node) in (dict, list, str, int, float, bool, type(None)), node
@@ -314,6 +323,60 @@ def test_zsets_refuses_max_above_ceiling_before_sieving(capsys, monkeypatch):
         main(["zsets", "--prime", "3", "--max", str(cli.ZSETS_MAX)])
 
 
+class Allocated(Exception):
+    pass
+
+
+def _allocating(*args, **kwargs):
+    raise Allocated
+
+
+# argv up to the capped flag, the ceiling's name, and the first allocation
+# of that size.
+CAPPED = [
+    (["hc", "--prime", "3", "--degree"], "HC_MAX_DEGREE", "cyclic_matrix"),
+    (["hcneg", "--prime", "3", "--degree", "6", "--truncation"], "HCNEG_MAX_TRUNCATION", "negative_matrix"),
+    (["verify", "--prime", "3", "--hh-max", "2", "--hc-max"], "VERIFY_MAX_HC", "hc_oracle"),
+    (["coeffs", "--prime", "3", "--i", str(cli.COEFFS_MAX), "--j"], "COEFFS_MAX", "staircase_texts"),
+    (["coeffs", "--prime", "3", "--j", "3", "--i"], "COEFFS_MAX", "phi_coeff_texts"),
+]
+
+
+@pytest.mark.parametrize("argv, name, allocator", CAPPED, ids=[c[0][0] + c[0][-1] for c in CAPPED])
+def test_sizes_above_ceiling_refused_before_allocating(capsys, monkeypatch, argv, name, allocator):
+    from cychom import homology
+
+    ceiling = getattr(cli, name)
+    monkeypatch.setattr(homology, allocator, _allocating)
+    for fmt in ("table", "json", "csv"):
+        code, out, err = run(capsys, argv + [str(ceiling + 2), "--format", fmt])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and str(ceiling) in err
+    # The ceiling itself is allowed: that query reaches the allocation.
+    with pytest.raises(Allocated):
+        main(argv + [str(ceiling)])
+
+
+def test_ceilings_sit_above_benchmark_and_test_inputs():
+    # The benchmark runs hc to degree 400, verify to --hc-max 120 and coeffs
+    # to j = 4001; the tests run hc at degree 1002 and coeffs at i = 4005.
+    # Each ceiling is itself a valid value: hc-max even, coeffs indices odd.
+    assert cli.HC_MAX_DEGREE >= 1002 and cli.VERIFY_MAX_HC >= 120
+    assert cli.COEFFS_MAX >= 4005 and cli.HCNEG_MAX_TRUNCATION >= 8
+    assert cli.VERIFY_MAX_HC % 2 == 0 and cli.COEFFS_MAX % 2 == 1
+
+
+@pytest.mark.parametrize("hc_max", ["7", "0", "-2", "1"])
+def test_verify_checks_hc_max_before_any_check(capsys, monkeypatch, hc_max):
+    from cychom import homology
+
+    monkeypatch.setattr(homology, "hc_oracle", _allocating)
+    monkeypatch.setattr(homology, "hochschild", _allocating)
+    code, out, err = run(capsys, ["verify", "--prime", "3", "--hc-max", hc_max])
+    assert code == 1 and out == ""
+    assert err == f"error: --hc-max must be even and >= 2, got {hc_max}\n"
+
+
 def test_coeffs_rows_match_phi_coeffs(capsys):
     from cychom.homology import phi_coeffs
     from cychom.padic import Prime
@@ -346,3 +409,97 @@ def test_cli_import_loads_no_code_generation_modules():
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"} & set(loaded)
+
+
+ZSETS_NOTE = "1 is a member by definition; informal listings often omit it"
+
+
+def _zsets_texts(p: int, top: int, which: str) -> dict[str, str]:
+    """zsets' stdout in each format; stderr must stay empty."""
+    texts = {}
+    for fmt in ("table", "json", "csv"):
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["zsets", "--prime", str(p), "--max", str(top), "--set", which, "--format", fmt]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == 0
+        assert err.getvalue() == ""
+        texts[fmt] = out.getvalue()
+    return texts
+
+
+def _zsets_reference(p: int, top: int, which: str) -> dict[str, str]:
+    """The three texts built from the enumerated member list."""
+    members = (enumerate_z1 if which == "z1" else enumerate_z2)(Prime(p), top)
+    payload = {"set": which, "prime": p, "max": top, "members": members, "note": ZSETS_NOTE}
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(payload.keys())
+    writer.writerow([which, p, top, ";".join(map(str, members)), ZSETS_NOTE])
+    return {
+        "table": f"{which} up to {top} for p={p} ({len(members)} elements):\n" + " ".join(map(str, members)) + "\n",
+        "json": json.dumps(payload, indent=2) + "\n",
+        "csv": buf.getvalue(),
+    }
+
+
+_ZSETS_PRIMES = [3, 5, 7, 11, 13, 101]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_ZSETS_PRIMES),
+    st.integers(min_value=1, max_value=20_000)
+    | st.builds(lambda k, d: 1000 * k + d, st.integers(1, 40), st.sampled_from([-1, 0, 1])),
+    st.sampled_from(["z1", "z2"]),
+)
+def test_zsets_text_matches_enumerated_members(p, top, which):
+    assert _zsets_texts(p, top, which) == _zsets_reference(p, top, which)
+
+
+@pytest.mark.parametrize("which", ["z1", "z2"])
+@pytest.mark.parametrize("p", _ZSETS_PRIMES)
+def test_zsets_text_at_block_edges(p, which):
+    # 1 and p, values below 1000, and the edges of the 1000-wide blocks.
+    for top in (1, 2, p, p + 2, 499, 997, 999, 1000, 1001, 1999, 2000, 2001, 9999, 10_000, 10_001):
+        assert _zsets_texts(p, top, which) == _zsets_reference(p, top, which), top
+
+
+def test_zsets_skips_a_block_without_members():
+    # At p = 3 the Z1 window of 999 = 27 * 37 is [999, 1001], so block 1
+    # is empty up to --max 1001 and must write nothing, not its bare
+    # prefix "1".
+    top = 1001
+    assert enumerate_z1(Prime(3), top)[-1] < 1000
+    texts = _zsets_texts(3, top, "z1")
+    assert texts == _zsets_reference(3, top, "z1")
+    assert texts["table"].split("\n")[1].split()[-1] != "1"
+
+
+def test_zsets_builds_no_member_list(monkeypatch):
+    want = {which: _zsets_reference(5, 20_001, which) for which in ("z1", "z2")}
+
+    def refused(*args):
+        raise AssertionError("zsets built a member list")
+
+    monkeypatch.setattr(gaps, "enumerate_z1", refused)
+    monkeypatch.setattr(gaps, "enumerate_z2", refused)
+    for which in ("z1", "z2"):
+        assert _zsets_texts(5, 20_001, which) == want[which]
+
+
+def test_zsets_writes_chunks_not_one_string(monkeypatch):
+    # writelines gets block-sized chunks: the text is never joined whole.
+    sizes = []
+
+    class Sink(io.StringIO):
+        def writelines(self, chunks):
+            for chunk in chunks:
+                sizes.append(len(chunk))
+                self.write(chunk)
+
+    for fmt in ("table", "json", "csv"):
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(["zsets", "--prime", "3", "--max", "100000", "--format", fmt]) == 0
+        assert len(sink.getvalue()) > 100_000 > 10 * max(sizes)
+        sizes.clear()

@@ -244,6 +244,15 @@ def test_module_shape_canonical_form():
     assert str(TRIVIAL_SHAPE) == "0"
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=-5, max_value=40)), st.booleans())
+def test_module_shape_canonical_form_matches_filter_then_sort(exponents, as_generator):
+    # The canonical form as first defined: drop exponents <= 0, then sort.
+    want = tuple(sorted((e for e in exponents if e > 0), reverse=True))
+    given_exponents = (e for e in exponents) if as_generator else exponents
+    assert ModuleShape(given_exponents).torsion_exponents == want
+
+
 def test_submodule_equal_trivialities():
     gens = [[1, 0], [0, 1]]
     assert submodule_equal_mod(P3, gens, gens, [9, 9])

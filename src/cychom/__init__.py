@@ -4,11 +4,10 @@ The public surface re-exports the valuation layer, the window/density
 layer, the exact linear algebra, and the homology engine.
 """
 
-from .padic import PadicRational, Prime, a_val, b_val, factorial_vp, odd_valuations, seq_a, seq_b, vp
+from .padic import Prime, a_val, b_val, factorial_vp, odd_valuations, residue, seq_a, seq_b, vp
 from .gaps import (
     DensityReport,
     GapWindow,
-    count_shifted,
     density_bounds,
     enumerate_z1,
     enumerate_z2,
@@ -53,7 +52,6 @@ __all__ = [
     "HomologyResult",
     "IntMatrix",
     "ModuleShape",
-    "PadicRational",
     "Prime",
     "SnfResult",
     "TRIVIAL_SHAPE",
@@ -62,7 +60,6 @@ __all__ = [
     "b_val",
     "cokernel_shape",
     "connes_length_check",
-    "count_shifted",
     "cyclic_matrix",
     "density_bounds",
     "enumerate_z1",
@@ -83,6 +80,7 @@ __all__ = [
     "negative_matrix",
     "odd_valuations",
     "phi_coeffs",
+    "residue",
     "seq_a",
     "seq_b",
     "snf",

@@ -195,11 +195,19 @@ def _shape_line(res: HomologyResult) -> str:
 #   (p = 3 / 101) and up to 0.7 GB.
 # - zsets --max 10**7: every member, 23-64 MB of text in 0.3-0.4 s, 30 MB
 #   (p = 3 to 101, any set and format).
+# - verify --hh-max 10**5: one Hochschild check and one line per degree,
+#   1.8 / 2.0 s, 38 / 25 MB, 3.6 / 2.9 MB of text (p = 3 / 101); linear,
+#   3.6 / 3.9 s at 2*10**5.
+# - hp/hcneg --n-max 10**7 + 1 (given, or the default degree + 20 or 21):
+#   a torsion exponent per odd multiple of p, 0.5-1.0 s, 113-177 MB, 3.3-11.7
+#   MB of text at p = 3; 0.2 s, 21 MB at p = 101; linear in n_max.
 HC_MAX_DEGREE = 4000
 HCNEG_MAX_TRUNCATION = 2000
 VERIFY_MAX_HC = 480
+VERIFY_MAX_HH = 10**5
 COEFFS_MAX = 8001
 ZSETS_MAX = 10**7
+PRODUCT_MAX_N = 10**7 + 1
 
 
 def _cap(flag: str, value: int, ceiling: int, why: str) -> None:
@@ -238,8 +246,7 @@ def cmd_hcneg(args) -> int:
     p = Prime(args.prime)
     if args.truncation is not None:
         _cap("--truncation", args.truncation, HCNEG_MAX_TRUNCATION, "the probe eliminates staircases of that size")
-    n_max = args.n_max if args.n_max is not None else _default_n_max(args.degree)
-    res = homology.hc_neg_closed_form(p, args.degree, n_max)
+    res = homology.hc_neg_closed_form(p, args.degree, _n_max(args))
     if res is None:
         payload = {"theory": "HCneg", "degree": args.degree, "closed_form": None}
         lines = [f"HCneg_{args.degree}: not covered (degree-1 in a gap window)"]
@@ -260,15 +267,22 @@ def cmd_hcneg(args) -> int:
     return 0
 
 
-def _default_n_max(degree: int) -> int:
-    base = max(degree, 1) + 20
-    return base if base % 2 == 1 else base + 1
+def _n_max(args) -> int:
+    """The display cutoff: --n-max, or by default the first odd number from
+    degree + 20 on.  Either is capped."""
+    if args.n_max is not None:
+        n_max, flag = args.n_max, "--n-max"
+    else:
+        base = max(args.degree, 1) + 20
+        n_max = base if base % 2 == 1 else base + 1
+        flag = f"the default --n-max for --degree {args.degree}"
+    _cap(flag, n_max, PRODUCT_MAX_N, "the answer lists a torsion exponent per odd multiple of p up to --n-max")
+    return n_max
 
 
 def cmd_hp(args) -> int:
     p = Prime(args.prime)
-    n_max = args.n_max if args.n_max is not None else _default_n_max(args.degree)
-    res = homology.hp(p, args.degree, n_max)
+    res = homology.hp(p, args.degree, _n_max(args))
     _emit(shape_record(res), args.format, args.out, [_shape_line(res)])
     return 0
 
@@ -350,6 +364,9 @@ def cmd_verify(args) -> int:
     if args.hc_max < 2 or args.hc_max % 2:
         raise ValueError(f"--hc-max must be even and >= 2, got {args.hc_max}")
     _cap("--hc-max", args.hc_max, VERIFY_MAX_HC, "verify runs the oracle at every even degree up to --hc-max")
+    if args.hh_max < 0:
+        raise ValueError(f"--hh-max must be >= 0, got {args.hh_max}")
+    _cap("--hh-max", args.hh_max, VERIFY_MAX_HH, "verify checks and prints every Hochschild degree up to --hh-max")
     failures: list[str] = []
     lines: list[str] = []
 

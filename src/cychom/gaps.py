@@ -193,25 +193,6 @@ def enumerate_z2(p: Prime, upper: int) -> list[int]:
     return list(compress(range(1, upper + 1, 2), member_mask(p, upper, symmetric=True)))
 
 
-def count_shifted(p: Prime, e: int, b: int, upper: int) -> int:
-    """How many odd x <= upper have the form c*p^e + b or c*p^e - b.
-
-    b must be even and smaller than p^e/2, which keeps the two residue
-    classes disjoint.  Only odd c contribute (p^e is odd, b is even).
-    """
-    if e < 1:
-        raise ValueError("e must be a positive integer")
-    q = p.p**e
-    if b <= 0 or b % 2 == 1 or 2 * b >= q:
-        raise ValueError("b must be even, positive, and < p^e/2")
-    total = 0
-    for s in (-b, b):
-        c_max = (upper - s) // q
-        if c_max >= 1:
-            total += (c_max + 1) // 2  # odd c in [1, c_max]
-    return total
-
-
 class DensityReport(
     namedtuple(
         "DensityReport",

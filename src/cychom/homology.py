@@ -34,7 +34,7 @@ from math import lcm
 
 from .gaps import gap, in_z1, in_z2
 from .linalg import TRIVIAL_SHAPE, IntMatrix, ModuleShape, cokernel_shape, local_snf, submodule_equal_mod
-from .padic import PadicRational, Prime, a_val, b_val, odd_valuations, seq_a, seq_b, staircase_texts, vp
+from .padic import Prime, a_val, b_val, odd_valuations, residue, seq_a, seq_b, staircase_texts, vp
 
 
 class HomologyResult(
@@ -188,12 +188,12 @@ def hc_neg_closed_form(p: Prime, m: int, n_max: int) -> HomologyResult | None:
 
 class CoeffVector(namedtuple("CoeffVector", "prime j i head components")):
     """Coefficients of the index-j staircase generator inside the regular
-    colimit with top index i: a head entry (a PadicRational) plus one
-    (odd modulus n, PadicRational) pair per component."""
+    colimit with top index i: a head entry (a Fraction) plus one
+    (odd modulus n, Fraction) pair per component."""
 
     __slots__ = ()
 
-    def component(self, n: int) -> PadicRational:
+    def component(self, n: int) -> Fraction:
         for k, v in self.components:
             if k == n:
                 return v
@@ -217,7 +217,7 @@ def phi_coeffs(p: Prime, j: int, i: int) -> CoeffVector:
     b = [Fraction(1)]
     for k in range(2, j, 2):
         b.append(b[-1] * p2 / k)
-    comps = tuple((n, PadicRational(p, b[(j - n) // 2] if n <= j else 0)) for n in range(1, i + 1, 2))
+    comps = tuple((n, b[(j - n) // 2] if n <= j else Fraction(0)) for n in range(1, i + 1, 2))
     return CoeffVector(p, j, i, seq_a(p, j), comps)
 
 
@@ -259,9 +259,9 @@ def verify_presentation(p: Prime, i: int) -> PresentationReport:
     coeffs = phi_coeffs(p, i, i)
     odds = list(range(1, i + 1, 2))
     entries = [coeffs.head] + [coeffs.component(n) for n in odds]
-    scale = lcm(*(e.value.denominator for e in entries))
+    scale = lcm(*(e.denominator for e in entries))
     p2 = p.p * p.p
-    relation = [int(e.value * p2 * scale) for e in entries]
+    relation = [int(e * p2 * scale) for e in entries]
     rows = len(entries)
     mat = IntMatrix.zero(rows, rows + 1)
     for idx, n in enumerate(odds):
@@ -307,14 +307,14 @@ def verify_kernel_generators(
     moduli = [head_mod] + [p.p**v for _, v in coords]
 
     def psi_vector(j: int) -> list[int]:
-        vec = [seq_a(p, j).residue(head_mod)]
+        vec = [residue(seq_a(p, j), head_mod)]
         for n, v in coords:
             live = n <= j and b_val(p, j - n) < v
-            vec.append(seq_b(p, j - n).residue(p.p**v) if live else 0)
+            vec.append(residue(seq_b(p, j - n), p.p**v) if live else 0)
         return vec
 
     gens_a = [psi_vector(i + j) for j in range(0, upto + 1, 2)]
-    gens_b = [[seq_a(p, i).residue(head_mod)] + [0] * len(coords)]
+    gens_b = [[residue(seq_a(p, i), head_mod)] + [0] * len(coords)]
     for k, (n, _) in enumerate(coords):
         if i <= n <= i + upto:
             e = [0] * len(moduli)

@@ -47,19 +47,6 @@ class IntMatrix:
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
         return cls([[0] * cols for _ in range(rows)], rows, cols)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        m = cls.zero(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix([row[:] for row in self.data], self.rows, self.cols)
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        return self.data[ij[0]][ij[1]]
-
     def __eq__(self, other):
         return (
             isinstance(other, IntMatrix)
@@ -239,9 +226,6 @@ class ModuleShape(namedtuple("ModuleShape", "torsion_exponents free_rank complet
     @property
     def p_length(self) -> int:
         return sum(self.torsion_exponents)
-
-    def is_trivial(self) -> bool:
-        return not self.torsion_exponents and not self.free_rank and not self.complete_rank
 
     def __str__(self):
         parts = ["R^"] * self.complete_rank + ["R"] * self.free_rank

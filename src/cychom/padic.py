@@ -8,11 +8,13 @@ sequences
 
 are the multipliers that appear when the staircase presentations of the
 cyclic complexes are reduced; their p-adic valuations a_j = v_p(A_j) and
-b_j = v_p(B_j) control every closed-form decomposition downstream.  Both
-sequences are p-local (denominators prime to p).
+b_j = v_p(B_j) control every closed-form decomposition downstream.
 
-In closed form A_j = p^j / j!! and B_j = p^j / j!!, so a_j and b_j
-follow from Legendre's formula in O(log j); ``vp`` strips p^e from an
+In closed form A_j = p^j / j!! and B_j = p^j / j!!.  ``seq_a`` and
+``seq_b`` return these Fractions themselves.  They are p-local by
+construction, since v_p(j!!) <= v_p(j!) <= j, so ``residue`` maps them into
+every Z/p^e.  Their valuations a_j and b_j follow from Legendre's formula
+in O(log j) (``a_val``, ``b_val``); ``vp`` strips p^e from an
 integer in O(log e) big-int divisions; and ``odd_valuations`` gives the
 multiset {v_p(n) : n odd in [lo, hi]} by counting odd multiples of each
 p^e, without visiting the n; ``staircase_texts`` writes p^k / k!! in
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import decimal
 from fractions import Fraction
-from math import gcd, inf, prod
+from math import gcd, prod
 
 
 class Prime:
@@ -55,9 +57,6 @@ class Prime:
 
     def __repr__(self):
         return f"Prime({self.p})"
-
-    def __int__(self):
-        return self.p
 
 
 # Miller-Rabin with the prime bases up to 41 has no strong pseudoprime
@@ -163,91 +162,42 @@ def odd_valuations(p: Prime, lo: int, hi: int) -> list[int]:
     return out
 
 
-class PadicRational:
-    """A reduced fraction with its p-adic valuation cached.
+def residue(x: Fraction, modulus: int) -> int:
+    """The image of x in Z/modulus; x's denominator must be invertible there.
 
-    The zero element carries valuation +infinity (``math.inf``) so that
-    comparisons like ``x.valuation >= e`` behave as expected.
+    For a p-power modulus that is exactly the condition that x is p-local.
+
+    >>> residue(Fraction(81, 5), 3**6)
+    162
     """
-
-    __slots__ = ("prime", "value", "valuation")
-
-    def __init__(self, prime: Prime, value: Fraction | int):
-        frac = Fraction(value)
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "value", frac)
-        if frac == 0:
-            val = inf
-        else:
-            val = vp(prime, frac.numerator) - vp(prime, frac.denominator)
-        object.__setattr__(self, "valuation", val)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PadicRational is immutable")
-
-    @property
-    def numerator(self) -> int:
-        return self.value.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.value.denominator
-
-    def is_p_local(self) -> bool:
-        """True iff the denominator is prime to p (the element lies in Z_(p))."""
-        return self.value == 0 or vp(self.prime, self.value.denominator) == 0
-
-    def residue(self, modulus: int) -> int:
-        """The image in Z/modulus for a p-power modulus.
-
-        Requires the element to be p-local; the denominator is inverted
-        mod the modulus.
-        """
-        if modulus <= 0:
-            raise ValueError("modulus must be positive")
-        if not self.is_p_local():
-            raise ValueError("element is not p-local, no residue exists")
-        if self.value == 0:
-            return 0
-        den = self.value.denominator % modulus
-        if gcd(den, modulus) != 1:
-            raise ValueError("denominator not invertible mod modulus")
-        return (self.value.numerator * pow(den, -1, modulus)) % modulus
-
-    def __eq__(self, other):
-        if isinstance(other, PadicRational):
-            return self.prime == other.prime and self.value == other.value
-        if isinstance(other, (int, Fraction)):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.prime, self.value))
-
-    def __repr__(self):
-        return f"PadicRational(p={self.prime.p}, {self.value})"
+    if modulus <= 0:
+        raise ValueError("modulus must be positive")
+    den = x.denominator % modulus
+    if gcd(den, modulus) != 1:
+        raise ValueError("denominator not invertible mod modulus")
+    return x.numerator * pow(den, -1, modulus) % modulus
 
 
-def seq_a(p: Prime, j: int) -> PadicRational:
+def seq_a(p: Prime, j: int) -> Fraction:
     """The odd-index coefficient A_j = p^j / j!!; always p-local.
 
-    >>> seq_a(Prime(3), 5).value
+    >>> seq_a(Prime(3), 5)
     Fraction(81, 5)
     """
     if j < 1 or j % 2 == 0:
         raise ValueError(f"A defined on odd positive indices, got {j}")
-    return PadicRational(p, Fraction(p.p**j, prod(range(j, 0, -2))))
+    return Fraction(p.p**j, prod(range(j, 0, -2)))
 
 
-def seq_b(p: Prime, j: int) -> PadicRational:
+def seq_b(p: Prime, j: int) -> Fraction:
     """The even-index coefficient B_j = p^j / j!!; always p-local.
 
-    >>> seq_b(Prime(3), 2).value
+    >>> seq_b(Prime(3), 2)
     Fraction(9, 2)
     """
     if j < 0 or j % 2 == 1:
         raise ValueError(f"B defined on even nonnegative indices, got {j}")
-    return PadicRational(p, Fraction(p.p**j, prod(range(j, 0, -2))))
+    return Fraction(p.p**j, prod(range(j, 0, -2)))
 
 
 # Integer arithmetic in Decimal: any result that would be rounded raises.

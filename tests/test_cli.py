@@ -337,6 +337,9 @@ CAPPED = [
     (["hc", "--prime", "3", "--degree"], "HC_MAX_DEGREE", "cyclic_matrix"),
     (["hcneg", "--prime", "3", "--degree", "6", "--truncation"], "HCNEG_MAX_TRUNCATION", "negative_matrix"),
     (["verify", "--prime", "3", "--hh-max", "2", "--hc-max"], "VERIFY_MAX_HC", "hc_oracle"),
+    (["verify", "--prime", "3", "--hc-max", "2", "--hh-max"], "VERIFY_MAX_HH", "hochschild"),
+    (["hp", "--prime", "3", "--degree", "0", "--n-max"], "PRODUCT_MAX_N", "hp"),
+    (["hcneg", "--prime", "3", "--degree", "6", "--n-max"], "PRODUCT_MAX_N", "hc_neg_closed_form"),
     (["coeffs", "--prime", "3", "--i", str(cli.COEFFS_MAX), "--j"], "COEFFS_MAX", "staircase_texts"),
     (["coeffs", "--prime", "3", "--j", "3", "--i"], "COEFFS_MAX", "phi_coeff_texts"),
 ]
@@ -358,12 +361,61 @@ def test_sizes_above_ceiling_refused_before_allocating(capsys, monkeypatch, argv
 
 
 def test_ceilings_sit_above_benchmark_and_test_inputs():
-    # The benchmark runs hc to degree 400, verify to --hc-max 120 and coeffs
-    # to j = 4001; the tests run hc at degree 1002 and coeffs at i = 4005.
-    # Each ceiling is itself a valid value: hc-max even, coeffs indices odd.
+    # The benchmark runs hc to degree 400, verify to --hc-max 120 with the
+    # default --hh-max 10, coeffs to j = 4001 and the closed forms to degree
+    # 2*10**6 with n_max = degree + 21; the tests run hc at degree 1002 and
+    # coeffs at i = 4005.  Each ceiling is itself a valid value: hc-max
+    # even, coeffs indices and n_max odd.
     assert cli.HC_MAX_DEGREE >= 1002 and cli.VERIFY_MAX_HC >= 120
     assert cli.COEFFS_MAX >= 4005 and cli.HCNEG_MAX_TRUNCATION >= 8
-    assert cli.VERIFY_MAX_HC % 2 == 0 and cli.COEFFS_MAX % 2 == 1
+    assert cli.VERIFY_MAX_HH >= 10 and cli.PRODUCT_MAX_N >= 2 * 10**6 + 21
+    assert cli.VERIFY_MAX_HC % 2 == 0 and cli.COEFFS_MAX % 2 == 1 and cli.PRODUCT_MAX_N % 2 == 1
+
+
+# The ceilings that README "CLI" and the CI console-script step state by
+# value: one past each is refused, the ceiling itself reaches the work.
+DOCUMENTED = [
+    (["verify", "--prime", "3", "--hc-max", "2", "--hh-max"], 10**5, "hochschild"),
+    (["hp", "--prime", "3", "--degree", "0", "--n-max"], 10**7 + 1, "hp"),
+]
+
+
+@pytest.mark.parametrize("argv, ceiling, allocator", DOCUMENTED, ids=[c[0][0] for c in DOCUMENTED])
+def test_documented_ceilings(capsys, monkeypatch, argv, ceiling, allocator):
+    from cychom import homology
+
+    monkeypatch.setattr(homology, allocator, _allocating)
+    code, out, err = run(capsys, argv + [str(ceiling + 1)])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"capped at {ceiling};" in err
+    with pytest.raises(Allocated):
+        main(argv + [str(ceiling)])
+
+
+@pytest.mark.parametrize("command, allocator", [("hp", "hp"), ("hcneg", "hc_neg_closed_form")])
+def test_default_n_max_is_capped_too(capsys, monkeypatch, command, allocator):
+    from cychom import homology
+
+    # Without --n-max the cutoff is the first odd number from degree + 20:
+    # the ceiling plus 2 at degree ceiling - 19, the ceiling at ceiling - 21.
+    monkeypatch.setattr(homology, allocator, _allocating)
+    top = cli.PRODUCT_MAX_N
+    code, out, err = run(capsys, [command, "--prime", "3", "--degree", str(top - 19)])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"capped at {top}; got {top + 2}" in err
+    with pytest.raises(Allocated):
+        main([command, "--prime", "3", "--degree", str(top - 21)])
+
+
+def test_verify_checks_hh_max_before_any_check(capsys, monkeypatch):
+    from cychom import homology
+
+    monkeypatch.setattr(homology, "hochschild", _allocating)
+    code, out, err = run(capsys, ["verify", "--prime", "3", "--hh-max", "-1"])
+    assert code == 1 and out == ""
+    assert err == "error: --hh-max must be >= 0, got -1\n"
+    with pytest.raises(Allocated):
+        main(["verify", "--prime", "3", "--hh-max", "0"])
 
 
 @pytest.mark.parametrize("hc_max", ["7", "0", "-2", "1"])
@@ -379,7 +431,10 @@ def test_verify_checks_hc_max_before_any_check(capsys, monkeypatch, hc_max):
 
 def test_coeffs_rows_match_phi_coeffs(capsys):
     from cychom.homology import phi_coeffs
-    from cychom.padic import Prime
+    from cychom.padic import Prime, vp
+
+    def frac_vp(x):
+        return vp(Prime(3), x.numerator) - vp(Prime(3), x.denominator)
 
     code, out, err = run(capsys, ["coeffs", "--prime", "3", "--j", "4001", "--i", "4005", "--format", "json"])
     assert code == 0, err
@@ -388,13 +443,13 @@ def test_coeffs_rows_match_phi_coeffs(capsys):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        assert payload["head"] == str(vec.head.value)
-        assert payload["head_valuation"] == vec.head.valuation
+        assert payload["head"] == str(vec.head)
+        assert payload["head_valuation"] == frac_vp(vec.head)
         assert len(payload["rows"]) == len(vec.components) == 2003
         for row, (n, v) in zip(payload["rows"], vec.components):
             assert row["modulus"] == n
-            assert row["value"] == str(v.value)
-            assert row["valuation"] == (None if v.value == 0 else v.valuation)
+            assert row["value"] == str(v)
+            assert row["valuation"] == (None if v == 0 else frac_vp(v))
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from cychom.gaps import (
     _iroot_floor,
-    count_shifted,
     density_bounds,
     enumerate_z1,
     enumerate_z2,
@@ -159,45 +158,6 @@ def test_half_prime_power_neighbors_clear_all_windows(p):
         g = gap(p, n)
         for t in targets:
             assert abs(t - n) > g
-
-
-def _count_shifted_brute(p, e, b, upper):
-    hits = set()
-    q = p.p**e
-    c = 1
-    while c * q - b <= upper:
-        for x in (c * q - b, c * q + b):
-            if 1 <= x <= upper and x % 2 == 1:
-                hits.add(x)
-        c += 1
-    return len(hits)
-
-
-def test_count_shifted_examples():
-    assert count_shifted(P3, 3, 2, 29) == 2
-    assert count_shifted(P3, 3, 2, 24) == 0
-    # Brute enumeration gives {3, 7, 13} for p=5, e=1, b=2, N=13.
-    assert count_shifted(P5, 1, 2, 13) == 3
-
-
-@pytest.mark.parametrize("p", [P3, P5])
-@pytest.mark.parametrize("e,b", [(2, 2), (3, 2), (3, 4), (4, 6)])
-@pytest.mark.parametrize("upper", [10, 81, 250, 1001])
-def test_count_shifted_against_brute_force(p, e, b, upper):
-    assert count_shifted(p, e, b, upper) == _count_shifted_brute(p, e, b, upper)
-
-
-@pytest.mark.parametrize("p,e,b,upper", [(P3, 2, 2, 500), (P3, 3, 4, 2000), (P5, 1, 2, 300)])
-def test_count_shifted_proportion_bound(p, e, b, upper):
-    x_count = (upper + 1) // 2
-    assert Fraction(count_shifted(p, e, b, upper), x_count) < Fraction(2, p.p**e) + Fraction(2, x_count)
-
-
-def test_count_shifted_rejects_bad_offsets():
-    with pytest.raises(ValueError):
-        count_shifted(P3, 2, 3, 100)  # odd b
-    with pytest.raises(ValueError):
-        count_shifted(P3, 1, 2, 100)  # b >= p^e / 2
 
 
 def test_density_report_small():

@@ -10,7 +10,6 @@ from cychom import (
     GapWindow,
     HomologyResult,
     ModuleShape,
-    PadicRational,
     Prime,
     SnfResult,
 )
@@ -53,8 +52,8 @@ RECORDS = [
             "prime": P3,
             "j": 1,
             "i": 1,
-            "head": PadicRational(P3, 3),
-            "components": ((1, PadicRational(P3, 1)),),
+            "head": Fraction(3),
+            "components": ((1, Fraction(1)),),
         },
     ),
     (PresentationReport, {"ok": True, "colimit_index": 1, "rebuilt": SHAPE, "oracle": SHAPE}),

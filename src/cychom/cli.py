@@ -184,12 +184,15 @@ def _shape_line(res: HomologyResult) -> str:
 # with Python 3.11 (CPU seconds and peak RSS at the ceiling, for p = 3 /
 # 101 / 1009).  A larger value is refused with exit 1 before anything is
 # allocated.
-# - hc --degree 4000: SNF of a 2001-square staircase, 1.0 / 5.0 / 11 s,
-#   78 MB; twice the degree costs ~7x the time and ~3.4x the memory.
-# - hcneg --truncation 2000: SNF of a 2000- and a 2001-square staircase,
-#   1.9 / 9.0 s (p = 3 / 101), 79 MB.
-# - verify --hc-max 480: the oracle at every even degree up to it, 2.2 /
-#   5.3 / 8.0 s, 17 MB; at 960 it takes 17 / 50 s (p = 3 / 101).
+# - hc --degree 40000: SNF of a 20001-square staircase held as sparse
+#   rows, 0.9 / 2.2 / 3.1 s, 40 MB; twice the degree costs ~3-4x the time
+#   and ~1.6x the memory (2.6 / 8.3 / 11 s, 64 MB at 80000; 0.21 / 0.28 /
+#   0.36 s, 21 MB at 10000).
+# - hcneg --truncation 20000: SNF of a 20000- and a 20001-square
+#   staircase, 1.7 / 5.0 / 6.7 s, 40 MB; 0.7 / 1.4 / 1.9 s at 10000.
+# - verify --hc-max 2000: the oracle once at every even degree up to it,
+#   4.5 / 5.4 / 6.7-7.9 s, 17-24 MB; at 4000 it takes 19 / 30 s (p = 3 /
+#   101), at 960 1.2-1.4 s.
 # - coeffs --j/--i 8001: ~j^2 digits, 30 / 58 / 74 MB of JSON in 0.6 /
 #   0.8 / 1.0 s, 132 / 187 / 231 MB; at 16001, 130 / 242 MB of JSON
 #   (p = 3 / 101) and up to 0.7 GB.
@@ -201,9 +204,9 @@ def _shape_line(res: HomologyResult) -> str:
 # - hp/hcneg --n-max 10**7 + 1 (given, or the default degree + 20 or 21):
 #   a torsion exponent per odd multiple of p, 0.5-1.0 s, 113-177 MB, 3.3-11.7
 #   MB of text at p = 3; 0.2 s, 21 MB at p = 101; linear in n_max.
-HC_MAX_DEGREE = 4000
-HCNEG_MAX_TRUNCATION = 2000
-VERIFY_MAX_HC = 480
+HC_MAX_DEGREE = 40000
+HCNEG_MAX_TRUNCATION = 20000
+VERIFY_MAX_HC = 2000
 VERIFY_MAX_HH = 10**5
 COEFFS_MAX = 8001
 ZSETS_MAX = 10**7
@@ -382,22 +385,24 @@ def cmd_verify(args) -> int:
         except ArithmeticError as exc:
             check(f"hochschild degree {i}", False, str(exc))
 
+    # The oracle solves each even degree once; the Connes and stabilization
+    # checks read the same shapes.
+    shapes = {i: homology.hc_oracle(p, i).shape for i in range(0, args.hc_max + 1, 2)}
     for i in range(2, args.hc_max + 1, 2):
-        oracle = homology.hc_oracle(p, i)
         closed = homology.hc_closed_form(p, i)
         if closed is None:
             check(f"hc degree {i}", True, "not covered by a closed form")
         else:
             check(
                 f"hc degree {i}",
-                closed.shape == oracle.shape,
-                f"oracle {oracle.shape} vs closed {closed.shape}",
+                closed.shape == shapes[i],
+                f"oracle {shapes[i]} vs closed {closed.shape}",
             )
 
-    connes = homology.connes_length_check(p, args.hc_max)
+    connes = homology.connes_length_check(shapes)
     check("connes length recursion", connes.ok, "; ".join(connes.mismatches))
 
-    stab = homology.hp_stabilization_check(p, args.hc_max)
+    stab = homology.hp_stabilization_check(p, shapes)
     check("hp stabilization", stab.ok, "; ".join(stab.mismatches))
 
     kernel_indices = [i for i in gaps.enumerate_z2(p, 50 * p.p) if i > 1][:3]

@@ -12,8 +12,9 @@ lower-bidiagonal integer "staircase" matrix:
   * negative cyclic, even degree m > 0: diagonal all p^2, subdiagonal
     (m+1, m+3, m+5, ...), again on a product.
 
-Finite cokernels are computed exactly by Smith normal form over Z/p^N,
-N from the determinant (the oracle route, :func:`cychom.linalg.local_snf`).
+The staircases are built as sparse rows, two entries a row.  Finite
+cokernels are computed exactly by Smith normal form over Z/p^N, N from
+the determinant (the oracle route, :func:`cychom.linalg.local_snf`).
 Independently, closed-form decompositions are available whenever
 the degree avoids the gap windows of :mod:`cychom.gaps`; they are driven by
 the coefficient sequences of :mod:`cychom.padic`.  The verify_* operations
@@ -33,7 +34,7 @@ from fractions import Fraction
 from math import lcm
 
 from .gaps import gap, in_z1, in_z2
-from .linalg import TRIVIAL_SHAPE, IntMatrix, ModuleShape, cokernel_shape, local_snf, submodule_equal_mod
+from .linalg import TRIVIAL_SHAPE, ModuleShape, cokernel_shape, diagonal, local_snf, submodule_equal_mod
 from .padic import Prime, a_val, b_val, odd_valuations, residue, seq_a, seq_b, staircase_texts, vp
 
 
@@ -47,40 +48,32 @@ class HomologyResult(
     __slots__ = ()
 
 
-def cyclic_matrix(p: Prime, i: int) -> IntMatrix:
-    """Presentation matrix of cyclic homology in even degree i >= 2.
+def cyclic_matrix(p: Prime, i: int) -> list[dict[int, int]]:
+    """Presentation matrix of cyclic homology in even degree i >= 2, as
+    sparse rows {column: entry}.
 
-    >>> cyclic_matrix(Prime(3), 4).data
-    [[3, 0, 0], [1, 9, 0], [0, 3, 9]]
+    >>> cyclic_matrix(Prime(3), 4)
+    [{0: 3}, {0: 1, 1: 9}, {1: 3, 2: 9}]
     """
     if i < 2 or i % 2 == 1:
         raise ValueError(f"cyclic presentation needs even degree >= 2, got {i}")
-    size = i // 2 + 1
-    m = IntMatrix.zero(size, size)
-    m.data[0][0] = p.p
-    for k in range(1, size):
-        m.data[k][k] = p.p * p.p
-        m.data[k][k - 1] = 2 * k - 1
-    return m
+    p2 = p.p * p.p
+    return [{0: p.p}] + [{k - 1: 2 * k - 1, k: p2} for k in range(1, i // 2 + 1)]
 
 
-def negative_matrix(p: Prime, m: int, truncation: int) -> IntMatrix:
-    """K-square truncation of the negative staircase map in even degree m >= 2.
+def negative_matrix(p: Prime, m: int, truncation: int) -> list[dict[int, int]]:
+    """K-square truncation of the negative staircase map in even degree
+    m >= 2, as sparse rows {column: entry}.
 
-    >>> negative_matrix(Prime(3), 6, 3).data
-    [[9, 0, 0], [7, 9, 0], [0, 9, 9]]
+    >>> negative_matrix(Prime(3), 6, 3)
+    [{0: 9}, {0: 7, 1: 9}, {1: 9, 2: 9}]
     """
     if m < 2 or m % 2 == 1:
         raise ValueError(f"negative presentation needs even degree >= 2, got {m}")
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    mat = IntMatrix.zero(truncation, truncation)
     p2 = p.p * p.p
-    for k in range(truncation):
-        mat.data[k][k] = p2
-        if k > 0:
-            mat.data[k][k - 1] = m + 2 * k - 1
-    return mat
+    return [{0: p2}] + [{k - 1: m + 2 * k - 1, k: p2} for k in range(1, truncation)]
 
 
 def hochschild(p: Prime, i: int) -> HomologyResult:
@@ -92,20 +85,20 @@ def hochschild(p: Prime, i: int) -> HomologyResult:
     """
     if i < 0:
         raise ValueError("negative degree")
-    block = IntMatrix([[p.p, 2], [0, p.p]])
+    block = [{0: p.p, 1: 2}, {1: p.p}]
     if i == 0:
         closed = ModuleShape((1,))
-        oracle = cokernel_shape(IntMatrix([[p.p]]), p)
+        oracle = cokernel_shape([{0: p.p}], p)
     elif i % 2 == 0:
         closed = ModuleShape((2,))
         oracle = cokernel_shape(block, p)
     else:
         closed = TRIVIAL_SHAPE
-        mat = IntMatrix([[p.p]]) if i == 1 else block
+        mat = [{0: p.p}] if i == 1 else block
         # The differential out of an odd degree is injective, so the
         # homology there is zero; the matrix is triangular, so injectivity
         # is a diagonal without zeros.
-        if not all(mat.diagonal()):
+        if not all(diagonal(mat)):
             raise ArithmeticError(f"HH differential out of degree {i} is not injective")
         oracle = TRIVIAL_SHAPE
     if oracle != closed:
@@ -122,11 +115,11 @@ def hc_oracle(p: Prime, i: int) -> HomologyResult:
     if i < 0:
         raise ValueError("negative degree")
     if i % 2 == 1:
-        mat = IntMatrix([[p.p]]) if i == 1 else cyclic_matrix(p, i - 1)
-        if not all(mat.diagonal()):
+        mat = [{0: p.p}] if i == 1 else cyclic_matrix(p, i - 1)
+        if not all(diagonal(mat)):
             raise ArithmeticError("staircase map unexpectedly not injective")
         return HomologyResult("HC", i, TRIVIAL_SHAPE, "oracle")
-    mat = IntMatrix([[p.p]]) if i == 0 else cyclic_matrix(p, i)
+    mat = [{0: p.p}] if i == 0 else cyclic_matrix(p, i)
     return HomologyResult("HC", i, cokernel_shape(mat, p), "oracle")
 
 
@@ -262,12 +255,13 @@ def verify_presentation(p: Prime, i: int) -> PresentationReport:
     scale = lcm(*(e.denominator for e in entries))
     p2 = p.p * p.p
     relation = [int(e * p2 * scale) for e in entries]
-    rows = len(entries)
-    mat = IntMatrix.zero(rows, rows + 1)
-    for idx, n in enumerate(odds):
-        mat.data[idx + 1][idx + 1] = n  # modulus column; head column stays zero
-    for r in range(rows):
-        mat.data[r][rows] = relation[r]
+    # Column k >= 1 holds the modulus of coordinate k (the head column 0
+    # stays zero), and the last column the relation.
+    last = len(entries)
+    mat = [{}] + [{k: n} for k, n in enumerate(odds, 1)]
+    for row, x in zip(mat, relation):
+        if x:
+            row[last] = x
     rebuilt = cokernel_shape(mat, p)
     oracle = hc_oracle(p, i + 1).shape
     return PresentationReport(rebuilt == oracle, i, rebuilt, oracle)
@@ -330,15 +324,25 @@ class ConnesReport(namedtuple("ConnesReport", "ok lengths mismatches")):
     __slots__ = ()
 
 
-def connes_length_check(p: Prime, i_max: int) -> ConnesReport:
-    """Total p-length of HC grows by exactly 2 each even degree (so = i+1)."""
-    if i_max < 0 or i_max % 2 == 1:
-        raise ValueError("i_max must be even and nonnegative")
+def _even_run(shapes: dict[int, ModuleShape]) -> list[int]:
+    """The keys of ``shapes``, which must be the even degrees 0, 2, ..., i_max."""
+    degrees = sorted(shapes)
+    if degrees != list(range(0, 2 * len(degrees), 2)):
+        raise ValueError("need the HC shapes of the even degrees 0, 2, ..., i_max")
+    return degrees
+
+
+def connes_length_check(shapes: dict[int, ModuleShape]) -> ConnesReport:
+    """Total p-length of HC grows by exactly 2 each even degree (so = i+1).
+
+    ``shapes`` maps each even degree 0, 2, ..., i_max to its HC shape, as
+    the oracle computed it.
+    """
     lengths = []
     mismatches = []
     prev = None
-    for i in range(0, i_max + 1, 2):
-        length = hc_oracle(p, i).shape.p_length
+    for i in _even_run(shapes):
+        length = shapes[i].p_length
         lengths.append((i, length))
         if length != i + 1:
             mismatches.append(f"degree {i}: length {length} != {i + 1}")
@@ -380,23 +384,28 @@ class StabilizationReport(namedtuple("StabilizationReport", "ok degrees heads mi
     __slots__ = ()
 
 
-def hp_stabilization_check(p: Prime, i_max: int, n_max: int | None = None) -> StabilizationReport:
+def hp_stabilization_check(
+    p: Prime, shapes: dict[int, ModuleShape], n_max: int | None = None
+) -> StabilizationReport:
     """Watch finite cyclic homology converge onto the periodic closed form.
 
-    Over even degrees i <= i_max with i-1 in Z1 (and i-1 <= n_max): below
-    its single largest torsion exponent, the oracle's torsion must equal
-    the periodic torsion truncated at i-1, and the largest exponents
-    a_{i-1}+2 must be nondecreasing along the tested degrees.
+    ``shapes`` maps each even degree 0, 2, ..., i_max (i_max >= 2) to its
+    HC shape, as the oracle computed it.  Over even degrees i <= i_max with
+    i-1 in Z1 (and i-1 <= n_max): below its single largest torsion
+    exponent, the oracle's torsion must equal the periodic torsion
+    truncated at i-1, and the largest exponents a_{i-1}+2 must be
+    nondecreasing along the tested degrees.
     """
-    if i_max < 2 or i_max % 2 == 1:
-        raise ValueError("i_max must be even and >= 2")
+    i_max = max(_even_run(shapes), default=0)
+    if i_max < 2:
+        raise ValueError("i_max must be >= 2")
     if n_max is None:
         n_max = i_max - 1
     degrees = [i for i in range(2, i_max + 1, 2) if i - 1 <= n_max and in_z1(p, i - 1)]
     heads = []
     mismatches = []
     for i in degrees:
-        tors = list(hc_oracle(p, i).shape.torsion_exponents)  # descending
+        tors = list(shapes[i].torsion_exponents)  # descending
         head, tail = tors[0], tors[1:]
         expected_head = a_val(p, i - 1) + 2
         if head != expected_head:
@@ -454,7 +463,7 @@ def hc_neg_truncation_probe(p: Prime, m: int, truncation: int | None = None) -> 
     want = list(prefix)
     have: list[int] = []
     for steps in range(truncation + 5):
-        if sorted(have) == want:
+        if len(have) == len(want) and sorted(have) == want:
             covered = m - 1 + 2 * (steps - 1) if steps else m - 1
             closed = hc_neg_closed_form(p, m, n_max=covered)
             okc = closed is not None and sorted(closed.shape.torsion_exponents) == want

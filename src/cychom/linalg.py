@@ -10,11 +10,19 @@ invariant factor of the matrix is still visible and no entry outgrows
 p^N (Hafner-McCurley, SIAM J. Comput. 1991; Cohen, *A Course in
 Computational Algebraic Number Theory*, 2.4).
 
-``snf`` is the classical integer elimination, kept as the reference the
-tests compare the local kernel against.  ``submodule_equal_mod`` compares
-submodules of a product of p-power cyclic groups by the lengths of their
-quotients, read off the same local kernel.  Everything runs over plain Python
-integers: no overflow, no floats, no tolerances.
+The kernel never inverts anything mod p^N.  Scaling a row by a unit
+changes no invariant factor, so a pivot p^v * u clears a row with
+p^v * f in its column by row := u * row - f * pivot_row.  Matrices come as
+sparse rows, one {column: entry} dict per row, so a staircase with two
+diagonals costs memory linear in its size; only the Bareiss pass on a
+non-triangular input makes a dense copy.
+
+``snf`` is the classical integer elimination on a dense ``IntMatrix``,
+kept as the reference the tests compare the local kernel against.
+``submodule_equal_mod`` compares submodules of a product of p-power cyclic
+groups by the lengths of their quotients, read off the same local kernel.
+Everything runs over plain Python integers: no overflow, no floats, no
+tolerances.
 """
 
 from __future__ import annotations
@@ -22,13 +30,12 @@ from __future__ import annotations
 import heapq
 from collections import namedtuple
 from itertools import compress
-from math import gcd
 
 from .padic import Prime, vp
 
 
 class IntMatrix:
-    """Dense integer matrix, row-major."""
+    """Dense integer matrix, row-major: the input of the reference ``snf``."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -43,50 +50,30 @@ class IntMatrix:
         self.cols = cols
         self.data = [list(map(int, r)) for r in data]
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], rows, cols)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __repr__(self):
-        return f"IntMatrix({self.data!r})"
-
-    def det(self) -> int:
-        """Determinant via fraction-free Bareiss elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        rank, minor = bareiss_rank(self)
-        return minor if rank == self.rows else 0
-
-    def diagonal(self) -> list[int]:
-        return [self.data[k][k] for k in range(min(self.rows, self.cols))]
-
-    def is_lower_triangular(self) -> bool:
-        """Square, and zero above the diagonal."""
-        return self.rows == self.cols and not any(any(row[i + 1 :]) for i, row in enumerate(self.data))
+def diagonal(rows: list[dict[int, int]]) -> list[int]:
+    """The entries (k, k) of a matrix given as sparse rows."""
+    return [row.get(k, 0) for k, row in enumerate(rows)]
 
 
-def bareiss_rank(m: IntMatrix) -> tuple[int, int]:
-    """Rank r of m and a nonzero r x r minor of it, by one fraction-free
-    Bareiss pass with row swaps that skips columns without a pivot.
+def bareiss_rank(rows: list[dict[int, int]]) -> tuple[int, int]:
+    """Rank r of a matrix given as sparse rows and a nonzero r x r minor
+    of it, by one fraction-free Bareiss pass with row swaps that skips
+    columns without a pivot.
 
     For a nonsingular square matrix the minor is the determinant; the
     empty minor of a zero matrix is 1.
+
+    >>> bareiss_rank([{0: 2, 1: 1}, {0: 1, 1: 2}])
+    (2, 3)
     """
-    a = [row[:] for row in m.data]
-    rows, cols = m.rows, m.cols
+    cols = max((c + 1 for row in rows for c in row), default=0)
+    a = [[row.get(c, 0) for c in range(cols)] for row in rows]
     rank, prev, sign = 0, 1, 1
     for c in range(cols):
-        if rank == rows:
+        if rank == len(a):
             break
-        piv = next((r for r in range(rank, rows) if a[r][c]), None)
+        piv = next((r for r in range(rank, len(a)) if a[r][c]), None)
         if piv is None:
             continue
         if piv != rank:
@@ -94,8 +81,9 @@ def bareiss_rank(m: IntMatrix) -> tuple[int, int]:
             sign = -sign
         top = a[rank]
         pv = top[c]
-        # Every entry stays a minor of m (Sylvester), so the division is exact.
-        for r in range(rank + 1, rows):
+        # Every entry stays a minor of the input (Sylvester), so the
+        # division is exact.
+        for r in range(rank + 1, len(a)):
             row = a[r]
             x = row[c]
             for j in range(c + 1, cols):
@@ -238,16 +226,20 @@ class ModuleShape(namedtuple("ModuleShape", "torsion_exponents free_rank complet
 TRIVIAL_SHAPE = ModuleShape(())
 
 
-def local_snf(m: IntMatrix, p: Prime, precision: int, rank: int) -> tuple[int, ...]:
-    """p-adic valuations of the rank invariant factors of m over Z_(p),
-    ascending, computed by sparse elimination over Z/p^precision.
+def local_snf(rows: list[dict[int, int]], p: Prime, precision: int, rank: int) -> tuple[int, ...]:
+    """p-adic valuations of the rank invariant factors of a matrix over
+    Z_(p), ascending, computed by sparse elimination over Z/p^precision.
 
-    Each step pivots on an entry of least valuation v, clears its column
-    with row operations scaled by the inverse of its unit part, and drops
-    its row and column: every other entry of the pivot row is a multiple
-    of the pivot, so the column operations that would clear it touch
-    nothing else.  The least valuation never falls, so the pivots come out
-    along the divisibility chain.  Prime-to-p factors give valuation 0.
+    The matrix comes as sparse rows, one {column: entry} dict per row;
+    they are not modified.  Each step pivots on an entry x = p^v * u of
+    least valuation v, with u a unit, and clears its column without
+    inverting u: a row with entry y = p^v * f there becomes
+    u * row - f * pivot_row.  Scaling a row by a unit changes no
+    invariant factor.  Then the pivot's row and column are dropped: every
+    other entry of the pivot row is a multiple of the pivot, so the
+    column operations that would clear it touch nothing else.  The least
+    valuation never falls, so the pivots come out along the divisibility
+    chain.  Prime-to-p factors give valuation 0.
 
     The answer is exact when every invariant factor has valuation below
     the precision, which N = v_p(D) + 1 guarantees for any nonzero
@@ -255,77 +247,108 @@ def local_snf(m: IntMatrix, p: Prime, precision: int, rank: int) -> tuple[int, .
     mod p^N, so fewer than ``rank`` pivots remain: that raises
     ArithmeticError rather than returning a wrong shape.
 
-    >>> local_snf(IntMatrix([[3, 0], [1, 9]]), Prime(3), 4, 2)
+    >>> local_snf([{0: 3}, {0: 1, 1: 9}], Prime(3), 4, 2)
     (0, 3)
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
     q = p.p**precision
-    # gcd(x, p^N) = p^v(x) for x nonzero mod p^N: one table lookup per entry.
-    valuation = {p.p**k: k for k in range(precision)}
-    rows: list[dict[int, int]] = []
+    # Every live entry is kept with its valuation.  A row operation mostly
+    # predicts it: v(u*a - f*y) = min(v(a), v(f) + v(y)) unless the two
+    # are equal, and only then is it counted again.  A heap item names an
+    # entry by its valuation, not its value, so the heap holds no big
+    # integer, and a rescale, which keeps every valuation, keeps the row's
+    # items good.
+    live: list[dict[int, int]] = []
+    vals: list[dict[int, int]] = []
     rows_in_col: dict[int, set[int]] = {}
-    heap: list[tuple[int, int, int, int]] = []  # (valuation, row, col, value); stale items skipped
-    for i, data in enumerate(m.data):
-        row = {}
-        for j, x in compress(enumerate(data), data):
+    heap: list[tuple[int, int, int]] = []  # (valuation, row, col); stale items skipped
+    for i, row in enumerate(rows):
+        entries, valuations = {}, {}
+        for c, x in row.items():
             x %= q
             if x:
-                row[j] = x
-                rows_in_col.setdefault(j, set()).add(i)
-                heap.append((valuation[gcd(x, q)], i, j, x))
-        rows.append(row)
+                entries[c] = x
+                valuations[c] = v = vp(p, x)
+                rows_in_col.setdefault(c, set()).add(i)
+                heap.append((v, i, c))
+        live.append(entries)
+        vals.append(valuations)
     heapq.heapify(heap)
-    vals: list[int] = []
+    pivots: list[int] = []
     while heap:
-        v, i, j, x = heapq.heappop(heap)
-        pivot_row = rows[i]
-        if pivot_row.get(j) != x:
+        v, i, j = heapq.heappop(heap)
+        pivot_row, pivot_vals = live[i], vals[i]
+        if pivot_vals.get(j) != v:
             continue
         scale = p.p**v
-        inv = pow(x // scale, -1, q)
+        u = pivot_row[j] // scale
         rows_in_col[j].discard(i)
         for r in rows_in_col.pop(j):
-            row = rows[r]
-            f = row.pop(j) // scale * inv % q
+            row, row_vals = live[r], vals[r]
+            f = row.pop(j) // scale
+            vf = row_vals.pop(j) - v
+            if u != 1:
+                for c, a in row.items():
+                    if c not in pivot_row:
+                        row[c] = a * u % q
             for c, y in pivot_row.items():
                 if c == j:
                     continue
-                z = (row.get(c, 0) - f * y) % q
-                if z:
-                    row[c] = z
-                    rows_in_col[c].add(r)
-                    heapq.heappush(heap, (valuation[gcd(z, q)], r, c, z))
-                elif c in row:
-                    del row[c]
+                w = vf + pivot_vals[c]  # v(f * y)
+                a = row.get(c)
+                if a is None:
+                    if w < precision:  # else f * y vanishes mod p^N
+                        row[c], row_vals[c] = -f * y % q, w
+                        rows_in_col[c].add(r)
+                        heapq.heappush(heap, (w, r, c))
+                    continue
+                z = (u * a - f * y) % q
+                va = row_vals[c]
+                if va != w:
+                    vz = min(va, w)
+                elif z:
+                    vz = vp(p, z)
+                else:
+                    del row[c], row_vals[c]
                     rows_in_col[c].discard(r)
+                    continue
+                row[c] = z
+                if vz != va:
+                    row_vals[c] = vz
+                    heapq.heappush(heap, (vz, r, c))
         for c in pivot_row:
             if c != j:
                 rows_in_col[c].discard(i)
-        rows[i] = {}
-        vals.append(v)
-    if len(vals) != rank:
+        live[i], vals[i] = {}, {}
+        pivots.append(v)
+    if len(pivots) != rank:
         raise ArithmeticError(
-            f"modulus p^{precision} too small: {len(vals)} of {rank} invariant factors survive"
+            f"modulus p^{precision} too small: {len(pivots)} of {rank} invariant factors survive"
         )
-    return tuple(vals)
+    return tuple(pivots)
 
 
-def cokernel_shape(m: IntMatrix, p: Prime) -> ModuleShape:
-    """Shape of R^rows / (column span of m), keeping only the p-primary part.
+def cokernel_shape(rows: list[dict[int, int]], p: Prime) -> ModuleShape:
+    """Shape of R^len(rows) / (column span of the matrix given as sparse
+    rows), keeping only the p-primary part.
 
-    >>> str(cokernel_shape(IntMatrix([[3, 0], [1, 9]]), Prime(3)))
+    A square lower-triangular input with a nonzero diagonal has full rank
+    and its diagonal product as a maximal minor; any other input gets one
+    Bareiss pass for its rank and a nonzero maximal minor.
+
+    >>> str(cokernel_shape([{0: 3}, {0: 1, 1: 9}], Prime(3)))
     'R/p^3'
     """
-    diagonal = m.diagonal()
-    if all(diagonal) and m.is_lower_triangular():
-        rank = m.rows
-        v_minor = sum(vp(p, d) for d in diagonal)
+    diag = diagonal(rows)
+    if all(diag) and all(max(row) <= k for k, row in enumerate(rows)):
+        rank = len(rows)
+        v_minor = sum(vp(p, d) for d in diag)
     else:
-        rank, minor = bareiss_rank(m)
+        rank, minor = bareiss_rank(rows)
         v_minor = vp(p, minor)
-    vals = local_snf(m, p, v_minor + 1, rank)
-    return ModuleShape(vals, free_rank=m.rows - rank)
+    vals = local_snf(rows, p, v_minor + 1, rank)
+    return ModuleShape(vals, free_rank=len(rows) - rank)
 
 
 def submodule_equal_mod(
@@ -343,7 +366,8 @@ def submodule_equal_mod(
     (those vectors as rows) shares.  Its rank is the width, and the
     quotient is killed by the largest modulus p^E, so precision E + 1 is
     exact.  A is contained in A + B, so A = B exactly
-    when the three lengths agree.
+    when the three lengths agree.  The vectors go to ``local_snf`` as
+    sparse rows.
 
     >>> submodule_equal_mod(Prime(3), [[3, 1]], [[0, 3], [3, 4]], [9, 9])
     True
@@ -356,10 +380,11 @@ def submodule_equal_mod(
         if m < 1 or p.p ** vp(p, m) != m:
             raise ValueError(f"moduli must be powers of p={p.p}, got {m}")
     precision = max((vp(p, m) for m in moduli), default=0) + 1
-    scaffold = [[0] * k + [m] + [0] * (width - k - 1) for k, m in enumerate(moduli)]
+    scaffold = [{k: m} for k, m in enumerate(moduli)]
+    sparse_a = [dict(compress(enumerate(g), g)) for g in gens_a]
+    sparse_b = [dict(compress(enumerate(g), g)) for g in gens_b]
 
-    def length(gens) -> int:
-        rows = [list(g) for g in gens] + scaffold
-        return sum(local_snf(IntMatrix(rows, len(rows), width), p, precision, width))
+    def length(gens: list[dict[int, int]]) -> int:
+        return sum(local_snf(gens + scaffold, p, precision, width))
 
-    return length(gens_a) == length(list(gens_a) + list(gens_b)) == length(gens_b)
+    return length(sparse_a) == length(sparse_a + sparse_b) == length(sparse_b)

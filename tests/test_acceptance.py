@@ -145,7 +145,10 @@ def test_criterion_9_kernel_generators():
 
 
 def test_criterion_10_stabilization():
-    ok = hp_stabilization_check(Prime(3), 40).ok and hp_stabilization_check(Prime(5), 40).ok
+    ok = all(
+        hp_stabilization_check(p, {i: hc_oracle(p, i).shape for i in range(0, 41, 2)}).ok
+        for p in (Prime(3), Prime(5))
+    )
     for m in (2, 6, 8):
         ok = ok and hc_neg_truncation_probe(Prime(3), m).ok
     _criterion(10, "HP stabilization for p in {3,5} to degree 40; truncation probes m in {2,6,8}", ok)

@@ -95,6 +95,26 @@ def test_verify_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_solves_each_even_degree_once(capsys, monkeypatch):
+    from collections import Counter
+
+    from cychom import homology
+
+    real = homology.hc_oracle
+    calls = Counter()
+
+    def counted(p, i):
+        calls[i] += 1
+        return real(p, i)
+
+    monkeypatch.setattr(homology, "hc_oracle", counted)
+    code, out, _ = run(capsys, ["verify", "--prime", "3", "--hc-max", "40"])
+    assert code == 0 and "0 failure(s)" in out
+    # One oracle call per even degree 0..40 feeds the hc, Connes and
+    # stabilization checks; verify_presentation adds its own at 2..12.
+    assert calls == Counter(range(0, 41, 2)) + Counter(range(2, 13, 2))
+
+
 def test_verify_reports_mismatch_with_exit_3(capsys, monkeypatch):
     from cychom import cli, homology
     from cychom.linalg import ModuleShape
@@ -364,9 +384,9 @@ def test_ceilings_sit_above_benchmark_and_test_inputs():
     # The benchmark runs hc to degree 400, verify to --hc-max 120 with the
     # default --hh-max 10, coeffs to j = 4001 and the closed forms to degree
     # 2*10**6 with n_max = degree + 21; the tests run hc at degree 1002 and
-    # coeffs at i = 4005.  Each ceiling is itself a valid value: hc-max
-    # even, coeffs indices and n_max odd.
-    assert cli.HC_MAX_DEGREE >= 1002 and cli.VERIFY_MAX_HC >= 120
+    # coeffs at i = 4005, and CI runs hc at degree 10000.  Each ceiling is
+    # itself a valid value: hc-max even, coeffs indices and n_max odd.
+    assert cli.HC_MAX_DEGREE >= 10000 and cli.VERIFY_MAX_HC >= 120
     assert cli.COEFFS_MAX >= 4005 and cli.HCNEG_MAX_TRUNCATION >= 8
     assert cli.VERIFY_MAX_HH >= 10 and cli.PRODUCT_MAX_N >= 2 * 10**6 + 21
     assert cli.VERIFY_MAX_HC % 2 == 0 and cli.COEFFS_MAX % 2 == 1 and cli.PRODUCT_MAX_N % 2 == 1
@@ -375,6 +395,7 @@ def test_ceilings_sit_above_benchmark_and_test_inputs():
 # The ceilings that README "CLI" and the CI console-script step state by
 # value: one past each is refused, the ceiling itself reaches the work.
 DOCUMENTED = [
+    (["hc", "--prime", "3", "--degree"], 40000, "cyclic_matrix"),
     (["verify", "--prime", "3", "--hc-max", "2", "--hh-max"], 10**5, "hochschild"),
     (["hp", "--prime", "3", "--degree", "0", "--n-max"], 10**7 + 1, "hp"),
 ]

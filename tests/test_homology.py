@@ -20,12 +20,17 @@ from cychom.homology import (
     verify_kernel_generators,
     verify_presentation,
 )
-from cychom.linalg import ModuleShape, TRIVIAL_SHAPE
+from cychom.linalg import ModuleShape, TRIVIAL_SHAPE, bareiss_rank
 from cychom.padic import Prime, a_val, b_val, residue, seq_b, vp
 
 P3 = Prime(3)
 P5 = Prime(5)
 P7 = Prime(7)
+
+
+def _shapes(p, i_max):
+    """The oracle's HC shape in every even degree up to i_max."""
+    return {i: hc_oracle(p, i).shape for i in range(0, i_max + 1, 2)}
 
 
 def _frac_vp(p, x):
@@ -42,23 +47,27 @@ def test_hochschild_table():
 
 
 def test_cyclic_matrix_entries():
-    assert cyclic_matrix(P3, 2).data == [[3, 0], [1, 9]]
-    assert cyclic_matrix(P3, 4).data == [[3, 0, 0], [1, 9, 0], [0, 3, 9]]
+    assert cyclic_matrix(P3, 2) == [{0: 3}, {0: 1, 1: 9}]
+    assert cyclic_matrix(P3, 4) == [{0: 3}, {0: 1, 1: 9}, {1: 3, 2: 9}]
     m6 = cyclic_matrix(P5, 6)
-    assert [m6.data[k][k - 1] for k in range(1, 4)] == [1, 3, 5]
+    assert [m6[k][k - 1] for k in range(1, 4)] == [1, 3, 5]
+    # Two diagonals: 2 * (size) - 1 entries, not size^2.
+    assert sum(map(len, cyclic_matrix(P3, 4000))) == 2 * 2001 - 1
     with pytest.raises(ValueError):
         cyclic_matrix(P3, 5)
 
 
 def test_cyclic_det_valuation_is_length():
     for i in (2, 6, 12, 20):
-        assert vp(P3, cyclic_matrix(P3, i).det()) == i + 1
+        rank, minor = bareiss_rank(cyclic_matrix(P3, i))
+        assert rank == i // 2 + 1 and vp(P3, minor) == i + 1
 
 
 def test_negative_matrix_entries():
-    assert negative_matrix(P3, 2, 2).data == [[9, 0], [3, 9]]
-    assert negative_matrix(P3, 6, 3).data == [[9, 0, 0], [7, 9, 0], [0, 9, 9]]
-    assert negative_matrix(P5, 4, 1).data == [[25]]
+    assert negative_matrix(P3, 2, 2) == [{0: 9}, {0: 3, 1: 9}]
+    assert negative_matrix(P3, 6, 3) == [{0: 9}, {0: 7, 1: 9}, {1: 9, 2: 9}]
+    assert negative_matrix(P5, 4, 1) == [{0: 25}]
+    assert sum(map(len, negative_matrix(P3, 6, 2000))) == 2 * 2000 - 1
     with pytest.raises(ValueError):
         negative_matrix(P3, 3, 2)
 
@@ -83,6 +92,23 @@ def test_two_routes_agree_near_degree_1000(p):
             covered += 1
             assert closed.shape == oracle
     assert covered >= 2
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_two_routes_agree_at_every_even_degree_to_600(p):
+    # Every even degree, covered or not: the oracle's p-length is i + 1
+    # (Connes), and a closed form, where one exists, is the oracle's
+    # shape.  The four primes add ~2 s of CPU to tier-1 (2-core Xeon).
+    prime = Prime(p)
+    shapes = _shapes(prime, 600)
+    assert connes_length_check(shapes).ok
+    covered = 0
+    for i in range(2, 601, 2):
+        closed = hc_closed_form(prime, i)
+        if closed is not None:
+            covered += 1
+            assert closed.shape == shapes[i], i
+    assert covered >= 250
 
 
 def test_oracle_makes_no_integer_snf(monkeypatch):
@@ -231,11 +257,22 @@ def test_kernel_generator_equality_is_not_vacuous():
 
 
 def test_connes_length_recursion():
-    rep = connes_length_check(P3, 12)
+    rep = connes_length_check(_shapes(P3, 12))
     assert rep.ok
     assert rep.lengths[0] == (0, 1)
     assert rep.lengths[-1] == (12, 13)
-    assert connes_length_check(P3, 0).ok  # vacuous base
+    assert connes_length_check(_shapes(P3, 0)).ok  # vacuous base
+    # The check reads the shapes it is given, and needs every even degree.
+    shapes = _shapes(P3, 6)
+    shapes[4] = ModuleShape((4,))
+    assert connes_length_check(shapes).mismatches == (
+        "degree 4: length 4 != 5",
+        "degree 4: length step 1 != 2",
+        "degree 6: length step 3 != 2",
+    )
+    del shapes[4]
+    with pytest.raises(ValueError):
+        connes_length_check(shapes)
 
 
 def test_a_minimality_probe():
@@ -248,11 +285,13 @@ def test_a_minimality_probe():
 
 
 def test_hp_stabilization():
-    rep = hp_stabilization_check(P3, 14, n_max=13)
+    rep = hp_stabilization_check(P3, _shapes(P3, 14), n_max=13)
     assert rep.ok
     assert rep.degrees == (2, 6, 8, 12, 14)
     assert rep.heads == tuple(a_val(P3, i - 1) + 2 for i in rep.degrees)
-    assert hp_stabilization_check(P5, 26, n_max=25).ok
+    assert hp_stabilization_check(P5, _shapes(P5, 26), n_max=25).ok
+    with pytest.raises(ValueError):
+        hp_stabilization_check(P3, _shapes(P3, 0))
 
 
 def test_truncation_probe():

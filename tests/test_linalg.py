@@ -10,6 +10,7 @@ from cychom.linalg import (
     TRIVIAL_SHAPE,
     bareiss_rank,
     cokernel_shape,
+    diagonal,
     local_snf,
     snf,
     submodule_equal_mod,
@@ -17,6 +18,22 @@ from cychom.linalg import (
 from cychom.padic import Prime, vp
 
 P3 = Prime(3)
+
+
+def _sparse(data):
+    """Dense rows as the sparse {column: entry} rows the kernel takes."""
+    return [{c: x for c, x in enumerate(row) if x} for row in data]
+
+
+def _dense(rows):
+    """Sparse rows as a square IntMatrix, for the reference snf."""
+    n = len(rows)
+    return IntMatrix([[row.get(c, 0) for c in range(n)] for row in rows])
+
+
+def _det(data):
+    rank, minor = bareiss_rank(_sparse(data))
+    return minor if rank == len(data) else 0
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -29,7 +46,7 @@ def test_snf_basics():
     identity = IntMatrix([[int(r == c) for c in range(4)] for r in range(4)])
     assert snf(identity).invariant_factors == (1, 1, 1, 1)
     assert snf(IntMatrix([[3, 0], [1, 9]])).invariant_factors == (1, 27)
-    assert snf(IntMatrix.zero(3, 2)).invariant_factors == ()
+    assert snf(IntMatrix([[0, 0]] * 3)).invariant_factors == ()
     assert snf(IntMatrix([], rows=0, cols=0)).invariant_factors == ()
 
 
@@ -52,11 +69,11 @@ def _random_unimodular(n, rng):
 
 
 def _matmul(a, b):
-    out = IntMatrix.zero(a.rows, b.cols)
-    for i in range(a.rows):
-        for j in range(b.cols):
-            out.data[i][j] = sum(a.data[i][k] * b.data[k][j] for k in range(a.cols))
-    return out
+    data = [
+        [sum(a.data[i][k] * b.data[k][j] for k in range(a.cols)) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+    return IntMatrix(data, a.rows, b.cols)
 
 
 def test_snf_invariant_under_unimodular_transforms():
@@ -87,7 +104,7 @@ def test_snf_invariant_under_permutations():
 )
 def test_snf_product_equals_det(rows):
     m = IntMatrix(rows)
-    det = m.det()
+    det = _det(rows)
     factors = snf(m).invariant_factors
     prod = 1
     for d in factors:
@@ -109,8 +126,7 @@ def _minors_oracle(m):
         g = 0
         for rs in combinations(range(m.rows), k):
             for cs in combinations(range(m.cols), k):
-                sub = IntMatrix([[m.data[r][c] for c in cs] for r in rs])
-                g = gcd(g, abs(sub.det()))
+                g = gcd(g, abs(_det([[m.data[r][c] for c in cs] for r in rs])))
         if g == 0:
             break
         facs.append(g // prev)
@@ -127,21 +143,22 @@ def test_snf_matches_gcd_of_minors():
 
 
 def test_cokernel_shapes():
-    assert cokernel_shape(IntMatrix.zero(2, 2), P3) == ModuleShape((), free_rank=2)
-    assert cokernel_shape(IntMatrix([[3, 0], [1, 9]]), P3) == ModuleShape((3,))
-    assert cokernel_shape(IntMatrix([[3, 2], [0, 3]]), P3) == ModuleShape((2,))
+    assert cokernel_shape([{}, {}], P3) == ModuleShape((), free_rank=2)
+    assert cokernel_shape([{0: 3}, {0: 1, 1: 9}], P3) == ModuleShape((3,))
+    assert cokernel_shape([{0: 3, 1: 2}, {1: 3}], P3) == ModuleShape((2,))
+    assert cokernel_shape([], P3) == TRIVIAL_SHAPE
 
 
 def test_cokernel_drops_prime_to_p_part():
     # coker = Z/10: only the 5-part survives for p=5, nothing for p=3.
-    m = IntMatrix([[10]])
+    m = [{0: 10}]
     assert cokernel_shape(m, Prime(5)) == ModuleShape((1,))
     assert cokernel_shape(m, P3) == TRIVIAL_SHAPE
 
 
 def test_cokernel_p_length_matches_det_valuation():
-    for mat in (IntMatrix([[3, 0], [1, 9]]), IntMatrix([[9, 0], [7, 9]]), IntMatrix([[27]])):
-        assert cokernel_shape(mat, P3).p_length == vp(P3, mat.det())
+    for data in ([[3, 0], [1, 9]], [[9, 0], [7, 9]], [[27]]):
+        assert cokernel_shape(_sparse(data), P3).p_length == vp(P3, _det(data))
 
 
 def _snf_shape(m, p):
@@ -172,7 +189,7 @@ def small_matrices(draw):
 @given(small_matrices(), st.sampled_from([3, 5, 7]))
 def test_cokernel_shape_matches_integer_snf(m, p):
     prime = Prime(p)
-    assert cokernel_shape(m, prime) == _snf_shape(m, prime)
+    assert cokernel_shape(_sparse(m.data), prime) == _snf_shape(m, prime)
 
 
 def test_cokernel_shape_matches_sympy_snf():
@@ -189,7 +206,7 @@ def test_cokernel_shape_matches_sympy_snf():
         factors = [abs(diag[k, k]) for k in range(min(rows, cols)) if diag[k, k]]
         for p in (Prime(3), Prime(5)):
             want = ModuleShape(tuple(vp(p, d) for d in factors), free_rank=rows - len(factors))
-            assert cokernel_shape(m, p) == want
+            assert cokernel_shape(_sparse(m.data), p) == want
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 101])
@@ -197,7 +214,7 @@ def test_cokernel_shape_matches_integer_snf_on_staircases(p):
     prime = Prime(p)
     for i in range(2, 62, 2):
         m = cyclic_matrix(prime, i)
-        assert cokernel_shape(m, prime) == _snf_shape(m, prime)
+        assert cokernel_shape(m, prime) == _snf_shape(_dense(m), prime)
 
 
 def test_local_snf_modulus_guard():
@@ -206,27 +223,68 @@ def test_local_snf_modulus_guard():
     m = cyclic_matrix(P3, 6)
     for precision in range(1, 7):
         with pytest.raises(ArithmeticError, match="too small"):
-            local_snf(m, P3, precision, m.rows)
+            local_snf(m, P3, precision, len(m))
     for precision in (7, 8, 20):
-        assert local_snf(m, P3, precision, m.rows) == (0, 0, 1, 6)
+        assert local_snf(m, P3, precision, len(m)) == (0, 0, 1, 6)
     with pytest.raises(ArithmeticError):
-        local_snf(IntMatrix([[27]]), P3, 3, 1)
+        local_snf([{0: 27}], P3, 3, 1)
     with pytest.raises(ValueError):
-        local_snf(m, P3, 0, m.rows)
+        local_snf(m, P3, 0, len(m))
+    # The input rows are read, not changed.
+    assert m == cyclic_matrix(P3, 6)
 
 
 def test_local_snf_keeps_unit_factors():
-    assert local_snf(IntMatrix([[10, 0], [0, 4]]), Prime(5), 2, 2) == (0, 1)
-    assert local_snf(IntMatrix.zero(2, 3), P3, 1, 0) == ()
+    assert local_snf([{0: 10}, {1: 4}], Prime(5), 2, 2) == (0, 1)
+    assert local_snf([{}, {}], P3, 1, 0) == ()
+
+
+@st.composite
+def _unit_pivot_matrices(draw):
+    """A prime and a matrix that is not lower-triangular, whose nonzero
+    entries are +-p^e * u with u a unit other than +-1: nearly every pivot
+    rescales the rows it clears, so their heap items go stale."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    rows = draw(st.integers(min_value=1, max_value=5))
+    cols = draw(st.integers(min_value=2, max_value=5))
+    units = st.sampled_from([u for u in range(2, 61) if u % p])
+    signs = st.sampled_from([1, -1])
+    entry = st.builds(lambda s, e, u: s * p**e * u, signs, st.integers(0, 3), units)
+    data = [[draw(st.one_of(st.just(0), entry)) for _ in range(cols)] for _ in range(rows)]
+    data[0][-1] = draw(entry)  # above the diagonal
+    return Prime(p), data
+
+
+# The pivot 2 (unit part 2, not 1) turns row (1, 3, 1) into
+# 2 * (1, 3, 1) - (2, 2, 0): its column 2, where the pivot row is zero,
+# must be doubled too.
+@example((P3, [[2, 2, 0], [1, 3, 1], [0, 1, 1]]))
+# The pivot 2 rescales the row below it to 2 * (1, 3) - (2, 0) = (0, 6).
+# The heap item of the entry 3 there must still find the 6, the next
+# pivot; a lost pivot would trip the modulus guard.
+@example((P3, [[2, 0], [1, 3]]))
+@settings(max_examples=200, deadline=None)
+@given(_unit_pivot_matrices())
+def test_local_snf_matches_integer_snf_with_non_unit_pivots(case):
+    p, data = case
+    rows = _sparse(data)
+    rank, minor = bareiss_rank(rows)
+    want = tuple(vp(p, d) for d in snf(IntMatrix(data)).invariant_factors)
+    assert local_snf(rows, p, vp(p, minor) + 1, rank) == want
 
 
 def test_bareiss_rank():
-    assert bareiss_rank(IntMatrix.zero(3, 2)) == (0, 1)
-    assert bareiss_rank(IntMatrix([], rows=0, cols=0)) == (0, 1)
-    assert bareiss_rank(IntMatrix([[0, 2, 4], [0, 1, 2]])) == (1, 2)
-    rank, minor = bareiss_rank(IntMatrix([[1, 2, 3], [2, 4, 7], [1, 2, 4]]))
+    assert bareiss_rank([{}, {}, {}]) == (0, 1)
+    assert bareiss_rank([]) == (0, 1)
+    assert bareiss_rank([{1: 2, 2: 4}, {1: 1, 2: 2}]) == (1, 2)
+    rank, minor = bareiss_rank([{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 7}, {0: 1, 1: 2, 2: 4}])
     assert rank == 2 and abs(minor) == 1
-    assert bareiss_rank(IntMatrix([[0, 1], [1, 0]])) == (2, -1)
+    assert bareiss_rank([{1: 1}, {0: 1}]) == (2, -1)
+
+
+def test_diagonal_reads_missing_entries_as_zero():
+    assert diagonal([{0: 3}, {0: 1}, {1: 3, 2: 9}]) == [3, 0, 9]
+    assert diagonal([]) == []
 
 
 def test_module_shape_canonical_form():
@@ -348,7 +406,10 @@ def test_submodule_equal_matches_span_enumeration(case):
 
 
 def test_intmatrix_validation_and_det():
+    # IntMatrix only carries the reference snf's input; the determinant
+    # is the Bareiss minor of the same rows.
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
-    assert IntMatrix([[2, 1], [1, 2]]).det() == 3
-    assert IntMatrix([[1, 2], [2, 4]]).det() == 0
+    assert IntMatrix([[2, 1], [1, 2]]).data == [[2, 1], [1, 2]]
+    assert _det([[2, 1], [1, 2]]) == 3
+    assert _det([[1, 2], [2, 4]]) == 0

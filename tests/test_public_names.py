@@ -35,6 +35,10 @@ REMOVED_MEMBERS = [
     ("linalg", "IntMatrix", "identity"),
     ("linalg", "IntMatrix", "copy"),
     ("linalg", "IntMatrix", "__getitem__"),
+    ("linalg", "IntMatrix", "det"),
+    ("linalg", "IntMatrix", "diagonal"),
+    ("linalg", "IntMatrix", "is_lower_triangular"),
+    ("linalg", "IntMatrix", "zero"),
     ("linalg", "ModuleShape", "is_trivial"),
     ("padic", "Prime", "__int__"),
 ]

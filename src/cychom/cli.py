@@ -9,28 +9,35 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
-from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 
 from . import gaps, homology
 from .homology import HomologyResult
 from .padic import Prime
 
 
-def shape_record(res: HomologyResult) -> dict:
+def shape_record(res: HomologyResult, exponents=list) -> dict:
+    """The record of a result, its torsion exponents given by
+    ``exponents(shape.torsion_exponents)``: a plain list by default, which
+    json.dumps takes; the commands pass ``_exponent_view``, which their
+    writers write from its runs."""
     return {
         "theory": res.theory,
         "degree": res.degree,
         "method": res.method,
         "complete_rank": res.shape.complete_rank,
         "free_rank": res.shape.free_rank,
-        "torsion_p_exponents": list(res.shape.torsion_exponents),
+        "torsion_p_exponents": exponents(res.shape.torsion_exponents),
         "truncated": res.shape.truncated,
         "n_max": res.n_max,
     }
+
+
+# A view stands for a long list in a payload or a table line, and writes
+# its text as it is made.  ``chunks(sep)`` is the text of ``sep.join`` of
+# its items' texts, in chunks; in JSON an item's text is its JSON text.
 
 
 class Members:
@@ -62,9 +69,69 @@ class Members:
                 yield lead + body
 
 
-def _emit(payload: dict, fmt: str, out: str | None, table_lines: list) -> None:
-    """Write the payload as JSON or CSV, or the table lines; a ``Members``
-    line is written with spaces between its members."""
+class Repeats:
+    """A list held as its runs of equal items: (text, count) pairs, in
+    order, each the text of an item and how many times it comes in a row."""
+
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: list[tuple[str, int]]):
+        self.runs = runs
+
+    def chunks(self, sep: str):
+        """The text of ``sep.join`` of the items, 4096 items a chunk at most."""
+        lead = ""
+        for text, count in self.runs:
+            while count > 0:
+                n = min(count, 4096)
+                yield lead + text + (sep + text) * (n - 1)
+                lead, count = sep, count - n
+
+
+class Rows:
+    """A payload's records, made as they are written: an iterator of dicts
+    of str keys and str, int or None values.  It is read once; a command
+    that gives one has at least one record."""
+
+    __slots__ = ("records",)
+
+    def __init__(self, records):
+        self.records = records
+
+    def chunks(self, sep: str):
+        """The records as json.dumps(indent=2) writes them in a top-level
+        list, one chunk per record."""
+        lead = ""
+        for record in self.records:
+            fields = ",".join(f"\n      {json.dumps(k)}: {json.dumps(v)}" for k, v in record.items())
+            yield f"{lead}{{{fields}\n    }}"
+            lead = sep
+
+
+def _runs(values: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(value, count) for each run of equal items of a descending tuple; a
+    bisection per run, so the cost is the number of runs times log n."""
+    runs, start = [], 0
+    while start < len(values):
+        value, lo, hi = values[start], start + 1, len(values)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if values[mid] == value:
+                lo = mid + 1
+            else:
+                hi = mid
+        runs.append((value, lo - start))
+        start = lo
+    return runs
+
+
+def _exponent_view(exponents: tuple[int, ...]) -> Repeats:
+    return Repeats([(str(e), count) for e, count in _runs(exponents)])
+
+
+def _emit(payload: dict, fmt: str, out: str | None, table_lines) -> None:
+    """Write the payload as JSON or CSV, or the table lines: each line is a
+    str, or an iterable of the chunks of its text."""
     if fmt == "json":
         chunks = _json_chunks(payload)
     elif fmt == "csv":
@@ -78,16 +145,7 @@ def _emit(payload: dict, fmt: str, out: str | None, table_lines: list) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _all_ints(values: list) -> bool:
-    """Nonempty, and every item exactly an int (a bool is not)."""
-    return {*map(type, values)} == {int}
-
-
-def _join_ints(values: list[int], sep: str) -> str:
-    """``sep.join(map(str, values))`` by the C JSON encoder, which makes one
-    short-lived str per int and never holds a list of them all; it needs
-    ``_all_ints(values)``."""
-    return json.dumps(values, separators=(",", ":"))[1:-1].replace(",", sep)
+VIEWS = (Members, Repeats, Rows)
 
 
 def _json_chunks(payload: dict):
@@ -95,11 +153,11 @@ def _json_chunks(payload: dict):
 
     With ``indent`` set, json.dumps runs its pure-Python encoder, several
     generator steps per list item.  So each top-level value is encoded on
-    its own and indented one more level: ``Members`` by its chunks, a flat
-    list of ints by ``_join_ints``, anything else by json.dumps(indent=2).
-    ensure_ascii escapes every newline inside a string, so each newline of
-    the text starts a line.  The keys are str.  The text comes in chunks,
-    as it is made, so no copy of the whole is held.
+    its own and indented one more level: a view by its chunks, anything
+    else by json.dumps(indent=2).  ensure_ascii escapes every newline
+    inside a string, so each newline of the text starts a line.  The keys
+    are str.  The text comes in chunks, as it is made, so no copy of the
+    whole is held.
     """
     if not payload:
         yield "{}\n"
@@ -107,54 +165,62 @@ def _json_chunks(payload: dict):
     lead = "{"
     for key, value in payload.items():
         yield f"{lead}\n  {json.dumps(key)}: "
-        if type(value) is Members:
-            yield "[\n    "
-            yield from value.chunks(",\n    ")
-            yield "\n  ]"
-        elif type(value) is list and _all_ints(value):
-            yield "[\n    " + _join_ints(value, ",\n    ") + "\n  ]"
+        if type(value) in VIEWS:
+            items = value.chunks(",\n    ")
+            first = next(items, None)
+            if first is None:
+                yield "[]"
+            else:
+                yield "[\n    " + first
+                yield from items
+                yield "\n  ]"
         else:
             yield json.dumps(value, indent=2).replace("\n", "\n  ")
         lead = ","
     yield "\n}\n"
 
 
+class _Text:
+    """A file for csv.writer whose write returns the text it is given, so
+    writerow returns the text of its row."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
 def _csv_chunks(payload: dict):
-    """The text of csv.writer over the payload's rows, in chunks."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    rows = [_flatten(row) for row in payload.get("rows") or [payload]]
-    writer.writerow(rows[0].keys())
-    for row in rows:
-        cells = [_csv_cell(v) for v in row.values()]
-        views = [k for k, cell in enumerate(cells) if type(cell) is Members]
+    """The text of csv.writer over the payload's rows, one chunk per row
+    or per view chunk: the payload's "rows" (a list or ``Rows``), else the
+    payload itself."""
+    writer = csv.writer(_Text())
+    rows = payload.get("rows")
+    records = iter(rows.records if type(rows) is Rows else rows or [payload])
+    first = _flatten(next(records))
+    yield writer.writerow(first.keys())
+    for row in chain([first], map(_flatten, records)):
+        cells = [";".join(map(str, v)) if type(v) is list else v for v in row.values()]
+        views = [k for k, cell in enumerate(cells) if type(cell) in VIEWS]
         if not views:
-            writer.writerow(cells)
+            yield writer.writerow(cells)
             continue
-        # A Members cell is digits and ';', which csv never quotes, so its
+        # A view cell is digits and ';', which csv never quotes, so its
         # row is the cells before it, its chunks and the cells after it.
         # Each side is written with two empty cells in its place, never
         # one: csv writes a row of one empty cell as "", not as nothing.
         (k,) = views
-        writer.writerow(cells[:k] + ["", ""])
-        yield buf.getvalue()[: -1 - len(writer.dialect.lineterminator)]
-        buf.seek(0)
-        buf.truncate()
+        yield writer.writerow(cells[:k] + ["", ""])[: -1 - len(writer.dialect.lineterminator)]
         yield from cells[k].chunks(";")
-        writer.writerow(["", ""] + cells[k + 1 :])
-        yield buf.getvalue()[1:]
-        buf.seek(0)
-        buf.truncate()
-    yield buf.getvalue()
+        yield writer.writerow(["", ""] + cells[k + 1 :])[1:]
 
 
-def _table_chunks(lines: list):
+def _table_chunks(lines):
     for line in lines:
-        if type(line) is Members:
-            yield from line.chunks(" ")
-            yield "\n"
+        if type(line) is str:
+            yield line + "\n"
         else:
-            yield f"{line}\n"
+            yield from line
+            yield "\n"
 
 
 def _flatten(record: dict, prefix: str = "") -> dict:
@@ -168,16 +234,16 @@ def _flatten(record: dict, prefix: str = "") -> dict:
     return flat
 
 
-def _csv_cell(v):
-    if isinstance(v, list):
-        return ";".join(map(str, v))
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return v
-
-
-def _shape_line(res: HomologyResult) -> str:
-    return f"{res.theory}_{res.degree} = {res.shape}  [{res.method}]"
+def _shape_line(res: HomologyResult):
+    """The chunks of the table line ``f"{theory}_{degree} = {shape}  [{method}]"``,
+    the factors of str(shape) written from their runs."""
+    shape = res.shape
+    factors = [(f"R/p^{e}" if e > 1 else "R/p", count) for e, count in _runs(shape.torsion_exponents)]
+    runs = [("R^", shape.complete_rank), ("R", shape.free_rank), *factors, ("...", int(shape.truncated))]
+    body = Repeats(runs).chunks(" x ")
+    yield f"{res.theory}_{res.degree} = {next(body, '0')}"
+    yield from body
+    yield f"  [{res.method}]"
 
 
 # Ceilings on the size of each command's work, measured on a 2-core Xeon
@@ -193,17 +259,21 @@ def _shape_line(res: HomologyResult) -> str:
 # - verify --hc-max 2000: the oracle once at every even degree up to it,
 #   4.5 / 5.4 / 6.7-7.9 s, 17-24 MB; at 4000 it takes 19 / 30 s (p = 3 /
 #   101), at 960 1.2-1.4 s.
-# - coeffs --j/--i 8001: ~j^2 digits, 30 / 58 / 74 MB of JSON in 0.6 /
-#   0.8 / 1.0 s, 132 / 187 / 231 MB; at 16001, 130 / 242 MB of JSON
-#   (p = 3 / 101) and up to 0.7 GB.
+# - coeffs --j/--i 8001: ~j^2 digits, 30 / 58 / 74 MB of text, 28 / 41 /
+#   50 MB in every format (the staircase's Decimals, ~0.42 bytes a digit;
+#   the text is written a row at a time); 0.25 / 0.39 / 0.49 s in JSON,
+#   0.18-0.31 s as a table, 0.7 / 1.4 / 1.8 s in CSV.  At 16001, 130 /
+#   242 / 307 MB of JSON in 0.8 / 1.5 / 1.8 s, 69 / 115 / 153 MB.
 # - zsets --max 10**7: every member, 23-64 MB of text in 0.3-0.4 s, 30 MB
 #   (p = 3 to 101, any set and format).
 # - verify --hh-max 10**5: one Hochschild check and one line per degree,
 #   1.8 / 2.0 s, 38 / 25 MB, 3.6 / 2.9 MB of text (p = 3 / 101); linear,
 #   3.6 / 3.9 s at 2*10**5.
 # - hp/hcneg --n-max 10**7 + 1 (given, or the default degree + 20 or 21):
-#   a torsion exponent per odd multiple of p, 0.5-1.0 s, 113-177 MB, 3.3-11.7
-#   MB of text at p = 3; 0.2 s, 21 MB at p = 101; linear in n_max.
+#   a torsion exponent per odd multiple of p, written from its runs of
+#   equal exponents: 0.12 s, 54 MB (the shape's copies of the list), 3.3-
+#   11.7 MB of text at p = 3 in every format; 0.07 s, 17 / 16 MB at p =
+#   101 / 1009; linear in n_max.
 HC_MAX_DEGREE = 40000
 HCNEG_MAX_TRUNCATION = 20000
 VERIFY_MAX_HC = 2000
@@ -221,7 +291,7 @@ def _cap(flag: str, value: int, ceiling: int, why: str) -> None:
 def cmd_hh(args) -> int:
     p = Prime(args.prime)
     res = homology.hochschild(p, args.degree)
-    _emit(shape_record(res), args.format, args.out, [_shape_line(res)])
+    _emit(shape_record(res, _exponent_view), args.format, args.out, [_shape_line(res)])
     return 0
 
 
@@ -229,7 +299,7 @@ def cmd_hc(args) -> int:
     p = Prime(args.prime)
     _cap("--degree", args.degree, HC_MAX_DEGREE, "hc eliminates a (degree/2+1)-square staircase")
     oracle = homology.hc_oracle(p, args.degree)
-    record = shape_record(oracle)
+    record = shape_record(oracle, _exponent_view)
     lines = [_shape_line(oracle)]
     if args.degree % 2 == 0 and args.degree >= 2:
         closed = homology.hc_closed_form(p, args.degree)
@@ -254,7 +324,7 @@ def cmd_hcneg(args) -> int:
         payload = {"theory": "HCneg", "degree": args.degree, "closed_form": None}
         lines = [f"HCneg_{args.degree}: not covered (degree-1 in a gap window)"]
     else:
-        payload = shape_record(res)
+        payload = shape_record(res, _exponent_view)
         lines = [_shape_line(res)]
     if args.truncation is not None:
         probe = homology.hc_neg_truncation_probe(p, args.degree, args.truncation)
@@ -286,7 +356,7 @@ def _n_max(args) -> int:
 def cmd_hp(args) -> int:
     p = Prime(args.prime)
     res = homology.hp(p, args.degree, _n_max(args))
-    _emit(shape_record(res), args.format, args.out, [_shape_line(res)])
+    _emit(shape_record(res, _exponent_view), args.format, args.out, [_shape_line(res)])
     return 0
 
 
@@ -305,7 +375,7 @@ def cmd_zsets(args) -> int:
     if args.format == "table":
         lines = [
             f"{args.set} up to {args.max} for p={args.prime} ({members.mask.count(1)} elements):",
-            members,
+            members.chunks(" "),
         ]
     _emit(payload, args.format, args.out, lines)
     return 0
@@ -346,18 +416,19 @@ def cmd_coeffs(args) -> int:
     _cap("--j", j, COEFFS_MAX, "coeffs prints about j^2 digits")
     _cap("--i", i, COEFFS_MAX, "coeffs prints a row per odd n <= i")
     head, head_valuation, rows = homology.phi_coeff_texts(p, j, i)
+    # Both are lazy, and only the one the format writes reads the rows.
     payload = {
         "prime": args.prime,
         "j": j,
         "i": i,
         "head": head,
         "head_valuation": head_valuation,
-        "rows": [{"modulus": n, "value": value, "valuation": v} for n, value, v in rows],
+        "rows": Rows({"modulus": n, "value": value, "valuation": v} for n, value, v in rows),
     }
-    lines = []
-    if args.format == "table":
-        lines = [f"generator {j} in colimit {i}: head {head} (v={head_valuation})"]
-        lines += [f"  R/{n}: {value}" for n, value, _ in rows]
+    lines = chain(
+        [f"generator {j} in colimit {i}: head {head} (v={head_valuation})"],
+        (f"  R/{n}: {value}" for n, value, _ in rows),
+    )
     _emit(payload, args.format, args.out, lines)
     return 0
 

@@ -30,7 +30,9 @@ in public signatures.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from .gaps import gap, in_z1, in_z2
@@ -214,22 +216,24 @@ def phi_coeffs(p: Prime, j: int, i: int) -> CoeffVector:
     return CoeffVector(p, j, i, seq_a(p, j), comps)
 
 
-def phi_coeff_texts(p: Prime, j: int, i: int) -> tuple[str, int, list[tuple[int, str, int | None]]]:
+def phi_coeff_texts(p: Prime, j: int, i: int) -> tuple[str, int, Iterator[tuple[int, str, int | None]]]:
     """``phi_coeffs(p, j, i)`` in decimal text: (head, head valuation, rows).
 
-    A row is (n, value, valuation) for each odd n <= i, with the value
-    written as ``str`` of its Fraction and valuation None for a zero
+    A row is (n, value, valuation) for each odd n <= i, in order, with the
+    value written as ``str`` of its Fraction and valuation None for a zero
     component.  The texts come from ``staircase_texts``, in time linear in
     the digits, and the valuations from ``a_val``/``b_val``; no Fraction is
-    built.
+    built.  The rows come lazily, each text made as its row is read, but
+    every exact product is made before this returns.
     """
     _check_phi_indices(j, i)
     texts = staircase_texts(p, j)
-    rows = [
-        (n, texts[(n + 1) // 2], b_val(p, j - n)) if n <= j else (n, "0", None)
-        for n in range(1, i + 1, 2)
-    ]
-    return texts[0], a_val(p, j), rows
+    head = next(texts)
+    rows = chain(
+        ((n, text, b_val(p, j - n)) for n, text in zip(range(1, j + 1, 2), texts)),
+        ((n, "0", None) for n in range(j + 2, i + 1, 2)),
+    )
+    return head, a_val(p, j), rows
 
 
 class PresentationReport(namedtuple("PresentationReport", "ok colimit_index rebuilt oracle")):

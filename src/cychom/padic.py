@@ -18,13 +18,14 @@ in O(log j) (``a_val``, ``b_val``); ``vp`` strips p^e from an
 integer in O(log e) big-int divisions; and ``odd_valuations`` gives the
 multiset {v_p(n) : n odd in [lo, hi]} by counting odd multiples of each
 p^e, without visiting the n; ``staircase_texts`` writes p^k / k!! in
-decimal, for k = j and every k < j of the other parity, in one exact
-pass.  Primality of ``Prime`` is decided by deterministic Miller-Rabin.
+decimal, for k = j and every k < j of the other parity, from one exact
+pass, each text made as it is read.  Primality of ``Prime`` is decided by deterministic Miller-Rabin.
 """
 
 from __future__ import annotations
 
 import decimal
+from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd, prod
 
@@ -209,7 +210,7 @@ _EXACT = decimal.Context(
 )
 
 
-def staircase_texts(p: Prime, j: int) -> list[str]:
+def staircase_texts(p: Prime, j: int) -> Iterator[str]:
     """The texts ``str(Fraction(p**k, k!!))`` of X_j, X_{j-1}, X_{j-3}, ...
 
     That is X_j, then X_k for every k < j of the other parity, from the
@@ -221,11 +222,16 @@ def staircase_texts(p: Prime, j: int) -> list[str]:
     Numerator and denominator are Decimal integers: a product by a small
     factor and the decimal text take time linear in the digits, where
     CPython's int->str is quadratic.  The chain of j's parity is carried
-    along but written only at k = j.
+    along but kept only at k = j.
 
-    >>> staircase_texts(Prime(3), 5)
+    Every product is made before this returns, so an inexact one raises
+    here.  What is kept is each printed X_k as its Decimal numerator and
+    denominator, about 0.42 bytes a digit; the texts come one at a time,
+    as they are read, and each X_k is let go once its text is made.
+
+    >>> list(staircase_texts(Prime(3), 5))
     ['81/5', '81/8', '9/2', '1']
-    >>> staircase_texts(Prime(3), 4)
+    >>> list(staircase_texts(Prime(3), 4))
     ['81/8', '9', '3']
     """
     if j < 0:
@@ -233,7 +239,7 @@ def staircase_texts(p: Prime, j: int) -> list[str]:
     q = p.p
     # Per parity of k: [e, p^e, d] for the last X_k of that parity.
     chains = [[0, decimal.Decimal(1), decimal.Decimal(1)], [1, decimal.Decimal(q), decimal.Decimal(1)]]
-    texts = []
+    kept = []  # (p^e, d) of each printed X_k, bottom up
     for k in range(j + 1):
         chain = chains[k & 1]
         if k >= 2:
@@ -248,9 +254,12 @@ def staircase_texts(p: Prime, j: int) -> list[str]:
                 chain[1] = _EXACT.power(q, chain[0])
             chain[2] = _EXACT.multiply(chain[2], u)
         if (j - k) & 1 or k == j:
-            texts.append(str(chain[1]) if chain[2] == 1 else f"{chain[1]}/{chain[2]}")
-    texts.reverse()
-    return texts
+            kept.append((chain[1], chain[2]))
+    return (_fraction_text(*kept.pop()) for _ in range(len(kept)))
+
+
+def _fraction_text(numerator: decimal.Decimal, denominator: decimal.Decimal) -> str:
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
 
 
 def a_val(p: Prime, j: int) -> int:

@@ -280,14 +280,28 @@ def test_json_payloads_hold_only_json_types(monkeypatch, argv):
     payloads = []
     monkeypatch.setattr(cli, "_emit", lambda payload, *rest: payloads.append(payload))
     assert main(argv + ["--format", "json"]) == 0
+    # The same command with its torsion exponents as the plain list that
+    # shape_record gives by default.
+    monkeypatch.setattr(cli, "_exponent_view", list)
+    assert main(argv + ["--format", "json"]) == 0
 
-    payload = payloads[0]
+    payload, plain = payloads
+    # The one non-JSON type: the views, each written by its own chunks.
+    views = {key: value for key, value in payload.items() if type(value) in cli.VIEWS}
+    want = {}
+    if "torsion_p_exponents" in plain:
+        want["torsion_p_exponents"] = (cli.Repeats, plain["torsion_p_exponents"])
     if argv[0] == "zsets":
-        # The one non-JSON type: the member view, written by its own chunks.
-        view = payload.pop("members")
-        assert type(view) is cli.Members
-        want = json.dumps({"members": enumerate_z1(Prime(3), 50)}, indent=2) + "\n"
-        assert "".join(cli._json_chunks({"members": view})) == want
+        want["members"] = (cli.Members, enumerate_z1(Prime(3), 50))
+    if argv[0] == "coeffs":
+        want["rows"] = (cli.Rows, _coeffs_reference_rows(3, 3, 5))
+    assert views.keys() == want.keys()
+    for key, view in views.items():
+        kind, items = want[key]
+        assert type(view) is kind
+        text = json.dumps({key: items}, indent=2) + "\n"
+        assert "".join(cli._json_chunks({key: view})) == text
+        del payload[key]
     stack = [payload]
     while stack:
         node = stack.pop()
@@ -490,17 +504,29 @@ def test_cli_import_loads_no_code_generation_modules():
 ZSETS_NOTE = "1 is a member by definition; informal listings often omit it"
 
 
-def _zsets_texts(p: int, top: int, which: str) -> dict[str, str]:
-    """zsets' stdout in each format; stderr must stay empty."""
+def _texts(argv: list[str]) -> dict[str, str]:
+    """stdout in each format; the exit code must be 0 and stderr empty."""
     texts = {}
     for fmt in ("table", "json", "csv"):
         out, err = io.StringIO(), io.StringIO()
-        argv = ["zsets", "--prime", str(p), "--max", str(top), "--set", which, "--format", fmt]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            assert main(argv) == 0
+            assert main(argv + ["--format", fmt]) == 0
         assert err.getvalue() == ""
         texts[fmt] = out.getvalue()
     return texts
+
+
+def _csv_reference(rows: list[dict]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(rows[0].keys())
+    for row in rows:
+        writer.writerow([";".join(map(str, v)) if type(v) is list else v for v in row.values()])
+    return buf.getvalue()
+
+
+def _zsets_texts(p: int, top: int, which: str) -> dict[str, str]:
+    return _texts(["zsets", "--prime", str(p), "--max", str(top), "--set", which])
 
 
 def _zsets_reference(p: int, top: int, which: str) -> dict[str, str]:
@@ -579,3 +605,173 @@ def test_zsets_writes_chunks_not_one_string(monkeypatch):
         assert main(["zsets", "--prime", "3", "--max", "100000", "--format", fmt]) == 0
         assert len(sink.getvalue()) > 100_000 > 10 * max(sizes)
         sizes.clear()
+
+
+def _frac_vp(p: int, x) -> int:
+    from cychom.padic import vp
+
+    return vp(Prime(p), x.numerator) - vp(Prime(p), x.denominator)
+
+
+def _coeffs_reference_rows(p: int, j: int, i: int) -> list[dict]:
+    """coeffs' rows from the Fractions of phi_coeffs, by str of each."""
+    from cychom.homology import phi_coeffs
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [
+            {"modulus": n, "value": str(v), "valuation": None if v == 0 else _frac_vp(p, v)}
+            for n, v in phi_coeffs(Prime(p), j, i).components
+        ]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _coeffs_reference(p: int, j: int, i: int) -> dict[str, str]:
+    """The three texts of coeffs, built from phi_coeffs' Fractions."""
+    from cychom.homology import phi_coeffs
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        head = str(phi_coeffs(Prime(p), j, i).head)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    head_valuation = j - (_legendre(p, j) - _legendre(p, (j - 1) // 2))
+    rows = _coeffs_reference_rows(p, j, i)
+    payload = {"prime": p, "j": j, "i": i, "head": head, "head_valuation": head_valuation, "rows": rows}
+    table = [f"generator {j} in colimit {i}: head {head} (v={head_valuation})"]
+    table += [f"  R/{row['modulus']}: {row['value']}" for row in rows]
+    return {"table": "\n".join(table) + "\n", "json": json.dumps(payload, indent=2) + "\n", "csv": _csv_reference(rows)}
+
+
+@pytest.mark.parametrize("p, j, i", [(3, 1, 1), (3, 5, 9), (7, 11, 15), (101, 501, 503), (3, 4001, 4005)])
+def test_coeffs_text_matches_fractions(p, j, i):
+    # i > j in all but the first, so the zero rows past j are covered too.
+    argv = ["coeffs", "--prime", str(p), "--j", str(j), "--i", str(i)]
+    assert _texts(argv) == _coeffs_reference(p, j, i)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_coeffs_never_holds_its_text(tmp_path, fmt):
+    # 7 MB of text at p = 3, J = 4001; the staircase's Decimals are about
+    # 3 MB, and the writers hold one row at a time.
+    import tracemalloc
+
+    target = tmp_path / f"coeffs.{fmt}"
+    argv = ["coeffs", "--prime", "3", "--j", "4001", "--i", "4001", "--format", fmt, "--out", str(target)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert target.stat().st_size > 6_800_000
+    assert peak < 6_000_000, peak
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_coeffs_failure_writes_nothing(capsys, monkeypatch, tmp_path, fmt):
+    # Every exact product is made before the first byte is written, so an
+    # Inexact from a too-small context leaves stdout and --out empty.
+    from cychom import padic
+
+    small = padic._EXACT.copy()
+    small.prec = 30
+    monkeypatch.setattr(padic, "_EXACT", small)
+    argv = ["coeffs", "--prime", "3", "--j", "201", "--i", "201", "--format", fmt]
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error:")
+    target = tmp_path / "coeffs.out"
+    assert main(argv + ["--out", str(target)]) == 3
+    assert not target.exists()
+
+
+def _shape_reference(res) -> dict[str, str]:
+    """The three texts of one result, from shape_record's list and str(shape)."""
+    record = cli.shape_record(res)
+    assert type(record["torsion_p_exponents"]) is list
+    return {
+        "table": f"{res.theory}_{res.degree} = {res.shape}  [{res.method}]\n",
+        "json": json.dumps(record, indent=2) + "\n",
+        "csv": _csv_reference([record]),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["hp", "hcneg"]),
+    st.sampled_from([3, 5, 7, 101]),
+    st.sampled_from([-4, 0, 1, 2, 6, 8, 12]),
+    st.integers(0, 30_000).map(lambda k: 2 * k + 1),
+)
+def test_exponent_runs_text_matches_shape(command, p, degree, n_max):
+    # Includes an empty exponent list (p = 101, n_max < 101) and odd
+    # degrees, whose shape is 0.
+    from cychom import homology
+
+    if command == "hp":
+        res = homology.hp(Prime(p), degree, n_max)
+    else:
+        res = homology.hc_neg_closed_form(Prime(p), degree, n_max)
+    argv = [command, "--prime", str(p), "--degree", str(degree), "--n-max", str(n_max)]
+    if res is not None:
+        assert _texts(argv) == _shape_reference(res)
+
+
+@pytest.mark.parametrize("command", ["hp", "hcneg"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_exponent_lists_are_written_from_runs(tmp_path, command, fmt):
+    # 166,667 exponents at p = 3 and n_max 10**6 + 1: the shape holds them
+    # once (1.3 MB), and the writers add no copy of them or of the text.
+    import tracemalloc
+
+    target = tmp_path / f"{command}.{fmt}"
+    argv = [command, "--prime", "3", "--degree", "0", "--n-max", str(10**6 + 1), "--format", fmt, "--out", str(target)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert target.stat().st_size > 333_000
+    assert peak < 6_000_000, peak
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 40), max_size=60))
+def test_runs_of_a_descending_tuple(values):
+    import itertools
+
+    values = tuple(sorted(values, reverse=True))
+    assert cli._runs(values) == [(v, len(list(g))) for v, g in itertools.groupby(values)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-5, 10**6), st.integers(0, 9000)), max_size=4), st.text() | _TRICKY_TEXT)
+def test_repeats_view_writes_its_list(runs, text):
+    # Runs past 4096 items span chunks; an empty view is [] and "".
+    items = [v for v, count in runs for _ in range(count)]
+    view = cli.Repeats([(str(v), count) for v, count in runs])
+    record = {"a": text, "x": items, "b": 7}
+    assert "".join(cli._json_chunks({**record, "x": view})) == json.dumps(record, indent=2) + "\n"
+    assert "".join(cli._csv_chunks({**record, "x": view})) == _csv_reference([record])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.fixed_dictionaries(
+            {"modulus": st.integers(), "value": st.text() | _TRICKY_TEXT, "valuation": st.none() | st.integers()}
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_rows_view_writes_its_records(records):
+    payload = {"head": "9/2", "rows": records}
+    want = json.dumps(payload, indent=2) + "\n"
+    assert "".join(cli._json_chunks({**payload, "rows": cli.Rows(iter(records))})) == want
+    assert "".join(cli._csv_chunks({**payload, "rows": cli.Rows(iter(records))})) == _csv_reference(records)

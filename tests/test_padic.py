@@ -173,7 +173,7 @@ def test_staircase_texts_match_str_of_fraction(p):
         double_fact.append(double_fact[k - 2] * k)
     seen = set()
     for j in (1201, 1200):
-        texts = staircase_texts(Prime(p), j)
+        texts = list(staircase_texts(Prime(p), j))
         ks = [j, *range(j - 1, -1, -2)]
         assert len(texts) == len(ks)
         for k, text in zip(ks, texts):
@@ -185,7 +185,7 @@ def test_staircase_texts_match_str_of_fraction(p):
 @pytest.mark.parametrize("j", [0, 1, 2, 3])
 def test_staircase_texts_small_columns(j):
     expected = {0: ["1"], 1: ["3", "1"], 2: ["9/2", "3"], 3: ["9", "9/2", "1"]}
-    assert staircase_texts(P3, j) == expected[j]
+    assert list(staircase_texts(P3, j)) == expected[j]
 
 
 def test_staircase_texts_rejects_negative_index():
@@ -195,7 +195,8 @@ def test_staircase_texts_rejects_negative_index():
 
 def test_staircase_texts_raise_rather_than_round(monkeypatch):
     # A context with room for 30 digits cannot hold X_k up to k = 201: the
-    # pass must stop at Inexact, not print a rounded text.
+    # pass must stop at Inexact, not print a rounded text, and it must do
+    # so on the call, before any text is read.
     small = padic._EXACT.copy()
     small.prec = 30
     monkeypatch.setattr(padic, "_EXACT", small)

@@ -8,7 +8,6 @@ or csv output.  Exit codes: 0 success, 1 engine precondition failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from itertools import chain, compress
@@ -193,6 +192,8 @@ def _csv_chunks(payload: dict):
     """The text of csv.writer over the payload's rows, one chunk per row
     or per view chunk: the payload's "rows" (a list or ``Rows``), else the
     payload itself."""
+    import csv  # here, not at the top: only this format uses it
+
     writer = csv.writer(_Text())
     rows = payload.get("rows")
     records = iter(rows.records if type(rows) is Rows else rows or [payload])
@@ -202,7 +203,7 @@ def _csv_chunks(payload: dict):
         cells = [";".join(map(str, v)) if type(v) is list else v for v in row.values()]
         views = [k for k, cell in enumerate(cells) if type(cell) in VIEWS]
         if not views:
-            yield writer.writerow(cells)
+            yield _csv_row(writer, cells)
             continue
         # A view cell is digits and ';', which csv never quotes, so its
         # row is the cells before it, its chunks and the cells after it.
@@ -212,6 +213,21 @@ def _csv_chunks(payload: dict):
         yield writer.writerow(cells[:k] + ["", ""])[: -1 - len(writer.dialect.lineterminator)]
         yield from cells[k].chunks(";")
         yield writer.writerow(["", ""] + cells[k + 1 :])[1:]
+
+
+def _csv_row(writer, cells: list) -> str:
+    """``writer.writerow(cells)``, joined by hand when no cell needs quoting.
+
+    csv.writer looks at each character of each cell in turn, which made a
+    ``coeffs`` row of long digit strings cost about three times its JSON.
+    In its default dialect a cell is quoted only when it holds one of
+    ``,"\r\n``, and a row of one empty cell is written as "".  Like
+    csv.writer, None is written as nothing and anything else as its str.
+    """
+    texts = ["" if cell is None else str(cell) for cell in cells]
+    if len(texts) < 2 or any(c in text for text in texts for c in ',"\r\n'):
+        return writer.writerow(cells)
+    return ",".join(texts) + "\r\n"
 
 
 def _table_chunks(lines):
@@ -250,20 +266,24 @@ def _shape_line(res: HomologyResult):
 # with Python 3.11 (CPU seconds and peak RSS at the ceiling, for p = 3 /
 # 101 / 1009).  A larger value is refused with exit 1 before anything is
 # allocated.
-# - hc --degree 40000: SNF of a 20001-square staircase held as sparse
-#   rows, 0.9 / 2.2 / 3.1 s, 40 MB; twice the degree costs ~3-4x the time
-#   and ~1.6x the memory (2.6 / 8.3 / 11 s, 64 MB at 80000; 0.21 / 0.28 /
-#   0.36 s, 21 MB at 10000).
-# - hcneg --truncation 20000: SNF of a 20000- and a 20001-square
-#   staircase, 1.7 / 5.0 / 6.7 s, 40 MB; 0.7 / 1.4 / 1.9 s at 10000.
-# - verify --hc-max 2000: the oracle once at every even degree up to it,
-#   4.5 / 5.4 / 6.7-7.9 s, 17-24 MB; at 4000 it takes 19 / 30 s (p = 3 /
-#   101), at 960 1.2-1.4 s.
+# - hc --degree 10**6: one walk along a 500001-square staircase whose
+#   rows are made as they are read, 1.8 / 1.8 / 1.6 s, 23-24 MB; linear in
+#   the degree (0.12-0.17 s at 40000, 3.4 s and 50 MB at 2*10**6 for p = 3).
+# - hcneg --truncation 5*10**5: one walk along a (truncation+1)-square
+#   staircase, the same work as hc at its ceiling: 1.9 / 1.6 / 1.7 s, 23-
+#   28 MB; linear (3.5 s, 41 MB at 10**6 for p = 3).
+# - verify --hc-max 4000: one walk gives every even degree, but the shapes
+#   it keeps and the check lines it prints grow with the square of
+#   --hc-max: 0.6 / 0.3 / 0.3 s, 55 / 18 / 17 MB in CSV (p = 3: 30 MB as a
+#   table, 47 MB in JSON); at 2000 0.26 / 0.16 / 0.16 s, 19 / 17 / 17 MB;
+#   at 10**4 for p = 3, 2.4 s and 113 MB as a table.
 # - coeffs --j/--i 8001: ~j^2 digits, 30 / 58 / 74 MB of text, 28 / 41 /
 #   50 MB in every format (the staircase's Decimals, ~0.42 bytes a digit;
 #   the text is written a row at a time); 0.25 / 0.39 / 0.49 s in JSON,
-#   0.18-0.31 s as a table, 0.7 / 1.4 / 1.8 s in CSV.  At 16001, 130 /
-#   242 / 307 MB of JSON in 0.8 / 1.5 / 1.8 s, 69 / 115 / 153 MB.
+#   0.18-0.31 s as a table.  CSV, its rows joined by hand, costs about
+#   two thirds of the JSON: 0.24 / 0.34 / 0.42 s against 0.36 / 0.57 /
+#   0.72 s in the same runs.  At 16001, 130 / 242 / 307 MB of JSON in
+#   0.8 / 1.5 / 1.8 s, 69 / 115 / 153 MB.
 # - zsets --max 10**7: every member, 23-64 MB of text in 0.3-0.4 s, 30 MB
 #   (p = 3 to 101, any set and format).
 # - verify --hh-max 10**5: one Hochschild check and one line per degree,
@@ -274,9 +294,9 @@ def _shape_line(res: HomologyResult):
 #   equal exponents: 0.12 s, 54 MB (the shape's copies of the list), 3.3-
 #   11.7 MB of text at p = 3 in every format; 0.07 s, 17 / 16 MB at p =
 #   101 / 1009; linear in n_max.
-HC_MAX_DEGREE = 40000
-HCNEG_MAX_TRUNCATION = 20000
-VERIFY_MAX_HC = 2000
+HC_MAX_DEGREE = 10**6
+HCNEG_MAX_TRUNCATION = 5 * 10**5
+VERIFY_MAX_HC = 4000
 VERIFY_MAX_HH = 10**5
 COEFFS_MAX = 8001
 ZSETS_MAX = 10**7
@@ -297,7 +317,7 @@ def cmd_hh(args) -> int:
 
 def cmd_hc(args) -> int:
     p = Prime(args.prime)
-    _cap("--degree", args.degree, HC_MAX_DEGREE, "hc eliminates a (degree/2+1)-square staircase")
+    _cap("--degree", args.degree, HC_MAX_DEGREE, "hc walks a (degree/2+1)-square staircase")
     oracle = homology.hc_oracle(p, args.degree)
     record = shape_record(oracle, _exponent_view)
     lines = [_shape_line(oracle)]
@@ -318,7 +338,7 @@ def cmd_hc(args) -> int:
 def cmd_hcneg(args) -> int:
     p = Prime(args.prime)
     if args.truncation is not None:
-        _cap("--truncation", args.truncation, HCNEG_MAX_TRUNCATION, "the probe eliminates staircases of that size")
+        _cap("--truncation", args.truncation, HCNEG_MAX_TRUNCATION, "the probe walks a staircase of that size")
     res = homology.hc_neg_closed_form(p, args.degree, _n_max(args))
     if res is None:
         payload = {"theory": "HCneg", "degree": args.degree, "closed_form": None}
@@ -456,9 +476,9 @@ def cmd_verify(args) -> int:
         except ArithmeticError as exc:
             check(f"hochschild degree {i}", False, str(exc))
 
-    # The oracle solves each even degree once; the Connes and stabilization
-    # checks read the same shapes.
-    shapes = {i: homology.hc_oracle(p, i).shape for i in range(0, args.hc_max + 1, 2)}
+    # One walk of the oracle gives every even degree; the Connes and
+    # stabilization checks read the same shapes.
+    shapes = homology.hc_oracle_shapes(p, args.hc_max)
     for i in range(2, args.hc_max + 1, 2):
         closed = homology.hc_closed_form(p, i)
         if closed is None:

@@ -21,7 +21,6 @@ each such offset is one stride-2p^v slice assignment over the whole range.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import compress
 
 from .padic import Prime, b_val, vp
@@ -248,6 +247,8 @@ def _iroot_floor(n: int, d: int) -> int:
 
 def _pow_upper(p: int, exponent: Fraction) -> Fraction:
     """A rational upper bound for p^(-exponent), exponent > 0."""
+    from fractions import Fraction
+
     m, d = exponent.numerator, exponent.denominator
     root = _iroot_floor(p**m, d)  # root <= p^(m/d)
     return Fraction(1, root)
@@ -255,6 +256,8 @@ def _pow_upper(p: int, exponent: Fraction) -> Fraction:
 
 def _exact_exponent(p: Prime, k: int) -> int:
     """The least e with g(p^e) >= k, i.e. 1 + min over even j >= k of b_j."""
+    from fractions import Fraction
+
     lam = Fraction(2 * p.p - 3, 2 * p.p - 2)
     best = b_val(p, k)
     j = k + 2
@@ -273,6 +276,8 @@ def _tail_sum(p: Prime, exact: bool) -> Fraction:
     an exact rational >= the true series, so subtracting it preserves the
     lower-bound direction.
     """
+    from fractions import Fraction
+
     lam = Fraction(2 * p.p - 3, 2 * p.p - 2)
     total = Fraction(0)
     k_stop = 60
@@ -295,6 +300,8 @@ def density_bounds(p: Prime, upper: int) -> DensityReport:
     is a certified lower bound for the corresponding density (the series
     tails and logarithms are rounded in the safe direction).
     """
+    from fractions import Fraction
+
     if upper < 1:
         raise ValueError("upper bound must be >= 1")
     pk = p.p

@@ -12,9 +12,10 @@ lower-bidiagonal integer "staircase" matrix:
   * negative cyclic, even degree m > 0: diagonal all p^2, subdiagonal
     (m+1, m+3, m+5, ...), again on a product.
 
-The staircases are built as sparse rows, two entries a row.  Finite
-cokernels are computed exactly by Smith normal form over Z/p^N, N from
-the determinant (the oracle route, :func:`cychom.linalg.local_snf`).
+The staircases are built as sparse rows, two entries a row.  Their
+cokernels come exactly from the valuations of their entries, one
+left-to-right walk giving every leading square block at once (the oracle
+route, :func:`cychom.linalg.staircase_cokernels`).
 Independently, closed-form decompositions are available whenever
 the degree avoids the gap windows of :mod:`cychom.gaps`; they are driven by
 the coefficient sequences of :mod:`cychom.padic`.  The verify_* operations
@@ -31,12 +32,18 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterator
-from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import lcm
 
 from .gaps import gap, in_z1, in_z2
-from .linalg import TRIVIAL_SHAPE, ModuleShape, cokernel_shape, diagonal, local_snf, submodule_equal_mod
+from .linalg import (
+    TRIVIAL_SHAPE,
+    ModuleShape,
+    bareiss_rank,
+    cokernel_shape,
+    staircase_cokernels,
+    submodule_equal_mod,
+)
 from .padic import Prime, a_val, b_val, odd_valuations, residue, seq_a, seq_b, staircase_texts, vp
 
 
@@ -50,6 +57,15 @@ class HomologyResult(
     __slots__ = ()
 
 
+def _staircase(head: int, p2: int, offset: int, n: int) -> Iterator[dict[int, int]]:
+    """The sparse rows of an n-square staircase, made as they are read:
+    head at (0, 0), p2 down the rest of the diagonal, and offset + 1,
+    offset + 3, ... below it."""
+    yield {0: head}
+    for k in range(1, n):
+        yield {k - 1: offset + 2 * k - 1, k: p2}
+
+
 def cyclic_matrix(p: Prime, i: int) -> list[dict[int, int]]:
     """Presentation matrix of cyclic homology in even degree i >= 2, as
     sparse rows {column: entry}.
@@ -59,8 +75,7 @@ def cyclic_matrix(p: Prime, i: int) -> list[dict[int, int]]:
     """
     if i < 2 or i % 2 == 1:
         raise ValueError(f"cyclic presentation needs even degree >= 2, got {i}")
-    p2 = p.p * p.p
-    return [{0: p.p}] + [{k - 1: 2 * k - 1, k: p2} for k in range(1, i // 2 + 1)]
+    return list(_staircase(p.p, p.p * p.p, 0, i // 2 + 1))
 
 
 def negative_matrix(p: Prime, m: int, truncation: int) -> list[dict[int, int]]:
@@ -75,7 +90,7 @@ def negative_matrix(p: Prime, m: int, truncation: int) -> list[dict[int, int]]:
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     p2 = p.p * p.p
-    return [{0: p2}] + [{k - 1: m + 2 * k - 1, k: p2} for k in range(1, truncation)]
+    return list(_staircase(p2, p2, m, truncation))
 
 
 def hochschild(p: Prime, i: int) -> HomologyResult:
@@ -98,9 +113,8 @@ def hochschild(p: Prime, i: int) -> HomologyResult:
         closed = TRIVIAL_SHAPE
         mat = [{0: p.p}] if i == 1 else block
         # The differential out of an odd degree is injective, so the
-        # homology there is zero; the matrix is triangular, so injectivity
-        # is a diagonal without zeros.
-        if not all(diagonal(mat)):
+        # homology there is zero: its matrix has full rank.
+        if bareiss_rank(mat)[0] != len(mat):
             raise ArithmeticError(f"HH differential out of degree {i} is not injective")
         oracle = TRIVIAL_SHAPE
     if oracle != closed:
@@ -108,21 +122,35 @@ def hochschild(p: Prime, i: int) -> HomologyResult:
     return HomologyResult("HH", i, closed, "closed_form")
 
 
+def _hc_walk(p: Prime, i_max: int) -> Iterator[tuple[Counter, list[int]]]:
+    """``staircase_cokernels`` over the (i_max//2 + 1)-square cyclic
+    staircase: its leading (i/2 + 1)-square block presents cyclic homology
+    in even degree i, and the map out of odd degree i + 1."""
+    p2 = p.p * p.p
+    return staircase_cokernels(_staircase(p.p, p2, 0, i_max // 2 + 1), p)
+
+
 def hc_oracle(p: Prime, i: int) -> HomologyResult:
     """Cyclic homology in degree i from the staircase presentation, exactly.
 
-    Odd degrees vanish because the staircase map is injective, which for
-    the triangular staircase is a diagonal without zeros.
+    Odd degrees vanish because the staircase map is injective: the walk
+    takes only staircases with nonzero entries, which have full rank.
     """
     if i < 0:
         raise ValueError("negative degree")
-    if i % 2 == 1:
-        mat = [{0: p.p}] if i == 1 else cyclic_matrix(p, i - 1)
-        if not all(diagonal(mat)):
-            raise ArithmeticError("staircase map unexpectedly not injective")
-        return HomologyResult("HC", i, TRIVIAL_SHAPE, "oracle")
-    mat = [{0: p.p}] if i == 0 else cyclic_matrix(p, i)
-    return HomologyResult("HC", i, cokernel_shape(mat, p), "oracle")
+    for pivots, tail in _hc_walk(p, i):
+        pass
+    shape = TRIVIAL_SHAPE if i % 2 else ModuleShape((*pivots.elements(), *tail))
+    return HomologyResult("HC", i, shape, "oracle")
+
+
+def hc_oracle_shapes(p: Prime, i_max: int) -> dict[int, ModuleShape]:
+    """``hc_oracle(p, i).shape`` for every even degree i = 0, 2, ..., i_max,
+    from one walk over the largest staircase, whose leading blocks are
+    the smaller ones."""
+    if i_max < 0:
+        raise ValueError("negative degree")
+    return {2 * k: ModuleShape((*pivots.elements(), *tail)) for k, (pivots, tail) in enumerate(_hc_walk(p, i_max))}
 
 
 def hc_closed_form(p: Prime, i: int) -> HomologyResult | None:
@@ -207,6 +235,8 @@ def phi_coeffs(p: Prime, j: int, i: int) -> CoeffVector:
     zero for n > j.  B_0, B_2, ..., B_{j-1} come from one pass of
     B_k = p^2 B_{k-2} / k.
     """
+    from fractions import Fraction
+
     _check_phi_indices(j, i)
     p2 = p.p * p.p
     b = [Fraction(1)]
@@ -250,6 +280,16 @@ def verify_presentation(p: Prime, i: int) -> PresentationReport:
     relation has p-local rational entries; scaling it by the prime-to-p
     lcm of the denominators (a unit) clears it to integers without moving
     the p-primary part.
+
+    The rebuilt matrix is no staircase: the relation's column is a star,
+    and each modulus a pendant edge on one of its rows.  The argument of
+    ``staircase_cokernels`` still covers it, because no row has more than
+    two entries.  Pivot on an entry x of least valuation in its row and
+    column: its fill -yz/x, for the one other entry y of its row and each
+    z of its column, lands where the matrix had no entry, all in y's
+    column, so valuations still add exactly and the support stays a star
+    with pendant edges.  But the walk reads only a path, so this matrix
+    goes to ``cokernel_shape`` (a Bareiss pass, then ``local_snf``).
     """
     if i < 1 or i % 2 == 0:
         raise ValueError("colimit index must be odd and positive")
@@ -452,14 +492,16 @@ def hc_neg_truncation_probe(p: Prime, m: int, truncation: int | None = None) -> 
     if not in_z2(p, m - 1):
         raise ValueError(f"closed form requires Z2 membership, {m - 1} is excluded")
 
-    def subhead(k: int) -> list[int]:
-        # The K-square staircase is triangular with diagonal p^2, so its
-        # determinant has valuation 2K; unit factors come back as 0.
-        vals = local_snf(negative_matrix(p, m, k), p, 2 * k + 1, k)  # ascending
+    def subhead(pivots: Counter, tail: list[int]) -> list[int]:
+        vals = sorted([*pivots.elements(), *tail])  # unit factors come back as 0
         return [v for v in vals[:-1] if v > 0]
 
-    vals_k = subhead(truncation)
-    vals_k1 = subhead(truncation + 1)
+    # Truncations K and K + 1 are the last two leading blocks of the
+    # (K+1)-square staircase; in_z2 has made sure that m is even and >= 2.
+    p2 = p.p * p.p
+    blocks = islice(staircase_cokernels(_staircase(p2, p2, m, truncation + 1), p), truncation - 1, None)
+    vals_k = subhead(*next(blocks))
+    vals_k1 = subhead(*next(blocks))
     if truncation == 1 or not (vals_k or vals_k1):
         return TruncationProbeReport(True, True, (), None, "no stabilized prefix")
     stable = Counter(vals_k) & Counter(vals_k1)

@@ -1,21 +1,28 @@
-"""Exact integer matrix algebra: Smith normal form and cokernel invariants.
+"""Exact integer matrix algebra: staircase cokernels, Smith normal form
+and cokernel invariants.
 
 Every homology module in the package is the p-primary part of a cokernel,
-and over Z_(p) every integer prime to p is a unit.  So ``cokernel_shape``
-never forms an integer Smith normal form, whose entries blow up with the
-matrix size.  It reads N = v_p(D) + 1 off a nonzero maximal minor D (the
-diagonal product of a lower-triangular staircase, or one fraction-free
-Bareiss pass otherwise) and eliminates over Z/p^N with ``local_snf``, where every
+and over Z_(p) every integer prime to p is a unit.  The cyclic and
+negative staircases are lower-bidiagonal, so ``staircase_cokernels`` reads
+the cokernel of each of their leading square blocks off the valuations of
+their entries alone, in one left-to-right walk with a stack of small
+ints; that is the oracle route.
+
+Any other matrix goes to ``cokernel_shape``, which never forms an integer
+Smith normal form, whose entries blow up with the matrix size.  It reads
+N = v_p(D) + 1 off a nonzero maximal minor D (one fraction-free Bareiss
+pass) and eliminates over Z/p^N with ``local_snf``, where every
 invariant factor of the matrix is still visible and no entry outgrows
 p^N (Hafner-McCurley, SIAM J. Comput. 1991; Cohen, *A Course in
-Computational Algebraic Number Theory*, 2.4).
+Computational Algebraic Number Theory*, 2.4).  ``local_snf`` is also the
+independent reference the tests hold the walk to.
 
-The kernel never inverts anything mod p^N.  Scaling a row by a unit
+That kernel never inverts anything mod p^N.  Scaling a row by a unit
 changes no invariant factor, so a pivot p^v * u clears a row with
 p^v * f in its column by row := u * row - f * pivot_row.  Matrices come as
 sparse rows, one {column: entry} dict per row, so a staircase with two
-diagonals costs memory linear in its size; only the Bareiss pass on a
-non-triangular input makes a dense copy.
+diagonals costs memory linear in its size; only the Bareiss pass makes a
+dense copy.
 
 ``snf`` is the classical integer elimination on a dense ``IntMatrix``,
 kept as the reference the tests compare the local kernel against.
@@ -27,8 +34,8 @@ tolerances.
 
 from __future__ import annotations
 
-import heapq
-from collections import namedtuple
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Iterator
 from itertools import compress
 
 from .padic import Prime, vp
@@ -49,11 +56,6 @@ class IntMatrix:
         self.rows = rows
         self.cols = cols
         self.data = [list(map(int, r)) for r in data]
-
-
-def diagonal(rows: list[dict[int, int]]) -> list[int]:
-    """The entries (k, k) of a matrix given as sparse rows."""
-    return [row.get(k, 0) for k, row in enumerate(rows)]
 
 
 def bareiss_rank(rows: list[dict[int, int]]) -> tuple[int, int]:
@@ -250,6 +252,8 @@ def local_snf(rows: list[dict[int, int]], p: Prime, precision: int, rank: int) -
     >>> local_snf([{0: 3}, {0: 1, 1: 9}], Prime(3), 4, 2)
     (0, 3)
     """
+    import heapq  # here, not at the top: only this kernel uses it
+
     if precision < 1:
         raise ValueError("precision must be >= 1")
     q = p.p**precision
@@ -333,22 +337,76 @@ def cokernel_shape(rows: list[dict[int, int]], p: Prime) -> ModuleShape:
     """Shape of R^len(rows) / (column span of the matrix given as sparse
     rows), keeping only the p-primary part.
 
-    A square lower-triangular input with a nonzero diagonal has full rank
-    and its diagonal product as a maximal minor; any other input gets one
-    Bareiss pass for its rank and a nonzero maximal minor.
+    One Bareiss pass gives the rank and a nonzero maximal minor, whose
+    valuation sets the precision of ``local_snf``.
 
     >>> str(cokernel_shape([{0: 3}, {0: 1, 1: 9}], Prime(3)))
     'R/p^3'
     """
-    diag = diagonal(rows)
-    if all(diag) and all(max(row) <= k for k, row in enumerate(rows)):
-        rank = len(rows)
-        v_minor = sum(vp(p, d) for d in diag)
-    else:
-        rank, minor = bareiss_rank(rows)
-        v_minor = vp(p, minor)
-    vals = local_snf(rows, p, v_minor + 1, rank)
+    rank, minor = bareiss_rank(rows)
+    vals = local_snf(rows, p, vp(p, minor) + 1, rank)
     return ModuleShape(vals, free_rank=len(rows) - rank)
+
+
+def staircase_cokernels(rows: Iterable[dict[int, int]], p: Prime) -> Iterator[tuple[Counter, list[int]]]:
+    """The cokernel over Z_(p) of every leading square block of a
+    staircase, from the valuations of its entries alone, in one
+    left-to-right walk.
+
+    A staircase is lower-bidiagonal with nonzero entries: row 0 is
+    {0: d_0} and row k >= 1 is {k-1: s_k, k: d_k}.  Anything else raises
+    ValueError.  The rows may come lazily; each is read once, and each
+    entry only through its valuation, by ``vp``.
+
+    Why valuations suffice.  Join each row to each column by its nonzero
+    entries: a staircase gives the path d_0, s_1, d_1, s_2, ..., each entry
+    sharing a row or a column with the next.  Take an entry x whose
+    valuation is a local minimum, no larger than its neighbours y (same
+    row) and z (same column) where they exist.  Then y/x and z/x lie in
+    Z_(p), so a column operation clears y and a row operation clears z.
+    That splits off R/p^v(x) and leaves one new entry -yz/x, where z's
+    row meets y's column.  The path had no entry there, so nothing
+    cancels: its valuation is exactly v(y) + v(z) - v(x), and it joins
+    y's and z's other neighbours, so what is left is again a path, two
+    entries shorter.  At an end of the path x has one neighbour, and
+    clearing it takes both away.  So the cokernel is the sum of R/p^e over
+    the pivots' valuations e, and no entry is ever multiplied out.
+
+    The walk. The valuations go onto a stack in path order.  While the
+    top is no larger than the valuation v coming in, the top is a local
+    minimum (the entry below it is larger) and pivots: it merges with the
+    entry below into v + below - top, or, with nothing below, ends the
+    path and takes v with it.  So the stack strictly descends.  The
+    leading k-square block is the path up to d_{k-1}; its cokernel adds to
+    the pivots so far every other stack entry from the top down, since
+    there the top is an end whose one neighbour is larger.
+
+    Yields (pivots, tail) for k = 1, 2, ..., len(rows): the cokernel of
+    block k is the sum of R/p^e over the valuations e that ``pivots``
+    counts and those ``tail`` lists (ascending), zeros included, k in all.
+    ``pivots`` is the walk's own Counter, updated in place: read it before
+    asking for the next block.
+
+    >>> [(sorted(c.elements()), t) for c, t in staircase_cokernels([{0: 3}, {0: 1, 1: 9}], Prime(3))]
+    [([], [1]), ([0], [3])]
+    """
+    pivots: Counter = Counter()
+    stack: list[int] = []
+    for k, row in enumerate(rows):
+        entries = (row.get(k - 1), row.get(k)) if k else (row.get(0),)
+        if len(row) != len(entries) or not all(entries):
+            raise ValueError(f"not a staircase: row {k} is {row}")
+        for x in entries:
+            v = vp(p, x)
+            while stack and stack[-1] <= v:
+                top = stack.pop()
+                pivots[top] += 1
+                if not stack:
+                    break
+                v += stack.pop() - top
+            else:
+                stack.append(v)
+        yield pivots, stack[::-2]
 
 
 def submodule_equal_mod(

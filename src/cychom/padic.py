@@ -24,9 +24,7 @@ pass, each text made as it is read.  Primality of ``Prime`` is decided by determ
 
 from __future__ import annotations
 
-import decimal
 from collections.abc import Iterator
-from fractions import Fraction
 from math import gcd, prod
 
 
@@ -168,6 +166,7 @@ def residue(x: Fraction, modulus: int) -> int:
 
     For a p-power modulus that is exactly the condition that x is p-local.
 
+    >>> from fractions import Fraction
     >>> residue(Fraction(81, 5), 3**6)
     162
     """
@@ -185,6 +184,8 @@ def seq_a(p: Prime, j: int) -> Fraction:
     >>> seq_a(Prime(3), 5)
     Fraction(81, 5)
     """
+    from fractions import Fraction
+
     if j < 1 or j % 2 == 0:
         raise ValueError(f"A defined on odd positive indices, got {j}")
     return Fraction(p.p**j, prod(range(j, 0, -2)))
@@ -196,18 +197,28 @@ def seq_b(p: Prime, j: int) -> Fraction:
     >>> seq_b(Prime(3), 2)
     Fraction(9, 2)
     """
+    from fractions import Fraction
+
     if j < 0 or j % 2 == 1:
         raise ValueError(f"B defined on even nonnegative indices, got {j}")
     return Fraction(p.p**j, prod(range(j, 0, -2)))
 
 
-# Integer arithmetic in Decimal: any result that would be rounded raises.
-_EXACT = decimal.Context(
-    prec=decimal.MAX_PREC,
-    Emax=decimal.MAX_EMAX,
-    Emin=decimal.MIN_EMIN,
-    traps=[decimal.Inexact, decimal.Rounded],
-)
+def __getattr__(name: str):
+    """``_EXACT``, the Decimal context of exact integer arithmetic (any
+    result that would be rounded raises), made on first use: only the
+    processes that print coefficients import decimal."""
+    if name != "_EXACT":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import decimal
+
+    exact = globals()[name] = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact, decimal.Rounded],
+    )
+    return exact
 
 
 def staircase_texts(p: Prime, j: int) -> Iterator[str]:
@@ -234,11 +245,14 @@ def staircase_texts(p: Prime, j: int) -> Iterator[str]:
     >>> list(staircase_texts(Prime(3), 4))
     ['81/8', '9', '3']
     """
+    from decimal import Decimal
+
     if j < 0:
         raise ValueError(f"X defined on nonnegative indices, got {j}")
+    exact = globals().get("_EXACT") or __getattr__("_EXACT")
     q = p.p
     # Per parity of k: [e, p^e, d] for the last X_k of that parity.
-    chains = [[0, decimal.Decimal(1), decimal.Decimal(1)], [1, decimal.Decimal(q), decimal.Decimal(1)]]
+    chains = [[0, Decimal(1), Decimal(1)], [1, Decimal(q), Decimal(1)]]
     kept = []  # (p^e, d) of each printed X_k, bottom up
     for k in range(j + 1):
         chain = chains[k & 1]
@@ -249,16 +263,16 @@ def staircase_texts(p: Prime, j: int) -> Iterator[str]:
                 step -= 1
             chain[0] += step
             if step >= 0:
-                chain[1] = _EXACT.multiply(chain[1], q**step)
+                chain[1] = exact.multiply(chain[1], q**step)
             else:  # p^3 | k; a Decimal division at MAX_PREC would exhaust memory
-                chain[1] = _EXACT.power(q, chain[0])
-            chain[2] = _EXACT.multiply(chain[2], u)
+                chain[1] = exact.power(q, chain[0])
+            chain[2] = exact.multiply(chain[2], u)
         if (j - k) & 1 or k == j:
             kept.append((chain[1], chain[2]))
     return (_fraction_text(*kept.pop()) for _ in range(len(kept)))
 
 
-def _fraction_text(numerator: decimal.Decimal, denominator: decimal.Decimal) -> str:
+def _fraction_text(numerator: Decimal, denominator: Decimal) -> str:
     return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
 
 

@@ -95,24 +95,24 @@ def test_verify_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_solves_each_even_degree_once(capsys, monkeypatch):
-    from collections import Counter
-
+def test_verify_walks_once(capsys, monkeypatch):
     from cychom import homology
 
-    real = homology.hc_oracle
-    calls = Counter()
+    real = homology.staircase_cokernels
+    sizes = []
 
-    def counted(p, i):
-        calls[i] += 1
-        return real(p, i)
+    def counted(rows, p):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return real(rows, p)
 
-    monkeypatch.setattr(homology, "hc_oracle", counted)
+    monkeypatch.setattr(homology, "staircase_cokernels", counted)
     code, out, _ = run(capsys, ["verify", "--prime", "3", "--hc-max", "40"])
     assert code == 0 and "0 failure(s)" in out
-    # One oracle call per even degree 0..40 feeds the hc, Connes and
-    # stabilization checks; verify_presentation adds its own at 2..12.
-    assert calls == Counter(range(0, 41, 2)) + Counter(range(2, 13, 2))
+    # One walk along the 21-square staircase feeds the hc, Connes and
+    # stabilization checks at every even degree 0..40; verify_presentation
+    # adds its own oracle at degrees 2..12, the 2- to 7-square ones.
+    assert sizes == [21, 2, 3, 4, 5, 6, 7]
 
 
 def test_verify_reports_mismatch_with_exit_3(capsys, monkeypatch):
@@ -368,9 +368,9 @@ def _allocating(*args, **kwargs):
 # argv up to the capped flag, the ceiling's name, and the first allocation
 # of that size.
 CAPPED = [
-    (["hc", "--prime", "3", "--degree"], "HC_MAX_DEGREE", "cyclic_matrix"),
-    (["hcneg", "--prime", "3", "--degree", "6", "--truncation"], "HCNEG_MAX_TRUNCATION", "negative_matrix"),
-    (["verify", "--prime", "3", "--hh-max", "2", "--hc-max"], "VERIFY_MAX_HC", "hc_oracle"),
+    (["hc", "--prime", "3", "--degree"], "HC_MAX_DEGREE", "staircase_cokernels"),
+    (["hcneg", "--prime", "3", "--degree", "6", "--truncation"], "HCNEG_MAX_TRUNCATION", "staircase_cokernels"),
+    (["verify", "--prime", "3", "--hh-max", "2", "--hc-max"], "VERIFY_MAX_HC", "hc_oracle_shapes"),
     (["verify", "--prime", "3", "--hc-max", "2", "--hh-max"], "VERIFY_MAX_HH", "hochschild"),
     (["hp", "--prime", "3", "--degree", "0", "--n-max"], "PRODUCT_MAX_N", "hp"),
     (["hcneg", "--prime", "3", "--degree", "6", "--n-max"], "PRODUCT_MAX_N", "hc_neg_closed_form"),
@@ -398,9 +398,10 @@ def test_ceilings_sit_above_benchmark_and_test_inputs():
     # The benchmark runs hc to degree 400, verify to --hc-max 120 with the
     # default --hh-max 10, coeffs to j = 4001 and the closed forms to degree
     # 2*10**6 with n_max = degree + 21; the tests run hc at degree 1002 and
-    # coeffs at i = 4005, and CI runs hc at degree 10000.  Each ceiling is
-    # itself a valid value: hc-max even, coeffs indices and n_max odd.
-    assert cli.HC_MAX_DEGREE >= 10000 and cli.VERIFY_MAX_HC >= 120
+    # coeffs at i = 4005, and CI runs hc at degree 10**6 and verify at
+    # --hc-max 4000.  Each ceiling is itself a valid value: hc-max even,
+    # coeffs indices and n_max odd.
+    assert cli.HC_MAX_DEGREE >= 10**6 and cli.VERIFY_MAX_HC >= 4000
     assert cli.COEFFS_MAX >= 4005 and cli.HCNEG_MAX_TRUNCATION >= 8
     assert cli.VERIFY_MAX_HH >= 10 and cli.PRODUCT_MAX_N >= 2 * 10**6 + 21
     assert cli.VERIFY_MAX_HC % 2 == 0 and cli.COEFFS_MAX % 2 == 1 and cli.PRODUCT_MAX_N % 2 == 1
@@ -409,7 +410,8 @@ def test_ceilings_sit_above_benchmark_and_test_inputs():
 # The ceilings that README "CLI" and the CI console-script step state by
 # value: one past each is refused, the ceiling itself reaches the work.
 DOCUMENTED = [
-    (["hc", "--prime", "3", "--degree"], 40000, "cyclic_matrix"),
+    (["hc", "--prime", "3", "--degree"], 10**6, "staircase_cokernels"),
+    (["hcneg", "--prime", "3", "--degree", "6", "--truncation"], 5 * 10**5, "staircase_cokernels"),
     (["verify", "--prime", "3", "--hc-max", "2", "--hh-max"], 10**5, "hochschild"),
     (["hp", "--prime", "3", "--degree", "0", "--n-max"], 10**7 + 1, "hp"),
 ]
@@ -499,6 +501,42 @@ def test_cli_import_loads_no_code_generation_modules():
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"} & set(loaded)
+
+
+def test_queries_import_no_fractions_decimal_or_csv():
+    # Only the commands that build a Fraction (density, verify) or a
+    # Decimal (coeffs), and the CSV format, need these; fractions imports
+    # decimal.  The probe runs each other command, as a table and in JSON,
+    # and the closed forms that the library serves on their own.
+    src = Path(cychom.__file__).resolve().parents[1]
+    probe = """if True:
+        import os, sys
+        import cychom.cli as c
+        c.build_parser()
+        print(" ".join(sys.modules))
+        from cychom import Prime, homology
+        homology.hc_closed_form(Prime(5), 2000)
+        homology.hc_neg_closed_form(Prime(5), 2000, 2021)
+        for argv in (
+            ["hc", "--prime", "3", "--degree", "40"],
+            ["hc", "--prime", "3", "--degree", "28"],
+            ["hc", "--prime", "5", "--degree", "41"],
+            ["hh", "--prime", "3", "--degree", "4"],
+            ["hp", "--prime", "3", "--degree", "0", "--n-max", "101"],
+            ["hcneg", "--prime", "3", "--degree", "6", "--truncation", "8"],
+            ["zsets", "--prime", "3", "--max", "1000", "--set", "z2"],
+        ):
+            for fmt in ("table", "json"):
+                assert c.main(argv + ["--format", fmt, "--out", os.devnull]) == 0, argv
+        print(" ".join(sys.modules))
+    """
+    env = dict(os.environ, PYTHONPATH=str(src))
+    lines = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert len(lines) == 2 and "cychom.cli" in lines[0].split()
+    for line in lines:
+        assert not {"fractions", "decimal", "csv"} & set(line.split())
 
 
 ZSETS_NOTE = "1 is a member by definition; informal listings often omit it"
@@ -758,6 +796,16 @@ def test_repeats_view_writes_its_list(runs, text):
     record = {"a": text, "x": items, "b": 7}
     assert "".join(cli._json_chunks({**record, "x": view})) == json.dumps(record, indent=2) + "\n"
     assert "".join(cli._csv_chunks({**record, "x": view})) == _csv_reference([record])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SCALARS | st.sampled_from([",", "1,2", "3/5", '"']), max_size=4))
+def test_csv_row_is_what_csv_writer_writes(cells):
+    # Joined by hand or not, the row is csv.writer's, byte for byte: a
+    # lone empty cell, quotes, commas and line ends included.
+    buf = io.StringIO()
+    csv.writer(buf).writerow(cells)
+    assert cli._csv_row(csv.writer(cli._Text()), cells) == buf.getvalue()
 
 
 @settings(max_examples=200, deadline=None)

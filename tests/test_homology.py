@@ -11,6 +11,7 @@ from cychom.homology import (
     hc_neg_closed_form,
     hc_neg_truncation_probe,
     hc_oracle,
+    hc_oracle_shapes,
     hochschild,
     hp,
     hp_stabilization_check,
@@ -109,6 +110,17 @@ def test_two_routes_agree_at_every_even_degree_to_600(p):
             covered += 1
             assert closed.shape == shapes[i], i
     assert covered >= 250
+
+
+@pytest.mark.parametrize("p", [3, 101])
+def test_one_walk_gives_the_oracle_at_every_even_degree(p):
+    # Every leading block of one walk, read as it comes, is the shape the
+    # walk to that degree alone ends with.
+    prime = Prime(p)
+    assert hc_oracle_shapes(prime, 300) == _shapes(prime, 300)
+    assert hc_oracle_shapes(prime, 0) == {0: ModuleShape((1,))}
+    with pytest.raises(ValueError):
+        hc_oracle_shapes(prime, -2)
 
 
 def test_oracle_makes_no_integer_snf(monkeypatch):

@@ -1,18 +1,19 @@
+import os
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cychom.homology import cyclic_matrix
+from cychom.homology import cyclic_matrix, negative_matrix
 from cychom.linalg import (
     IntMatrix,
     ModuleShape,
     TRIVIAL_SHAPE,
     bareiss_rank,
     cokernel_shape,
-    diagonal,
     local_snf,
     snf,
+    staircase_cokernels,
     submodule_equal_mod,
 )
 from cychom.padic import Prime, vp
@@ -282,9 +283,113 @@ def test_bareiss_rank():
     assert bareiss_rank([{1: 1}, {0: 1}]) == (2, -1)
 
 
-def test_diagonal_reads_missing_entries_as_zero():
-    assert diagonal([{0: 3}, {0: 1}, {1: 3, 2: 9}]) == [3, 0, 9]
-    assert diagonal([]) == []
+def _walk(rows, p):
+    """Each leading block's valuations from the walk, ascending, zeros
+    included, as ``local_snf`` gives them; and the longest tail."""
+    blocks, longest = [], 0
+    for pivots, tail in staircase_cokernels(rows, p):
+        blocks.append(tuple(sorted([*pivots.elements(), *tail])))
+        longest = max(longest, len(tail))
+    return blocks, longest
+
+
+# Tier-1 walks every even degree up to 600; CI sets CYCHOM_WALK_MAX=2000.
+WALK_MAX = int(os.environ.get("CYCHOM_WALK_MAX", "600"))
+
+
+@pytest.mark.parametrize("p", [3, 101])
+def test_walk_matches_local_snf_at_every_even_degree(p):
+    # Block k of the largest cyclic staircase presents HC in degree
+    # 2(k - 1); the staircase is triangular, so its determinant is the
+    # diagonal product.  The walk's stack never holds more than three
+    # entries, so a tail has at most two.
+    prime = Prime(p)
+    rows = cyclic_matrix(prime, WALK_MAX)
+    blocks, longest = _walk(rows, prime)
+    assert len(blocks) == WALK_MAX // 2 + 1 and longest <= 2
+    v_det = 0
+    for k, got in enumerate(blocks, 1):
+        v_det += vp(prime, rows[k - 1][k - 1])
+        assert got == local_snf(rows[:k], prime, v_det + 1, k), k
+
+
+@pytest.mark.parametrize("p", [3, 101])
+def test_walk_matches_local_snf_on_negative_staircases(p):
+    # Every m < 80 and truncation K < 60; the determinant is p^(2K).
+    prime = Prime(p)
+    for m in range(2, 80, 2):
+        rows = negative_matrix(prime, m, 59)
+        blocks, longest = _walk(rows, prime)
+        assert longest <= 2
+        for k, got in enumerate(blocks, 1):
+            assert got == local_snf(rows[:k], prime, 2 * k + 1, k), (m, k)
+
+
+def test_walk_pivots_every_tie_at_once():
+    # All entries of one valuation: each tie pivots as it comes in, so the
+    # stack never grows past one entry, and block k, p times a unimodular
+    # matrix, has cokernel (R/p)^k.
+    rows = [{0: 3}] + [{k - 1: -3, k: 6} for k in range(1, 50)]
+    for k, (pivots, tail) in enumerate(staircase_cokernels(rows, P3), 1):
+        assert tail == [1] and sorted(pivots.elements()) == [1] * (k - 1)
+
+
+try:
+    import sympy
+    from sympy.matrices.normalforms import smith_normal_form
+except ImportError:
+    sympy = None
+
+
+@st.composite
+def _staircases(draw):
+    """A prime and a staircase whose entries are +-p^e * u, u a unit."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(min_value=1, max_value=8))
+    units = st.sampled_from([u for u in range(1, 61) if u % p])
+    entry = st.builds(lambda s, e, u: s * p**e * u, st.sampled_from([1, -1]), st.integers(0, 4), units)
+    rows = [{0: draw(entry)}] + [{k - 1: draw(entry), k: draw(entry)} for k in range(1, n)]
+    return Prime(p), rows
+
+
+# Every valuation is 1, so each entry coming in ties with the top of the
+# stack.
+@example((Prime(3), [{0: 3}, {0: 3, 1: 3}, {1: 3, 2: 3}]))
+@settings(max_examples=200, deadline=None)
+@given(_staircases())
+def test_walk_matches_local_snf_and_sympy_on_random_staircases(case):
+    p, rows = case
+    blocks, _ = _walk(rows, p)
+    v_det = 0
+    for k, got in enumerate(blocks, 1):
+        v_det += vp(p, rows[k - 1][k - 1])
+        assert got == local_snf(rows[:k], p, v_det + 1, k), k
+    if sympy is not None:
+        n = len(rows)
+        dense = sympy.Matrix(_dense(rows).data)
+        form = smith_normal_form(dense, domain=sympy.ZZ)
+        assert blocks[-1] == tuple(sorted(vp(p, form[k, k]) for k in range(n)))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{0: 3, 1: 1}, {1: 9}],  # an entry above the diagonal
+        [{0: 3}, {1: 9}],  # no subdiagonal entry
+        [{0: 3}, {0: 1, 1: 0}],  # a zero on the diagonal
+        [{0: 3}, {0: 0, 1: 9}],  # a zero below it
+        [{0: 3}, {0: 1, 1: 9}, {0: 1, 1: 3, 2: 9}],  # two diagonals down
+        [{}],  # an empty row
+        [{1: 3}],  # the first row off the diagonal
+    ],
+)
+def test_walk_refuses_what_is_not_a_staircase(rows):
+    with pytest.raises(ValueError, match="not a staircase"):
+        list(staircase_cokernels(rows, P3))
+
+
+def test_walk_of_no_rows_yields_nothing():
+    assert list(staircase_cokernels([], P3)) == []
 
 
 def test_module_shape_canonical_form():

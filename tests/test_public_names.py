@@ -30,7 +30,7 @@ def test_tracing_layers_resolve():
         assert callable(getattr(importlib.import_module(f"cychom.{layer}"), name)), (layer, name)
 
 
-REMOVED_FUNCTIONS = [("padic", "PadicRational"), ("gaps", "count_shifted")]
+REMOVED_FUNCTIONS = [("padic", "PadicRational"), ("gaps", "count_shifted"), ("linalg", "diagonal")]
 REMOVED_MEMBERS = [
     ("linalg", "IntMatrix", "identity"),
     ("linalg", "IntMatrix", "copy"),

@@ -7,12 +7,10 @@ layer, the exact linear algebra, and the homology engine.
 from .padic import Prime, a_val, b_val, factorial_vp, odd_valuations, residue, seq_a, seq_b, vp
 from .gaps import (
     DensityReport,
-    GapWindow,
     density_bounds,
     enumerate_z1,
     enumerate_z2,
     gap,
-    gap_window,
     in_z1,
     in_z2,
 )
@@ -30,7 +28,6 @@ from .linalg import (
 from .homology import (
     CoeffVector,
     HomologyResult,
-    a_minimality_probe,
     connes_length_check,
     cyclic_matrix,
     hc_closed_form,
@@ -50,14 +47,12 @@ from .homology import (
 __all__ = [
     "CoeffVector",
     "DensityReport",
-    "GapWindow",
     "HomologyResult",
     "IntMatrix",
     "ModuleShape",
     "Prime",
     "SnfResult",
     "TRIVIAL_SHAPE",
-    "a_minimality_probe",
     "a_val",
     "b_val",
     "cokernel_shape",
@@ -68,7 +63,6 @@ __all__ = [
     "enumerate_z2",
     "factorial_vp",
     "gap",
-    "gap_window",
     "hc_closed_form",
     "hc_neg_closed_form",
     "hc_neg_truncation_probe",

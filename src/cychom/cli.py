@@ -17,18 +17,22 @@ from .homology import HomologyResult
 from .padic import Prime
 
 
-def shape_record(res: HomologyResult, exponents=list) -> dict:
+def _exponent_list(shape) -> list[int]:
+    return list(shape.torsion_exponents)
+
+
+def shape_record(res: HomologyResult, exponents=_exponent_list) -> dict:
     """The record of a result, its torsion exponents given by
-    ``exponents(shape.torsion_exponents)``: a plain list by default, which
-    json.dumps takes; the commands pass ``_exponent_view``, which their
-    writers write from its runs."""
+    ``exponents(shape)``: a plain list by default, which json.dumps takes;
+    the commands pass ``_exponent_view``, which their writers write from
+    the shape's runs."""
     return {
         "theory": res.theory,
         "degree": res.degree,
         "method": res.method,
         "complete_rank": res.shape.complete_rank,
         "free_rank": res.shape.free_rank,
-        "torsion_p_exponents": exponents(res.shape.torsion_exponents),
+        "torsion_p_exponents": exponents(res.shape),
         "truncated": res.shape.truncated,
         "n_max": res.n_max,
     }
@@ -107,25 +111,8 @@ class Rows:
             lead = sep
 
 
-def _runs(values: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(value, count) for each run of equal items of a descending tuple; a
-    bisection per run, so the cost is the number of runs times log n."""
-    runs, start = [], 0
-    while start < len(values):
-        value, lo, hi = values[start], start + 1, len(values)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if values[mid] == value:
-                lo = mid + 1
-            else:
-                hi = mid
-        runs.append((value, lo - start))
-        start = lo
-    return runs
-
-
-def _exponent_view(exponents: tuple[int, ...]) -> Repeats:
-    return Repeats([(str(e), count) for e, count in _runs(exponents)])
+def _exponent_view(shape) -> Repeats:
+    return Repeats([(str(e), count) for e, count in shape.torsion])
 
 
 def _emit(payload: dict, fmt: str, out: str | None, table_lines) -> None:
@@ -254,7 +241,7 @@ def _shape_line(res: HomologyResult):
     """The chunks of the table line ``f"{theory}_{degree} = {shape}  [{method}]"``,
     the factors of str(shape) written from their runs."""
     shape = res.shape
-    factors = [(f"R/p^{e}" if e > 1 else "R/p", count) for e, count in _runs(shape.torsion_exponents)]
+    factors = [(f"R/p^{e}" if e > 1 else "R/p", count) for e, count in shape.torsion]
     runs = [("R^", shape.complete_rank), ("R", shape.free_rank), *factors, ("...", int(shape.truncated))]
     body = Repeats(runs).chunks(" x ")
     yield f"{res.theory}_{res.degree} = {next(body, '0')}"
@@ -267,15 +254,18 @@ def _shape_line(res: HomologyResult):
 # 101 / 1009).  A larger value is refused with exit 1 before anything is
 # allocated.
 # - hc --degree 10**6: one walk along a 500001-square staircase whose
-#   rows are made as they are read, 1.8 / 1.8 / 1.6 s, 23-24 MB; linear in
-#   the degree (0.12-0.17 s at 40000, 3.4 s and 50 MB at 2*10**6 for p = 3).
+#   rows are made as they are read, 1.6 / 1.5 / 1.6 s, 14 MB; time linear
+#   in the degree (0.12-0.17 s at 40000, 3.2 s and 20 MB at 2*10**6 for
+#   p = 3).
 # - hcneg --truncation 5*10**5: one walk along a (truncation+1)-square
-#   staircase, the same work as hc at its ceiling: 1.9 / 1.6 / 1.7 s, 23-
-#   28 MB; linear (3.5 s, 41 MB at 10**6 for p = 3).
+#   staircase, the same work as hc at its ceiling: 1.8 / 1.7 / 1.5 s,
+#   29 / 16 / 15 MB in CSV, the 29 MB at p = 3 its stable prefix of
+#   1.7*10**5 valuations, which it prints; linear (3.6 s and 44 MB at 10**6
+#   for p = 3).
 # - verify --hc-max 4000: one walk gives every even degree, but the shapes
 #   it keeps and the check lines it prints grow with the square of
-#   --hc-max: 0.6 / 0.3 / 0.3 s, 55 / 18 / 17 MB in CSV (p = 3: 30 MB as a
-#   table, 47 MB in JSON); at 2000 0.26 / 0.16 / 0.16 s, 19 / 17 / 17 MB;
+#   --hc-max: 0.3 / 0.2 / 0.2 s, 51 / 18 / 18 MB in CSV (p = 3: 27 MB as a
+#   table, 43 MB in JSON); at 2000 0.22 / 0.16 / 0.17 s, 18 / 17 / 17 MB;
 #   at 10**4 for p = 3, 2.4 s and 113 MB as a table.
 # - coeffs --j/--i 8001: ~j^2 digits, 30 / 58 / 74 MB of text, 28 / 41 /
 #   50 MB in every format (the staircase's Decimals, ~0.42 bytes a digit;
@@ -290,16 +280,20 @@ def _shape_line(res: HomologyResult):
 #   1.8 / 2.0 s, 38 / 25 MB, 3.6 / 2.9 MB of text (p = 3 / 101); linear,
 #   3.6 / 3.9 s at 2*10**5.
 # - hp/hcneg --n-max 10**7 + 1 (given, or the default degree + 20 or 21):
-#   a torsion exponent per odd multiple of p, written from its runs of
-#   equal exponents: 0.12 s, 54 MB (the shape's copies of the list), 3.3-
-#   11.7 MB of text at p = 3 in every format; 0.07 s, 17 / 16 MB at p =
-#   101 / 1009; linear in n_max.
+#   a torsion exponent per odd multiple of p, counted per exponent and
+#   written from those runs: 0.07-0.09 s and 14 MB for p = 3 / 101 / 1009
+#   in every format, for 3.3-11.7 MB of text at p = 3; the text, and its
+#   time, are linear in n_max, the memory is not.
+# - density --max 10**8: the window sieve holds a byte per integer up to
+#   --max, 0.5 / 0.5 / 1.1 s, 143 / 112 / 111 MB; linear (0.17 s and 28.5 /
+#   25.4 MB at 10**7 for p = 3 / 101).
 HC_MAX_DEGREE = 10**6
 HCNEG_MAX_TRUNCATION = 5 * 10**5
 VERIFY_MAX_HC = 4000
 VERIFY_MAX_HH = 10**5
 COEFFS_MAX = 8001
 ZSETS_MAX = 10**7
+DENSITY_MAX = 10**8
 PRODUCT_MAX_N = 10**7 + 1
 
 
@@ -403,6 +397,7 @@ def cmd_zsets(args) -> int:
 
 def cmd_density(args) -> int:
     p = Prime(args.prime)
+    _cap("--max", args.max, DENSITY_MAX, "density sieves every odd number up to --max")
     rep = gaps.density_bounds(p, args.max)
     payload = {
         "prime": rep.p,

@@ -25,22 +25,17 @@ from itertools import compress
 
 from .padic import Prime, b_val, vp
 
-# g(p^a) keyed by (p, a); g(n) = g(p^{v_p(n)}).
-_GAP_CACHE: dict[tuple[int, int], int] = {}
-
 
 def _gap_for_valuation(p: Prime, v: int) -> int:
-    key = (p.p, v)
-    if key not in _GAP_CACHE:
-        # b_j > j(2p-3)/(2p-2) for even j >= 2, so b_j < v forces
-        # j < v(2p-2)/(2p-3); scanning to that point is exhaustive.
-        limit = v * (2 * p.p - 2) // (2 * p.p - 3) + 2
-        best = 0
-        for j in range(0, limit + 1, 2):
-            if b_val(p, j) < v:
-                best = j
-        _GAP_CACHE[key] = best
-    return _GAP_CACHE[key]
+    """g(p^v), which is g(n) for every n with v_p(n) = v."""
+    # b_j > j(2p-3)/(2p-2) for even j >= 2, so b_j < v forces
+    # j < v(2p-2)/(2p-3); scanning to that point is exhaustive.
+    limit = v * (2 * p.p - 2) // (2 * p.p - 3) + 2
+    best = 0
+    for j in range(0, limit + 1, 2):
+        if b_val(p, j) < v:
+            best = j
+    return best
 
 
 def gap(p: Prime, n: int) -> int:
@@ -54,36 +49,14 @@ def gap(p: Prime, n: int) -> int:
     return _gap_for_valuation(p, vp(p, n))
 
 
-class GapWindow(namedtuple("GapWindow", "n g")):
-    """The exclusion window attached to one odd multiple of p."""
-
-    __slots__ = ()
-
-    @property
-    def z1_interval(self) -> tuple[int, int]:
-        return (self.n, self.n + self.g)
-
-    @property
-    def z2_interval(self) -> tuple[int, int]:
-        return (self.n - self.g, self.n + self.g)
-
-
-def gap_window(p: Prime, n: int) -> GapWindow:
-    if n % 2 == 0:
-        raise ValueError("windows are attached to odd multiples of p")
-    return GapWindow(n, gap(p, n))
-
-
 def _max_gap_below(p: Prime, i: int) -> int:
-    # Largest g(n) possible for odd multiples n <= i.
-    best = 0
-    a = 1
-    q = p.p
+    # Largest g(n) possible for odd multiples n <= i.  {j : b_j < a} grows
+    # with a, so g(p^a) is nondecreasing in a: the largest is g(p^a) for
+    # the largest p^a <= i.
+    a, q = 0, p.p
     while q <= i:
-        best = max(best, _gap_for_valuation(p, a))
-        a += 1
-        q *= p.p
-    return best
+        a, q = a + 1, q * p.p
+    return _gap_for_valuation(p, a)
 
 
 def _upper_scan_radius(p: Prime, i: int) -> int:

@@ -35,7 +35,7 @@ from collections.abc import Iterator
 from itertools import chain, islice
 from math import lcm
 
-from .gaps import gap, in_z1, in_z2
+from .gaps import in_z1, in_z2
 from .linalg import (
     TRIVIAL_SHAPE,
     ModuleShape,
@@ -122,6 +122,11 @@ def hochschild(p: Prime, i: int) -> HomologyResult:
     return HomologyResult("HH", i, closed, "closed_form")
 
 
+def _block_shape(pivots: Counter, tail: list[int]) -> ModuleShape:
+    """The cokernel of one block of ``staircase_cokernels``."""
+    return ModuleShape(pivots + Counter(tail))
+
+
 def _hc_walk(p: Prime, i_max: int) -> Iterator[tuple[Counter, list[int]]]:
     """``staircase_cokernels`` over the (i_max//2 + 1)-square cyclic
     staircase: its leading (i/2 + 1)-square block presents cyclic homology
@@ -140,7 +145,7 @@ def hc_oracle(p: Prime, i: int) -> HomologyResult:
         raise ValueError("negative degree")
     for pivots, tail in _hc_walk(p, i):
         pass
-    shape = TRIVIAL_SHAPE if i % 2 else ModuleShape((*pivots.elements(), *tail))
+    shape = TRIVIAL_SHAPE if i % 2 else _block_shape(pivots, tail)
     return HomologyResult("HC", i, shape, "oracle")
 
 
@@ -150,7 +155,7 @@ def hc_oracle_shapes(p: Prime, i_max: int) -> dict[int, ModuleShape]:
     the smaller ones."""
     if i_max < 0:
         raise ValueError("negative degree")
-    return {2 * k: ModuleShape((*pivots.elements(), *tail)) for k, (pivots, tail) in enumerate(_hc_walk(p, i_max))}
+    return {2 * k: _block_shape(*block) for k, block in enumerate(_hc_walk(p, i_max))}
 
 
 def hc_closed_form(p: Prime, i: int) -> HomologyResult | None:
@@ -170,7 +175,7 @@ def hc_closed_form(p: Prime, i: int) -> HomologyResult | None:
         head = a_val(p, i + 1)
     else:
         return None
-    shape = ModuleShape((head, *odd_valuations(p, 3, i - 1)))
+    shape = ModuleShape(Counter(odd_valuations(p, 3, i - 1)) + Counter([head]))
     return HomologyResult("HC", i, shape, "closed_form")
 
 
@@ -185,7 +190,7 @@ def hp(p: Prime, i: int, n_max: int) -> HomologyResult:
         raise ValueError("n_max must be an odd positive integer")
     if i % 2 == 1:
         return HomologyResult("HP", i, TRIVIAL_SHAPE, "closed_form")
-    shape = ModuleShape(tuple(odd_valuations(p, 1, n_max)), complete_rank=1, truncated=True)
+    shape = ModuleShape(odd_valuations(p, 1, n_max), complete_rank=1, truncated=True)
     return HomologyResult("HP", i, shape, "closed_form", n_max=n_max)
 
 
@@ -205,7 +210,7 @@ def hc_neg_closed_form(p: Prime, m: int, n_max: int) -> HomologyResult | None:
         return HomologyResult("HCneg", m, shape, "closed_form", n_max=n_max)
     if not in_z2(p, m - 1):
         return None
-    shape = ModuleShape(tuple(odd_valuations(p, m - 1, n_max)), complete_rank=1, truncated=True)
+    shape = ModuleShape(odd_valuations(p, m - 1, n_max), complete_rank=1, truncated=True)
     return HomologyResult("HCneg", m, shape, "closed_form", n_max=n_max)
 
 
@@ -396,31 +401,6 @@ def connes_length_check(shapes: dict[int, ModuleShape]) -> ConnesReport:
     return ConnesReport(not mismatches, tuple(lengths), tuple(mismatches))
 
 
-class DipProbeReport(namedtuple("DipProbeReport", "ok vacuous witness details")):
-    """Outcome of a_minimality_probe: the first dip index (or None)."""
-
-    __slots__ = ()
-
-
-def a_minimality_probe(p: Prime, i: int, horizon: int) -> DipProbeReport:
-    """Check that the first dip of the head valuation past i sits in a window.
-
-    Scans odd n in (i, i+horizon].  If no n has a_n < a_i the probe is
-    vacuous.  Otherwise the first such n must satisfy v_p(n) >= 3,
-    b_{n-i} < v_p(n), and n - i <= g(n).
-    """
-    if i < 1 or i % 2 == 0 or i % p.p == 0:
-        raise ValueError("index must be odd, positive, and prime to p")
-    ai = a_val(p, i)
-    for n in range(i + 2, i + horizon + 1, 2):
-        if a_val(p, n) < ai:
-            v = vp(p, n)
-            ok = v >= 3 and b_val(p, n - i) < v and n - i <= gap(p, n)
-            detail = f"first dip at n={n}: v_p={v}, b_{{n-i}}={b_val(p, n - i)}, g={gap(p, n)}"
-            return DipProbeReport(ok, False, n, detail)
-    return DipProbeReport(True, True, None, f"no dip below a_{i}={ai} within horizon")
-
-
 class StabilizationReport(namedtuple("StabilizationReport", "ok degrees heads mismatches")):
     """Outcome of hp_stabilization_check: the degrees tested, their head
     exponents, and the mismatch messages."""
@@ -449,14 +429,17 @@ def hp_stabilization_check(
     heads = []
     mismatches = []
     for i in degrees:
-        tors = list(shapes[i].torsion_exponents)  # descending
-        head, tail = tors[0], tors[1:]
+        head = shapes[i].torsion[0][0]
+        counts = Counter(dict(shapes[i].torsion))
+        counts[head] -= 1
+        tail, periodic = ModuleShape(counts), hp(p, 0, i - 1).shape
         expected_head = a_val(p, i - 1) + 2
         if head != expected_head:
             mismatches.append(f"degree {i}: head {head} != a+2 = {expected_head}")
-        expected_tail = list(hp(p, 0, i - 1).shape.torsion_exponents)
-        if tail != expected_tail:
-            mismatches.append(f"degree {i}: tail {tail} != periodic {expected_tail}")
+        if tail.torsion != periodic.torsion:
+            mismatches.append(
+                f"degree {i}: tail {list(tail.torsion_exponents)} != periodic {list(periodic.torsion_exponents)}"
+            )
         heads.append(head)
     for prev, nxt in zip(heads, heads[1:]):
         if nxt < prev:
@@ -492,9 +475,11 @@ def hc_neg_truncation_probe(p: Prime, m: int, truncation: int | None = None) -> 
     if not in_z2(p, m - 1):
         raise ValueError(f"closed form requires Z2 membership, {m - 1} is excluded")
 
-    def subhead(pivots: Counter, tail: list[int]) -> list[int]:
-        vals = sorted([*pivots.elements(), *tail])  # unit factors come back as 0
-        return [v for v in vals[:-1] if v > 0]
+    def subhead(pivots: Counter, tail: list[int]) -> Counter:
+        counts = pivots + Counter(tail)  # unit factors come back as 0
+        counts[max(counts)] -= 1
+        counts.pop(0, None)
+        return +counts
 
     # Truncations K and K + 1 are the last two leading blocks of the
     # (K+1)-square staircase; in_z2 has made sure that m is even and >= 2.
@@ -504,24 +489,25 @@ def hc_neg_truncation_probe(p: Prime, m: int, truncation: int | None = None) -> 
     vals_k1 = subhead(*next(blocks))
     if truncation == 1 or not (vals_k or vals_k1):
         return TruncationProbeReport(True, True, (), None, "no stabilized prefix")
-    stable = Counter(vals_k) & Counter(vals_k1)
-    prefix = sorted(stable.elements())
-    want = list(prefix)
-    have: list[int] = []
+    # Plain dicts: a step compares them in C, where Counter's == loops.
+    stable = dict(vals_k & vals_k1)
+    prefix = ModuleShape(stable)
+    ascending = prefix.torsion_exponents[::-1]
+    have: dict[int, int] = {}
     for steps in range(truncation + 5):
-        if len(have) == len(want) and sorted(have) == want:
+        if have == stable:
             covered = m - 1 + 2 * (steps - 1) if steps else m - 1
             closed = hc_neg_closed_form(p, m, n_max=covered)
-            okc = closed is not None and sorted(closed.shape.torsion_exponents) == want
+            okc = closed is not None and closed.shape.torsion == prefix.torsion
             return TruncationProbeReport(
                 okc,
                 False,
-                tuple(prefix),
+                ascending,
                 covered,
                 f"stabilized factors match the closed form up to R/{covered}"
-                + ("" if prefix == vals_k else "; later factors not yet stable"),
+                + ("" if stable == vals_k else "; later factors not yet stable"),
             )
         v = vp(p, m - 1 + 2 * steps)
         if v > 0:
-            have.append(v)
-    return TruncationProbeReport(False, False, tuple(prefix), None, "no truncation offset matches")
+            have[v] = have.get(v, 0) + 1
+    return TruncationProbeReport(False, False, ascending, None, "no truncation offset matches")

@@ -35,7 +35,7 @@ tolerances.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from itertools import compress
 
 from .padic import Prime, vp
@@ -183,43 +183,53 @@ def snf(m: IntMatrix) -> SnfResult:
     return SnfResult(tuple(factors), source_dim=cols, target_dim=rows)
 
 
-class ModuleShape(namedtuple("ModuleShape", "torsion_exponents free_rank complete_rank truncated")):
+class ModuleShape(namedtuple("ModuleShape", "torsion free_rank complete_rank truncated")):
     """Canonical shape of a module over a p-torsion-free Z_(p)-algebra R.
 
-    torsion_exponents lists e for each cyclic factor R/p^e, sorted in
-    descending order with zero exponents dropped (a factor R/n with n
-    prime to p is trivial).  free_rank counts R factors, complete_rank
-    counts factors of the p-adic completion.  truncated marks shapes that
-    stand for a finite cut of an infinite product.
+    torsion holds the cyclic factors R/p^e as runs: an (e, count) pair for
+    each exponent e that occurs, e descending, e and count positive (a
+    factor R/n with n prime to p is trivial).  The answers of the paper
+    repeat each exponent over many odd n, so their runs are few.
+    free_rank counts R factors, complete_rank counts factors of the p-adic
+    completion.  truncated marks shapes that stand for a finite cut of an
+    infinite product.
+
+    The torsion is given as the exponents or as a mapping from exponent
+    to count; exponents and counts below 1 are dropped.
     """
 
     __slots__ = ()
 
     def __new__(
         cls,
-        torsion_exponents: tuple[int, ...],
+        torsion: Iterable[int] | Mapping[int, int],
         free_rank: int = 0,
         complete_rank: int = 0,
         truncated: bool = False,
     ):
-        canon = sorted(torsion_exponents, reverse=True)
-        while canon and canon[-1] <= 0:
-            canon.pop()
-        return super().__new__(cls, tuple(canon), free_rank, complete_rank, truncated)
+        runs = sorted(((e, n) for e, n in Counter(torsion).items() if e > 0 and n > 0), reverse=True)
+        return super().__new__(cls, tuple(runs), free_rank, complete_rank, truncated)
 
     @classmethod
     def _make(cls, iterable):
         # The inherited _make (and _replace, which calls it) would skip
-        # the canonical form of __new__.
-        return cls(*iterable)
+        # the canonical form of __new__; they take the torsion as runs.
+        torsion, *rest = iterable
+        return cls(dict(torsion), *rest)
+
+    @property
+    def torsion_exponents(self) -> tuple[int, ...]:
+        """e for each cyclic factor R/p^e, descending."""
+        return tuple(e for e, n in self.torsion for _ in range(n))
 
     @property
     def p_length(self) -> int:
-        return sum(self.torsion_exponents)
+        return sum(e * n for e, n in self.torsion)
 
     def __str__(self):
         parts = ["R^"] * self.complete_rank + ["R"] * self.free_rank
-        parts += [f"R/p^{e}" if e > 1 else "R/p" for e in self.torsion_exponents]
+        for e, n in self.torsion:
+            parts += [f"R/p^{e}" if e > 1 else "R/p"] * n
         if self.truncated:
             parts.append("...")
         return " x ".join(parts) if parts else "0"
@@ -387,8 +397,8 @@ def staircase_cokernels(rows: Iterable[dict[int, int]], p: Prime) -> Iterator[tu
     ``pivots`` is the walk's own Counter, updated in place: read it before
     asking for the next block.
 
-    >>> [(sorted(c.elements()), t) for c, t in staircase_cokernels([{0: 3}, {0: 1, 1: 9}], Prime(3))]
-    [([], [1]), ([0], [3])]
+    >>> [(dict(c), t) for c, t in staircase_cokernels([{0: 3}, {0: 1, 1: 9}], Prime(3))]
+    [({}, [1]), ({0: 1}, [3])]
     """
     pivots: Counter = Counter()
     stack: list[int] = []

@@ -16,8 +16,8 @@ construction, since v_p(j!!) <= v_p(j!) <= j, so ``residue`` maps them into
 every Z/p^e.  Their valuations a_j and b_j follow from Legendre's formula
 in O(log j) (``a_val``, ``b_val``); ``vp`` strips p^e from an
 integer in O(log e) big-int divisions; and ``odd_valuations`` gives the
-multiset {v_p(n) : n odd in [lo, hi]} by counting odd multiples of each
-p^e, without visiting the n; ``staircase_texts`` writes p^k / k!! in
+multiset {v_p(n) : n odd in [lo, hi]}, as a count per valuation, by
+counting odd multiples of each p^e, without visiting the n; ``staircase_texts`` writes p^k / k!! in
 decimal, for k = j and every k < j of the other parity, from one exact
 pass, each text made as it is read.  Primality of ``Prime`` is decided by deterministic Miller-Rabin.
 """
@@ -130,18 +130,19 @@ def factorial_vp(p: Prime, m: int) -> int:
     return total
 
 
-def odd_valuations(p: Prime, lo: int, hi: int) -> list[int]:
-    """v_p(n) for the odd n in [lo, hi], descending, zeros dropped.
+def odd_valuations(p: Prime, lo: int, hi: int) -> dict[int, int]:
+    """{e: count of the odd n in [lo, hi] with v_p(n) = e} for e >= 1,
+    e descending, zero counts dropped.
 
     The odd multiples of p^e in [lo, hi] are p^e * c for odd c in
     [ceil(lo/p^e), floor(hi/p^e)], so exactly k - k' of the n have
     valuation e, where k and k' count the odd multiples of p^e and
-    p^(e+1).  No n is visited; the cost is the length of the answer.
+    p^(e+1).  No n is visited; the cost is the number of levels.
 
     >>> odd_valuations(Prime(3), 1, 27)
-    [3, 2, 1, 1, 1]
+    {3: 1, 2: 1, 1: 3}
     >>> odd_valuations(Prime(5), 7, 3)
-    []
+    {}
     """
 
     def odd_multiples(q: int) -> int:
@@ -153,10 +154,11 @@ def odd_valuations(p: Prime, lo: int, hi: int) -> list[int]:
     while q <= max(-lo, hi):
         counts.append(odd_multiples(q))
         q *= p.p
-    out: list[int] = []
+    out: dict[int, int] = {}
     above = 0
     for e in range(len(counts), 0, -1):
-        out += [e] * (counts[e - 1] - above)
+        if counts[e - 1] > above:
+            out[e] = counts[e - 1] - above
         above = counts[e - 1]
     return out
 

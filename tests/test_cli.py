@@ -282,7 +282,7 @@ def test_json_payloads_hold_only_json_types(monkeypatch, argv):
     assert main(argv + ["--format", "json"]) == 0
     # The same command with its torsion exponents as the plain list that
     # shape_record gives by default.
-    monkeypatch.setattr(cli, "_exponent_view", list)
+    monkeypatch.setattr(cli, "_exponent_view", cli._exponent_list)
     assert main(argv + ["--format", "json"]) == 0
 
     payload, plain = payloads
@@ -376,15 +376,23 @@ CAPPED = [
     (["hcneg", "--prime", "3", "--degree", "6", "--n-max"], "PRODUCT_MAX_N", "hc_neg_closed_form"),
     (["coeffs", "--prime", "3", "--i", str(cli.COEFFS_MAX), "--j"], "COEFFS_MAX", "staircase_texts"),
     (["coeffs", "--prime", "3", "--j", "3", "--i"], "COEFFS_MAX", "phi_coeff_texts"),
+    (["density", "--prime", "3", "--max"], "DENSITY_MAX", "gaps.density_bounds"),
 ]
+
+
+def _forbid(monkeypatch, allocator: str) -> None:
+    """Make the allocation ``allocator`` raise: a homology function, or a
+    function of another layer named with its module."""
+    from cychom import gaps, homology
+
+    module, _, name = allocator.rpartition(".")
+    monkeypatch.setattr({"": homology, "gaps": gaps}[module], name, _allocating)
 
 
 @pytest.mark.parametrize("argv, name, allocator", CAPPED, ids=[c[0][0] + c[0][-1] for c in CAPPED])
 def test_sizes_above_ceiling_refused_before_allocating(capsys, monkeypatch, argv, name, allocator):
-    from cychom import homology
-
     ceiling = getattr(cli, name)
-    monkeypatch.setattr(homology, allocator, _allocating)
+    _forbid(monkeypatch, allocator)
     for fmt in ("table", "json", "csv"):
         code, out, err = run(capsys, argv + [str(ceiling + 2), "--format", fmt])
         assert code == 1 and out == ""
@@ -396,14 +404,15 @@ def test_sizes_above_ceiling_refused_before_allocating(capsys, monkeypatch, argv
 
 def test_ceilings_sit_above_benchmark_and_test_inputs():
     # The benchmark runs hc to degree 400, verify to --hc-max 120 with the
-    # default --hh-max 10, coeffs to j = 4001 and the closed forms to degree
-    # 2*10**6 with n_max = degree + 21; the tests run hc at degree 1002 and
-    # coeffs at i = 4005, and CI runs hc at degree 10**6 and verify at
-    # --hc-max 4000.  Each ceiling is itself a valid value: hc-max even,
-    # coeffs indices and n_max odd.
+    # default --hh-max 10, coeffs to j = 4001, density to --max 2.5*10**6
+    # and the closed forms to degree 2*10**6 with n_max = degree + 21; the
+    # tests run hc at degree 1002 and coeffs at i = 4005, and CI runs hc at
+    # degree 10**6 and verify at --hc-max 4000.  Each ceiling is itself a
+    # valid value: hc-max even, coeffs indices and n_max odd.
     assert cli.HC_MAX_DEGREE >= 10**6 and cli.VERIFY_MAX_HC >= 4000
     assert cli.COEFFS_MAX >= 4005 and cli.HCNEG_MAX_TRUNCATION >= 8
     assert cli.VERIFY_MAX_HH >= 10 and cli.PRODUCT_MAX_N >= 2 * 10**6 + 21
+    assert cli.DENSITY_MAX >= 25 * 10**5
     assert cli.VERIFY_MAX_HC % 2 == 0 and cli.COEFFS_MAX % 2 == 1 and cli.PRODUCT_MAX_N % 2 == 1
 
 
@@ -414,14 +423,13 @@ DOCUMENTED = [
     (["hcneg", "--prime", "3", "--degree", "6", "--truncation"], 5 * 10**5, "staircase_cokernels"),
     (["verify", "--prime", "3", "--hc-max", "2", "--hh-max"], 10**5, "hochschild"),
     (["hp", "--prime", "3", "--degree", "0", "--n-max"], 10**7 + 1, "hp"),
+    (["density", "--prime", "3", "--max"], 10**8, "gaps.density_bounds"),
 ]
 
 
 @pytest.mark.parametrize("argv, ceiling, allocator", DOCUMENTED, ids=[c[0][0] for c in DOCUMENTED])
 def test_documented_ceilings(capsys, monkeypatch, argv, ceiling, allocator):
-    from cychom import homology
-
-    monkeypatch.setattr(homology, allocator, _allocating)
+    _forbid(monkeypatch, allocator)
     code, out, err = run(capsys, argv + [str(ceiling + 1)])
     assert code == 1 and out == ""
     assert err.startswith("error:") and f"capped at {ceiling};" in err
@@ -762,8 +770,9 @@ def test_exponent_runs_text_matches_shape(command, p, degree, n_max):
 @pytest.mark.parametrize("command", ["hp", "hcneg"])
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 def test_exponent_lists_are_written_from_runs(tmp_path, command, fmt):
-    # 166,667 exponents at p = 3 and n_max 10**6 + 1: the shape holds them
-    # once (1.3 MB), and the writers add no copy of them or of the text.
+    # 166,667 exponents at p = 3 and n_max 10**6 + 1, in 12 runs: the shape
+    # holds the runs, and no step from the count to the text lists the
+    # exponents one by one (1.3 MB as a list).
     import tracemalloc
 
     target = tmp_path / f"{command}.{fmt}"
@@ -775,16 +784,7 @@ def test_exponent_lists_are_written_from_runs(tmp_path, command, fmt):
     finally:
         tracemalloc.stop()
     assert target.stat().st_size > 333_000
-    assert peak < 6_000_000, peak
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-3, 40), max_size=60))
-def test_runs_of_a_descending_tuple(values):
-    import itertools
-
-    values = tuple(sorted(values, reverse=True))
-    assert cli._runs(values) == [(v, len(list(g))) for v, g in itertools.groupby(values)]
+    assert peak < 1_000_000, peak
 
 
 @settings(max_examples=200, deadline=None)

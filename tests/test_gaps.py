@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cychom.gaps import (
+    _gap_for_valuation,
     _iroot_floor,
+    _max_gap_below,
     density_bounds,
     enumerate_z1,
     enumerate_z2,
     gap,
-    gap_window,
     in_z1,
     in_z2,
 )
@@ -55,10 +56,14 @@ def test_gap_rejects_non_multiples():
         gap(P3, 5)
 
 
-def test_gap_window_intervals():
-    w = gap_window(P3, 27)
-    assert w.z1_interval == (27, 29)
-    assert w.z2_interval == (25, 29)
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 101])
+def test_max_gap_below_is_the_max_over_levels(p):
+    # The largest g(p^a) over all levels p^a <= i is g at the top level.
+    prime = Prime(p)
+    levels = [a for a in range(1, 40) if p**a <= 3 * 10**6]
+    for i in sorted({1, p - 1, *(p**a + d for a in levels for d in (-1, 0, 1)), 3 * 10**6}):
+        want = max((_gap_for_valuation(prime, a) for a in levels if p**a <= i), default=0)
+        assert _max_gap_below(prime, i) == want, i
 
 
 @pytest.mark.parametrize("p", [P3, P5, P7])

@@ -4,7 +4,6 @@ import pytest
 
 from cychom.gaps import enumerate_z2, gap, in_z1, in_z2
 from cychom.homology import (
-    a_minimality_probe,
     connes_length_check,
     cyclic_matrix,
     hc_closed_form,
@@ -96,10 +95,25 @@ def test_two_routes_agree_near_degree_1000(p):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_two_routes_agree_at_every_even_degree_to_10000(p):
+    # Every even degree, covered or not, from one walk: the oracle's
+    # p-length is i + 1 (Connes), and a closed form, where one exists, is
+    # the oracle's shape.
+    prime = Prime(p)
+    shapes = hc_oracle_shapes(prime, 10**4)
+    assert connes_length_check(shapes).ok
+    covered = 0
+    for i in range(2, 10**4 + 1, 2):
+        closed = hc_closed_form(prime, i)
+        if closed is not None:
+            covered += 1
+            assert closed.shape == shapes[i], i
+    assert covered >= 4000
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
 def test_two_routes_agree_at_every_even_degree_to_600(p):
-    # Every even degree, covered or not: the oracle's p-length is i + 1
-    # (Connes), and a closed form, where one exists, is the oracle's
-    # shape.  The four primes add ~2 s of CPU to tier-1 (2-core Xeon).
+    # The same from hc_oracle, the per-degree walk that ``hc`` runs.
     prime = Prime(p)
     shapes = _shapes(prime, 600)
     assert connes_length_check(shapes).ok
@@ -287,15 +301,6 @@ def test_connes_length_recursion():
         connes_length_check(shapes)
 
 
-def test_a_minimality_probe():
-    assert a_minimality_probe(P3, 5, 200).vacuous
-    dip = a_minimality_probe(P3, 25, 200)
-    assert dip.ok and not dip.vacuous and dip.witness == 27
-    assert a_minimality_probe(P5, 7, 300).ok
-    with pytest.raises(ValueError):
-        a_minimality_probe(P3, 9, 100)  # multiple of p
-
-
 def test_hp_stabilization():
     rep = hp_stabilization_check(P3, _shapes(P3, 14), n_max=13)
     assert rep.ok
@@ -313,6 +318,31 @@ def test_truncation_probe():
     assert hc_neg_truncation_probe(P5, 8, 8).ok
     with pytest.raises(ValueError, match="Z2"):
         hc_neg_truncation_probe(P5, 6, 8)  # 5 is a multiple of 5
+
+
+def test_hp_stabilization_names_the_flat_lists_that_differ():
+    shapes = _shapes(P3, 14)
+    head, *tail = shapes[8].torsion_exponents
+    periodic = list(hp(P3, 0, 7).shape.torsion_exponents)
+    assert tail == periodic
+    shapes[8] = ModuleShape([head, *tail[:-1], tail[-1] + 1])
+    bumped = tail[:-1] + [tail[-1] + 1]
+    rep = hp_stabilization_check(P3, shapes)
+    assert not rep.ok
+    assert rep.mismatches == (f"degree 8: tail {sorted(bumped, reverse=True)} != periodic {periodic}",)
+
+
+def test_truncation_probe_without_a_matching_offset(monkeypatch):
+    # Both truncations keep R/p below their head, but every offset past
+    # the first brings in R/p^2 (from 9 = m + 1), so none matches.
+    from collections import Counter
+
+    from cychom import homology
+
+    blocks = [(Counter({1: 1, 5: 1}), [])] * 9
+    monkeypatch.setattr(homology, "staircase_cokernels", lambda rows, p: iter(blocks))
+    rep = hc_neg_truncation_probe(P3, 8, 8)
+    assert rep == (False, False, (1,), None, "no truncation offset matches")
 
 
 def test_truncation_probe_sweep():

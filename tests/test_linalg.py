@@ -1,5 +1,7 @@
+import itertools
 import os
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -393,25 +395,38 @@ def test_walk_of_no_rows_yields_nothing():
 
 
 def test_module_shape_canonical_form():
-    s = ModuleShape((0, 1, 3, 0, 2))
-    assert s.torsion_exponents == (3, 2, 1)
-    assert s.p_length == 6
-    # Keyword input, and the tuple-record rebuilders, canonicalise too.
-    assert ModuleShape(torsion_exponents=(0, 1, 3)) == ModuleShape((3, 1)) == ModuleShape((1, 3, 0))
-    assert hash(ModuleShape(torsion_exponents=(0, 1, 3))) == hash(ModuleShape((3, 1)))
-    assert s._replace(torsion_exponents=(0, 1, 4)).torsion_exponents == (4, 1)
-    assert ModuleShape._make([(0, 2, 5), 1, 0, False]) == ModuleShape((5, 2), free_rank=1)
+    s = ModuleShape((0, 1, 3, 0, 2, 3))
+    assert s.torsion == ((3, 2), (2, 1), (1, 1))
+    assert s.torsion_exponents == (3, 3, 2, 1)
+    assert s.p_length == 9
+    # Keyword input, a mapping from exponent to count, and the tuple-record
+    # rebuilders, which take runs, canonicalise too.
+    assert ModuleShape(torsion=(0, 1, 3)) == ModuleShape((3, 1)) == ModuleShape((1, 3, 0))
+    assert ModuleShape({1: 1, 0: 4, 3: 1, 2: 0, -1: 2}) == ModuleShape((3, 1))
+    assert hash(ModuleShape(torsion=(0, 1, 3))) == hash(ModuleShape((3, 1)))
+    assert s._replace(torsion=((0, 1), (1, 1), (4, 1))).torsion_exponents == (4, 1)
+    assert ModuleShape._make([((0, 1), (2, 1), (5, 1)), 1, 0, False]) == ModuleShape((5, 2), free_rank=1)
+    assert ModuleShape(dict(s.torsion)) == s
     assert str(ModuleShape((2,), complete_rank=1, truncated=True)) == "R^ x R/p^2 x ..."
+    assert str(s) == "R/p^3 x R/p^3 x R/p^2 x R/p"
     assert str(TRIVIAL_SHAPE) == "0"
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(min_value=-5, max_value=40)), st.booleans())
-def test_module_shape_canonical_form_matches_filter_then_sort(exponents, as_generator):
-    # The canonical form as first defined: drop exponents <= 0, then sort.
+@given(st.lists(st.integers(min_value=-5, max_value=40)), st.sampled_from(["list", "generator", "mapping"]))
+def test_module_shape_canonical_form_matches_filter_then_sort(exponents, given_as):
+    # The canonical form as first defined: drop exponents <= 0, then sort;
+    # the runs are its runs of equal exponents.
     want = tuple(sorted((e for e in exponents if e > 0), reverse=True))
-    given_exponents = (e for e in exponents) if as_generator else exponents
-    assert ModuleShape(given_exponents).torsion_exponents == want
+    given_exponents = {
+        "list": exponents,
+        "generator": (e for e in exponents),
+        "mapping": Counter(exponents),
+    }[given_as]
+    shape = ModuleShape(given_exponents)
+    assert shape.torsion_exponents == want
+    assert shape.torsion == tuple((e, len(list(g))) for e, g in itertools.groupby(want))
+    assert shape.p_length == sum(want)
 
 
 def test_submodule_equal_trivialities():

@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import math
 from fractions import Fraction
 
@@ -118,7 +119,9 @@ def test_odd_valuations_matches_elementwise_vp(p, lo, width):
     prime = Prime(p)
     hi = lo + width
     want = sorted((e for e in (vp(prime, n) for n in range(lo, hi + 1) if n % 2) if e), reverse=True)
-    assert odd_valuations(prime, lo, hi) == want
+    got = odd_valuations(prime, lo, hi)
+    # {e: count}, e descending, no zero count: the runs of the descending list.
+    assert list(got.items()) == [(e, len(list(g))) for e, g in itertools.groupby(want)]
 
 
 def test_factorial_vp_examples():

@@ -30,7 +30,17 @@ def test_tracing_layers_resolve():
         assert callable(getattr(importlib.import_module(f"cychom.{layer}"), name)), (layer, name)
 
 
-REMOVED_FUNCTIONS = [("padic", "PadicRational"), ("gaps", "count_shifted"), ("linalg", "diagonal")]
+REMOVED_FUNCTIONS = [
+    ("padic", "PadicRational"),
+    ("gaps", "count_shifted"),
+    ("linalg", "diagonal"),
+    ("homology", "a_minimality_probe"),
+    ("homology", "DipProbeReport"),
+    ("gaps", "GapWindow"),
+    ("gaps", "gap_window"),
+    ("gaps", "_GAP_CACHE"),
+    ("cli", "_runs"),
+]
 REMOVED_MEMBERS = [
     ("linalg", "IntMatrix", "identity"),
     ("linalg", "IntMatrix", "copy"),

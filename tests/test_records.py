@@ -7,7 +7,6 @@ import pytest
 from cychom import (
     CoeffVector,
     DensityReport,
-    GapWindow,
     HomologyResult,
     ModuleShape,
     Prime,
@@ -15,7 +14,6 @@ from cychom import (
 )
 from cychom.homology import (
     ConnesReport,
-    DipProbeReport,
     PresentationReport,
     StabilizationReport,
     TruncationProbeReport,
@@ -26,7 +24,6 @@ SHAPE = ModuleShape((2, 1))
 
 # Every public record, built by keyword, with the fields in declared order.
 RECORDS = [
-    (GapWindow, {"n": 9, "g": 2}),
     (
         DensityReport,
         {
@@ -44,7 +41,7 @@ RECORDS = [
         },
     ),
     (SnfResult, {"invariant_factors": (1, 9), "source_dim": 2, "target_dim": 2}),
-    (ModuleShape, {"torsion_exponents": (2, 1), "free_rank": 1, "complete_rank": 1, "truncated": True}),
+    (ModuleShape, {"torsion": ((2, 1), (1, 1)), "free_rank": 1, "complete_rank": 1, "truncated": True}),
     (HomologyResult, {"theory": "HC", "degree": 2, "shape": SHAPE, "method": "oracle", "n_max": 11}),
     (
         CoeffVector,
@@ -58,7 +55,6 @@ RECORDS = [
     ),
     (PresentationReport, {"ok": True, "colimit_index": 1, "rebuilt": SHAPE, "oracle": SHAPE}),
     (ConnesReport, {"ok": True, "lengths": ((0, 1),), "mismatches": ()}),
-    (DipProbeReport, {"ok": True, "vacuous": False, "witness": 7, "details": "dip"}),
     (StabilizationReport, {"ok": True, "degrees": (2,), "heads": (3,), "mismatches": ()}),
     (
         TruncationProbeReport,
@@ -67,12 +63,19 @@ RECORDS = [
 ]
 
 
+# What a record is built from where that differs from what it holds: a
+# ModuleShape takes its torsion as the exponents (or a mapping from exponent
+# to count) and holds it as runs.
+GIVEN = {ModuleShape: {"torsion": (2, 1)}}
+
+
 @pytest.mark.parametrize("cls, fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
 def test_record_is_an_immutable_value(cls, fields):
-    rec = cls(*fields.values())
+    given = {**fields, **GIVEN.get(cls, {})}
+    rec = cls(*given.values())
     assert all(getattr(rec, name) == value for name, value in fields.items())
-    assert rec == cls(**fields)
-    assert hash(rec) == hash(cls(**fields))
+    assert rec == cls(**given)
+    assert hash(rec) == hash(cls(**given))
     first = next(iter(fields))
     with pytest.raises(AttributeError):
         setattr(rec, first, fields[first])
@@ -83,8 +86,8 @@ def test_record_is_an_immutable_value(cls, fields):
 
 
 def test_record_defaults():
-    assert ModuleShape((1,)) == ModuleShape(torsion_exponents=(1,), free_rank=0, complete_rank=0, truncated=False)
+    assert ModuleShape((1,)) == ModuleShape(torsion=(1,), free_rank=0, complete_rank=0, truncated=False)
     assert HomologyResult("HH", 0, SHAPE, "closed_form").n_max is None
     assert str(ModuleShape(())) == "0"
     with pytest.raises(TypeError):
-        GapWindow(9)
+        HomologyResult("HH", 0, SHAPE)

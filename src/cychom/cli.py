@@ -23,9 +23,9 @@ def _exponent_list(shape) -> list[int]:
 
 def shape_record(res: HomologyResult, exponents=_exponent_list) -> dict:
     """The record of a result, its torsion exponents given by
-    ``exponents(shape)``: a plain list by default, which json.dumps takes;
-    the commands pass ``_exponent_view``, which their writers write from
-    the shape's runs."""
+    ``exponents(shape)``: by default a plain list, which the benchmark's
+    closed-form query passes to json.dumps; the commands pass
+    ``_exponent_view``, which their writers write from the shape's runs."""
     return {
         "theory": res.theory,
         "degree": res.degree,
@@ -102,12 +102,14 @@ class Rows:
         self.records = records
 
     def chunks(self, sep: str):
-        """The records as json.dumps(indent=2) writes them in a top-level
-        list, one chunk per record."""
+        """The records as json.dumps(indent=2) writes them in a list whose
+        items ``sep`` joins: a comma, then a newline and the items' indent.
+        One chunk per record."""
+        field, close = sep[1:] + "  ", sep[1:] + "}"
         lead = ""
         for record in self.records:
-            fields = ",".join(f"\n      {json.dumps(k)}: {json.dumps(v)}" for k, v in record.items())
-            yield f"{lead}{{{fields}\n    }}"
+            fields = ",".join(f"{field}{json.dumps(k)}: {json.dumps(v)}" for k, v in record.items())
+            yield f"{lead}{{{fields}{close}"
             lead = sep
 
 
@@ -138,83 +140,80 @@ def _json_chunks(payload: dict):
     """The text of ``json.dumps(payload, indent=2) + "\\n"``, in linear time.
 
     With ``indent`` set, json.dumps runs its pure-Python encoder, several
-    generator steps per list item.  So each top-level value is encoded on
-    its own and indented one more level: a view by its chunks, anything
-    else by json.dumps(indent=2).  ensure_ascii escapes every newline
-    inside a string, so each newline of the text starts a line.  The keys
-    are str.  The text comes in chunks, as it is made, so no copy of the
-    whole is held.
+    generator steps per list item.  So ``_json_value`` writes a non-empty
+    dict key by key and a view by its chunks, at any depth, and hands
+    json.dumps(indent=2) only what is left, re-indented: ensure_ascii
+    escapes every newline inside a string, so each newline of its text
+    starts a line.  The keys are str.  No copy of the whole is held.
     """
-    if not payload:
-        yield "{}\n"
-        return
-    lead = "{"
-    for key, value in payload.items():
-        yield f"{lead}\n  {json.dumps(key)}: "
-        if type(value) in VIEWS:
-            items = value.chunks(",\n    ")
-            first = next(items, None)
-            if first is None:
-                yield "[]"
-            else:
-                yield "[\n    " + first
-                yield from items
-                yield "\n  ]"
+    yield from _json_value(payload, "\n")
+    yield "\n"
+
+
+def _json_value(value, newline: str):
+    """The chunks of json.dumps(value, indent=2), each of its newlines
+    written as ``newline``: a newline and the indent of the value's line."""
+    inner = newline + "  "
+    if type(value) is dict and value:
+        lead = "{"
+        for key, item in value.items():
+            yield f"{lead}{inner}{json.dumps(key)}: "
+            yield from _json_value(item, inner)
+            lead = ","
+        yield newline + "}"
+    elif type(value) in VIEWS:
+        items = value.chunks("," + inner)
+        first = next(items, None)
+        if first is None:
+            yield "[]"
         else:
-            yield json.dumps(value, indent=2).replace("\n", "\n  ")
-        lead = ","
-    yield "\n}\n"
-
-
-class _Text:
-    """A file for csv.writer whose write returns the text it is given, so
-    writerow returns the text of its row."""
-
-    @staticmethod
-    def write(text: str) -> str:
-        return text
+            yield "[" + inner + first
+            yield from items
+            yield newline + "]"
+    else:
+        yield json.dumps(value, indent=2).replace("\n", newline)
 
 
 def _csv_chunks(payload: dict):
-    """The text of csv.writer over the payload's rows, one chunk per row
+    """The text csv.writer writes of the payload's rows, one chunk per row
     or per view chunk: the payload's "rows" (a list or ``Rows``), else the
     payload itself."""
-    import csv  # here, not at the top: only this format uses it
-
-    writer = csv.writer(_Text())
     rows = payload.get("rows")
     records = iter(rows.records if type(rows) is Rows else rows or [payload])
     first = _flatten(next(records))
-    yield writer.writerow(first.keys())
+    yield from _csv_line(first.keys())
     for row in chain([first], map(_flatten, records)):
-        cells = [";".join(map(str, v)) if type(v) is list else v for v in row.values()]
-        views = [k for k, cell in enumerate(cells) if type(cell) in VIEWS]
-        if not views:
-            yield _csv_row(writer, cells)
-            continue
-        # A view cell is digits and ';', which csv never quotes, so its
-        # row is the cells before it, its chunks and the cells after it.
-        # Each side is written with two empty cells in its place, never
-        # one: csv writes a row of one empty cell as "", not as nothing.
-        (k,) = views
-        yield writer.writerow(cells[:k] + ["", ""])[: -1 - len(writer.dialect.lineterminator)]
-        yield from cells[k].chunks(";")
-        yield writer.writerow(["", ""] + cells[k + 1 :])[1:]
+        yield from _csv_line(row.values())
 
 
-def _csv_row(writer, cells: list) -> str:
-    """``writer.writerow(cells)``, joined by hand when no cell needs quoting.
+def _csv_line(cells):
+    """The chunks of the line csv.writer writes for the cells by default,
+    one or more a cell, so a long cell is never copied into its line.
 
     csv.writer looks at each character of each cell in turn, which made a
-    ``coeffs`` row of long digit strings cost about three times its JSON.
-    In its default dialect a cell is quoted only when it holds one of
-    ``,"\r\n``, and a row of one empty cell is written as "".  Like
-    csv.writer, None is written as nothing and anything else as its str.
+    ``coeffs`` row of long digit strings cost about three times its JSON,
+    so the cells are written here as it writes them, and a line of one
+    empty cell is written as "".  A view is written by its chunks: its
+    text is digits and ';', which csv never quotes.
     """
-    texts = ["" if cell is None else str(cell) for cell in cells]
-    if len(texts) < 2 or any(c in text for text in texts for c in ',"\r\n'):
-        return writer.writerow(cells)
-    return ",".join(texts) + "\r\n"
+    empty = True
+    for k, cell in enumerate(cells):
+        if k:
+            yield ","
+        for text in cell.chunks(";") if type(cell) in VIEWS else (_csv_cell(cell),):
+            empty = empty and not text
+            yield text
+    yield '""\r\n' if empty and len(cells) == 1 else "\r\n"
+
+
+def _csv_cell(cell) -> str:
+    """A cell's text: None as nothing, a list as its items' str joined by
+    ';', anything else as its str; quoted, its quotes doubled, when it
+    holds one of ``,"\\r\\n``."""
+    text = "" if cell is None else ";".join(map(str, cell)) if type(cell) is list else str(cell)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _table_chunks(lines):
@@ -239,11 +238,8 @@ def _flatten(record: dict, prefix: str = "") -> dict:
 
 def _shape_line(res: HomologyResult):
     """The chunks of the table line ``f"{theory}_{degree} = {shape}  [{method}]"``,
-    the factors of str(shape) written from their runs."""
-    shape = res.shape
-    factors = [(f"R/p^{e}" if e > 1 else "R/p", count) for e, count in shape.torsion]
-    runs = [("R^", shape.complete_rank), ("R", shape.free_rank), *factors, ("...", int(shape.truncated))]
-    body = Repeats(runs).chunks(" x ")
+    written from the runs of the shape's factors."""
+    body = Repeats(res.shape.factors()).chunks(" x ")
     yield f"{res.theory}_{res.degree} = {next(body, '0')}"
     yield from body
     yield f"  [{res.method}]"
@@ -258,19 +254,19 @@ def _shape_line(res: HomologyResult):
 #   in the degree (0.12-0.17 s at 40000, 3.2 s and 20 MB at 2*10**6 for
 #   p = 3).
 # - hcneg --truncation 5*10**5: one walk along a (truncation+1)-square
-#   staircase, the same work as hc at its ceiling: 1.8 / 1.7 / 1.5 s,
-#   29 / 16 / 15 MB in CSV, the 29 MB at p = 3 its stable prefix of
-#   1.7*10**5 valuations, which it prints; linear (3.6 s and 44 MB at 10**6
-#   for p = 3).
+#   staircase, the same work as hc at its ceiling: 1.2-1.7 s and 15 MB in
+#   every format, though at p = 3 it prints a stable prefix of 1.7*10**5
+#   valuations (written from their runs); time linear in the truncation.
 # - verify --hc-max 4000: one walk gives every even degree, but the shapes
 #   it keeps and the check lines it prints grow with the square of
-#   --hc-max: 0.3 / 0.2 / 0.2 s, 51 / 18 / 18 MB in CSV (p = 3: 27 MB as a
-#   table, 43 MB in JSON); at 2000 0.22 / 0.16 / 0.17 s, 18 / 17 / 17 MB;
-#   at 10**4 for p = 3, 2.4 s and 113 MB as a table.
+#   --hc-max: 0.4 / 0.25 / 0.24 s, 43 / 18 / 18 MB in JSON or CSV (p = 3:
+#   27 MB as a table, its 8.6 MB of check lines held once more as the
+#   CSV cell or JSON list); at 2000 0.22 / 0.16 / 0.17 s, 18-22 / 17 /
+#   17 MB; at 10**4 for p = 3, 0.8 s and 81 MB as a table.
 # - coeffs --j/--i 8001: ~j^2 digits, 30 / 58 / 74 MB of text, 28 / 41 /
 #   50 MB in every format (the staircase's Decimals, ~0.42 bytes a digit;
 #   the text is written a row at a time); 0.25 / 0.39 / 0.49 s in JSON,
-#   0.18-0.31 s as a table.  CSV, its rows joined by hand, costs about
+#   0.18-0.31 s as a table.  CSV, its cells written by hand, costs about
 #   two thirds of the JSON: 0.24 / 0.34 / 0.42 s against 0.36 / 0.57 /
 #   0.72 s in the same runs.  At 16001, 130 / 242 / 307 MB of JSON in
 #   0.8 / 1.5 / 1.8 s, 69 / 115 / 153 MB.
@@ -284,9 +280,9 @@ def _shape_line(res: HomologyResult):
 #   written from those runs: 0.07-0.09 s and 14 MB for p = 3 / 101 / 1009
 #   in every format, for 3.3-11.7 MB of text at p = 3; the text, and its
 #   time, are linear in n_max, the memory is not.
-# - density --max 10**8: the window sieve holds a byte per integer up to
-#   --max, 0.5 / 0.5 / 1.1 s, 143 / 112 / 111 MB; linear (0.17 s and 28.5 /
-#   25.4 MB at 10**7 for p = 3 / 101).
+# - density --max 10**8: the window sieve holds a byte per odd integer up
+#   to --max, 0.37 / 0.27 / 0.84 s, 95 / 64 / 63 MB; linear (0.13 s and
+#   23.6 / 20.3 MB at 10**7 for p = 3 / 101).
 HC_MAX_DEGREE = 10**6
 HCNEG_MAX_TRUNCATION = 5 * 10**5
 VERIFY_MAX_HC = 4000
@@ -321,7 +317,7 @@ def cmd_hc(args) -> int:
             record["closed_form"] = None
             lines.append("closed form: not covered (degree in a gap window)")
         else:
-            record["closed_form"] = shape_record(closed)
+            record["closed_form"] = shape_record(closed, _exponent_view)
             record["agreement"] = closed.shape == oracle.shape
             lines.append(_shape_line(closed))
             lines.append(f"agreement: {record['agreement']}")
@@ -345,7 +341,7 @@ def cmd_hcneg(args) -> int:
         payload["probe"] = {
             "ok": probe.ok,
             "vacuous": probe.vacuous,
-            "stable_prefix": list(probe.stable_prefix),
+            "stable_prefix": Repeats([(str(e), count) for e, count in probe.stable_prefix]),
             "covered_up_to": probe.covered_up_to,
             "method": "stabilized",
         }

@@ -15,7 +15,7 @@ listings of Z1/Z2 often start at the first element above p.
 Membership of one i is a scan of the windows near i.  Enumeration and
 the density counts use a sieve instead: g is nondecreasing in v_p(n), so
 every odd multiple of p^v carries at least the offsets |d| <= g(p^v), and
-each such offset is one stride-2p^v slice assignment over the whole range.
+each such offset is one slice assignment over a byte per odd integer.
 """
 
 from __future__ import annotations
@@ -117,23 +117,25 @@ def in_z2(p: Prime, i: int) -> bool:
 
 
 def _excluded_sieve(p: Prime, upper: int, symmetric: bool) -> bytearray:
-    """Mark every odd i <= upper lying in some window; index i -> flag.
+    """Mark every odd i <= upper lying in some window: byte k is 1 iff
+    2k+1 is marked.
 
     A window of an odd multiple n of p^v holds n + d for every even
     |d| <= g(p^v) (d >= 0 one-sided), because g(n) = g(p^{v_p(n)}) >= g(p^v).
     So level v marks each offset d once, over all odd multiples of p^v at
-    once, by one slice of stride 2p^v.  Offsets |d| <= g(p^{v-1}) were
-    marked at level v-1 over a superset, so each level adds only its new
-    offsets.
+    once, by one slice: odd integers 2p^v apart are p^v bytes apart.
+    Offsets |d| <= g(p^{v-1}) were marked at level v-1 over a superset, so
+    each level adds only its new offsets.
     """
-    marked = bytearray(upper + 1)
+    marked = bytearray((upper + 1) // 2)
     n_top = upper if not symmetric else upper + _upper_scan_radius(p, upper)
     q, v, done = p.p, 1, -2
     while q <= n_top:
         g = _gap_for_valuation(p, v)
         for d in range(done + 2, g + 1, 2):
             for start in (q + d, q - d) if symmetric and d else (q + d,):
-                marked[start :: 2 * q] = b"\x01" * len(range(start, upper + 1, 2 * q))
+                k = start // 2
+                marked[k::q] = b"\x01" * len(range(k, len(marked), q))
         done = g
         q, v = q * p.p, v + 1
     return marked
@@ -152,7 +154,7 @@ def member_mask(p: Prime, upper: int, symmetric: bool) -> bytearray:
     """
     if upper < 1:
         raise ValueError("upper bound must be >= 1")
-    return _excluded_sieve(p, upper, symmetric)[1::2].translate(_UNMARKED)
+    return _excluded_sieve(p, upper, symmetric).translate(_UNMARKED)
 
 
 def enumerate_z1(p: Prime, upper: int) -> list[int]:

@@ -450,8 +450,9 @@ def hp_stabilization_check(
 class TruncationProbeReport(
     namedtuple("TruncationProbeReport", "ok vacuous stable_prefix covered_up_to details")
 ):
-    """Outcome of hc_neg_truncation_probe: the stable valuations and the
-    odd modulus they cover up to (or None)."""
+    """Outcome of hc_neg_truncation_probe: the stable valuations as runs,
+    (e, count) pairs with e ascending, and the odd modulus they cover up
+    to (or None)."""
 
     __slots__ = ()
 
@@ -463,10 +464,10 @@ def hc_neg_truncation_probe(p: Prime, m: int, truncation: int | None = None) -> 
     priori, so the probe is empirical.  The largest invariant factor of a
     truncation absorbs the boundary (it plays the completion), and the
     count of unit factors keeps growing, so the stable signal is the
-    ascending list of nonzero valuations below the head: whatever agrees
-    there between truncations K and K+1 must match, as a multiset, the
-    closed-form torsion R/(m-1) x R/(m+1) x ... cut at some odd point,
-    reported as covered_up_to.
+    multiset of nonzero valuations below the head: whatever agrees there
+    between truncations K and K+1 (the stable prefix, reported as runs,
+    e ascending) must match the closed-form torsion R/(m-1) x R/(m+1) x
+    ... cut at some odd point, reported as covered_up_to.
     """
     if truncation is None:
         truncation = m + 6
@@ -489,25 +490,22 @@ def hc_neg_truncation_probe(p: Prime, m: int, truncation: int | None = None) -> 
     vals_k1 = subhead(*next(blocks))
     if truncation == 1 or not (vals_k or vals_k1):
         return TruncationProbeReport(True, True, (), None, "no stabilized prefix")
-    # Plain dicts: a step compares them in C, where Counter's == loops.
-    stable = dict(vals_k & vals_k1)
+    stable = vals_k & vals_k1
     prefix = ModuleShape(stable)
-    ascending = prefix.torsion_exponents[::-1]
-    have: dict[int, int] = {}
-    for steps in range(truncation + 5):
-        if have == stable:
-            covered = m - 1 + 2 * (steps - 1) if steps else m - 1
-            closed = hc_neg_closed_form(p, m, n_max=covered)
-            okc = closed is not None and closed.shape.torsion == prefix.torsion
-            return TruncationProbeReport(
-                okc,
-                False,
-                ascending,
-                covered,
-                f"stabilized factors match the closed form up to R/{covered}"
-                + ("" if stable == vals_k else "; later factors not yet stable"),
-            )
-        v = vp(p, m - 1 + 2 * steps)
-        if v > 0:
-            have[v] = have.get(v, 0) + 1
-    return TruncationProbeReport(False, False, ascending, None, "no truncation offset matches")
+    # The closed form's factors from R/(m-1) on are nontrivial only at the
+    # odd multiples of p, and m - 1 is none, so the one cut with as many
+    # factors as the prefix ends at the N-th odd multiple of p past m - 1,
+    # or at m - 1 when N = 0.  Cuts past truncation + 3 odd steps from
+    # m - 1 are not tried.
+    n = sum(count for _, count in prefix.torsion)
+    covered = p.p * ((((m - 1) // p.p + 1) | 1) + 2 * (n - 1)) if n else m - 1
+    if covered <= m - 1 + 2 * (truncation + 3) and hc_neg_closed_form(p, m, covered).shape.torsion == prefix.torsion:
+        return TruncationProbeReport(
+            True,
+            False,
+            prefix.torsion[::-1],
+            covered,
+            f"stabilized factors match the closed form up to R/{covered}"
+            + ("" if stable == vals_k else "; later factors not yet stable"),
+        )
+    return TruncationProbeReport(False, False, prefix.torsion[::-1], None, "no truncation offset matches")

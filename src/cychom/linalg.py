@@ -226,13 +226,14 @@ class ModuleShape(namedtuple("ModuleShape", "torsion free_rank complete_rank tru
     def p_length(self) -> int:
         return sum(e * n for e, n in self.torsion)
 
+    def factors(self) -> list[tuple[str, int]]:
+        """The factors of str(self) as runs: (text, count) pairs, in order,
+        a count 0 for a kind of factor that does not occur."""
+        torsion = [(f"R/p^{e}" if e > 1 else "R/p", n) for e, n in self.torsion]
+        return [("R^", self.complete_rank), ("R", self.free_rank), *torsion, ("...", int(self.truncated))]
+
     def __str__(self):
-        parts = ["R^"] * self.complete_rank + ["R"] * self.free_rank
-        for e, n in self.torsion:
-            parts += [f"R/p^{e}" if e > 1 else "R/p"] * n
-        if self.truncated:
-            parts.append("...")
-        return " x ".join(parts) if parts else "0"
+        return " x ".join(text for text, n in self.factors() for _ in range(n)) or "0"
 
 
 TRIVIAL_SHAPE = ModuleShape(())

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import compress
 from pathlib import Path
 
 import pytest
@@ -271,11 +272,20 @@ JSON_ARGVS = [
 ]
 
 
+def _views(payload: dict, path: tuple = ()):
+    """(path, view) for each view in the payload, in dicts at any depth."""
+    for key, value in payload.items():
+        if type(value) in cli.VIEWS:
+            yield path + (key,), value
+        elif type(value) is dict:
+            yield from _views(value, path + (key,))
+
+
 @pytest.mark.parametrize("argv", JSON_ARGVS)
 def test_json_payloads_hold_only_json_types(monkeypatch, argv):
     # The result records are tuples: json.dumps would write one silently as
     # a list, so every payload must convert its records field by field.
-    from cychom import cli
+    from cychom import cli, homology
 
     payloads = []
     monkeypatch.setattr(cli, "_emit", lambda payload, *rest: payloads.append(payload))
@@ -286,22 +296,36 @@ def test_json_payloads_hold_only_json_types(monkeypatch, argv):
     assert main(argv + ["--format", "json"]) == 0
 
     payload, plain = payloads
-    # The one non-JSON type: the views, each written by its own chunks.
-    views = {key: value for key, value in payload.items() if type(value) in cli.VIEWS}
+    # The one non-JSON type: the views, at any depth, each written by its
+    # own chunks.
+    views = dict(_views(payload))
     want = {}
-    if "torsion_p_exponents" in plain:
-        want["torsion_p_exponents"] = (cli.Repeats, plain["torsion_p_exponents"])
+    for nested in ((), ("closed_form",)):
+        record = plain
+        for key in nested:
+            record = record.get(key) or {}
+        if "torsion_p_exponents" in record:
+            want[nested + ("torsion_p_exponents",)] = (cli.Repeats, record["torsion_p_exponents"])
+    if "--truncation" in argv:
+        probe = homology.hc_neg_truncation_probe(Prime(3), int(argv[4]), int(argv[6]))
+        prefix = [e for e, count in probe.stable_prefix for _ in range(count)]
+        want[("probe", "stable_prefix")] = (cli.Repeats, prefix)
     if argv[0] == "zsets":
-        want["members"] = (cli.Members, enumerate_z1(Prime(3), 50))
+        want[("members",)] = (cli.Members, enumerate_z1(Prime(3), 50))
     if argv[0] == "coeffs":
-        want["rows"] = (cli.Rows, _coeffs_reference_rows(3, 3, 5))
+        want[("rows",)] = (cli.Rows, _coeffs_reference_rows(3, 3, 5))
     assert views.keys() == want.keys()
-    for key, view in views.items():
-        kind, items = want[key]
+    # Only the exponents go through _exponent_view.
+    assert {path for path, _ in _views(plain)} == {path for path in want if path[-1] != "torsion_p_exponents"}
+    for path, view in views.items():
+        kind, items = want[path]
         assert type(view) is kind
-        text = json.dumps({key: items}, indent=2) + "\n"
-        assert "".join(cli._json_chunks({key: view})) == text
-        del payload[key]
+        text = json.dumps({path[-1]: items}, indent=2) + "\n"
+        assert "".join(cli._json_chunks({path[-1]: view})) == text
+        record = payload
+        for key in path[:-1]:
+            record = record[key]
+        del record[path[-1]]
     stack = [payload]
     while stack:
         node = stack.pop()
@@ -513,8 +537,8 @@ def test_cli_import_loads_no_code_generation_modules():
 
 def test_queries_import_no_fractions_decimal_or_csv():
     # Only the commands that build a Fraction (density, verify) or a
-    # Decimal (coeffs), and the CSV format, need these; fractions imports
-    # decimal.  The probe runs each other command, as a table and in JSON,
+    # Decimal (coeffs) need these; fractions imports decimal, and CSV is
+    # written by hand.  The probe runs each other command in every format,
     # and the closed forms that the library serves on their own.
     src = Path(cychom.__file__).resolve().parents[1]
     probe = """if True:
@@ -534,7 +558,7 @@ def test_queries_import_no_fractions_decimal_or_csv():
             ["hcneg", "--prime", "3", "--degree", "6", "--truncation", "8"],
             ["zsets", "--prime", "3", "--max", "1000", "--set", "z2"],
         ):
-            for fmt in ("table", "json"):
+            for fmt in ("table", "json", "csv"):
                 assert c.main(argv + ["--format", fmt, "--out", os.devnull]) == 0, argv
         print(" ".join(sys.modules))
     """
@@ -562,13 +586,27 @@ def _texts(argv: list[str]) -> dict[str, str]:
     return texts
 
 
-def _csv_reference(rows: list[dict]) -> str:
+def _csv_writer_text(lines: list[list]) -> str:
+    """What csv.writer writes of the lines, each a list of cells, a list
+    cell written as its items' str joined by ';'.
+
+    The csv.writer of Python 3.10 refuses a NUL ("need to escape, but no
+    escapechar set"), which 3.11 on write as an ordinary character, as
+    cli does; so a NUL goes through a stand-in character that no cell
+    holds, and back.
+    """
+    lines = [[";".join(map(str, c)) if type(c) is list else c for c in line] for line in lines]
+    texts = [c for line in lines for c in line if type(c) is str]
+    stand_in = next(c for c in map(chr, range(0xE000, 0xF900)) if not any(c in text for text in texts))
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(rows[0].keys())
-    for row in rows:
-        writer.writerow([";".join(map(str, v)) if type(v) is list else v for v in row.values()])
-    return buf.getvalue()
+    for line in lines:
+        writer.writerow([c.replace("\0", stand_in) if type(c) is str else c for c in line])
+    return buf.getvalue().replace(stand_in, "\0")
+
+
+def _csv_reference(rows: list[dict]) -> str:
+    return _csv_writer_text([list(rows[0].keys())] + [list(row.values()) for row in rows])
 
 
 def _zsets_texts(p: int, top: int, which: str) -> dict[str, str]:
@@ -579,14 +617,10 @@ def _zsets_reference(p: int, top: int, which: str) -> dict[str, str]:
     """The three texts built from the enumerated member list."""
     members = (enumerate_z1 if which == "z1" else enumerate_z2)(Prime(p), top)
     payload = {"set": which, "prime": p, "max": top, "members": members, "note": ZSETS_NOTE}
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(payload.keys())
-    writer.writerow([which, p, top, ";".join(map(str, members)), ZSETS_NOTE])
     return {
         "table": f"{which} up to {top} for p={p} ({len(members)} elements):\n" + " ".join(map(str, members)) + "\n",
         "json": json.dumps(payload, indent=2) + "\n",
-        "csv": buf.getvalue(),
+        "csv": _csv_reference([payload]),
     }
 
 
@@ -787,6 +821,30 @@ def test_exponent_lists_are_written_from_runs(tmp_path, command, fmt):
     assert peak < 1_000_000, peak
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [["hc", "--prime", "3", "--degree", "30000"], ["hcneg", "--prime", "3", "--degree", "8", "--truncation", "15000"]],
+    ids=["hc-closed-form", "hcneg-probe-prefix"],
+)
+def test_nested_exponent_lists_are_written_from_runs(tmp_path, argv, fmt):
+    # hc's closed form and the probe's stable prefix each hold about 5,000
+    # exponents in a handful of runs, nested a level down in the payload.
+    # Listed one by one and written by json.dumps or csv, they peaked at
+    # 0.47-0.58 MB traced; written from the runs, at 0.08-0.16 MB.
+    import tracemalloc
+
+    target = tmp_path / f"{argv[0]}.{fmt}"
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--format", fmt, "--out", str(target)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert target.stat().st_size > 9_000
+    assert peak < 300_000, peak
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(-5, 10**6), st.integers(0, 9000)), max_size=4), st.text() | _TRICKY_TEXT)
 def test_repeats_view_writes_its_list(runs, text):
@@ -798,14 +856,54 @@ def test_repeats_view_writes_its_list(runs, text):
     assert "".join(cli._csv_chunks({**record, "x": view})) == _csv_reference([record])
 
 
+# (view, its items) pairs; a Members mask always holds 1.
+_VIEW_PAIRS = st.lists(st.tuples(st.integers(-5, 10**6), st.integers(0, 5000)), max_size=3).map(
+    lambda runs: (cli.Repeats([(str(v), n) for v, n in runs]), [v for v, n in runs for _ in range(n)])
+) | st.binary(max_size=1200).map(lambda raw: bytearray(b"\x01" + bytes(x & 1 for x in raw))).map(
+    lambda mask: (cli.Members(mask), list(compress(range(1, 2 * len(mask), 2), mask)))
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_SCALARS | st.sampled_from([",", "1,2", "3/5", '"']), max_size=4))
+@given(
+    st.lists(
+        (_SCALARS | st.sampled_from([",", "1,2", "3/5", '"']) | st.lists(st.integers(), max_size=3)).map(
+            lambda cell: (cell, cell)
+        )
+        | _VIEW_PAIRS,
+        max_size=4,
+    )
+)
 def test_csv_row_is_what_csv_writer_writes(cells):
-    # Joined by hand or not, the row is csv.writer's, byte for byte: a
-    # lone empty cell, quotes, commas and line ends included.
-    buf = io.StringIO()
-    csv.writer(buf).writerow(cells)
-    assert cli._csv_row(csv.writer(cli._Text()), cells) == buf.getvalue()
+    # The line is csv.writer's, byte for byte: a lone empty cell, quotes,
+    # commas and line ends included, and any number of views, each written
+    # as its list would be.
+    line = "".join(cli._csv_line([cell for cell, _ in cells]))
+    assert line == _csv_writer_text([[items for _, items in cells]])
+
+
+def _nest(children):
+    """(payload, plain) pairs of dicts whose values are children pairs."""
+    return st.dictionaries((st.text() | _TRICKY_TEXT).filter(lambda key: key != "rows"), children, max_size=3).map(
+        lambda d: ({k: v for k, (v, _) in d.items()}, {k: items for k, (_, items) in d.items()})
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _nest(st.recursive(_SCALARS.map(lambda x: (x, x)) | _VIEW_PAIRS, _nest, max_leaves=10)),
+    _VIEW_PAIRS,
+    _VIEW_PAIRS,
+    st.booleans(),
+)
+def test_views_at_any_depth_write_their_lists(pairs, first, second, nested):
+    # Views in dicts at any depth, and at least two views in the CSV row:
+    # one at the top, the other at the top or one dict down.
+    payload, plain = pairs
+    payload = {**payload, "v": first[0], "w": {"x": second[0]} if nested else second[0]}
+    plain = {**plain, "v": first[1], "w": {"x": second[1]} if nested else second[1]}
+    assert "".join(cli._json_chunks(payload)) == json.dumps(plain, indent=2) + "\n"
+    assert "".join(cli._csv_chunks(payload)) == _csv_reference([cli._flatten(plain)])
 
 
 @settings(max_examples=200, deadline=None)
@@ -822,4 +920,8 @@ def test_rows_view_writes_its_records(records):
     payload = {"head": "9/2", "rows": records}
     want = json.dumps(payload, indent=2) + "\n"
     assert "".join(cli._json_chunks({**payload, "rows": cli.Rows(iter(records))})) == want
+    # A level down, the records take the indent of their list's items.
+    nested = {"head": "9/2", "a": {"b": cli.Rows(iter(records))}}
+    want = json.dumps({"head": "9/2", "a": {"b": records}}, indent=2) + "\n"
+    assert "".join(cli._json_chunks(nested)) == want
     assert "".join(cli._csv_chunks({**payload, "rows": cli.Rows(iter(records))})) == _csv_reference(records)

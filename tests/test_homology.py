@@ -313,7 +313,7 @@ def test_hp_stabilization():
 
 def test_truncation_probe():
     rep = hc_neg_truncation_probe(P3, 6, 6)
-    assert rep.ok and rep.stable_prefix == (1, 2) and rep.covered_up_to == 15
+    assert rep.ok and rep.stable_prefix == ((1, 1), (2, 1)) and rep.covered_up_to == 15
     assert hc_neg_truncation_probe(P3, 2, 1).vacuous
     assert hc_neg_truncation_probe(P5, 8, 8).ok
     with pytest.raises(ValueError, match="Z2"):
@@ -342,7 +342,21 @@ def test_truncation_probe_without_a_matching_offset(monkeypatch):
     blocks = [(Counter({1: 1, 5: 1}), [])] * 9
     monkeypatch.setattr(homology, "staircase_cokernels", lambda rows, p: iter(blocks))
     rep = hc_neg_truncation_probe(P3, 8, 8)
-    assert rep == (False, False, (1,), None, "no truncation offset matches")
+    assert rep == (False, False, ((1, 1),), None, "no truncation offset matches")
+
+
+def test_truncation_probe_tries_cuts_up_to_k_plus_3_odd_steps(monkeypatch):
+    # A prefix R/p^2 x R/p x R/p below the head matches the closed form of
+    # m = 8 cut at 21 (9, 15 and 21 are the odd multiples of 3 past 7):
+    # 7 steps past m - 1, so K = 4 reaches it and K = 3 does not.
+    from collections import Counter
+
+    from cychom import homology
+
+    blocks = [(Counter({9: 1, 2: 1, 1: 2}), [])] * 5
+    monkeypatch.setattr(homology, "staircase_cokernels", lambda rows, p: iter(blocks))
+    assert hc_neg_truncation_probe(P3, 8, 4)[:4] == (True, False, ((1, 2), (2, 1)), 21)
+    assert hc_neg_truncation_probe(P3, 8, 3) == (False, False, ((1, 2), (2, 1)), None, "no truncation offset matches")
 
 
 def test_truncation_probe_sweep():

@@ -408,6 +408,9 @@ def test_module_shape_canonical_form():
     assert ModuleShape._make([((0, 1), (2, 1), (5, 1)), 1, 0, False]) == ModuleShape((5, 2), free_rank=1)
     assert ModuleShape(dict(s.torsion)) == s
     assert str(ModuleShape((2,), complete_rank=1, truncated=True)) == "R^ x R/p^2 x ..."
+    # str joins the factors' runs, a count 0 for a kind that does not occur.
+    assert ModuleShape((2,), complete_rank=1, truncated=True).factors() == [("R^", 1), ("R", 0), ("R/p^2", 1), ("...", 1)]
+    assert s.factors() == [("R^", 0), ("R", 0), ("R/p^3", 2), ("R/p^2", 1), ("R/p", 1), ("...", 0)]
     assert str(s) == "R/p^3 x R/p^3 x R/p^2 x R/p"
     assert str(TRIVIAL_SHAPE) == "0"
 

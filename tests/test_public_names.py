@@ -40,6 +40,8 @@ REMOVED_FUNCTIONS = [
     ("gaps", "gap_window"),
     ("gaps", "_GAP_CACHE"),
     ("cli", "_runs"),
+    ("cli", "_Text"),
+    ("cli", "_csv_row"),
 ]
 REMOVED_MEMBERS = [
     ("linalg", "IntMatrix", "identity"),

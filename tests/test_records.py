@@ -58,7 +58,7 @@ RECORDS = [
     (StabilizationReport, {"ok": True, "degrees": (2,), "heads": (3,), "mismatches": ()}),
     (
         TruncationProbeReport,
-        {"ok": True, "vacuous": False, "stable_prefix": (1,), "covered_up_to": 9, "details": "ok"},
+        {"ok": True, "vacuous": False, "stable_prefix": ((1, 1),), "covered_up_to": 9, "details": "ok"},
     ),
 ]
 

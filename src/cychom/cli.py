@@ -140,11 +140,11 @@ def _json_chunks(payload: dict):
     """The text of ``json.dumps(payload, indent=2) + "\\n"``, in linear time.
 
     With ``indent`` set, json.dumps runs its pure-Python encoder, several
-    generator steps per list item.  So ``_json_value`` writes a non-empty
-    dict key by key and a view by its chunks, at any depth, and hands
-    json.dumps(indent=2) only what is left, re-indented: ensure_ascii
-    escapes every newline inside a string, so each newline of its text
-    starts a line.  The keys are str.  No copy of the whole is held.
+    generator steps per list item, and holds the whole text.  So
+    ``_json_value`` writes a non-empty dict key by key, a non-empty list
+    item by item and a view by its chunks, at any depth, and hands
+    json.dumps only a scalar or an empty list or dict, which it writes on
+    one line.  The keys are str.  No copy of the whole is held.
     """
     yield from _json_value(payload, "\n")
     yield "\n"
@@ -161,6 +161,13 @@ def _json_value(value, newline: str):
             yield from _json_value(item, inner)
             lead = ","
         yield newline + "}"
+    elif type(value) is list and value:
+        lead = "["
+        for item in value:
+            yield lead + inner
+            yield from _json_value(item, inner)
+            lead = ","
+        yield newline + "]"
     elif type(value) in VIEWS:
         items = value.chunks("," + inner)
         first = next(items, None)
@@ -171,7 +178,7 @@ def _json_value(value, newline: str):
             yield from items
             yield newline + "]"
     else:
-        yield json.dumps(value, indent=2).replace("\n", newline)
+        yield json.dumps(value)
 
 
 def _csv_chunks(payload: dict):
@@ -200,20 +207,26 @@ def _csv_line(cells):
     for k, cell in enumerate(cells):
         if k:
             yield ","
-        for text in cell.chunks(";") if type(cell) in VIEWS else (_csv_cell(cell),):
+        for text in cell.chunks(";") if type(cell) in VIEWS else _csv_cell(cell):
             empty = empty and not text
             yield text
     yield '""\r\n' if empty and len(cells) == 1 else "\r\n"
 
 
-def _csv_cell(cell) -> str:
-    """A cell's text: None as nothing, a list as its items' str joined by
-    ';', anything else as its str; quoted, its quotes doubled, when it
-    holds one of ``,"\\r\\n``."""
-    text = "" if cell is None else ";".join(map(str, cell)) if type(cell) is list else str(cell)
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+def _csv_cell(cell):
+    """The chunks of a cell's text, one an item of a list: None as
+    nothing, a list as its items' str joined by ';', anything else as its
+    str; quoted, its quotes doubled, when it holds one of ``,"\\r\\n``."""
+    texts = () if cell is None else list(map(str, cell)) if type(cell) is list else (str(cell),)
+    quote = any(c in text for text in texts for c in ',"\r\n')
+    if quote:
+        yield '"'
+    lead = ""
+    for text in texts:
+        yield lead + (text.replace('"', '""') if quote else text)
+        lead = ";"
+    if quote:
+        yield '"'
 
 
 def _table_chunks(lines):
@@ -250,19 +263,19 @@ def _shape_line(res: HomologyResult):
 # 101 / 1009).  A larger value is refused with exit 1 before anything is
 # allocated.
 # - hc --degree 10**6: one walk along a 500001-square staircase whose
-#   rows are made as they are read, 1.6 / 1.5 / 1.6 s, 14 MB; time linear
-#   in the degree (0.12-0.17 s at 40000, 3.2 s and 20 MB at 2*10**6 for
-#   p = 3).
+#   rows are made as they are read, 1.4 / 1.4-1.5 / 1.2-1.3 s, 14 MB;
+#   time linear in the degree (0.14-0.15 s at 40000, 2.8 s and 15 MB at
+#   2*10**6 for p = 3).
 # - hcneg --truncation 5*10**5: one walk along a (truncation+1)-square
-#   staircase, the same work as hc at its ceiling: 1.2-1.7 s and 15 MB in
+#   staircase, the same work as hc at its ceiling: 1.4-1.5 s and 14 MB in
 #   every format, though at p = 3 it prints a stable prefix of 1.7*10**5
 #   valuations (written from their runs); time linear in the truncation.
 # - verify --hc-max 4000: one walk gives every even degree, but the shapes
 #   it keeps and the check lines it prints grow with the square of
-#   --hc-max: 0.4 / 0.25 / 0.24 s, 43 / 18 / 18 MB in JSON or CSV (p = 3:
-#   27 MB as a table, its 8.6 MB of check lines held once more as the
-#   CSV cell or JSON list); at 2000 0.22 / 0.16 / 0.17 s, 18-22 / 17 /
-#   17 MB; at 10**4 for p = 3, 0.8 s and 81 MB as a table.
+#   --hc-max: 0.35-0.45 / 0.24 / 0.24 s, 25 / 16 / 17 MB in every format
+#   (p = 3: 8.6 MB of check lines, held once and written a line at a
+#   time); at 2000 0.17-0.23 / 0.17 / 0.17 s, 18 / 16 / 17 MB; at 10**4
+#   for p = 3, 1.2-1.35 s and 81 MB in every format.
 # - coeffs --j/--i 8001: ~j^2 digits, 30 / 58 / 74 MB of text, 28 / 41 /
 #   50 MB in every format (the staircase's Decimals, ~0.42 bytes a digit;
 #   the text is written a row at a time); 0.25 / 0.39 / 0.49 s in JSON,
@@ -444,6 +457,11 @@ def cmd_coeffs(args) -> int:
     return 0
 
 
+def _check_line(check: homology.Check) -> str:
+    """The table line of a check: "ok  " or "FAIL", its name, and its detail."""
+    return f"{'ok  ' if check.ok else 'FAIL'} {check.name}" + (f": {check.detail}" if check.detail else "")
+
+
 def cmd_verify(args) -> int:
     p = Prime(args.prime)
     if args.hc_max < 2 or args.hc_max % 2:
@@ -452,56 +470,11 @@ def cmd_verify(args) -> int:
     if args.hh_max < 0:
         raise ValueError(f"--hh-max must be >= 0, got {args.hh_max}")
     _cap("--hh-max", args.hh_max, VERIFY_MAX_HH, "verify checks and prints every Hochschild degree up to --hh-max")
-    failures: list[str] = []
-    lines: list[str] = []
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        lines.append(f"{'ok  ' if ok else 'FAIL'} {name}" + (f": {detail}" if detail else ""))
-        if not ok:
-            failures.append(f"{name}: {detail}" if detail else name)
-
-    for i in range(0, args.hh_max + 1):
-        try:
-            homology.hochschild(p, i)
-            check(f"hochschild degree {i}", True)
-        except ArithmeticError as exc:
-            check(f"hochschild degree {i}", False, str(exc))
-
-    # One walk of the oracle gives every even degree; the Connes and
-    # stabilization checks read the same shapes.
-    shapes = homology.hc_oracle_shapes(p, args.hc_max)
-    for i in range(2, args.hc_max + 1, 2):
-        closed = homology.hc_closed_form(p, i)
-        if closed is None:
-            check(f"hc degree {i}", True, "not covered by a closed form")
-        else:
-            check(
-                f"hc degree {i}",
-                closed.shape == shapes[i],
-                f"oracle {shapes[i]} vs closed {closed.shape}",
-            )
-
-    connes = homology.connes_length_check(shapes)
-    check("connes length recursion", connes.ok, "; ".join(connes.mismatches))
-
-    stab = homology.hp_stabilization_check(p, shapes)
-    check("hp stabilization", stab.ok, "; ".join(stab.mismatches))
-
-    kernel_indices = [i for i in gaps.enumerate_z2(p, 50 * p.p) if i > 1][:3]
-    for i in kernel_indices:
-        ok = homology.verify_kernel_generators(p, i, upto=8)
-        check(f"kernel generators at {i}", ok)
-
-    for i in range(1, min(args.hc_max, 12), 2):
-        rep = homology.verify_presentation(p, i)
-        check(
-            f"colimit presentation {i}",
-            rep.ok,
-            "" if rep.ok else f"rebuilt {rep.rebuilt} vs oracle {rep.oracle}",
-        )
-
+    # map lets go of each record, and of its detail, before the next is made.
+    lines = list(map(_check_line, homology.verify_checks(p, args.hc_max, args.hh_max)))
+    failures = [line[5:] for line in lines if line.startswith("FAIL ")]
     payload = {"prime": args.prime, "failures": failures, "checks": lines}
-    _emit(payload, args.format, args.out, lines + [f"{len(failures)} failure(s)"])
+    _emit(payload, args.format, args.out, chain(lines, [f"{len(failures)} failure(s)"]))
     return 3 if failures else 0
 
 

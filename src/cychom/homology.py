@@ -35,7 +35,7 @@ from collections.abc import Iterator
 from itertools import chain, islice
 from math import lcm
 
-from .gaps import in_z1, in_z2
+from .gaps import enumerate_z2, in_z1, in_z2
 from .linalg import (
     TRIVIAL_SHAPE,
     ModuleShape,
@@ -53,6 +53,13 @@ class HomologyResult(
     """One homology module: theory "HH" | "HC" | "HCneg" | "HP", its degree,
     its ModuleShape, the method "oracle" | "closed_form" | "stabilized",
     and the display cutoff n_max of a truncated product (else None)."""
+
+    __slots__ = ()
+
+
+class Check(namedtuple("Check", "name ok detail", defaults=("",))):
+    """One verify check: its name, whether it passed, and what it found
+    ("" when there is nothing to add)."""
 
     __slots__ = ()
 
@@ -271,13 +278,7 @@ def phi_coeff_texts(p: Prime, j: int, i: int) -> tuple[str, int, Iterator[tuple[
     return head, a_val(p, j), rows
 
 
-class PresentationReport(namedtuple("PresentationReport", "ok colimit_index rebuilt oracle")):
-    """Outcome of verify_presentation: the rebuilt and oracle ModuleShapes."""
-
-    __slots__ = ()
-
-
-def verify_presentation(p: Prime, i: int) -> PresentationReport:
+def verify_presentation(p: Prime, i: int) -> Check:
     """Check the head-relation presentation of the colimit against the oracle.
 
     The colimit with top index i, with its head relation p^2 * (index-i
@@ -299,39 +300,33 @@ def verify_presentation(p: Prime, i: int) -> PresentationReport:
     if i < 1 or i % 2 == 0:
         raise ValueError("colimit index must be odd and positive")
     coeffs = phi_coeffs(p, i, i)
-    odds = list(range(1, i + 1, 2))
-    entries = [coeffs.head] + [coeffs.component(n) for n in odds]
+    entries = [coeffs.head] + [v for _, v in coeffs.components]
     scale = lcm(*(e.denominator for e in entries))
     p2 = p.p * p.p
     relation = [int(e * p2 * scale) for e in entries]
     # Column k >= 1 holds the modulus of coordinate k (the head column 0
     # stays zero), and the last column the relation.
     last = len(entries)
-    mat = [{}] + [{k: n} for k, n in enumerate(odds, 1)]
+    mat = [{}] + [{k: n} for k, (n, _) in enumerate(coeffs.components, 1)]
     for row, x in zip(mat, relation):
         if x:
             row[last] = x
     rebuilt = cokernel_shape(mat, p)
     oracle = hc_oracle(p, i + 1).shape
-    return PresentationReport(rebuilt == oracle, i, rebuilt, oracle)
+    ok = rebuilt == oracle
+    return Check(f"colimit presentation {i}", ok, "" if ok else f"rebuilt {rebuilt} vs oracle {oracle}")
 
 
-def verify_kernel_generators(
-    p: Prime,
-    i: int,
-    upto: int,
-    head_precision: int | None = None,
-    n_max: int | None = None,
-) -> bool:
+def verify_kernel_generators(p: Prime, i: int, upto: int) -> bool:
     """Finite-truncation check of the kernel generator description.
 
     For i in Z2, the generators psi_{i}(1), psi_{i+2}(1), ..., psi_{i+upto}(1)
     span the same submodule as A_i * e_head, e_i, e_{i+2}, ..., e_{i+upto}
-    after truncating the head to Z/p^T and dropping coordinates above n_max
-    (defaults T = a_i + 6, n_max = 4i + 1).  A coordinate n of psi_j is
-    B_{j-n} mod p^{v_p(n)}, which is 0 without forming B_{j-n} when
-    b_{j-n} >= v_p(n).  Raises for i outside Z2 (the description needs the
-    membership).
+    after truncating the head to Z/p^T, T = a_i + 6, and dropping
+    coordinates above n_max = 4i + 1, which must cover i + upto.  A
+    coordinate n of psi_j is B_{j-n} mod p^{v_p(n)}, which is 0 without
+    forming B_{j-n} when b_{j-n} >= v_p(n).  Raises for i outside Z2 (the
+    description needs the membership).
     """
     if i % 2 == 0 or i < 1:
         raise ValueError("index must be odd and positive")
@@ -339,13 +334,10 @@ def verify_kernel_generators(
         raise ValueError("generator range must be even and nonnegative")
     if not in_z2(p, i):
         raise ValueError(f"closed form requires Z2 membership, {i} is excluded")
-    if head_precision is None:
-        head_precision = a_val(p, i) + 6
-    if n_max is None:
-        n_max = 4 * i + 1
+    n_max = 4 * i + 1
     if n_max < i + upto:
         raise ValueError("n_max must cover every generator index")
-    head_mod = p.p**head_precision
+    head_mod = p.p ** (a_val(p, i) + 6)
     coords = [(n, v) for n in range(1, n_max + 1, 2) if (v := vp(p, n)) > 0]
     moduli = [head_mod] + [p.p**v for _, v in coords]
 
@@ -366,13 +358,6 @@ def verify_kernel_generators(
     return submodule_equal_mod(p, gens_a, gens_b, moduli)
 
 
-class ConnesReport(namedtuple("ConnesReport", "ok lengths mismatches")):
-    """Outcome of connes_length_check: (degree, p-length) pairs and the
-    mismatch messages."""
-
-    __slots__ = ()
-
-
 def _even_run(shapes: dict[int, ModuleShape]) -> list[int]:
     """The keys of ``shapes``, which must be the even degrees 0, 2, ..., i_max."""
     degrees = sorted(shapes)
@@ -381,54 +366,42 @@ def _even_run(shapes: dict[int, ModuleShape]) -> list[int]:
     return degrees
 
 
-def connes_length_check(shapes: dict[int, ModuleShape]) -> ConnesReport:
+def connes_length_check(shapes: dict[int, ModuleShape]) -> Check:
     """Total p-length of HC grows by exactly 2 each even degree (so = i+1).
 
     ``shapes`` maps each even degree 0, 2, ..., i_max to its HC shape, as
-    the oracle computed it.
+    the oracle computed it.  The detail lists the mismatches.
     """
-    lengths = []
     mismatches = []
     prev = None
     for i in _even_run(shapes):
         length = shapes[i].p_length
-        lengths.append((i, length))
         if length != i + 1:
             mismatches.append(f"degree {i}: length {length} != {i + 1}")
         if prev is not None and length != prev + 2:
             mismatches.append(f"degree {i}: length step {length - prev} != 2")
         prev = length
-    return ConnesReport(not mismatches, tuple(lengths), tuple(mismatches))
+    return Check("connes length recursion", not mismatches, "; ".join(mismatches))
 
 
-class StabilizationReport(namedtuple("StabilizationReport", "ok degrees heads mismatches")):
-    """Outcome of hp_stabilization_check: the degrees tested, their head
-    exponents, and the mismatch messages."""
-
-    __slots__ = ()
-
-
-def hp_stabilization_check(
-    p: Prime, shapes: dict[int, ModuleShape], n_max: int | None = None
-) -> StabilizationReport:
+def hp_stabilization_check(p: Prime, shapes: dict[int, ModuleShape]) -> Check:
     """Watch finite cyclic homology converge onto the periodic closed form.
 
     ``shapes`` maps each even degree 0, 2, ..., i_max (i_max >= 2) to its
-    HC shape, as the oracle computed it.  Over even degrees i <= i_max with
-    i-1 in Z1 (and i-1 <= n_max): below its single largest torsion
-    exponent, the oracle's torsion must equal the periodic torsion
-    truncated at i-1, and the largest exponents a_{i-1}+2 must be
-    nondecreasing along the tested degrees.
+    HC shape, as the oracle computed it.  Over even degrees 2 <= i <= i_max
+    with i-1 in Z1: below its single largest torsion exponent, the
+    oracle's torsion must equal the periodic torsion truncated at i-1, and
+    the largest exponents a_{i-1}+2 must be nondecreasing along the tested
+    degrees.  The detail lists the mismatches.
     """
     i_max = max(_even_run(shapes), default=0)
     if i_max < 2:
         raise ValueError("i_max must be >= 2")
-    if n_max is None:
-        n_max = i_max - 1
-    degrees = [i for i in range(2, i_max + 1, 2) if i - 1 <= n_max and in_z1(p, i - 1)]
     heads = []
     mismatches = []
-    for i in degrees:
+    for i in range(2, i_max + 1, 2):
+        if not in_z1(p, i - 1):
+            continue
         head = shapes[i].torsion[0][0]
         counts = Counter(dict(shapes[i].torsion))
         counts[head] -= 1
@@ -444,7 +417,36 @@ def hp_stabilization_check(
     for prev, nxt in zip(heads, heads[1:]):
         if nxt < prev:
             mismatches.append(f"head exponents decrease: {prev} -> {nxt}")
-    return StabilizationReport(not mismatches, tuple(degrees), tuple(heads), tuple(mismatches))
+    return Check("hp stabilization", not mismatches, "; ".join(mismatches))
+
+
+def verify_checks(p: Prime, hc_max: int, hh_max: int) -> Iterator[Check]:
+    """The ``verify`` battery, one check at a time: Hochschild in every
+    degree 0..hh_max; oracle against closed form in every even degree
+    2..hc_max, and the Connes and stabilization checks, all from one walk
+    to hc_max; the kernel generators at the first three Z2 indices past
+    1; and the colimit presentation at every odd index below
+    min(hc_max, 12)."""
+    for i in range(hh_max + 1):
+        try:
+            hochschild(p, i)
+        except ArithmeticError as exc:
+            yield Check(f"hochschild degree {i}", False, str(exc))
+        else:
+            yield Check(f"hochschild degree {i}", True)
+    shapes = hc_oracle_shapes(p, hc_max)
+    for i in range(2, hc_max + 1, 2):
+        closed = hc_closed_form(p, i)
+        if closed is None:
+            yield Check(f"hc degree {i}", True, "not covered by a closed form")
+        else:
+            yield Check(f"hc degree {i}", closed.shape == shapes[i], f"oracle {shapes[i]} vs closed {closed.shape}")
+    yield connes_length_check(shapes)
+    yield hp_stabilization_check(p, shapes)
+    for i in [i for i in enumerate_z2(p, 50 * p.p) if i > 1][:3]:
+        yield Check(f"kernel generators at {i}", verify_kernel_generators(p, i, upto=8))
+    for i in range(1, min(hc_max, 12), 2):
+        yield verify_presentation(p, i)
 
 
 class TruncationProbeReport(

@@ -96,7 +96,7 @@ def bareiss_rank(rows: list[dict[int, int]]) -> tuple[int, int]:
     return rank, sign * prev
 
 
-class SnfResult(namedtuple("SnfResult", "invariant_factors source_dim target_dim")):
+class SnfResult(namedtuple("SnfResult", "invariant_factors")):
     """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix."""
 
     __slots__ = ()
@@ -180,7 +180,7 @@ def snf(m: IntMatrix) -> SnfResult:
             continue
         factors.append(pivot)
         t += 1
-    return SnfResult(tuple(factors), source_dim=cols, target_dim=rows)
+    return SnfResult(tuple(factors))
 
 
 class ModuleShape(namedtuple("ModuleShape", "torsion free_rank complete_rank truncated")):

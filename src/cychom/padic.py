@@ -93,8 +93,11 @@ def _is_prime(n: int) -> bool:
 def vp(p: Prime, n: int) -> int:
     """Largest e with p^e dividing n.
 
-    Divides by p, p^2, p^4, ... while they divide, then by the same powers
-    in reverse where they still divide: O(log e) big-int divisions.
+    An n prime to p costs one remainder, and valuations 1 and 2 (the
+    staircases' diagonal entries p and p^2) one plain division by p each.
+    Past p^2 it divides by p, p^2, p^4, ... while they divide, then by the
+    same powers in reverse where they still divide: O(log e) big-int
+    divisions.
 
     >>> vp(Prime(3), 54)
     3
@@ -105,7 +108,13 @@ def vp(p: Prime, n: int) -> int:
     if n % q:
         return 0
     # Exact floor division keeps the sign, which does not matter here.
-    e, w, powers = 0, 1, []
+    n //= q
+    if n % q:
+        return 1
+    n //= q
+    if n % q:
+        return 2
+    e, w, powers = 2, 1, []
     while n % q == 0:
         n //= q
         e += w

@@ -135,6 +135,115 @@ def test_verify_reports_mismatch_with_exit_3(capsys, monkeypatch):
     assert "R/p^99" in out  # the diff names both shapes
 
 
+def _force(monkeypatch, kind: str) -> None:
+    """Make the checks of one kind fail, each through what only it reads."""
+    from cychom import homology
+    from cychom.linalg import ModuleShape
+
+    if kind == "hochschild":
+        # No differential out of an odd degree is injective.
+        monkeypatch.setattr(homology, "bareiss_rank", lambda mat: (0, 0))
+    elif kind == "hc degree":
+        real = homology.hc_closed_form
+        skewed = homology.HomologyResult("HC", 6, ModuleShape((99,)), "closed_form")
+        monkeypatch.setattr(homology, "hc_closed_form", lambda p, i: skewed if i == 6 else real(p, i))
+    elif kind == "connes":
+        monkeypatch.setattr(ModuleShape, "p_length", property(lambda shape: 3))
+    elif kind == "hp stabilization":
+        # The detail lists the periodic torsion [2, 1, 1]: its commas make
+        # CSV quote the cells that hold it.
+        periodic = homology.HomologyResult("HP", 0, ModuleShape((2, 1, 1)), "closed_form")
+        monkeypatch.setattr(homology, "hp", lambda p, i, n_max: periodic)
+    elif kind == "kernel generators":
+        monkeypatch.setattr(homology, "submodule_equal_mod", lambda *args: False)
+    else:
+        # A relation p times too large in its head rebuilds a wrong module.
+        real = homology.phi_coeffs
+        monkeypatch.setattr(
+            homology, "phi_coeffs", lambda p, j, i: real(p, j, i)._replace(head=real(p, j, i).head * p.p)
+        )
+
+
+VERIFY_NAMES = (
+    [f"hochschild degree {i}" for i in range(7)]
+    + [f"hc degree {i}" for i in range(2, 41, 2)]
+    + ["connes length recursion", "hp stabilization"]
+    + [f"kernel generators at {i}" for i in (5, 7, 11)]
+    + [f"colimit presentation {i}" for i in range(1, 12, 2)]
+)
+
+
+# Lines that each case prints, among others, in this order.
+VERIFY_LINES = {
+    None: [
+        "ok   hochschild degree 0",
+        "ok   hc degree 6: oracle R/p^6 x R/p vs closed R/p^6 x R/p",
+        "ok   hc degree 28: not covered by a closed form",
+        "ok   connes length recursion",
+        "ok   kernel generators at 5",
+        "ok   colimit presentation 11",
+    ],
+    "hochschild": ["ok   hochschild degree 0", "FAIL hochschild degree 1: HH differential out of degree 1 is not injective"],
+    "hc degree": ["FAIL hc degree 6: oracle R/p^6 x R/p vs closed R/p^99"],
+    "connes": [
+        "FAIL connes length recursion: degree 0: length 3 != 1; degree 2: length step 0 != 2; "
+        + "; ".join(f"degree {i}: length 3 != {i + 1}; degree {i}: length step 0 != 2" for i in range(4, 41, 2))
+    ],
+    # Its line is pinned in the CSV, quoted, below.
+    "hp stabilization": [],
+    "kernel generators": ["FAIL kernel generators at 5", "FAIL kernel generators at 7", "FAIL kernel generators at 11"],
+    "colimit presentation": ["FAIL colimit presentation 1: rebuilt R/p^4 vs oracle R/p^3"],
+}
+
+
+@pytest.mark.parametrize("kind", list(VERIFY_LINES))
+def test_verify_writes_its_check_records(monkeypatch, kind):
+    # verify_checks yields the checks in the table's order, one line each;
+    # "failures" names the records that are not ok; and the JSON and CSV
+    # are json.dumps(indent=2)'s and csv.writer's of those two lists.
+    from cychom import homology
+
+    if kind is not None:
+        _force(monkeypatch, kind)
+    checks = list(homology.verify_checks(Prime(3), 40, 6))
+    assert [c.name for c in checks] == VERIFY_NAMES
+    failed = [c for c in checks if not c.ok]
+    assert bool(failed) == (kind is not None)
+    assert all(c.name.startswith(kind) for c in failed)
+    lines = [f"{'ok  ' if c.ok else 'FAIL'} {c.name}" + (f": {c.detail}" if c.detail else "") for c in checks]
+    failures = [f"{c.name}: {c.detail}" if c.detail else c.name for c in failed]
+    payload = {"prime": 3, "failures": failures, "checks": lines}
+    texts = _texts(["verify", "--prime", "3", "--hc-max", "40", "--hh-max", "6"], 3 if failed else 0)
+    assert texts == {
+        "table": "\n".join(lines + [f"{len(failures)} failure(s)"]) + "\n",
+        "json": json.dumps(payload, indent=2) + "\n",
+        "csv": _csv_reference([payload]),
+    }
+    assert [line for line in lines if line in VERIFY_LINES[kind]] == VERIFY_LINES[kind]
+    if kind == "hp stabilization":
+        assert ',"hp stabilization: degree 2: tail [] != periodic [2, 1, 1]' in texts["csv"]
+
+
+def test_verify_holds_its_check_lines_once(tmp_path):
+    # At --hc-max 1000 the check lines are 0.55 MB of text, each hc line
+    # printing two shapes.  JSON and CSV wrote them from two more copies
+    # (2.5 MB traced peak against 1.4 MB as a table); written a line at a
+    # time from the one list, every format peaks alike.
+    import tracemalloc
+
+    peaks = {}
+    for fmt in ("table", "json", "csv"):
+        target = tmp_path / f"verify.{fmt}"
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--prime", "3", "--hc-max", "1000", "--format", fmt, "--out", str(target)]) == 0
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert target.stat().st_size > 550_000
+    assert max(peaks["json"], peaks["csv"]) < peaks["table"] + 50_000, peaks
+
+
 def test_hc_disagreement_exits_3(capsys, monkeypatch):
     from cychom import cli, homology
     from cychom.linalg import ModuleShape
@@ -574,13 +683,13 @@ def test_queries_import_no_fractions_decimal_or_csv():
 ZSETS_NOTE = "1 is a member by definition; informal listings often omit it"
 
 
-def _texts(argv: list[str]) -> dict[str, str]:
-    """stdout in each format; the exit code must be 0 and stderr empty."""
+def _texts(argv: list[str], code: int = 0) -> dict[str, str]:
+    """stdout in each format; the exit code must be ``code`` and stderr empty."""
     texts = {}
     for fmt in ("table", "json", "csv"):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            assert main(argv + ["--format", fmt]) == 0
+            assert main(argv + ["--format", fmt]) == code
         assert err.getvalue() == ""
         texts[fmt] = out.getvalue()
     return texts
@@ -867,7 +976,11 @@ _VIEW_PAIRS = st.lists(st.tuples(st.integers(-5, 10**6), st.integers(0, 5000)), 
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(
-        (_SCALARS | st.sampled_from([",", "1,2", "3/5", '"']) | st.lists(st.integers(), max_size=3)).map(
+        (
+            _SCALARS
+            | st.sampled_from([",", "1,2", "3/5", '"'])
+            | st.lists(st.integers() | _TRICKY_TEXT | st.sampled_from([",", '"', "a;b"]), max_size=3)
+        ).map(
             lambda cell: (cell, cell)
         )
         | _VIEW_PAIRS,

@@ -4,6 +4,7 @@ import pytest
 
 from cychom.gaps import enumerate_z2, gap, in_z1, in_z2
 from cychom.homology import (
+    Check,
     connes_length_check,
     cyclic_matrix,
     hc_closed_form,
@@ -17,6 +18,7 @@ from cychom.homology import (
     negative_matrix,
     phi_coeff_texts,
     phi_coeffs,
+    verify_checks,
     verify_kernel_generators,
     verify_presentation,
 )
@@ -240,20 +242,27 @@ def test_phi_coeff_texts_rejects_what_phi_coeffs_rejects(j, i):
             f(P3, j, i)
 
 
-@pytest.mark.parametrize("p,i", [(P3, 1), (P3, 5), (P3, 9), (P5, 7), (P7, 3)])
+# At (3, 27) the relation's entries must sit on their own coordinates: read
+# in reverse order, they rebuild the wrong module there.
+@pytest.mark.parametrize("p,i", [(P3, 1), (P3, 5), (P3, 9), (P5, 7), (P7, 3), (P3, 27)])
 def test_presentation_matches_oracle(p, i):
     rep = verify_presentation(p, i)
     assert rep.ok, rep
 
 
 def test_kernel_generators():
-    assert verify_kernel_generators(P3, 5, 0, head_precision=8, n_max=5)
-    assert verify_kernel_generators(P3, 5, 6, head_precision=12, n_max=13)
-    assert verify_kernel_generators(P3, 7, 8)
+    # A plain bool, never a record, which would test true either way.
+    assert verify_kernel_generators(P3, 5, 0) is True
+    assert verify_kernel_generators(P3, 5, 6) is True
+    assert verify_kernel_generators(P3, 7, 8) is True
     with pytest.raises(ValueError, match="Z2"):
         verify_kernel_generators(P3, 25, 0)
     with pytest.raises(ValueError):
         verify_kernel_generators(P3, 5, 3)
+    # The coordinates stop at n_max = 4i + 1, so upto may reach 3i + 1.
+    assert verify_kernel_generators(P3, 5, 16) is True
+    with pytest.raises(ValueError, match="n_max must cover every generator index"):
+        verify_kernel_generators(P3, 5, 18)
 
 
 def test_kernel_generator_equality_is_not_vacuous():
@@ -283,32 +292,49 @@ def test_kernel_generator_equality_is_not_vacuous():
 
 
 def test_connes_length_recursion():
-    rep = connes_length_check(_shapes(P3, 12))
-    assert rep.ok
-    assert rep.lengths[0] == (0, 1)
-    assert rep.lengths[-1] == (12, 13)
+    assert connes_length_check(_shapes(P3, 12)) == Check("connes length recursion", True, "")
     assert connes_length_check(_shapes(P3, 0)).ok  # vacuous base
+    # The check reads the length of every degree, the first and last too:
+    # one more factor R/p anywhere breaks it there.
+    for i in range(0, 13, 2):
+        shapes = _shapes(P3, 12)
+        shapes[i] = ModuleShape([*shapes[i].torsion_exponents, 1])
+        rep = connes_length_check(shapes)
+        assert not rep.ok
+        assert rep.detail.startswith(f"degree {i}: length {i + 2} != {i + 1}"), i
     # The check reads the shapes it is given, and needs every even degree.
     shapes = _shapes(P3, 6)
     shapes[4] = ModuleShape((4,))
-    assert connes_length_check(shapes).mismatches == (
-        "degree 4: length 4 != 5",
-        "degree 4: length step 1 != 2",
-        "degree 6: length step 3 != 2",
-    )
+    rep = connes_length_check(shapes)
+    assert not rep.ok
+    assert rep.detail == "degree 4: length 4 != 5; degree 4: length step 1 != 2; degree 6: length step 3 != 2"
     del shapes[4]
     with pytest.raises(ValueError):
         connes_length_check(shapes)
 
 
 def test_hp_stabilization():
-    rep = hp_stabilization_check(P3, _shapes(P3, 14), n_max=13)
-    assert rep.ok
-    assert rep.degrees == (2, 6, 8, 12, 14)
-    assert rep.heads == tuple(a_val(P3, i - 1) + 2 for i in rep.degrees)
-    assert hp_stabilization_check(P5, _shapes(P5, 26), n_max=25).ok
+    assert hp_stabilization_check(P3, _shapes(P3, 14)) == Check("hp stabilization", True, "")
+    assert hp_stabilization_check(P5, _shapes(P5, 26)).ok
     with pytest.raises(ValueError):
         hp_stabilization_check(P3, _shapes(P3, 0))
+
+
+@pytest.mark.parametrize("p, i_max, tested", [(P3, 14, [2, 6, 8, 12, 14]), (P5, 26, [2, 4, 8, 10, 12, 14, 18, 20, 22, 24])])
+def test_hp_stabilization_tests_each_degree_past_a_z1_member(p, i_max, tested):
+    # The degrees i with i - 1 in Z1 are tested, each against the head
+    # a_{i-1} + 2: one head raised by one fails there, and nowhere else.
+    assert tested == [i for i in range(2, i_max + 1, 2) if in_z1(p, i - 1)]
+    failed = []
+    for i in range(2, i_max + 1, 2):
+        shapes = _shapes(p, i_max)
+        head, *tail = shapes[i].torsion_exponents
+        shapes[i] = ModuleShape([head + 1, *tail])
+        rep = hp_stabilization_check(p, shapes)
+        if not rep.ok:
+            failed.append(i)
+            assert rep.detail.startswith(f"degree {i}: head {head + 1} != a+2 = {a_val(p, i - 1) + 2}"), i
+    assert failed == tested
 
 
 def test_truncation_probe():
@@ -329,7 +355,7 @@ def test_hp_stabilization_names_the_flat_lists_that_differ():
     bumped = tail[:-1] + [tail[-1] + 1]
     rep = hp_stabilization_check(P3, shapes)
     assert not rep.ok
-    assert rep.mismatches == (f"degree 8: tail {sorted(bumped, reverse=True)} != periodic {periodic}",)
+    assert rep.detail == f"degree 8: tail {sorted(bumped, reverse=True)} != periodic {periodic}"
 
 
 def test_truncation_probe_without_a_matching_offset(monkeypatch):

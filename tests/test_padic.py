@@ -99,6 +99,12 @@ def test_vp_multiplicative(m, n):
 @example(3, 2000, -1)
 @example(5, 1023, 7)
 @example(7, 1024, 1)
+# Each side of the plain divisions for valuations 1 and 2.
+@example(3, 0, 2)
+@example(3, 1, -1)
+@example(5, 2, 4)
+@example(3, 3, 1)
+@example(7, 4, -6)
 def test_vp_of_prime_power_times_unit(p, e, u):
     if u % p == 0:
         u += 1 if u > 0 else -1

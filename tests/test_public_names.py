@@ -42,6 +42,9 @@ REMOVED_FUNCTIONS = [
     ("cli", "_runs"),
     ("cli", "_Text"),
     ("cli", "_csv_row"),
+    ("homology", "ConnesReport"),
+    ("homology", "StabilizationReport"),
+    ("homology", "PresentationReport"),
 ]
 REMOVED_MEMBERS = [
     ("linalg", "IntMatrix", "identity"),
@@ -53,6 +56,8 @@ REMOVED_MEMBERS = [
     ("linalg", "IntMatrix", "zero"),
     ("linalg", "ModuleShape", "is_trivial"),
     ("padic", "Prime", "__int__"),
+    ("linalg", "SnfResult", "source_dim"),
+    ("linalg", "SnfResult", "target_dim"),
 ]
 
 

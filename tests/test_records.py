@@ -12,12 +12,7 @@ from cychom import (
     Prime,
     SnfResult,
 )
-from cychom.homology import (
-    ConnesReport,
-    PresentationReport,
-    StabilizationReport,
-    TruncationProbeReport,
-)
+from cychom.homology import Check, TruncationProbeReport
 
 P3 = Prime(3)
 SHAPE = ModuleShape((2, 1))
@@ -40,7 +35,7 @@ RECORDS = [
             "lam": Fraction(3, 4),
         },
     ),
-    (SnfResult, {"invariant_factors": (1, 9), "source_dim": 2, "target_dim": 2}),
+    (SnfResult, {"invariant_factors": (1, 9)}),
     (ModuleShape, {"torsion": ((2, 1), (1, 1)), "free_rank": 1, "complete_rank": 1, "truncated": True}),
     (HomologyResult, {"theory": "HC", "degree": 2, "shape": SHAPE, "method": "oracle", "n_max": 11}),
     (
@@ -53,9 +48,7 @@ RECORDS = [
             "components": ((1, Fraction(1)),),
         },
     ),
-    (PresentationReport, {"ok": True, "colimit_index": 1, "rebuilt": SHAPE, "oracle": SHAPE}),
-    (ConnesReport, {"ok": True, "lengths": ((0, 1),), "mismatches": ()}),
-    (StabilizationReport, {"ok": True, "degrees": (2,), "heads": (3,), "mismatches": ()}),
+    (Check, {"name": "hp stabilization", "ok": False, "detail": "degree 2: head 4 != a+2 = 3"}),
     (
         TruncationProbeReport,
         {"ok": True, "vacuous": False, "stable_prefix": ((1, 1),), "covered_up_to": 9, "details": "ok"},
@@ -88,6 +81,7 @@ def test_record_is_an_immutable_value(cls, fields):
 def test_record_defaults():
     assert ModuleShape((1,)) == ModuleShape(torsion=(1,), free_rank=0, complete_rank=0, truncated=False)
     assert HomologyResult("HH", 0, SHAPE, "closed_form").n_max is None
+    assert Check("kernel generators at 5", True).detail == ""
     assert str(ModuleShape(())) == "0"
     with pytest.raises(TypeError):
         HomologyResult("HH", 0, SHAPE)

@@ -263,9 +263,9 @@ def _shape_line(res: HomologyResult):
 # 101 / 1009).  A larger value is refused with exit 1 before anything is
 # allocated.
 # - hc --degree 10**6: one walk along a 500001-square staircase whose
-#   rows are made as they are read, 1.4 / 1.4-1.5 / 1.2-1.3 s, 14 MB;
+#   rows are made as they are read, 1.3-1.4 / 1.0-1.4 / 1.2 s, 14 MB;
 #   time linear in the degree (0.14-0.15 s at 40000, 2.8 s and 15 MB at
-#   2*10**6 for p = 3).
+#   2*10**6 for p = 3).  An odd degree walks nothing: 0.07-0.08 s.
 # - hcneg --truncation 5*10**5: one walk along a (truncation+1)-square
 #   staircase, the same work as hc at its ceiling: 1.4-1.5 s and 14 MB in
 #   every format, though at p = 3 it prints a stable prefix of 1.7*10**5

@@ -12,10 +12,13 @@ Note on 1: no window can reach down to 1 (windows have radius
 g(n) < (p^{v_p(n)}-1)/2), so 1 belongs to both sets even though informal
 listings of Z1/Z2 often start at the first element above p.
 
-Membership of one i is a scan of the windows near i.  Enumeration and
-the density counts use a sieve instead: g is nondecreasing in v_p(n), so
-every odd multiple of p^v carries at least the offsets |d| <= g(p^v), and
-each such offset is one slice assignment over a byte per odd integer.
+Membership goes level by level, as the sieve marks.  g(n) = g(p^{v_p(n)})
+and g(p^v) is nondecreasing in v, so a window holds i exactly when, at
+some level v >= 1, the odd multiple of p^v nearest to i (below; for Z2
+also above) lies within g(p^v) of i: a window's n is such a multiple at
+v = v_p(n), and the nearest one is no farther and has no smaller gap.
+Enumeration and the density counts mark each offset |d| <= g(p^v) of
+each level by one slice assignment over a byte per odd integer.
 """
 
 from __future__ import annotations
@@ -49,43 +52,20 @@ def gap(p: Prime, n: int) -> int:
     return _gap_for_valuation(p, vp(p, n))
 
 
-def _max_gap_below(p: Prime, i: int) -> int:
-    # Largest g(n) possible for odd multiples n <= i.  {j : b_j < a} grows
-    # with a, so g(p^a) is nondecreasing in a: the largest is g(p^a) for
-    # the largest p^a <= i.
-    a, q = 0, p.p
-    while q <= i:
-        a, q = a + 1, q * p.p
-    return _gap_for_valuation(p, a)
-
-
-def _upper_scan_radius(p: Prime, i: int) -> int:
-    # A window centered at n > i reaches i only if n - i <= g(n).  Since
-    # g(p^a) < a(2p-2)/(2p-3) <= 2a and p^{v_p(n)} <= n, any such n has
-    # p^{v_p(n)} <= i + 2*v_p(n); the smallest k with p^k > i + 2k caps
-    # v_p(n), hence the reach.
-    k = 1
-    while p.p**k <= i + 2 * k:
-        k += 1
-    return 2 * k
-
-
-def _largest_odd_multiple_leq(p: Prime, i: int) -> int:
-    m = i - (i % p.p)
-    if m % 2 == 0:
-        m -= p.p
-    return m
-
-
-def _hit_from_below(p: Prime, i: int) -> bool:
-    # Any window starting at n <= i that reaches i has g(n) >= i - n, and
-    # g(n) <= _max_gap_below(p, i), so the scan below is exhaustive.
-    n = _largest_odd_multiple_leq(p, i)
-    floor = max(p.p, i - _max_gap_below(p, i))
-    while n >= floor:
-        if i - n <= gap(p, n):
+def _hit(p: Prime, i: int, symmetric: bool) -> bool:
+    """Whether some window holds the odd integer i (symmetric: Z2's
+    windows), by the module's level rule.  As g(p^v) < 2v < p^v, no level
+    with p^v > i + 2v reaches i, nor does any level past it.
+    """
+    q, v = p.p, 1
+    while q <= i + 2 * v:
+        # Odd multiples of q are = q mod 2q (d = i + q: none below i).
+        d = (i - q) % (2 * q)
+        if symmetric:
+            d = min(d, (q - i) % (2 * q))
+        if d < 2 * v and d <= _gap_for_valuation(p, v):
             return True
-        n -= 2 * p.p
+        q, v = q * p.p, v + 1
     return False
 
 
@@ -93,27 +73,14 @@ def in_z1(p: Prime, i: int) -> bool:
     """True iff no window [n, n+g(n)] contains the odd integer i."""
     if i < 1 or i % 2 == 0:
         raise ValueError(f"Z1 contains only odd positive integers, got {i}")
-    if i % p.p == 0:
-        return False
-    return not _hit_from_below(p, i)
+    return not _hit(p, i, symmetric=False)
 
 
 def in_z2(p: Prime, i: int) -> bool:
     """True iff no window [n-g(n), n+g(n)] contains the odd integer i."""
     if i < 1 or i % 2 == 0:
         raise ValueError(f"Z2 contains only odd positive integers, got {i}")
-    if i % p.p == 0:
-        return False
-    if _hit_from_below(p, i):
-        return False
-    # Windows centered above i.
-    n = _largest_odd_multiple_leq(p, i) + 2 * p.p
-    top = i + _upper_scan_radius(p, i)
-    while n <= top:
-        if n - i <= gap(p, n):
-            return False
-        n += 2 * p.p
-    return True
+    return not _hit(p, i, symmetric=True)
 
 
 def _excluded_sieve(p: Prime, upper: int, symmetric: bool) -> bytearray:
@@ -125,12 +92,13 @@ def _excluded_sieve(p: Prime, upper: int, symmetric: bool) -> bytearray:
     So level v marks each offset d once, over all odd multiples of p^v at
     once, by one slice: odd integers 2p^v apart are p^v bytes apart.
     Offsets |d| <= g(p^{v-1}) were marked at level v-1 over a superset, so
-    each level adds only its new offsets.
+    each level adds only its new offsets.  Levels with p^v > upper mark
+    nothing one-sided, and symmetric nothing once p^v > upper + 2v, as in
+    ``_hit``.
     """
     marked = bytearray((upper + 1) // 2)
-    n_top = upper if not symmetric else upper + _upper_scan_radius(p, upper)
     q, v, done = p.p, 1, -2
-    while q <= n_top:
+    while q <= upper + (2 * v if symmetric else 0):
         g = _gap_for_valuation(p, v)
         for d in range(done + 2, g + 1, 2):
             for start in (q + d, q - d) if symmetric and d else (q + d,):

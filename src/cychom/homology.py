@@ -145,15 +145,16 @@ def _hc_walk(p: Prime, i_max: int) -> Iterator[tuple[Counter, list[int]]]:
 def hc_oracle(p: Prime, i: int) -> HomologyResult:
     """Cyclic homology in degree i from the staircase presentation, exactly.
 
-    Odd degrees vanish because the staircase map is injective: the walk
-    takes only staircases with nonzero entries, which have full rank.
+    Odd degrees vanish because the staircase map is injective: its
+    entries are all nonzero, so it has full rank, and no walk is needed.
     """
     if i < 0:
         raise ValueError("negative degree")
+    if i % 2:
+        return HomologyResult("HC", i, TRIVIAL_SHAPE, "oracle")
     for pivots, tail in _hc_walk(p, i):
         pass
-    shape = TRIVIAL_SHAPE if i % 2 else _block_shape(pivots, tail)
-    return HomologyResult("HC", i, shape, "oracle")
+    return HomologyResult("HC", i, _block_shape(pivots, tail), "oracle")
 
 
 def hc_oracle_shapes(p: Prime, i_max: int) -> dict[int, ModuleShape]:
@@ -221,18 +222,12 @@ def hc_neg_closed_form(p: Prime, m: int, n_max: int) -> HomologyResult | None:
     return HomologyResult("HCneg", m, shape, "closed_form", n_max=n_max)
 
 
-class CoeffVector(namedtuple("CoeffVector", "prime j i head components")):
+class CoeffVector(namedtuple("CoeffVector", "head components")):
     """Coefficients of the index-j staircase generator inside the regular
     colimit with top index i: a head entry (a Fraction) plus one
     (odd modulus n, Fraction) pair per component."""
 
     __slots__ = ()
-
-    def component(self, n: int) -> Fraction:
-        for k, v in self.components:
-            if k == n:
-                return v
-        raise KeyError(n)
 
 
 def _check_phi_indices(j: int, i: int) -> None:
@@ -255,7 +250,7 @@ def phi_coeffs(p: Prime, j: int, i: int) -> CoeffVector:
     for k in range(2, j, 2):
         b.append(b[-1] * p2 / k)
     comps = tuple((n, b[(j - n) // 2] if n <= j else Fraction(0)) for n in range(1, i + 1, 2))
-    return CoeffVector(p, j, i, seq_a(p, j), comps)
+    return CoeffVector(seq_a(p, j), comps)
 
 
 def phi_coeff_texts(p: Prime, j: int, i: int) -> tuple[str, int, Iterator[tuple[int, str, int | None]]]:

@@ -1,5 +1,7 @@
+import os
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from cychom.gaps import (
     _gap_for_valuation,
     _iroot_floor,
-    _max_gap_below,
     density_bounds,
     enumerate_z1,
     enumerate_z2,
@@ -56,14 +57,14 @@ def test_gap_rejects_non_multiples():
         gap(P3, 5)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 101])
-def test_max_gap_below_is_the_max_over_levels(p):
-    # The largest g(p^a) over all levels p^a <= i is g at the top level.
-    prime = Prime(p)
-    levels = [a for a in range(1, 40) if p**a <= 3 * 10**6]
-    for i in sorted({1, p - 1, *(p**a + d for a in levels for d in (-1, 0, 1)), 3 * 10**6}):
-        want = max((_gap_for_valuation(prime, a) for a in levels if p**a <= i), default=0)
-        assert _max_gap_below(prime, i) == want, i
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 101, 1009])
+def test_level_gap_is_nondecreasing_and_below_2v(p):
+    # The sieve and the membership loop both rest on these: an odd multiple
+    # of p^v carries every offset |d| <= g(p^v), and no level with
+    # p^v > i + 2v reaches i.
+    gaps = [_gap_for_valuation(Prime(p), v) for v in range(1, 61)]
+    assert gaps == sorted(gaps)
+    assert all(g < 2 * v for v, g in enumerate(gaps, 1))
 
 
 @pytest.mark.parametrize("p", [P3, P5, P7])
@@ -112,19 +113,50 @@ def test_enumerate_matches_reference_listings():
     assert enumerate_z2(P3, 200) == [1] + Z2_REF
 
 
+def _levels(p: int, x: int) -> int:
+    """The number of levels v >= 1 with p^v <= x."""
+    v = 0
+    while p ** (v + 1) <= x:
+        v += 1
+    return v
+
+
+def _hit_by_definition(prime: Prime, i: int, symmetric: bool) -> bool:
+    # A window of n holds i only if |n - i| <= g(n) < 2v for v = v_p(n);
+    # then p^v - 2v < i, so p^v < 3i and |n - i| < 2 log_p(3i).
+    p = prime.p
+    reach = 2 * _levels(p, 3 * i)
+    first = max(p, i - reach)
+    first += -first % p
+    for n in range(first + p * (first % 2 == 0), i + reach + 1, 2 * p):
+        g = gap(prime, n)
+        if n - (g if symmetric else 0) <= i <= n + g:
+            return True
+    return False
+
+
+# Every odd i up to this checks against the definition; CI raises it.
+MEMBERSHIP_MAX = int(os.environ.get("CYCHOM_MEMBERSHIP_MAX", 20001))
+
+
+def _level_edges(p: int) -> list[int]:
+    # c p^v + d around the first odd multiples of each level p^v <= 10^15,
+    # out to twice the reach of its windows.
+    edges = set()
+    for v in range(1, _levels(p, 10**15) + 1):
+        for c in (1, 3, 5, 7):
+            edges.update(c * p**v + d for d in range(-4 * v - 2, 4 * v + 3))
+    return sorted(i for i in edges if i > 0 and i % 2)
+
+
 def test_point_queries_against_wide_window_brute_force():
-    # Mark windows from every odd multiple of p up to 4N directly from the
-    # definition; no window from beyond 4N can reach [1, N] since gaps grow
-    # logarithmically in n.
-    upper = 400
-    hit_one_sided, hit_symmetric = set(), set()
-    for n in range(3, 4 * upper, 6):
-        g = gap(P3, n)
-        hit_one_sided.update(range(n, n + g + 1, 2))
-        hit_symmetric.update(range(n - g, n + g + 1, 2))
-    for i in range(1, upper, 2):
-        assert in_z1(P3, i) == (i not in hit_one_sided)
-        assert in_z2(P3, i) == (i not in hit_symmetric)
+    # Against the definition: the windows of every odd multiple of p that
+    # could reach i, each through gap(p, n).
+    for p in (3, 5, 7, 11, 13, 101, 1009):
+        prime = Prime(p)
+        for i in chain(range(1, MEMBERSHIP_MAX + 1, 2), _level_edges(p)):
+            assert in_z1(prime, i) == (not _hit_by_definition(prime, i, symmetric=False)), (p, i)
+            assert in_z2(prime, i) == (not _hit_by_definition(prime, i, symmetric=True)), (p, i)
 
 
 def test_enumerate_agrees_with_point_queries():
@@ -213,8 +245,12 @@ def _scanned(p: int, which: str) -> list[int]:
 @example(101, 50)  # N < p
 @example(3, 1)
 @example(5, 5000)
+@example(3, 25)  # the window of 27 > N reaches N
+@example(3, 241)
+@example(5, 3123)
+@example(13, 2196)
 def test_sieve_matches_per_element_scan(p, upper):
-    # in_z1/in_z2 scan the windows near one i and share no code with the sieve.
+    # in_z1/in_z2 test one i level by level and share no loop with the sieve.
     prime = Prime(p)
     assert enumerate_z1(prime, upper) == [i for i in _scanned(p, "z1") if i <= upper]
     assert enumerate_z2(prime, upper) == [i for i in _scanned(p, "z2") if i <= upper]

@@ -45,6 +45,10 @@ REMOVED_FUNCTIONS = [
     ("homology", "ConnesReport"),
     ("homology", "StabilizationReport"),
     ("homology", "PresentationReport"),
+    ("gaps", "_max_gap_below"),
+    ("gaps", "_largest_odd_multiple_leq"),
+    ("gaps", "_hit_from_below"),
+    ("gaps", "_upper_scan_radius"),
 ]
 REMOVED_MEMBERS = [
     ("linalg", "IntMatrix", "identity"),
@@ -58,6 +62,10 @@ REMOVED_MEMBERS = [
     ("padic", "Prime", "__int__"),
     ("linalg", "SnfResult", "source_dim"),
     ("linalg", "SnfResult", "target_dim"),
+    ("homology", "CoeffVector", "component"),
+    ("homology", "CoeffVector", "prime"),
+    ("homology", "CoeffVector", "j"),
+    ("homology", "CoeffVector", "i"),
 ]
 
 

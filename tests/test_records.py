@@ -9,12 +9,10 @@ from cychom import (
     DensityReport,
     HomologyResult,
     ModuleShape,
-    Prime,
     SnfResult,
 )
 from cychom.homology import Check, TruncationProbeReport
 
-P3 = Prime(3)
 SHAPE = ModuleShape((2, 1))
 
 # Every public record, built by keyword, with the fields in declared order.
@@ -38,16 +36,7 @@ RECORDS = [
     (SnfResult, {"invariant_factors": (1, 9)}),
     (ModuleShape, {"torsion": ((2, 1), (1, 1)), "free_rank": 1, "complete_rank": 1, "truncated": True}),
     (HomologyResult, {"theory": "HC", "degree": 2, "shape": SHAPE, "method": "oracle", "n_max": 11}),
-    (
-        CoeffVector,
-        {
-            "prime": P3,
-            "j": 1,
-            "i": 1,
-            "head": Fraction(3),
-            "components": ((1, Fraction(1)),),
-        },
-    ),
+    (CoeffVector, {"head": Fraction(3), "components": ((1, Fraction(1)),)}),
     (Check, {"name": "hp stabilization", "ok": False, "detail": "degree 2: head 4 != a+2 = 3"}),
     (
         TruncationProbeReport,

@@ -3,14 +3,24 @@
 Every engine operation is exposed through a subcommand with table, json,
 or csv output.  Exit codes: 0 success, 1 engine precondition failure,
 2 usage error, 3 verification mismatch.
+
+The grammar is one table, ``GRAMMAR``, which two parsers read.  A
+well-formed command, ``COMMAND --flag value ...`` with each flag one of
+its command's, given once and in full, takes ``_fast_parse``, which
+imports nothing.  Everything else (help, abbreviations, ``--flag=value``,
+refusals) goes to the argparse parser ``build_parser`` makes from the
+same table, which owns every help text and usage error.  Neither
+argparse nor json is imported at start-up: ``_json_text`` writes the
+scalars of a payload itself and imports json only for the rest.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
+from collections import namedtuple
 from itertools import chain, compress
+from math import isfinite
+from types import SimpleNamespace
 
 from . import gaps, homology
 from .homology import HomologyResult
@@ -108,7 +118,7 @@ class Rows:
         field, close = sep[1:] + "  ", sep[1:] + "}"
         lead = ""
         for record in self.records:
-            fields = ",".join(f"{field}{json.dumps(k)}: {json.dumps(v)}" for k, v in record.items())
+            fields = ",".join(f"{field}{_json_text(k)}: {_json_text(v)}" for k, v in record.items())
             yield f"{lead}{{{fields}{close}"
             lead = sep
 
@@ -143,8 +153,8 @@ def _json_chunks(payload: dict):
     generator steps per list item, and holds the whole text.  So
     ``_json_value`` writes a non-empty dict key by key, a non-empty list
     item by item and a view by its chunks, at any depth, and hands
-    json.dumps only a scalar or an empty list or dict, which it writes on
-    one line.  The keys are str.  No copy of the whole is held.
+    ``_json_text`` only a scalar or an empty list or dict, which it writes
+    on one line.  The keys are str.  No copy of the whole is held.
     """
     yield from _json_value(payload, "\n")
     yield "\n"
@@ -157,7 +167,7 @@ def _json_value(value, newline: str):
     if type(value) is dict and value:
         lead = "{"
         for key, item in value.items():
-            yield f"{lead}{inner}{json.dumps(key)}: "
+            yield f"{lead}{inner}{_json_text(key)}: "
             yield from _json_value(item, inner)
             lead = ","
         yield newline + "}"
@@ -178,7 +188,35 @@ def _json_value(value, newline: str):
             yield from items
             yield newline + "]"
     else:
-        yield json.dumps(value)
+        yield _json_text(value)
+
+
+def _json_text(value) -> str:
+    """json.dumps(value) for a scalar or an empty list or dict.
+
+    None, a bool, an int, a finite float, an empty list or dict, and a str
+    of printable ASCII with no quote or backslash, which json.dumps writes
+    as it is, are written here; json.dumps, and the import of json, is
+    left only the str that need escapes and the floats nan and +-inf.
+    """
+    kind = type(value)
+    if kind is str:
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+    elif kind is int:
+        return int.__repr__(value)
+    elif value is None:
+        return "null"
+    elif kind is bool:
+        return "true" if value else "false"
+    elif kind is float:
+        if isfinite(value):
+            return float.__repr__(value)
+    elif (kind is list or kind is dict) and not value:
+        return "[]" if kind is list else "{}"
+    import json
+
+    return json.dumps(value)
 
 
 def _csv_chunks(payload: dict):
@@ -341,6 +379,8 @@ def cmd_hc(args) -> int:
 def cmd_hcneg(args) -> int:
     p = Prime(args.prime)
     if args.truncation is not None:
+        if args.degree < 2 or args.degree % 2:
+            raise ValueError(f"--truncation needs an even --degree >= 2, got {args.degree}")
         _cap("--truncation", args.truncation, HCNEG_MAX_TRUNCATION, "the probe walks a staircase of that size")
     res = homology.hc_neg_closed_form(p, args.degree, _n_max(args))
     if res is None:
@@ -478,70 +518,119 @@ def cmd_verify(args) -> int:
     return 3 if failures else 0
 
 
+class Option(namedtuple("Option", "flag type required default choices help", defaults=(str, False, None, None, None))):
+    """One ``--flag value`` of a command: the value's type, whether it must
+    be given, its default when it is not, the values it may take (None for
+    any) and its help text."""
+
+    __slots__ = ()
+
+
+_COMMON = (
+    Option("--prime", int, required=True, help="odd prime p"),
+    Option("--format", choices=("table", "json", "csv"), default="table"),
+    Option("--out", help="write output to this file instead of stdout"),
+)
+_DEGREE = Option("--degree", int, required=True)
+_N_MAX = Option("--n-max", int, help="odd display cutoff for the product factors")
+
+# The grammar: command -> (handler, help, options), in the order of the
+# help text.  Both parsers read it, and nothing else holds a flag.
+GRAMMAR = {
+    "hh": (cmd_hh, "Hochschild homology in one degree", (*_COMMON, _DEGREE)),
+    "hc": (cmd_hc, "cyclic homology in one degree (oracle + closed form)", (*_COMMON, _DEGREE)),
+    "hcneg": (
+        cmd_hcneg,
+        "negative cyclic homology closed form",
+        (*_COMMON, _DEGREE, _N_MAX, Option("--truncation", int, help="also run the truncation probe at this size")),
+    ),
+    "hp": (cmd_hp, "periodic homology closed form", (*_COMMON, _DEGREE, _N_MAX)),
+    "zsets": (
+        cmd_zsets,
+        "enumerate the window-free index sets",
+        (*_COMMON, Option("--max", int, required=True), Option("--set", choices=("z1", "z2"), default="z1")),
+    ),
+    "density": (
+        cmd_density,
+        "empirical densities with proven lower bounds",
+        (*_COMMON, Option("--max", int, required=True)),
+    ),
+    "coeffs": (
+        cmd_coeffs,
+        "staircase generator coefficients",
+        (
+            *_COMMON,
+            Option("--j", int, required=True, help="odd generator index"),
+            Option("--i", int, required=True, help="odd colimit top index >= j"),
+        ),
+    ),
+    "verify": (
+        cmd_verify,
+        "run the full cross-check suite",
+        (
+            *_COMMON,
+            Option("--hc-max", int, default=40, help="largest cyclic degree checked"),
+            Option("--hh-max", int, default=10, help="largest Hochschild degree checked"),
+        ),
+    ),
+}
+
+
+def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, when argv
+    is ``COMMAND --flag value ...`` with each flag one of the command's in
+    full, given once, and no value starting with "-"; None for any other
+    argv, or a value argparse would refuse.  It never prints or exits."""
+    if not argv or argv[0] not in GRAMMAR:
+        return None
+    func, _, options = GRAMMAR[argv[0]]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if 2 * len(given) + 1 != len(argv):  # a flag given twice, or without a value
+        return None
+    args = {"command": argv[0], "func": func}
+    for opt in options:
+        text = given.pop(opt.flag, None)
+        if text is None:
+            if opt.required:
+                return None
+            value = opt.default
+        else:
+            if text.startswith("-"):
+                return None
+            try:
+                value = opt.type(text)
+            except ValueError:
+                return None
+            if opt.choices is not None and value not in opt.choices:
+                return None
+        args[opt.flag[2:].replace("-", "_")] = value
+    return None if given else SimpleNamespace(**args)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``GRAMMAR``, which writes the help and
+    refuses what it cannot parse with exit 2."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cychom",
         description="Exact homology calculator for the universal dga killing an odd prime.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--prime", type=int, required=True, help="odd prime p")
-        sp.add_argument("--format", choices=("table", "json", "csv"), default="table")
-        sp.add_argument("--out", help="write output to this file instead of stdout")
-
-    sp = sub.add_parser("hh", help="Hochschild homology in one degree")
-    common(sp)
-    sp.add_argument("--degree", type=int, required=True)
-    sp.set_defaults(func=cmd_hh)
-
-    sp = sub.add_parser("hc", help="cyclic homology in one degree (oracle + closed form)")
-    common(sp)
-    sp.add_argument("--degree", type=int, required=True)
-    sp.set_defaults(func=cmd_hc)
-
-    sp = sub.add_parser("hcneg", help="negative cyclic homology closed form")
-    common(sp)
-    sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--n-max", type=int, help="odd display cutoff for the product factors")
-    sp.add_argument("--truncation", type=int, help="also run the truncation probe at this size")
-    sp.set_defaults(func=cmd_hcneg)
-
-    sp = sub.add_parser("hp", help="periodic homology closed form")
-    common(sp)
-    sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--n-max", type=int, help="odd display cutoff for the product factors")
-    sp.set_defaults(func=cmd_hp)
-
-    sp = sub.add_parser("zsets", help="enumerate the window-free index sets")
-    common(sp)
-    sp.add_argument("--max", type=int, required=True)
-    sp.add_argument("--set", choices=("z1", "z2"), default="z1")
-    sp.set_defaults(func=cmd_zsets)
-
-    sp = sub.add_parser("density", help="empirical densities with proven lower bounds")
-    common(sp)
-    sp.add_argument("--max", type=int, required=True)
-    sp.set_defaults(func=cmd_density)
-
-    sp = sub.add_parser("coeffs", help="staircase generator coefficients")
-    common(sp)
-    sp.add_argument("--j", type=int, required=True, help="odd generator index")
-    sp.add_argument("--i", type=int, required=True, help="odd colimit top index >= j")
-    sp.set_defaults(func=cmd_coeffs)
-
-    sp = sub.add_parser("verify", help="run the full cross-check suite")
-    common(sp)
-    sp.add_argument("--hc-max", type=int, default=40, help="largest cyclic degree checked")
-    sp.add_argument("--hh-max", type=int, default=10, help="largest Hochschild degree checked")
-    sp.set_defaults(func=cmd_verify)
-
+    for command, (func, help_text, options) in GRAMMAR.items():
+        sp = sub.add_parser(command, help=help_text)
+        for opt in options:
+            sp.add_argument(
+                opt.flag, type=opt.type, required=opt.required, default=opt.default, choices=opt.choices, help=opt.help
+            )
+        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_parse(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

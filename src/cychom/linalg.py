@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Mapping
-from itertools import compress
+from itertools import chain, compress, repeat, starmap
 
 from .padic import Prime, vp
 
@@ -220,7 +220,7 @@ class ModuleShape(namedtuple("ModuleShape", "torsion free_rank complete_rank tru
     @property
     def torsion_exponents(self) -> tuple[int, ...]:
         """e for each cyclic factor R/p^e, descending."""
-        return tuple(e for e, n in self.torsion for _ in range(n))
+        return tuple(chain.from_iterable(starmap(repeat, self.torsion)))
 
     @property
     def p_length(self) -> int:

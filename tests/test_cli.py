@@ -9,7 +9,7 @@ from itertools import compress
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cychom
 from cychom import cli, gaps
@@ -331,6 +331,17 @@ def test_huge_integer_argument_still_refused():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("degree", [7, 0])
+def test_hcneg_probe_refuses_an_odd_or_non_positive_degree(capsys, degree):
+    # The probe reads Z2 membership of degree - 1, which only an even
+    # degree >= 2 has; without --truncation the same degree is answered.
+    argv = ["hcneg", "--prime", "3", "--degree", str(degree)]
+    code, out, err = run(capsys, argv + ["--truncation", "10"])
+    assert (code, out) == (1, "")
+    assert err == f"error: --truncation needs an even --degree >= 2, got {degree}\n"
+    assert run(capsys, argv)[0] == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -469,6 +480,23 @@ def test_emit_json_matches_json_dumps(payload):
     with contextlib.redirect_stdout(buf):
         cli._emit(payload, "json", None, [])
     assert buf.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    _SCALARS  # floats include nan and +-inf
+    | st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", " ", "~", "\x7f", "a", "0", "é", "\u2028", "\ud800", "☃"]))
+    | st.just([])
+    | st.just({})
+)
+@example(float("nan"))
+@example(float("-inf"))
+@example("\x7f")
+@example('say "hi"')
+@example("back\\slash")
+@example("9" * 5000)
+def test_json_text_is_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value)
 
 
 def test_zsets_refuses_max_above_ceiling_before_sieving(capsys, monkeypatch):
@@ -678,6 +706,121 @@ def test_queries_import_no_fractions_decimal_or_csv():
     assert len(lines) == 2 and "cychom.cli" in lines[0].split()
     for line in lines:
         assert not {"fractions", "decimal", "csv"} & set(line.split())
+
+
+def test_well_formed_commands_import_neither_argparse_nor_json():
+    # A well-formed command takes the grammar table's own parser, and its
+    # payload's scalars are written without json: every command, in every
+    # format, loads neither module.
+    src = Path(cychom.__file__).resolve().parents[1]
+    probe = """if True:
+        import os, sys
+        import cychom.cli as c
+        for argv in (
+            ["hh", "--prime", "3", "--degree", "4"],
+            ["hc", "--prime", "3", "--degree", "40"],
+            ["hc", "--prime", "3", "--degree", "28"],
+            ["hcneg", "--prime", "3", "--degree", "6", "--n-max", "21", "--truncation", "8"],
+            ["hp", "--prime", "3", "--degree", "0", "--n-max", "101"],
+            ["zsets", "--prime", "3", "--max", "1000", "--set", "z2"],
+            ["density", "--prime", "5", "--max", "1000"],
+            ["coeffs", "--prime", "3", "--j", "3", "--i", "9"],
+            ["verify", "--prime", "3", "--hc-max", "12", "--hh-max", "4"],
+        ):
+            for fmt in ("table", "json", "csv"):
+                assert c.main(argv + ["--format", fmt, "--out", os.devnull]) == 0, argv
+        print(" ".join(sys.modules))
+    """
+    env = dict(os.environ, PYTHONPATH=str(src))
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "cychom.cli" in loaded
+    assert not {"argparse", "json"} & set(loaded)
+
+
+def test_help_still_goes_through_argparse(capsys):
+    # A usage error does too: test_usage_error_exit_code.
+    with pytest.raises(SystemExit) as exc:
+        main(["hc", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cychom hc [-h] --prime PRIME")
+
+
+def _argparse_namespace(argv: list[str]) -> dict | None:
+    """vars of what build_parser().parse_args(argv) returns, or None where
+    it prints help or refuses argv."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+_MUTATIONS = st.sampled_from(["drop", "twice", "abbreviate", "join", "not-int", "negative", "bad-choice", "help"])
+
+
+@st.composite
+def _grammar_argv(draw):
+    """An argv from the grammar table, and whether it was left well formed:
+    every required flag and any optional ones in some order, each with a
+    valid value, then some mutations of its flags and values."""
+    command = draw(st.sampled_from(sorted(cli.GRAMMAR)))
+    options = cli.GRAMMAR[command][2]
+    pairs = []
+    for opt in draw(st.permutations(options)):
+        if not opt.required and draw(st.booleans()):
+            continue
+        if opt.choices is not None:
+            value = draw(st.sampled_from(opt.choices))
+        elif opt.type is int:
+            value = str(draw(st.integers(min_value=0, max_value=10**4)))
+        else:
+            value = draw(st.text("ab./ =", min_size=1, max_size=6))
+        pairs.append([opt.flag, value])
+    mutations = draw(st.lists(st.tuples(_MUTATIONS, st.integers(0, len(pairs) - 1)), max_size=3))
+    for kind, k in mutations:
+        if len(pairs[k]) != 2:  # already dropped, joined or a help flag
+            continue
+        flag, value = pairs[k]
+        if kind == "drop":
+            pairs[k] = []
+        elif kind == "twice":
+            pairs.append([flag, value])
+        elif kind == "abbreviate":
+            pairs[k] = [flag[: draw(st.integers(2, max(2, len(flag) - 1)))], value]
+        elif kind == "join":
+            pairs[k] = [f"{flag}={value}"]
+        elif kind == "not-int":
+            pairs[k] = [flag, draw(st.sampled_from(["x", "4.0", "", "1e3", "0x10", "7" * 5000]))]
+        elif kind == "negative":
+            pairs[k] = [flag, "-" + value]
+        elif kind == "bad-choice":
+            pairs[k] = [flag, "z3"]
+        else:
+            pairs.insert(k, [draw(st.sampled_from(["-h", "--help"]))])
+    return [command, *(arg for pair in pairs for arg in pair)], not mutations
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grammar_argv())
+@example((["hc", "--prime", "3", "--degree", " 4_0 "], True))
+@example((["hc", "--prime", "3", "--degree", "4", "--degree", "6"], False))
+@example((["hc", "--prime", "3", "--degree", "x", "--degree", "6"], False))
+@example((["hc", "--prime", "3", "--deg", "4"], False))
+@example((["zsets", "--prime", "3", "--max", "9", "--set", "z3"], False))
+@example((["zsets", "--prime", "3", "--max", "9", "--out", "--set"], False))
+@example((["hc", "--prime", "3", "--degree", "4", "extra"], False))
+@example((["--help"], False))
+@example(([], False))
+def test_fast_parse_is_argparse_or_declines(case):
+    argv, well_formed = case
+    fast = cli._fast_parse(argv)
+    want = _argparse_namespace(argv)
+    if well_formed:
+        assert fast is not None
+    if fast is not None:
+        assert vars(fast) == want
 
 
 ZSETS_NOTE = "1 is a member by definition; informal listings often omit it"

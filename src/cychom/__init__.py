@@ -39,7 +39,6 @@ from .homology import (
     hochschild,
     hp,
     hp_stabilization_check,
-    negative_matrix,
     phi_coeffs,
     verify_checks,
     verify_kernel_generators,
@@ -77,7 +76,6 @@ __all__ = [
     "in_z1",
     "in_z2",
     "local_snf",
-    "negative_matrix",
     "odd_valuations",
     "phi_coeffs",
     "residue",

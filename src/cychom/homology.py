@@ -33,13 +33,11 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 from itertools import chain, islice
-from math import lcm
 
 from .gaps import enumerate_z2, in_z1, in_z2
 from .linalg import (
     TRIVIAL_SHAPE,
     ModuleShape,
-    bareiss_rank,
     cokernel_shape,
     staircase_cokernels,
     submodule_equal_mod,
@@ -85,21 +83,6 @@ def cyclic_matrix(p: Prime, i: int) -> list[dict[int, int]]:
     return list(_staircase(p.p, p.p * p.p, 0, i // 2 + 1))
 
 
-def negative_matrix(p: Prime, m: int, truncation: int) -> list[dict[int, int]]:
-    """K-square truncation of the negative staircase map in even degree
-    m >= 2, as sparse rows {column: entry}.
-
-    >>> negative_matrix(Prime(3), 6, 3)
-    [{0: 9}, {0: 7, 1: 9}, {1: 9, 2: 9}]
-    """
-    if m < 2 or m % 2 == 1:
-        raise ValueError(f"negative presentation needs even degree >= 2, got {m}")
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
-    p2 = p.p * p.p
-    return list(_staircase(p2, p2, m, truncation))
-
-
 def hochschild(p: Prime, i: int) -> HomologyResult:
     """Hochschild homology of R//p in degree i, oracle-checked.
 
@@ -121,7 +104,7 @@ def hochschild(p: Prime, i: int) -> HomologyResult:
         mat = [{0: p.p}] if i == 1 else block
         # The differential out of an odd degree is injective, so the
         # homology there is zero: its matrix has full rank.
-        if bareiss_rank(mat)[0] != len(mat):
+        if cokernel_shape(mat, p).free_rank:
             raise ArithmeticError(f"HH differential out of degree {i} is not injective")
         oracle = TRIVIAL_SHAPE
     if oracle != closed:
@@ -273,41 +256,31 @@ def phi_coeff_texts(p: Prime, j: int, i: int) -> tuple[str, int, Iterator[tuple[
     return head, a_val(p, j), rows
 
 
-def verify_presentation(p: Prime, i: int) -> Check:
-    """Check the head-relation presentation of the colimit against the oracle.
+def _colimit_rows(p: Prime, i: int) -> list[dict[int, int]]:
+    """The colimit with top index i and its head relation imposed, as
+    sparse rows: column 0 holds the relation, p^(2 + a_i) in row 0 and
+    p^(2 + b_{i-n}) in row k, whose column k holds the modulus n = 2k - 1."""
+    return [{0: p.p ** (2 + a_val(p, i))}] + [
+        {0: p.p ** (2 + b_val(p, i - n)), k: n} for k, n in enumerate(range(1, i + 1, 2), 1)
+    ]
+
+
+def verify_presentation(p: Prime, i: int, shapes: dict[int, ModuleShape]) -> Check:
+    """Check the head-relation presentation of the colimit against the
+    oracle's cyclic homology in degree i + 1, ``shapes[i + 1]``.
 
     The colimit with top index i, with its head relation p^2 * (index-i
     generator image) imposed, presents cyclic homology in degree i+1.  The
-    relation has p-local rational entries; scaling it by the prime-to-p
-    lcm of the denominators (a unit) clears it to integers without moving
-    the p-primary part.
-
-    The rebuilt matrix is no staircase: the relation's column is a star,
-    and each modulus a pendant edge on one of its rows.  The argument of
-    ``staircase_cokernels`` still covers it, because no row has more than
-    two entries.  Pivot on an entry x of least valuation in its row and
-    column: its fill -yz/x, for the one other entry y of its row and each
-    z of its column, lands where the matrix had no entry, all in y's
-    column, so valuations still add exactly and the support stays a star
-    with pendant edges.  But the walk reads only a path, so this matrix
-    goes to ``cokernel_shape`` (a Bareiss pass, then ``local_snf``).
+    relation's entries, p^2 A_i at the head and p^2 B_{i-n} at each odd
+    n <= i, are all nonzero.  Their column is a star, and each modulus a
+    pendant edge on one of its rows, so by ``cokernel_shape`` their
+    valuations 2 + a_i and 2 + b_{i-n} decide the cokernel: the relation
+    is rebuilt from powers of p.
     """
     if i < 1 or i % 2 == 0:
         raise ValueError("colimit index must be odd and positive")
-    coeffs = phi_coeffs(p, i, i)
-    entries = [coeffs.head] + [v for _, v in coeffs.components]
-    scale = lcm(*(e.denominator for e in entries))
-    p2 = p.p * p.p
-    relation = [int(e * p2 * scale) for e in entries]
-    # Column k >= 1 holds the modulus of coordinate k (the head column 0
-    # stays zero), and the last column the relation.
-    last = len(entries)
-    mat = [{}] + [{k: n} for k, (n, _) in enumerate(coeffs.components, 1)]
-    for row, x in zip(mat, relation):
-        if x:
-            row[last] = x
-    rebuilt = cokernel_shape(mat, p)
-    oracle = hc_oracle(p, i + 1).shape
+    rebuilt = cokernel_shape(_colimit_rows(p, i), p)
+    oracle = shapes[i + 1]
     ok = rebuilt == oracle
     return Check(f"colimit presentation {i}", ok, "" if ok else f"rebuilt {rebuilt} vs oracle {oracle}")
 
@@ -441,7 +414,7 @@ def verify_checks(p: Prime, hc_max: int, hh_max: int) -> Iterator[Check]:
     for i in [i for i in enumerate_z2(p, 50 * p.p) if i > 1][:3]:
         yield Check(f"kernel generators at {i}", verify_kernel_generators(p, i, upto=8))
     for i in range(1, min(hc_max, 12), 2):
-        yield verify_presentation(p, i)
+        yield verify_presentation(p, i, shapes)
 
 
 class TruncationProbeReport(

@@ -1,33 +1,30 @@
-"""Exact integer matrix algebra: staircase cokernels, Smith normal form
-and cokernel invariants.
+"""Exact integer matrix algebra: cokernels read off valuations, Smith
+normal form and cokernel invariants.
 
 Every homology module in the package is the p-primary part of a cokernel,
-and over Z_(p) every integer prime to p is a unit.  The cyclic and
-negative staircases are lower-bidiagonal, so ``staircase_cokernels`` reads
-the cokernel of each of their leading square blocks off the valuations of
-their entries alone, in one left-to-right walk with a stack of small
-ints; that is the oracle route.
+and over Z_(p) every integer prime to p is a unit.  The matrices the
+paper needs (the HH blocks, the cyclic and negative staircases, the
+colimit presentation) have a forest for support, and the cokernel of such
+a matrix is decided by the valuations of its entries alone:
+``cokernel_shape`` reads it off them, and ``staircase_cokernels`` does so
+for every leading square block of a staircase in one left-to-right walk
+with a stack of small ints; that is the oracle route.
 
-Any other matrix goes to ``cokernel_shape``, which never forms an integer
-Smith normal form, whose entries blow up with the matrix size.  It reads
-N = v_p(D) + 1 off a nonzero maximal minor D (one fraction-free Bareiss
-pass) and eliminates over Z/p^N with ``local_snf``, where every
-invariant factor of the matrix is still visible and no entry outgrows
-p^N (Hafner-McCurley, SIAM J. Comput. 1991; Cohen, *A Course in
-Computational Algebraic Number Theory*, 2.4).  ``local_snf`` is also the
-independent reference the tests hold the walk to.
-
-That kernel never inverts anything mod p^N.  Scaling a row by a unit
-changes no invariant factor, so a pivot p^v * u clears a row with
+``local_snf`` eliminates any matrix over Z/p^N, where every invariant
+factor of valuation below N is still visible and no entry outgrows p^N
+(Hafner-McCurley, SIAM J. Comput. 1991; Cohen, *A Course in
+Computational Algebraic Number Theory*, 2.4).  It is the kernel of
+``submodule_equal_mod`` and the independent reference the tests hold the
+valuation routes to.  It never inverts anything mod p^N: scaling a row by
+a unit changes no invariant factor, so a pivot p^v * u clears a row with
 p^v * f in its column by row := u * row - f * pivot_row.  Matrices come as
 sparse rows, one {column: entry} dict per row, so a staircase with two
-diagonals costs memory linear in its size; only the Bareiss pass makes a
-dense copy.
+diagonals costs memory linear in its size.
 
 ``snf`` is the classical integer elimination on a dense ``IntMatrix``,
-kept as the reference the tests compare the local kernel against.
+kept as the reference the tests compare the local kernels against.
 ``submodule_equal_mod`` compares submodules of a product of p-power cyclic
-groups by the lengths of their quotients, read off the same local kernel.
+groups by the lengths of their quotients, read off ``local_snf``.
 Everything runs over plain Python integers: no overflow, no floats, no
 tolerances.
 """
@@ -56,44 +53,6 @@ class IntMatrix:
         self.rows = rows
         self.cols = cols
         self.data = [list(map(int, r)) for r in data]
-
-
-def bareiss_rank(rows: list[dict[int, int]]) -> tuple[int, int]:
-    """Rank r of a matrix given as sparse rows and a nonzero r x r minor
-    of it, by one fraction-free Bareiss pass with row swaps that skips
-    columns without a pivot.
-
-    For a nonsingular square matrix the minor is the determinant; the
-    empty minor of a zero matrix is 1.
-
-    >>> bareiss_rank([{0: 2, 1: 1}, {0: 1, 1: 2}])
-    (2, 3)
-    """
-    cols = max((c + 1 for row in rows for c in row), default=0)
-    a = [[row.get(c, 0) for c in range(cols)] for row in rows]
-    rank, prev, sign = 0, 1, 1
-    for c in range(cols):
-        if rank == len(a):
-            break
-        piv = next((r for r in range(rank, len(a)) if a[r][c]), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            a[rank], a[piv] = a[piv], a[rank]
-            sign = -sign
-        top = a[rank]
-        pv = top[c]
-        # Every entry stays a minor of the input (Sylvester), so the
-        # division is exact.
-        for r in range(rank + 1, len(a)):
-            row = a[r]
-            x = row[c]
-            for j in range(c + 1, cols):
-                row[j] = (row[j] * pv - x * top[j]) // prev
-            row[c] = 0
-        prev = pv
-        rank += 1
-    return rank, sign * prev
 
 
 class SnfResult(namedtuple("SnfResult", "invariant_factors")):
@@ -263,7 +222,7 @@ def local_snf(rows: list[dict[int, int]], p: Prime, precision: int, rank: int) -
     >>> local_snf([{0: 3}, {0: 1, 1: 9}], Prime(3), 4, 2)
     (0, 3)
     """
-    import heapq  # here, not at the top: only this kernel uses it
+    import heapq  # here, not at the top: CLI start-up never needs it
 
     if precision < 1:
         raise ValueError("precision must be >= 1")
@@ -346,17 +305,62 @@ def local_snf(rows: list[dict[int, int]], p: Prime, precision: int, rank: int) -
 
 def cokernel_shape(rows: list[dict[int, int]], p: Prime) -> ModuleShape:
     """Shape of R^len(rows) / (column span of the matrix given as sparse
-    rows), keeping only the p-primary part.
+    rows), keeping only the p-primary part, from the valuations of the
+    entries alone.
 
-    One Bareiss pass gives the rank and a nonzero maximal minor, whose
-    valuation sets the precision of ``local_snf``.
+    Why valuations suffice.  Take an entry x no larger in valuation than
+    any other entry y of its row or z of its column.  Then y/x and z/x lie
+    in Z_(p), so column operations clear the y and row operations the z.
+    That splits off R/p^v(x) and leaves a fill -yz/x where each z's row
+    meets each y's column.  Where the matrix had no entry, nothing
+    cancels: the fill's valuation is exactly v(y) + v(z) - v(x).  So while
+    every fill lands on an empty place, the cokernel is the sum of R/p^e
+    over the pivots' valuations e, plus R for each row left without a
+    pivot, and no entry is ever multiplied out.
+
+    That holds whenever each row has at most two entries and the support
+    is a forest (each row joined to the columns of its entries).  A fill
+    joins z's row to y's column, which the path through x already joins,
+    so its place was empty.  The step contracts that path, so what is left
+    is again a forest with at most two entries a row.  The HH blocks, the
+    staircases and the colimit presentation are such forests.
+
+    Each entry is read once, through ``vp``, and the pivots are taken
+    least valuation first.  A fill that lands on an entry could cancel
+    it, so that raises ValueError rather than return a shape.
 
     >>> str(cokernel_shape([{0: 3}, {0: 1, 1: 9}], Prime(3)))
     'R/p^3'
     """
-    rank, minor = bareiss_rank(rows)
-    vals = local_snf(rows, p, vp(p, minor) + 1, rank)
-    return ModuleShape(vals, free_rank=len(rows) - rank)
+    import heapq  # here, not at the top: CLI start-up never needs it
+
+    by_row = [{c: vp(p, x) for c, x in row.items() if x} for row in rows]
+    by_col: dict[int, dict[int, int]] = {}
+    for r, row in enumerate(by_row):
+        for c, v in row.items():
+            by_col.setdefault(c, {})[r] = v
+    heap = [(v, r, c) for r, row in enumerate(by_row) for c, v in row.items()]
+    heapq.heapify(heap)
+    pivots = []
+    while heap:
+        v, r, c = heapq.heappop(heap)
+        if c not in by_row[r]:
+            continue  # its row or column has been dropped
+        row, col = by_row[r], by_col.pop(c)
+        by_row[r] = {}
+        del row[c], col[r]
+        for r2 in col:
+            del by_row[r2][c]
+        for c2, vy in row.items():
+            fills = by_col[c2]
+            del fills[r]
+            for r2, vz in col.items():
+                if c2 in by_row[r2]:
+                    raise ValueError(f"a fill lands on the entry at ({r2}, {c2}): valuations do not decide it")
+                w = by_row[r2][c2] = fills[r2] = vy + vz - v
+                heapq.heappush(heap, (w, r2, c2))
+        pivots.append(v)
+    return ModuleShape(pivots, free_rank=len(rows) - len(pivots))
 
 
 def staircase_cokernels(rows: Iterable[dict[int, int]], p: Prime) -> Iterator[tuple[Counter, list[int]]]:
@@ -369,19 +373,13 @@ def staircase_cokernels(rows: Iterable[dict[int, int]], p: Prime) -> Iterator[tu
     ValueError.  The rows may come lazily; each is read once, and each
     entry only through its valuation, by ``vp``.
 
-    Why valuations suffice.  Join each row to each column by its nonzero
-    entries: a staircase gives the path d_0, s_1, d_1, s_2, ..., each entry
-    sharing a row or a column with the next.  Take an entry x whose
-    valuation is a local minimum, no larger than its neighbours y (same
-    row) and z (same column) where they exist.  Then y/x and z/x lie in
-    Z_(p), so a column operation clears y and a row operation clears z.
-    That splits off R/p^v(x) and leaves one new entry -yz/x, where z's
-    row meets y's column.  The path had no entry there, so nothing
-    cancels: its valuation is exactly v(y) + v(z) - v(x), and it joins
-    y's and z's other neighbours, so what is left is again a path, two
+    Why valuations suffice: see ``cokernel_shape``.  A staircase's support
+    is the path d_0, s_1, d_1, s_2, ..., each entry sharing a row or a
+    column with the next, and an entry x whose valuation is a local
+    minimum, no larger than its neighbours y and z, pivots there: its one
+    fill -yz/x joins y's and z's other neighbours, leaving a path two
     entries shorter.  At an end of the path x has one neighbour, and
-    clearing it takes both away.  So the cokernel is the sum of R/p^e over
-    the pivots' valuations e, and no entry is ever multiplied out.
+    clearing it takes both away.
 
     The walk. The valuations go onto a stack in path order.  While the
     top is no larger than the valuation v coming in, the top is a local

@@ -15,14 +15,13 @@ from cychom.homology import (
     hochschild,
     hp,
     hp_stabilization_check,
-    negative_matrix,
     phi_coeff_texts,
     phi_coeffs,
     verify_checks,
     verify_kernel_generators,
     verify_presentation,
 )
-from cychom.linalg import ModuleShape, TRIVIAL_SHAPE, bareiss_rank
+from cychom.linalg import ModuleShape, TRIVIAL_SHAPE
 from cychom.padic import Prime, a_val, b_val, residue, seq_b, vp
 
 P3 = Prime(3)
@@ -57,21 +56,6 @@ def test_cyclic_matrix_entries():
     assert sum(map(len, cyclic_matrix(P3, 4000))) == 2 * 2001 - 1
     with pytest.raises(ValueError):
         cyclic_matrix(P3, 5)
-
-
-def test_cyclic_det_valuation_is_length():
-    for i in (2, 6, 12, 20):
-        rank, minor = bareiss_rank(cyclic_matrix(P3, i))
-        assert rank == i // 2 + 1 and vp(P3, minor) == i + 1
-
-
-def test_negative_matrix_entries():
-    assert negative_matrix(P3, 2, 2) == [{0: 9}, {0: 3, 1: 9}]
-    assert negative_matrix(P3, 6, 3) == [{0: 9}, {0: 7, 1: 9}, {1: 9, 2: 9}]
-    assert negative_matrix(P5, 4, 1) == [{0: 25}]
-    assert sum(map(len, negative_matrix(P3, 6, 2000))) == 2 * 2000 - 1
-    with pytest.raises(ValueError):
-        negative_matrix(P3, 3, 2)
 
 
 def test_hc_oracle_values():
@@ -156,18 +140,20 @@ def test_one_walk_gives_the_oracle_at_every_even_degree(p):
 
 
 def test_oracle_makes_no_integer_snf(monkeypatch):
+    # Nor any elimination over Z/p^N: every oracle reads valuations.
     from cychom import homology, linalg
 
-    def forbidden(m):
-        raise AssertionError("integer snf called")
+    def forbidden(*args):
+        raise AssertionError("snf or local_snf called")
 
-    monkeypatch.setattr(linalg, "snf", forbidden)
-    monkeypatch.setattr(homology, "snf", forbidden, raising=False)
+    for name in ("snf", "local_snf"):
+        monkeypatch.setattr(linalg, name, forbidden)
+        monkeypatch.setattr(homology, name, forbidden, raising=False)
     for i in range(0, 13):
         hc_oracle(P3, i)
         hochschild(P5, i)
     assert hc_neg_truncation_probe(P3, 6, 6).ok
-    assert verify_presentation(P3, 5).ok
+    assert verify_presentation(P3, 5, _shapes(P3, 6)).ok
 
 
 def test_hc_closed_form_examples():
@@ -258,8 +244,19 @@ def test_phi_coeff_texts_rejects_what_phi_coeffs_rejects(j, i):
 # in reverse order, they rebuild the wrong module there.
 @pytest.mark.parametrize("p,i", [(P3, 1), (P3, 5), (P3, 9), (P5, 7), (P7, 3), (P3, 27)])
 def test_presentation_matches_oracle(p, i):
-    rep = verify_presentation(p, i)
+    rep = verify_presentation(p, i, _shapes(p, i + 1))
     assert rep.ok, rep
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])
+def test_presentation_matches_the_walk_at_every_odd_index_below_200(p):
+    prime = Prime(p)
+    shapes = hc_oracle_shapes(prime, 200)
+    for i in range(1, 200, 2):
+        rep = verify_presentation(prime, i, shapes)
+        assert rep == Check(f"colimit presentation {i}", True, ""), rep
+    with pytest.raises(ValueError, match="odd and positive"):
+        verify_presentation(prime, 4, shapes)
 
 
 def test_kernel_generators():

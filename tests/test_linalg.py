@@ -6,12 +6,11 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cychom.homology import cyclic_matrix, negative_matrix
+from cychom.homology import _staircase, cyclic_matrix
 from cychom.linalg import (
     IntMatrix,
     ModuleShape,
     TRIVIAL_SHAPE,
-    bareiss_rank,
     cokernel_shape,
     local_snf,
     snf,
@@ -19,6 +18,12 @@ from cychom.linalg import (
     submodule_equal_mod,
 )
 from cychom.padic import Prime, vp
+
+try:
+    import sympy
+    from sympy.matrices.normalforms import smith_normal_form
+except ImportError:
+    sympy = None
 
 P3 = Prime(3)
 
@@ -35,8 +40,10 @@ def _dense(rows):
 
 
 def _det(data):
-    rank, minor = bareiss_rank(_sparse(data))
-    return minor if rank == len(data) else 0
+    """Determinant by cofactor expansion along the first row."""
+    if not data:
+        return 1
+    return sum((-1) ** c * x * _det([row[:c] + row[c + 1 :] for row in data[1:]]) for c, x in enumerate(data[0]) if x)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -150,6 +157,8 @@ def test_cokernel_shapes():
     assert cokernel_shape([{0: 3}, {0: 1, 1: 9}], P3) == ModuleShape((3,))
     assert cokernel_shape([{0: 3, 1: 2}, {1: 3}], P3) == ModuleShape((2,))
     assert cokernel_shape([], P3) == TRIVIAL_SHAPE
+    # An entry 0 counts as absent.
+    assert cokernel_shape([{0: 0}, {0: 3, 1: 0}], P3) == ModuleShape((1,), free_rank=1)
 
 
 def test_cokernel_drops_prime_to_p_part():
@@ -164,10 +173,33 @@ def test_cokernel_p_length_matches_det_valuation():
         assert cokernel_shape(_sparse(data), P3).p_length == vp(P3, _det(data))
 
 
+def _factors_shape(factors, rows, p):
+    # The p-parts of integer invariant factors of a matrix with that many rows.
+    return ModuleShape(tuple(vp(p, d) for d in factors), free_rank=rows - len(factors))
+
+
 def _snf_shape(m, p):
     # Reference route: p-parts of the integer Smith normal form.
-    res = snf(m)
-    return ModuleShape(tuple(vp(p, d) for d in res.invariant_factors), free_rank=m.rows - res.rank)
+    return _factors_shape(snf(m).invariant_factors, m.rows, p)
+
+
+def _check_against_factors(rows, p, factors):
+    """Sparse rows against the integer invariant factors of their matrix:
+    ``local_snf`` at the precision those set, and ``cokernel_shape``,
+    which may refuse a matrix that is not a forest, wherever it answers."""
+    vals = tuple(vp(p, d) for d in factors)
+    assert local_snf(rows, p, max(vals, default=0) + 1, len(vals)) == vals
+    try:
+        got = cokernel_shape(rows, p)
+    except ValueError:
+        return
+    assert got == _factors_shape(factors, len(rows), p)
+
+
+def _sympy_factors(data):
+    """The nonzero invariant factors of a nonempty matrix, by sympy."""
+    form = smith_normal_form(sympy.Matrix(data), domain=sympy.ZZ)
+    return [abs(form[k, k]) for k in range(min(form.shape)) if form[k, k]]
 
 
 @st.composite
@@ -191,25 +223,77 @@ def small_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(small_matrices(), st.sampled_from([3, 5, 7]))
 def test_cokernel_shape_matches_integer_snf(m, p):
-    prime = Prime(p)
-    assert cokernel_shape(_sparse(m.data), prime) == _snf_shape(m, prime)
+    _check_against_factors(_sparse(m.data), Prime(p), snf(m).invariant_factors)
 
 
 def test_cokernel_shape_matches_sympy_snf():
-    sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import smith_normal_form
-
+    if sympy is None:
+        pytest.skip("sympy is not installed")
     rng = random.Random(1914)
     for _ in range(40):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = IntMatrix([[rng.randint(-25, 25) for _ in range(cols)] for _ in range(rows)])
         if rng.random() < 0.3:
             m.data[-1] = [2 * x for x in m.data[0]]  # force a dependent row
-        diag = smith_normal_form(sympy.Matrix(m.data), domain=sympy.ZZ)
-        factors = [abs(diag[k, k]) for k in range(min(rows, cols)) if diag[k, k]]
         for p in (Prime(3), Prime(5)):
-            want = ModuleShape(tuple(vp(p, d) for d in factors), free_rank=rows - len(factors))
-            assert cokernel_shape(_sparse(m.data), p) == want
+            _check_against_factors(_sparse(m.data), p, _sympy_factors(m.data))
+
+
+@st.composite
+def _forests(draw):
+    """A prime, a column count and sparse rows with at most two entries
+    each whose support is a forest, entries +-p^e * u with u a unit: an
+    entry that would close a cycle is left out."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    n_rows, n_cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    units = st.sampled_from([u for u in range(1, 61) if u % p])
+    entry = st.builds(lambda s, e, u: s * p**e * u, st.sampled_from([1, -1]), st.integers(0, 4), units)
+    parent = list(range(n_rows + n_cols))  # union-find: rows, then columns
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    rows = []
+    for r in range(n_rows):
+        row = {}
+        for c in draw(st.lists(st.integers(0, n_cols - 1), max_size=2, unique=True)) if n_cols else []:
+            a, b = root(r), root(n_rows + c)
+            if a != b:
+                parent[a] = b
+                row[c] = draw(entry)
+        rows.append(row)
+    return Prime(p), n_cols, rows
+
+
+# The HH block of a positive even degree, and the colimit presentation at
+# i = 5: a star in column 0 with a pendant modulus on each row.
+@example((Prime(5), 2, [{0: 5, 1: 2}, {1: 5}]))
+@example((P3, 4, [{0: 3**6}, {0: 3**6, 1: 1}, {0: 3**4, 2: 3}, {0: 3**2, 3: 5}]))
+@settings(max_examples=300, deadline=None)
+@given(_forests())
+def test_cokernel_shape_matches_integer_snf_and_sympy_on_forests(case):
+    p, cols, rows = case
+    data = [[row.get(c, 0) for c in range(cols)] for row in rows]
+    got = cokernel_shape(rows, p)
+    assert got == _snf_shape(IntMatrix(data, len(rows), cols), p)
+    if sympy is not None and rows and cols:
+        assert got == _factors_shape(_sympy_factors(data), len(rows), p)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{0: 1, 1: 1}, {0: 1, 1: 1}],  # a cycle: the first fill cancels (1, 1)
+        # A tree, but its first pivot's three-entry row fills rows 1 and 2
+        # in columns 1 and 2, a cycle, and the next pivot's fill cancels.
+        [{0: 1, 1: 1, 2: 1}, {0: 1}, {0: 1}],
+    ],
+)
+def test_cokernel_shape_refuses_a_fill_on_an_entry(rows):
+    with pytest.raises(ValueError, match="a fill lands on the entry"):
+        cokernel_shape(rows, P3)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 101])
@@ -269,20 +353,10 @@ def _unit_pivot_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(_unit_pivot_matrices())
 def test_local_snf_matches_integer_snf_with_non_unit_pivots(case):
+    # The precision comes from the reference: its largest valuation + 1.
     p, data = case
-    rows = _sparse(data)
-    rank, minor = bareiss_rank(rows)
     want = tuple(vp(p, d) for d in snf(IntMatrix(data)).invariant_factors)
-    assert local_snf(rows, p, vp(p, minor) + 1, rank) == want
-
-
-def test_bareiss_rank():
-    assert bareiss_rank([{}, {}, {}]) == (0, 1)
-    assert bareiss_rank([]) == (0, 1)
-    assert bareiss_rank([{1: 2, 2: 4}, {1: 1, 2: 2}]) == (1, 2)
-    rank, minor = bareiss_rank([{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 7}, {0: 1, 1: 2, 2: 4}])
-    assert rank == 2 and abs(minor) == 1
-    assert bareiss_rank([{1: 1}, {0: 1}]) == (2, -1)
+    assert local_snf(_sparse(data), p, max(want, default=0) + 1, len(want)) == want
 
 
 def _walk(rows, p):
@@ -304,7 +378,8 @@ def test_walk_matches_local_snf_at_every_even_degree(p):
     # Block k of the largest cyclic staircase presents HC in degree
     # 2(k - 1); the staircase is triangular, so its determinant is the
     # diagonal product.  The walk's stack never holds more than three
-    # entries, so a tail has at most two.
+    # entries, so a tail has at most two.  Each block is a path, so
+    # cokernel_shape reads it too.
     prime = Prime(p)
     rows = cyclic_matrix(prime, WALK_MAX)
     blocks, longest = _walk(rows, prime)
@@ -313,6 +388,7 @@ def test_walk_matches_local_snf_at_every_even_degree(p):
     for k, got in enumerate(blocks, 1):
         v_det += vp(prime, rows[k - 1][k - 1])
         assert got == local_snf(rows[:k], prime, v_det + 1, k), k
+        assert cokernel_shape(rows[:k], prime) == ModuleShape(got), k
 
 
 @pytest.mark.parametrize("p", [3, 101])
@@ -320,7 +396,7 @@ def test_walk_matches_local_snf_on_negative_staircases(p):
     # Every m < 80 and truncation K < 60; the determinant is p^(2K).
     prime = Prime(p)
     for m in range(2, 80, 2):
-        rows = negative_matrix(prime, m, 59)
+        rows = list(_staircase(p * p, p * p, m, 59))
         blocks, longest = _walk(rows, prime)
         assert longest <= 2
         for k, got in enumerate(blocks, 1):
@@ -334,13 +410,6 @@ def test_walk_pivots_every_tie_at_once():
     rows = [{0: 3}] + [{k - 1: -3, k: 6} for k in range(1, 50)]
     for k, (pivots, tail) in enumerate(staircase_cokernels(rows, P3), 1):
         assert tail == [1] and sorted(pivots.elements()) == [1] * (k - 1)
-
-
-try:
-    import sympy
-    from sympy.matrices.normalforms import smith_normal_form
-except ImportError:
-    sympy = None
 
 
 @st.composite
@@ -529,8 +598,7 @@ def test_submodule_equal_matches_span_enumeration(case):
 
 
 def test_intmatrix_validation_and_det():
-    # IntMatrix only carries the reference snf's input; the determinant
-    # is the Bareiss minor of the same rows.
+    # IntMatrix only carries the reference snf's input.
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
     assert IntMatrix([[2, 1], [1, 2]]).data == [[2, 1], [1, 2]]

@@ -49,6 +49,8 @@ REMOVED_FUNCTIONS = [
     ("gaps", "_largest_odd_multiple_leq"),
     ("gaps", "_hit_from_below"),
     ("gaps", "_upper_scan_radius"),
+    ("linalg", "bareiss_rank"),
+    ("homology", "negative_matrix"),
 ]
 REMOVED_MEMBERS = [
     ("linalg", "IntMatrix", "identity"),

@@ -12,6 +12,10 @@ refusals) goes to the argparse parser ``build_parser`` makes from the
 same table, which owns every help text and usage error.  Neither
 argparse nor json is imported at start-up: ``_json_text`` writes the
 scalars of a payload itself and imports json only for the rest.
+
+Importing this module loads only ``padic`` and ``gaps``: the commands
+that need ``homology`` (and through it ``linalg``) import it when they
+run, so ``zsets`` and ``density`` never load either.
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ from itertools import chain, compress
 from math import isfinite
 from types import SimpleNamespace
 
-from . import gaps, homology
-from .homology import HomologyResult
+from . import gaps
 from .padic import Prime
 
 
@@ -31,7 +34,7 @@ def _exponent_list(shape) -> list[int]:
     return list(shape.torsion_exponents)
 
 
-def shape_record(res: HomologyResult, exponents=_exponent_list) -> dict:
+def shape_record(res: homology.HomologyResult, exponents=_exponent_list) -> dict:
     """The record of a result, its torsion exponents given by
     ``exponents(shape)``: by default a plain list, which the benchmark's
     closed-form query passes to json.dumps; the commands pass
@@ -102,9 +105,11 @@ class Repeats:
 
 
 class Rows:
-    """A payload's records, made as they are written: an iterator of dicts
-    of str keys and str, int or None values.  It is read once; a command
-    that gives one has at least one record."""
+    """A payload's records, made as they are written: an iterator of
+    non-empty dicts of str keys and str, int or None values, or parts: a
+    tuple of str whose join is the value's text, digits and "/" only, as
+    ``padic.staircase_parts`` makes them.  It is read once; a command that
+    gives one has at least one record."""
 
     __slots__ = ("records",)
 
@@ -114,13 +119,24 @@ class Rows:
     def chunks(self, sep: str):
         """The records as json.dumps(indent=2) writes them in a list whose
         items ``sep`` joins: a comma, then a newline and the items' indent.
-        One chunk per record."""
+
+        The text of parts needs no escape, so its parts are written as they
+        are, between quotes, each its own chunk: a long value is neither
+        scanned nor copied.  The rest of a record comes in one chunk."""
         field, close = sep[1:] + "  ", sep[1:] + "}"
-        lead = ""
+        heads = {}  # the text of each key's field up to its value
+        text = "{"
         for record in self.records:
-            fields = ",".join(f"{field}{_json_text(k)}: {_json_text(v)}" for k, v in record.items())
-            yield f"{lead}{{{fields}{close}"
-            lead = sep
+            for key, value in record.items():
+                head = heads.get(key) or heads.setdefault(key, f"{field}{_json_text(key)}: ")
+                if type(value) is tuple:
+                    yield f'{text}{head}"'
+                    yield from value
+                    text = '",'
+                else:
+                    text = f"{text}{head}{_json_text(value)},"
+            yield text[:-1] + close
+            text = sep + "{"
 
 
 def _exponent_view(shape) -> Repeats:
@@ -151,10 +167,11 @@ def _json_chunks(payload: dict):
 
     With ``indent`` set, json.dumps runs its pure-Python encoder, several
     generator steps per list item, and holds the whole text.  So
-    ``_json_value`` writes a non-empty dict key by key, a non-empty list
-    item by item and a view by its chunks, at any depth, and hands
-    ``_json_text`` only a scalar or an empty list or dict, which it writes
-    on one line.  The keys are str.  No copy of the whole is held.
+    ``_json_value`` writes a non-empty dict key by key, a list of str a
+    batch of items a chunk, any other non-empty list item by item and a
+    view by its chunks, at any depth, and hands ``_json_text`` only a
+    scalar or an empty list or dict, which it writes on one line.  The
+    keys are str.  No copy of the whole is held.
     """
     yield from _json_value(payload, "\n")
     yield "\n"
@@ -172,11 +189,15 @@ def _json_value(value, newline: str):
             lead = ","
         yield newline + "}"
     elif type(value) is list and value:
-        lead = "["
-        for item in value:
-            yield lead + inner
-            yield from _json_value(item, inner)
-            lead = ","
+        if {*map(type, value)} == {str}:
+            yield "[" + inner
+            yield from _json_strs(value, "," + inner)
+        else:
+            lead = "["
+            for item in value:
+                yield lead + inner
+                yield from _json_value(item, inner)
+                lead = ","
         yield newline + "]"
     elif type(value) in VIEWS:
         items = value.chunks("," + inner)
@@ -191,6 +212,45 @@ def _json_value(value, newline: str):
         yield _json_text(value)
 
 
+# A list of str is written a batch of items at a time, each batch one
+# chunk: at most _BATCH items and _BATCH_CHARS characters, or one longer
+# item alone, so no long item is copied into a batch.
+_BATCH = 256
+_BATCH_CHARS = 1 << 14
+
+
+def _batches(texts: list[str]):
+    for k in range(0, len(texts), _BATCH):
+        batch = texts[k : k + _BATCH]
+        if sum(map(len, batch)) <= _BATCH_CHARS:
+            yield batch
+        else:
+            yield from ([text] for text in batch)
+
+
+def _joined(texts: list[str], sep: str):
+    """The chunks of ``sep.join(texts)``, a batch at a time."""
+    lead = ""
+    for batch in _batches(texts):
+        yield lead
+        yield sep.join(batch)  # a batch of one is its item, not a copy
+        lead = sep
+
+
+def _json_strs(texts: list[str], sep: str):
+    """The chunks of ``sep.join(map(_json_text, texts))``: a batch with
+    nothing to escape is quoted by one join, and any other goes item by
+    item through ``_json_text``."""
+    lead, between = "", f'"{sep}"'
+    for batch in _batches(texts):
+        plain = "".join(batch)
+        if plain.isascii() and plain.isprintable() and '"' not in plain and "\\" not in plain:
+            yield f'{lead}"{between.join(batch)}"'
+        else:
+            yield lead + sep.join(map(_json_text, batch))
+        lead = sep
+
+
 def _json_text(value) -> str:
     """json.dumps(value) for a scalar or an empty list or dict.
 
@@ -198,6 +258,8 @@ def _json_text(value) -> str:
     of printable ASCII with no quote or backslash, which json.dumps writes
     as it is, are written here; json.dumps, and the import of json, is
     left only the str that need escapes and the floats nan and +-inf.
+    A long text that is known to need no escape (``Rows``' parts) never
+    comes here: the printable scan alone cost a third of ``coeffs``.
     """
     kind = type(value)
     if kind is str:
@@ -252,19 +314,19 @@ def _csv_line(cells):
 
 
 def _csv_cell(cell):
-    """The chunks of a cell's text, one an item of a list: None as
-    nothing, a list as its items' str joined by ';', anything else as its
-    str; quoted, its quotes doubled, when it holds one of ``,"\\r\\n``."""
-    texts = () if cell is None else list(map(str, cell)) if type(cell) is list else (str(cell),)
-    quote = any(c in text for text in texts for c in ',"\r\n')
-    if quote:
-        yield '"'
-    lead = ""
-    for text in texts:
-        yield lead + (text.replace('"', '""') if quote else text)
-        lead = ";"
-    if quote:
-        yield '"'
+    """The chunks of a cell's text: None as nothing, parts (as ``Rows``
+    holds them) as they are, a list as its items' str joined by ';' in
+    batches, anything else as its str; quoted, its quotes doubled, when it
+    holds one of ``,"\\r\\n``, which a first pass over the batches finds."""
+    if type(cell) is tuple:
+        return cell
+    if type(cell) is not list:
+        text = "" if cell is None else str(cell)
+        return ('"' + text.replace('"', '""') + '"',) if any(c in text for c in ',"\r\n') else (text,)
+    texts = cell if {*map(type, cell)} <= {str} else list(map(str, cell))
+    if any(c in chunk for chunk in _joined(texts, ";") for c in ',"\r\n'):
+        return chain(['"'], (chunk.replace('"', '""') for chunk in _joined(texts, ";")), ['"'])
+    return _joined(texts, ";")
 
 
 def _table_chunks(lines):
@@ -287,7 +349,7 @@ def _flatten(record: dict, prefix: str = "") -> dict:
     return flat
 
 
-def _shape_line(res: HomologyResult):
+def _shape_line(res: homology.HomologyResult):
     """The chunks of the table line ``f"{theory}_{degree} = {shape}  [{method}]"``,
     written from the runs of the shape's factors."""
     body = Repeats(res.shape.factors()).chunks(" x ")
@@ -350,6 +412,8 @@ def _cap(flag: str, value: int, ceiling: int, why: str) -> None:
 
 
 def cmd_hh(args) -> int:
+    from . import homology
+
     p = Prime(args.prime)
     res = homology.hochschild(p, args.degree)
     _emit(shape_record(res, _exponent_view), args.format, args.out, [_shape_line(res)])
@@ -357,6 +421,8 @@ def cmd_hh(args) -> int:
 
 
 def cmd_hc(args) -> int:
+    from . import homology
+
     p = Prime(args.prime)
     _cap("--degree", args.degree, HC_MAX_DEGREE, "hc walks a (degree/2+1)-square staircase")
     oracle = homology.hc_oracle(p, args.degree)
@@ -377,6 +443,8 @@ def cmd_hc(args) -> int:
 
 
 def cmd_hcneg(args) -> int:
+    from . import homology
+
     p = Prime(args.prime)
     if args.truncation is not None:
         if args.degree < 2 or args.degree % 2:
@@ -417,6 +485,8 @@ def _n_max(args) -> int:
 
 
 def cmd_hp(args) -> int:
+    from . import homology
+
     p = Prime(args.prime)
     res = homology.hp(p, args.degree, _n_max(args))
     _emit(shape_record(res, _exponent_view), args.format, args.out, [_shape_line(res)])
@@ -475,6 +545,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
+    from . import homology
+
     p = Prime(args.prime)
     j, i = args.j, args.i
     _cap("--j", j, COEFFS_MAX, "coeffs prints about j^2 digits")
@@ -491,7 +563,7 @@ def cmd_coeffs(args) -> int:
     }
     lines = chain(
         [f"generator {j} in colimit {i}: head {head} (v={head_valuation})"],
-        (f"  R/{n}: {value}" for n, value, _ in rows),
+        ((f"  R/{n}: ", *value) for n, value, _ in rows),
     )
     _emit(payload, args.format, args.out, lines)
     return 0
@@ -503,6 +575,8 @@ def _check_line(check: homology.Check) -> str:
 
 
 def cmd_verify(args) -> int:
+    from . import homology
+
     p = Prime(args.prime)
     if args.hc_max < 2 or args.hc_max % 2:
         raise ValueError(f"--hc-max must be even and >= 2, got {args.hc_max}")

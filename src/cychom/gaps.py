@@ -83,9 +83,11 @@ def in_z2(p: Prime, i: int) -> bool:
     return not _hit(p, i, symmetric=True)
 
 
-def _excluded_sieve(p: Prime, upper: int, symmetric: bool) -> bytearray:
-    """Mark every odd i <= upper lying in some window: byte k is 1 iff
-    2k+1 is marked.
+def _mark(marked: bytearray, p: Prime, upper: int, signs: tuple[int, ...]) -> bytearray:
+    """Mark in ``marked``, a byte per odd i <= upper (byte k for 2k+1),
+    every odd multiple n of p^v shifted by s*d, for each s in signs (+1:
+    n + d; -1: n - d, d > 0) and each offset d of each level v: the
+    one-sided windows with signs (1,), the symmetric ones with (1, -1).
 
     A window of an odd multiple n of p^v holds n + d for every even
     |d| <= g(p^v) (d >= 0 one-sided), because g(n) = g(p^{v_p(n)}) >= g(p^v).
@@ -93,20 +95,26 @@ def _excluded_sieve(p: Prime, upper: int, symmetric: bool) -> bytearray:
     once, by one slice: odd integers 2p^v apart are p^v bytes apart.
     Offsets |d| <= g(p^{v-1}) were marked at level v-1 over a superset, so
     each level adds only its new offsets.  Levels with p^v > upper mark
-    nothing one-sided, and symmetric nothing once p^v > upper + 2v, as in
-    ``_hit``.
+    nothing above their multiples, and nothing below once p^v > upper + 2v,
+    as in ``_hit``.
     """
-    marked = bytearray((upper + 1) // 2)
     q, v, done = p.p, 1, -2
-    while q <= upper + (2 * v if symmetric else 0):
+    while q <= upper + (2 * v if -1 in signs else 0):
         g = _gap_for_valuation(p, v)
         for d in range(done + 2, g + 1, 2):
-            for start in (q + d, q - d) if symmetric and d else (q + d,):
-                k = start // 2
-                marked[k::q] = b"\x01" * len(range(k, len(marked), q))
+            for s in signs:
+                if s > 0 or d:
+                    k = (q + s * d) // 2
+                    marked[k::q] = b"\x01" * len(range(k, len(marked), q))
         done = g
         q, v = q * p.p, v + 1
     return marked
+
+
+def _excluded_sieve(p: Prime, upper: int, symmetric: bool) -> bytearray:
+    """Mark every odd i <= upper lying in some window (symmetric: Z2's
+    windows): byte k is 1 iff 2k+1 is marked."""
+    return _mark(bytearray((upper + 1) // 2), p, upper, (1, -1) if symmetric else (1,))
 
 
 # Maps a sieve byte to "unmarked": 0 -> 1, 1 -> 0.
@@ -188,13 +196,43 @@ def _iroot_floor(n: int, d: int) -> int:
     return x
 
 
+def _root_floor(p: int, m: int, d: int) -> int:
+    """floor(p^(m/d)) while it is below 2^64; past that, it or a lower
+    bound within a relative 10^-30 of it.  The cost does not grow with
+    p^m, which has a million bits at p = 1009.
+
+    While p^m has at most 8192 bits, the exact integer root is cheaper.
+    Past that, decimal's ln, exp, divide and multiply are correctly
+    rounded, so at precision P = 40 each is within a relative
+    delta = 10^(1-P) of its exact value: u = ln(p) * m/d comes out within
+    4 delta |u| of itself, and z = exp(u) within a relative
+    rho = (20 |u| + 4) delta, so z lies in [z'(1 - rho), z'(1 + 2 rho)],
+    both ends rounded outward.  When they have one floor, that is
+    floor(z); else the lower end is a lower bound, kept past 2^64, where
+    it moves a term below 2^-64 by a relative 10^-30.  Below 2^64, z
+    within 10^-14 of an integer takes the exact root.
+    """
+    if m * p.bit_length() <= 8192:
+        return _iroot_floor(p**m, d)
+    from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
+
+    exact = Context(prec=40)
+    down, up = Context(prec=40, rounding=ROUND_FLOOR), Context(prec=40, rounding=ROUND_CEILING)
+    u = exact.multiply(exact.ln(Decimal(p)), exact.divide(Decimal(m), Decimal(d)))
+    z = exact.exp(u)
+    rho = up.multiply(up.add(up.multiply(20, u), 4), Decimal("1e-39"))
+    lo = int(down.multiply(z, down.subtract(1, rho)))
+    hi = int(up.multiply(z, up.add(1, up.multiply(2, rho))))
+    if lo == hi or lo >= 1 << 64:
+        return lo
+    return _iroot_floor(p**m, d)
+
+
 def _pow_upper(p: int, exponent: Fraction) -> Fraction:
     """A rational upper bound for p^(-exponent), exponent > 0."""
     from fractions import Fraction
 
-    m, d = exponent.numerator, exponent.denominator
-    root = _iroot_floor(p**m, d)  # root <= p^(m/d)
-    return Fraction(1, root)
+    return Fraction(1, _root_floor(p, exponent.numerator, exponent.denominator))
 
 
 def _exact_exponent(p: Prime, k: int) -> int:
@@ -238,10 +276,14 @@ def _tail_sum(p: Prime, exact: bool) -> Fraction:
 def density_bounds(p: Prime, upper: int) -> DensityReport:
     """Empirical densities of Z1 and Z2 up to upper, with proven bounds.
 
-    The empirical counts are the unmarked odd indices of the window
-    sieve, counted without building the member lists; every bound field
-    is a certified lower bound for the corresponding density (the series
-    tails and logarithms are rounded in the safe direction).
+    The empirical counts are the unmarked odd indices of one window sieve,
+    counted without building the member lists.  A symmetric window
+    [n-g(n), n+g(n)] holds the one-sided [n, n+g(n)], so Z1's marks are a
+    subset of Z2's: the sieve marks the one-sided windows and counts, then
+    adds the offsets n - d below each multiple, and the levels whose
+    multiples lie past upper but reach below it, and counts again.  Every
+    bound field is a certified lower bound for the corresponding density
+    (the series tails and logarithms are rounded in the safe direction).
     """
     from fractions import Fraction
 
@@ -250,8 +292,9 @@ def density_bounds(p: Prime, upper: int) -> DensityReport:
     pk = p.p
     lam = Fraction(2 * pk - 3, 2 * pk - 2)
     x_count = (upper + 1) // 2
-    emp1 = Fraction(x_count - _excluded_sieve(p, upper, symmetric=False).count(1), x_count)
-    emp2 = Fraction(x_count - _excluded_sieve(p, upper, symmetric=True).count(1), x_count)
+    marked = _excluded_sieve(p, upper, symmetric=False)
+    emp1 = Fraction(x_count - marked.count(1), x_count)
+    emp2 = Fraction(x_count - _mark(marked, p, upper, (-1,)).count(1), x_count)
     # ceil(log_p upper) <= L, rounding up keeps the bound valid.
     log_up = 0
     q = 1

@@ -42,7 +42,7 @@ from .linalg import (
     staircase_cokernels,
     submodule_equal_mod,
 )
-from .padic import Prime, a_val, b_val, odd_valuations, residue, seq_a, seq_b, staircase_texts, vp
+from .padic import Prime, a_val, b_val, odd_valuations, seq_a, staircase_parts, staircase_residue, vp
 
 
 class HomologyResult(
@@ -236,22 +236,23 @@ def phi_coeffs(p: Prime, j: int, i: int) -> CoeffVector:
     return CoeffVector(seq_a(p, j), comps)
 
 
-def phi_coeff_texts(p: Prime, j: int, i: int) -> tuple[str, int, Iterator[tuple[int, str, int | None]]]:
+def phi_coeff_texts(p: Prime, j: int, i: int) -> tuple[str, int, Iterator[tuple[int, tuple[str, ...], int | None]]]:
     """``phi_coeffs(p, j, i)`` in decimal text: (head, head valuation, rows).
 
     A row is (n, value, valuation) for each odd n <= i, in order, with the
-    value written as ``str`` of its Fraction and valuation None for a zero
-    component.  The texts come from ``staircase_texts``, in time linear in
-    the digits, and the valuations from ``a_val``/``b_val``; no Fraction is
-    built.  The rows come lazily, each text made as its row is read, but
-    every exact product is made before this returns.
+    value the parts whose join is ``str`` of its Fraction (digits and "/"
+    only) and valuation None for a zero component.  The texts come from
+    ``staircase_parts``, in time linear in the digits, and the valuations
+    from ``a_val``/``b_val``; no Fraction is built.  The rows come lazily,
+    each text made as its row is read, but every exact product is made
+    before this returns.
     """
     _check_phi_indices(j, i)
-    texts = staircase_texts(p, j)
-    head = next(texts)
+    parts = staircase_parts(p, j)
+    head = "".join(next(parts))
     rows = chain(
-        ((n, text, b_val(p, j - n)) for n, text in zip(range(1, j + 1, 2), texts)),
-        ((n, "0", None) for n in range(j + 2, i + 1, 2)),
+        ((n, value, b_val(p, j - n)) for n, value in zip(range(1, j + 1, 2), parts)),
+        ((n, ("0",), None) for n in range(j + 2, i + 1, 2)),
     )
     return head, a_val(p, j), rows
 
@@ -293,7 +294,8 @@ def verify_kernel_generators(p: Prime, i: int, upto: int) -> bool:
     after truncating the head to Z/p^T, T = a_i + 6, and dropping
     coordinates above n_max = 4i + 1, which must cover i + upto.  A
     coordinate n of psi_j is B_{j-n} mod p^{v_p(n)}, which is 0 without
-    forming B_{j-n} when b_{j-n} >= v_p(n).  Raises for i outside Z2 (the
+    reducing B_{j-n} when b_{j-n} >= v_p(n).  Every residue comes from
+    integers (``staircase_residue``).  Raises for i outside Z2 (the
     description needs the membership).
     """
     if i % 2 == 0 or i < 1:
@@ -310,14 +312,14 @@ def verify_kernel_generators(p: Prime, i: int, upto: int) -> bool:
     moduli = [head_mod] + [p.p**v for _, v in coords]
 
     def psi_vector(j: int) -> list[int]:
-        vec = [residue(seq_a(p, j), head_mod)]
+        vec = [staircase_residue(p, j, head_mod)]
         for n, v in coords:
             live = n <= j and b_val(p, j - n) < v
-            vec.append(residue(seq_b(p, j - n), p.p**v) if live else 0)
+            vec.append(staircase_residue(p, j - n, p.p**v) if live else 0)
         return vec
 
     gens_a = [psi_vector(i + j) for j in range(0, upto + 1, 2)]
-    gens_b = [[residue(seq_a(p, i), head_mod)] + [0] * len(coords)]
+    gens_b = [[staircase_residue(p, i, head_mod)] + [0] * len(coords)]
     for k, (n, _) in enumerate(coords):
         if i <= n <= i + upto:
             e = [0] * len(moduli)

@@ -15,11 +15,15 @@ In closed form A_j = p^j / j!! and B_j = p^j / j!!.  ``seq_a`` and
 construction, since v_p(j!!) <= v_p(j!) <= j, so ``residue`` maps them into
 every Z/p^e.  Their valuations a_j and b_j follow from Legendre's formula
 in O(log j) (``a_val``, ``b_val``); ``vp`` strips p^e from an
-integer in O(log e) big-int divisions; and ``odd_valuations`` gives the
+integer in O(log e) big-int divisions; ``odd_valuations`` gives the
 multiset {v_p(n) : n odd in [lo, hi]}, as a count per valuation, by
-counting odd multiples of each p^e, without visiting the n; ``staircase_texts`` writes p^k / k!! in
-decimal, for k = j and every k < j of the other parity, from one exact
-pass, each text made as it is read.  Primality of ``Prime`` is decided by deterministic Miller-Rabin.
+counting odd multiples of each p^e, without visiting the n;
+``staircase_texts`` writes p^k / k!! in decimal, for k = j and every
+k < j of the other parity, from one exact pass, each text made as it is
+read (``staircase_parts`` gives the same texts in parts); and
+``staircase_residue`` reduces p^k / k!! modulo a power of p from
+integers.  Primality of ``Prime`` is decided by deterministic
+Miller-Rabin.
 """
 
 from __future__ import annotations
@@ -237,24 +241,37 @@ def staircase_texts(p: Prime, j: int) -> Iterator[str]:
 
     That is X_j, then X_k for every k < j of the other parity, from the
     top down: what column j of the staircase prints (the head, then the
-    component at each odd n <= j).  X_k = p^k / k!! satisfies
-    X_k = p^2 X_{k-2} / k with X_0 = 1 and X_1 = p, so X_k = A_k for odd k
-    and B_k for even k.  In lowest terms X_k = p^e / d: each step strips
-    the p-part p^w of k, multiplies d by k / p^w and adds 2 - w to e.
-    Numerator and denominator are Decimal integers: a product by a small
-    factor and the decimal text take time linear in the digits, where
-    CPython's int->str is quadratic.  The chain of j's parity is carried
-    along but kept only at k = j.
-
-    Every product is made before this returns, so an inexact one raises
-    here.  What is kept is each printed X_k as its Decimal numerator and
-    denominator, about 0.42 bytes a digit; the texts come one at a time,
-    as they are read, and each X_k is let go once its text is made.
+    component at each odd n <= j).  Each text is the join of its
+    ``staircase_parts``.
 
     >>> list(staircase_texts(Prime(3), 5))
     ['81/5', '81/8', '9/2', '1']
     >>> list(staircase_texts(Prime(3), 4))
     ['81/8', '9', '3']
+    """
+    return map("".join, staircase_parts(p, j))
+
+
+def staircase_parts(p: Prime, j: int) -> Iterator[tuple[str, ...]]:
+    """The texts of ``staircase_texts`` in parts: (numerator,) for an
+    integer X_k, else (numerator, "/", denominator), so a writer passes
+    the digits on without copying them into one text.
+
+    X_k = p^k / k!! satisfies X_k = p^2 X_{k-2} / k with X_0 = 1 and
+    X_1 = p, so X_k = A_k for odd k and B_k for even k.  In lowest terms
+    X_k = p^e / d: each step strips the p-part p^w of k, multiplies d by
+    k / p^w and adds 2 - w to e.  Numerator and denominator are Decimal
+    integers: a product by a small factor and the decimal text take time
+    linear in the digits, where CPython's int->str is quadratic.  The chain
+    of j's parity is carried along but kept only at k = j.
+
+    Every product is made before this returns, so an inexact one raises
+    here.  What is kept is each printed X_k as its Decimal numerator and
+    denominator, about 0.42 bytes a digit; the parts come one X_k at a
+    time, as they are read, and each X_k is let go once its parts are made.
+
+    >>> list(staircase_parts(Prime(3), 3))
+    [('9',), ('9', '/', '2'), ('1',)]
     """
     from decimal import Decimal
 
@@ -280,11 +297,31 @@ def staircase_texts(p: Prime, j: int) -> Iterator[str]:
             chain[2] = exact.multiply(chain[2], u)
         if (j - k) & 1 or k == j:
             kept.append((chain[1], chain[2]))
-    return (_fraction_text(*kept.pop()) for _ in range(len(kept)))
+    return (_fraction_parts(*kept.pop()) for _ in range(len(kept)))
 
 
-def _fraction_text(numerator: Decimal, denominator: Decimal) -> str:
-    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+def _fraction_parts(numerator: Decimal, denominator: Decimal) -> tuple[str, ...]:
+    return (str(numerator),) if denominator == 1 else (str(numerator), "/", str(denominator))
+
+
+def staircase_residue(p: Prime, k: int, modulus: int) -> int:
+    """The image of X_k = p^k / k!! in Z/modulus, for modulus a power of
+    p, from integers: k!! = p^e * u with u prime to p, so X_k is p^(k-e)
+    times the inverse of u.  It equals ``residue`` of ``seq_a(p, k)`` or
+    ``seq_b(p, k)``, with no Fraction built.
+
+    >>> staircase_residue(Prime(3), 5, 3**6)
+    162
+    """
+    if k < 0:
+        raise ValueError(f"X defined on nonnegative indices, got {k}")
+    q, e, unit = p.p, 0, 1
+    for f in range(k, 0, -2):
+        while f % q == 0:
+            f //= q
+            e += 1
+        unit = unit * f % modulus
+    return pow(q, k - e, modulus) * pow(unit, -1, modulus) % modulus
 
 
 def a_val(p: Prime, j: int) -> int:

@@ -128,7 +128,7 @@ def test_verify_reports_mismatch_with_exit_3(capsys, monkeypatch):
             return res
         return homology.HomologyResult("HC", i, ModuleShape((99,)), "closed_form")
 
-    monkeypatch.setattr(cli.homology, "hc_closed_form", skewed)
+    monkeypatch.setattr(homology, "hc_closed_form", skewed)
     code, out, _ = run(capsys, ["verify", "--prime", "3", "--hc-max", "8", "--hh-max", "2"])
     assert code == 3
     assert "FAIL hc degree 6" in out
@@ -250,11 +250,11 @@ def test_verify_holds_its_check_lines_once(tmp_path):
 
 
 def test_hc_disagreement_exits_3(capsys, monkeypatch):
-    from cychom import cli, homology
+    from cychom import homology
     from cychom.linalg import ModuleShape
 
     monkeypatch.setattr(
-        cli.homology,
+        homology,
         "hc_closed_form",
         lambda p, i: homology.HomologyResult("HC", i, ModuleShape((99,)), "closed_form"),
     )
@@ -264,12 +264,12 @@ def test_hc_disagreement_exits_3(capsys, monkeypatch):
 
 
 def test_arithmetic_error_exits_3(capsys, monkeypatch):
-    from cychom import cli
+    from cychom import homology
 
     def broken(p, i):
         raise ArithmeticError("routes disagree")
 
-    monkeypatch.setattr(cli.homology, "hc_oracle", broken)
+    monkeypatch.setattr(homology, "hc_oracle", broken)
     code, out, err = run(capsys, ["hc", "--prime", "3", "--degree", "6"])
     assert code == 3
     assert out == ""
@@ -461,7 +461,15 @@ def test_json_payloads_hold_only_json_types(monkeypatch, argv):
             stack.extend(node)
 
 
-@pytest.mark.parametrize("argv", JSON_ARGVS + [["zsets", "--prime", "3", "--max", "100000", "--set", "z2"]])
+@pytest.mark.parametrize(
+    "argv",
+    JSON_ARGVS
+    + [
+        ["zsets", "--prime", "3", "--max", "100000", "--set", "z2"],
+        # Denominators past 4300 digits, written in parts.
+        ["coeffs", "--prime", "3", "--j", "4001", "--i", "4005"],
+    ],
+)
 def test_json_output_is_json_dumps_indent_2(capsys, argv):
     code, out, _ = run(capsys, argv + ["--format", "json"])
     assert code == 0
@@ -540,7 +548,7 @@ CAPPED = [
     (["verify", "--prime", "3", "--hc-max", "2", "--hh-max"], "VERIFY_MAX_HH", "hochschild"),
     (["hp", "--prime", "3", "--degree", "0", "--n-max"], "PRODUCT_MAX_N", "hp"),
     (["hcneg", "--prime", "3", "--degree", "6", "--n-max"], "PRODUCT_MAX_N", "hc_neg_closed_form"),
-    (["coeffs", "--prime", "3", "--i", str(cli.COEFFS_MAX), "--j"], "COEFFS_MAX", "staircase_texts"),
+    (["coeffs", "--prime", "3", "--i", str(cli.COEFFS_MAX), "--j"], "COEFFS_MAX", "staircase_parts"),
     (["coeffs", "--prime", "3", "--j", "3", "--i"], "COEFFS_MAX", "phi_coeff_texts"),
     (["density", "--prime", "3", "--max"], "DENSITY_MAX", "gaps.density_bounds"),
 ]
@@ -678,10 +686,11 @@ def test_cli_import_loads_no_code_generation_modules():
 
 
 def test_queries_import_no_fractions_decimal_or_csv():
-    # Only the commands that build a Fraction (density, verify) or a
-    # Decimal (coeffs) need these; fractions imports decimal, and CSV is
-    # written by hand.  The probe runs each other command in every format,
-    # and the closed forms that the library serves on their own.
+    # Only the commands that build a Fraction (density) or a Decimal
+    # (coeffs) need these; fractions imports decimal, verify reduces its
+    # coefficients from integers, and CSV is written by hand.  The probe
+    # runs each other command in every format, and the closed forms that
+    # the library serves on their own.
     src = Path(cychom.__file__).resolve().parents[1]
     probe = """if True:
         import os, sys
@@ -699,6 +708,8 @@ def test_queries_import_no_fractions_decimal_or_csv():
             ["hp", "--prime", "3", "--degree", "0", "--n-max", "101"],
             ["hcneg", "--prime", "3", "--degree", "6", "--truncation", "8"],
             ["zsets", "--prime", "3", "--max", "1000", "--set", "z2"],
+            ["verify", "--prime", "3"],
+            ["verify", "--prime", "11", "--hc-max", "100", "--hh-max", "20"],
         ):
             for fmt in ("table", "json", "csv"):
                 assert c.main(argv + ["--format", fmt, "--out", os.devnull]) == 0, argv
@@ -742,6 +753,33 @@ def test_well_formed_commands_import_neither_argparse_nor_json():
     ).stdout.split()
     assert "cychom.cli" in loaded
     assert not {"argparse", "json"} & set(loaded)
+
+
+def test_zsets_and_density_load_neither_linalg_nor_homology():
+    # The package resolves its re-exports on first use and the CLI imports
+    # homology inside the commands that call it, so the sieve commands load
+    # padic, gaps and cli only.
+    src = Path(cychom.__file__).resolve().parents[1]
+    probe = """if True:
+        import os, sys
+        import cychom.cli as c
+        for argv in (
+            ["zsets", "--prime", "3", "--max", "1000", "--set", "z1"],
+            ["zsets", "--prime", "5", "--max", "1000", "--set", "z2"],
+            ["density", "--prime", "5", "--max", "1000"],
+            ["density", "--prime", "1009", "--max", "10"],
+        ):
+            for fmt in ("table", "json", "csv"):
+                assert c.main(argv + ["--format", fmt, "--out", os.devnull]) == 0, argv
+        print(" ".join(sys.modules))
+    """
+    env = dict(os.environ, PYTHONPATH=str(src))
+    loaded = set(
+        subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+        .stdout.split()
+    )
+    assert {"cychom.cli", "cychom.gaps", "cychom.padic"} <= loaded
+    assert not {"cychom.linalg", "cychom.homology"} & loaded
 
 
 def test_help_still_goes_through_argparse(capsys):
@@ -1111,6 +1149,19 @@ def test_repeats_view_writes_its_list(runs, text):
     record = {"a": text, "x": items, "b": 7}
     assert "".join(cli._json_chunks({**record, "x": view})) == json.dumps(record, indent=2) + "\n"
     assert "".join(cli._csv_chunks({**record, "x": view})) == _csv_reference([record])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(["ok   hochschild degree 4", "", 'say "hi"', "a,b", "é", "tab\t", "x" * 20_000]), max_size=900),
+    st.lists(st.integers(), max_size=600),
+)
+def test_lists_are_written_in_batches(texts, numbers):
+    # Past 256 items a list spans batches; an item past 16384 characters is
+    # a batch alone; a batch with an escape goes item by item.
+    payload = {"checks": texts, "n": 1, "numbers": numbers}
+    assert "".join(cli._json_chunks(payload)) == json.dumps(payload, indent=2) + "\n"
+    assert "".join(cli._csv_chunks(payload)) == _csv_reference([payload])
 
 
 # (view, its items) pairs; a Members mask always holds 1.

@@ -1,3 +1,4 @@
+import math
 import os
 from fractions import Fraction
 from functools import cache
@@ -6,9 +7,13 @@ from itertools import chain
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cychom import gaps as gaps_module
 from cychom.gaps import (
+    _excluded_sieve,
     _gap_for_valuation,
     _iroot_floor,
+    _mark,
+    _root_floor,
     density_bounds,
     enumerate_z1,
     enumerate_z2,
@@ -285,3 +290,72 @@ def test_iroot_floor_at_a_large_prime():
     assert r**1008 <= n < (r + 1) ** 1008
     with pytest.raises(ValueError):
         _iroot_floor(-1, 2)
+
+
+@st.composite
+def _bound_near_a_level(draw):
+    """(p, N) with N anywhere up to 10^5, or within 2v + 2 of some p^v."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 101]))
+    if draw(st.booleans()):
+        v = draw(st.integers(1, max(v for v in range(1, 12) if p**v <= 10**5)))
+        return p, max(1, p**v + draw(st.integers(-2 * v - 2, 2 * v + 2)))
+    return p, draw(st.integers(1, 10**5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_bound_near_a_level())
+@example((101, 50))  # N < p
+@example((3, 1))
+@example((3, 3**10 - 20))  # the top level's windows reach below N from above it
+@example((3, 3**10 + 20))
+@example((5, 5**7 - 14))
+@example((11, 11**4 + 8))
+@example((101, 101**2 - 4))
+def test_one_sided_marks_extend_to_the_symmetric_sieve(case):
+    # density_bounds counts Z1 on the one-sided marks, then adds Z2's
+    # offsets below each multiple and its top levels to the same bytes.
+    p, upper = case
+    prime = Prime(p)
+    marked = _excluded_sieve(prime, upper, symmetric=False)
+    assert _mark(marked, prime, upper, (-1,)) == _excluded_sieve(prime, upper, symmetric=True)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])
+def test_root_floor_is_the_floor_below_2_64_and_a_close_lower_bound_past_it(p):
+    # The roots the geometric tail takes: p^(lam k) for even k up to 60,
+    # and p^(2 lam), with lam = (2p-3)/(2p-2).  p = 3 at k = 56 and p = 5
+    # at k = 32 give integer roots (d = 1).
+    lam = Fraction(2 * p - 3, 2 * p - 2)
+    for e in [lam * k for k in range(6, 62, 2)] + [2 * lam]:
+        m, d = e.numerator, e.denominator
+        got = _root_floor(p, m, d)
+        if m * p.bit_length() > 1 << 17:
+            # Past 2^64 by far: a million-bit p^m at p = 1009.  Check the
+            # bound against the float root instead of the exact one.
+            assert got.bit_length() > 64
+            assert abs(got / 2 ** (m / d * math.log2(p)) - 1) < 1e-12
+            continue
+        exact = _iroot_floor(p**m, d)
+        assert got <= exact
+        if exact < 1 << 64:
+            assert got == exact
+        else:
+            assert exact - got <= exact // 10**30
+
+
+def test_density_at_a_large_prime_takes_no_large_root(monkeypatch):
+    # p^m has up to a million bits at p = 1009; the integer root of it
+    # took a fixed 0.6 s.  Only roots of p^m with at most 8192 bits are
+    # taken exactly (none at p = 1009, some at p = 101).
+    sizes = []
+    real = gaps_module._iroot_floor
+
+    def recording(n, d):
+        sizes.append(n.bit_length())
+        return real(n, d)
+
+    monkeypatch.setattr(gaps_module, "_iroot_floor", recording)
+    for p in (101, 1009):
+        rep = density_bounds(Prime(p), 1001)
+        assert rep.bound_z1 >= rep.bound_z1_geometric
+    assert sizes and max(sizes) <= 8192

@@ -16,6 +16,8 @@ from cychom.padic import (
     residue,
     seq_a,
     seq_b,
+    staircase_parts,
+    staircase_residue,
     staircase_texts,
     vp,
 )
@@ -309,3 +311,32 @@ def test_padic_rational_reduced_and_cached():
 def test_residue_rejects_nonpositive_modulus(modulus):
     with pytest.raises(ValueError, match="modulus must be positive"):
         residue(Fraction(81, 5), modulus)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([3, 5, 7, 11, 101]), st.integers(0, 600), st.integers(1, 40))
+@example(3, 0, 1)
+@example(3, 729, 3)  # k!! carries p^v with v > 2
+@example(101, 203, 1)
+def test_staircase_residue_is_residue_of_the_fraction(p, k, e):
+    # The integer route strips p from k!! and inverts the rest; residue
+    # reduces the Fraction p^k / k!! itself.
+    prime = Prime(p)
+    x = seq_a(prime, k) if k % 2 else seq_b(prime, k)
+    assert staircase_residue(prime, k, p**e) == residue(x, p**e)
+
+
+def test_staircase_residue_rejects_negative_index():
+    with pytest.raises(ValueError):
+        staircase_residue(P3, -1, 27)
+
+
+@pytest.mark.parametrize("p", [3, 5, 101])
+def test_staircase_parts_join_to_the_texts(p):
+    # Digits, or digits "/" digits: nothing a JSON or CSV writer escapes.
+    for j in (0, 1, 2, 301, 302):
+        parts = list(staircase_parts(Prime(p), j))
+        assert list(map("".join, parts)) == list(staircase_texts(Prime(p), j))
+        for value in parts:
+            assert len(value) in (1, 3) and value[1:2] in ((), ("/",))
+            assert all(part.isdigit() for part in value[::2])

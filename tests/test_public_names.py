@@ -7,6 +7,9 @@ removal there breaks the benchmark; this test breaks first.
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +88,21 @@ def test_removed_members_are_gone(layer, cls, member):
 
 def test_residue_is_exported():
     assert "residue" in cychom.__all__ and cychom.residue is cychom.padic.residue
+
+
+def test_every_exported_name_resolves_through_star_import_and_dir():
+    # The names resolve on first use: dir lists them before any has been
+    # used, and the star import fetches each one.  A fresh interpreter, as
+    # the other tests have used some names already.
+    probe = """if True:
+        import cychom
+        listed = dir(cychom)
+        namespace = {}
+        exec("from cychom import *", namespace)
+        missing = [n for n in cychom.__all__ if n not in listed or n not in namespace]
+        assert not missing, missing
+        assert namespace["hc_oracle"] is cychom.homology.hc_oracle
+        assert namespace["Prime"] is cychom.padic.Prime
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(cychom.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)

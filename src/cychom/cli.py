@@ -1,8 +1,8 @@
 """Command-line driver.
 
 Every engine operation is exposed through a subcommand with table, json,
-or csv output.  Exit codes: 0 success, 1 engine precondition failure,
-2 usage error, 3 verification mismatch.
+or csv output.  Exit codes: 0 success, 1 engine precondition failure or
+output that cannot be written, 2 usage error, 3 verification mismatch.
 
 The grammar is one table, ``GRAMMAR``, which two parsers read.  A
 well-formed command, ``COMMAND --flag value ...`` with each flag one of
@@ -20,6 +20,7 @@ run, so ``zsets`` and ``density`` never load either.
 
 from __future__ import annotations
 
+import os
 import sys
 from collections import namedtuple
 from itertools import chain, compress
@@ -31,7 +32,14 @@ from .padic import Prime
 
 
 def _exponent_list(shape) -> list[int]:
-    return list(shape.torsion_exponents)
+    """The torsion exponents as one list made at its final size, 4096 items a slice."""
+    exponents, k = [0] * sum(n for _, n in shape.torsion), 0
+    for e, n in shape.torsion:
+        chunk = [e] * min(n, 4096)
+        for m in [4096] * (n // 4096) + [n % 4096]:
+            exponents[k : k + m] = chunk if m == len(chunk) else chunk[:m]
+            k += m
+    return exponents
 
 
 def shape_record(res: homology.HomologyResult, exponents=_exponent_list) -> dict:
@@ -157,6 +165,7 @@ def _emit(payload: dict, fmt: str, out: str | None, table_lines) -> None:
             fh.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()
 
 
 VIEWS = (Members, Repeats, Rows)
@@ -362,12 +371,13 @@ def _shape_line(res: homology.HomologyResult):
 # with Python 3.11 (CPU seconds and peak RSS at the ceiling, for p = 3 /
 # 101 / 1009).  A larger value is refused with exit 1 before anything is
 # allocated.
-# - hc --degree 10**6: one walk along a 500001-square staircase whose
-#   rows are made as they are read, 1.3-1.4 / 1.0-1.4 / 1.2 s, 14 MB;
-#   time linear in the degree (0.14-0.15 s at 40000, 2.8 s and 15 MB at
-#   2*10**6 for p = 3).  An odd degree walks nothing: 0.07-0.08 s.
+# - hc --degree 10**6: one walk along the 10**6 + 1 valuations of a
+#   500001-square staircase, made as they are read, 0.6-0.9 / 0.8 /
+#   0.7-0.8 s, 14 MB; time linear in the degree (0.07-0.10 s at 40000,
+#   1.1-1.5 s and 14 MB at 2*10**6 for p = 3).  An odd degree walks
+#   nothing: 0.06-0.07 s.
 # - hcneg --truncation 5*10**5: one walk along a (truncation+1)-square
-#   staircase, the same work as hc at its ceiling: 1.4-1.5 s and 14 MB in
+#   staircase, the same work as hc at its ceiling: 0.65-0.8 s and 14 MB in
 #   every format, though at p = 3 it prints a stable prefix of 1.7*10**5
 #   valuations (written from their runs); time linear in the truncation.
 # - verify --hc-max 4000: one walk gives every even degree, but the shapes
@@ -707,8 +717,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _fast_parse(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # A precondition failed, or the output could not be opened or written;
+        # then what stdout still buffers goes to devnull, not to an error at exit.
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, OSError) and not args.out:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except ArithmeticError as exc:
         # The engine raises ArithmeticError when its two routes disagree or

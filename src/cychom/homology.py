@@ -12,10 +12,10 @@ lower-bidiagonal integer "staircase" matrix:
   * negative cyclic, even degree m > 0: diagonal all p^2, subdiagonal
     (m+1, m+3, m+5, ...), again on a product.
 
-The staircases are built as sparse rows, two entries a row.  Their
-cokernels come exactly from the valuations of their entries, one
-left-to-right walk giving every leading square block at once (the oracle
-route, :func:`cychom.linalg.staircase_cokernels`).
+Their cokernels come exactly from the valuations of their entries, so
+each matrix is stated by those alone; a staircase's, in path order, go
+through one left-to-right walk that gives every leading square block at
+once (the oracle route, :func:`cychom.linalg.staircase_cokernels`).
 Independently, closed-form decompositions are available whenever
 the degree avoids the gap windows of :mod:`cychom.gaps`; they are driven by
 the coefficient sequences of :mod:`cychom.padic`.  The verify_* operations
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterator
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 from .gaps import enumerate_z2, in_z1, in_z2
 from .linalg import (
@@ -62,13 +62,12 @@ class Check(namedtuple("Check", "name ok detail", defaults=("",))):
     __slots__ = ()
 
 
-def _staircase(head: int, p2: int, offset: int, n: int) -> Iterator[dict[int, int]]:
-    """The sparse rows of an n-square staircase, made as they are read:
-    head at (0, 0), p2 down the rest of the diagonal, and offset + 1,
-    offset + 3, ... below it."""
-    yield {0: head}
-    for k in range(1, n):
-        yield {k - 1: offset + 2 * k - 1, k: p2}
+def _staircase(p: Prime, head_v: int, diag_v: int, offset: int, n: int) -> Iterator[int]:
+    """The valuations of an n-square staircase in path order, made as they
+    are read: head_v at (0, 0), diag_v down the rest of the diagonal, and
+    those of offset + 1, offset + 3, ... below it."""
+    below = map(vp, repeat(p), range(offset + 1, offset + 2 * n - 2, 2))
+    return chain([head_v], chain.from_iterable(zip(below, repeat(diag_v))))
 
 
 def cyclic_matrix(p: Prime, i: int) -> list[dict[int, int]]:
@@ -80,31 +79,27 @@ def cyclic_matrix(p: Prime, i: int) -> list[dict[int, int]]:
     """
     if i < 2 or i % 2 == 1:
         raise ValueError(f"cyclic presentation needs even degree >= 2, got {i}")
-    return list(_staircase(p.p, p.p * p.p, 0, i // 2 + 1))
+    return [{0: p.p}] + [{k - 1: 2 * k - 1, k: p.p**2} for k in range(1, i // 2 + 1)]
 
 
 def hochschild(p: Prime, i: int) -> HomologyResult:
     """Hochschild homology of R//p in degree i, oracle-checked.
 
     The closed form (R/p at 0, R/p^2 in positive even degrees, 0 otherwise)
-    is recomputed from the two-term total-complex blocks and the two must
-    agree exactly.
+    is recomputed from the valuations of the two-term total-complex blocks'
+    entries (p, 2, p), and the two must agree exactly.
     """
     if i < 0:
         raise ValueError("negative degree")
-    block = [{0: p.p, 1: 2}, {1: p.p}]
-    if i == 0:
-        closed = ModuleShape((1,))
-        oracle = cokernel_shape([{0: p.p}], p)
-    elif i % 2 == 0:
-        closed = ModuleShape((2,))
-        oracle = cokernel_shape(block, p)
+    mat = [{0: 1}] if i < 2 else [{0: 1, 1: 0}, {1: 1}]
+    if i % 2 == 0:
+        closed = ModuleShape((2 if i else 1,))
+        oracle = cokernel_shape(mat)
     else:
         closed = TRIVIAL_SHAPE
-        mat = [{0: p.p}] if i == 1 else block
         # The differential out of an odd degree is injective, so the
         # homology there is zero: its matrix has full rank.
-        if cokernel_shape(mat, p).free_rank:
+        if cokernel_shape(mat).free_rank:
             raise ArithmeticError(f"HH differential out of degree {i} is not injective")
         oracle = TRIVIAL_SHAPE
     if oracle != closed:
@@ -112,17 +107,11 @@ def hochschild(p: Prime, i: int) -> HomologyResult:
     return HomologyResult("HH", i, closed, "closed_form")
 
 
-def _block_shape(pivots: Counter, tail: list[int]) -> ModuleShape:
-    """The cokernel of one block of ``staircase_cokernels``."""
-    return ModuleShape(pivots + Counter(tail))
-
-
 def _hc_walk(p: Prime, i_max: int) -> Iterator[tuple[Counter, list[int]]]:
     """``staircase_cokernels`` over the (i_max//2 + 1)-square cyclic
     staircase: its leading (i/2 + 1)-square block presents cyclic homology
     in even degree i, and the map out of odd degree i + 1."""
-    p2 = p.p * p.p
-    return staircase_cokernels(_staircase(p.p, p2, 0, i_max // 2 + 1), p)
+    return staircase_cokernels(_staircase(p, 1, 2, 0, i_max // 2 + 1))
 
 
 def hc_oracle(p: Prime, i: int) -> HomologyResult:
@@ -137,7 +126,7 @@ def hc_oracle(p: Prime, i: int) -> HomologyResult:
         return HomologyResult("HC", i, TRIVIAL_SHAPE, "oracle")
     for pivots, tail in _hc_walk(p, i):
         pass
-    return HomologyResult("HC", i, _block_shape(pivots, tail), "oracle")
+    return HomologyResult("HC", i, ModuleShape(pivots + Counter(tail)), "oracle")
 
 
 def hc_oracle_shapes(p: Prime, i_max: int) -> dict[int, ModuleShape]:
@@ -146,7 +135,7 @@ def hc_oracle_shapes(p: Prime, i_max: int) -> dict[int, ModuleShape]:
     the smaller ones."""
     if i_max < 0:
         raise ValueError("negative degree")
-    return {2 * k: _block_shape(*block) for k, block in enumerate(_hc_walk(p, i_max))}
+    return {2 * k: ModuleShape(pivots + Counter(tail)) for k, (pivots, tail) in enumerate(_hc_walk(p, i_max))}
 
 
 def hc_closed_form(p: Prime, i: int) -> HomologyResult | None:
@@ -258,11 +247,11 @@ def phi_coeff_texts(p: Prime, j: int, i: int) -> tuple[str, int, Iterator[tuple[
 
 
 def _colimit_rows(p: Prime, i: int) -> list[dict[int, int]]:
-    """The colimit with top index i and its head relation imposed, as
-    sparse rows: column 0 holds the relation, p^(2 + a_i) in row 0 and
-    p^(2 + b_{i-n}) in row k, whose column k holds the modulus n = 2k - 1."""
-    return [{0: p.p ** (2 + a_val(p, i))}] + [
-        {0: p.p ** (2 + b_val(p, i - n)), k: n} for k, n in enumerate(range(1, i + 1, 2), 1)
+    """The colimit with top index i and its head relation imposed, as rows
+    of {column: valuation}: the relation's 2 + a_i in row 0 and 2 + b_{i-n}
+    in row k of column 0, and v_p of the modulus n = 2k - 1 in column k."""
+    return [{0: 2 + a_val(p, i)}] + [
+        {0: 2 + b_val(p, i - n), k: vp(p, n)} for k, n in enumerate(range(1, i + 1, 2), 1)
     ]
 
 
@@ -275,12 +264,12 @@ def verify_presentation(p: Prime, i: int, shapes: dict[int, ModuleShape]) -> Che
     relation's entries, p^2 A_i at the head and p^2 B_{i-n} at each odd
     n <= i, are all nonzero.  Their column is a star, and each modulus a
     pendant edge on one of its rows, so by ``cokernel_shape`` their
-    valuations 2 + a_i and 2 + b_{i-n} decide the cokernel: the relation
-    is rebuilt from powers of p.
+    valuations 2 + a_i and 2 + b_{i-n}, with the moduli's v_p(n), decide
+    the cokernel: the relation is rebuilt from those valuations alone.
     """
     if i < 1 or i % 2 == 0:
         raise ValueError("colimit index must be odd and positive")
-    rebuilt = cokernel_shape(_colimit_rows(p, i), p)
+    rebuilt = cokernel_shape(_colimit_rows(p, i))
     oracle = shapes[i + 1]
     ok = rebuilt == oracle
     return Check(f"colimit presentation {i}", ok, "" if ok else f"rebuilt {rebuilt} vs oracle {oracle}")
@@ -456,8 +445,7 @@ def hc_neg_truncation_probe(p: Prime, m: int, truncation: int | None = None) -> 
 
     # Truncations K and K + 1 are the last two leading blocks of the
     # (K+1)-square staircase; in_z2 has made sure that m is even and >= 2.
-    p2 = p.p * p.p
-    blocks = islice(staircase_cokernels(_staircase(p2, p2, m, truncation + 1), p), truncation - 1, None)
+    blocks = islice(staircase_cokernels(_staircase(p, 2, 2, m, truncation + 1)), truncation - 1, None)
     vals_k = subhead(*next(blocks))
     vals_k1 = subhead(*next(blocks))
     if truncation == 1 or not (vals_k or vals_k1):

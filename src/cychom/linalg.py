@@ -5,21 +5,23 @@ Every homology module in the package is the p-primary part of a cokernel,
 and over Z_(p) every integer prime to p is a unit.  The matrices the
 paper needs (the HH blocks, the cyclic and negative staircases, the
 colimit presentation) have a forest for support, and the cokernel of such
-a matrix is decided by the valuations of its entries alone:
-``cokernel_shape`` reads it off them, and ``staircase_cokernels`` does so
-for every leading square block of a staircase in one left-to-right walk
-with a stack of small ints; that is the oracle route.
+a matrix is decided by the valuations of its entries alone.  The two
+valuation routes take those valuations and no prime: ``cokernel_shape``
+reads the cokernel off rows of {column: valuation}, and
+``staircase_cokernels`` every leading square block of a staircase off its
+path of valuations, in one walk with a stack of small ints: the oracle.
 
-``local_snf`` eliminates any matrix over Z/p^N, where every invariant
-factor of valuation below N is still visible and no entry outgrows p^N
-(Hafner-McCurley, SIAM J. Comput. 1991; Cohen, *A Course in
-Computational Algebraic Number Theory*, 2.4).  It is the kernel of
-``submodule_equal_mod`` and the independent reference the tests hold the
-valuation routes to.  It never inverts anything mod p^N: scaling a row by
-a unit changes no invariant factor, so a pivot p^v * u clears a row with
-p^v * f in its column by row := u * row - f * pivot_row.  Matrices come as
-sparse rows, one {column: entry} dict per row, so a staircase with two
-diagonals costs memory linear in its size.
+The integer engines take entries and a prime.  ``local_snf`` eliminates
+any matrix over Z/p^N, where every invariant factor of valuation below N
+is still visible and no entry outgrows p^N (Hafner-McCurley, SIAM J.
+Comput. 1991; Cohen, *A Course in Computational Algebraic Number
+Theory*, 2.4).  It is the kernel of ``submodule_equal_mod`` and the
+independent reference the tests hold the valuation routes to.  It never
+inverts anything mod p^N: scaling a row by a unit changes no invariant
+factor, so a pivot p^v * u clears a row with p^v * f in its column by
+row := u * row - f * pivot_row.  Matrices come as sparse rows, one
+{column: entry} dict per row, so a staircase with two diagonals costs
+memory linear in its size.
 
 ``snf`` is the classical integer elimination on a dense ``IntMatrix``,
 kept as the reference the tests compare the local kernels against.
@@ -303,10 +305,11 @@ def local_snf(rows: list[dict[int, int]], p: Prime, precision: int, rank: int) -
     return tuple(pivots)
 
 
-def cokernel_shape(rows: list[dict[int, int]], p: Prime) -> ModuleShape:
-    """Shape of R^len(rows) / (column span of the matrix given as sparse
-    rows), keeping only the p-primary part, from the valuations of the
-    entries alone.
+def cokernel_shape(rows: list[dict[int, int]]) -> ModuleShape:
+    """Shape of R^len(rows) / (column span of a matrix over Z_(p)),
+    keeping only the p-primary part, from the valuations of its entries
+    alone: one {column: valuation} dict per row, an absent entry simply
+    not listed.  The rows are not modified.
 
     Why valuations suffice.  Take an entry x no larger in valuation than
     any other entry y of its row or z of its column.  Then y/x and z/x lie
@@ -325,16 +328,16 @@ def cokernel_shape(rows: list[dict[int, int]], p: Prime) -> ModuleShape:
     is again a forest with at most two entries a row.  The HH blocks, the
     staircases and the colimit presentation are such forests.
 
-    Each entry is read once, through ``vp``, and the pivots are taken
-    least valuation first.  A fill that lands on an entry could cancel
-    it, so that raises ValueError rather than return a shape.
+    The pivots are taken least valuation first.  A fill that lands on an
+    entry could cancel it, so that raises ValueError rather than return a
+    shape.
 
-    >>> str(cokernel_shape([{0: 3}, {0: 1, 1: 9}], Prime(3)))
+    >>> str(cokernel_shape([{0: 1}, {0: 0, 1: 2}]))
     'R/p^3'
     """
     import heapq  # here, not at the top: CLI start-up never needs it
 
-    by_row = [{c: vp(p, x) for c, x in row.items() if x} for row in rows]
+    by_row = list(map(dict, rows))
     by_col: dict[int, dict[int, int]] = {}
     for r, row in enumerate(by_row):
         for c, v in row.items():
@@ -363,15 +366,15 @@ def cokernel_shape(rows: list[dict[int, int]], p: Prime) -> ModuleShape:
     return ModuleShape(pivots, free_rank=len(rows) - len(pivots))
 
 
-def staircase_cokernels(rows: Iterable[dict[int, int]], p: Prime) -> Iterator[tuple[Counter, list[int]]]:
+def staircase_cokernels(valuations: Iterable[int]) -> Iterator[tuple[Counter, list[int]]]:
     """The cokernel over Z_(p) of every leading square block of a
     staircase, from the valuations of its entries alone, in one
     left-to-right walk.
 
-    A staircase is lower-bidiagonal with nonzero entries: row 0 is
-    {0: d_0} and row k >= 1 is {k-1: s_k, k: d_k}.  Anything else raises
-    ValueError.  The rows may come lazily; each is read once, and each
-    entry only through its valuation, by ``vp``.
+    A staircase is lower-bidiagonal with nonzero entries: d_0, d_1, ...
+    on the diagonal and s_1, s_2, ... below it, s_k in row k.  It comes as
+    the valuations v(d_0), v(s_1), v(d_1), v(s_2), ... in path order,
+    which may come lazily; each is read once.
 
     Why valuations suffice: see ``cokernel_shape``.  A staircase's support
     is the path d_0, s_1, d_1, s_2, ..., each entry sharing a row or a
@@ -390,32 +393,28 @@ def staircase_cokernels(rows: Iterable[dict[int, int]], p: Prime) -> Iterator[tu
     the pivots so far every other stack entry from the top down, since
     there the top is an end whose one neighbour is larger.
 
-    Yields (pivots, tail) for k = 1, 2, ..., len(rows): the cokernel of
-    block k is the sum of R/p^e over the valuations e that ``pivots``
-    counts and those ``tail`` lists (ascending), zeros included, k in all.
-    ``pivots`` is the walk's own Counter, updated in place: read it before
-    asking for the next block.
+    Yields (pivots, tail) after each diagonal entry d_{k-1}, k = 1, 2,
+    ...: the cokernel of block k is the sum of R/p^e over the valuations
+    e that ``pivots`` counts and those ``tail`` lists (ascending), zeros
+    included, k in all.  ``pivots`` is the walk's own Counter, updated in
+    place: read it before asking for the next block.
 
-    >>> [(dict(c), t) for c, t in staircase_cokernels([{0: 3}, {0: 1, 1: 9}], Prime(3))]
+    >>> [(dict(c), t) for c, t in staircase_cokernels([1, 0, 2])]
     [({}, [1]), ({0: 1}, [3])]
     """
     pivots: Counter = Counter()
     stack: list[int] = []
-    for k, row in enumerate(rows):
-        entries = (row.get(k - 1), row.get(k)) if k else (row.get(0),)
-        if len(row) != len(entries) or not all(entries):
-            raise ValueError(f"not a staircase: row {k} is {row}")
-        for x in entries:
-            v = vp(p, x)
-            while stack and stack[-1] <= v:
-                top = stack.pop()
-                pivots[top] += 1
-                if not stack:
-                    break
-                v += stack.pop() - top
-            else:
-                stack.append(v)
-        yield pivots, stack[::-2]
+    for k, v in enumerate(valuations):
+        while stack and stack[-1] <= v:
+            top = stack.pop()
+            pivots[top] += 1
+            if not stack:
+                break
+            v += stack.pop() - top
+        else:
+            stack.append(v)
+        if not k & 1:
+            yield pivots, stack[::-2]
 
 
 def submodule_equal_mod(

@@ -18,11 +18,10 @@ in O(log j) (``a_val``, ``b_val``); ``vp`` strips p^e from an
 integer in O(log e) big-int divisions; ``odd_valuations`` gives the
 multiset {v_p(n) : n odd in [lo, hi]}, as a count per valuation, by
 counting odd multiples of each p^e, without visiting the n;
-``staircase_texts`` writes p^k / k!! in decimal, for k = j and every
-k < j of the other parity, from one exact pass, each text made as it is
-read (``staircase_parts`` gives the same texts in parts); and
-``staircase_residue`` reduces p^k / k!! modulo a power of p from
-integers.  Primality of ``Prime`` is decided by deterministic
+``staircase_parts`` writes p^k / k!! in decimal, for k = j and every
+k < j of the other parity, from one exact pass, each text made in parts
+as it is read; and ``staircase_residue`` reduces p^k / k!! modulo a
+power of p from integers.  Primality of ``Prime`` is decided by deterministic
 Miller-Rabin.
 """
 
@@ -236,26 +235,15 @@ def __getattr__(name: str):
     return exact
 
 
-def staircase_texts(p: Prime, j: int) -> Iterator[str]:
+def staircase_parts(p: Prime, j: int) -> Iterator[tuple[str, ...]]:
     """The texts ``str(Fraction(p**k, k!!))`` of X_j, X_{j-1}, X_{j-3}, ...
+    in parts: (numerator,) for an integer X_k, else (numerator, "/",
+    denominator), so a writer passes the digits on without copying them
+    into one text.
 
     That is X_j, then X_k for every k < j of the other parity, from the
     top down: what column j of the staircase prints (the head, then the
-    component at each odd n <= j).  Each text is the join of its
-    ``staircase_parts``.
-
-    >>> list(staircase_texts(Prime(3), 5))
-    ['81/5', '81/8', '9/2', '1']
-    >>> list(staircase_texts(Prime(3), 4))
-    ['81/8', '9', '3']
-    """
-    return map("".join, staircase_parts(p, j))
-
-
-def staircase_parts(p: Prime, j: int) -> Iterator[tuple[str, ...]]:
-    """The texts of ``staircase_texts`` in parts: (numerator,) for an
-    integer X_k, else (numerator, "/", denominator), so a writer passes
-    the digits on without copying them into one text.
+    component at each odd n <= j).
 
     X_k = p^k / k!! satisfies X_k = p^2 X_{k-2} / k with X_0 = 1 and
     X_1 = p, so X_k = A_k for odd k and B_k for even k.  In lowest terms
@@ -272,6 +260,8 @@ def staircase_parts(p: Prime, j: int) -> Iterator[tuple[str, ...]]:
 
     >>> list(staircase_parts(Prime(3), 3))
     [('9',), ('9', '/', '2'), ('1',)]
+    >>> list(staircase_parts(Prime(3), 4))
+    [('81', '/', '8'), ('9',), ('3',)]
     """
     from decimal import Decimal
 

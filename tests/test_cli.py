@@ -102,18 +102,18 @@ def test_verify_walks_once(capsys, monkeypatch):
     real = homology.staircase_cokernels
     sizes = []
 
-    def counted(rows, p):
-        rows = list(rows)
-        sizes.append(len(rows))
-        return real(rows, p)
+    def counted(path):
+        path = list(path)
+        sizes.append(len(path))
+        return real(path)
 
     monkeypatch.setattr(homology, "staircase_cokernels", counted)
     code, out, _ = run(capsys, ["verify", "--prime", "3", "--hc-max", "40"])
     assert code == 0 and "0 failure(s)" in out
-    # One walk along the 21-square staircase feeds the hc, Connes,
-    # stabilization and colimit presentation checks at every even degree
-    # 0..40.
-    assert sizes == [21]
+    # One walk along the 21-square staircase, 2 * 21 - 1 valuations, feeds
+    # the hc, Connes, stabilization and colimit presentation checks at
+    # every even degree 0..40.
+    assert sizes == [41]
 
 
 def test_verify_reports_mismatch_with_exit_3(capsys, monkeypatch):
@@ -159,12 +159,13 @@ def _force(monkeypatch, kind: str) -> None:
     elif kind == "kernel generators":
         monkeypatch.setattr(homology, "submodule_equal_mod", lambda *args: False)
     else:
-        # A relation p times too large in its head rebuilds a wrong module.
+        # A relation p times too large in its head, one more in its
+        # valuation, rebuilds a wrong module.
         real = homology._colimit_rows
 
         def skewed(p, i):
             head, *rows = real(p, i)
-            return [{0: head[0] * p.p}, *rows]
+            return [{0: head[0] + 1}, *rows]
 
         monkeypatch.setattr(homology, "_colimit_rows", skewed)
 
@@ -276,6 +277,56 @@ def test_arithmetic_error_exits_3(capsys, monkeypatch):
     assert err.startswith("error:") and "routes disagree" in err
 
 
+def _cychom(argv, stdout):
+    """``python -m cychom argv`` started in a fresh interpreter, its stdout
+    ``stdout``, buffered as from a shell, and its stderr a pipe."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cychom.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    cmd = [sys.executable, "-m", "cychom", *argv]
+    return subprocess.Popen(cmd, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+def _assert_one_error_line(code, err):
+    # Exit 1 and one line on stderr: no traceback, and nothing that Python
+    # reports at exit about a stream it could not flush.
+    assert code == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_out_that_cannot_be_opened_ends_with_an_error_line(tmp_path, where):
+    target = tmp_path / "no" / "such" / "dir" / "x" if where == "missing directory" else tmp_path
+    proc = _cychom(["hc", "--prime", "3", "--degree", "4", "--out", str(target)], subprocess.PIPE)
+    out, err = proc.communicate()
+    _assert_one_error_line(proc.returncode, err)
+    assert out == "" and str(target) in err
+
+
+def test_stdout_closed_early_ends_with_an_error_line():
+    # About 2 MB of members, far past what a pipe holds: the writes after
+    # the reader has gone fail.
+    proc = _cychom(["zsets", "--prime", "3", "--max", "1000000"], subprocess.PIPE)
+    assert proc.stdout.read(1) == "z"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    _assert_one_error_line(proc.wait(), err)
+    assert "Broken pipe" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_stdout_on_a_full_device_ends_with_an_error_line(fmt):
+    # A short answer fails only when it is flushed, a long one while it is
+    # written.
+    for argv in (["hc", "--prime", "3", "--degree", "4"], ["zsets", "--prime", "3", "--max", "1000000"]):
+        with open("/dev/full", "w") as full:
+            proc = _cychom(argv + ["--format", fmt], full)
+            _, err = proc.communicate()
+        _assert_one_error_line(proc.returncode, err)
+        assert "No space left on device" in err
+
+
 def test_csv_and_out_file(tmp_path, capsys):
     target = tmp_path / "hc.csv"
     code, out, _ = run(
@@ -372,6 +423,22 @@ def test_csv_nested_columns_are_prefixed(capsys):
     assert row["closed_form.torsion_p_exponents"] == "8;2;1"
     assert row["closed_form.method"] == "closed_form"
     assert row["agreement"] == "True"
+
+
+# Runs shorter than, equal to and longer than the 4096-item slices, and a
+# multiple of them.
+@example({3: 4095, 2: 4096, 1: 4097})
+@example({5: 8192})
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(1, 60), st.integers(1, 10000), max_size=5))
+def test_exponent_list_is_the_flat_exponents_at_its_final_size(runs):
+    # The list shape_record gives by default, which json.dumps writes.
+    from cychom.linalg import ModuleShape
+
+    shape = ModuleShape(runs)
+    exponents = cli._exponent_list(shape)
+    assert exponents == list(shape.torsion_exponents)
+    assert sys.getsizeof(exponents) == sys.getsizeof([0] * len(exponents))
 
 
 def test_deterministic_output(capsys):

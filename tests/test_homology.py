@@ -73,7 +73,7 @@ def test_hc_oracle_walks_no_staircase_at_an_odd_degree(monkeypatch):
 
     walks = []
     real = homology.staircase_cokernels
-    monkeypatch.setattr(homology, "staircase_cokernels", lambda rows, p: walks.append(p) or real(rows, p))
+    monkeypatch.setattr(homology, "staircase_cokernels", lambda path: walks.append(path) or real(path))
     for i in (1, 5, 999, 999999):
         res = hc_oracle(P3, i)
         assert (res.degree, res.shape, res.method) == (i, TRIVIAL_SHAPE, "oracle")
@@ -154,6 +154,27 @@ def test_oracle_makes_no_integer_snf(monkeypatch):
         hochschild(P5, i)
     assert hc_neg_truncation_probe(P3, 6, 6).ok
     assert verify_presentation(P3, 5, _shapes(P3, 6)).ok
+
+
+def test_valuation_routes_take_no_integer(monkeypatch):
+    # The walk and cokernel_shape read the valuations homology states each
+    # matrix by; they take no prime and value no entry.  linalg's vp is
+    # left to its integer engines.
+    from cychom import linalg
+
+    def forbidden(*args):
+        raise AssertionError("linalg.vp called")
+
+    monkeypatch.setattr(linalg, "vp", forbidden)
+    assert hc_oracle(P3, 400).shape == hc_closed_form(P3, 400).shape
+    assert hc_oracle(P3, 400).shape.p_length == 401
+    shapes = hc_oracle_shapes(Prime(101), 40)
+    assert connes_length_check(shapes).ok
+    hh = [hochschild(P5, i).shape for i in range(6)]
+    assert hh == [ModuleShape((1,)), TRIVIAL_SHAPE, ModuleShape((2,)), TRIVIAL_SHAPE, ModuleShape((2,)), TRIVIAL_SHAPE]
+    for i in range(1, 40, 2):
+        assert verify_presentation(Prime(101), i, shapes).ok
+    assert hc_neg_truncation_probe(P3, 6, 300).ok
 
 
 def test_hc_closed_form_examples():
@@ -378,7 +399,7 @@ def test_truncation_probe_without_a_matching_offset(monkeypatch):
     from cychom import homology
 
     blocks = [(Counter({1: 1, 5: 1}), [])] * 9
-    monkeypatch.setattr(homology, "staircase_cokernels", lambda rows, p: iter(blocks))
+    monkeypatch.setattr(homology, "staircase_cokernels", lambda path: iter(blocks))
     rep = hc_neg_truncation_probe(P3, 8, 8)
     assert rep == (False, False, ((1, 1),), None, "no truncation offset matches")
 
@@ -392,7 +413,7 @@ def test_truncation_probe_tries_cuts_up_to_k_plus_3_odd_steps(monkeypatch):
     from cychom import homology
 
     blocks = [(Counter({9: 1, 2: 1, 1: 2}), [])] * 5
-    monkeypatch.setattr(homology, "staircase_cokernels", lambda rows, p: iter(blocks))
+    monkeypatch.setattr(homology, "staircase_cokernels", lambda path: iter(blocks))
     assert hc_neg_truncation_probe(P3, 8, 4)[:4] == (True, False, ((1, 2), (2, 1)), 21)
     assert hc_neg_truncation_probe(P3, 8, 3) == (False, False, ((1, 2), (2, 1)), None, "no truncation offset matches")
 

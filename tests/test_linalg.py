@@ -18,6 +18,7 @@ from cychom.linalg import (
     submodule_equal_mod,
 )
 from cychom.padic import Prime, vp
+from valuation_rows import valuation_rows
 
 try:
     import sympy
@@ -153,24 +154,29 @@ def test_snf_matches_gcd_of_minors():
 
 
 def test_cokernel_shapes():
-    assert cokernel_shape([{}, {}], P3) == ModuleShape((), free_rank=2)
-    assert cokernel_shape([{0: 3}, {0: 1, 1: 9}], P3) == ModuleShape((3,))
-    assert cokernel_shape([{0: 3, 1: 2}, {1: 3}], P3) == ModuleShape((2,))
-    assert cokernel_shape([], P3) == TRIVIAL_SHAPE
-    # An entry 0 counts as absent.
-    assert cokernel_shape([{0: 0}, {0: 3, 1: 0}], P3) == ModuleShape((1,), free_rank=1)
+    # Rows of {column: valuation}: the matrices (3; 1 9) and (3 2; 0 3)
+    # at p = 3.
+    rows = [{0: 1}, {0: 0, 1: 2}]
+    assert cokernel_shape([{}, {}]) == ModuleShape((), free_rank=2)
+    assert cokernel_shape(rows) == ModuleShape((3,))
+    assert cokernel_shape([{0: 1, 1: 0}, {1: 1}]) == ModuleShape((2,))
+    assert cokernel_shape([]) == TRIVIAL_SHAPE
+    # The rows are read, not changed.
+    assert rows == [{0: 1}, {0: 0, 1: 2}]
+    # An entry 0 has no valuation, so its row does not list it.
+    assert cokernel_shape(valuation_rows([{0: 0}, {0: 3, 1: 0}], P3)) == ModuleShape((1,), free_rank=1)
 
 
 def test_cokernel_drops_prime_to_p_part():
     # coker = Z/10: only the 5-part survives for p=5, nothing for p=3.
     m = [{0: 10}]
-    assert cokernel_shape(m, Prime(5)) == ModuleShape((1,))
-    assert cokernel_shape(m, P3) == TRIVIAL_SHAPE
+    assert cokernel_shape(valuation_rows(m, Prime(5))) == ModuleShape((1,))
+    assert cokernel_shape(valuation_rows(m, P3)) == TRIVIAL_SHAPE
 
 
 def test_cokernel_p_length_matches_det_valuation():
     for data in ([[3, 0], [1, 9]], [[9, 0], [7, 9]], [[27]]):
-        assert cokernel_shape(_sparse(data), P3).p_length == vp(P3, _det(data))
+        assert cokernel_shape(valuation_rows(_sparse(data), P3)).p_length == vp(P3, _det(data))
 
 
 def _factors_shape(factors, rows, p):
@@ -190,7 +196,7 @@ def _check_against_factors(rows, p, factors):
     vals = tuple(vp(p, d) for d in factors)
     assert local_snf(rows, p, max(vals, default=0) + 1, len(vals)) == vals
     try:
-        got = cokernel_shape(rows, p)
+        got = cokernel_shape(valuation_rows(rows, p))
     except ValueError:
         return
     assert got == _factors_shape(factors, len(rows), p)
@@ -276,7 +282,7 @@ def _forests(draw):
 def test_cokernel_shape_matches_integer_snf_and_sympy_on_forests(case):
     p, cols, rows = case
     data = [[row.get(c, 0) for c in range(cols)] for row in rows]
-    got = cokernel_shape(rows, p)
+    got = cokernel_shape(valuation_rows(rows, p))
     assert got == _snf_shape(IntMatrix(data, len(rows), cols), p)
     if sympy is not None and rows and cols:
         assert got == _factors_shape(_sympy_factors(data), len(rows), p)
@@ -293,7 +299,7 @@ def test_cokernel_shape_matches_integer_snf_and_sympy_on_forests(case):
 )
 def test_cokernel_shape_refuses_a_fill_on_an_entry(rows):
     with pytest.raises(ValueError, match="a fill lands on the entry"):
-        cokernel_shape(rows, P3)
+        cokernel_shape(valuation_rows(rows, P3))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 101])
@@ -301,7 +307,7 @@ def test_cokernel_shape_matches_integer_snf_on_staircases(p):
     prime = Prime(p)
     for i in range(2, 62, 2):
         m = cyclic_matrix(prime, i)
-        assert cokernel_shape(m, prime) == _snf_shape(_dense(m), prime)
+        assert cokernel_shape(valuation_rows(m, prime)) == _snf_shape(_dense(m), prime)
 
 
 def test_local_snf_modulus_guard():
@@ -359,11 +365,18 @@ def test_local_snf_matches_integer_snf_with_non_unit_pivots(case):
     assert local_snf(_sparse(data), p, max(want, default=0) + 1, len(want)) == want
 
 
+def _path(rows):
+    """The valuation rows of a staircase as its valuations in path order:
+    v(d_0), v(s_1), v(d_1), v(s_2), ..., d_k on the diagonal."""
+    return [v for k, row in enumerate(rows) for v in ((row[k - 1], row[k]) if k else (row[0],))]
+
+
 def _walk(rows, p):
-    """Each leading block's valuations from the walk, ascending, zeros
-    included, as ``local_snf`` gives them; and the longest tail."""
+    """Each leading block's valuations from the walk over the integer
+    staircase ``rows``, ascending, zeros included, as ``local_snf`` gives
+    them; and the longest tail."""
     blocks, longest = [], 0
-    for pivots, tail in staircase_cokernels(rows, p):
+    for pivots, tail in staircase_cokernels(_path(valuation_rows(rows, p))):
         blocks.append(tuple(sorted([*pivots.elements(), *tail])))
         longest = max(longest, len(tail))
     return blocks, longest
@@ -379,24 +392,29 @@ def test_walk_matches_local_snf_at_every_even_degree(p):
     # 2(k - 1); the staircase is triangular, so its determinant is the
     # diagonal product.  The walk's stack never holds more than three
     # entries, so a tail has at most two.  Each block is a path, so
-    # cokernel_shape reads it too.
+    # cokernel_shape reads it too.  The oracle walks the same valuations.
     prime = Prime(p)
     rows = cyclic_matrix(prime, WALK_MAX)
+    vrows = valuation_rows(rows, prime)
+    assert _path(vrows) == list(_staircase(prime, 1, 2, 0, WALK_MAX // 2 + 1))
     blocks, longest = _walk(rows, prime)
     assert len(blocks) == WALK_MAX // 2 + 1 and longest <= 2
     v_det = 0
     for k, got in enumerate(blocks, 1):
-        v_det += vp(prime, rows[k - 1][k - 1])
+        v_det += vrows[k - 1][k - 1]
         assert got == local_snf(rows[:k], prime, v_det + 1, k), k
-        assert cokernel_shape(rows[:k], prime) == ModuleShape(got), k
+        assert cokernel_shape(vrows[:k]) == ModuleShape(got), k
 
 
 @pytest.mark.parametrize("p", [3, 101])
 def test_walk_matches_local_snf_on_negative_staircases(p):
-    # Every m < 80 and truncation K < 60; the determinant is p^(2K).
+    # Every m < 80 and truncation K < 60: p^2 down the diagonal and m + 1,
+    # m + 3, ... below it, so the determinant is p^(2K).  The probe walks
+    # the same valuations.
     prime = Prime(p)
     for m in range(2, 80, 2):
-        rows = list(_staircase(p * p, p * p, m, 59))
+        rows = [{0: p * p}] + [{k - 1: m + 2 * k - 1, k: p * p} for k in range(1, 59)]
+        assert _path(valuation_rows(rows, prime)) == list(_staircase(prime, 2, 2, m, 59))
         blocks, longest = _walk(rows, prime)
         assert longest <= 2
         for k, got in enumerate(blocks, 1):
@@ -408,7 +426,7 @@ def test_walk_pivots_every_tie_at_once():
     # stack never grows past one entry, and block k, p times a unimodular
     # matrix, has cokernel (R/p)^k.
     rows = [{0: 3}] + [{k - 1: -3, k: 6} for k in range(1, 50)]
-    for k, (pivots, tail) in enumerate(staircase_cokernels(rows, P3), 1):
+    for k, (pivots, tail) in enumerate(staircase_cokernels(_path(valuation_rows(rows, P3))), 1):
         assert tail == [1] and sorted(pivots.elements()) == [1] * (k - 1)
 
 
@@ -442,25 +460,36 @@ def test_walk_matches_local_snf_and_sympy_on_random_staircases(case):
         assert blocks[-1] == tuple(sorted(vp(p, form[k, k]) for k in range(n)))
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [
-        [{0: 3, 1: 1}, {1: 9}],  # an entry above the diagonal
-        [{0: 3}, {1: 9}],  # no subdiagonal entry
-        [{0: 3}, {0: 1, 1: 0}],  # a zero on the diagonal
-        [{0: 3}, {0: 0, 1: 9}],  # a zero below it
-        [{0: 3}, {0: 1, 1: 9}, {0: 1, 1: 3, 2: 9}],  # two diagonals down
-        [{}],  # an empty row
-        [{1: 3}],  # the first row off the diagonal
-    ],
-)
-def test_walk_refuses_what_is_not_a_staircase(rows):
-    with pytest.raises(ValueError, match="not a staircase"):
-        list(staircase_cokernels(rows, P3))
+def _blocks(path):
+    """The valuation rows of each leading square block of the staircase
+    whose valuations in path order are ``path``."""
+    rows = []
+    for k, v in enumerate(path):
+        if k % 2 == 0 and k:
+            rows[-1][k // 2] = v  # d_{k/2}, beside s_{k/2}
+        else:
+            rows.append({k // 2: v})  # d_0, or s_{(k+1)/2} opening its row
+        if k % 2 == 0:
+            yield [dict(row) for row in rows]
+
+
+# A path that ends below the diagonal has no block for its last entry.
+@example([0, 6])
+@example([6, 5, 4, 3, 2, 1, 0])
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=6), max_size=60))
+def test_walk_matches_cokernel_shape_on_random_valuation_paths(path):
+    # The stack walk against the heap elimination, valuations only.
+    walked = staircase_cokernels(path)
+    for k, rows in enumerate(_blocks(path), 1):
+        pivots, tail = next(walked)
+        assert sum(pivots.values()) + len(tail) == k
+        assert ModuleShape(pivots + Counter(tail)) == cokernel_shape(rows), (k, rows)
+    assert next(walked, None) is None
 
 
 def test_walk_of_no_rows_yields_nothing():
-    assert list(staircase_cokernels([], P3)) == []
+    assert list(staircase_cokernels([])) == []
 
 
 def test_module_shape_canonical_form():

@@ -18,7 +18,6 @@ from cychom.padic import (
     seq_b,
     staircase_parts,
     staircase_residue,
-    staircase_texts,
     vp,
 )
 
@@ -174,6 +173,11 @@ def test_seq_closed_forms_follow_the_recursion(p):
             assert seq_b(p, j) == b
 
 
+def _texts(p, j):
+    """The text each value of ``staircase_parts`` joins to."""
+    return list(map("".join, staircase_parts(p, j)))
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 101])
 def test_staircase_texts_match_str_of_fraction(p):
     # k!! built by its own running product; every text stays below the
@@ -184,7 +188,7 @@ def test_staircase_texts_match_str_of_fraction(p):
         double_fact.append(double_fact[k - 2] * k)
     seen = set()
     for j in (1201, 1200):
-        texts = list(staircase_texts(Prime(p), j))
+        texts = _texts(Prime(p), j)
         ks = [j, *range(j - 1, -1, -2)]
         assert len(texts) == len(ks)
         for k, text in zip(ks, texts):
@@ -196,12 +200,12 @@ def test_staircase_texts_match_str_of_fraction(p):
 @pytest.mark.parametrize("j", [0, 1, 2, 3])
 def test_staircase_texts_small_columns(j):
     expected = {0: ["1"], 1: ["3", "1"], 2: ["9/2", "3"], 3: ["9", "9/2", "1"]}
-    assert list(staircase_texts(P3, j)) == expected[j]
+    assert _texts(P3, j) == expected[j]
 
 
 def test_staircase_texts_rejects_negative_index():
     with pytest.raises(ValueError):
-        staircase_texts(P3, -1)
+        staircase_parts(P3, -1)
 
 
 def test_staircase_texts_raise_rather_than_round(monkeypatch):
@@ -212,7 +216,7 @@ def test_staircase_texts_raise_rather_than_round(monkeypatch):
     small.prec = 30
     monkeypatch.setattr(padic, "_EXACT", small)
     with pytest.raises(decimal.Inexact):
-        staircase_texts(P3, 201)
+        staircase_parts(P3, 201)
 
 
 @pytest.mark.parametrize("j", [0, -1, 4, 10])
@@ -334,9 +338,11 @@ def test_staircase_residue_rejects_negative_index():
 @pytest.mark.parametrize("p", [3, 5, 101])
 def test_staircase_parts_join_to_the_texts(p):
     # Digits, or digits "/" digits: nothing a JSON or CSV writer escapes.
+    # Column j holds X_j, then X_k for every k < j of the other parity.
     for j in (0, 1, 2, 301, 302):
         parts = list(staircase_parts(Prime(p), j))
-        assert list(map("".join, parts)) == list(staircase_texts(Prime(p), j))
+        ks = [j, *range(j - 1, -1, -2)]
+        assert list(map("".join, parts)) == [str(seq_a(Prime(p), k) if k % 2 else seq_b(Prime(p), k)) for k in ks]
         for value in parts:
             assert len(value) in (1, 3) and value[1:2] in ((), ("/",))
             assert all(part.isdigit() for part in value[::2])

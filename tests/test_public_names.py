@@ -54,6 +54,7 @@ REMOVED_FUNCTIONS = [
     ("gaps", "_upper_scan_radius"),
     ("linalg", "bareiss_rank"),
     ("homology", "negative_matrix"),
+    ("padic", "staircase_texts"),
 ]
 REMOVED_MEMBERS = [
     ("linalg", "IntMatrix", "identity"),

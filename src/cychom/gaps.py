@@ -12,13 +12,14 @@ Note on 1: no window can reach down to 1 (windows have radius
 g(n) < (p^{v_p(n)}-1)/2), so 1 belongs to both sets even though informal
 listings of Z1/Z2 often start at the first element above p.
 
-Membership goes level by level, as the sieve marks.  g(n) = g(p^{v_p(n)})
+Membership goes level by level, as the sieve clears.  g(n) = g(p^{v_p(n)})
 and g(p^v) is nondecreasing in v, so a window holds i exactly when, at
 some level v >= 1, the odd multiple of p^v nearest to i (below; for Z2
 also above) lies within g(p^v) of i: a window's n is such a multiple at
 v = v_p(n), and the nearest one is no farther and has no smaller gap.
-Enumeration and the density counts mark each offset |d| <= g(p^v) of
-each level by one slice assignment over a byte per odd integer.
+Enumeration and the density counts start from a byte per odd integer,
+all members, and clear each offset |d| <= g(p^v) of each level by one
+slice assignment: what stays set is the set.
 """
 
 from __future__ import annotations
@@ -83,20 +84,20 @@ def in_z2(p: Prime, i: int) -> bool:
     return not _hit(p, i, symmetric=True)
 
 
-def _mark(marked: bytearray, p: Prime, upper: int, signs: tuple[int, ...]) -> bytearray:
-    """Mark in ``marked``, a byte per odd i <= upper (byte k for 2k+1),
+def _mark(members: bytearray, p: Prime, upper: int, signs: tuple[int, ...]) -> bytearray:
+    """Clear in ``members``, a byte per odd i <= upper (byte k for 2k+1),
     every odd multiple n of p^v shifted by s*d, for each s in signs (+1:
     n + d; -1: n - d, d > 0) and each offset d of each level v: the
     one-sided windows with signs (1,), the symmetric ones with (1, -1).
 
     A window of an odd multiple n of p^v holds n + d for every even
     |d| <= g(p^v) (d >= 0 one-sided), because g(n) = g(p^{v_p(n)}) >= g(p^v).
-    So level v marks each offset d once, over all odd multiples of p^v at
-    once, by one slice: odd integers 2p^v apart are p^v bytes apart.
-    Offsets |d| <= g(p^{v-1}) were marked at level v-1 over a superset, so
-    each level adds only its new offsets.  Levels with p^v > upper mark
-    nothing above their multiples, and nothing below once p^v > upper + 2v,
-    as in ``_hit``.
+    So level v clears each offset d once, over all odd multiples of p^v
+    at once, by one slice: odd integers 2p^v apart are p^v bytes apart.
+    Offsets |d| <= g(p^{v-1}) were cleared at level v-1 over a superset,
+    so each level adds only its new offsets.  Levels with p^v > upper
+    clear nothing above their multiples, and nothing below once
+    p^v > upper + 2v, as in ``_hit``.
     """
     q, v, done = p.p, 1, -2
     while q <= upper + (2 * v if -1 in signs else 0):
@@ -105,32 +106,23 @@ def _mark(marked: bytearray, p: Prime, upper: int, signs: tuple[int, ...]) -> by
             for s in signs:
                 if s > 0 or d:
                     k = (q + s * d) // 2
-                    marked[k::q] = b"\x01" * len(range(k, len(marked), q))
+                    members[k::q] = bytes(len(range(k, len(members), q)))
         done = g
         q, v = q * p.p, v + 1
-    return marked
-
-
-def _excluded_sieve(p: Prime, upper: int, symmetric: bool) -> bytearray:
-    """Mark every odd i <= upper lying in some window (symmetric: Z2's
-    windows): byte k is 1 iff 2k+1 is marked."""
-    return _mark(bytearray((upper + 1) // 2), p, upper, (1, -1) if symmetric else (1,))
-
-
-# Maps a sieve byte to "unmarked": 0 -> 1, 1 -> 0.
-_UNMARKED = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+    return members
 
 
 def member_mask(p: Prime, upper: int, symmetric: bool) -> bytearray:
     """The odd-index mask of Z1 (symmetric=False) or Z2 (symmetric=True)
-    up to upper: byte k is 1 iff 2k+1 is a member.
+    up to upper: byte k is 1 iff 2k+1 is a member.  It is the sieve
+    itself: every byte set, then each window's offsets cleared.
 
     >>> list(member_mask(Prime(3), 11, symmetric=False))
     [1, 0, 1, 1, 0, 1]
     """
     if upper < 1:
         raise ValueError("upper bound must be >= 1")
-    return _excluded_sieve(p, upper, symmetric).translate(_UNMARKED)
+    return _mark(bytearray(b"\x01") * ((upper + 1) // 2), p, upper, (1, -1) if symmetric else (1,))
 
 
 def enumerate_z1(p: Prime, upper: int) -> list[int]:
@@ -276,25 +268,23 @@ def _tail_sum(p: Prime, exact: bool) -> Fraction:
 def density_bounds(p: Prime, upper: int) -> DensityReport:
     """Empirical densities of Z1 and Z2 up to upper, with proven bounds.
 
-    The empirical counts are the unmarked odd indices of one window sieve,
+    The empirical counts are the members left set in one window sieve,
     counted without building the member lists.  A symmetric window
-    [n-g(n), n+g(n)] holds the one-sided [n, n+g(n)], so Z1's marks are a
-    subset of Z2's: the sieve marks the one-sided windows and counts, then
-    adds the offsets n - d below each multiple, and the levels whose
-    multiples lie past upper but reach below it, and counts again.  Every
+    [n-g(n), n+g(n)] holds the one-sided [n, n+g(n)], so Z2's members are
+    a subset of Z1's: the sieve clears the one-sided windows and counts
+    Z1, then clears the offsets n - d below each multiple, and the levels
+    whose multiples lie past upper but reach below it, and counts Z2.  Every
     bound field is a certified lower bound for the corresponding density
     (the series tails and logarithms are rounded in the safe direction).
     """
     from fractions import Fraction
 
-    if upper < 1:
-        raise ValueError("upper bound must be >= 1")
+    members = member_mask(p, upper, symmetric=False)
     pk = p.p
     lam = Fraction(2 * pk - 3, 2 * pk - 2)
     x_count = (upper + 1) // 2
-    marked = _excluded_sieve(p, upper, symmetric=False)
-    emp1 = Fraction(x_count - marked.count(1), x_count)
-    emp2 = Fraction(x_count - _mark(marked, p, upper, (-1,)).count(1), x_count)
+    emp1 = Fraction(members.count(1), x_count)
+    emp2 = Fraction(_mark(members, p, upper, (-1,)).count(1), x_count)
     # ceil(log_p upper) <= L, rounding up keeps the bound valid.
     log_up = 0
     q = 1

@@ -45,12 +45,10 @@ from .linalg import (
 from .padic import Prime, a_val, b_val, odd_valuations, seq_a, staircase_parts, staircase_residue, vp
 
 
-class HomologyResult(
-    namedtuple("HomologyResult", "theory degree shape method n_max", defaults=(None,))
-):
+class HomologyResult(namedtuple("HomologyResult", "theory degree shape method")):
     """One homology module: theory "HH" | "HC" | "HCneg" | "HP", its degree,
-    its ModuleShape, the method "oracle" | "closed_form" | "stabilized",
-    and the display cutoff n_max of a truncated product (else None)."""
+    its ModuleShape (which holds the cut of an infinite product), and the
+    method "oracle" | "closed_form"."""
 
     __slots__ = ()
 
@@ -159,19 +157,22 @@ def hc_closed_form(p: Prime, i: int) -> HomologyResult | None:
     return HomologyResult("HC", i, shape, "closed_form")
 
 
+def _product(p: Prime, start: int, n_max: int) -> ModuleShape:
+    """The completion of R times R/start x R/(start+2) x ..., shown up to
+    R/n_max, which must be odd and positive."""
+    if n_max < 1 or n_max % 2 == 0:
+        raise ValueError("n_max must be an odd positive integer")
+    return ModuleShape(odd_valuations(p, start, n_max), complete_rank=1, n_max=n_max)
+
+
 def hp(p: Prime, i: int, n_max: int) -> HomologyResult:
     """Periodic homology in degree i, displayed up to torsion factor R/n_max.
 
     Even degrees all agree: one copy of the p-adic completion of R times
-    R/1 x R/3 x R/5 x ...; odd degrees vanish.  The shape is truncated at
-    n_max (odd).
+    R/1 x R/3 x R/5 x ...; odd degrees vanish.  n_max must be odd.
     """
-    if n_max < 1 or n_max % 2 == 0:
-        raise ValueError("n_max must be an odd positive integer")
-    if i % 2 == 1:
-        return HomologyResult("HP", i, TRIVIAL_SHAPE, "closed_form")
-    shape = ModuleShape(odd_valuations(p, 1, n_max), complete_rank=1, truncated=True)
-    return HomologyResult("HP", i, shape, "closed_form", n_max=n_max)
+    shape = _product(p, 1, n_max)
+    return HomologyResult("HP", i, TRIVIAL_SHAPE if i % 2 else shape, "closed_form")
 
 
 def hc_neg_closed_form(p: Prime, m: int, n_max: int) -> HomologyResult | None:
@@ -179,19 +180,15 @@ def hc_neg_closed_form(p: Prime, m: int, n_max: int) -> HomologyResult | None:
 
     Non-positive even m gives the periodic answer.  Positive even m with
     m-1 in Z2 gives the completion times R/(m-1) x R/(m+1) x ...; other
-    positive even m are not covered (None).  Odd m vanishes.
+    positive even m are not covered (None).  Odd m vanishes.  n_max must
+    be odd.
     """
-    if n_max < 1 or n_max % 2 == 0:
-        raise ValueError("n_max must be an odd positive integer")
+    shape = _product(p, max(m - 1, 1), n_max)
     if m % 2 == 1:
         return HomologyResult("HCneg", m, TRIVIAL_SHAPE, "closed_form")
-    if m <= 0:
-        shape = hp(p, 0, n_max).shape
-        return HomologyResult("HCneg", m, shape, "closed_form", n_max=n_max)
-    if not in_z2(p, m - 1):
+    if m > 0 and not in_z2(p, m - 1):
         return None
-    shape = ModuleShape(odd_valuations(p, m - 1, n_max), complete_rank=1, truncated=True)
-    return HomologyResult("HCneg", m, shape, "closed_form", n_max=n_max)
+    return HomologyResult("HCneg", m, shape, "closed_form")
 
 
 class CoeffVector(namedtuple("CoeffVector", "head components")):
@@ -370,7 +367,7 @@ def hp_stabilization_check(p: Prime, shapes: dict[int, ModuleShape]) -> Check:
             mismatches.append(f"degree {i}: head {head} != a+2 = {expected_head}")
         if tail.torsion != periodic.torsion:
             mismatches.append(
-                f"degree {i}: tail {list(tail.torsion_exponents)} != periodic {list(periodic.torsion_exponents)}"
+                f"degree {i}: tail {tail.torsion_exponents} != periodic {periodic.torsion_exponents}"
             )
         heads.append(head)
     for prev, nxt in zip(heads, heads[1:]):
@@ -418,7 +415,7 @@ class TruncationProbeReport(
     __slots__ = ()
 
 
-def hc_neg_truncation_probe(p: Prime, m: int, truncation: int | None = None) -> TruncationProbeReport:
+def hc_neg_truncation_probe(p: Prime, m: int, truncation: int) -> TruncationProbeReport:
     """Compare truncated negative-staircase cokernels with the closed form.
 
     Nothing ties a K-square truncation to the inverse-limit answer a
@@ -430,8 +427,6 @@ def hc_neg_truncation_probe(p: Prime, m: int, truncation: int | None = None) -> 
     e ascending) must match the closed-form torsion R/(m-1) x R/(m+1) x
     ... cut at some odd point, reported as covered_up_to.
     """
-    if truncation is None:
-        truncation = m + 6
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     if not in_z2(p, m - 1):

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Mapping
-from itertools import chain, compress, repeat, starmap
+from itertools import compress
 
 from .padic import Prime, vp
 
@@ -144,7 +144,7 @@ def snf(m: IntMatrix) -> SnfResult:
     return SnfResult(tuple(factors))
 
 
-class ModuleShape(namedtuple("ModuleShape", "torsion free_rank complete_rank truncated")):
+class ModuleShape(namedtuple("ModuleShape", "torsion free_rank complete_rank n_max")):
     """Canonical shape of a module over a p-torsion-free Z_(p)-algebra R.
 
     torsion holds the cyclic factors R/p^e as runs: an (e, count) pair for
@@ -152,8 +152,9 @@ class ModuleShape(namedtuple("ModuleShape", "torsion free_rank complete_rank tru
     factor R/n with n prime to p is trivial).  The answers of the paper
     repeat each exponent over many odd n, so their runs are few.
     free_rank counts R factors, complete_rank counts factors of the p-adic
-    completion.  truncated marks shapes that stand for a finite cut of an
-    infinite product.
+    completion.  A shape that stands for an infinite product
+    R/a x R/(a+2) x ... is shown up to R/n_max, n_max odd; n_max is None
+    for a finite module.
 
     The torsion is given as the exponents or as a mapping from exponent
     to count; exponents and counts below 1 are dropped.
@@ -166,10 +167,10 @@ class ModuleShape(namedtuple("ModuleShape", "torsion free_rank complete_rank tru
         torsion: Iterable[int] | Mapping[int, int],
         free_rank: int = 0,
         complete_rank: int = 0,
-        truncated: bool = False,
+        n_max: int | None = None,
     ):
         runs = sorted(((e, n) for e, n in Counter(torsion).items() if e > 0 and n > 0), reverse=True)
-        return super().__new__(cls, tuple(runs), free_rank, complete_rank, truncated)
+        return super().__new__(cls, tuple(runs), free_rank, complete_rank, n_max)
 
     @classmethod
     def _make(cls, iterable):
@@ -179,9 +180,16 @@ class ModuleShape(namedtuple("ModuleShape", "torsion free_rank complete_rank tru
         return cls(dict(torsion), *rest)
 
     @property
-    def torsion_exponents(self) -> tuple[int, ...]:
-        """e for each cyclic factor R/p^e, descending."""
-        return tuple(chain.from_iterable(starmap(repeat, self.torsion)))
+    def torsion_exponents(self) -> list[int]:
+        """e for each cyclic factor R/p^e, descending: one list made at its
+        final size, each run filled by slices of at most 4096 items."""
+        exponents, k = [0] * sum(n for _, n in self.torsion), 0
+        for e, n in self.torsion:
+            chunk = [e] * min(n, 4096)
+            for m in [4096] * (n // 4096) + [n % 4096]:
+                exponents[k : k + m] = chunk if m == len(chunk) else chunk[:m]
+                k += m
+        return exponents
 
     @property
     def p_length(self) -> int:
@@ -189,9 +197,10 @@ class ModuleShape(namedtuple("ModuleShape", "torsion free_rank complete_rank tru
 
     def factors(self) -> list[tuple[str, int]]:
         """The factors of str(self) as runs: (text, count) pairs, in order,
-        a count 0 for a kind of factor that does not occur."""
+        a count 0 for a kind of factor that does not occur.  A shape with
+        an n_max ends in "..."."""
         torsion = [(f"R/p^{e}" if e > 1 else "R/p", n) for e, n in self.torsion]
-        return [("R^", self.complete_rank), ("R", self.free_rank), *torsion, ("...", int(self.truncated))]
+        return [("R^", self.complete_rank), ("R", self.free_rank), *torsion, ("...", int(self.n_max is not None))]
 
     def __str__(self):
         return " x ".join(text for text, n in self.factors() for _ in range(n)) or "0"

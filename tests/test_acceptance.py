@@ -150,7 +150,7 @@ def test_criterion_10_stabilization():
         for p in (Prime(3), Prime(5))
     )
     for m in (2, 6, 8):
-        ok = ok and hc_neg_truncation_probe(Prime(3), m).ok
+        ok = ok and hc_neg_truncation_probe(Prime(3), m, m + 6).ok
     _criterion(10, "HP stabilization for p in {3,5} to degree 40; truncation probes m in {2,6,8}", ok)
 
 

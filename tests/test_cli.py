@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import cychom
 from cychom import cli, gaps
 from cychom.cli import main
-from cychom.gaps import enumerate_z1, enumerate_z2
+from cychom.gaps import enumerate_z1, enumerate_z2, in_z2
 from cychom.padic import Prime
 
 EXPECTED_SHAPE_KEYS = {
@@ -387,6 +387,38 @@ def test_huge_integer_argument_still_refused():
     assert exc.value.code == 2
 
 
+def test_hcneg_probe_is_not_run_without_a_closed_form(capsys):
+    # At p = 7, degree 8 has m - 1 = 7 in a window, outside Z2: the answer
+    # is "not covered", and the probe, which compares with the closed form,
+    # is reported as not run, with exit 0, in every format.
+    argv = ["hcneg", "--prime", "7", "--degree", "8", "--truncation", "300"]
+    assert not in_z2(Prime(7), 7)
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == (
+        "HCneg_8: not covered (degree-1 in a gap window)\n"
+        "truncation probe: not run (no closed form to compare)\n"
+    )
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"theory": "HCneg", "degree": 8, "closed_form": None, "probe": None}
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    code, out, err = run(capsys, argv + ["--format", "csv"])
+    assert (code, err) == (0, "")
+    assert out == "theory,degree,closed_form,probe\r\nHCneg,8,,\r\n"
+    # Without --truncation the answer is the same, and has no probe.
+    code, out, _ = run(capsys, argv[:-2] + ["--format", "json"])
+    assert code == 0 and json.loads(out) == {"theory": "HCneg", "degree": 8, "closed_form": None}
+
+
+@pytest.mark.parametrize("degree", [8, 6])
+def test_hcneg_refuses_a_truncation_below_1_at_every_degree(capsys, degree):
+    # Degree 8 at p = 7 has no closed form, so it never reaches the probe,
+    # which refuses it at degree 6 on its own.
+    code, out, err = run(capsys, ["hcneg", "--prime", "7", "--degree", str(degree), "--truncation", "0"])
+    assert (code, out, err) == (1, "", "error: truncation must be >= 1\n")
+
+
 @pytest.mark.parametrize("degree", [7, 0])
 def test_hcneg_probe_refuses_an_odd_or_non_positive_degree(capsys, degree):
     # The probe reads Z2 membership of degree - 1, which only an even
@@ -433,12 +465,19 @@ def test_csv_nested_columns_are_prefixed(capsys):
 @given(st.dictionaries(st.integers(1, 60), st.integers(1, 10000), max_size=5))
 def test_exponent_list_is_the_flat_exponents_at_its_final_size(runs):
     # The list shape_record gives by default, which json.dumps writes.
+    from cychom.homology import HomologyResult
     from cychom.linalg import ModuleShape
 
     shape = ModuleShape(runs)
-    exponents = cli._exponent_list(shape)
-    assert exponents == list(shape.torsion_exponents)
+    exponents = shape.torsion_exponents
+    assert exponents == [e for e, n in shape.torsion for _ in range(n)]
     assert sys.getsizeof(exponents) == sys.getsizeof([0] * len(exponents))
+    record = cli.shape_record(HomologyResult("HC", 2, shape, "closed_form"))
+    assert record["torsion_p_exponents"] == exponents
+    # "truncated" and "n_max" are read off the shape, whatever its ranks.
+    assert (record["truncated"], record["n_max"]) == (False, None)
+    record = cli.shape_record(HomologyResult("HC", 2, shape._replace(n_max=9), "closed_form"))
+    assert (record["truncated"], record["n_max"]) == (True, 9)
 
 
 def test_deterministic_output(capsys):
@@ -484,7 +523,7 @@ def test_json_payloads_hold_only_json_types(monkeypatch, argv):
     assert main(argv + ["--format", "json"]) == 0
     # The same command with its torsion exponents as the plain list that
     # shape_record gives by default.
-    monkeypatch.setattr(cli, "_exponent_view", cli._exponent_list)
+    monkeypatch.setattr(cli, "_exponent_view", lambda shape: shape.torsion_exponents)
     assert main(argv + ["--format", "json"]) == 0
 
     payload, plain = payloads
@@ -588,7 +627,7 @@ def test_zsets_refuses_max_above_ceiling_before_sieving(capsys, monkeypatch):
     def sieve(*args, **kwargs):
         raise Sieved
 
-    monkeypatch.setattr(gaps, "_excluded_sieve", sieve)
+    monkeypatch.setattr(gaps, "member_mask", sieve)
     for fmt in ("table", "json", "csv"):
         code, out, err = run(capsys, ["zsets", "--prime", "3", "--max", str(cli.ZSETS_MAX + 1), "--format", fmt])
         assert code == 1 and out == ""

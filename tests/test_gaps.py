@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from cychom import gaps as gaps_module
 from cychom.gaps import (
-    _excluded_sieve,
     _gap_for_valuation,
     _iroot_floor,
     _mark,
@@ -20,6 +19,7 @@ from cychom.gaps import (
     gap,
     in_z1,
     in_z2,
+    member_mask,
 )
 from cychom.padic import Prime, a_val
 
@@ -316,8 +316,34 @@ def test_one_sided_marks_extend_to_the_symmetric_sieve(case):
     # offsets below each multiple and its top levels to the same bytes.
     p, upper = case
     prime = Prime(p)
-    marked = _excluded_sieve(prime, upper, symmetric=False)
-    assert _mark(marked, prime, upper, (-1,)) == _excluded_sieve(prime, upper, symmetric=True)
+    members = member_mask(prime, upper, symmetric=False)
+    assert _mark(members, prime, upper, (-1,)) == member_mask(prime, upper, symmetric=True)
+
+
+@cache
+def _point_members(p: int, symmetric: bool) -> bytes:
+    """Byte k is in_z1 (symmetric: in_z2) of 2k+1, for 2k+1 <= 10**5 + 1."""
+    member = in_z2 if symmetric else in_z1
+    return bytes(member(Prime(p), i) for i in range(1, 10**5 + 2, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 5, 7, 101]), st.integers(1, 10**5))
+@example(3, 1)
+@example(101, 100)  # N < p
+@example(3, 10**5)
+@example(7, 7**5 + 3)
+def test_member_mask_is_the_point_membership_and_density_counts_it(p, upper):
+    # The sieve's bytes are the members, byte for byte, and the empirical
+    # densities are their counts over the (N+1)//2 odd numbers up to N.
+    prime = Prime(p)
+    size = (upper + 1) // 2
+    z1, z2 = (member_mask(prime, upper, symmetric) for symmetric in (False, True))
+    assert z1 == _point_members(p, False)[:size]
+    assert z2 == _point_members(p, True)[:size]
+    rep = density_bounds(prime, upper)
+    assert rep.empirical_z1 == Fraction(z1.count(1), size)
+    assert rep.empirical_z2 == Fraction(z2.count(1), size)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])

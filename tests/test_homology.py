@@ -197,8 +197,8 @@ def test_hc_closed_form_clauses_agree_when_both_apply():
 
 
 def test_hp_shapes():
-    assert hp(P3, 0, 11).shape == ModuleShape((1, 2), complete_rank=1, truncated=True)
-    assert hp(P5, -4, 9).shape == ModuleShape((1,), complete_rank=1, truncated=True)
+    assert hp(P3, 0, 11).shape == ModuleShape((1, 2), complete_rank=1, n_max=11)
+    assert hp(P5, -4, 9).shape == ModuleShape((1,), complete_rank=1, n_max=9)
     assert hp(P3, 3, 9).shape == TRIVIAL_SHAPE
     with pytest.raises(ValueError):
         hp(P3, 0, 10)
@@ -207,7 +207,7 @@ def test_hp_shapes():
 def test_hc_neg_closed_form():
     assert hc_neg_closed_form(P3, -2, 9).shape == hp(P3, 0, 9).shape
     r = hc_neg_closed_form(P3, 6, 15)
-    assert r.shape == ModuleShape((2, 1), complete_rank=1, truncated=True)
+    assert r.shape == ModuleShape((2, 1), complete_rank=1, n_max=15)
     assert hc_neg_closed_form(P3, 26, 29) is None
     assert hc_neg_closed_form(P3, 5, 9).shape == TRIVIAL_SHAPE
 
@@ -462,8 +462,8 @@ def test_closed_forms_at_large_degree_match_elementwise_tail(p):
     neg = hc_neg_closed_form(p, i, i + 21)
     if in_z2(p, i - 1):
         tors = tuple(vp(p, n) for n in range(i - 1, i + 22, 2))
-        assert neg.shape == ModuleShape(tors, complete_rank=1, truncated=True)
+        assert neg.shape == ModuleShape(tors, complete_rank=1, n_max=i + 21)
     else:
         assert neg is None
     tors = tuple(vp(p, n) for n in range(1, i + 2, 2))
-    assert hp(p, 0, i + 1).shape == ModuleShape(tors, complete_rank=1, truncated=True)
+    assert hp(p, 0, i + 1).shape == ModuleShape(tors, complete_rank=1, n_max=i + 1)

@@ -495,19 +495,19 @@ def test_walk_of_no_rows_yields_nothing():
 def test_module_shape_canonical_form():
     s = ModuleShape((0, 1, 3, 0, 2, 3))
     assert s.torsion == ((3, 2), (2, 1), (1, 1))
-    assert s.torsion_exponents == (3, 3, 2, 1)
+    assert s.torsion_exponents == [3, 3, 2, 1]
     assert s.p_length == 9
     # Keyword input, a mapping from exponent to count, and the tuple-record
     # rebuilders, which take runs, canonicalise too.
     assert ModuleShape(torsion=(0, 1, 3)) == ModuleShape((3, 1)) == ModuleShape((1, 3, 0))
     assert ModuleShape({1: 1, 0: 4, 3: 1, 2: 0, -1: 2}) == ModuleShape((3, 1))
     assert hash(ModuleShape(torsion=(0, 1, 3))) == hash(ModuleShape((3, 1)))
-    assert s._replace(torsion=((0, 1), (1, 1), (4, 1))).torsion_exponents == (4, 1)
-    assert ModuleShape._make([((0, 1), (2, 1), (5, 1)), 1, 0, False]) == ModuleShape((5, 2), free_rank=1)
+    assert s._replace(torsion=((0, 1), (1, 1), (4, 1))).torsion_exponents == [4, 1]
+    assert ModuleShape._make([((0, 1), (2, 1), (5, 1)), 1, 0, None]) == ModuleShape((5, 2), free_rank=1)
     assert ModuleShape(dict(s.torsion)) == s
-    assert str(ModuleShape((2,), complete_rank=1, truncated=True)) == "R^ x R/p^2 x ..."
+    assert str(ModuleShape((2,), complete_rank=1, n_max=9)) == "R^ x R/p^2 x ..."
     # str joins the factors' runs, a count 0 for a kind that does not occur.
-    assert ModuleShape((2,), complete_rank=1, truncated=True).factors() == [("R^", 1), ("R", 0), ("R/p^2", 1), ("...", 1)]
+    assert ModuleShape((2,), complete_rank=1, n_max=9).factors() == [("R^", 1), ("R", 0), ("R/p^2", 1), ("...", 1)]
     assert s.factors() == [("R^", 0), ("R", 0), ("R/p^3", 2), ("R/p^2", 1), ("R/p", 1), ("...", 0)]
     assert str(s) == "R/p^3 x R/p^3 x R/p^2 x R/p"
     assert str(TRIVIAL_SHAPE) == "0"
@@ -518,7 +518,7 @@ def test_module_shape_canonical_form():
 def test_module_shape_canonical_form_matches_filter_then_sort(exponents, given_as):
     # The canonical form as first defined: drop exponents <= 0, then sort;
     # the runs are its runs of equal exponents.
-    want = tuple(sorted((e for e in exponents if e > 0), reverse=True))
+    want = sorted((e for e in exponents if e > 0), reverse=True)
     given_exponents = {
         "list": exponents,
         "generator": (e for e in exponents),

@@ -55,6 +55,9 @@ REMOVED_FUNCTIONS = [
     ("linalg", "bareiss_rank"),
     ("homology", "negative_matrix"),
     ("padic", "staircase_texts"),
+    ("gaps", "_excluded_sieve"),
+    ("gaps", "_UNMARKED"),
+    ("cli", "_exponent_list"),
 ]
 REMOVED_MEMBERS = [
     ("linalg", "IntMatrix", "identity"),
@@ -72,6 +75,8 @@ REMOVED_MEMBERS = [
     ("homology", "CoeffVector", "prime"),
     ("homology", "CoeffVector", "j"),
     ("homology", "CoeffVector", "i"),
+    ("linalg", "ModuleShape", "truncated"),
+    ("homology", "HomologyResult", "n_max"),
 ]
 
 

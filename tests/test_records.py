@@ -34,8 +34,8 @@ RECORDS = [
         },
     ),
     (SnfResult, {"invariant_factors": (1, 9)}),
-    (ModuleShape, {"torsion": ((2, 1), (1, 1)), "free_rank": 1, "complete_rank": 1, "truncated": True}),
-    (HomologyResult, {"theory": "HC", "degree": 2, "shape": SHAPE, "method": "oracle", "n_max": 11}),
+    (ModuleShape, {"torsion": ((2, 1), (1, 1)), "free_rank": 1, "complete_rank": 1, "n_max": 11}),
+    (HomologyResult, {"theory": "HC", "degree": 2, "shape": SHAPE, "method": "oracle"}),
     (CoeffVector, {"head": Fraction(3), "components": ((1, Fraction(1)),)}),
     (Check, {"name": "hp stabilization", "ok": False, "detail": "degree 2: head 4 != a+2 = 3"}),
     (
@@ -68,8 +68,7 @@ def test_record_is_an_immutable_value(cls, fields):
 
 
 def test_record_defaults():
-    assert ModuleShape((1,)) == ModuleShape(torsion=(1,), free_rank=0, complete_rank=0, truncated=False)
-    assert HomologyResult("HH", 0, SHAPE, "closed_form").n_max is None
+    assert ModuleShape((1,)) == ModuleShape(torsion=(1,), free_rank=0, complete_rank=0, n_max=None)
     assert Check("kernel generators at 5", True).detail == ""
     assert str(ModuleShape(())) == "0"
     with pytest.raises(TypeError):

@@ -3,6 +3,9 @@
 Every engine operation is exposed through a subcommand with table, json,
 or csv output.  Exit codes: 0 success, 1 engine precondition failure or
 output that cannot be written, 2 usage error, 3 verification mismatch.
+A handler ``cmd_*(p, args)`` only computes: it returns the payload, the
+table lines and the exit code.  ``main`` alone checks the prime, writes
+the answer once in the format asked for, and maps the errors to codes.
 
 The grammar is one table, ``GRAMMAR``, which two parsers read.  A
 well-formed command, ``COMMAND --flag value ...`` with each flag one of
@@ -412,19 +415,20 @@ def _cap(flag: str, value: int, ceiling: int, why: str) -> None:
         raise ValueError(f"{why}, so {flag} is capped at {ceiling}; got {value}")
 
 
-def cmd_hh(args) -> int:
+def _shape_answer(res: homology.HomologyResult):
+    """The answer of a command whose result is one shape."""
+    return shape_record(res, _exponent_view), [_shape_line(res)], 0
+
+
+def cmd_hh(p: Prime, args):
     from . import homology
 
-    p = Prime(args.prime)
-    res = homology.hochschild(p, args.degree)
-    _emit(shape_record(res, _exponent_view), args.format, args.out, [_shape_line(res)])
-    return 0
+    return _shape_answer(homology.hochschild(p, args.degree))
 
 
-def cmd_hc(args) -> int:
+def cmd_hc(p: Prime, args):
     from . import homology
 
-    p = Prime(args.prime)
     _cap("--degree", args.degree, HC_MAX_DEGREE, "hc walks a (degree/2+1)-square staircase")
     oracle = homology.hc_oracle(p, args.degree)
     record = shape_record(oracle, _exponent_view)
@@ -439,14 +443,12 @@ def cmd_hc(args) -> int:
             record["agreement"] = closed.shape == oracle.shape
             lines.append(_shape_line(closed))
             lines.append(f"agreement: {record['agreement']}")
-    _emit(record, args.format, args.out, lines)
-    return 3 if record.get("agreement") is False else 0
+    return record, lines, 3 if record.get("agreement") is False else 0
 
 
-def cmd_hcneg(args) -> int:
+def cmd_hcneg(p: Prime, args):
     from . import homology
 
-    p = Prime(args.prime)
     if args.truncation is not None:
         if args.degree < 2 or args.degree % 2:
             raise ValueError(f"--truncation needs an even --degree >= 2, got {args.degree}")
@@ -475,8 +477,7 @@ def cmd_hcneg(args) -> int:
                 "method": "stabilized",
             }
             lines.append(f"truncation probe: ok={probe.ok} ({probe.details})")
-    _emit(payload, args.format, args.out, lines)
-    return 0
+    return payload, lines, 0
 
 
 def _n_max(args) -> int:
@@ -492,17 +493,13 @@ def _n_max(args) -> int:
     return n_max
 
 
-def cmd_hp(args) -> int:
+def cmd_hp(p: Prime, args):
     from . import homology
 
-    p = Prime(args.prime)
-    res = homology.hp(p, args.degree, _n_max(args))
-    _emit(shape_record(res, _exponent_view), args.format, args.out, [_shape_line(res)])
-    return 0
+    return _shape_answer(homology.hp(p, args.degree, _n_max(args)))
 
 
-def cmd_zsets(args) -> int:
-    p = Prime(args.prime)
+def cmd_zsets(p: Prime, args):
     _cap("--max", args.max, ZSETS_MAX, "zsets lists every member")
     members = Members(gaps.member_mask(p, args.max, symmetric=args.set == "z2"))
     payload = {
@@ -512,18 +509,17 @@ def cmd_zsets(args) -> int:
         "members": members,
         "note": "1 is a member by definition; informal listings often omit it",
     }
-    lines = []
-    if args.format == "table":
-        lines = [
-            f"{args.set} up to {args.max} for p={args.prime} ({members.mask.count(1)} elements):",
-            members.chunks(" "),
-        ]
-    _emit(payload, args.format, args.out, lines)
-    return 0
+    return payload, _members_lines(args, members), 0
 
 
-def cmd_density(args) -> int:
-    p = Prime(args.prime)
+def _members_lines(args, members: Members):
+    """The table of ``zsets``, made only if it is written: its header
+    counts the members."""
+    yield f"{args.set} up to {args.max} for p={args.prime} ({members.mask.count(1)} elements):"
+    yield members.chunks(" ")
+
+
+def cmd_density(p: Prime, args):
     _cap("--max", args.max, DENSITY_MAX, "density sieves every odd number up to --max")
     rep = gaps.density_bounds(p, args.max)
     payload = {
@@ -548,14 +544,12 @@ def cmd_density(args) -> int:
         f"  Z2: empirical {float(rep.empirical_z2):.6f} >= bound {float(rep.bound_z2):.6f}"
         f" (asymptotic {float(rep.bound_z2_asymptotic):.6f})",
     ]
-    _emit(payload, args.format, args.out, lines)
-    return 0
+    return payload, lines, 0
 
 
-def cmd_coeffs(args) -> int:
+def cmd_coeffs(p: Prime, args):
     from . import homology
 
-    p = Prime(args.prime)
     j, i = args.j, args.i
     _cap("--j", j, COEFFS_MAX, "coeffs prints about j^2 digits")
     _cap("--i", i, COEFFS_MAX, "coeffs prints a row per odd n <= i")
@@ -573,8 +567,7 @@ def cmd_coeffs(args) -> int:
         [f"generator {j} in colimit {i}: head {head} (v={head_valuation})"],
         ((f"  R/{n}: ", *value) for n, value, _ in rows),
     )
-    _emit(payload, args.format, args.out, lines)
-    return 0
+    return payload, lines, 0
 
 
 def _check_line(check: homology.Check) -> str:
@@ -582,10 +575,9 @@ def _check_line(check: homology.Check) -> str:
     return f"{'ok  ' if check.ok else 'FAIL'} {check.name}" + (f": {check.detail}" if check.detail else "")
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(p: Prime, args):
     from . import homology
 
-    p = Prime(args.prime)
     if args.hc_max < 2 or args.hc_max % 2:
         raise ValueError(f"--hc-max must be even and >= 2, got {args.hc_max}")
     _cap("--hc-max", args.hc_max, VERIFY_MAX_HC, "verify runs the oracle at every even degree up to --hc-max")
@@ -596,8 +588,7 @@ def cmd_verify(args) -> int:
     lines = list(map(_check_line, homology.verify_checks(p, args.hc_max, args.hh_max)))
     failures = [line[5:] for line in lines if line.startswith("FAIL ")]
     payload = {"prime": args.prime, "failures": failures, "checks": lines}
-    _emit(payload, args.format, args.out, chain(lines, [f"{len(failures)} failure(s)"]))
-    return 3 if failures else 0
+    return payload, chain(lines, [f"{len(failures)} failure(s)"]), 3 if failures else 0
 
 
 class Option(namedtuple("Option", "flag type required default choices help", defaults=(str, False, None, None, None))):
@@ -714,7 +705,9 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _fast_parse(argv) or build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines, code = args.func(Prime(args.prime), args)
+        _emit(payload, args.format, args.out, lines)
+        return code
     except (ValueError, OSError) as exc:
         # A precondition failed, or the output could not be opened or written;
         # then what stdout still buffers goes to devnull, not to an error at exit.

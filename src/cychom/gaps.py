@@ -229,40 +229,33 @@ def _pow_upper(p: int, exponent: Fraction) -> Fraction:
 
 def _exact_exponent(p: Prime, k: int) -> int:
     """The least e with g(p^e) >= k, i.e. 1 + min over even j >= k of b_j."""
-    from fractions import Fraction
-
-    lam = Fraction(2 * p.p - 3, 2 * p.p - 2)
     best = b_val(p, k)
     j = k + 2
-    # b_j > lam*j, so once lam*j >= best no later j can improve the minimum.
-    while lam * j < best:
+    # b_j > lam*j, lam = (2p-3)/(2p-2), so once lam*j >= best no later j
+    # can improve the minimum.
+    while (2 * p.p - 3) * j < (2 * p.p - 2) * best:
         best = min(best, b_val(p, j))
         j += 2
     return best + 1
 
 
-def _tail_sum(p: Prime, exact: bool) -> Fraction:
-    """Upper bound for the sum over even k >= 6 of p^{-e_k} terms.
+def _tail_sums(p: Prime, lam: Fraction) -> tuple[Fraction, Fraction]:
+    """Upper bounds for the sum over even k >= 6 of p^{-e_k}: with the
+    true exponents e_k, and with the geometric overestimate p^{-lam*k}.
 
-    With exact=True the terms use the true exponents e_k; otherwise the
-    geometric overestimate p^{-lam*k}.  Either way the value returned is
-    an exact rational >= the true series, so subtracting it preserves the
-    lower-bound direction.
+    Each is an exact rational >= its series, so subtracting it preserves
+    the lower-bound direction.  Both take the same geometric remainder:
+    the terms from k = 60 on are at most u, u r, u r^2, ..., with
+    u = p^{-60 lam} and r = p^{-2 lam}.
     """
     from fractions import Fraction
 
-    lam = Fraction(2 * p.p - 3, 2 * p.p - 2)
-    total = Fraction(0)
-    k_stop = 60
-    for k in range(6, k_stop, 2):
-        if exact:
-            total += Fraction(1, p.p ** _exact_exponent(p, k))
-        else:
-            total += _pow_upper(p.p, lam * k)
-    # Geometric remainder: terms from k_stop on are <= u * r^j.
-    u = _pow_upper(p.p, lam * k_stop)
-    r = _pow_upper(p.p, 2 * lam)
-    return total + u / (1 - r)
+    sharp = geometric = Fraction(0)
+    for k in range(6, 60, 2):
+        sharp += Fraction(1, p.p ** _exact_exponent(p, k))
+        geometric += _pow_upper(p.p, lam * k)
+    rest = _pow_upper(p.p, lam * 60) / (1 - _pow_upper(p.p, 2 * lam))
+    return sharp + rest, geometric + rest
 
 
 def density_bounds(p: Prime, upper: int) -> DensityReport:
@@ -295,8 +288,7 @@ def density_bounds(p: Prime, upper: int) -> DensityReport:
     # Z1 (weight 1) and Z2 (weight 2) lose the same series, weighted:
     # 1 - 1/p - w (p^-3 + p^-5 + tail + correction).
     base = 1 - Fraction(1, pk)
-    sharp = Fraction(1, pk**3) + Fraction(1, pk**5) + _tail_sum(p, exact=True)
-    geometric = Fraction(1, pk**3) + Fraction(1, pk**5) + _tail_sum(p, exact=False)
+    sharp, geometric = (Fraction(1, pk**3) + Fraction(1, pk**5) + tail for tail in _tail_sums(p, lam))
     return DensityReport(
         p=pk,
         upper=upper,

@@ -58,6 +58,7 @@ REMOVED_FUNCTIONS = [
     ("gaps", "_excluded_sieve"),
     ("gaps", "_UNMARKED"),
     ("cli", "_exponent_list"),
+    ("gaps", "_tail_sum"),
 ]
 REMOVED_MEMBERS = [
     ("linalg", "IntMatrix", "identity"),

@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Every engine operation is exposed through a subcommand with table, json,
-or csv output.  Exit codes: 0 success, 1 engine precondition failure or
-output that cannot be written, 2 usage error, 3 verification mismatch.
+or csv output.  Exit codes: 0 success, 1 engine precondition failure,
+output that cannot be written or memory that runs out, 2 usage error, 3
+verification mismatch.
 A handler ``cmd_*(p, args)`` only computes: it returns the payload, the
 table lines and the exit code.  ``main`` alone checks the prime, writes
 the answer once in the format asked for, and maps the errors to codes.
@@ -385,7 +386,9 @@ def _shape_line(res: homology.HomologyResult):
 #   0.18-0.31 s as a table.  CSV, its cells written by hand, costs about
 #   two thirds of the JSON: 0.24 / 0.34 / 0.42 s against 0.36 / 0.57 /
 #   0.72 s in the same runs.  At 16001, 130 / 242 / 307 MB of JSON in
-#   0.8 / 1.5 / 1.8 s, 69 / 115 / 153 MB.
+#   0.8 / 1.5 / 1.8 s, 69 / 115 / 153 MB.  The digits also grow with
+#   log p: in JSON at p = 10**9 + 7, 0.29 s and 36 MB at 4001 (0.18 s and
+#   22.7 MB for p = 1009), 0.73 s and 101 MB at 8001 (0.39 s, 49 MB).
 # - zsets --max 10**7: every member, 23-64 MB of text in 0.13-0.17 s,
 #   21.4 / 19.7 MB in any set and format (24.8 / 24.5 MB while the member
 #   mask was a copy of the sieve; p = 3 / 101).
@@ -452,6 +455,8 @@ def cmd_hcneg(p: Prime, args):
     if args.truncation is not None:
         if args.degree < 2 or args.degree % 2:
             raise ValueError(f"--truncation needs an even --degree >= 2, got {args.degree}")
+        if args.truncation < 1:
+            raise ValueError("truncation must be >= 1")
         _cap("--truncation", args.truncation, HCNEG_MAX_TRUNCATION, "the probe walks a staircase of that size")
     res = homology.hc_neg_closed_form(p, args.degree, _n_max(args))
     if res is None:
@@ -461,9 +466,6 @@ def cmd_hcneg(p: Prime, args):
         payload = shape_record(res, _exponent_view)
         lines = [_shape_line(res)]
     if args.truncation is not None:
-        if args.truncation < 1:
-            # Refused here too: a degree without a closed form skips the probe.
-            raise ValueError("truncation must be >= 1")
         if res is None:
             payload["probe"] = None
             lines.append("truncation probe: not run (no closed form to compare)")
@@ -714,6 +716,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, OSError) and not args.out:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except MemoryError:
+        # The answer is too large to make in the memory this process has.
+        print("error: out of memory", file=sys.stderr)
         return 1
     except ArithmeticError as exc:
         # The engine raises ArithmeticError when its two routes disagree or

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterator
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 
-from .gaps import enumerate_z2, in_z1, in_z2
+from .gaps import in_z1, in_z2
 from .linalg import (
     TRIVIAL_SHAPE,
     ModuleShape,
@@ -381,8 +381,8 @@ def verify_checks(p: Prime, hc_max: int, hh_max: int) -> Iterator[Check]:
     degree 0..hh_max; oracle against closed form in every even degree
     2..hc_max, and the Connes and stabilization checks, all from one walk
     to hc_max; the kernel generators at the first three Z2 indices past
-    1; and the colimit presentation at every odd index below
-    min(hc_max, 12)."""
+    1, each asked of ``in_z2`` in turn, so no member list is made; and
+    the colimit presentation at every odd index below min(hc_max, 12)."""
     for i in range(hh_max + 1):
         try:
             hochschild(p, i)
@@ -399,7 +399,7 @@ def verify_checks(p: Prime, hc_max: int, hh_max: int) -> Iterator[Check]:
             yield Check(f"hc degree {i}", closed.shape == shapes[i], f"oracle {shapes[i]} vs closed {closed.shape}")
     yield connes_length_check(shapes)
     yield hp_stabilization_check(p, shapes)
-    for i in [i for i in enumerate_z2(p, 50 * p.p) if i > 1][:3]:
+    for i in islice((i for i in count(3, 2) if in_z2(p, i)), 3):
         yield Check(f"kernel generators at {i}", verify_kernel_generators(p, i, upto=8))
     for i in range(1, min(hc_max, 12), 2):
         yield verify_presentation(p, i, shapes)

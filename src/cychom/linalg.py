@@ -62,10 +62,6 @@ class SnfResult(namedtuple("SnfResult", "invariant_factors")):
 
     __slots__ = ()
 
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
-
 
 def _pivot(a: list[list[int]], t: int, rows: int, cols: int) -> tuple[int, int] | None:
     # Minimal |entry| in the trailing block, ties broken by row then column.

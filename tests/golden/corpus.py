@@ -122,6 +122,10 @@ ARGPARSE = (
     ["verify", "--prime", "3", "--hc", "4", "--hh", "2"],
 )
 
+# verify at primes far past PRIMES, in every format: its cost does not grow
+# with p.
+LARGE_PRIMES = ("1000003", "1000000007")
+
 
 def argvs() -> list[list[str]]:
     """Every argv of the corpus, in the order of its entries."""
@@ -133,6 +137,7 @@ def argvs() -> list[list[str]]:
         out += ([*q[:1], "--prime", "3", *q[1:], "--format", fmt] for q in REFUSED)
     out += ([*q[:1], "--prime", p, *q[1:]] for q in ONE_EACH for p in NOT_PRIMES)
     out += ARGPARSE
+    out += (["verify", "--prime", p, "--format", fmt] for p in LARGE_PRIMES for fmt in ("table", "json", "csv"))
     return out
 
 

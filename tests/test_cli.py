@@ -277,6 +277,36 @@ def test_arithmetic_error_exits_3(capsys, monkeypatch):
     assert err.startswith("error:") and "routes disagree" in err
 
 
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_memory_error_ends_with_one_error_line(capsys, monkeypatch, fmt):
+    from cychom import homology
+
+    def exhausted(p, i):
+        raise MemoryError
+
+    monkeypatch.setattr(homology, "hc_oracle", exhausted)
+    code, out, err = run(capsys, ["hc", "--prime", "3", "--degree", "6", "--format", fmt])
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="caps the address space with Linux's RLIMIT_AS")
+def test_verify_at_a_ten_digit_prime_fits_in_512_mb():
+    # verify asks in_z2 for its kernel generators' indices: a list of the
+    # Z2 members below 50 p, 25 p ints, would not fit, and a cap on the
+    # child's address space makes that fail fast instead of swapping.
+    probe = """if True:
+        import resource, sys
+        cap = 512 * 1024 * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        from cychom.cli import main
+        sys.exit(main(["verify", "--prime", "1000000007", "--format", "json"]))
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(cychom.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["failures"] == []
+
+
 def _cychom(argv, stdout):
     """``python -m cychom argv`` started in a fresh interpreter, its stdout
     ``stdout``, buffered as from a shell, and its stderr a pipe."""
@@ -413,8 +443,8 @@ def test_hcneg_probe_is_not_run_without_a_closed_form(capsys):
 
 @pytest.mark.parametrize("degree", [8, 6])
 def test_hcneg_refuses_a_truncation_below_1_at_every_degree(capsys, degree):
-    # Degree 8 at p = 7 has no closed form, so it never reaches the probe,
-    # which refuses it at degree 6 on its own.
+    # Refused with the other flags, before any closed form is made: degree 8
+    # at p = 7 has none, so it would never reach the probe's own refusal.
     code, out, err = run(capsys, ["hcneg", "--prime", "7", "--degree", str(degree), "--truncation", "0"])
     assert (code, out, err) == (1, "", "error: truncation must be >= 1\n")
 
@@ -1156,10 +1186,11 @@ def test_coeffs_never_holds_its_text(tmp_path, fmt):
 def test_coeffs_failure_writes_nothing(capsys, monkeypatch, tmp_path, fmt):
     # Every exact product is made before the first byte is written, so an
     # Inexact from a too-small context leaves stdout and --out empty.
+    import decimal
+
     from cychom import padic
 
-    small = padic._EXACT.copy()
-    small.prec = 30
+    small = decimal.Context(prec=30, traps=[decimal.Inexact, decimal.Rounded])
     monkeypatch.setattr(padic, "_EXACT", small)
     argv = ["coeffs", "--prime", "3", "--j", "201", "--i", "201", "--format", fmt]
     code, out, err = run(capsys, argv)

@@ -467,3 +467,40 @@ def test_closed_forms_at_large_degree_match_elementwise_tail(p):
         assert neg is None
     tors = tuple(vp(p, n) for n in range(1, i + 2, 2))
     assert hp(p, 0, i + 1).shape == ModuleShape(tors, complete_rank=1, n_max=i + 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 1009])
+def test_verify_checks_never_sieve(monkeypatch, p):
+    # The kernel generators' indices are asked of in_z2 one odd i at a
+    # time, so verify makes no member list and its cost does not grow with p.
+    from cychom import gaps
+
+    def sieve(*args, **kwargs):
+        raise AssertionError("verify sieved")
+
+    monkeypatch.setattr(gaps, "member_mask", sieve)
+    checks = list(verify_checks(Prime(p), 40, 10))
+    assert all(check.ok for check in checks), [check for check in checks if not check.ok]
+
+
+def test_verify_kernel_generator_indices_are_the_first_three_z2_members_past_1(monkeypatch):
+    # The first three members of Z2 past 1 all lie below 50 p, the bound of
+    # the member list verify once cut them from, at every prime below 3000.
+    from cychom import homology
+
+    indices = []
+
+    def recorded(p, i, upto):
+        indices.append(i)
+        return True
+
+    monkeypatch.setattr(homology, "verify_kernel_generators", recorded)
+    sieve = bytearray([1]) * 3000
+    for p in range(3, 3000, 2):
+        if not sieve[p]:
+            continue
+        sieve[p * p :: p] = bytes(len(range(p * p, 3000, p)))
+        prime, indices[:] = Prime(p), []
+        for check in verify_checks(prime, 2, 0):
+            pass
+        assert indices == [i for i in enumerate_z2(prime, 50 * p) if i > 1][:3], p

@@ -63,7 +63,7 @@ def test_snf_basics():
 
 def test_snf_divisibility_and_sign():
     res = snf(IntMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
-    assert all(res.invariant_factors[k + 1] % res.invariant_factors[k] == 0 for k in range(res.rank - 1))
+    assert all(res.invariant_factors[k + 1] % res.invariant_factors[k] == 0 for k in range(len(res.invariant_factors) - 1))
     assert all(d > 0 for d in res.invariant_factors)
 
 

@@ -212,8 +212,7 @@ def test_staircase_texts_raise_rather_than_round(monkeypatch):
     # A context with room for 30 digits cannot hold X_k up to k = 201: the
     # pass must stop at Inexact, not print a rounded text, and it must do
     # so on the call, before any text is read.
-    small = padic._EXACT.copy()
-    small.prec = 30
+    small = decimal.Context(prec=30, traps=[decimal.Inexact, decimal.Rounded])
     monkeypatch.setattr(padic, "_EXACT", small)
     with pytest.raises(decimal.Inexact):
         staircase_parts(P3, 201)

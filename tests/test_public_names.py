@@ -78,6 +78,7 @@ REMOVED_MEMBERS = [
     ("homology", "CoeffVector", "i"),
     ("linalg", "ModuleShape", "truncated"),
     ("homology", "HomologyResult", "n_max"),
+    ("linalg", "SnfResult", "rank"),
 ]
 
 

@@ -28,7 +28,7 @@ import os
 import sys
 from collections import namedtuple
 from itertools import chain, compress
-from math import isfinite
+from math import isfinite, isqrt
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -89,12 +89,13 @@ class Members:
 
 class Repeats:
     """A list held as its runs of equal items: (text, count) pairs, in
-    order, each the text of an item and how many times it comes in a row."""
+    order, each the text of an item and how many times it comes in a row.
+    It is made from (item, count) pairs, and holds each item's str."""
 
     __slots__ = ("runs",)
 
-    def __init__(self, runs: list[tuple[str, int]]):
-        self.runs = runs
+    def __init__(self, runs):
+        self.runs = [(str(item), count) for item, count in runs]
 
     def chunks(self, sep: str):
         """The text of ``sep.join`` of the items, 4096 items a chunk at most."""
@@ -142,7 +143,7 @@ class Rows:
 
 
 def _exponent_view(shape) -> Repeats:
-    return Repeats([(str(e), count) for e, count in shape.torsion])
+    return Repeats(shape.torsion)
 
 
 def _emit(payload: dict, fmt: str, out: str | None, table_lines) -> None:
@@ -171,9 +172,8 @@ def _json_chunks(payload: dict):
     With ``indent`` set, json.dumps runs its pure-Python encoder, several
     generator steps per list item, and holds the whole text.  So
     ``_json_value`` writes a non-empty dict key by key, a list of str a
-    batch of items a chunk, any other non-empty list item by item and a
-    view by its chunks, at any depth, and hands ``_json_text`` only a
-    scalar or an empty list or dict, which it writes on one line.  The
+    batch of items a chunk and a view by its chunks, at any depth, and
+    hands ``_json_text`` only a scalar, which it writes on one line.  The
     keys are str.  No copy of the whole is held.
     """
     yield from _json_value(payload, "\n")
@@ -182,7 +182,10 @@ def _json_chunks(payload: dict):
 
 def _json_value(value, newline: str):
     """The chunks of json.dumps(value, indent=2), each of its newlines
-    written as ``newline``: a newline and the indent of the value's line."""
+    written as ``newline``: a newline and the indent of the value's line.
+
+    The value is a dict, a scalar, a list of str or a view: the only lists
+    a command puts in a payload hold str."""
     inner = newline + "  "
     if type(value) is dict and value:
         lead = "{"
@@ -191,19 +194,8 @@ def _json_value(value, newline: str):
             yield from _json_value(item, inner)
             lead = ","
         yield newline + "}"
-    elif type(value) is list and value:
-        if {*map(type, value)} == {str}:
-            yield "[" + inner
-            yield from _json_strs(value, "," + inner)
-        else:
-            lead = "["
-            for item in value:
-                yield lead + inner
-                yield from _json_value(item, inner)
-                lead = ","
-        yield newline + "]"
-    elif type(value) in VIEWS:
-        items = value.chunks("," + inner)
+    elif type(value) is list or type(value) in VIEWS:
+        items = _json_strs(value, "," + inner) if type(value) is list else value.chunks("," + inner)
         first = next(items, None)
         if first is None:
             yield "[]"
@@ -255,12 +247,12 @@ def _json_strs(texts: list[str], sep: str):
 
 
 def _json_text(value) -> str:
-    """json.dumps(value) for a scalar or an empty list or dict.
+    """json.dumps(value), for a scalar of a payload.
 
-    None, a bool, an int, a finite float, an empty list or dict, and a str
-    of printable ASCII with no quote or backslash, which json.dumps writes
-    as it is, are written here; json.dumps, and the import of json, is
-    left only the str that need escapes and the floats nan and +-inf.
+    None, a bool, an int, a finite float, and a str of printable ASCII
+    with no quote or backslash, which json.dumps writes as it is, are
+    written here; json.dumps, and the import of json, is left the str that
+    need escapes, the floats nan and +-inf, and any other value.
     A long text that is known to need no escape (``Rows``' parts) never
     comes here: the printable scan alone cost a third of ``coeffs``.
     """
@@ -277,8 +269,6 @@ def _json_text(value) -> str:
     elif kind is float:
         if isfinite(value):
             return float.__repr__(value)
-    elif (kind is list or kind is dict) and not value:
-        return "[]" if kind is list else "{}"
     import json
 
     return json.dumps(value)
@@ -286,10 +276,10 @@ def _json_text(value) -> str:
 
 def _csv_chunks(payload: dict):
     """The text csv.writer writes of the payload's rows, one chunk per row
-    or per view chunk: the payload's "rows" (a list or ``Rows``), else the
-    payload itself."""
+    or per view chunk: the records of its "rows" if that is ``Rows``, else
+    the payload itself."""
     rows = payload.get("rows")
-    records = iter(rows.records if type(rows) is Rows else rows or [payload])
+    records = iter(rows.records if type(rows) is Rows else [payload])
     first = _flatten(next(records))
     yield from _csv_line(first.keys())
     for row in chain([first], map(_flatten, records)):
@@ -302,23 +292,21 @@ def _csv_line(cells):
 
     csv.writer looks at each character of each cell in turn, which made a
     ``coeffs`` row of long digit strings cost about three times its JSON,
-    so the cells are written here as it writes them, and a line of one
-    empty cell is written as "".  A view is written by its chunks: its
-    text is digits and ';', which csv never quotes.
+    so the cells are written here as it writes them.  Every row a command
+    writes has at least two cells, so none is the lone empty cell that
+    csv.writer writes as "".  A view is written by its chunks: its text is
+    digits and ';', which csv never quotes.
     """
-    empty = True
     for k, cell in enumerate(cells):
         if k:
             yield ","
-        for text in cell.chunks(";") if type(cell) in VIEWS else _csv_cell(cell):
-            empty = empty and not text
-            yield text
-    yield '""\r\n' if empty and len(cells) == 1 else "\r\n"
+        yield from cell.chunks(";") if type(cell) in VIEWS else _csv_cell(cell)
+    yield "\r\n"
 
 
 def _csv_cell(cell):
     """The chunks of a cell's text: None as nothing, parts (as ``Rows``
-    holds them) as they are, a list as its items' str joined by ';' in
+    holds them) as they are, a list of str as its items joined by ';' in
     batches, anything else as its str; quoted, its quotes doubled, when it
     holds one of ``,"\\r\\n``, which a first pass over the batches finds."""
     if type(cell) is tuple:
@@ -326,10 +314,9 @@ def _csv_cell(cell):
     if type(cell) is not list:
         text = "" if cell is None else str(cell)
         return ('"' + text.replace('"', '""') + '"',) if any(c in text for c in ',"\r\n') else (text,)
-    texts = cell if {*map(type, cell)} <= {str} else list(map(str, cell))
-    if any(c in chunk for chunk in _joined(texts, ";") for c in ',"\r\n'):
-        return chain(['"'], (chunk.replace('"', '""') for chunk in _joined(texts, ";")), ['"'])
-    return _joined(texts, ";")
+    if any(c in chunk for chunk in _joined(cell, ";") for c in ',"\r\n'):
+        return chain(['"'], (chunk.replace('"', '""') for chunk in _joined(cell, ";")), ['"'])
+    return _joined(cell, ";")
 
 
 def _table_chunks(lines):
@@ -387,8 +374,11 @@ def _shape_line(res: homology.HomologyResult):
 #   two thirds of the JSON: 0.24 / 0.34 / 0.42 s against 0.36 / 0.57 /
 #   0.72 s in the same runs.  At 16001, 130 / 242 / 307 MB of JSON in
 #   0.8 / 1.5 / 1.8 s, 69 / 115 / 153 MB.  The digits also grow with
-#   log p: in JSON at p = 10**9 + 7, 0.29 s and 36 MB at 4001 (0.18 s and
-#   22.7 MB for p = 1009), 0.73 s and 101 MB at 8001 (0.39 s, 49 MB).
+#   log p, so a p of b > 10 bits caps --j where j^2 b passes 8001^2 * 10,
+#   what --j 8001 prints at p = 1009: in JSON 74 MB of text, 0.56 s and
+#   49 MB there; 56 MB, 0.45 s and 43 MB at p = 10**9 + 7 (--j 4619; 101 MB
+#   and 0.73 s at 8001 without the cap); 51 MB, 0.5 s and 44 MB at
+#   p = 3317044064679887385961813, near the top of Prime's range (--j 2793).
 # - zsets --max 10**7: every member, 23-64 MB of text in 0.13-0.17 s,
 #   21.4 / 19.7 MB in any set and format (24.8 / 24.5 MB while the member
 #   mask was a copy of the sieve; p = 3 / 101).
@@ -474,7 +464,7 @@ def cmd_hcneg(p: Prime, args):
             payload["probe"] = {
                 "ok": probe.ok,
                 "vacuous": probe.vacuous,
-                "stable_prefix": Repeats([(str(e), count) for e, count in probe.stable_prefix]),
+                "stable_prefix": Repeats(probe.stable_prefix),
                 "covered_up_to": probe.covered_up_to,
                 "method": "stabilized",
             }
@@ -554,6 +544,9 @@ def cmd_coeffs(p: Prime, args):
 
     j, i = args.j, args.i
     _cap("--j", j, COEFFS_MAX, "coeffs prints about j^2 digits")
+    # The largest odd j, a valid --j, with j^2 * max(bits of p, 10) <= COEFFS_MAX^2 * 10.
+    ceiling = (isqrt(COEFFS_MAX**2 * 10 // max(p.p.bit_length(), 10)) - 1) | 1
+    _cap(f"--j at p = {p.p}", j, ceiling, "coeffs prints about j^2 log p digits")
     _cap("--i", i, COEFFS_MAX, "coeffs prints a row per odd n <= i")
     head, head_valuation, rows = homology.phi_coeff_texts(p, j, i)
     # Both are lazy, and only the one the format writes reads the rows.
@@ -572,11 +565,6 @@ def cmd_coeffs(p: Prime, args):
     return payload, lines, 0
 
 
-def _check_line(check: homology.Check) -> str:
-    """The table line of a check: "ok  " or "FAIL", its name, and its detail."""
-    return f"{'ok  ' if check.ok else 'FAIL'} {check.name}" + (f": {check.detail}" if check.detail else "")
-
-
 def cmd_verify(p: Prime, args):
     from . import homology
 
@@ -586,9 +574,13 @@ def cmd_verify(p: Prime, args):
     if args.hh_max < 0:
         raise ValueError(f"--hh-max must be >= 0, got {args.hh_max}")
     _cap("--hh-max", args.hh_max, VERIFY_MAX_HH, "verify checks and prints every Hochschild degree up to --hh-max")
-    # map lets go of each record, and of its detail, before the next is made.
-    lines = list(map(_check_line, homology.verify_checks(p, args.hc_max, args.hh_max)))
-    failures = [line[5:] for line in lines if line.startswith("FAIL ")]
+    # Each record, and its detail, is let go once its line is made.
+    lines, failures = [], []
+    for check in homology.verify_checks(p, args.hc_max, args.hh_max):
+        text = f"{check.name}: {check.detail}" if check.detail else check.name
+        lines.append(("ok   " if check.ok else "FAIL ") + text)
+        if not check.ok:
+            failures.append(text)
     payload = {"prime": args.prime, "failures": failures, "checks": lines}
     return payload, chain(lines, [f"{len(failures)} failure(s)"]), 3 if failures else 0
 

@@ -126,6 +126,10 @@ ARGPARSE = (
 # with p.
 LARGE_PRIMES = ("1000003", "1000000007")
 
+# coeffs at the --j ceiling of every p below 1024, refused at p = 10^9 + 7,
+# where its digits would pass what that ceiling prints at p = 1009.
+COEFFS_LARGE_P = ["coeffs", "--prime", "1000000007", "--j", "8001", "--i", "8001"]
+
 
 def argvs() -> list[list[str]]:
     """Every argv of the corpus, in the order of its entries."""
@@ -138,6 +142,7 @@ def argvs() -> list[list[str]]:
     out += ([*q[:1], "--prime", p, *q[1:]] for q in ONE_EACH for p in NOT_PRIMES)
     out += ARGPARSE
     out += (["verify", "--prime", p, "--format", fmt] for p in LARGE_PRIMES for fmt in ("table", "json", "csv"))
+    out += ([*COEFFS_LARGE_P, "--format", fmt] for fmt in ("table", "json", "csv"))
     return out
 
 

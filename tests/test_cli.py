@@ -578,6 +578,9 @@ def test_json_payloads_hold_only_json_types(monkeypatch, argv):
     assert views.keys() == want.keys()
     # Only the exponents go through _exponent_view.
     assert {path for path, _ in _views(plain)} == {path for path in want if path[-1] != "torsion_p_exponents"}
+    # The CSV writer writes no one-cell row: each row has two cells or more.
+    rows = plain.get("rows")
+    assert all(len(cli._flatten(row)) >= 2 for row in (rows.records if type(rows) is cli.Rows else [plain]))
     for path, view in views.items():
         kind, items = want[path]
         assert type(view) is kind
@@ -594,7 +597,8 @@ def test_json_payloads_hold_only_json_types(monkeypatch, argv):
         if type(node) is dict:
             stack.extend(node.values())
         elif type(node) is list:
-            stack.extend(node)
+            # The writers know no list but a list of str.
+            assert all(type(item) is str for item in node), node
 
 
 @pytest.mark.parametrize(
@@ -614,16 +618,16 @@ def test_json_output_is_json_dumps_indent_2(capsys, argv):
 
 _TRICKY_TEXT = st.sampled_from(["", "two\nlines", 'say "hi"', "back\\slash", "ünïcødé ☃ \U0001d11e", "\t\r\x00"])
 _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text() | _TRICKY_TEXT
+# The only lists a command puts in a payload hold str.
 _VALUES = st.recursive(
-    _SCALARS,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text() | _TRICKY_TEXT, inner, max_size=4),
+    _SCALARS | st.lists(st.text() | _TRICKY_TEXT, max_size=4),
+    lambda inner: st.dictionaries(st.text() | _TRICKY_TEXT, inner, max_size=4),
     max_leaves=12,
 )
-_TOP_VALUES = _VALUES | st.lists(st.integers()) | st.just([True, 1]) | st.just([1, False]) | st.just([])
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.dictionaries(st.text() | _TRICKY_TEXT, _TOP_VALUES, max_size=6))
+@given(st.dictionaries(st.text() | _TRICKY_TEXT, _VALUES, max_size=6))
 def test_emit_json_matches_json_dumps(payload):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -710,6 +714,28 @@ def test_sizes_above_ceiling_refused_before_allocating(capsys, monkeypatch, argv
     # The ceiling itself is allowed: that query reaches the allocation.
     with pytest.raises(Allocated):
         main(argv + [str(ceiling)])
+
+
+def test_coeffs_caps_j_by_its_digits_before_any_coefficient(capsys, monkeypatch):
+    # The digits grow like j^2 log p, so a p past 10 bits lowers the ceiling
+    # of --j to what --j 8001 prints at p = 1009; every p below 1024 keeps
+    # 8001.  The refusal comes before any coefficient is made.
+    _forbid(monkeypatch, "phi_coeff_texts")
+    for fmt in ("table", "json", "csv"):
+        argv = ["coeffs", "--prime", "1000000007", "--j", "8001", "--i", "8001", "--format", fmt]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "error: coeffs prints about j^2 log p digits, so --j at p = 1000000007 is capped at 4619; got 8001\n"
+    with pytest.raises(Allocated):
+        main(["coeffs", "--prime", "1000000007", "--j", "4619", "--i", "4619"])
+    # Near the top of Prime's range the ceiling is odd, as --j must be.
+    top = "3317044064679887385961813"
+    assert run(capsys, ["coeffs", "--prime", top, "--j", "2795", "--i", "2795"])[2].endswith("capped at 2793; got 2795\n")
+    with pytest.raises(Allocated):
+        main(["coeffs", "--prime", top, "--j", "2793", "--i", "2793"])
+    for p in ("3", "1009", "1021"):
+        with pytest.raises(Allocated):
+            main(["coeffs", "--prime", p, "--j", str(cli.COEFFS_MAX), "--i", str(cli.COEFFS_MAX)])
 
 
 def test_ceilings_sit_above_benchmark_and_test_inputs():
@@ -1291,12 +1317,11 @@ def test_repeats_view_writes_its_list(runs, text):
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.sampled_from(["ok   hochschild degree 4", "", 'say "hi"', "a,b", "é", "tab\t", "x" * 20_000]), max_size=900),
-    st.lists(st.integers(), max_size=600),
 )
-def test_lists_are_written_in_batches(texts, numbers):
+def test_lists_are_written_in_batches(texts):
     # Past 256 items a list spans batches; an item past 16384 characters is
     # a batch alone; a batch with an escape goes item by item.
-    payload = {"checks": texts, "n": 1, "numbers": numbers}
+    payload = {"checks": texts, "n": 1}
     assert "".join(cli._json_chunks(payload)) == json.dumps(payload, indent=2) + "\n"
     assert "".join(cli._csv_chunks(payload)) == _csv_reference([payload])
 
@@ -1315,18 +1340,19 @@ _VIEW_PAIRS = st.lists(st.tuples(st.integers(-5, 10**6), st.integers(0, 5000)), 
         (
             _SCALARS
             | st.sampled_from([",", "1,2", "3/5", '"'])
-            | st.lists(st.integers() | _TRICKY_TEXT | st.sampled_from([",", '"', "a;b"]), max_size=3)
+            | st.lists(_TRICKY_TEXT | st.sampled_from([",", '"', "a;b"]), max_size=3)
         ).map(
             lambda cell: (cell, cell)
         )
         | _VIEW_PAIRS,
+        min_size=2,
         max_size=4,
     )
 )
 def test_csv_row_is_what_csv_writer_writes(cells):
-    # The line is csv.writer's, byte for byte: a lone empty cell, quotes,
-    # commas and line ends included, and any number of views, each written
-    # as its list would be.
+    # The line is csv.writer's, byte for byte: quotes, commas and line ends
+    # included, and any number of views, each written as its list would be.
+    # Every row a command writes has at least two cells, lists of str only.
     line = "".join(cli._csv_line([cell for cell, _ in cells]))
     assert line == _csv_writer_text([[items for _, items in cells]])
 

@@ -59,6 +59,7 @@ REMOVED_FUNCTIONS = [
     ("gaps", "_UNMARKED"),
     ("cli", "_exponent_list"),
     ("gaps", "_tail_sum"),
+    ("cli", "_check_line"),
 ]
 REMOVED_MEMBERS = [
     ("linalg", "IntMatrix", "identity"),

@@ -357,6 +357,86 @@ def test_stdout_on_a_full_device_ends_with_an_error_line(fmt):
         assert "No space left on device" in err
 
 
+# One argv per command, each a small well-formed query.
+ONE_PER_COMMAND = [
+    ["hh", "--prime", "3", "--degree", "2"],
+    ["hc", "--prime", "3", "--degree", "6"],
+    ["hcneg", "--prime", "3", "--degree", "6", "--truncation", "8"],
+    ["hp", "--prime", "3", "--degree", "0"],
+    ["zsets", "--prime", "3", "--max", "100"],
+    ["density", "--prime", "3", "--max", "99"],
+    ["coeffs", "--prime", "3", "--j", "3", "--i", "5"],
+    ["verify", "--prime", "3", "--hc-max", "6", "--hh-max", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", ONE_PER_COMMAND, ids=[argv[0] for argv in ONE_PER_COMMAND])
+def test_main_never_freezes_the_collector(capsys, monkeypatch, argv):
+    # A caller that lives on keeps collecting its cycles: only the process
+    # entry freezes.  The stand-in catches a call, the count any other way.
+    import gc
+
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append(1))
+    frozen = gc.get_freeze_count()
+    assert run(capsys, argv)[0] == 0
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert (calls, gc.get_freeze_count()) == ([], frozen)
+
+
+# Runs the process entry on ARGV in a fresh interpreter, with the closed
+# form made to disagree at degree 6 when SKEW is set; it exits 99 if the
+# collector is not frozen when the entry exits, 98 if the entry returns.
+ENTRY_PROBE = """if True:
+    import gc, os, sys
+    from cychom import cli, homology
+    from cychom.linalg import ModuleShape
+    if SKEW:
+        homology.hc_closed_form = lambda p, i: homology.HomologyResult("HC", i, ModuleShape((99,)), "closed_form")
+    sys.argv = ["cychom", *ARGV]
+    try:
+        cli.entry()
+    except SystemExit:
+        if not gc.get_freeze_count():
+            os._exit(99)
+        raise
+    os._exit(98)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, skew, code",
+    [
+        (["hc", "--prime", "3", "--degree", "6"], False, 0),
+        (["--help"], False, 0),
+        (["hc", "--prime", "3", "--degree", "1000001"], False, 1),
+        (["hc", "--prime", "3"], False, 2),
+        (["hc", "--prime", "3", "--degree", "6"], True, 3),
+    ],
+    ids=["answer", "help", "refused", "usage", "disagreement"],
+)
+def test_entry_freezes_the_collector_on_every_way_out(argv, skew, code):
+    probe = ENTRY_PROBE.replace("SKEW", repr(skew)).replace("ARGV", repr(argv))
+    env = dict(os.environ, PYTHONPATH=str(Path(cychom.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_installed_script_and_python_m_share_the_entry(monkeypatch):
+    # pyproject.toml read as text: Python 3.10 has no tomllib.
+    import re
+    import runpy
+
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    target = re.search(r'^cychom = "cychom\.cli:(\w+)"$', text, re.MULTILINE).group(1)
+    called = []
+    monkeypatch.setattr(cli, target, lambda: called.append(target))
+    runpy.run_module("cychom", run_name="__main__")
+    assert called == [target] == ["entry"]
+
+
 def test_csv_and_out_file(tmp_path, capsys):
     target = tmp_path / "hc.csv"
     code, out, _ = run(

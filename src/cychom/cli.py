@@ -239,16 +239,11 @@ def _joined(texts: list[str], sep: str):
 
 
 def _json_strs(texts: list[str], sep: str):
-    """The chunks of ``sep.join(map(_json_text, texts))``: a batch with
-    nothing to escape is quoted by one join, and any other goes item by
-    item through ``_json_text``."""
-    lead, between = "", f'"{sep}"'
+    """The chunks of ``sep.join(map(_json_text, texts))``, a batch a chunk:
+    each item is quoted, and escaped where it needs it, by ``_json_text``."""
+    lead = ""
     for batch in _batches(texts):
-        plain = "".join(batch)
-        if plain.isascii() and plain.isprintable() and '"' not in plain and "\\" not in plain:
-            yield f'{lead}"{between.join(batch)}"'
-        else:
-            yield lead + sep.join(map(_json_text, batch))
+        yield lead + sep.join(map(_json_text, batch))
         lead = sep
 
 
@@ -311,18 +306,20 @@ def _csv_line(cells):
 
 
 def _csv_cell(cell):
-    """The chunks of a cell's text: None as nothing, parts (as ``Rows``
-    holds them) as they are, a list of str as its items joined by ';' in
-    batches, anything else as its str; quoted, its quotes doubled, when it
-    holds one of ``,"\\r\\n``, which a first pass over the batches finds."""
+    """The chunks of a cell's text: parts (as ``Rows`` holds them) as they
+    are, a list of str as its items joined by ';' in batches, and anything
+    else as one item, its str (None's is empty).  The cell is quoted, its
+    quotes doubled, when an item holds one of ``,"\\r\\n``: the ';'
+    between them never needs it."""
     if type(cell) is tuple:
         return cell
-    if type(cell) is not list:
-        text = "" if cell is None else str(cell)
-        return ('"' + text.replace('"', '""') + '"',) if any(c in text for c in ',"\r\n') else (text,)
-    if any(c in chunk for chunk in _joined(cell, ";") for c in ',"\r\n'):
-        return chain(['"'], (chunk.replace('"', '""') for chunk in _joined(cell, ";")), ['"'])
-    return _joined(cell, ";")
+    if type(cell) is list:
+        texts, chunks = cell, _joined(cell, ";")
+    else:
+        texts = chunks = ("" if cell is None else str(cell),)
+    if any(c in text for text in texts for c in ',"\r\n'):
+        return chain(['"'], (chunk.replace('"', '""') for chunk in chunks), ['"'])
+    return chunks
 
 
 def _table_chunks(lines):
@@ -591,12 +588,10 @@ def cmd_verify(p: Prime, args):
     return payload, chain(lines, [f"{len(failures)} failure(s)"]), 3 if failures else 0
 
 
-class Option(namedtuple("Option", "flag type required default choices help", defaults=(str, False, None, None, None))):
-    """One ``--flag value`` of a command: the value's type, whether it must
-    be given, its default when it is not, the values it may take (None for
-    any) and its help text."""
-
-    __slots__ = ()
+Option = namedtuple("Option", "flag type required default choices help", defaults=(str, False, None, None, None))
+Option.__doc__ = """One ``--flag value`` of a command: the value's type, whether it must
+be given, its default when it is not, the values it may take (None for
+any) and its help text."""
 
 
 _COMMON = (

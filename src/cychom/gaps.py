@@ -135,24 +135,20 @@ def enumerate_z2(p: Prime, upper: int) -> list[int]:
     return list(compress(range(1, upper + 1, 2), member_mask(p, upper, symmetric=True)))
 
 
-class DensityReport(
-    namedtuple(
-        "DensityReport",
-        "p upper empirical_z1 empirical_z2 bound_z1 bound_z2 bound_z1_asymptotic"
-        " bound_z2_asymptotic bound_z1_geometric bound_z2_geometric lam",
-    )
-):
-    """Empirical Z1/Z2 densities up to N against rigorous lower bounds.
+DensityReport = namedtuple(
+    "DensityReport",
+    "p upper empirical_z1 empirical_z2 bound_z1 bound_z2 bound_z1_asymptotic"
+    " bound_z2_asymptotic bound_z1_geometric bound_z2_geometric lam",
+)
+DensityReport.__doc__ = """Empirical Z1/Z2 densities up to N against rigorous lower bounds.
 
-    p and upper are integers; every other field is an exact rational.
-    ``bound_*`` use the exact minimal exponents e_k (the least e with
-    g(p^e) >= k) for every window size k; ``bound_*_geometric`` replace
-    the k >= 6 terms by the geometric overestimate p^{-lam*k}, which is
-    simpler but strictly weaker.  The ``*_asymptotic`` variants drop the
-    finite-N correction, giving the N -> infinity limit of each bound.
-    """
-
-    __slots__ = ()
+p and upper are integers; every other field is an exact rational.
+``bound_*`` use the exact minimal exponents e_k (the least e with
+g(p^e) >= k) for every window size k; ``bound_*_geometric`` replace
+the k >= 6 terms by the geometric overestimate p^{-lam*k}, which is
+simpler but strictly weaker.  The ``*_asymptotic`` variants drop the
+finite-N correction, giving the N -> infinity limit of each bound.
+"""
 
 
 def _iroot_floor(n: int, d: int) -> int:

@@ -45,19 +45,14 @@ from .linalg import (
 from .padic import Prime, a_val, b_val, odd_valuations, seq_a, staircase_parts, staircase_residue, vp
 
 
-class HomologyResult(namedtuple("HomologyResult", "theory degree shape method")):
-    """One homology module: theory "HH" | "HC" | "HCneg" | "HP", its degree,
-    its ModuleShape (which holds the cut of an infinite product), and the
-    method "oracle" | "closed_form"."""
+HomologyResult = namedtuple("HomologyResult", "theory degree shape method")
+HomologyResult.__doc__ = """One homology module: theory "HH" | "HC" | "HCneg" | "HP", its degree,
+its ModuleShape (which holds the cut of an infinite product), and the
+method "oracle" | "closed_form"."""
 
-    __slots__ = ()
-
-
-class Check(namedtuple("Check", "name ok detail", defaults=("",))):
-    """One verify check: its name, whether it passed, and what it found
-    ("" when there is nothing to add)."""
-
-    __slots__ = ()
+Check = namedtuple("Check", "name ok detail", defaults=("",))
+Check.__doc__ = """One verify check: its name, whether it passed, and what it found
+("" when there is nothing to add)."""
 
 
 def _staircase(p: Prime, head_v: int, diag_v: int, offset: int, n: int) -> Iterator[int]:
@@ -191,12 +186,10 @@ def hc_neg_closed_form(p: Prime, m: int, n_max: int) -> HomologyResult | None:
     return HomologyResult("HCneg", m, shape, "closed_form")
 
 
-class CoeffVector(namedtuple("CoeffVector", "head components")):
-    """Coefficients of the index-j staircase generator inside the regular
-    colimit with top index i: a head entry (a Fraction) plus one
-    (odd modulus n, Fraction) pair per component."""
-
-    __slots__ = ()
+CoeffVector = namedtuple("CoeffVector", "head components")
+CoeffVector.__doc__ = """Coefficients of the index-j staircase generator inside the regular
+colimit with top index i: a head entry (a Fraction) plus one
+(odd modulus n, Fraction) pair per component."""
 
 
 def _check_phi_indices(j: int, i: int) -> None:
@@ -405,14 +398,10 @@ def verify_checks(p: Prime, hc_max: int, hh_max: int) -> Iterator[Check]:
         yield verify_presentation(p, i, shapes)
 
 
-class TruncationProbeReport(
-    namedtuple("TruncationProbeReport", "ok vacuous stable_prefix covered_up_to details")
-):
-    """Outcome of hc_neg_truncation_probe: the stable valuations as runs,
-    (e, count) pairs with e ascending, and the odd modulus they cover up
-    to (or None)."""
-
-    __slots__ = ()
+TruncationProbeReport = namedtuple("TruncationProbeReport", "ok vacuous stable_prefix covered_up_to details")
+TruncationProbeReport.__doc__ = """Outcome of hc_neg_truncation_probe: the stable valuations as runs,
+(e, count) pairs with e ascending, and the odd modulus they cover up
+to (or None)."""
 
 
 def hc_neg_truncation_probe(p: Prime, m: int, truncation: int) -> TruncationProbeReport:

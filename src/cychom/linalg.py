@@ -57,10 +57,8 @@ class IntMatrix:
         self.data = [list(map(int, r)) for r in data]
 
 
-class SnfResult(namedtuple("SnfResult", "invariant_factors")):
-    """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix."""
-
-    __slots__ = ()
+SnfResult = namedtuple("SnfResult", "invariant_factors")
+SnfResult.__doc__ = """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix."""
 
 
 def _pivot(a: list[list[int]], t: int, rows: int, cols: int) -> tuple[int, int] | None:

@@ -336,11 +336,11 @@ def test_out_that_cannot_be_opened_ends_with_an_error_line(tmp_path, where):
 def test_stdout_closed_early_ends_with_an_error_line():
     # About 2 MB of members, far past what a pipe holds: the writes after
     # the reader has gone fail.
-    proc = _cychom(["zsets", "--prime", "3", "--max", "1000000"], subprocess.PIPE)
-    assert proc.stdout.read(1) == "z"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    _assert_one_error_line(proc.wait(), err)
+    with _cychom(["zsets", "--prime", "3", "--max", "1000000"], subprocess.PIPE) as proc:
+        assert proc.stdout.read(1) == "z"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        _assert_one_error_line(proc.wait(), err)
     assert "Broken pipe" in err
 
 
@@ -1400,7 +1400,7 @@ def test_repeats_view_writes_its_list(runs, text):
 )
 def test_lists_are_written_in_batches(texts):
     # Past 256 items a list spans batches; an item past 16384 characters is
-    # a batch alone; a batch with an escape goes item by item.
+    # a batch alone; each item of a batch is quoted by _json_text.
     payload = {"checks": texts, "n": 1}
     assert "".join(cli._json_chunks(payload)) == json.dumps(payload, indent=2) + "\n"
     assert "".join(cli._csv_chunks(payload)) == _csv_reference([payload])

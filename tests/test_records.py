@@ -11,6 +11,7 @@ from cychom import (
     ModuleShape,
     SnfResult,
 )
+from cychom.cli import Option
 from cychom.homology import Check, TruncationProbeReport
 
 SHAPE = ModuleShape((2, 1))
@@ -73,3 +74,29 @@ def test_record_defaults():
     assert str(ModuleShape(())) == "0"
     with pytest.raises(TypeError):
         HomologyResult("HH", 0, SHAPE)
+
+
+# Each record is its namedtuple class, with the first line of its docstring.
+PLAIN = {
+    HomologyResult: 'One homology module: theory "HH" | "HC" | "HCneg" | "HP", its degree,',
+    Check: "One verify check: its name, whether it passed, and what it found",
+    CoeffVector: "Coefficients of the index-j staircase generator inside the regular",
+    TruncationProbeReport: "Outcome of hc_neg_truncation_probe: the stable valuations as runs,",
+    SnfResult: "Invariant factors d_1 | d_2 | ... | d_r of an integer matrix.",
+    DensityReport: "Empirical Z1/Z2 densities up to N against rigorous lower bounds.",
+    Option: "One ``--flag value`` of a command: the value's type, whether it must",
+}
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=[cls.__name__ for cls in PLAIN])
+def test_record_is_one_class(cls):
+    assert cls.__mro__ == (cls, tuple, object)
+    assert cls.__doc__.split("\n", 1)[0] == PLAIN[cls]
+
+
+def test_module_shape_extends_its_namedtuple():
+    # ModuleShape's subclass adds behaviour: the canonical torsion runs.
+    base = ModuleShape.__mro__[1]
+    assert base.__mro__ == (base, tuple, object)
+    assert base._fields == ModuleShape._fields
+    assert ModuleShape.__mro__ == (ModuleShape, base, tuple, object)

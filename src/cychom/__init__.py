@@ -9,7 +9,7 @@ imports: ``cychom.cli`` loads ``padic`` and ``gaps``, and ``linalg`` and
 """
 
 _HOMES = {
-    "padic": "Prime a_val b_val factorial_vp odd_valuations residue seq_a seq_b vp",
+    "padic": "Prime a_val b_val factorial_vp odd_valuations seq_a seq_b vp",
     "gaps": "DensityReport density_bounds enumerate_z1 enumerate_z2 gap in_z1 in_z2",
     "linalg": "IntMatrix ModuleShape SnfResult TRIVIAL_SHAPE cokernel_shape local_snf snf"
     " staircase_cokernels submodule_equal_mod",

@@ -8,9 +8,17 @@ integers hit by no one-sided (resp. symmetric) window; these are exactly
 the degrees where the cyclic (resp. negative cyclic) homology of the
 universal dga admits a closed-form decomposition.
 
+The level bound: g(p^v) < v(2p-2)/(2p-3) <= 4v/3 < 2v.  For even j,
+j!! = 2^(j/2) (j/2)!, so b_j = j - v_p((j/2)!).  Legendre's formula
+v_p(m!) = (m - s_p(m))/(p-1), s_p(m) >= 1 the base-p digit sum of m >= 1,
+gives v_p(m!) < m/(p-1), so b_j > j(2p-3)/(2p-2) for every even j >= 2.
+So b_j < v forces j < v(2p-2)/(2p-3), and the factor (2p-2)/(2p-3) is
+at most 4/3, its value at p = 3.  The sieve and the point rule stop on
+it: a window of level v has radius below 2v.
+
 Note on 1: no window can reach down to 1 (windows have radius
-g(n) < (p^{v_p(n)}-1)/2), so 1 belongs to both sets even though informal
-listings of Z1/Z2 often start at the first element above p.
+g(n) < 2v_p(n) <= p^{v_p(n)} - 1), so 1 belongs to both sets even though
+informal listings of Z1/Z2 often start at the first element above p.
 
 Membership goes level by level, as the sieve clears.  g(n) = g(p^{v_p(n)})
 and g(p^v) is nondecreasing in v, so a window holds i exactly when, at
@@ -32,8 +40,7 @@ from .padic import Prime, b_val, vp
 
 def _gap_for_valuation(p: Prime, v: int) -> int:
     """g(p^v), which is g(n) for every n with v_p(n) = v."""
-    # b_j > j(2p-3)/(2p-2) for even j >= 2, so b_j < v forces
-    # j < v(2p-2)/(2p-3); scanning to that point is exhaustive.
+    # Past the level bound (module docstring) no b_j is below v.
     limit = v * (2 * p.p - 2) // (2 * p.p - 3) + 2
     best = 0
     for j in range(0, limit + 1, 2):
@@ -55,8 +62,8 @@ def gap(p: Prime, n: int) -> int:
 
 def _hit(p: Prime, i: int, symmetric: bool) -> bool:
     """Whether some window holds the odd integer i (symmetric: Z2's
-    windows), by the module's level rule.  As g(p^v) < 2v < p^v, no level
-    with p^v > i + 2v reaches i, nor does any level past it.
+    windows), by the module's level rule.  As g(p^v) < 2v (the level
+    bound), no level with p^v > i + 2v reaches i, nor does any level past it.
     """
     q, v = p.p, 1
     while q <= i + 2 * v:
@@ -97,7 +104,7 @@ def _mark(members: bytearray, p: Prime, upper: int, signs: tuple[int, ...]) -> b
     Offsets |d| <= g(p^{v-1}) were cleared at level v-1 over a superset,
     so each level adds only its new offsets.  Levels with p^v > upper
     clear nothing above their multiples, and nothing below once
-    p^v > upper + 2v, as in ``_hit``.
+    p^v > upper + 2v, by the level bound g(p^v) < 2v, as in ``_hit``.
     """
     q, v, done = p.p, 1, -2
     while q <= upper + (2 * v if -1 in signs else 0):

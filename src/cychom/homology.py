@@ -273,9 +273,11 @@ def verify_kernel_generators(p: Prime, i: int, upto: int) -> bool:
     after truncating the head to Z/p^T, T = a_i + 6, and dropping
     coordinates above n_max = 4i + 1, which must cover i + upto.  A
     coordinate n of psi_j is B_{j-n} mod p^{v_p(n)}, which is 0 without
-    reducing B_{j-n} when b_{j-n} >= v_p(n).  Every residue comes from
-    integers (``staircase_residue``).  Raises for i outside Z2 (the
-    description needs the membership).
+    reducing B_{j-n} when b_{j-n} >= v_p(n).  So psi_j is a sparse row
+    of the head and its live coordinates, which are n in [i, j]: a live
+    n < i has 0 < i - n <= j - n <= g(n), which puts i in n's window.
+    Every residue comes from integers (``staircase_residue``).  Raises for
+    i outside Z2 (the description needs the membership).
     """
     if i % 2 == 0 or i < 1:
         raise ValueError("index must be odd and positive")
@@ -290,20 +292,16 @@ def verify_kernel_generators(p: Prime, i: int, upto: int) -> bool:
     coords = [(n, v) for n in range(1, n_max + 1, 2) if (v := vp(p, n)) > 0]
     moduli = [head_mod] + [p.p**v for _, v in coords]
 
-    def psi_vector(j: int) -> list[int]:
-        vec = [staircase_residue(p, j, head_mod)]
-        for n, v in coords:
-            live = n <= j and b_val(p, j - n) < v
-            vec.append(staircase_residue(p, j - n, p.p**v) if live else 0)
-        return vec
+    def psi_row(j: int) -> dict[int, int]:
+        row = {0: staircase_residue(p, j, head_mod)}
+        for k, (n, v) in enumerate(coords, 1):
+            if i <= n <= j and b_val(p, j - n) < v:
+                row[k] = staircase_residue(p, j - n, p.p**v)
+        return row
 
-    gens_a = [psi_vector(i + j) for j in range(0, upto + 1, 2)]
-    gens_b = [[staircase_residue(p, i, head_mod)] + [0] * len(coords)]
-    for k, (n, _) in enumerate(coords):
-        if i <= n <= i + upto:
-            e = [0] * len(moduli)
-            e[1 + k] = 1
-            gens_b.append(e)
+    gens_a = [psi_row(i + j) for j in range(0, upto + 1, 2)]
+    gens_b = [{0: staircase_residue(p, i, head_mod)}]
+    gens_b += [{k: 1} for k, (n, _) in enumerate(coords, 1) if i <= n <= i + upto]
     return submodule_equal_mod(p, gens_a, gens_b, moduli)
 
 

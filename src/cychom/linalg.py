@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Mapping
-from itertools import compress
 
 from .padic import Prime, vp
 
@@ -422,38 +421,35 @@ def staircase_cokernels(valuations: Iterable[int]) -> Iterator[tuple[Counter, li
 
 def submodule_equal_mod(
     p: Prime,
-    gens_a: list[list[int]] | list[tuple[int, ...]],
-    gens_b: list[list[int]] | list[tuple[int, ...]],
+    rows_a: list[dict[int, int]],
+    rows_b: list[dict[int, int]],
     moduli: list[int] | tuple[int, ...],
 ) -> bool:
     """Do two generating sets span the same submodule of prod Z/moduli_k?
 
-    The moduli must be powers of p.  For X = A, B and A + B the quotient
-    of prod Z/moduli_k by X is a finite p-group, the cokernel of the
-    matrix whose columns are the generators of X and moduli_k * e_k; its
-    length is the sum of the local Smith valuations, which the transpose
-    (those vectors as rows) shares.  Its rank is the width, and the
-    quotient is killed by the largest modulus p^E, so precision E + 1 is
-    exact.  A is contained in A + B, so A = B exactly
-    when the three lengths agree.  The vectors go to ``local_snf`` as
-    sparse rows.
+    Each generator comes as a sparse row, {column: entry} with every
+    column in range(len(moduli)).  The moduli must be powers of p.  For
+    X = A, B and A + B the quotient of prod Z/moduli_k by X is a finite
+    p-group, the cokernel of the matrix whose columns are the generators
+    of X and moduli_k * e_k; its length is the sum of the local Smith
+    valuations, which the transpose (those vectors as rows) shares.  Its
+    rank is the width, and the quotient is killed by the largest modulus
+    p^E, so precision E + 1 is exact.  A is contained in A + B, so A = B
+    exactly when the three lengths agree.
 
-    >>> submodule_equal_mod(Prime(3), [[3, 1]], [[0, 3], [3, 4]], [9, 9])
+    >>> submodule_equal_mod(Prime(3), [{0: 3, 1: 1}], [{1: 3}, {0: 3, 1: 4}], [9, 9])
     True
     """
     width = len(moduli)
-    for g in list(gens_a) + list(gens_b):
-        if len(g) != width:
-            raise ValueError("generator length does not match moduli")
+    if any(c not in range(width) for row in rows_a + rows_b for c in row):
+        raise ValueError(f"generator columns must lie in range({width})")
     for m in moduli:
         if m < 1 or p.p ** vp(p, m) != m:
             raise ValueError(f"moduli must be powers of p={p.p}, got {m}")
     precision = max((vp(p, m) for m in moduli), default=0) + 1
     scaffold = [{k: m} for k, m in enumerate(moduli)]
-    sparse_a = [dict(compress(enumerate(g), g)) for g in gens_a]
-    sparse_b = [dict(compress(enumerate(g), g)) for g in gens_b]
 
-    def length(gens: list[dict[int, int]]) -> int:
-        return sum(local_snf(gens + scaffold, p, precision, width))
+    def length(rows: list[dict[int, int]]) -> int:
+        return sum(local_snf(rows + scaffold, p, precision, width))
 
-    return length(sparse_a) == length(sparse_a + sparse_b) == length(sparse_b)
+    return length(rows_a) == length(rows_a + rows_b) == length(rows_b)

@@ -12,7 +12,7 @@ b_j = v_p(B_j) control every closed-form decomposition downstream.
 
 In closed form A_j = p^j / j!! and B_j = p^j / j!!.  ``seq_a`` and
 ``seq_b`` return these Fractions themselves.  They are p-local by
-construction, since v_p(j!!) <= v_p(j!) <= j, so ``residue`` maps them into
+construction, since v_p(j!!) <= v_p(j!) <= j, so each has an image in
 every Z/p^e.  Their valuations a_j and b_j follow from Legendre's formula
 in O(log j) (``a_val``, ``b_val``); ``vp`` strips p^e from an
 integer in O(log e) big-int divisions; ``odd_valuations`` gives the
@@ -30,7 +30,7 @@ decided by deterministic Miller-Rabin.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from math import gcd, prod
+from math import prod
 
 
 class Prime:
@@ -182,23 +182,6 @@ def odd_valuations(p: Prime, lo: int, hi: int) -> dict[int, int]:
     return out
 
 
-def residue(x: Fraction, modulus: int) -> int:
-    """The image of x in Z/modulus; x's denominator must be invertible there.
-
-    For a p-power modulus that is exactly the condition that x is p-local.
-
-    >>> from fractions import Fraction
-    >>> residue(Fraction(81, 5), 3**6)
-    162
-    """
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
-    den = x.denominator % modulus
-    if gcd(den, modulus) != 1:
-        raise ValueError("denominator not invertible mod modulus")
-    return x.numerator * pow(den, -1, modulus) % modulus
-
-
 def seq_a(p: Prime, j: int) -> Fraction:
     """The odd-index coefficient A_j = p^j / j!!; always p-local.
 
@@ -293,7 +276,7 @@ def _fraction_parts(numerator: Decimal, denominator: Decimal) -> tuple[str, ...]
 def staircase_residue(p: Prime, k: int, modulus: int) -> int:
     """The image of X_k = p^k / k!! in Z/modulus, for modulus a power of
     p, from integers: k!! = p^e * u with u prime to p, so X_k is p^(k-e)
-    times the inverse of u.  It equals ``residue`` of ``seq_a(p, k)`` or
+    times the inverse of u.  It is the image of ``seq_a(p, k)`` or
     ``seq_b(p, k)``, with no Fraction built.
 
     >>> staircase_residue(Prime(3), 5, 3**6)

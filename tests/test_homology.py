@@ -22,7 +22,8 @@ from cychom.homology import (
     verify_presentation,
 )
 from cychom.linalg import ModuleShape, TRIVIAL_SHAPE
-from cychom.padic import Prime, a_val, b_val, residue, seq_b, vp
+from cychom.padic import Prime, a_val, b_val, seq_b, vp
+from residue import residue
 
 P3 = Prime(3)
 P5 = Prime(5)
@@ -310,17 +311,15 @@ def test_kernel_generator_equality_is_not_vacuous():
     moduli = [head_mod] + [3 ** vp(P3, n) for n in coords]
 
     def psi(j):
-        return [residue(seq_a(P3, j), head_mod)] + [
-            residue(seq_b(P3, j - n), 3 ** vp(P3, n)) if n <= j else 0 for n in coords
-        ]
+        row = {0: residue(seq_a(P3, j), head_mod)}
+        for k, n in enumerate(coords, 1):
+            if n <= j:
+                row[k] = residue(seq_b(P3, j - n), 3 ** vp(P3, n))
+        return row
 
     gens_a = [psi(i + j) for j in range(0, upto + 1, 2)]
-    gens_b = [[residue(seq_a(P3, i), head_mod)] + [0] * len(coords)]
-    for j in range(0, upto + 1, 2):
-        if (i + j) in coords:
-            e = [0] * len(moduli)
-            e[1 + coords.index(i + j)] = 1
-            gens_b.append(e)
+    gens_b = [{0: residue(seq_a(P3, i), head_mod)}]
+    gens_b += [{1 + coords.index(i + j): 1} for j in range(0, upto + 1, 2) if (i + j) in coords]
     assert not submodule_equal_mod(P3, gens_a, gens_b, moduli)
 
 

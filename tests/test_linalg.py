@@ -531,24 +531,24 @@ def test_module_shape_canonical_form_matches_filter_then_sort(exponents, given_a
 
 
 def test_submodule_equal_trivialities():
-    gens = [[1, 0], [0, 1]]
+    gens = [{0: 1}, {1: 1}]
     assert submodule_equal_mod(P3, gens, gens, [9, 9])
-    assert not submodule_equal_mod(P3, [[1, 0]], [[0, 1]], [9, 9])
+    assert not submodule_equal_mod(P3, [{0: 1}], [{1: 1}], [9, 9])
 
 
 def test_submodule_change_of_generators():
     p = 3
     assert submodule_equal_mod(
         P3,
-        [[p, 0], [0, 1]],
-        [[p, 1], [0, 1]],
+        [{0: p}, {1: 1}],
+        [{0: p, 1: 1}, {1: 1}],
         [p**3, p],
     )
 
 
 def test_submodule_invariant_under_recombination():
-    gens = [[3, 1, 0], [0, 3, 3]]
-    mixed = [[3, 1, 0], [3, 4, 3], [0, -3, -3]]
+    gens = [{0: 3, 1: 1}, {1: 3, 2: 3}]
+    mixed = [{0: 3, 1: 1}, {0: 3, 1: 4, 2: 3}, {1: -3, 2: -3}]
     moduli = [27, 27, 9]
     assert submodule_equal_mod(P3, gens, mixed, moduli)
     assert submodule_equal_mod(P3, list(reversed(gens)), gens, moduli)
@@ -556,17 +556,27 @@ def test_submodule_invariant_under_recombination():
 
 def test_submodule_detects_strict_containment():
     # <p*e1> is strictly inside <e1>.
-    assert not submodule_equal_mod(P3, [[3]], [[1]], [27])
+    assert not submodule_equal_mod(P3, [{0: 3}], [{0: 1}], [27])
 
 
 def test_submodule_rejects_dimension_mismatch():
+    # A zero entry still names its column, and Z/9 has no column 1.
     with pytest.raises(ValueError):
-        submodule_equal_mod(P3, [[1, 0]], [[1]], [9])
+        submodule_equal_mod(P3, [{0: 1, 1: 0}], [{0: 1}], [9])
+
+
+@pytest.mark.parametrize("column", [-1, 2])
+def test_submodule_rejects_a_column_outside_the_moduli(column):
+    # Columns name the factors of Z/9 x Z/9, and -1 and 2 name none, on
+    # either side of the comparison.
+    for rows_a, rows_b in ([{column: 1}], [{0: 1}]), ([{0: 1}], [{0: 1, column: 3}]):
+        with pytest.raises(ValueError, match=r"range\(2\)"):
+            submodule_equal_mod(P3, rows_a, rows_b, [9, 9])
 
 
 @pytest.mark.parametrize("moduli", [[6], [0], [-9], [25], [9, 10]])
 def test_submodule_rejects_moduli_that_are_not_p_powers(moduli):
-    gens = [[1] * len(moduli)]
+    gens = [dict.fromkeys(range(len(moduli)), 1)]
     with pytest.raises(ValueError, match="powers of p"):
         submodule_equal_mod(P3, gens, gens, moduli)
 
@@ -623,7 +633,9 @@ def _submodule_pairs(draw):
 def test_submodule_equal_matches_span_enumeration(case):
     p, gens_a, gens_b, moduli = case
     want = _span(gens_a, moduli) == _span(gens_b, moduli)
-    assert submodule_equal_mod(p, gens_a, gens_b, moduli) == want
+    # _span adds the drawn vectors; the function takes them as rows.
+    rows_a, rows_b = ([dict(enumerate(g)) for g in gens] for gens in (gens_a, gens_b))
+    assert submodule_equal_mod(p, rows_a, rows_b, moduli) == want
 
 
 def test_intmatrix_validation_and_det():

@@ -13,13 +13,13 @@ from cychom.padic import (
     b_val,
     factorial_vp,
     odd_valuations,
-    residue,
     seq_a,
     seq_b,
     staircase_parts,
     staircase_residue,
     vp,
 )
+from residue import residue
 
 P3 = Prime(3)
 P5 = Prime(5)

@@ -60,6 +60,7 @@ REMOVED_FUNCTIONS = [
     ("cli", "_exponent_list"),
     ("gaps", "_tail_sum"),
     ("cli", "_check_line"),
+    ("padic", "residue"),
 ]
 REMOVED_MEMBERS = [
     ("linalg", "IntMatrix", "identity"),
@@ -93,10 +94,6 @@ def test_removed_names_are_gone(layer, name):
 @pytest.mark.parametrize("layer, cls, member", REMOVED_MEMBERS)
 def test_removed_members_are_gone(layer, cls, member):
     assert not hasattr(getattr(importlib.import_module(f"cychom.{layer}"), cls), member)
-
-
-def test_residue_is_exported():
-    assert "residue" in cychom.__all__ and cychom.residue is cychom.padic.residue
 
 
 def test_every_exported_name_resolves_through_star_import_and_dir():

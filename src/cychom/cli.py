@@ -383,8 +383,7 @@ def _shape_line(res: homology.HomologyResult):
 #   and 0.73 s at 8001 without the cap); 51 MB, 0.5 s and 44 MB at
 #   p = 3317044064679887385961813, near the top of Prime's range (--j 2793).
 # - zsets --max 10**7: every member, 23-64 MB of text in 0.13-0.17 s,
-#   21.4 / 19.7 MB in any set and format (24.8 / 24.5 MB while the member
-#   mask was a copy of the sieve; p = 3 / 101).
+#   21.4 / 19.7 MB in any set and format (p = 3 / 101).
 # - verify --hh-max 10**5: one Hochschild check and one line per degree,
 #   1.8 / 2.0 s, 38 / 25 MB, 3.6 / 2.9 MB of text (p = 3 / 101); linear,
 #   3.6 / 3.9 s at 2*10**5.

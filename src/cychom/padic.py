@@ -20,11 +20,11 @@ multiset {v_p(n) : n odd in [lo, hi]}, as a count per valuation, by
 counting odd multiples of each p^e, without visiting the n;
 ``staircase_parts`` writes p^k / k!! in decimal, for k = j and every
 k < j of the other parity, from one exact pass, each text made in parts
-as it is read (its Decimal context ``_EXACT``, which raises rather than
-round, is None until the first call builds it, so only a process that
-prints coefficients imports decimal); and ``staircase_residue`` reduces
-p^k / k!! modulo a power of p from integers.  Primality of ``Prime`` is
-decided by deterministic Miller-Rabin.
+as it is read (in a Decimal context, built by each call, that raises
+rather than round, so only a process that prints coefficients imports
+decimal); and ``staircase_residue`` reduces p^k / k!! modulo a power of
+p from integers.  Primality of ``Prime`` is decided by deterministic
+Miller-Rabin.
 """
 
 from __future__ import annotations
@@ -208,9 +208,6 @@ def seq_b(p: Prime, j: int) -> Fraction:
     return Fraction(p.p**j, prod(range(j, 0, -2)))
 
 
-_EXACT = None  # the exact Decimal context, built by the first staircase_parts
-
-
 def staircase_parts(p: Prime, j: int) -> Iterator[tuple[str, ...]]:
     """The texts ``str(Fraction(p**k, k!!))`` of X_j, X_{j-1}, X_{j-3}, ...
     in parts: (numerator,) for an integer X_k, else (numerator, "/",
@@ -239,14 +236,11 @@ def staircase_parts(p: Prime, j: int) -> Iterator[tuple[str, ...]]:
     >>> list(staircase_parts(Prime(3), 4))
     [('81', '/', '8'), ('9',), ('3',)]
     """
-    global _EXACT
     from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 
     if j < 0:
         raise ValueError(f"X defined on nonnegative indices, got {j}")
-    if _EXACT is None:
-        _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
-    exact = _EXACT
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
     q = p.p
     # Per parity of k: [e, p^e, d] for the last X_k of that parity.
     chains = [[0, Decimal(1), Decimal(1)], [1, Decimal(q), Decimal(1)]]

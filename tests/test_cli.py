@@ -1294,10 +1294,7 @@ def test_coeffs_failure_writes_nothing(capsys, monkeypatch, tmp_path, fmt):
     # Inexact from a too-small context leaves stdout and --out empty.
     import decimal
 
-    from cychom import padic
-
-    small = decimal.Context(prec=30, traps=[decimal.Inexact, decimal.Rounded])
-    monkeypatch.setattr(padic, "_EXACT", small)
+    monkeypatch.setattr(decimal, "MAX_PREC", 30)
     argv = ["coeffs", "--prime", "3", "--j", "201", "--i", "201", "--format", fmt]
     code, out, err = run(capsys, argv)
     assert code == 3 and out == ""

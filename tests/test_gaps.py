@@ -21,7 +21,7 @@ from cychom.gaps import (
     in_z2,
     member_mask,
 )
-from cychom.padic import Prime, a_val
+from cychom.padic import Prime, a_val, b_val
 
 P3 = Prime(3)
 P5 = Prime(5)
@@ -62,7 +62,7 @@ def test_gap_rejects_non_multiples():
         gap(P3, 5)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 101, 1009])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])
 def test_level_gap_is_nondecreasing_and_below_2v(p):
     # The sieve and the membership loop both rest on these: an odd multiple
     # of p^v carries every offset |d| <= g(p^v), and no level with
@@ -70,6 +70,14 @@ def test_level_gap_is_nondecreasing_and_below_2v(p):
     gaps = [_gap_for_valuation(Prime(p), v) for v in range(1, 61)]
     assert gaps == sorted(gaps)
     assert all(g < 2 * v for v, g in enumerate(gaps, 1))
+    # _gap_for_valuation stops its scan at the level bound, so it cannot see
+    # a j past it with b_j < v.  A scan to 3v + 4, well past the bound,
+    # finds the same largest j, and the bound j(2p - 3) < v(2p - 2) holds.
+    prime = Prime(p)
+    for v in range(1, 201):
+        g = max(j for j in range(0, 3 * v + 5, 2) if b_val(prime, j) < v)
+        assert g == _gap_for_valuation(prime, v), v
+        assert g * (2 * p - 3) < v * (2 * p - 2), v
 
 
 @pytest.mark.parametrize("p", [P3, P5, P7])

@@ -293,10 +293,12 @@ def test_kernel_generators():
         verify_kernel_generators(P3, 25, 0)
     with pytest.raises(ValueError):
         verify_kernel_generators(P3, 5, 3)
-    # The coordinates stop at n_max = 4i + 1, so upto may reach 3i + 1.
+    # The product is the head and the odd multiples of p in [i, i + upto]
+    # alone, so upto has no ceiling tied to i: 3i + 3 and past it hold too.
     assert verify_kernel_generators(P3, 5, 16) is True
-    with pytest.raises(ValueError, match="n_max must cover every generator index"):
-        verify_kernel_generators(P3, 5, 18)
+    assert verify_kernel_generators(P3, 5, 18) is True
+    assert verify_kernel_generators(P3, 7, 24) is True
+    assert verify_kernel_generators(P5, 3, 40) is True
 
 
 def test_kernel_generator_equality_is_not_vacuous():
@@ -321,6 +323,17 @@ def test_kernel_generator_equality_is_not_vacuous():
     gens_b = [{0: residue(seq_a(P3, i), head_mod)}]
     gens_b += [{1 + coords.index(i + j): 1} for j in range(0, upto + 1, 2) if (i + j) in coords]
     assert not submodule_equal_mod(P3, gens_a, gens_b, moduli)
+
+
+def test_kernel_generator_check_fails_at_25_in_its_own_coordinates(monkeypatch):
+    # With the Z2 gate lifted, the check over the head and the odd multiples
+    # of p in [i, i + upto] alone still fails where the comparison above,
+    # over every odd multiple of p up to 4i + 1, fails.
+    from cychom import homology
+
+    monkeypatch.setattr(homology, "in_z2", lambda p, i: True)
+    assert verify_kernel_generators(P3, 25, 8) is False
+    assert verify_kernel_generators(P3, 27, 0) is False
 
 
 def test_connes_length_recursion():

@@ -638,6 +638,24 @@ def test_submodule_equal_matches_span_enumeration(case):
     assert submodule_equal_mod(p, rows_a, rows_b, moduli) == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(_submodule_pairs(), st.integers(0, 3), st.data())
+def test_submodule_verdict_ignores_a_column_no_generator_touches(case, e, data):
+    # A column zero in every generator on both sides splits off the same
+    # Z/p^e from all three quotients, so verify_kernel_generators may leave
+    # out every coordinate its generators do not touch.
+    p, gens_a, gens_b, moduli = case
+    rows_a, rows_b = ([dict(enumerate(g)) for g in gens] for gens in (gens_a, gens_b))
+    verdict = submodule_equal_mod(p, rows_a, rows_b, moduli)
+    at = data.draw(st.integers(0, len(moduli)), label="new column")
+
+    def shifted(rows):
+        return [{c + (c >= at): x for c, x in row.items()} for row in rows]
+
+    wider = moduli[:at] + [p.p**e] + moduli[at:]
+    assert submodule_equal_mod(p, shifted(rows_a), shifted(rows_b), wider) == verdict
+
+
 def test_intmatrix_validation_and_det():
     # IntMatrix only carries the reference snf's input.
     with pytest.raises(ValueError):

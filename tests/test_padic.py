@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cychom import padic
 from cychom.padic import (
     Prime,
     a_val,
@@ -212,8 +211,7 @@ def test_staircase_texts_raise_rather_than_round(monkeypatch):
     # A context with room for 30 digits cannot hold X_k up to k = 201: the
     # pass must stop at Inexact, not print a rounded text, and it must do
     # so on the call, before any text is read.
-    small = decimal.Context(prec=30, traps=[decimal.Inexact, decimal.Rounded])
-    monkeypatch.setattr(padic, "_EXACT", small)
+    monkeypatch.setattr(decimal, "MAX_PREC", 30)
     with pytest.raises(decimal.Inexact):
         staircase_parts(P3, 201)
 

@@ -384,9 +384,6 @@ def _shape_line(res: homology.HomologyResult):
 #   p = 3317044064679887385961813, near the top of Prime's range (--j 2793).
 # - zsets --max 10**7: every member, 23-64 MB of text in 0.13-0.17 s,
 #   21.4 / 19.7 MB in any set and format (p = 3 / 101).
-# - verify --hh-max 10**5: one Hochschild check and one line per degree,
-#   1.8 / 2.0 s, 38 / 25 MB, 3.6 / 2.9 MB of text (p = 3 / 101); linear,
-#   3.6 / 3.9 s at 2*10**5.
 # - hp/hcneg --n-max 10**7 + 1 (given, or the default degree + 20 or 21):
 #   a torsion exponent per odd multiple of p, counted per exponent and
 #   written from those runs: 0.07-0.09 s and 14 MB for p = 3 / 101 / 1009
@@ -398,7 +395,6 @@ def _shape_line(res: homology.HomologyResult):
 HC_MAX_DEGREE = 10**6
 HCNEG_MAX_TRUNCATION = 5 * 10**5
 VERIFY_MAX_HC = 4000
-VERIFY_MAX_HH = 10**5
 COEFFS_MAX = 8001
 ZSETS_MAX = 10**7
 DENSITY_MAX = 10**8
@@ -573,12 +569,9 @@ def cmd_verify(p: Prime, args):
     if args.hc_max < 2 or args.hc_max % 2:
         raise ValueError(f"--hc-max must be even and >= 2, got {args.hc_max}")
     _cap("--hc-max", args.hc_max, VERIFY_MAX_HC, "verify runs the oracle at every even degree up to --hc-max")
-    if args.hh_max < 0:
-        raise ValueError(f"--hh-max must be >= 0, got {args.hh_max}")
-    _cap("--hh-max", args.hh_max, VERIFY_MAX_HH, "verify checks and prints every Hochschild degree up to --hh-max")
     # Each record, and its detail, is let go once its line is made.
     lines, failures = [], []
-    for check in homology.verify_checks(p, args.hc_max, args.hh_max):
+    for check in homology.verify_checks(p, args.hc_max):
         text = f"{check.name}: {check.detail}" if check.detail else check.name
         lines.append(("ok   " if check.ok else "FAIL ") + text)
         if not check.ok:
@@ -634,11 +627,7 @@ GRAMMAR = {
     "verify": (
         cmd_verify,
         "run the full cross-check suite",
-        (
-            *_COMMON,
-            Option("--hc-max", int, default=40, help="largest cyclic degree checked"),
-            Option("--hh-max", int, default=10, help="largest Hochschild degree checked"),
-        ),
+        (*_COMMON, Option("--hc-max", int, default=40, help="largest cyclic degree checked")),
     ),
 }
 

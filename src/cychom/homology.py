@@ -145,8 +145,9 @@ def hc_closed_form(p: Prime, i: int) -> HomologyResult | None:
         head = a_val(p, i + 1)
     else:
         return None
-    shape = ModuleShape(Counter(odd_valuations(p, 3, i - 1)) + Counter([head]))
-    return HomologyResult("HC", i, shape, "closed_form")
+    counts = odd_valuations(p, 3, i - 1)
+    counts[head] = counts.get(head, 0) + 1
+    return HomologyResult("HC", i, ModuleShape(counts), "closed_form")
 
 
 def _product(p: Prime, start: int, n_max: int) -> ModuleShape:
@@ -363,14 +364,16 @@ def hp_stabilization_check(p: Prime, shapes: dict[int, ModuleShape]) -> Check:
     return Check("hp stabilization", not mismatches, "; ".join(mismatches))
 
 
-def verify_checks(p: Prime, hc_max: int, hh_max: int) -> Iterator[Check]:
-    """The ``verify`` battery, one check at a time: Hochschild in every
-    degree 0..hh_max; oracle against closed form in every even degree
-    2..hc_max, and the Connes and stabilization checks, all from one walk
-    to hc_max; the kernel generators at the first three Z2 indices past
-    1, each asked of ``in_z2`` in turn, so no member list is made; and
-    the colimit presentation at every odd index below min(hc_max, 12)."""
-    for i in range(hh_max + 1):
+def verify_checks(p: Prime, hc_max: int) -> Iterator[Check]:
+    """The ``verify`` battery, one check at a time: Hochschild in degrees
+    0..3, the even and odd branches of each of its two blocks (every later
+    degree repeats the elimination of degree 2 or 3); oracle against
+    closed form in every even degree 2..hc_max, and the Connes and
+    stabilization checks, all from one walk to hc_max; the kernel
+    generators at the first three Z2 indices past 1, each asked of
+    ``in_z2`` in turn, so no member list is made; and the colimit
+    presentation at every odd index below min(hc_max, 12)."""
+    for i in range(4):
         try:
             hochschild(p, i)
         except ArithmeticError as exc:

@@ -3,6 +3,9 @@
 
     PYTHONPATH=src python tests/golden/corpus.py    # rewrites corpus.jsonl
 
+and prints to stderr the argv of each entry whose exit code or hashes
+changed, and of each entry added or dropped.
+
 ``test_corpus.py`` runs every entry of ``corpus.jsonl`` through the same
 ``run`` and compares.  An entry changes only with a deliberate change of
 output, never to let a failing comparison through.
@@ -20,6 +23,8 @@ import hashlib
 import io
 import json
 import os
+import shlex
+import sys
 from pathlib import Path
 
 from cychom.cli import main
@@ -46,7 +51,7 @@ QUERIES = (
     *(["density", "--max", str(n)] for n in (1, 99, 10000)),
     *(["coeffs", "--j", str(j), "--i", str(i)] for j, i in ((1, 1), (3, 5), (5, 21), (21, 41))),
     ["verify"],
-    ["verify", "--hc-max", "10", "--hh-max", "3"],
+    ["verify", "--hc-max", "10"],
 )
 
 # Refused with exit 1 in every format, at p = 3: one past each ceiling,
@@ -55,7 +60,6 @@ REFUSED = (
     ["hc", "--degree", "1000001"],
     ["hcneg", "--degree", "8", "--truncation", "500001"],
     ["verify", "--hc-max", "4002"],
-    ["verify", "--hh-max", "100001"],
     ["coeffs", "--j", "8003", "--i", "8003"],
     ["coeffs", "--j", "1", "--i", "8003"],
     ["zsets", "--max", "10000001"],
@@ -66,7 +70,6 @@ REFUSED = (
     ["hcneg", "--degree", "9999982"],
     *(["coeffs", "--j", j, "--i", i] for j, i in (("4", "5"), ("5", "3"), ("3", "4"), ("-1", "5"), ("0", "1"))),
     *(["verify", "--hc-max", k] for k in ("0", "1", "3", "-2")),
-    ["verify", "--hh-max", "-1"],
     *(["hp", "--degree", "0", "--n-max", n] for n in ("10", "0", "-1")),
     ["hcneg", "--degree", "6", "--n-max", "10"],
     *(["hcneg", "--degree", m, "--truncation", k] for m in ("8", "6", "28") for k in ("0", "-1")),
@@ -108,6 +111,7 @@ ARGPARSE = (
     ["hcneg", "--prime", "3", "--degree", "6", "--truncation", "x"],
     ["coeffs", "--prime", "3", "--j", "3"],
     ["verify", "--prime", "3", "--hc-max", "4.0"],
+    ["verify", "--prime", "3", "--hh-max", "5"],
     ["--help"],
     ["-h"],
     *([q[0], "--help"] for q in ONE_EACH),
@@ -119,7 +123,7 @@ ARGPARSE = (
     ["hc", "--prime", "3", "--degree", "-4"],
     ["hp", "--prime", "3", "--degree", "0", "--n-max", "11", "--format=json"],
     ["zsets", "--prime", "3", "--max", "100", "--set=z2", "--format", "csv"],
-    ["verify", "--prime", "3", "--hc", "4", "--hh", "2"],
+    ["verify", "--prime", "3", "--hc", "4"],
 )
 
 # verify at primes far past PRIMES, in every format: its cost does not grow
@@ -170,5 +174,15 @@ def read_entries() -> list[dict]:
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
+    old = {tuple(entry["argv"]): entry for entry in read_entries()} if ENTRIES.exists() else {}
+    entries = [run(argv) for argv in argvs()]
     with open(ENTRIES, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(run(argv)) + "\n" for argv in argvs())
+        fh.writelines(json.dumps(entry) + "\n" for entry in entries)
+    # Each entry changed, added or dropped, by its argv: what CHANGES.md
+    # lists for a deliberate change of output.
+    for entry in entries:
+        was = old.pop(tuple(entry["argv"]), None)
+        if was != entry:
+            print("added" if was is None else "changed", shlex.join(entry["argv"]), file=sys.stderr)
+    for argv in old:
+        print("dropped", shlex.join(argv), file=sys.stderr)

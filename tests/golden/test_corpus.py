@@ -27,7 +27,7 @@ THROUGH_THE_ENTRY = [
     ["zsets", "--prime", "3", "--max", "5000", "--set", "z2", "--format", "json"],
     ["density", "--prime", "101", "--max", "10000", "--format", "csv"],
     ["coeffs", "--prime", "13", "--j", "21", "--i", "41", "--format", "table"],
-    ["verify", "--prime", "3", "--hc-max", "10", "--hh-max", "3", "--format", "csv"],
+    ["verify", "--prime", "3", "--hc-max", "10", "--format", "csv"],
     ["hc", "--prime", "3", "--degree", "1000001", "--format", "json"],
     ["zsets", "--prime", "9", "--max", "10"],
     ["hc", "--prime", "3", "--degree", "x"],

@@ -90,7 +90,7 @@ def test_usage_error_exit_code():
 
 
 def test_verify_passes(capsys):
-    code, out, _ = run(capsys, ["verify", "--prime", "3", "--hc-max", "12", "--hh-max", "4"])
+    code, out, _ = run(capsys, ["verify", "--prime", "3", "--hc-max", "12"])
     assert code == 0
     assert "0 failure(s)" in out
     assert "FAIL" not in out
@@ -129,7 +129,7 @@ def test_verify_reports_mismatch_with_exit_3(capsys, monkeypatch):
         return homology.HomologyResult("HC", i, ModuleShape((99,)), "closed_form")
 
     monkeypatch.setattr(homology, "hc_closed_form", skewed)
-    code, out, _ = run(capsys, ["verify", "--prime", "3", "--hc-max", "8", "--hh-max", "2"])
+    code, out, _ = run(capsys, ["verify", "--prime", "3", "--hc-max", "8"])
     assert code == 3
     assert "FAIL hc degree 6" in out
     assert "R/p^99" in out  # the diff names both shapes
@@ -171,7 +171,7 @@ def _force(monkeypatch, kind: str) -> None:
 
 
 VERIFY_NAMES = (
-    [f"hochschild degree {i}" for i in range(7)]
+    [f"hochschild degree {i}" for i in range(4)]
     + [f"hc degree {i}" for i in range(2, 41, 2)]
     + ["connes length recursion", "hp stabilization"]
     + [f"kernel generators at {i}" for i in (5, 7, 11)]
@@ -211,7 +211,7 @@ def test_verify_writes_its_check_records(monkeypatch, kind):
 
     if kind is not None:
         _force(monkeypatch, kind)
-    checks = list(homology.verify_checks(Prime(3), 40, 6))
+    checks = list(homology.verify_checks(Prime(3), 40))
     assert [c.name for c in checks] == VERIFY_NAMES
     failed = [c for c in checks if not c.ok]
     assert bool(failed) == (kind is not None)
@@ -219,7 +219,7 @@ def test_verify_writes_its_check_records(monkeypatch, kind):
     lines = [f"{'ok  ' if c.ok else 'FAIL'} {c.name}" + (f": {c.detail}" if c.detail else "") for c in checks]
     failures = [f"{c.name}: {c.detail}" if c.detail else c.name for c in failed]
     payload = {"prime": 3, "failures": failures, "checks": lines}
-    texts = _texts(["verify", "--prime", "3", "--hc-max", "40", "--hh-max", "6"], 3 if failed else 0)
+    texts = _texts(["verify", "--prime", "3", "--hc-max", "40"], 3 if failed else 0)
     assert texts == {
         "table": "\n".join(lines + [f"{len(failures)} failure(s)"]) + "\n",
         "json": json.dumps(payload, indent=2) + "\n",
@@ -366,7 +366,7 @@ ONE_PER_COMMAND = [
     ["zsets", "--prime", "3", "--max", "100"],
     ["density", "--prime", "3", "--max", "99"],
     ["coeffs", "--prime", "3", "--j", "3", "--i", "5"],
-    ["verify", "--prime", "3", "--hc-max", "6", "--hh-max", "2"],
+    ["verify", "--prime", "3", "--hc-max", "6"],
 ]
 
 
@@ -609,7 +609,7 @@ JSON_ARGVS = [
     ["zsets", "--prime", "3", "--max", "50"],
     ["density", "--prime", "3", "--max", "99"],
     ["coeffs", "--prime", "3", "--j", "3", "--i", "5"],
-    ["verify", "--prime", "3", "--hc-max", "8", "--hh-max", "2"],
+    ["verify", "--prime", "3", "--hc-max", "8"],
 ]
 
 
@@ -764,8 +764,7 @@ def _allocating(*args, **kwargs):
 CAPPED = [
     (["hc", "--prime", "3", "--degree"], "HC_MAX_DEGREE", "staircase_cokernels"),
     (["hcneg", "--prime", "3", "--degree", "6", "--truncation"], "HCNEG_MAX_TRUNCATION", "staircase_cokernels"),
-    (["verify", "--prime", "3", "--hh-max", "2", "--hc-max"], "VERIFY_MAX_HC", "hc_oracle_shapes"),
-    (["verify", "--prime", "3", "--hc-max", "2", "--hh-max"], "VERIFY_MAX_HH", "hochschild"),
+    (["verify", "--prime", "3", "--hc-max"], "VERIFY_MAX_HC", "hc_oracle_shapes"),
     (["hp", "--prime", "3", "--degree", "0", "--n-max"], "PRODUCT_MAX_N", "hp"),
     (["hcneg", "--prime", "3", "--degree", "6", "--n-max"], "PRODUCT_MAX_N", "hc_neg_closed_form"),
     (["coeffs", "--prime", "3", "--i", str(cli.COEFFS_MAX), "--j"], "COEFFS_MAX", "staircase_parts"),
@@ -819,15 +818,15 @@ def test_coeffs_caps_j_by_its_digits_before_any_coefficient(capsys, monkeypatch)
 
 
 def test_ceilings_sit_above_benchmark_and_test_inputs():
-    # The benchmark runs hc to degree 400, verify to --hc-max 120 with the
-    # default --hh-max 10, coeffs to j = 4001, density to --max 2.5*10**6
-    # and the closed forms to degree 2*10**6 with n_max = degree + 21; the
-    # tests run hc at degree 1002 and coeffs at i = 4005, and CI runs hc at
-    # degree 10**6 and verify at --hc-max 4000.  Each ceiling is itself a
-    # valid value: hc-max even, coeffs indices and n_max odd.
+    # The benchmark runs hc to degree 400, verify to --hc-max 120, coeffs
+    # to j = 4001, density to --max 2.5*10**6 and the closed forms to
+    # degree 2*10**6 with n_max = degree + 21; the tests run hc at degree
+    # 1002 and coeffs at i = 4005, and CI runs hc at degree 10**6 and
+    # verify at --hc-max 4000.  Each ceiling is itself a valid value:
+    # hc-max even, coeffs indices and n_max odd.
     assert cli.HC_MAX_DEGREE >= 10**6 and cli.VERIFY_MAX_HC >= 4000
     assert cli.COEFFS_MAX >= 4005 and cli.HCNEG_MAX_TRUNCATION >= 8
-    assert cli.VERIFY_MAX_HH >= 10 and cli.PRODUCT_MAX_N >= 2 * 10**6 + 21
+    assert cli.PRODUCT_MAX_N >= 2 * 10**6 + 21
     assert cli.DENSITY_MAX >= 25 * 10**5
     assert cli.VERIFY_MAX_HC % 2 == 0 and cli.COEFFS_MAX % 2 == 1 and cli.PRODUCT_MAX_N % 2 == 1
 
@@ -837,7 +836,6 @@ def test_ceilings_sit_above_benchmark_and_test_inputs():
 DOCUMENTED = [
     (["hc", "--prime", "3", "--degree"], 10**6, "staircase_cokernels"),
     (["hcneg", "--prime", "3", "--degree", "6", "--truncation"], 5 * 10**5, "staircase_cokernels"),
-    (["verify", "--prime", "3", "--hc-max", "2", "--hh-max"], 10**5, "hochschild"),
     (["hp", "--prime", "3", "--degree", "0", "--n-max"], 10**7 + 1, "hp"),
     (["density", "--prime", "3", "--max"], 10**8, "gaps.density_bounds"),
 ]
@@ -868,15 +866,49 @@ def test_default_n_max_is_capped_too(capsys, monkeypatch, command, allocator):
         main([command, "--prime", "3", "--degree", str(top - 21)])
 
 
-def test_verify_checks_hh_max_before_any_check(capsys, monkeypatch):
-    from cychom import homology
+@pytest.mark.parametrize("hh_max", ["5", "100001"])
+def test_verify_takes_no_hh_max(capsys, hh_max):
+    # Hochschild is checked in degrees 0-3 alone; the flag is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--prime", "3", "--hh-max", hh_max])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "unrecognized arguments: --hh-max" in out.err
 
-    monkeypatch.setattr(homology, "hochschild", _allocating)
-    code, out, err = run(capsys, ["verify", "--prime", "3", "--hh-max", "-1"])
-    assert code == 1 and out == ""
-    assert err == "error: --hh-max must be >= 0, got -1\n"
-    with pytest.raises(Allocated):
-        main(["verify", "--prime", "3", "--hh-max", "0"])
+
+# The two blocks hochschild eliminates, by the first degree that reads
+# each, and the Hochschild lines of verify when that block alone is wrong.
+HH_BLOCKS = {0: [{0: 1}], 2: [{0: 1, 1: 0}, {1: 1}]}
+HH_LINES = {
+    0: [
+        "FAIL hochschild degree 0: HH oracle R x R/p disagrees with closed form R/p",
+        "FAIL hochschild degree 1: HH differential out of degree 1 is not injective",
+        "ok   hochschild degree 2",
+        "ok   hochschild degree 3",
+    ],
+    2: [
+        "ok   hochschild degree 0",
+        "ok   hochschild degree 1",
+        "FAIL hochschild degree 2: HH oracle R x R/p disagrees with closed form R/p^2",
+        "FAIL hochschild degree 3: HH differential out of degree 3 is not injective",
+    ],
+}
+
+
+@pytest.mark.parametrize("wrong", sorted(HH_BLOCKS))
+def test_verify_hochschild_reaches_both_blocks(capsys, monkeypatch, wrong):
+    # A cokernel wrong for one block alone, R x R/p, fails both the even
+    # and the odd degree that read that block, and no other verify line.
+    from cychom import homology
+    from cychom.linalg import ModuleShape
+
+    real = homology.cokernel_shape
+    bad = ModuleShape((1,), free_rank=1)
+    monkeypatch.setattr(homology, "cokernel_shape", lambda rows: bad if rows == HH_BLOCKS[wrong] else real(rows))
+    code, out, _ = run(capsys, ["verify", "--prime", "3"])
+    lines = out.splitlines()
+    assert code == 3 and lines[-1] == "2 failure(s)"
+    assert [line for line in lines if "hochschild" in line] == HH_LINES[wrong]
 
 
 @pytest.mark.parametrize("hc_max", ["7", "0", "-2", "1"])
@@ -951,7 +983,7 @@ def test_queries_import_no_fractions_decimal_or_csv():
             ["hcneg", "--prime", "3", "--degree", "6", "--truncation", "8"],
             ["zsets", "--prime", "3", "--max", "1000", "--set", "z2"],
             ["verify", "--prime", "3"],
-            ["verify", "--prime", "11", "--hc-max", "100", "--hh-max", "20"],
+            ["verify", "--prime", "11", "--hc-max", "100"],
         ):
             for fmt in ("table", "json", "csv"):
                 assert c.main(argv + ["--format", fmt, "--out", os.devnull]) == 0, argv
@@ -983,7 +1015,7 @@ def test_well_formed_commands_import_neither_argparse_nor_json():
             ["zsets", "--prime", "3", "--max", "1000", "--set", "z2"],
             ["density", "--prime", "5", "--max", "1000"],
             ["coeffs", "--prime", "3", "--j", "3", "--i", "9"],
-            ["verify", "--prime", "3", "--hc-max", "12", "--hh-max", "4"],
+            ["verify", "--prime", "3", "--hc-max", "12"],
         ):
             for fmt in ("table", "json", "csv"):
                 assert c.main(argv + ["--format", fmt, "--out", os.devnull]) == 0, argv

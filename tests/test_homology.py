@@ -491,7 +491,7 @@ def test_verify_checks_never_sieve(monkeypatch, p):
         raise AssertionError("verify sieved")
 
     monkeypatch.setattr(gaps, "member_mask", sieve)
-    checks = list(verify_checks(Prime(p), 40, 10))
+    checks = list(verify_checks(Prime(p), 40))
     assert all(check.ok for check in checks), [check for check in checks if not check.ok]
 
 
@@ -513,6 +513,6 @@ def test_verify_kernel_generator_indices_are_the_first_three_z2_members_past_1(m
             continue
         sieve[p * p :: p] = bytes(len(range(p * p, 3000, p)))
         prime, indices[:] = Prime(p), []
-        for check in verify_checks(prime, 2, 0):
+        for check in verify_checks(prime, 2):
             pass
         assert indices == [i for i in enumerate_z2(prime, 50 * p) if i > 1][:3], p

@@ -33,7 +33,7 @@ import gc
 import os
 import sys
 from collections import namedtuple
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from math import isfinite, isqrt
 from operator import attrgetter
 from types import SimpleNamespace
@@ -177,10 +177,10 @@ def _json_chunks(payload: dict):
 
     With ``indent`` set, json.dumps runs its pure-Python encoder, several
     generator steps per list item, and holds the whole text.  So
-    ``_json_value`` writes a non-empty dict key by key, a list of str a
-    batch of items a chunk and a view by its chunks, at any depth, and
-    hands ``_json_text`` only a scalar, which it writes on one line.  The
-    keys are str.  No copy of the whole is held.
+    ``_json_value`` writes a non-empty dict key by key, a list of str an
+    item a chunk and a view by its chunks, at any depth, and hands
+    ``_json_text`` only a scalar, which it writes on one line.  The keys
+    are str.  No copy of the whole is held.
     """
     yield from _json_value(payload, "\n")
     yield "\n"
@@ -213,37 +213,12 @@ def _json_value(value, newline: str):
         yield _json_text(value)
 
 
-# A list of str is written a batch of items at a time, each batch one
-# chunk: at most _BATCH items and _BATCH_CHARS characters, or one longer
-# item alone, so no long item is copied into a batch.
-_BATCH = 256
-_BATCH_CHARS = 1 << 14
-
-
-def _batches(texts: list[str]):
-    for k in range(0, len(texts), _BATCH):
-        batch = texts[k : k + _BATCH]
-        if sum(map(len, batch)) <= _BATCH_CHARS:
-            yield batch
-        else:
-            yield from ([text] for text in batch)
-
-
-def _joined(texts: list[str], sep: str):
-    """The chunks of ``sep.join(texts)``, a batch at a time."""
-    lead = ""
-    for batch in _batches(texts):
-        yield lead
-        yield sep.join(batch)  # a batch of one is its item, not a copy
-        lead = sep
-
-
 def _json_strs(texts: list[str], sep: str):
-    """The chunks of ``sep.join(map(_json_text, texts))``, a batch a chunk:
-    each item is quoted, and escaped where it needs it, by ``_json_text``."""
+    """The chunks of ``sep.join(map(_json_text, texts))``, one item a
+    chunk: each is quoted, and escaped where it needs it, by ``_json_text``."""
     lead = ""
-    for batch in _batches(texts):
-        yield lead + sep.join(map(_json_text, batch))
+    for text in texts:
+        yield lead + _json_text(text)
         lead = sep
 
 
@@ -307,14 +282,14 @@ def _csv_line(cells):
 
 def _csv_cell(cell):
     """The chunks of a cell's text: parts (as ``Rows`` holds them) as they
-    are, a list of str as its items joined by ';' in batches, and anything
-    else as one item, its str (None's is empty).  The cell is quoted, its
-    quotes doubled, when an item holds one of ``,"\\r\\n``: the ';'
-    between them never needs it."""
+    are, a list of str as its items and the ';' between them, a chunk
+    each, and anything else as one item, its str (None's is empty).  The
+    cell is quoted, its quotes doubled, when an item holds one of
+    ``,"\\r\\n``: the ';' between them never needs it."""
     if type(cell) is tuple:
         return cell
     if type(cell) is list:
-        texts, chunks = cell, _joined(cell, ";")
+        texts, chunks = cell, islice(chain.from_iterable((";", text) for text in cell), 1, None)
     else:
         texts = chunks = ("" if cell is None else str(cell),)
     if any(c in text for text in texts for c in ',"\r\n'):
@@ -364,12 +339,14 @@ def _shape_line(res: homology.HomologyResult):
 #   staircase, the same work as hc at its ceiling: 0.65-0.8 s and 14 MB in
 #   every format, though at p = 3 it prints a stable prefix of 1.7*10**5
 #   valuations (written from their runs); time linear in the truncation.
-# - verify --hc-max 4000: one walk gives every even degree, but the shapes
-#   it keeps and the check lines it prints grow with the square of
-#   --hc-max: 0.35-0.45 / 0.24 / 0.24 s, 25 / 16 / 17 MB in every format
-#   (p = 3: 8.6 MB of check lines, held once and written a line at a
-#   time); at 2000 0.17-0.23 / 0.17 / 0.17 s, 18 / 16 / 17 MB; at 10**4
-#   for p = 3, 1.2-1.35 s and 81 MB in every format.
+# - verify --hc-max 10**4: one walk gives every even degree, and an ok
+#   line is its check's name alone, so time and text are linear in
+#   --hc-max (0.14 MB of JSON at p = 3): 0.36-0.46 / 0.32-0.36 /
+#   0.32-0.34 s, 19 / 17 / 17 MB in every format; at 4000 0.23-0.26 /
+#   0.18-0.20 / 0.16-0.19 s, 16 MB; at 2000 0.16 / 0.14-0.15 /
+#   0.14-0.15 s, 16 / 15 / 15 MB.  What bounds it is the shapes it keeps,
+#   about 1 KB a degree (49 MB at 10**5, p = 3), and the closed form's
+#   26-28 us a degree.
 # - coeffs --j/--i 8001: ~j^2 digits, 30 / 58 / 74 MB of text, 28 / 41 /
 #   50 MB in every format (the staircase's Decimals, ~0.42 bytes a digit;
 #   the text is written a row at a time); 0.25 / 0.39 / 0.49 s in JSON,
@@ -394,7 +371,7 @@ def _shape_line(res: homology.HomologyResult):
 #   23.6 / 20.3 MB at 10**7 for p = 3 / 101).
 HC_MAX_DEGREE = 10**6
 HCNEG_MAX_TRUNCATION = 5 * 10**5
-VERIFY_MAX_HC = 4000
+VERIFY_MAX_HC = 10**4
 COEFFS_MAX = 8001
 ZSETS_MAX = 10**7
 DENSITY_MAX = 10**8

@@ -368,11 +368,12 @@ def verify_checks(p: Prime, hc_max: int) -> Iterator[Check]:
     """The ``verify`` battery, one check at a time: Hochschild in degrees
     0..3, the even and odd branches of each of its two blocks (every later
     degree repeats the elimination of degree 2 or 3); oracle against
-    closed form in every even degree 2..hc_max, and the Connes and
-    stabilization checks, all from one walk to hc_max; the kernel
-    generators at the first three Z2 indices past 1, each asked of
-    ``in_z2`` in turn, so no member list is made; and the colimit
-    presentation at every odd index below min(hc_max, 12)."""
+    closed form in every even degree 2..hc_max, both shapes named on a
+    mismatch only, and the Connes and stabilization checks, all from one
+    walk to hc_max; the kernel generators at the first three Z2 indices
+    past 1, each asked of ``in_z2`` in turn, so no member list is made;
+    and the colimit presentation at every odd index below
+    min(hc_max, 12)."""
     for i in range(4):
         try:
             hochschild(p, i)
@@ -386,7 +387,8 @@ def verify_checks(p: Prime, hc_max: int) -> Iterator[Check]:
         if closed is None:
             yield Check(f"hc degree {i}", True, "not covered by a closed form")
         else:
-            yield Check(f"hc degree {i}", closed.shape == shapes[i], f"oracle {shapes[i]} vs closed {closed.shape}")
+            ok = closed.shape == shapes[i]
+            yield Check(f"hc degree {i}", ok, "" if ok else f"oracle {shapes[i]} vs closed {closed.shape}")
     yield connes_length_check(shapes)
     yield hp_stabilization_check(p, shapes)
     for i in islice((i for i in count(3, 2) if in_z2(p, i)), 3):

@@ -59,7 +59,7 @@ QUERIES = (
 REFUSED = (
     ["hc", "--degree", "1000001"],
     ["hcneg", "--degree", "8", "--truncation", "500001"],
-    ["verify", "--hc-max", "4002"],
+    ["verify", "--hc-max", "10002"],
     ["coeffs", "--j", "8003", "--i", "8003"],
     ["coeffs", "--j", "1", "--i", "8003"],
     ["zsets", "--max", "10000001"],
@@ -130,6 +130,9 @@ ARGPARSE = (
 # with p.
 LARGE_PRIMES = ("1000003", "1000000007")
 
+# verify at its ceiling, whose text grows linearly with --hc-max.
+VERIFY_CEILING = ["verify", "--prime", "3", "--hc-max", "10000", "--format", "table"]
+
 # coeffs at the --j ceiling of every p below 1024, refused at p = 10^9 + 7,
 # where its digits would pass what that ceiling prints at p = 1009.
 COEFFS_LARGE_P = ["coeffs", "--prime", "1000000007", "--j", "8001", "--i", "8001"]
@@ -147,6 +150,7 @@ def argvs() -> list[list[str]]:
     out += ARGPARSE
     out += (["verify", "--prime", p, "--format", fmt] for p in LARGE_PRIMES for fmt in ("table", "json", "csv"))
     out += ([*COEFFS_LARGE_P, "--format", fmt] for fmt in ("table", "json", "csv"))
+    out.append(VERIFY_CEILING)
     return out
 
 

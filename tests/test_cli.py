@@ -183,7 +183,7 @@ VERIFY_NAMES = (
 VERIFY_LINES = {
     None: [
         "ok   hochschild degree 0",
-        "ok   hc degree 6: oracle R/p^6 x R/p vs closed R/p^6 x R/p",
+        "ok   hc degree 6",
         "ok   hc degree 28: not covered by a closed form",
         "ok   connes length recursion",
         "ok   kernel generators at 5",
@@ -231,23 +231,30 @@ def test_verify_writes_its_check_records(monkeypatch, kind):
 
 
 def test_verify_holds_its_check_lines_once(tmp_path):
-    # At --hc-max 1000 the check lines are 0.55 MB of text, each hc line
-    # printing two shapes.  JSON and CSV wrote them from two more copies
-    # (2.5 MB traced peak against 1.4 MB as a table); written a line at a
-    # time from the one list, every format peaks alike.
+    # An ok hc line is its name alone, so the check lines grow linearly
+    # with --hc-max: above 0.1 MB a format at the ceiling.  Written a line
+    # at a time from the one list, every format peaks alike.
     import tracemalloc
 
     peaks = {}
     for fmt in ("table", "json", "csv"):
         target = tmp_path / f"verify.{fmt}"
+        argv = ["verify", "--prime", "3", "--hc-max", str(cli.VERIFY_MAX_HC), "--format", fmt, "--out", str(target)]
         tracemalloc.start()
         try:
-            assert main(["verify", "--prime", "3", "--hc-max", "1000", "--format", fmt, "--out", str(target)]) == 0
+            assert main(argv) == 0
             peaks[fmt] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert target.stat().st_size > 550_000
+        assert target.stat().st_size > 100_000
     assert max(peaks["json"], peaks["csv"]) < peaks["table"] + 50_000, peaks
+    # No ok line names a shape, so at --hc-max 4000 the JSON stays small.
+    target = tmp_path / "verify4000.json"
+    assert main(["verify", "--prime", "3", "--hc-max", "4000", "--format", "json", "--out", str(target)]) == 0
+    assert target.stat().st_size < 64 * 1024
+    hc_lines = [line for line in json.loads(target.read_text())["checks"] if line.startswith("ok   hc degree ")]
+    assert [line.partition(": ")[0] for line in hc_lines] == [f"ok   hc degree {i}" for i in range(2, 4001, 2)]
+    assert {line.partition(": ")[2] for line in hc_lines} == {"", "not covered by a closed form"}
 
 
 def test_hc_disagreement_exits_3(capsys, monkeypatch):
@@ -821,10 +828,10 @@ def test_ceilings_sit_above_benchmark_and_test_inputs():
     # The benchmark runs hc to degree 400, verify to --hc-max 120, coeffs
     # to j = 4001, density to --max 2.5*10**6 and the closed forms to
     # degree 2*10**6 with n_max = degree + 21; the tests run hc at degree
-    # 1002 and coeffs at i = 4005, and CI runs hc at degree 10**6 and
-    # verify at --hc-max 4000.  Each ceiling is itself a valid value:
-    # hc-max even, coeffs indices and n_max odd.
-    assert cli.HC_MAX_DEGREE >= 10**6 and cli.VERIFY_MAX_HC >= 4000
+    # 1002, coeffs at i = 4005 and verify at --hc-max 4000, and CI runs hc
+    # at degree 10**6 and verify at --hc-max 10**4.  Each ceiling is itself
+    # a valid value: hc-max even, coeffs indices and n_max odd.
+    assert cli.HC_MAX_DEGREE >= 10**6 and cli.VERIFY_MAX_HC >= 10**4
     assert cli.COEFFS_MAX >= 4005 and cli.HCNEG_MAX_TRUNCATION >= 8
     assert cli.PRODUCT_MAX_N >= 2 * 10**6 + 21
     assert cli.DENSITY_MAX >= 25 * 10**5
@@ -1427,9 +1434,9 @@ def test_repeats_view_writes_its_list(runs, text):
 @given(
     st.lists(st.sampled_from(["ok   hochschild degree 4", "", 'say "hi"', "a,b", "é", "tab\t", "x" * 20_000]), max_size=900),
 )
-def test_lists_are_written_in_batches(texts):
-    # Past 256 items a list spans batches; an item past 16384 characters is
-    # a batch alone; each item of a batch is quoted by _json_text.
+def test_lists_are_written_item_by_item(texts):
+    # A list of any length, long items among them; each item is quoted by
+    # _json_text.
     payload = {"checks": texts, "n": 1}
     assert "".join(cli._json_chunks(payload)) == json.dumps(payload, indent=2) + "\n"
     assert "".join(cli._csv_chunks(payload)) == _csv_reference([payload])

@@ -2,6 +2,7 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cychom.gaps import enumerate_z2, gap, in_z1, in_z2
 from cychom.homology import (
@@ -111,11 +112,13 @@ UNCOVERED = {
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])
 def test_two_routes_agree_at_every_even_degree_to_10000(p):
     # Every even degree, covered or not, from one walk: the oracle's
-    # p-length is i + 1 (Connes), and a closed form, where one exists, is
-    # the oracle's shape.  The degrees left uncovered are counted.
+    # p-length is i + 1 (Connes), its torsion past a Z1 member converges
+    # onto the periodic one, and a closed form, where one exists, is the
+    # oracle's shape.  The degrees left uncovered are counted.
     prime = Prime(p)
     shapes = hc_oracle_shapes(prime, SWEEP_MAX)
     assert connes_length_check(shapes).ok
+    assert hp_stabilization_check(prime, shapes).ok
     uncovered = 0
     for i in range(2, SWEEP_MAX + 1, 2):
         closed = hc_closed_form(prime, i)
@@ -365,10 +368,31 @@ def test_connes_length_recursion():
     shapes[4] = ModuleShape((4,))
     rep = connes_length_check(shapes)
     assert not rep.ok
-    assert rep.detail == "degree 4: length 4 != 5; degree 4: length step 1 != 2; degree 6: length step 3 != 2"
+    assert rep.detail == "degree 4: length 4 != 5"
     del shapes[4]
     with pytest.raises(ValueError):
         connes_length_check(shapes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([3, 5, 101]),
+    st.integers(0, 10),
+    st.lists(st.tuples(st.integers(0, 10), st.integers(0, 3), st.lists(st.integers(1, 4), max_size=3)), max_size=4),
+)
+def test_connes_verdict_is_the_two_clause_one(p, k, perturbations):
+    # The oracle's shapes up to degree 2k, some of them with their smallest
+    # factors dropped and others added, which may cancel: the length clause
+    # alone gives the verdict of "length i + 1 and step 2 in every degree".
+    shapes = hc_oracle_shapes(Prime(p), 2 * k)
+    for d, dropped, added in perturbations:
+        i = 2 * (d % (k + 1))
+        exponents = shapes[i].torsion_exponents
+        shapes[i] = ModuleShape(exponents[: max(len(exponents) - dropped, 0)] + added)
+    lengths = [shapes[i].p_length for i in range(0, 2 * k + 1, 2)]
+    steps = [b - a for a, b in zip(lengths, lengths[1:])]
+    reference = all(n == i + 1 for i, n in zip(range(0, 2 * k + 1, 2), lengths)) and all(s == 2 for s in steps)
+    assert connes_length_check(shapes).ok == reference
 
 
 def test_hp_stabilization():

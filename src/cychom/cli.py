@@ -33,7 +33,7 @@ import gc
 import os
 import sys
 from collections import namedtuple
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from math import isfinite, isqrt
 from operator import attrgetter
 from types import SimpleNamespace
@@ -115,10 +115,10 @@ class Repeats:
 
 class Rows:
     """A payload's records, made as they are written: an iterator of
-    non-empty dicts of str keys and str, int or None values, or parts: a
-    tuple of str whose join is the value's text, digits and "/" only, as
-    ``padic.staircase_parts`` makes them.  It is read once; a command that
-    gives one has at least one record."""
+    non-empty dicts of str keys and str, int, bool or None values, or
+    parts: a tuple of str whose join is the value's text, digits and "/"
+    only, as ``padic.staircase_parts`` makes them.  It is read once; a
+    command that gives one has at least one record."""
 
     __slots__ = ("records",)
 
@@ -252,10 +252,10 @@ def _json_text(value) -> str:
 
 def _csv_chunks(payload: dict):
     """The text csv.writer writes of the payload's rows, one chunk per row
-    or per view chunk: the records of its "rows" if that is ``Rows``, else
-    the payload itself."""
-    rows = payload.get("rows")
-    records = iter(rows.records if type(rows) is Rows else [payload])
+    or per view chunk: the records of its ``Rows`` value if it has one,
+    else the payload itself."""
+    rows = next((value for value in payload.values() if type(value) is Rows), None)
+    records = iter([payload] if rows is None else rows.records)
     first = _flatten(next(records))
     yield from _csv_line(first.keys())
     for row in chain([first], map(_flatten, records)):
@@ -282,19 +282,14 @@ def _csv_line(cells):
 
 def _csv_cell(cell):
     """The chunks of a cell's text: parts (as ``Rows`` holds them) as they
-    are, a list of str as its items and the ';' between them, a chunk
-    each, and anything else as one item, its str (None's is empty).  The
-    cell is quoted, its quotes doubled, when an item holds one of
-    ``,"\\r\\n``: the ';' between them never needs it."""
+    are, and anything else as its str (None's is empty), quoted, its
+    quotes doubled, when it holds one of ``,"\\r\\n``."""
     if type(cell) is tuple:
         return cell
-    if type(cell) is list:
-        texts, chunks = cell, islice(chain.from_iterable((";", text) for text in cell), 1, None)
-    else:
-        texts = chunks = ("" if cell is None else str(cell),)
-    if any(c in text for text in texts for c in ',"\r\n'):
-        return chain(['"'], (chunk.replace('"', '""') for chunk in chunks), ['"'])
-    return chunks
+    text = "" if cell is None else str(cell)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return ('"', text.replace('"', '""'), '"')
+    return (text,)
 
 
 def _table_chunks(lines):
@@ -340,8 +335,8 @@ def _shape_line(res: homology.HomologyResult):
 #   every format, though at p = 3 it prints a stable prefix of 1.7*10**5
 #   valuations (written from their runs); time linear in the truncation.
 # - verify --hc-max 10**4: one walk gives every even degree, and an ok
-#   line is its check's name alone, so time and text are linear in
-#   --hc-max (0.14 MB of JSON at p = 3): 0.36-0.46 / 0.32-0.36 /
+#   record names no shape, so time and text are linear in --hc-max (0.42
+#   MB of JSON, 0.12 MB of CSV at p = 3): 0.36-0.46 / 0.32-0.36 /
 #   0.32-0.34 s, 19 / 17 / 17 MB in every format; at 4000 0.23-0.26 /
 #   0.18-0.20 / 0.16-0.19 s, 16 MB; at 2000 0.16 / 0.14-0.15 /
 #   0.14-0.15 s, 16 / 15 / 15 MB.  What bounds it is the shapes it keeps,
@@ -546,14 +541,13 @@ def cmd_verify(p: Prime, args):
     if args.hc_max < 2 or args.hc_max % 2:
         raise ValueError(f"--hc-max must be even and >= 2, got {args.hc_max}")
     _cap("--hc-max", args.hc_max, VERIFY_MAX_HC, "verify runs the oracle at every even degree up to --hc-max")
-    # Each record, and its detail, is let go once its line is made.
-    lines, failures = [], []
-    for check in homology.verify_checks(p, args.hc_max):
-        text = f"{check.name}: {check.detail}" if check.detail else check.name
-        lines.append(("ok   " if check.ok else "FAIL ") + text)
-        if not check.ok:
-            failures.append(text)
-    payload = {"prime": args.prime, "failures": failures, "checks": lines}
+    checks = list(homology.verify_checks(p, args.hc_max))
+    failures = [check.name for check in checks if not check.ok]
+    payload = {"prime": args.prime, "failures": failures, "checks": Rows(map(homology.Check._asdict, checks))}
+    lines = (
+        ("ok   " if check.ok else "FAIL ") + (f"{check.name}: {check.detail}" if check.detail else check.name)
+        for check in checks
+    )
     return payload, chain(lines, [f"{len(failures)} failure(s)"]), 3 if failures else 0
 
 

@@ -109,18 +109,42 @@ UNCOVERED = {
 }
 
 
+def _horizontal_strip_of_two(big: ModuleShape, small: ModuleShape) -> bool:
+    """Whether big/small, as partitions, is a horizontal strip of two boxes
+    (Pieri's rule): |big| = |small| + 2, and at every exponent e of either
+    shape, #(parts >= e) of big less that of small is 0 or 1.  Read off the
+    runs, highest exponent first, so no partition is expanded."""
+    if big.p_length != small.p_length + 2:
+        return False
+    counts = {}
+    for e, n in big.torsion:
+        counts[e] = counts.get(e, 0) + n
+    for e, n in small.torsion:
+        counts[e] = counts.get(e, 0) - n
+    excess = 0
+    for e in sorted(counts, reverse=True):
+        excess += counts[e]
+        if excess not in (0, 1):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])
 def test_two_routes_agree_at_every_even_degree_to_10000(p):
     # Every even degree, covered or not, from one walk: the oracle's
     # p-length is i + 1 (Connes), its torsion past a Z1 member converges
     # onto the periodic one, and a closed form, where one exists, is the
-    # oracle's shape.  The degrees left uncovered are counted.
+    # oracle's shape.  The degrees left uncovered are counted.  Since
+    # 0 -> HH_i = R/p^2 -> HC_i -> HC_{i-2} -> 0 is exact for even i >= 2
+    # (Connes' SBI sequence), HC_i / HC_{i-2} is a horizontal strip of two
+    # boxes (Pieri's rule, by Green's theorem on Hall polynomials).
     prime = Prime(p)
     shapes = hc_oracle_shapes(prime, SWEEP_MAX)
     assert connes_length_check(shapes).ok
     assert hp_stabilization_check(prime, shapes).ok
     uncovered = 0
     for i in range(2, SWEEP_MAX + 1, 2):
+        assert _horizontal_strip_of_two(shapes[i], shapes[i - 2]), i
         closed = hc_closed_form(prime, i)
         if closed is None:
             uncovered += 1
@@ -289,11 +313,15 @@ def test_presentation_matches_oracle(p, i):
     assert rep.ok, rep
 
 
+# Tier-1 checks every odd index below 200; CI sets CYCHOM_PRESENTATION_MAX=4000.
+PRESENTATION_MAX = int(os.environ.get("CYCHOM_PRESENTATION_MAX", "200"))
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])
 def test_presentation_matches_the_walk_at_every_odd_index_below_200(p):
     prime = Prime(p)
-    shapes = hc_oracle_shapes(prime, 200)
-    for i in range(1, 200, 2):
+    shapes = hc_oracle_shapes(prime, PRESENTATION_MAX)
+    for i in range(1, PRESENTATION_MAX, 2):
         rep = verify_presentation(prime, i, shapes)
         assert rep == Check(f"colimit presentation {i}", True, ""), rep
     with pytest.raises(ValueError, match="odd and positive"):

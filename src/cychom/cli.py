@@ -34,7 +34,7 @@ import os
 import sys
 from collections import namedtuple
 from itertools import chain, compress
-from math import isfinite, isqrt
+from math import floor, inf, isfinite, isqrt, nextafter
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -253,12 +253,12 @@ def _json_text(value) -> str:
 def _csv_chunks(payload: dict):
     """The text csv.writer writes of the payload's rows, one chunk per row
     or per view chunk: the records of its ``Rows`` value if it has one,
-    else the payload itself."""
+    which are flat, else the payload itself, flattened."""
     rows = next((value for value in payload.values() if type(value) is Rows), None)
-    records = iter([payload] if rows is None else rows.records)
-    first = _flatten(next(records))
+    records = iter([_flatten(payload)] if rows is None else rows.records)
+    first = next(records)
     yield from _csv_line(first.keys())
-    for row in chain([first], map(_flatten, records)):
+    for row in chain([first], records):
         yield from _csv_line(row.values())
 
 
@@ -491,22 +491,34 @@ def cmd_density(p: Prime, args):
         "empirical_z2": str(rep.empirical_z2),
         "empirical_z1_float": float(rep.empirical_z1),
         "empirical_z2_float": float(rep.empirical_z2),
-        "bound_z1": float(rep.bound_z1),
-        "bound_z2": float(rep.bound_z2),
-        "bound_z1_asymptotic": float(rep.bound_z1_asymptotic),
-        "bound_z2_asymptotic": float(rep.bound_z2_asymptotic),
-        "bound_z1_geometric": float(rep.bound_z1_geometric),
-        "bound_z2_geometric": float(rep.bound_z2_geometric),
+        "bound_z1": _float_down(rep.bound_z1),
+        "bound_z2": _float_down(rep.bound_z2),
+        "bound_z1_asymptotic": _float_down(rep.bound_z1_asymptotic),
+        "bound_z2_asymptotic": _float_down(rep.bound_z2_asymptotic),
+        "bound_z1_geometric": _float_down(rep.bound_z1_geometric),
+        "bound_z2_geometric": _float_down(rep.bound_z2_geometric),
         "lambda": str(rep.lam),
     }
     lines = [
         f"densities up to {rep.upper} for p={rep.p}:",
-        f"  Z1: empirical {float(rep.empirical_z1):.6f} >= bound {float(rep.bound_z1):.6f}"
-        f" (asymptotic {float(rep.bound_z1_asymptotic):.6f})",
-        f"  Z2: empirical {float(rep.empirical_z2):.6f} >= bound {float(rep.bound_z2):.6f}"
-        f" (asymptotic {float(rep.bound_z2_asymptotic):.6f})",
+        f"  Z1: empirical {float(rep.empirical_z1):.6f} >= bound {_decimals_down(rep.bound_z1)}"
+        f" (asymptotic {_decimals_down(rep.bound_z1_asymptotic)})",
+        f"  Z2: empirical {float(rep.empirical_z2):.6f} >= bound {_decimals_down(rep.bound_z2)}"
+        f" (asymptotic {_decimals_down(rep.bound_z2_asymptotic)})",
     ]
     return payload, lines, 0
+
+
+def _float_down(bound) -> float:
+    """The largest float <= the rational bound, so a printed lower bound is
+    one too: float() rounds to nearest, which may round up."""
+    f = float(bound)
+    return nextafter(f, -inf) if f > bound else f
+
+
+def _decimals_down(bound) -> str:
+    """The rational bound rounded down to 6 decimals."""
+    return f"{floor(bound * 10**6) / 10**6:.6f}"
 
 
 def cmd_coeffs(p: Prime, args):

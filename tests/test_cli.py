@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -480,6 +481,30 @@ def test_json_out_roundtrip(tmp_path, capsys):
     assert payload["empirical_z1_float"] >= payload["bound_z1"]
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
+@pytest.mark.parametrize("upper", [11, 999, 10**4, 10**5 + 1])
+def test_density_bounds_are_printed_rounded_down(capsys, p, upper):
+    # A certified lower bound stays one when printed: each bound field in
+    # JSON and CSV is the largest float <= the exact rational, and the
+    # table's figures are the rationals rounded down to 6 decimals.
+    from fractions import Fraction
+
+    rep = gaps.density_bounds(Prime(p), upper)
+    fields = [f for f in rep._fields if f.startswith("bound_")]
+    argv = ["density", "--prime", str(p), "--max", str(upper), "--format"]
+    _, text, _ = run(capsys, argv + ["json"])
+    _, csv_text, _ = run(capsys, argv + ["csv"])
+    for printed in (json.loads(text), next(csv.DictReader(io.StringIO(csv_text)))):
+        for field in fields:
+            f = float(printed[field])
+            assert Fraction(f) <= getattr(rep, field) < Fraction(math.nextafter(f, math.inf)), field
+    _, table, _ = run(capsys, argv + ["table"])
+    figures = [word.rstrip(")") for line in table.splitlines()[1:] for word in line.split()[-3::2]]
+    exact = [rep.bound_z1, rep.bound_z1_asymptotic, rep.bound_z2, rep.bound_z2_asymptotic]
+    for figure, bound in zip(figures, exact, strict=True):
+        assert Fraction(figure) <= bound < Fraction(figure) + Fraction(1, 10**6), (figure, bound)
+
+
 def test_coeffs_output(capsys):
     code, out, _ = run(capsys, ["coeffs", "--prime", "3", "--j", "3", "--i", "5", "--format", "json"])
     assert code == 0
@@ -679,7 +704,9 @@ def test_json_payloads_hold_only_json_types(monkeypatch, argv):
     # Only the exponents go through _exponent_view.
     assert {path for path, _ in _views(plain)} == {path for path in want if path[-1] != "torsion_p_exponents"}
     # The CSV writer writes no one-cell row: each row has two cells or more.
-    rows = [value.records for value in plain.values() if type(value) is cli.Rows]
+    # It flattens the payload itself only: the records of a Rows are flat.
+    rows = [list(value.records) for value in plain.values() if type(value) is cli.Rows]
+    assert all(cli._flatten(row) == row for row in (rows[0] if rows else []))
     assert all(len(cli._flatten(row)) >= 2 for row in (rows[0] if rows else [plain]))
     for path, view in views.items():
         kind, items = want[path]

@@ -421,6 +421,17 @@ def test_walk_matches_local_snf_on_negative_staircases(p):
             assert got == local_snf(rows[:k], prime, 2 * k + 1, k), (m, k)
 
 
+def test_staircase_carries_valuations_above_255():
+    # The negative staircase at m = 3^300 - 601, where m - 1 is in Z2, so
+    # hcneg --prime 3 --degree m --truncation 350 reads it: below the
+    # diagonal, the entry at k = 300 is v_3(3^300) = 300, which no byte
+    # holds.
+    m = 3**300 - 601
+    below = [vp(P3, m + 1 + 2 * k) for k in range(350)]
+    assert below[300] == 300
+    assert list(_staircase(P3, 2, 2, m, 351)) == [2, *itertools.chain.from_iterable((v, 2) for v in below)]
+
+
 def test_walk_pivots_every_tie_at_once():
     # All entries of one valuation: each tie pivots as it comes in, so the
     # stack never grows past one entry, and block k, p times a unimodular

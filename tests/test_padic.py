@@ -99,7 +99,7 @@ def test_vp_multiplicative(m, n):
 @example(3, 2000, -1)
 @example(5, 1023, 7)
 @example(7, 1024, 1)
-# Each side of the plain divisions for valuations 1 and 2.
+# Valuations 0 to 4, with units of either sign.
 @example(3, 0, 2)
 @example(3, 1, -1)
 @example(5, 2, 4)

@@ -334,6 +334,8 @@ def _shape_line(res: homology.HomologyResult):
 #   staircase, the same work as hc at its ceiling: 0.65-0.8 s and 14 MB in
 #   every format, though at p = 3 it prints a stable prefix of 1.7*10**5
 #   valuations (written from their runs); time linear in the truncation.
+#   Nor with the degree's digits: 0.23-0.30 s at degree 10**3999 + 4 and
+#   --truncation 20000, 0.23 s at 10**19999 + 4 and 2000.
 # - verify --hc-max 10**4: one walk gives every even degree, and an ok
 #   record names no shape, so time and text are linear in --hc-max (0.42
 #   MB of JSON, 0.12 MB of CSV at p = 3): 0.36-0.46 / 0.32-0.36 /

@@ -13,8 +13,8 @@ j!! = 2^(j/2) (j/2)!, so b_j = j - v_p((j/2)!).  Legendre's formula
 v_p(m!) = (m - s_p(m))/(p-1), s_p(m) >= 1 the base-p digit sum of m >= 1,
 gives v_p(m!) < m/(p-1), so b_j > j(2p-3)/(2p-2) for every even j >= 2.
 So b_j < v forces j < v(2p-2)/(2p-3), and the factor (2p-2)/(2p-3) is
-at most 4/3, its value at p = 3.  The sieve and the point rule stop on
-it: a window of level v has radius below 2v.
+at most 4/3, its value at p = 3.  So a window of level v has radius
+below 2v, and the sieve stops on it.
 
 Note on 1: no window can reach down to 1 (windows have radius
 g(n) < 2v_p(n) <= p^{v_p(n)} - 1), so 1 belongs to both sets even though
@@ -25,6 +25,12 @@ and g(p^v) is nondecreasing in v, so a window holds i exactly when, at
 some level v >= 1, the odd multiple of p^v nearest to i (below; for Z2
 also above) lies within g(p^v) of i: a window's n is such a multiple at
 v = v_p(n), and the nearest one is no farther and has no smaller gap.
+The point rule stops at the reach: the first level whose nearest odd
+multiple lies 2L or more from i, L = bit_length(i).  That distance never
+shrinks with v (odd multiples of p^(v+1) are odd multiples of p^v), and a
+level that hits has its multiple within 2v < p^v of i, so positive, and
+p^v < i + 2v: so v <= L (past L, p^v >= 3^v > 2^L + 2v), and it hits
+within 2v <= 2L.
 Enumeration and the density counts start from a byte per odd integer,
 all members, and clear each offset |d| <= g(p^v) of each level by one
 slice assignment: what stays set is the set.
@@ -62,11 +68,11 @@ def gap(p: Prime, n: int) -> int:
 
 def _hit(p: Prime, i: int, symmetric: bool) -> bool:
     """Whether some window holds the odd integer i (symmetric: Z2's
-    windows), by the module's level rule.  As g(p^v) < 2v (the level
-    bound), no level with p^v > i + 2v reaches i, nor does any level past it.
-    """
-    q, v = p.p, 1
-    while q <= i + 2 * v:
+    windows), by the module's level rule, stopped at its reach 2L."""
+    if i < 1 or i % 2 == 0:
+        raise ValueError(f"Z{2 if symmetric else 1} contains only odd positive integers, got {i}")
+    q, v, d, reach = p.p, 1, 0, 2 * i.bit_length()
+    while d < reach:
         # Odd multiples of q are = q mod 2q (d = i + q: none below i).
         d = (i - q) % (2 * q)
         if symmetric:
@@ -79,15 +85,11 @@ def _hit(p: Prime, i: int, symmetric: bool) -> bool:
 
 def in_z1(p: Prime, i: int) -> bool:
     """True iff no window [n, n+g(n)] contains the odd integer i."""
-    if i < 1 or i % 2 == 0:
-        raise ValueError(f"Z1 contains only odd positive integers, got {i}")
     return not _hit(p, i, symmetric=False)
 
 
 def in_z2(p: Prime, i: int) -> bool:
     """True iff no window [n-g(n), n+g(n)] contains the odd integer i."""
-    if i < 1 or i % 2 == 0:
-        raise ValueError(f"Z2 contains only odd positive integers, got {i}")
     return not _hit(p, i, symmetric=True)
 
 
@@ -104,7 +106,7 @@ def _mark(members: bytearray, p: Prime, upper: int, signs: tuple[int, ...]) -> b
     Offsets |d| <= g(p^{v-1}) were cleared at level v-1 over a superset,
     so each level adds only its new offsets.  Levels with p^v > upper
     clear nothing above their multiples, and nothing below once
-    p^v > upper + 2v, by the level bound g(p^v) < 2v, as in ``_hit``.
+    p^v > upper + 2v, by the level bound g(p^v) < 2v.
     """
     q, v, done = p.p, 1, -2
     while q <= upper + (2 * v if -1 in signs else 0):

@@ -406,7 +406,9 @@ def hc_neg_truncation_probe(p: Prime, m: int, truncation: int) -> TruncationProb
     multiset of nonzero valuations below the head: whatever agrees there
     between truncations K and K+1 (the stable prefix, reported as runs,
     e ascending) must match the closed-form torsion R/(m-1) x R/(m+1) x
-    ... cut at some odd point, reported as covered_up_to.
+    ... cut at some odd point, reported as covered_up_to.  That torsion
+    counts v_p(n) for the odd n from m - 1 to the cut, so the probe
+    compares the prefix's counts with ``odd_valuations``' there.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
@@ -427,21 +429,16 @@ def hc_neg_truncation_probe(p: Prime, m: int, truncation: int) -> TruncationProb
     if truncation == 1 or not (vals_k or vals_k1):
         return TruncationProbeReport(True, True, (), None, "no stabilized prefix")
     stable = vals_k & vals_k1
-    prefix = ModuleShape(stable)
+    runs = tuple(sorted(stable.items()))
     # The closed form's factors from R/(m-1) on are nontrivial only at the
     # odd multiples of p, and m - 1 is none, so the one cut with as many
     # factors as the prefix ends at the N-th odd multiple of p past m - 1,
     # or at m - 1 when N = 0.  Cuts past truncation + 3 odd steps from
     # m - 1 are not tried.
-    n = sum(count for _, count in prefix.torsion)
+    n = stable.total()
     covered = p.p * ((((m - 1) // p.p + 1) | 1) + 2 * (n - 1)) if n else m - 1
-    if covered <= m - 1 + 2 * (truncation + 3) and hc_neg_closed_form(p, m, covered).shape.torsion == prefix.torsion:
-        return TruncationProbeReport(
-            True,
-            False,
-            prefix.torsion[::-1],
-            covered,
-            f"stabilized factors match the closed form up to R/{covered}"
-            + ("" if stable == vals_k else "; later factors not yet stable"),
-        )
-    return TruncationProbeReport(False, False, prefix.torsion[::-1], None, "no truncation offset matches")
+    if covered <= m - 1 + 2 * (truncation + 3) and stable == odd_valuations(p, m - 1, covered):
+        later = "" if stable == vals_k else "; later factors not yet stable"
+        details = f"stabilized factors match the closed form up to R/{covered}{later}"
+        return TruncationProbeReport(True, False, runs, covered, details)
+    return TruncationProbeReport(False, False, runs, None, "no truncation offset matches")

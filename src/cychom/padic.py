@@ -131,7 +131,9 @@ def odd_valuations(p: Prime, lo: int, hi: int) -> dict[int, int]:
     The odd multiples of p^e in [lo, hi] are p^e * c for odd c in
     [ceil(lo/p^e), floor(hi/p^e)], so exactly k - k' of the n have
     valuation e, where k and k' count the odd multiples of p^e and
-    p^(e+1).  No n is visited; the cost is the number of levels.
+    p^(e+1).  No n is visited, and as a multiple of p^(e+1) is one of p^e,
+    the loop stops at the first level with none in [lo, hi]: the cost is
+    the levels that have a multiple there, not the digits of lo and hi.
 
     >>> odd_valuations(Prime(3), 1, 27)
     {3: 1, 2: 1, 1: 3}
@@ -143,18 +145,13 @@ def odd_valuations(p: Prime, lo: int, hi: int) -> dict[int, int]:
         a, b = -(-lo // q), hi // q  # c ranges over [a, b]
         return max(0, (b + 1) // 2 - a // 2)
 
-    counts = []
+    counts = []  # the odd multiples of p^e at index e - 1, then the first 0
     q = p.p
-    while q <= max(-lo, hi):
-        counts.append(odd_multiples(q))
+    while k := odd_multiples(q):
+        counts.append(k)
         q *= p.p
-    out: dict[int, int] = {}
-    above = 0
-    for e in range(len(counts), 0, -1):
-        if counts[e - 1] > above:
-            out[e] = counts[e - 1] - above
-        above = counts[e - 1]
-    return out
+    counts.append(0)
+    return {e: counts[e - 1] - counts[e] for e in range(len(counts) - 1, 0, -1) if counts[e - 1] > counts[e]}
 
 
 def seq_a(p: Prime, j: int) -> Fraction:

@@ -35,7 +35,8 @@ PRIMES = (3, 5, 7, 11, 13, 101, 1009)
 
 # Each command's queries, to run at every prime of PRIMES in every format.
 # hc 734 and 2192, and hcneg 28, 40 and 730, are not covered at p = 3, and
-# hcneg 8 at p = 7; hcneg and hp without --n-max take the default.
+# hcneg 8 at p = 7; hcneg and hp without --n-max take the default.  hcneg
+# at 3^300 - 601 and 10^3999 + 4 probes degrees of 144 and 4000 digits.
 QUERIES = (
     *(["hh", "--degree", str(m)] for m in (0, 1, 2, 7, 8)),
     *(["hc", "--degree", str(m)] for m in (0, 1, 2, 7, 8, 40, 734, 2192)),
@@ -44,6 +45,7 @@ QUERIES = (
     ["hcneg", "--degree", "6", "--n-max", "1001"],
     ["hcneg", "--degree", "6", "--n-max", "15", "--truncation", "8"],
     *(["hcneg", "--degree", str(m), "--truncation", str(k)] for m, k in ((2, 1), (8, 30), (28, 30), (40, 3), (730, 300))),
+    *(["hcneg", "--degree", str(m), "--n-max", "9", "--truncation", str(k)] for m, k in ((3**300 - 601, 350), (10**3999 + 4, 2000))),
     *(["hp", "--degree", str(m)] for m in (0, 3, -4, 6)),
     ["hp", "--degree", "0", "--n-max", "11"],
     ["hp", "--degree", "6", "--n-max", "1001"],

@@ -17,6 +17,7 @@ from cychom import cli, gaps
 from cychom.cli import main
 from cychom.gaps import enumerate_z1, enumerate_z2, in_z2
 from cychom.padic import Prime
+from valuation_rows import frac_vp
 
 EXPECTED_SHAPE_KEYS = {
     "theory",
@@ -971,10 +972,6 @@ def test_verify_checks_hc_max_before_any_check(capsys, monkeypatch, hc_max):
 
 def test_coeffs_rows_match_phi_coeffs(capsys):
     from cychom.homology import phi_coeffs
-    from cychom.padic import Prime, vp
-
-    def frac_vp(x):
-        return vp(Prime(3), x.numerator) - vp(Prime(3), x.denominator)
 
     code, out, err = run(capsys, ["coeffs", "--prime", "3", "--j", "4001", "--i", "4005", "--format", "json"])
     assert code == 0, err
@@ -984,12 +981,12 @@ def test_coeffs_rows_match_phi_coeffs(capsys):
     sys.set_int_max_str_digits(0)
     try:
         assert payload["head"] == str(vec.head)
-        assert payload["head_valuation"] == frac_vp(vec.head)
+        assert payload["head_valuation"] == frac_vp(Prime(3), vec.head)
         assert len(payload["rows"]) == len(vec.components) == 2003
         for row, (n, v) in zip(payload["rows"], vec.components):
             assert row["modulus"] == n
             assert row["value"] == str(v)
-            assert row["valuation"] == (None if v == 0 else frac_vp(v))
+            assert row["valuation"] == (None if v == 0 else frac_vp(Prime(3), v))
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -1303,12 +1300,6 @@ def test_zsets_writes_chunks_not_one_string(monkeypatch):
         sizes.clear()
 
 
-def _frac_vp(p: int, x) -> int:
-    from cychom.padic import vp
-
-    return vp(Prime(p), x.numerator) - vp(Prime(p), x.denominator)
-
-
 def _coeffs_reference_rows(p: int, j: int, i: int) -> list[dict]:
     """coeffs' rows from the Fractions of phi_coeffs, by str of each."""
     from cychom.homology import phi_coeffs
@@ -1317,7 +1308,7 @@ def _coeffs_reference_rows(p: int, j: int, i: int) -> list[dict]:
     sys.set_int_max_str_digits(0)
     try:
         return [
-            {"modulus": n, "value": str(v), "valuation": None if v == 0 else _frac_vp(p, v)}
+            {"modulus": n, "value": str(v), "valuation": None if v == 0 else frac_vp(Prime(p), v)}
             for n, v in phi_coeffs(Prime(p), j, i).components
         ]
     finally:

@@ -1,5 +1,6 @@
 import math
 import os
+import time
 from fractions import Fraction
 from functools import cache
 from itertools import chain
@@ -170,6 +171,73 @@ def test_point_queries_against_wide_window_brute_force():
         for i in chain(range(1, MEMBERSHIP_MAX + 1, 2), _level_edges(p)):
             assert in_z1(prime, i) == (not _hit_by_definition(prime, i, symmetric=False)), (p, i)
             assert in_z2(prime, i) == (not _hit_by_definition(prime, i, symmetric=True)), (p, i)
+
+
+def _hit_by_every_level(prime: Prime, i: int, symmetric: bool) -> bool:
+    # The level rule walked to the last level that can reach i, p^v <= i + 2v,
+    # without the stop at the reach: every level's nearest odd multiple.
+    q, v = prime.p, 1
+    while q <= i + 2 * v:
+        d = (i - q) % (2 * q)
+        if symmetric:
+            d = min(d, (q - i) % (2 * q))
+        if d < 2 * v and d <= _gap_for_valuation(prime, v):
+            return True
+        q, v = q * prime.p, v + 1
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([3, 5, 7, 11, 101, 1009]), st.integers(min_value=0, max_value=10**300), st.booleans())
+@example(3, 14, False)  # i = 29: level 1 lies 2 = 2v away, level 3 hits
+@example(3, 14, True)
+def test_hit_stops_where_every_level_agrees(p, k, symmetric):
+    i = 2 * k + 1
+    assert gaps_module._hit(Prime(p), i, symmetric) == _hit_by_every_level(Prime(p), i, symmetric)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 101, 1009])
+def test_hit_next_to_high_powers_where_every_level_agrees(p):
+    # i = c p^e + d lies |d| from an odd multiple of p^e.  A window of level v
+    # has radius below 2v, so a hit at |d| >= e/2 comes from a level v > e/4,
+    # while the first level lies 2 = 2v or more from every i prime to p: a
+    # rule that stops short of the reach misses it.
+    prime = Prime(p)
+    high = []
+    for e in (3, 8, 21, 60):
+        for c in (1, 3, 5):
+            for d in range(-2 * e - 4, 2 * e + 5, 2):
+                i = c * p**e + d
+                for symmetric in (False, True):
+                    want = _hit_by_every_level(prime, i, symmetric)
+                    assert gaps_module._hit(prime, i, symmetric) == want, (p, e, c, d, symmetric)
+                    high.append(want and abs(d) >= e // 2)
+    assert any(high)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7, 11, 101, 1009]),
+    st.integers(min_value=1, max_value=199),
+    st.sampled_from([1, 3, 5]),
+    st.integers(min_value=-201, max_value=201),
+    st.booleans(),
+)
+@example(3, 199, 1, 130, True)  # 3^199 + 260: g(3^199) = 260, the window's edge
+@example(1009, 199, 5, 99, False)  # only level 199 reaches 198 = g(1009^199)
+def test_hit_next_to_powers_up_to_level_199_where_every_level_agrees(p, e, c, half, symmetric):
+    i = abs(c * p**e + 2 * half)
+    assert gaps_module._hit(Prime(p), i, symmetric) == _hit_by_every_level(Prime(p), i, symmetric)
+
+
+def test_a_4000_digit_query_costs_its_levels_not_its_digits():
+    # The walk to the last level that can reach 10^4000 takes 8,384 levels
+    # of 3 and about a second; the reach stops after a few.
+    i = 10**4000 + 3
+    start = time.process_time()
+    member = in_z2(P3, i)
+    assert time.process_time() - start < 0.25
+    assert member
 
 
 def test_enumerate_agrees_with_point_queries():

@@ -26,6 +26,7 @@ from cychom.homology import (
 from cychom.linalg import ModuleShape, TRIVIAL_SHAPE
 from cychom.padic import Prime, a_val, b_val, seq_b, vp
 from residue import residue
+from valuation_rows import frac_vp
 
 P3 = Prime(3)
 P5 = Prime(5)
@@ -35,11 +36,6 @@ P7 = Prime(7)
 def _shapes(p, i_max):
     """The oracle's HC shape in every even degree up to i_max."""
     return {i: hc_oracle(p, i).shape for i in range(0, i_max + 1, 2)}
-
-
-def _frac_vp(p, x):
-    # The valuation of a nonzero Fraction straight from its two parts.
-    return vp(p, x.numerator) - vp(p, x.denominator)
 
 
 def test_hochschild_table():
@@ -261,7 +257,7 @@ def test_phi_coeffs_examples():
     assert mid.components == ((1, seq_b(P3, 2)), (3, 1), (5, 0))
     assert {type(mid.head)} | {type(v) for _, v in mid.components} == {Fraction}
     top = phi_coeffs(P3, 5, 5)
-    assert _frac_vp(P3, top.head) == 4
+    assert frac_vp(P3, top.head) == 4
     assert top.components[-1] == (5, 1)
     with pytest.raises(ValueError):
         phi_coeffs(P3, 5, 3)
@@ -282,7 +278,7 @@ def test_phi_coeffs_zero_pattern(p):
     for j in range(1, 40, 2):
         vec = phi_coeffs(p, j, 39)
         for n, value in vec.components:
-            if n < j and vp(p, n) > 0 and _frac_vp(p, value) < vp(p, n):
+            if n < j and vp(p, n) > 0 and frac_vp(p, value) < vp(p, n):
                 assert j - n <= gap(p, n)
 
 
@@ -291,11 +287,11 @@ def test_phi_coeff_texts_match_phi_coeffs(p):
     for j in range(1, 60, 2):
         vec = phi_coeffs(p, j, j + 4)
         head, head_valuation, rows = phi_coeff_texts(p, j, j + 4)
-        assert (head, head_valuation) == (str(vec.head), _frac_vp(p, vec.head))
+        assert (head, head_valuation) == (str(vec.head), frac_vp(p, vec.head))
         # A row's value is the parts of its text: the digits, then "/" and
         # the digits of the denominator when it is not 1.
         rows = [(n, "".join(parts), v) for n, parts, v in rows if parts[1:] in ((), ("/", parts[-1]))]
-        assert rows == [(n, str(v), None if v == 0 else _frac_vp(p, v)) for n, v in vec.components]
+        assert rows == [(n, str(v), None if v == 0 else frac_vp(p, v)) for n, v in vec.components]
 
 
 @pytest.mark.parametrize("j,i", [(5, 3), (2, 5), (3, 4), (0, 5), (-1, 1)])
@@ -498,6 +494,60 @@ def test_truncation_probe_tries_cuts_up_to_k_plus_3_odd_steps(monkeypatch):
 def test_truncation_probe_sweep():
     for k in range(2, 12):
         assert hc_neg_truncation_probe(P3, 8, k).ok
+
+
+def _probe_by_the_closed_form(p, m, truncation):
+    # The probe with the closed form built whole: the stable prefix as a
+    # ModuleShape, matched against hc_neg_closed_form's torsion at the cut.
+    from collections import Counter
+    from itertools import islice
+
+    from cychom.homology import _staircase
+    from cychom.linalg import staircase_cokernels
+
+    def subhead(pivots, tail):
+        counts = pivots + Counter(tail)
+        counts[max(counts)] -= 1
+        counts.pop(0, None)
+        return +counts
+
+    blocks = islice(staircase_cokernels(_staircase(p, 2, 2, m, truncation + 1)), truncation - 1, None)
+    vals_k = subhead(*next(blocks))
+    vals_k1 = subhead(*next(blocks))
+    if truncation == 1 or not (vals_k or vals_k1):
+        return (True, True, (), None, "no stabilized prefix")
+    prefix = ModuleShape(vals_k & vals_k1)
+    n = sum(count for _, count in prefix.torsion)
+    covered = p.p * ((((m - 1) // p.p + 1) | 1) + 2 * (n - 1)) if n else m - 1
+    if covered <= m - 1 + 2 * (truncation + 3) and hc_neg_closed_form(p, m, covered).shape.torsion == prefix.torsion:
+        later = "" if vals_k & vals_k1 == vals_k else "; later factors not yet stable"
+        return (True, False, prefix.torsion[::-1], covered, f"stabilized factors match the closed form up to R/{covered}{later}")
+    return (False, False, prefix.torsion[::-1], None, "no truncation offset matches")
+
+
+@pytest.mark.parametrize("p", [P3, P5, P7, Prime(11)])
+def test_truncation_probe_is_the_closed_form_comparison(p):
+    # Every degree m <= 200 with m - 1 in Z2, at truncations 1 to 40.
+    for m in range(2, 201, 2):
+        if in_z2(p, m - 1):
+            for k in range(1, 41):
+                assert hc_neg_truncation_probe(p, m, k) == _probe_by_the_closed_form(p, m, k), (m, k)
+
+
+@pytest.mark.parametrize("m, truncation", [(8, 30), (10**3999 + 4, 300)], ids=["8", "10**3999+4"])
+def test_truncation_probe_asks_z2_once_and_builds_no_closed_form(monkeypatch, m, truncation):
+    from cychom import homology
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the probe compares counts; it builds no shape")
+
+    asked = []
+    real = homology.in_z2
+    monkeypatch.setattr(homology, "in_z2", lambda p, i: asked.append(i) or real(p, i))
+    monkeypatch.setattr(homology, "hc_neg_closed_form", forbidden)
+    monkeypatch.setattr(homology, "ModuleShape", forbidden)
+    rep = hc_neg_truncation_probe(P3, m, truncation)
+    assert rep.ok and not rep.vacuous and asked == [m - 1]
 
 
 def test_hh_length_two_in_positive_even_degrees():

@@ -1,6 +1,8 @@
 import decimal
 import itertools
 import math
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,15 +21,11 @@ from cychom.padic import (
     vp,
 )
 from residue import residue
+from valuation_rows import frac_vp
 
 P3 = Prime(3)
 P5 = Prime(5)
 P7 = Prime(7)
-
-
-def _frac_vp(p, x):
-    # The valuation of a nonzero Fraction straight from its two parts.
-    return vp(p, x.numerator) - vp(p, x.denominator)
 
 
 @pytest.mark.parametrize("bad", [2, 4, 9, 1, 0, -3, 15])
@@ -114,13 +112,15 @@ def test_vp_of_prime_power_times_unit(p, e, u):
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from([3, 5, 7, 11, 13, 101]),
-    st.integers(min_value=-300, max_value=3000),
+    st.one_of(st.integers(min_value=-300, max_value=3000), st.integers(min_value=3000, max_value=10**300)),
     st.integers(min_value=-2, max_value=3000),
 )
 @example(3, 5, 4)  # empty: hi < lo
 @example(3, 1, 1)
 @example(3, 2, 2)  # a single even n
 @example(3, -243, 243)
+@example(3, 3**200 - 301, 600)  # one n of valuation 200, the rest low
+@example(101, 101**140 + 2, 3000)  # no multiple of 101^2 in range
 def test_odd_valuations_matches_elementwise_vp(p, lo, width):
     prime = Prime(p)
     hi = lo + width
@@ -128,6 +128,18 @@ def test_odd_valuations_matches_elementwise_vp(p, lo, width):
     got = odd_valuations(prime, lo, hi)
     # {e: count}, e descending, no zero count: the runs of the descending list.
     assert list(got.items()) == [(e, len(list(g))) for e, g in itertools.groupby(want)]
+
+
+def test_odd_valuations_at_a_4000_digit_bound_costs_its_levels():
+    # Every level of 3 below 10^4000, 8,384 of them, takes over a second;
+    # the levels with a multiple in a short window there are few.
+    lo = 10**4000 + 3
+    start = time.process_time()
+    got = odd_valuations(P3, lo, lo + 60)
+    assert time.process_time() - start < 0.25
+    want = Counter(frac_vp(P3, n) for n in range(lo, lo + 61, 2))
+    del want[0]
+    assert got == want
 
 
 def test_factorial_vp_examples():
@@ -147,15 +159,15 @@ def test_seq_a_values():
     assert seq_a(P5, 1) == 5
     assert seq_a(P3, 3) == 9
     assert seq_a(P3, 5) == Fraction(81, 5)
-    assert _frac_vp(P3, seq_a(P3, 5)) == 4
+    assert frac_vp(P3, seq_a(P3, 5)) == 4
 
 
 def test_seq_b_values():
     assert seq_b(P7, 0) == 1
     assert seq_b(P3, 2) == Fraction(9, 2)
-    assert _frac_vp(P3, seq_b(P3, 2)) == 2
+    assert frac_vp(P3, seq_b(P3, 2)) == 2
     assert seq_b(P3, 6) == Fraction(243, 16)
-    assert _frac_vp(P3, seq_b(P3, 6)) == 5
+    assert frac_vp(P3, seq_b(P3, 6)) == 5
 
 
 @pytest.mark.parametrize("p", [P3, P5, Prime(101)])
@@ -233,7 +245,7 @@ def test_a_val_examples():
     assert a_val(P3, 5) == 4
     # Derived two ways: the valuation recursion and the raw fraction.
     assert a_val(P3, 7) == 6
-    assert _frac_vp(P3, seq_a(P3, 7)) == 6
+    assert frac_vp(P3, seq_a(P3, 7)) == 6
 
 
 @pytest.mark.parametrize("p", [P3, P5, P7, Prime(11), Prime(13), Prime(101)])
@@ -255,9 +267,9 @@ def test_b_val_examples():
 @pytest.mark.parametrize("p", [P3, P5, P7])
 def test_vals_match_sequence_valuations(p):
     for j in range(1, 60, 2):
-        assert a_val(p, j) == _frac_vp(p, seq_a(p, j))
+        assert a_val(p, j) == frac_vp(p, seq_a(p, j))
     for j in range(0, 60, 2):
-        assert b_val(p, j) == _frac_vp(p, seq_b(p, j))
+        assert b_val(p, j) == frac_vp(p, seq_b(p, j))
 
 
 @pytest.mark.parametrize("p", [P3, P5, P7])
@@ -304,7 +316,7 @@ def test_padic_rational_reduced_and_cached():
     x = Fraction(18, 12)
     assert (x.numerator, x.denominator) == (3, 2)
     assert residue(x, 3**4) == residue(Fraction(3, 2), 3**4) == (3 * pow(2, -1, 81)) % 81
-    assert _frac_vp(P3, x) == 1
+    assert frac_vp(P3, x) == 1
     assert Fraction(1, 3).denominator % P3.p == 0
 
 

@@ -330,7 +330,7 @@ def _shape_line(res: homology.HomologyResult):
 #   0.7-0.8 s, 14 MB; time linear in the degree (0.11-0.13 s at 40000,
 #   1.1-1.5 s and 14 MB at 2*10**6 for p = 3).  An odd degree walks
 #   nothing: 0.10 s, start-up and exit alone.
-# - hcneg --truncation 5*10**5: one walk along a (truncation+1)-square
+# - hcneg --truncation 5*10**5: one walk along a truncation-square
 #   staircase, the same work as hc at its ceiling: 0.65-0.8 s and 14 MB in
 #   every format, though at p = 3 it prints a stable prefix of 1.7*10**5
 #   valuations (written from their runs); time linear in the truncation.
@@ -653,6 +653,21 @@ def build_parser() -> argparse.ArgumentParser:
     refuses what it cannot parse with exit 2."""
     import argparse
 
+    def int_flag(text: str) -> int:
+        # int, but argparse's refusal of a value past Python's int-to-str
+        # limit would echo every digit: this one names the limit instead.
+        try:
+            return int(text)
+        except ValueError:
+            digits = text.strip().lstrip("+-").replace("_", "")
+            limit = sys.get_int_max_str_digits()
+            if digits.isdecimal() and len(digits) > limit > 0:
+                raise argparse.ArgumentTypeError(
+                    f"{len(digits)} digits, past Python's int-to-str limit of {limit}"
+                    " (PYTHONINTMAXSTRDIGITS=0 lifts it)"
+                ) from None
+            raise
+
     parser = argparse.ArgumentParser(
         prog="cychom",
         description="Exact homology calculator for the universal dga killing an odd prime.",
@@ -660,6 +675,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (func, help_text, options) in GRAMMAR.items():
         sp = sub.add_parser(command, help=help_text)
+        # A usage error still names the type "int", not the function.
+        sp.register("type", int, int_flag)
         for opt in options:
             sp.add_argument(
                 opt.flag, type=opt.type, required=opt.required, default=opt.default, choices=opt.choices, help=opt.help

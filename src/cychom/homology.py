@@ -399,46 +399,33 @@ to (or None)."""
 def hc_neg_truncation_probe(p: Prime, m: int, truncation: int) -> TruncationProbeReport:
     """Compare truncated negative-staircase cokernels with the closed form.
 
-    Nothing ties a K-square truncation to the inverse-limit answer a
-    priori, so the probe is empirical.  The largest invariant factor of a
-    truncation absorbs the boundary (it plays the completion), and the
-    count of unit factors keeps growing, so the stable signal is the
-    multiset of nonzero valuations below the head: whatever agrees there
-    between truncations K and K+1 (the stable prefix, reported as runs,
-    e ascending) must match the closed-form torsion R/(m-1) x R/(m+1) x
-    ... cut at some odd point, reported as covered_up_to.  That torsion
-    counts v_p(n) for the odd n from m - 1 to the cut, so the probe
-    compares the prefix's counts with ``odd_valuations``' there.
+    A pivot, once emitted, is emitted by every longer walk, so the factors
+    R/p^e that the walk to the K-square truncation has pivoted out, the
+    unit factors left aside, are factors of every truncation past K: they
+    are the stable prefix (reported as runs, e ascending).  It must match
+    the closed-form torsion R/(m-1) x R/(m+1) x ... cut at some odd point,
+    reported as covered_up_to.  That torsion counts v_p(n) for the odd n
+    from m - 1 to the cut, so the probe compares the prefix's counts with
+    ``odd_valuations``' there.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     if not in_z2(p, m - 1):
         raise ValueError(f"closed form requires Z2 membership, {m - 1} is excluded")
-
-    def subhead(pivots: Counter, tail: list[int]) -> Counter:
-        counts = pivots + Counter(tail)  # unit factors come back as 0
-        counts[max(counts)] -= 1
-        counts.pop(0, None)
-        return +counts
-
-    # Truncations K and K + 1 are the last two leading blocks of the
-    # (K+1)-square staircase; in_z2 has made sure that m is even and >= 2.
-    blocks = islice(staircase_cokernels(_staircase(p, 2, 2, m, truncation + 1)), truncation - 1, None)
-    vals_k = subhead(*next(blocks))
-    vals_k1 = subhead(*next(blocks))
-    if truncation == 1 or not (vals_k or vals_k1):
+    # Block K, the last of the K-square staircase; in_z2 has made sure
+    # that m is even and >= 2.
+    stable, _ = next(islice(staircase_cokernels(_staircase(p, 2, 2, m, truncation)), truncation - 1, None))
+    del stable[0]  # the unit factors
+    if not stable:
         return TruncationProbeReport(True, True, (), None, "no stabilized prefix")
-    stable = vals_k & vals_k1
     runs = tuple(sorted(stable.items()))
     # The closed form's factors from R/(m-1) on are nontrivial only at the
     # odd multiples of p, and m - 1 is none, so the one cut with as many
-    # factors as the prefix ends at the N-th odd multiple of p past m - 1,
-    # or at m - 1 when N = 0.  Cuts past truncation + 3 odd steps from
-    # m - 1 are not tried.
+    # factors as the prefix ends at the N-th odd multiple of p past m - 1.
+    # Cuts past truncation + 3 odd steps from m - 1 are not tried.
     n = stable.total()
-    covered = p.p * ((((m - 1) // p.p + 1) | 1) + 2 * (n - 1)) if n else m - 1
+    covered = p.p * ((((m - 1) // p.p + 1) | 1) + 2 * (n - 1))
     if covered <= m - 1 + 2 * (truncation + 3) and stable == odd_valuations(p, m - 1, covered):
-        later = "" if stable == vals_k else "; later factors not yet stable"
-        details = f"stabilized factors match the closed form up to R/{covered}{later}"
+        details = f"stabilized factors match the closed form up to R/{covered}"
         return TruncationProbeReport(True, False, runs, covered, details)
     return TruncationProbeReport(False, False, runs, None, "no truncation offset matches")

@@ -111,6 +111,8 @@ ARGPARSE = (
     ["hc", "--prime", "3", "--degree", "4", "extra"],
     ["zsets", "--prime", "3", "--max", "10", "--set", "z3"],
     ["hcneg", "--prime", "3", "--degree", "6", "--truncation", "x"],
+    # A degree of 4,301 digits, past Python's int-to-str limit.
+    ["hcneg", "--prime", "3", "--degree", "1" + "0" * 4299 + "4", "--n-max", "9", "--truncation", "2000"],
     ["coeffs", "--prime", "3", "--j", "3"],
     ["verify", "--prime", "3", "--hc-max", "4.0"],
     ["verify", "--prime", "3", "--hh-max", "5"],

@@ -541,6 +541,23 @@ def test_huge_integer_argument_still_refused():
     assert exc.value.code == 2
 
 
+def test_an_integer_past_the_str_limit_is_a_short_usage_error(capsys):
+    # The refusal names the limit and the variable that lifts it, and
+    # echoes none of the 4,301 digits.
+    import re
+
+    degree = "1" + "0" * 4299 + "4"
+    with pytest.raises(SystemExit) as exc:
+        main(["hcneg", "--prime", "3", "--degree", degree, "--n-max", "9", "--truncation", "2000"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert len(err.encode()) < 1024 and not re.search(r"\d{10}", err)
+    assert err.endswith(
+        "error: argument --degree: 4301 digits, past Python's int-to-str limit of 4300"
+        " (PYTHONINTMAXSTRDIGITS=0 lifts it)\n"
+    )
+
+
 def test_hcneg_probe_is_not_run_without_a_closed_form(capsys):
     # At p = 7, degree 8 has m - 1 = 7 in a window, outside Z2: the answer
     # is "not covered", and the probe, which compares with the closed form,

@@ -24,7 +24,7 @@ from cychom.homology import (
     verify_presentation,
 )
 from cychom.linalg import ModuleShape, TRIVIAL_SHAPE
-from cychom.padic import Prime, a_val, b_val, seq_b, vp
+from cychom.padic import Prime, a_val, b_val, odd_valuations, seq_b, vp
 from residue import residue
 from valuation_rows import frac_vp
 
@@ -465,28 +465,29 @@ def test_hp_stabilization_names_the_flat_lists_that_differ():
 
 
 def test_truncation_probe_without_a_matching_offset(monkeypatch):
-    # Both truncations keep R/p below their head, but every offset past
-    # the first brings in R/p^2 (from 9 = m + 1), so none matches.
+    # Block K has pivoted out R/p (and two unit factors), but the one cut
+    # with one factor ends at 9 = m + 1, which brings in R/p^2, so no
+    # offset matches.
     from collections import Counter
 
     from cychom import homology
 
-    blocks = [(Counter({1: 1, 5: 1}), [])] * 9
-    monkeypatch.setattr(homology, "staircase_cokernels", lambda path: iter(blocks))
+    monkeypatch.setattr(homology, "staircase_cokernels", lambda path: iter([(Counter({0: 2, 1: 1}), [5])] * 8))
     rep = hc_neg_truncation_probe(P3, 8, 8)
     assert rep == (False, False, ((1, 1),), None, "no truncation offset matches")
 
 
 def test_truncation_probe_tries_cuts_up_to_k_plus_3_odd_steps(monkeypatch):
-    # A prefix R/p^2 x R/p x R/p below the head matches the closed form of
-    # m = 8 cut at 21 (9, 15 and 21 are the odd multiples of 3 past 7):
-    # 7 steps past m - 1, so K = 4 reaches it and K = 3 does not.
+    # Pivots R/p^2 x R/p x R/p match the closed form of m = 8 cut at 21
+    # (9, 15 and 21 are the odd multiples of 3 past 7): 7 steps past
+    # m - 1, so K = 4 reaches it and K = 3 does not.
     from collections import Counter
 
     from cychom import homology
 
-    blocks = [(Counter({9: 1, 2: 1, 1: 2}), [])] * 5
-    monkeypatch.setattr(homology, "staircase_cokernels", lambda path: iter(blocks))
+    monkeypatch.setattr(
+        homology, "staircase_cokernels", lambda path: iter([(Counter({0: 1, 2: 1, 1: 2}), [9])] * 4)
+    )
     assert hc_neg_truncation_probe(P3, 8, 4)[:4] == (True, False, ((1, 2), (2, 1)), 21)
     assert hc_neg_truncation_probe(P3, 8, 3) == (False, False, ((1, 2), (2, 1)), None, "no truncation offset matches")
 
@@ -496,9 +497,36 @@ def test_truncation_probe_sweep():
         assert hc_neg_truncation_probe(P3, 8, k).ok
 
 
+def _block_pivots(p, m, truncation):
+    """The pivots the walk of the K-square negative staircase has emitted
+    by block K, unit factors left out: a Counter of exponents."""
+    from collections import Counter
+
+    from cychom.homology import _staircase
+    from cychom.linalg import staircase_cokernels
+
+    for pivots, _ in staircase_cokernels(_staircase(p, 2, 2, m, truncation)):
+        pass
+    return Counter({e: n for e, n in pivots.items() if e})
+
+
 def _probe_by_the_closed_form(p, m, truncation):
-    # The probe with the closed form built whole: the stable prefix as a
+    # The probe with the closed form built whole: block K's pivots as a
     # ModuleShape, matched against hc_neg_closed_form's torsion at the cut.
+    prefix = ModuleShape(_block_pivots(p, m, truncation))
+    if not prefix.torsion:
+        return (True, True, (), None, "no stabilized prefix")
+    n = sum(count for _, count in prefix.torsion)
+    covered = p.p * ((((m - 1) // p.p + 1) | 1) + 2 * (n - 1))
+    if covered <= m - 1 + 2 * (truncation + 3) and hc_neg_closed_form(p, m, covered).shape.torsion == prefix.torsion:
+        return (True, False, prefix.torsion[::-1], covered, f"stabilized factors match the closed form up to R/{covered}")
+    return (False, False, prefix.torsion[::-1], None, "no truncation offset matches")
+
+
+def _two_block_prefix(p, m, truncation):
+    # The probe's stable prefix as it was once read: blocks K and K + 1 of
+    # the (K+1)-square walk, each less its largest factor (taken to play
+    # the completion) and its unit factors, intersected; empty at K = 1.
     from collections import Counter
     from itertools import islice
 
@@ -514,24 +542,50 @@ def _probe_by_the_closed_form(p, m, truncation):
     blocks = islice(staircase_cokernels(_staircase(p, 2, 2, m, truncation + 1)), truncation - 1, None)
     vals_k = subhead(*next(blocks))
     vals_k1 = subhead(*next(blocks))
-    if truncation == 1 or not (vals_k or vals_k1):
-        return (True, True, (), None, "no stabilized prefix")
-    prefix = ModuleShape(vals_k & vals_k1)
-    n = sum(count for _, count in prefix.torsion)
-    covered = p.p * ((((m - 1) // p.p + 1) | 1) + 2 * (n - 1)) if n else m - 1
-    if covered <= m - 1 + 2 * (truncation + 3) and hc_neg_closed_form(p, m, covered).shape.torsion == prefix.torsion:
-        later = "" if vals_k & vals_k1 == vals_k else "; later factors not yet stable"
-        return (True, False, prefix.torsion[::-1], covered, f"stabilized factors match the closed form up to R/{covered}{later}")
-    return (False, False, prefix.torsion[::-1], None, "no truncation offset matches")
+    return () if truncation == 1 else tuple(sorted((vals_k & vals_k1).items()))
 
 
 @pytest.mark.parametrize("p", [P3, P5, P7, Prime(11)])
 def test_truncation_probe_is_the_closed_form_comparison(p):
     # Every degree m <= 200 with m - 1 in Z2, at truncations 1 to 40.
+    # Wherever the two-block reading found a prefix, it is block K's; and
+    # every pivot block K has emitted is a factor of the closed form from
+    # R/(m-1) to R/(m - 1 + 2(K + 3)), with multiplicity.
+    from collections import Counter
+
     for m in range(2, 201, 2):
         if in_z2(p, m - 1):
             for k in range(1, 41):
-                assert hc_neg_truncation_probe(p, m, k) == _probe_by_the_closed_form(p, m, k), (m, k)
+                rep = hc_neg_truncation_probe(p, m, k)
+                assert rep == _probe_by_the_closed_form(p, m, k), (m, k)
+                assert _two_block_prefix(p, m, k) in ((), rep.stable_prefix), (m, k)
+                assert _block_pivots(p, m, k) <= Counter(odd_valuations(p, m - 1, m - 1 + 2 * (k + 3))), (m, k)
+
+
+def test_truncation_probe_with_no_pivot_is_vacuous():
+    # At p = 5 and m = 40 the 3-square walk emits two unit factors and
+    # keeps R/5^6 on its stack, so no cut is claimed.  The two-block
+    # reading matched its empty prefix with the closed form up to R/39.
+    assert _block_pivots(P5, 40, 3) == {}
+    assert hc_neg_truncation_probe(P5, 40, 3) == (True, True, (), None, "no stabilized prefix")
+
+
+def test_truncation_probe_keeps_no_stack_entry():
+    # At m = 3^300 - 601, R/3^300 (from m + 601) sits on the stack while
+    # later factors are emitted.  Blocks 400 and 401 both hold R/3^152 and
+    # R/3^454 from their stacks; the two-block reading dropped R/3^454 as
+    # the completion and kept R/3^152 as a factor.  Block 400's pivots do
+    # not have it, and are closed-form factors within K + 3 odd steps; but
+    # they are not a cut, so the probe says ok=False, as at K = 350.
+    from collections import Counter
+
+    m = 3**300 - 601
+    rep = hc_neg_truncation_probe(P3, m, 400)
+    assert rep == (False, False, ((1, 89), (2, 29), (3, 10), (4, 3), (5, 1)), None, "no truncation offset matches")
+    assert _two_block_prefix(P3, m, 400)[-1] == (152, 1)
+    for k in (350, 400):
+        assert _block_pivots(P3, m, k) <= Counter(odd_valuations(P3, m - 1, m - 1 + 2 * (k + 3))), k
+    assert not hc_neg_truncation_probe(P3, m, 350).ok
 
 
 @pytest.mark.parametrize("m, truncation", [(8, 30), (10**3999 + 4, 300)], ids=["8", "10**3999+4"])

@@ -338,12 +338,12 @@ def _shape_line(res: homology.HomologyResult):
 #   --truncation 20000, 0.23 s at 10**19999 + 4 and 2000.
 # - verify --hc-max 10**4: one walk gives every even degree, and an ok
 #   record names no shape, so time and text are linear in --hc-max (0.42
-#   MB of JSON, 0.12 MB of CSV at p = 3): 0.36-0.46 / 0.32-0.36 /
-#   0.32-0.34 s, 19 / 17 / 17 MB in every format; at 4000 0.23-0.26 /
-#   0.18-0.20 / 0.16-0.19 s, 16 MB; at 2000 0.16 / 0.14-0.15 /
-#   0.14-0.15 s, 16 / 15 / 15 MB.  What bounds it is the shapes it keeps,
-#   about 1 KB a degree (49 MB at 10**5, p = 3), and the closed form's
-#   26-28 us a degree.
+#   MB of JSON, 0.12 MB of CSV at p = 3): 0.35-0.40 / 0.25-0.28 /
+#   0.27-0.28 s, 19.5 / 17 / 17 MB in every format; at 4000 0.17-0.21 /
+#   0.16-0.17 / 0.15-0.17 s, 17 / 16 / 16 MB; at 2000 0.13-0.14 /
+#   0.12-0.13 / 0.12 s, 16 / 15 / 15 MB.  What bounds it is the shapes it
+#   keeps, about 1 KB a degree (49 MB at 10**5, p = 3), and the closed
+#   form's 20-27 us a degree at p = 3 (12-14 us at p = 101).
 # - coeffs --j/--i 8001: ~j^2 digits, 30 / 58 / 74 MB of text, 28 / 41 /
 #   50 MB in every format (the staircase's Decimals, ~0.42 bytes a digit;
 #   the text is written a row at a time); 0.25 / 0.39 / 0.49 s in JSON,

@@ -138,7 +138,11 @@ def test_verify_reports_mismatch_with_exit_3(capsys, monkeypatch):
 
 
 def _force(monkeypatch, kind: str) -> None:
-    """Make the checks of one kind fail, each through what only it reads."""
+    """Make the checks of one kind fail, each through what only it reads.
+
+    The stabilization check has no such input: the oracle's heads are
+    read by the hc records too, and its failing detail is pinned in
+    ``test_homology``."""
     from cychom import homology
     from cychom.linalg import ModuleShape
 
@@ -153,11 +157,6 @@ def _force(monkeypatch, kind: str) -> None:
         monkeypatch.setattr(homology, "hc_closed_form", lambda p, i: skewed if i == 6 else real(p, i))
     elif kind == "connes":
         monkeypatch.setattr(ModuleShape, "p_length", property(lambda shape: 3))
-    elif kind == "hp stabilization":
-        # The detail lists the periodic torsion [2, 1, 1]: its commas make
-        # CSV quote the cells that hold it.
-        periodic = homology.HomologyResult("HP", 0, ModuleShape((2, 1, 1)), "closed_form")
-        monkeypatch.setattr(homology, "hp", lambda p, i, n_max: periodic)
     elif kind == "kernel generators":
         monkeypatch.setattr(homology, "submodule_equal_mod", lambda *args: False)
     else:
@@ -197,8 +196,6 @@ VERIFY_LINES = {
         "FAIL connes length recursion: degree 0: length 3 != 1; "
         + "; ".join(f"degree {i}: length 3 != {i + 1}" for i in range(4, 41, 2))
     ],
-    # Its line is pinned in the CSV, quoted, below.
-    "hp stabilization": [],
     "kernel generators": ["FAIL kernel generators at 5", "FAIL kernel generators at 7", "FAIL kernel generators at 11"],
     "colimit presentation": ["FAIL colimit presentation 1: rebuilt R/p^4 vs oracle R/p^3"],
 }
@@ -229,8 +226,6 @@ def test_verify_writes_its_check_records(monkeypatch, kind):
         "csv": _csv_reference(records),
     }
     assert [line for line in lines if line in VERIFY_LINES[kind]] == VERIFY_LINES[kind]
-    if kind == "hp stabilization":
-        assert '\r\nhp stabilization,False,"degree 2: tail [] != periodic [2, 1, 1]' in texts["csv"]
 
 
 def test_verify_holds_its_check_lines_once(tmp_path):

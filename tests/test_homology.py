@@ -128,9 +128,10 @@ def _horizontal_strip_of_two(big: ModuleShape, small: ModuleShape) -> bool:
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])
 def test_two_routes_agree_at_every_even_degree_to_10000(p):
     # Every even degree, covered or not, from one walk: the oracle's
-    # p-length is i + 1 (Connes), its torsion past a Z1 member converges
-    # onto the periodic one, and a closed form, where one exists, is the
-    # oracle's shape.  The degrees left uncovered are counted.  Since
+    # p-length is i + 1 (Connes), its heads past the Z1 members never
+    # fall, and a closed form, where one exists, its tail the periodic
+    # torsion, is the oracle's shape.  The degrees left uncovered are
+    # counted.  Since
     # 0 -> HH_i = R/p^2 -> HC_i -> HC_{i-2} -> 0 is exact for even i >= 2
     # (Connes' SBI sequence), HC_i / HC_{i-2} is a horizontal strip of two
     # boxes (Pieri's rule, by Green's theorem on Hall polynomials).
@@ -427,20 +428,43 @@ def test_hp_stabilization():
 
 
 @pytest.mark.parametrize("p, i_max, tested", [(P3, 14, [2, 6, 8, 12, 14]), (P5, 26, [2, 4, 8, 10, 12, 14, 18, 20, 22, 24])])
-def test_hp_stabilization_tests_each_degree_past_a_z1_member(p, i_max, tested):
-    # The degrees i with i - 1 in Z1 are tested, each against the head
-    # a_{i-1} + 2: one head raised by one fails there, and nowhere else.
+def test_hp_stabilization_tests_each_degree_past_a_z1_member(monkeypatch, p, i_max, tested):
+    # The degrees i with i - 1 in Z1 have the head a_{i-1} + 2 over HP's
+    # torsion cut at i - 1, and the ``hc degree i`` record compares the
+    # oracle with exactly that closed form: one head raised by one fails
+    # that degree's record, and no other hc record.  The heads rise
+    # strictly here, so raised by one they still rise, and the
+    # stabilization record stays ok.
+    from cychom import homology
+
     assert tested == [i for i in range(2, i_max + 1, 2) if in_z1(p, i - 1)]
-    failed = []
-    for i in range(2, i_max + 1, 2):
-        shapes = _shapes(p, i_max)
-        head, *tail = shapes[i].torsion_exponents
-        shapes[i] = ModuleShape([head + 1, *tail])
-        rep = hp_stabilization_check(p, shapes)
-        if not rep.ok:
-            failed.append(i)
-            assert rep.detail.startswith(f"degree {i}: head {head + 1} != a+2 = {a_val(p, i - 1) + 2}"), i
-    assert failed == tested
+    oracle = _shapes(p, i_max)
+    heads = [oracle[i].torsion_exponents[0] for i in tested]
+    assert heads == [a_val(p, i - 1) + 2 for i in tested]
+    assert all(a < b for a, b in zip(heads, heads[1:]))
+    for i, head in zip(tested, heads):
+        shapes = {**oracle, i: ModuleShape([head + 1, *oracle[i].torsion_exponents[1:]])}
+        monkeypatch.setattr(homology, "hc_oracle_shapes", lambda p, i_max: shapes)
+        checks = list(verify_checks(p, i_max))
+        failed = [c.name for c in checks if c.name.startswith("hc degree") and not c.ok]
+        assert failed == [f"hc degree {i}"], i
+        assert Check("hp stabilization", True, "") in checks, i
+
+
+def test_hp_stabilization_passes_a_raised_head_while_the_heads_rise():
+    # A Z1 head raised by one is the hc degree record's to catch.  Up to
+    # degree 60 the heads along the Z1 degrees rise by 2 or more at each
+    # step, so one raised by one still rises, and the stabilization record
+    # stays ok.
+    for p in (P3, P5, P7):
+        shapes = _shapes(p, 60)
+        tested = [i for i in range(2, 61, 2) if in_z1(p, i - 1)]
+        heads = [shapes[i].torsion_exponents[0] for i in tested]
+        assert all(b - a >= 2 for a, b in zip(heads, heads[1:]))
+        for i in tested:
+            head, *tail = shapes[i].torsion_exponents
+            raised = {**shapes, i: ModuleShape([head + 1, *tail])}
+            assert hp_stabilization_check(p, raised) == Check("hp stabilization", True, ""), (p, i)
 
 
 def test_truncation_probe():
@@ -452,16 +476,61 @@ def test_truncation_probe():
         hc_neg_truncation_probe(P5, 6, 8)  # 5 is a multiple of 5
 
 
-def test_hp_stabilization_names_the_flat_lists_that_differ():
+def test_hp_stabilization_names_each_fall():
+    # The heads along the Z1 degrees 2, 6, 8, 12, 14 are 3, 6, 8, 10, 12;
+    # 8 and 14 lowered make two falls.  Degree 4 is not read: 3 is not in Z1.
     shapes = _shapes(P3, 14)
-    head, *tail = shapes[8].torsion_exponents
-    periodic = list(hp(P3, 0, 7).shape.torsion_exponents)
-    assert tail == periodic
-    shapes[8] = ModuleShape([head, *tail[:-1], tail[-1] + 1])
-    bumped = tail[:-1] + [tail[-1] + 1]
+    assert [shapes[i].torsion_exponents[0] for i in (2, 6, 8, 12, 14)] == [3, 6, 8, 10, 12]
+    shapes[4] = ModuleShape((1,))
+    assert hp_stabilization_check(P3, shapes).ok
+    shapes[8] = ModuleShape((5, 1))
+    shapes[14] = ModuleShape((9, 2, 1, 1))
     rep = hp_stabilization_check(P3, shapes)
-    assert not rep.ok
-    assert rep.detail == f"degree 8: tail {sorted(bumped, reverse=True)} != periodic {periodic}"
+    assert rep == Check("hp stabilization", False, "head exponents decrease: 6 -> 5; head exponents decrease: 10 -> 9")
+
+
+def _closed_form_reference(p, i):
+    """The closed form without ``hp``: the head and the counts of v_p(n)
+    over the odd n in [3, i - 1]."""
+    if in_z1(p, i - 1):
+        head = a_val(p, i - 1) + 2
+    elif in_z2(p, i + 1):
+        head = a_val(p, i + 1)
+    else:
+        return None
+    counts = odd_valuations(p, 3, i - 1)
+    counts[head] = counts.get(head, 0) + 1
+    return ModuleShape(counts)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])
+def test_hc_closed_form_tail_is_the_odd_valuations_from_3(p):
+    # HP's torsion cut at i - 1 counts v_p(n) over the odd n from 1, and
+    # v_p(1) = 0, so the closed form is the one built from 3 on.
+    prime = Prime(p)
+    for i in range(2, 10**4 + 1, 2):
+        closed = hc_closed_form(prime, i)
+        assert (closed and closed.shape) == _closed_form_reference(prime, i), i
+
+
+def test_a_skewed_hp_fails_the_covered_hc_degree_records(monkeypatch):
+    # The closed form takes its tail from ``hp``, so a wrong HP fails the
+    # hc record of every covered degree where HP's true torsion cut at
+    # i - 1 differs from it, and nothing else.
+    from cychom import homology
+
+    skewed = ModuleShape((2, 1, 1))
+    monkeypatch.setattr(homology, "hp", lambda p, i, n_max: homology.HomologyResult("HP", 0, skewed, "closed_form"))
+    checks = list(verify_checks(P3, 40))
+    failed = [c.name for c in checks if not c.ok]
+    expected = [
+        f"hc degree {i}"
+        for i in range(2, 41, 2)
+        if _closed_form_reference(P3, i) is not None and ModuleShape(odd_valuations(P3, 1, i - 1)) != skewed
+    ]
+    assert failed == expected
+    # HP's torsion cut at 15, 17 and 19 is R/p^2 x R/p x R/p.
+    assert all(f"hc degree {i}" not in failed for i in (16, 18, 20)) and len(failed) > 10
 
 
 def test_truncation_probe_without_a_matching_offset(monkeypatch):

@@ -38,7 +38,7 @@ RECORDS = [
     (ModuleShape, {"torsion": ((2, 1), (1, 1)), "free_rank": 1, "complete_rank": 1, "n_max": 11}),
     (HomologyResult, {"theory": "HC", "degree": 2, "shape": SHAPE, "method": "oracle"}),
     (CoeffVector, {"head": Fraction(3), "components": ((1, Fraction(1)),)}),
-    (Check, {"name": "hp stabilization", "ok": False, "detail": "degree 2: head 4 != a+2 = 3"}),
+    (Check, {"name": "hp stabilization", "ok": False, "detail": "head exponents decrease: 6 -> 5"}),
     (
         TruncationProbeReport,
         {"ok": True, "vacuous": False, "stable_prefix": ((1, 1),), "covered_up_to": 9, "details": "ok"},

@@ -14,7 +14,7 @@ _HOMES = {
     "linalg": "IntMatrix ModuleShape SnfResult TRIVIAL_SHAPE cokernel_shape local_snf snf"
     " staircase_cokernels submodule_equal_mod",
     "homology": "Check CoeffVector HomologyResult connes_length_check cyclic_matrix hc_closed_form"
-    " hc_neg_closed_form hc_neg_truncation_probe hc_oracle hc_oracle_shapes hochschild hp"
+    " hc_neg_closed_form hc_neg_truncation_probe hc_oracle hochschild hp"
     " hp_stabilization_check phi_coeffs verify_checks verify_kernel_generators verify_presentation",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}

@@ -336,14 +336,15 @@ def _shape_line(res: homology.HomologyResult):
 #   valuations (written from their runs); time linear in the truncation.
 #   Nor with the degree's digits: 0.23-0.30 s at degree 10**3999 + 4 and
 #   --truncation 20000, 0.23 s at 10**19999 + 4 and 2000.
-# - verify --hc-max 10**4: one walk gives every even degree, and an ok
-#   record names no shape, so time and text are linear in --hc-max (0.42
-#   MB of JSON, 0.12 MB of CSV at p = 3): 0.35-0.40 / 0.25-0.28 /
-#   0.27-0.28 s, 19.5 / 17 / 17 MB in every format; at 4000 0.17-0.21 /
-#   0.16-0.17 / 0.15-0.17 s, 17 / 16 / 16 MB; at 2000 0.13-0.14 /
-#   0.12-0.13 / 0.12 s, 16 / 15 / 15 MB.  What bounds it is the shapes it
-#   keeps, about 1 KB a degree (49 MB at 10**5, p = 3), and the closed
-#   form's 20-27 us a degree at p = 3 (12-14 us at p = 101).
+# - verify --hc-max 10**4: one walk gives every even degree, read a block
+#   at a time, and an ok record names no shape, so time and text are
+#   linear in --hc-max (0.42 MB of JSON, 0.12 MB of CSV at p = 3):
+#   0.24-0.33 / 0.18-0.25 / 0.17-0.22 s, 16 MB in every format; at 4000
+#   0.13-0.16 / 0.11-0.18 / 0.13-0.17 s, 15.5 MB; at 2000 0.09-0.11 s,
+#   15 MB.  No degree's shape outlives its hc record, so what bounds it is
+#   the check records, about 0.2 KB a degree, and the closed form's 20-27
+#   us a degree at p = 3 (12-14 us at p = 101): with this cap lifted,
+#   --hc-max 10**5 takes 2.5-3.2 / 1.4-2.2 / 1.3-2.2 s and 25-26 MB.
 # - coeffs --j/--i 8001: ~j^2 digits, 30 / 58 / 74 MB of text, 28 / 41 /
 #   50 MB in every format (the staircase's Decimals, ~0.42 bytes a digit;
 #   the text is written a row at a time); 0.25 / 0.39 / 0.49 s in JSON,

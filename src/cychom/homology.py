@@ -119,15 +119,6 @@ def hc_oracle(p: Prime, i: int) -> HomologyResult:
     return HomologyResult("HC", i, ModuleShape(pivots + Counter(tail)), "oracle")
 
 
-def hc_oracle_shapes(p: Prime, i_max: int) -> dict[int, ModuleShape]:
-    """``hc_oracle(p, i).shape`` for every even degree i = 0, 2, ..., i_max,
-    from one walk over the largest staircase, whose leading blocks are
-    the smaller ones."""
-    if i_max < 0:
-        raise ValueError("negative degree")
-    return {2 * k: ModuleShape(pivots + Counter(tail)) for k, (pivots, tail) in enumerate(_hc_walk(p, i_max))}
-
-
 def hc_closed_form(p: Prime, i: int) -> HomologyResult | None:
     """Closed-form cyclic homology in even degree i >= 2, when covered.
 
@@ -245,9 +236,9 @@ def _colimit_rows(p: Prime, i: int) -> list[dict[int, int]]:
     ]
 
 
-def verify_presentation(p: Prime, i: int, shapes: dict[int, ModuleShape]) -> Check:
-    """Check the head-relation presentation of the colimit against the
-    oracle's cyclic homology in degree i + 1, ``shapes[i + 1]``.
+def verify_presentation(p: Prime, i: int, shape: ModuleShape) -> Check:
+    """Check the head-relation presentation of the colimit against
+    ``shape``, the oracle's cyclic homology in degree i + 1.
 
     The colimit with top index i, with its head relation p^2 * (index-i
     generator image) imposed, presents cyclic homology in degree i+1.  The
@@ -260,9 +251,8 @@ def verify_presentation(p: Prime, i: int, shapes: dict[int, ModuleShape]) -> Che
     if i < 1 or i % 2 == 0:
         raise ValueError("colimit index must be odd and positive")
     rebuilt = cokernel_shape(_colimit_rows(p, i))
-    oracle = shapes[i + 1]
-    ok = rebuilt == oracle
-    return Check(f"colimit presentation {i}", ok, "" if ok else f"rebuilt {rebuilt} vs oracle {oracle}")
+    ok = rebuilt == shape
+    return Check(f"colimit presentation {i}", ok, "" if ok else f"rebuilt {rebuilt} vs oracle {shape}")
 
 
 def verify_kernel_generators(p: Prime, i: int, upto: int) -> bool:
@@ -304,42 +294,29 @@ def verify_kernel_generators(p: Prime, i: int, upto: int) -> bool:
     return submodule_equal_mod(p, gens_a, gens_b, moduli)
 
 
-def _even_run(shapes: dict[int, ModuleShape]) -> list[int]:
-    """The keys of ``shapes``, which must be the even degrees 0, 2, ..., i_max."""
-    degrees = sorted(shapes)
-    if degrees != list(range(0, 2 * len(degrees), 2)):
-        raise ValueError("need the HC shapes of the even degrees 0, 2, ..., i_max")
-    return degrees
-
-
-def connes_length_check(shapes: dict[int, ModuleShape]) -> Check:
+def connes_length_check(lengths: list[int]) -> Check:
     """Total p-length of HC is i + 1 in each even degree i, so it grows by
     exactly 2 each even degree: a wrong step has a wrong length at one of
     its ends, so the step needs no clause of its own.
 
-    ``shapes`` maps each even degree 0, 2, ..., i_max to its HC shape, as
-    the oracle computed it.  The detail names each degree of wrong length.
+    ``lengths`` are the p-lengths of the oracle's HC shapes in the even
+    degrees 0, 2, 4, ..., in that order.  The detail names each degree of
+    wrong length.
     """
-    lengths = ((i, shapes[i].p_length) for i in _even_run(shapes))
-    mismatches = [f"degree {i}: length {n} != {i + 1}" for i, n in lengths if n != i + 1]
+    mismatches = [f"degree {i}: length {n} != {i + 1}" for i, n in zip(count(0, 2), lengths) if n != i + 1]
     return Check("connes length recursion", not mismatches, "; ".join(mismatches))
 
 
-def hp_stabilization_check(p: Prime, shapes: dict[int, ModuleShape]) -> Check:
+def hp_stabilization_check(heads: list[int]) -> Check:
     """Watch finite cyclic homology converge onto the periodic closed form.
 
-    ``shapes`` maps each even degree 0, 2, ..., i_max (i_max >= 2) to its
-    HC shape, as the oracle computed it.  At the even degrees 2 <= i <=
-    i_max with i-1 in Z1, HC_i is R/p^(a_{i-1}+2) times the periodic
-    torsion cut at i-1; the ``hc degree i`` check compares exactly that,
-    the closed form, with the oracle.  What no one degree states is left
-    here: the oracle's largest exponents must never fall along those
-    degrees.  The detail names each fall.
+    ``heads`` are the oracle's largest exponents at the even degrees i >= 2
+    with i-1 in Z1, in degree order.  There HC_i is R/p^(a_{i-1}+2) times
+    the periodic torsion cut at i-1; the ``hc degree i`` check compares
+    exactly that, the closed form, with the oracle.  What no one degree
+    states is left here: the heads must never fall.  The detail names each
+    fall.
     """
-    i_max = max(_even_run(shapes), default=0)
-    if i_max < 2:
-        raise ValueError("i_max must be >= 2")
-    heads = [shapes[i].torsion[0][0] for i in range(2, i_max + 1, 2) if in_z1(p, i - 1)]
     falls = [f"head exponents decrease: {prev} -> {nxt}" for prev, nxt in zip(heads, heads[1:]) if nxt < prev]
     return Check("hp stabilization", not falls, "; ".join(falls))
 
@@ -349,11 +326,16 @@ def verify_checks(p: Prime, hc_max: int) -> Iterator[Check]:
     0..3, the even and odd branches of each of its two blocks (every later
     degree repeats the elimination of degree 2 or 3); oracle against
     closed form, whose tail is HP's, in every even degree 2..hc_max, both
-    shapes named on a mismatch only, and the Connes lengths and the
-    stabilization's heads, all from one walk to hc_max; the kernel
-    generators at the first three Z2 indices past 1, each asked of
-    ``in_z2`` in turn, so no member list is made; and the colimit
-    presentation at every odd index below min(hc_max, 12)."""
+    shapes named on a mismatch only; the Connes lengths and the
+    stabilization's heads; the kernel generators at the first three Z2
+    indices past 1, each asked of ``in_z2`` in turn, so no member list is
+    made; and the colimit presentation at every odd index below
+    min(hc_max, 12).  One walk to hc_max gives the oracle's shapes, a
+    block at a time: each is dropped once its ``hc degree`` record is out,
+    and only its p-length, its head past a Z1 member and the shapes up to
+    degree 12 are kept.  hc_max < 2 raises before the first record."""
+    if hc_max < 2:
+        raise ValueError("hc_max must be >= 2")
     for i in range(4):
         try:
             hochschild(p, i)
@@ -361,20 +343,28 @@ def verify_checks(p: Prime, hc_max: int) -> Iterator[Check]:
             yield Check(f"hochschild degree {i}", False, str(exc))
         else:
             yield Check(f"hochschild degree {i}", True)
-    shapes = hc_oracle_shapes(p, hc_max)
-    for i in range(2, hc_max + 1, 2):
+    lengths, heads, low = [], [], []
+    for i, (pivots, tail) in zip(count(0, 2), _hc_walk(p, hc_max)):
+        shape = ModuleShape(pivots + Counter(tail))
+        lengths.append(shape.p_length)
+        if i <= 12:
+            low.append(shape)
+        if i == 0:
+            continue
+        if in_z1(p, i - 1):
+            heads.append(shape.torsion[0][0])
         closed = hc_closed_form(p, i)
         if closed is None:
             yield Check(f"hc degree {i}", True, "not covered by a closed form")
         else:
-            ok = closed.shape == shapes[i]
-            yield Check(f"hc degree {i}", ok, "" if ok else f"oracle {shapes[i]} vs closed {closed.shape}")
-    yield connes_length_check(shapes)
-    yield hp_stabilization_check(p, shapes)
+            ok = closed.shape == shape
+            yield Check(f"hc degree {i}", ok, "" if ok else f"oracle {shape} vs closed {closed.shape}")
+    yield connes_length_check(lengths)
+    yield hp_stabilization_check(heads)
     for i in islice((i for i in count(3, 2) if in_z2(p, i)), 3):
         yield Check(f"kernel generators at {i}", verify_kernel_generators(p, i, upto=8))
     for i in range(1, min(hc_max, 12), 2):
-        yield verify_presentation(p, i, shapes)
+        yield verify_presentation(p, i, low[(i + 1) // 2])
 
 
 TruncationProbeReport = namedtuple("TruncationProbeReport", "ok vacuous stable_prefix covered_up_to details")

@@ -230,10 +230,10 @@ def test_verify_writes_its_check_records(monkeypatch, kind):
 
 def test_verify_holds_its_check_lines_once(tmp_path):
     # An ok hc record names no shape, so the check records grow linearly
-    # with --hc-max: above 0.1 MB a format at the ceiling, and every format
-    # peaks alike.  The shapes the walk keeps, about 1 KB a degree, set the
-    # traced peak, so the peak alone cannot see a joined copy of the
-    # records: test_rows_view_writes_its_records and
+    # with --hc-max: above 0.1 MB of text a format at the ceiling, and every
+    # format peaks alike.  verify keeps no shape past its hc record, so the
+    # records themselves, about 0.8 MB at the ceiling, set the traced peak
+    # (1.1-1.3 MB at p = 3); test_rows_view_writes_its_records and
     # test_lists_are_written_item_by_item count the writers' chunks.
     import gc
     import tracemalloc
@@ -263,6 +263,28 @@ def test_verify_holds_its_check_lines_once(tmp_path):
     assert [c["name"] for c in hc] == [f"hc degree {i}" for i in range(2, 4001, 2)]
     assert all(c["ok"] for c in hc)
     assert {c["detail"] for c in hc} == {"", "not covered by a closed form"}
+
+
+def test_verify_checks_keep_no_shape_past_its_degree():
+    # The walk is read a block at a time: each degree's shape is dropped
+    # once its hc record is out, and only its p-length, its head past a Z1
+    # member and the shapes up to degree 12 are kept.  The bound sits
+    # between the records alone, about 0.8 MB (a 1.1 MB peak), and a dict
+    # of every degree's shape, about 1 KB a degree (a 4.8 MB peak).
+    import gc
+    import tracemalloc
+
+    from cychom import homology
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        checks = list(homology.verify_checks(Prime(3), cli.VERIFY_MAX_HC))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(checks) == 4 + cli.VERIFY_MAX_HC // 2 + 2 + 3 + 6
+    assert peak < 2_000_000, peak
 
 
 def test_hc_disagreement_exits_3(capsys, monkeypatch):
@@ -824,7 +846,7 @@ def _allocating(*args, **kwargs):
 CAPPED = [
     (["hc", "--prime", "3", "--degree"], "HC_MAX_DEGREE", "staircase_cokernels"),
     (["hcneg", "--prime", "3", "--degree", "6", "--truncation"], "HCNEG_MAX_TRUNCATION", "staircase_cokernels"),
-    (["verify", "--prime", "3", "--hc-max"], "VERIFY_MAX_HC", "hc_oracle_shapes"),
+    (["verify", "--prime", "3", "--hc-max"], "VERIFY_MAX_HC", "_hc_walk"),
     (["hp", "--prime", "3", "--degree", "0", "--n-max"], "PRODUCT_MAX_N", "hp"),
     (["hcneg", "--prime", "3", "--degree", "6", "--n-max"], "PRODUCT_MAX_N", "hc_neg_closed_form"),
     (["coeffs", "--prime", "3", "--i", str(cli.COEFFS_MAX), "--j"], "COEFFS_MAX", "staircase_parts"),

@@ -1,5 +1,7 @@
 import os
+from collections import Counter
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,6 @@ from cychom.homology import (
     hc_neg_closed_form,
     hc_neg_truncation_probe,
     hc_oracle,
-    hc_oracle_shapes,
     hochschild,
     hp,
     hp_stabilization_check,
@@ -22,6 +23,7 @@ from cychom.homology import (
     verify_checks,
     verify_kernel_generators,
     verify_presentation,
+    _hc_walk,
 )
 from cychom.linalg import ModuleShape, TRIVIAL_SHAPE
 from cychom.padic import Prime, a_val, b_val, odd_valuations, seq_b, vp
@@ -36,6 +38,26 @@ P7 = Prime(7)
 def _shapes(p, i_max):
     """The oracle's HC shape in every even degree up to i_max."""
     return {i: hc_oracle(p, i).shape for i in range(0, i_max + 1, 2)}
+
+
+def _walk_shapes(p, i_max):
+    """The oracle's HC shapes in the even degrees 0, 2, ..., i_max, in
+    order, from one walk to i_max: each block's shape is made as the walk
+    reaches it, and the walk moves on only when it is asked for the next."""
+    return (ModuleShape(pivots + Counter(tail)) for pivots, tail in _hc_walk(p, i_max))
+
+
+def _z1_heads(p, shapes):
+    """The largest exponents of ``shapes``, the even degrees 0, 2, ... in
+    order, at each degree i >= 2 with i - 1 in Z1: what
+    ``hp_stabilization_check`` reads."""
+    return [shape.torsion[0][0] for i, shape in zip(count(0, 2), shapes) if i and in_z1(p, i - 1)]
+
+
+def _fed_walk(shapes):
+    """A stand-in for ``_hc_walk`` that yields ``shapes`` as its blocks'
+    (pivots, tail), one a degree."""
+    return lambda p, i_max: ((Counter(dict(shape.torsion)), []) for shape in shapes)
 
 
 def test_hochschild_table():
@@ -135,18 +157,26 @@ def test_two_routes_agree_at_every_even_degree_to_10000(p):
     # 0 -> HH_i = R/p^2 -> HC_i -> HC_{i-2} -> 0 is exact for even i >= 2
     # (Connes' SBI sequence), HC_i / HC_{i-2} is a horizontal strip of two
     # boxes (Pieri's rule, by Green's theorem on Hall polynomials).
+    # The walk is read a block at a time, each paired with the one before
+    # it, so no degree's shape outlives the next.
     prime = Prime(p)
-    shapes = hc_oracle_shapes(prime, SWEEP_MAX)
-    assert connes_length_check(shapes).ok
-    assert hp_stabilization_check(prime, shapes).ok
-    uncovered = 0
-    for i in range(2, SWEEP_MAX + 1, 2):
-        assert _horizontal_strip_of_two(shapes[i], shapes[i - 2]), i
+    shapes = _walk_shapes(prime, SWEEP_MAX)
+    previous = next(shapes)
+    lengths, heads, uncovered = [previous.p_length], [], 0
+    for i, shape in zip(count(2, 2), shapes):
+        lengths.append(shape.p_length)
+        if in_z1(prime, i - 1):
+            heads.append(shape.torsion[0][0])
+        assert _horizontal_strip_of_two(shape, previous), i
         closed = hc_closed_form(prime, i)
         if closed is None:
             uncovered += 1
         else:
-            assert closed.shape == shapes[i], i
+            assert closed.shape == shape, i
+        previous = shape
+    assert i == SWEEP_MAX
+    assert connes_length_check(lengths).ok
+    assert hp_stabilization_check(heads).ok
     if SWEEP_MAX in UNCOVERED:
         assert uncovered == UNCOVERED[SWEEP_MAX][p]
 
@@ -156,7 +186,7 @@ def test_two_routes_agree_at_every_even_degree_to_600(p):
     # The same from hc_oracle, the per-degree walk that ``hc`` runs.
     prime = Prime(p)
     shapes = _shapes(prime, 600)
-    assert connes_length_check(shapes).ok
+    assert connes_length_check([shape.p_length for shape in shapes.values()]).ok
     covered = 0
     for i in range(2, 601, 2):
         closed = hc_closed_form(prime, i)
@@ -171,10 +201,10 @@ def test_one_walk_gives_the_oracle_at_every_even_degree(p):
     # Every leading block of one walk, read as it comes, is the shape the
     # walk to that degree alone ends with.
     prime = Prime(p)
-    assert hc_oracle_shapes(prime, 300) == _shapes(prime, 300)
-    assert hc_oracle_shapes(prime, 0) == {0: ModuleShape((1,))}
+    assert dict(zip(count(0, 2), _walk_shapes(prime, 300))) == _shapes(prime, 300)
+    assert list(_walk_shapes(prime, 0)) == [ModuleShape((1,))]
     with pytest.raises(ValueError):
-        hc_oracle_shapes(prime, -2)
+        hc_oracle(prime, -2)
 
 
 def test_oracle_makes_no_integer_snf(monkeypatch):
@@ -191,7 +221,7 @@ def test_oracle_makes_no_integer_snf(monkeypatch):
         hc_oracle(P3, i)
         hochschild(P5, i)
     assert hc_neg_truncation_probe(P3, 6, 6).ok
-    assert verify_presentation(P3, 5, _shapes(P3, 6)).ok
+    assert verify_presentation(P3, 5, hc_oracle(P3, 6).shape).ok
 
 
 def test_valuation_routes_take_no_integer(monkeypatch):
@@ -206,12 +236,12 @@ def test_valuation_routes_take_no_integer(monkeypatch):
     monkeypatch.setattr(linalg, "vp", forbidden)
     assert hc_oracle(P3, 400).shape == hc_closed_form(P3, 400).shape
     assert hc_oracle(P3, 400).shape.p_length == 401
-    shapes = hc_oracle_shapes(Prime(101), 40)
-    assert connes_length_check(shapes).ok
+    shapes = list(_walk_shapes(Prime(101), 40))
+    assert connes_length_check([shape.p_length for shape in shapes]).ok
     hh = [hochschild(P5, i).shape for i in range(6)]
     assert hh == [ModuleShape((1,)), TRIVIAL_SHAPE, ModuleShape((2,)), TRIVIAL_SHAPE, ModuleShape((2,)), TRIVIAL_SHAPE]
     for i in range(1, 40, 2):
-        assert verify_presentation(Prime(101), i, shapes).ok
+        assert verify_presentation(Prime(101), i, shapes[(i + 1) // 2]).ok
     assert hc_neg_truncation_probe(P3, 6, 300).ok
 
 
@@ -306,7 +336,7 @@ def test_phi_coeff_texts_rejects_what_phi_coeffs_rejects(j, i):
 # in reverse order, they rebuild the wrong module there.
 @pytest.mark.parametrize("p,i", [(P3, 1), (P3, 5), (P3, 9), (P5, 7), (P7, 3), (P3, 27)])
 def test_presentation_matches_oracle(p, i):
-    rep = verify_presentation(p, i, _shapes(p, i + 1))
+    rep = verify_presentation(p, i, hc_oracle(p, i + 1).shape)
     assert rep.ok, rep
 
 
@@ -316,13 +346,16 @@ PRESENTATION_MAX = int(os.environ.get("CYCHOM_PRESENTATION_MAX", "200"))
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])
 def test_presentation_matches_the_walk_at_every_odd_index_below_200(p):
+    # Index i meets the walk's block of degree i + 1 as the walk reaches it.
     prime = Prime(p)
-    shapes = hc_oracle_shapes(prime, PRESENTATION_MAX)
-    for i in range(1, PRESENTATION_MAX, 2):
-        rep = verify_presentation(prime, i, shapes)
+    shapes = _walk_shapes(prime, PRESENTATION_MAX)
+    next(shapes)  # degree 0
+    for i, shape in zip(range(1, PRESENTATION_MAX, 2), shapes):
+        rep = verify_presentation(prime, i, shape)
         assert rep == Check(f"colimit presentation {i}", True, ""), rep
+    assert i == PRESENTATION_MAX - 1
     with pytest.raises(ValueError, match="odd and positive"):
-        verify_presentation(prime, 4, shapes)
+        verify_presentation(prime, 4, shape)
 
 
 def test_kernel_generators():
@@ -378,25 +411,19 @@ def test_kernel_generator_check_fails_at_25_in_its_own_coordinates(monkeypatch):
 
 
 def test_connes_length_recursion():
-    assert connes_length_check(_shapes(P3, 12)) == Check("connes length recursion", True, "")
-    assert connes_length_check(_shapes(P3, 0)).ok  # vacuous base
+    lengths = [shape.p_length for shape in _shapes(P3, 12).values()]
+    assert lengths == list(range(1, 14, 2))
+    assert connes_length_check(lengths) == Check("connes length recursion", True, "")
+    assert connes_length_check([1]).ok  # vacuous base
     # The check reads the length of every degree, the first and last too:
     # one more factor R/p anywhere breaks it there.
-    for i in range(0, 13, 2):
-        shapes = _shapes(P3, 12)
-        shapes[i] = ModuleShape([*shapes[i].torsion_exponents, 1])
-        rep = connes_length_check(shapes)
-        assert not rep.ok
-        assert rep.detail.startswith(f"degree {i}: length {i + 2} != {i + 1}"), i
-    # The check reads the shapes it is given, and needs every even degree.
-    shapes = _shapes(P3, 6)
-    shapes[4] = ModuleShape((4,))
-    rep = connes_length_check(shapes)
+    for k in range(7):
+        rep = connes_length_check([n + (j == k) for j, n in enumerate(lengths)])
+        assert rep == Check("connes length recursion", False, f"degree {2 * k}: length {2 * k + 2} != {2 * k + 1}"), k
+    # The k-th length is degree 2k's, whatever the others are.
+    rep = connes_length_check([1, 3, 4, 7])
     assert not rep.ok
     assert rep.detail == "degree 4: length 4 != 5"
-    del shapes[4]
-    with pytest.raises(ValueError):
-        connes_length_check(shapes)
 
 
 @settings(max_examples=200, deadline=None)
@@ -409,42 +436,51 @@ def test_connes_verdict_is_the_two_clause_one(p, k, perturbations):
     # The oracle's shapes up to degree 2k, some of them with their smallest
     # factors dropped and others added, which may cancel: the length clause
     # alone gives the verdict of "length i + 1 and step 2 in every degree".
-    shapes = hc_oracle_shapes(Prime(p), 2 * k)
+    shapes = list(_walk_shapes(Prime(p), 2 * k))
     for d, dropped, added in perturbations:
-        i = 2 * (d % (k + 1))
-        exponents = shapes[i].torsion_exponents
-        shapes[i] = ModuleShape(exponents[: max(len(exponents) - dropped, 0)] + added)
-    lengths = [shapes[i].p_length for i in range(0, 2 * k + 1, 2)]
+        exponents = shapes[d % (k + 1)].torsion_exponents
+        shapes[d % (k + 1)] = ModuleShape(exponents[: max(len(exponents) - dropped, 0)] + added)
+    lengths = [shape.p_length for shape in shapes]
     steps = [b - a for a, b in zip(lengths, lengths[1:])]
     reference = all(n == i + 1 for i, n in zip(range(0, 2 * k + 1, 2), lengths)) and all(s == 2 for s in steps)
-    assert connes_length_check(shapes).ok == reference
+    assert connes_length_check(lengths).ok == reference
 
 
 def test_hp_stabilization():
-    assert hp_stabilization_check(P3, _shapes(P3, 14)) == Check("hp stabilization", True, "")
-    assert hp_stabilization_check(P5, _shapes(P5, 26)).ok
-    with pytest.raises(ValueError):
-        hp_stabilization_check(P3, _shapes(P3, 0))
+    assert hp_stabilization_check(_z1_heads(P3, _shapes(P3, 14).values())) == Check("hp stabilization", True, "")
+    assert hp_stabilization_check(_z1_heads(P5, _shapes(P5, 26).values())).ok
+    assert hp_stabilization_check([]).ok  # vacuous
+
+
+@pytest.mark.parametrize("hc_max", [1, 0, -2])
+def test_verify_checks_refuses_hc_max_below_2_before_any_record(hc_max):
+    # Degree 2 is the first that the hc records and the stabilization's
+    # heads read: a smaller hc_max is refused before the Hochschild records,
+    # not after them.
+    with pytest.raises(ValueError, match="hc_max must be >= 2"):
+        next(verify_checks(P3, hc_max))
+    assert next(verify_checks(P3, 2)) == Check("hochschild degree 0", True, "")
 
 
 @pytest.mark.parametrize("p, i_max, tested", [(P3, 14, [2, 6, 8, 12, 14]), (P5, 26, [2, 4, 8, 10, 12, 14, 18, 20, 22, 24])])
 def test_hp_stabilization_tests_each_degree_past_a_z1_member(monkeypatch, p, i_max, tested):
     # The degrees i with i - 1 in Z1 have the head a_{i-1} + 2 over HP's
     # torsion cut at i - 1, and the ``hc degree i`` record compares the
-    # oracle with exactly that closed form: one head raised by one fails
-    # that degree's record, and no other hc record.  The heads rise
-    # strictly here, so raised by one they still rise, and the
-    # stabilization record stays ok.
+    # oracle with exactly that closed form: one head raised by one, in the
+    # walk verify reads, fails that degree's record, and no other hc
+    # record.  The heads rise strictly here, so raised by one they still
+    # rise, and the stabilization record stays ok.
     from cychom import homology
 
     assert tested == [i for i in range(2, i_max + 1, 2) if in_z1(p, i - 1)]
-    oracle = _shapes(p, i_max)
-    heads = [oracle[i].torsion_exponents[0] for i in tested]
+    oracle = list(_walk_shapes(p, i_max))
+    heads = _z1_heads(p, oracle)
     assert heads == [a_val(p, i - 1) + 2 for i in tested]
     assert all(a < b for a, b in zip(heads, heads[1:]))
     for i, head in zip(tested, heads):
-        shapes = {**oracle, i: ModuleShape([head + 1, *oracle[i].torsion_exponents[1:]])}
-        monkeypatch.setattr(homology, "hc_oracle_shapes", lambda p, i_max: shapes)
+        shapes = list(oracle)
+        shapes[i // 2] = ModuleShape([head + 1, *oracle[i // 2].torsion_exponents[1:]])
+        monkeypatch.setattr(homology, "_hc_walk", _fed_walk(shapes))
         checks = list(verify_checks(p, i_max))
         failed = [c.name for c in checks if c.name.startswith("hc degree") and not c.ok]
         assert failed == [f"hc degree {i}"], i
@@ -457,14 +493,11 @@ def test_hp_stabilization_passes_a_raised_head_while_the_heads_rise():
     # step, so one raised by one still rises, and the stabilization record
     # stays ok.
     for p in (P3, P5, P7):
-        shapes = _shapes(p, 60)
-        tested = [i for i in range(2, 61, 2) if in_z1(p, i - 1)]
-        heads = [shapes[i].torsion_exponents[0] for i in tested]
+        heads = _z1_heads(p, _shapes(p, 60).values())
         assert all(b - a >= 2 for a, b in zip(heads, heads[1:]))
-        for i in tested:
-            head, *tail = shapes[i].torsion_exponents
-            raised = {**shapes, i: ModuleShape([head + 1, *tail])}
-            assert hp_stabilization_check(p, raised) == Check("hp stabilization", True, ""), (p, i)
+        for k in range(len(heads)):
+            raised = [e + (j == k) for j, e in enumerate(heads)]
+            assert hp_stabilization_check(raised) == Check("hp stabilization", True, ""), (p, k)
 
 
 def test_truncation_probe():
@@ -476,17 +509,26 @@ def test_truncation_probe():
         hc_neg_truncation_probe(P5, 6, 8)  # 5 is a multiple of 5
 
 
-def test_hp_stabilization_names_each_fall():
+def test_hp_stabilization_names_each_fall(monkeypatch):
     # The heads along the Z1 degrees 2, 6, 8, 12, 14 are 3, 6, 8, 10, 12;
-    # 8 and 14 lowered make two falls.  Degree 4 is not read: 3 is not in Z1.
-    shapes = _shapes(P3, 14)
-    assert [shapes[i].torsion_exponents[0] for i in (2, 6, 8, 12, 14)] == [3, 6, 8, 10, 12]
-    shapes[4] = ModuleShape((1,))
-    assert hp_stabilization_check(P3, shapes).ok
-    shapes[8] = ModuleShape((5, 1))
-    shapes[14] = ModuleShape((9, 2, 1, 1))
-    rep = hp_stabilization_check(P3, shapes)
-    assert rep == Check("hp stabilization", False, "head exponents decrease: 6 -> 5; head exponents decrease: 10 -> 9")
+    # 8 and 14 lowered, in the walk verify reads, make two falls.  Degree 4
+    # is not read: 3 is not in Z1.
+    from cychom import homology
+
+    shapes = list(_walk_shapes(P3, 14))
+    assert [shapes[i // 2].torsion_exponents[0] for i in (2, 6, 8, 12, 14)] == [3, 6, 8, 10, 12]
+    monkeypatch.setattr(homology, "_hc_walk", _fed_walk(shapes))
+
+    def stabilization():
+        return next(c for c in verify_checks(P3, 14) if c.name == "hp stabilization")
+
+    shapes[2] = ModuleShape((1,))
+    assert stabilization().ok
+    shapes[4] = ModuleShape((5, 1))
+    shapes[7] = ModuleShape((9, 2, 1, 1))
+    falls = "head exponents decrease: 6 -> 5; head exponents decrease: 10 -> 9"
+    assert stabilization() == Check("hp stabilization", False, falls)
+    assert hp_stabilization_check([3, 6, 5, 10, 9]) == Check("hp stabilization", False, falls)
 
 
 def _closed_form_reference(p, i):

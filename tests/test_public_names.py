@@ -61,6 +61,8 @@ REMOVED_FUNCTIONS = [
     ("gaps", "_tail_sum"),
     ("cli", "_check_line"),
     ("padic", "residue"),
+    ("homology", "hc_oracle_shapes"),
+    ("homology", "_even_run"),
 ]
 REMOVED_MEMBERS = [
     ("linalg", "IntMatrix", "identity"),

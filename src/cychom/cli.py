@@ -365,8 +365,10 @@ def _shape_line(res: homology.HomologyResult):
 #   in every format, for 3.3-11.7 MB of text at p = 3; the text, and its
 #   time, are linear in n_max, the memory is not.
 # - density --max 10**8: the window sieve holds a byte per odd integer up
-#   to --max, 0.37 / 0.27 / 0.84 s, 95 / 64 / 63 MB; linear (0.13 s and
-#   23.6 / 20.3 MB at 10**7 for p = 3 / 101).
+#   to --max, and its longest slice assignment a zero byte for every p-th
+#   of them: 0.19-0.27 / 0.14-0.22 / 0.14-0.19 s, 79 / 63 / 63 MB in
+#   every format; linear (0.07-0.09 s and 21.4 / 19.8 MB at 10**7 for
+#   p = 3 / 101).
 HC_MAX_DEGREE = 10**6
 HCNEG_MAX_TRUNCATION = 5 * 10**5
 VERIFY_MAX_HC = 10**4

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import compress
+from math import floor
 
 from .padic import Prime, b_val, vp
 
@@ -153,83 +154,11 @@ DensityReport.__doc__ = """Empirical Z1/Z2 densities up to N against rigorous lo
 
 p and upper are integers; every other field is an exact rational.
 ``bound_*`` use the exact minimal exponents e_k (the least e with
-g(p^e) >= k) for every window size k; ``bound_*_geometric`` replace
-the k >= 6 terms by the geometric overestimate p^{-lam*k}, which is
-simpler but strictly weaker.  The ``*_asymptotic`` variants drop the
+g(p^e) >= k) for every window size k; ``bound_*_geometric`` take the
+k >= 6 terms at the level bound e_k >= floor(lam*k) + 2 instead, which
+needs no e_k but is weaker.  The ``*_asymptotic`` variants drop the
 finite-N correction, giving the N -> infinity limit of each bound.
 """
-
-
-def _iroot_floor(n: int, d: int) -> int:
-    """floor(n ** (1/d)) for nonnegative integers, exactly.
-
-    Integer Newton reaches the floor root from any seed above it, but
-    while x^d is far above n each step shrinks x only by a factor
-    (1 - 1/d).  So the seed is r + 1 shifted left by s, with r the root
-    of the top bits n >> ds: it exceeds the root by a relative 1/r, below
-    1/d, and from there Newton converges quadratically.  Short roots, of
-    at most 2 bitlen(d) + 2 bits, are found by bisection.
-    """
-    if n < 0 or d < 1:
-        raise ValueError("iroot needs n >= 0, d >= 1")
-    k = -(-n.bit_length() // d)  # the root is below 2^k
-    if k <= 2 * d.bit_length() + 2:
-        lo, hi = 0, 1 << k  # lo^d <= n < hi^d
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if mid**d <= n:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-    s = k // 2
-    # (r+1)^d > n >> ds for r the root of the top bits, so x^d > n.
-    x = (_iroot_floor(n >> (d * s), d) + 1) << s
-    while True:
-        y = ((d - 1) * x + n // x ** (d - 1)) // d
-        if y >= x:
-            break
-        x = y
-    return x
-
-
-def _root_floor(p: int, m: int, d: int) -> int:
-    """floor(p^(m/d)) while it is below 2^64; past that, it or a lower
-    bound within a relative 10^-30 of it.  The cost does not grow with
-    p^m, which has a million bits at p = 1009.
-
-    While p^m has at most 8192 bits, the exact integer root is cheaper.
-    Past that, decimal's ln, exp, divide and multiply are correctly
-    rounded, so at precision P = 40 each is within a relative
-    delta = 10^(1-P) of its exact value: u = ln(p) * m/d comes out within
-    4 delta |u| of itself, and z = exp(u) within a relative
-    rho = (20 |u| + 4) delta, so z lies in [z'(1 - rho), z'(1 + 2 rho)],
-    both ends rounded outward.  When they have one floor, that is
-    floor(z); else the lower end is a lower bound, kept past 2^64, where
-    it moves a term below 2^-64 by a relative 10^-30.  Below 2^64, z
-    within 10^-14 of an integer takes the exact root.
-    """
-    if m * p.bit_length() <= 8192:
-        return _iroot_floor(p**m, d)
-    from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
-
-    exact = Context(prec=40)
-    down, up = Context(prec=40, rounding=ROUND_FLOOR), Context(prec=40, rounding=ROUND_CEILING)
-    u = exact.multiply(exact.ln(Decimal(p)), exact.divide(Decimal(m), Decimal(d)))
-    z = exact.exp(u)
-    rho = up.multiply(up.add(up.multiply(20, u), 4), Decimal("1e-39"))
-    lo = int(down.multiply(z, down.subtract(1, rho)))
-    hi = int(up.multiply(z, up.add(1, up.multiply(2, rho))))
-    if lo == hi or lo >= 1 << 64:
-        return lo
-    return _iroot_floor(p**m, d)
-
-
-def _pow_upper(p: int, exponent: Fraction) -> Fraction:
-    """A rational upper bound for p^(-exponent), exponent > 0."""
-    from fractions import Fraction
-
-    return Fraction(1, _root_floor(p, exponent.numerator, exponent.denominator))
 
 
 def _exact_exponent(p: Prime, k: int) -> int:
@@ -246,21 +175,23 @@ def _exact_exponent(p: Prime, k: int) -> int:
 
 def _tail_sums(p: Prime, lam: Fraction) -> tuple[Fraction, Fraction]:
     """Upper bounds for the sum over even k >= 6 of p^{-e_k}: with the
-    true exponents e_k, and with the geometric overestimate p^{-lam*k}.
+    true exponents e_k, and with their level bound floor(lam*k) + 2.
 
     Each is an exact rational >= its series, so subtracting it preserves
-    the lower-bound direction.  Both take the same geometric remainder:
-    the terms from k = 60 on are at most u, u r, u r^2, ..., with
-    u = p^{-60 lam} and r = p^{-2 lam}.
+    the lower-bound direction.  By the level bound (module docstring),
+    b_j > lam*j >= lam*k for even j >= k, so e_k = 1 + min b_j >=
+    floor(lam*k) + 2; and 2 lam >= 3/2, so that floor grows by at least
+    1 with each step of 2 in k.  Both take the same remainder: the terms
+    from k = 60 on are at most p^-f, p^-(f+1), ..., f = floor(60 lam) + 2,
+    which sum to 1/(p^(f-1) (p-1)).
     """
     from fractions import Fraction
 
-    sharp = geometric = Fraction(0)
-    for k in range(6, 60, 2):
-        sharp += Fraction(1, p.p ** _exact_exponent(p, k))
-        geometric += _pow_upper(p.p, lam * k)
-    rest = _pow_upper(p.p, lam * 60) / (1 - _pow_upper(p.p, 2 * lam))
-    return sharp + rest, geometric + rest
+    q = p.p
+    sharp = sum(Fraction(1, q ** _exact_exponent(p, k)) for k in range(6, 60, 2))
+    level = sum(Fraction(1, q ** (floor(lam * k) + 2)) for k in range(6, 60, 2))
+    rest = Fraction(1, q ** (floor(lam * 60) + 1) * (q - 1))
+    return sharp + rest, level + rest
 
 
 def density_bounds(p: Prime, upper: int) -> DensityReport:
@@ -273,7 +204,7 @@ def density_bounds(p: Prime, upper: int) -> DensityReport:
     Z1, then clears the offsets n - d below each multiple, and the levels
     whose multiples lie past upper but reach below it, and counts Z2.  Every
     bound field is a certified lower bound for the corresponding density
-    (the series tails and logarithms are rounded in the safe direction).
+    (the series tails are bounded above by exact rationals, log_p rounded up).
     """
     from fractions import Fraction
 

@@ -137,6 +137,10 @@ LARGE_PRIMES = ("1000003", "1000000007")
 # verify at its ceiling, whose text grows linearly with --hc-max.
 VERIFY_CEILING = ["verify", "--prime", "3", "--hc-max", "10000", "--format", "table"]
 
+# density at primes far past PRIMES, in every format: its bounds sum powers
+# of p of thousands of bits.
+DENSITY_LARGE_PRIMES = ("1000000007", "3317044064679887385961813")
+
 # coeffs at the --j ceiling of every p below 1024, refused at p = 10^9 + 7,
 # where its digits would pass what that ceiling prints at p = 1009.
 COEFFS_LARGE_P = ["coeffs", "--prime", "1000000007", "--j", "8001", "--i", "8001"]
@@ -154,6 +158,7 @@ def argvs() -> list[list[str]]:
     out += ARGPARSE
     out += (["verify", "--prime", p, "--format", fmt] for p in LARGE_PRIMES for fmt in ("table", "json", "csv"))
     out += ([*COEFFS_LARGE_P, "--format", fmt] for fmt in ("table", "json", "csv"))
+    out += (["density", "--prime", p, "--max", "1001", "--format", fmt] for p in DENSITY_LARGE_PRIMES for fmt in ("table", "json", "csv"))
     out.append(VERIFY_CEILING)
     return out
 

@@ -11,9 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from cychom import gaps as gaps_module
 from cychom.gaps import (
     _gap_for_valuation,
-    _iroot_floor,
+    _exact_exponent,
     _mark,
-    _root_floor,
+    _tail_sums,
     density_bounds,
     enumerate_z1,
     enumerate_z2,
@@ -346,28 +346,6 @@ def test_density_counts_match_enumeration(p, upper):
     assert rep.empirical_z2 == Fraction(len(enumerate_z2(p, upper)), x_count)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.binary(max_size=750), st.integers(min_value=1, max_value=400))
-@example(b"", 1)
-@example(b"\xff" * 750, 2)
-@example(b"\xff" * 750, 400)
-def test_iroot_floor_brackets_the_root(raw, d):
-    n = int.from_bytes(raw, "big")
-    r = _iroot_floor(n, d)
-    assert r**d <= n < (r + 1) ** d
-
-
-def test_iroot_floor_at_a_large_prime():
-    # The largest root density_bounds takes at p = 1009: p^(lam * 58) with
-    # lam = 2015/2016, a 583k-bit number; a seed far above its root makes
-    # Newton crawl.
-    n = 1009**58435
-    r = _iroot_floor(n, 1008)
-    assert r**1008 <= n < (r + 1) ** 1008
-    with pytest.raises(ValueError):
-        _iroot_floor(-1, 2)
-
-
 @st.composite
 def _bound_near_a_level(draw):
     """(p, N) with N anywhere up to 10^5, or within 2v + 2 of some p^v."""
@@ -423,41 +401,23 @@ def test_member_mask_is_the_point_membership_and_density_counts_it(p, upper):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])
-def test_root_floor_is_the_floor_below_2_64_and_a_close_lower_bound_past_it(p):
-    # The roots the geometric tail takes: p^(lam k) for even k up to 60,
-    # and p^(2 lam), with lam = (2p-3)/(2p-2).  p = 3 at k = 56 and p = 5
-    # at k = 32 give integer roots (d = 1).
+def test_exact_exponent_is_at_least_its_level_bound(p):
+    # _tail_sums' level variant and shared remainder take e_k >=
+    # floor(lam*k) + 2, from b_j > lam*j; at p = 3 it is tight at 34 k.
     lam = Fraction(2 * p - 3, 2 * p - 2)
-    for e in [lam * k for k in range(6, 62, 2)] + [2 * lam]:
-        m, d = e.numerator, e.denominator
-        got = _root_floor(p, m, d)
-        if m * p.bit_length() > 1 << 17:
-            # Past 2^64 by far: a million-bit p^m at p = 1009.  Check the
-            # bound against the float root instead of the exact one.
-            assert got.bit_length() > 64
-            assert abs(got / 2 ** (m / d * math.log2(p)) - 1) < 1e-12
-            continue
-        exact = _iroot_floor(p**m, d)
-        assert got <= exact
-        if exact < 1 << 64:
-            assert got == exact
-        else:
-            assert exact - got <= exact // 10**30
+    prime, tight = Prime(p), 0
+    for k in range(2, 2001, 2):
+        e = _exact_exponent(prime, k)
+        assert e >= math.floor(lam * k) + 2, k
+        tight += e == math.floor(lam * k) + 2
+    assert p != 3 or tight == 34
 
 
-def test_density_at_a_large_prime_takes_no_large_root(monkeypatch):
-    # p^m has up to a million bits at p = 1009; the integer root of it
-    # took a fixed 0.6 s.  Only roots of p^m with at most 8192 bits are
-    # taken exactly (none at p = 1009, some at p = 101).
-    sizes = []
-    real = gaps_module._iroot_floor
-
-    def recording(n, d):
-        sizes.append(n.bit_length())
-        return real(n, d)
-
-    monkeypatch.setattr(gaps_module, "_iroot_floor", recording)
-    for p in (101, 1009):
-        rep = density_bounds(Prime(p), 1001)
-        assert rep.bound_z1 >= rep.bound_z1_geometric
-    assert sizes and max(sizes) <= 8192
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])
+def test_sharp_tail_remainder_bounds_the_terms_from_k_60(p):
+    # What the sharp tail adds past its k < 60 terms covers every later
+    # term, here up to k = 2000.
+    prime = Prime(p)
+    sharp, _ = _tail_sums(prime, Fraction(2 * p - 3, 2 * p - 2))
+    head = sum(Fraction(1, p ** _exact_exponent(prime, k)) for k in range(6, 60, 2))
+    assert sharp - head >= sum(Fraction(1, p ** _exact_exponent(prime, k)) for k in range(60, 2001, 2))

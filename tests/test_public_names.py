@@ -63,6 +63,9 @@ REMOVED_FUNCTIONS = [
     ("padic", "residue"),
     ("homology", "hc_oracle_shapes"),
     ("homology", "_even_run"),
+    ("gaps", "_iroot_floor"),
+    ("gaps", "_root_floor"),
+    ("gaps", "_pow_upper"),
 ]
 REMOVED_MEMBERS = [
     ("linalg", "IntMatrix", "identity"),

@@ -358,17 +358,16 @@ def _shape_line(res: homology.HomologyResult):
 #   and 0.73 s at 8001 without the cap); 51 MB, 0.5 s and 44 MB at
 #   p = 3317044064679887385961813, near the top of Prime's range (--j 2793).
 # - zsets --max 10**7: every member, 23-64 MB of text in 0.13-0.17 s,
-#   21.4 / 19.7 MB in any set and format (p = 3 / 101).
+#   19.6 / 19.7 MB in any set and format (p = 3 / 101).
 # - hp/hcneg --n-max 10**7 + 1 (given, or the default degree + 20 or 21):
 #   a torsion exponent per odd multiple of p, counted per exponent and
 #   written from those runs: 0.07-0.09 s and 14 MB for p = 3 / 101 / 1009
 #   in every format, for 3.3-11.7 MB of text at p = 3; the text, and its
 #   time, are linear in n_max, the memory is not.
 # - density --max 10**8: the window sieve holds a byte per odd integer up
-#   to --max, and its longest slice assignment a zero byte for every p-th
-#   of them: 0.19-0.27 / 0.14-0.22 / 0.14-0.19 s, 79 / 63 / 63 MB in
-#   every format; linear (0.07-0.09 s and 21.4 / 19.8 MB at 10**7 for
-#   p = 3 / 101).
+#   to --max, and its slices are cleared in 64 KiB pieces:
+#   0.19-0.27 / 0.14-0.22 / 0.14-0.19 s, 63 / 63 / 63 MB in every format;
+#   linear (0.07-0.11 s and 19.8-20 MB at 10**7 for p = 3 / 101).
 HC_MAX_DEGREE = 10**6
 HCNEG_MAX_TRUNCATION = 5 * 10**5
 VERIFY_MAX_HC = 10**4

@@ -33,7 +33,7 @@ p^v < i + 2v: so v <= L (past L, p^v >= 3^v > 2^L + 2v), and it hits
 within 2v <= 2L.
 Enumeration and the density counts start from a byte per odd integer,
 all members, and clear each offset |d| <= g(p^v) of each level by one
-slice assignment: what stays set is the set.
+strided slice, written in bounded pieces: what stays set is the set.
 """
 
 from __future__ import annotations
@@ -94,6 +94,9 @@ def in_z2(p: Prime, i: int) -> bool:
     return not _hit(p, i, symmetric=True)
 
 
+_ZEROS = bytes(1 << 16)
+
+
 def _mark(members: bytearray, p: Prime, upper: int, signs: tuple[int, ...]) -> bytearray:
     """Clear in ``members``, a byte per odd i <= upper (byte k for 2k+1),
     every odd multiple n of p^v shifted by s*d, for each s in signs (+1:
@@ -103,7 +106,8 @@ def _mark(members: bytearray, p: Prime, upper: int, signs: tuple[int, ...]) -> b
     A window of an odd multiple n of p^v holds n + d for every even
     |d| <= g(p^v) (d >= 0 one-sided), because g(n) = g(p^{v_p(n)}) >= g(p^v).
     So level v clears each offset d once, over all odd multiples of p^v
-    at once, by one slice: odd integers 2p^v apart are p^v bytes apart.
+    at once, by one slice (odd integers 2p^v apart are p^v bytes apart),
+    written in pieces from ``_ZEROS``: no zero buffer a p-th the mask's size.
     Offsets |d| <= g(p^{v-1}) were cleared at level v-1 over a superset,
     so each level adds only its new offsets.  Levels with p^v > upper
     clear nothing above their multiples, and nothing below once
@@ -116,7 +120,9 @@ def _mark(members: bytearray, p: Prime, upper: int, signs: tuple[int, ...]) -> b
             for s in signs:
                 if s > 0 or d:
                     k = (q + s * d) // 2
-                    members[k::q] = bytes(len(range(k, len(members), q)))
+                    for at in range(k, len(members), q * len(_ZEROS)):
+                        n = min(len(_ZEROS), len(range(at, len(members), q)))
+                        members[at : at + q * n : q] = _ZEROS[:n]
         done = g
         q, v = q * p.p, v + 1
     return members
@@ -161,21 +167,10 @@ finite-N correction, giving the N -> infinity limit of each bound.
 """
 
 
-def _exact_exponent(p: Prime, k: int) -> int:
-    """The least e with g(p^e) >= k, i.e. 1 + min over even j >= k of b_j."""
-    best = b_val(p, k)
-    j = k + 2
-    # b_j > lam*j, lam = (2p-3)/(2p-2), so once lam*j >= best no later j
-    # can improve the minimum.
-    while (2 * p.p - 3) * j < (2 * p.p - 2) * best:
-        best = min(best, b_val(p, j))
-        j += 2
-    return best + 1
-
-
 def _tail_sums(p: Prime, lam: Fraction) -> tuple[Fraction, Fraction]:
     """Upper bounds for the sum over even k >= 6 of p^{-e_k}: with the
-    true exponents e_k, and with their level bound floor(lam*k) + 2.
+    true exponents e_k, the first level v with g(p^v) >= k (gaps never
+    fall as v rises), and with their level bound floor(lam*k) + 2.
 
     Each is an exact rational >= its series, so subtracting it preserves
     the lower-bound direction.  By the level bound (module docstring),
@@ -187,8 +182,11 @@ def _tail_sums(p: Prime, lam: Fraction) -> tuple[Fraction, Fraction]:
     """
     from fractions import Fraction
 
-    q = p.p
-    sharp = sum(Fraction(1, q ** _exact_exponent(p, k)) for k in range(6, 60, 2))
+    q, v, sharp = p.p, 1, Fraction(0)
+    for k in range(6, 60, 2):
+        while _gap_for_valuation(p, v) < k:
+            v += 1
+        sharp += Fraction(1, q**v)
     level = sum(Fraction(1, q ** (floor(lam * k) + 2)) for k in range(6, 60, 2))
     rest = Fraction(1, q ** (floor(lam * 60) + 1) * (q - 1))
     return sharp + rest, level + rest

@@ -1,6 +1,8 @@
+import gc
 import math
 import os
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from itertools import chain
@@ -11,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 from cychom import gaps as gaps_module
 from cychom.gaps import (
     _gap_for_valuation,
-    _exact_exponent,
     _mark,
     _tail_sums,
     density_bounds,
@@ -401,23 +402,79 @@ def test_member_mask_is_the_point_membership_and_density_counts_it(p, upper):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])
-def test_exact_exponent_is_at_least_its_level_bound(p):
-    # _tail_sums' level variant and shared remainder take e_k >=
-    # floor(lam*k) + 2, from b_j > lam*j; at p = 3 it is tight at 34 k.
-    lam = Fraction(2 * p - 3, 2 * p - 2)
-    prime, tight = Prime(p), 0
-    for k in range(2, 2001, 2):
-        e = _exact_exponent(prime, k)
-        assert e >= math.floor(lam * k) + 2, k
-        tight += e == math.floor(lam * k) + 2
-    assert p != 3 or tight == 34
+def test_b_exceeds_its_level_bound(p):
+    # b_j > lam*j for even j >= 2 (the gaps docstring): the lemma behind
+    # the level bound and the density tail's remainder.
+    prime, lam = Prime(p), Fraction(2 * p - 3, 2 * p - 2)
+    for j in range(2, 4001, 2):
+        assert b_val(prime, j) > lam * j, j
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])
-def test_sharp_tail_remainder_bounds_the_terms_from_k_60(p):
-    # What the sharp tail adds past its k < 60 terms covers every later
-    # term, here up to k = 2000.
-    prime = Prime(p)
-    sharp, _ = _tail_sums(prime, Fraction(2 * p - 3, 2 * p - 2))
-    head = sum(Fraction(1, p ** _exact_exponent(prime, k)) for k in range(6, 60, 2))
-    assert sharp - head >= sum(Fraction(1, p ** _exact_exponent(prime, k)) for k in range(60, 2001, 2))
+def test_tail_remainder_bounds_the_level_terms_from_k_60(p):
+    # The proof's own inequality: the remainder both tail sums share covers
+    # p^-(floor(lam*k) + 2), which bounds p^-e_k, for every even k >= 60
+    # (here up to 2000).
+    prime, lam = Prime(p), Fraction(2 * p - 3, 2 * p - 2)
+    _, level = _tail_sums(prime, lam)
+    rest = level - sum(Fraction(1, p ** (math.floor(lam * k) + 2)) for k in range(6, 60, 2))
+    assert rest >= sum(Fraction(1, p ** (math.floor(lam * k) + 2)) for k in range(60, 2001, 2))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])
+def test_sharp_tail_head_takes_the_exact_exponents(p):
+    # e_k = 1 + min b_j over even j >= k, and j in [k, 2k] suffices:
+    # b_k <= k < lam*2k < b_j for j > 2k.  Past k = 58 the sharp sum takes
+    # the level sum's remainder.
+    prime, lam = Prime(p), Fraction(2 * p - 3, 2 * p - 2)
+    sharp, level = _tail_sums(prime, lam)
+    head = sum(
+        Fraction(1, p ** (1 + min(b_val(prime, j) for j in range(k, 2 * k + 1, 2)))) for k in range(6, 60, 2)
+    )
+    level_head = sum(Fraction(1, p ** (math.floor(lam * k) + 2)) for k in range(6, 60, 2))
+    assert sharp - head == level - level_head
+
+
+def _per_offset_mask(p: int, upper: int, symmetric: bool) -> bytearray:
+    """Byte k is 0 iff 2k+1 is an odd multiple of some p^v shifted by an
+    even d, |d| <= g(p^v) (d >= 0 unless symmetric): every offset of every
+    level cleared over its multiples one byte at a time."""
+    prime, members = Prime(p), bytearray(b"\x01") * ((upper + 1) // 2)
+    q, v = p, 1
+    while q <= upper + 2 * v:
+        g = _gap_for_valuation(prime, v)
+        for d in range(-g if symmetric else 0, g + 1, 2):
+            for i in range(q + d, upper + 1, 2 * q):
+                members[i // 2] = 0
+        q, v = q * p, v + 1
+    return members
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101, 1009])
+def test_mask_pieces_match_the_per_offset_reference(p, monkeypatch):
+    # _mark writes each slice in pieces of len(_ZEROS) bytes; a 5-byte
+    # buffer makes many pieces, and a short last one, at these sizes.
+    monkeypatch.setattr(gaps_module, "_ZEROS", bytes(5))
+    for upper in (1, 2, 4000, p * p + 1, 10**5 + 1):
+        for symmetric in (False, True):
+            assert member_mask(Prime(p), upper, symmetric) == _per_offset_mask(p, upper, symmetric), upper
+
+
+def test_mask_pieces_at_full_size_match_the_per_offset_reference():
+    # At p = 3 and 10^6 each level-1 slice is two full 64 KiB pieces and a
+    # short one.
+    for symmetric in (False, True):
+        assert member_mask(P3, 10**6, symmetric) == _per_offset_mask(3, 10**6, symmetric)
+
+
+def test_sieve_peak_is_the_mask_and_one_bounded_piece():
+    # The mask at 10^7 is 5 MB; a zero buffer per slice, a third of the
+    # mask at p = 3, would peak at 8.3 MB.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        member_mask(P3, 10**7, symmetric=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 10**6, peak

@@ -66,6 +66,7 @@ REMOVED_FUNCTIONS = [
     ("gaps", "_iroot_floor"),
     ("gaps", "_root_floor"),
     ("gaps", "_pow_upper"),
+    ("gaps", "_exact_exponent"),
 ]
 REMOVED_MEMBERS = [
     ("linalg", "IntMatrix", "identity"),

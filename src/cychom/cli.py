@@ -321,59 +321,23 @@ def _shape_line(res: homology.HomologyResult):
     yield f"  [{res.method}]"
 
 
-# Ceilings on the size of each command's work, measured on a 2-core Xeon
-# with Python 3.11 (CPU seconds and peak RSS at the ceiling, for p = 3 /
-# 101 / 1009).  A larger value is refused with exit 1 before anything is
-# allocated.
-# - hc --degree 10**6: one walk along the 10**6 + 1 valuations of a
-#   500001-square staircase, made as they are read, 0.6-0.9 / 0.8 /
-#   0.7-0.8 s, 14 MB; time linear in the degree (0.11-0.13 s at 40000,
-#   1.1-1.5 s and 14 MB at 2*10**6 for p = 3).  An odd degree walks
-#   nothing: 0.10 s, start-up and exit alone.
-# - hcneg --truncation 5*10**5: one walk along a truncation-square
-#   staircase, the same work as hc at its ceiling: 0.65-0.8 s and 14 MB in
-#   every format, though at p = 3 it prints a stable prefix of 1.7*10**5
-#   valuations (written from their runs); time linear in the truncation.
-#   Nor with the degree's digits: 0.23-0.30 s at degree 10**3999 + 4 and
-#   --truncation 20000, 0.23 s at 10**19999 + 4 and 2000.
-# - verify --hc-max 10**4: one walk gives every even degree, read a block
-#   at a time, and an ok record names no shape, so time and text are
-#   linear in --hc-max (0.42 MB of JSON, 0.12 MB of CSV at p = 3):
-#   0.24-0.33 / 0.18-0.25 / 0.17-0.22 s, 16 MB in every format; at 4000
-#   0.13-0.16 / 0.11-0.18 / 0.13-0.17 s, 15.5 MB; at 2000 0.09-0.11 s,
-#   15 MB.  No degree's shape outlives its hc record, so what bounds it is
-#   the check records, about 0.2 KB a degree, and the closed form's 20-27
-#   us a degree at p = 3 (12-14 us at p = 101): with this cap lifted,
-#   --hc-max 10**5 takes 2.5-3.2 / 1.4-2.2 / 1.3-2.2 s and 25-26 MB.
-# - coeffs --j/--i 8001: ~j^2 digits, 30 / 58 / 74 MB of text, 28 / 41 /
-#   50 MB in every format (the staircase's Decimals, ~0.42 bytes a digit;
-#   the text is written a row at a time); 0.25 / 0.39 / 0.49 s in JSON,
-#   0.18-0.31 s as a table.  CSV, its cells written by hand, costs about
-#   two thirds of the JSON: 0.24 / 0.34 / 0.42 s against 0.36 / 0.57 /
-#   0.72 s in the same runs.  At 16001, 130 / 242 / 307 MB of JSON in
-#   0.8 / 1.5 / 1.8 s, 69 / 115 / 153 MB.  The digits also grow with
-#   log p, so a p of b > 10 bits caps --j where j^2 b passes 8001^2 * 10,
-#   what --j 8001 prints at p = 1009: in JSON 74 MB of text, 0.56 s and
-#   49 MB there; 56 MB, 0.45 s and 43 MB at p = 10**9 + 7 (--j 4619; 101 MB
-#   and 0.73 s at 8001 without the cap); 51 MB, 0.5 s and 44 MB at
-#   p = 3317044064679887385961813, near the top of Prime's range (--j 2793).
-# - zsets --max 10**7: every member, 23-64 MB of text in 0.13-0.17 s,
-#   19.6 / 19.7 MB in any set and format (p = 3 / 101).
-# - hp/hcneg --n-max 10**7 + 1 (given, or the default degree + 20 or 21):
-#   a torsion exponent per odd multiple of p, counted per exponent and
-#   written from those runs: 0.07-0.09 s and 14 MB for p = 3 / 101 / 1009
-#   in every format, for 3.3-11.7 MB of text at p = 3; the text, and its
-#   time, are linear in n_max, the memory is not.
-# - density --max 10**8: the window sieve holds a byte per odd integer up
-#   to --max, and its slices are cleared in 64 KiB pieces:
-#   0.19-0.27 / 0.14-0.22 / 0.14-0.19 s, 63 / 63 / 63 MB in every format;
-#   linear (0.07-0.11 s and 19.8-20 MB at 10**7 for p = 3 / 101).
+# Ceilings on the size of each command's work.  A larger value is refused
+# with exit 1 before anything is allocated.  What each costs at its ceiling,
+# in every format at p = 3, 101 and 1009, tests/ceilings.py measures into
+# tests/ceilings.json.
+# hc: a walk along the degree's i + 1 valuations, time linear, memory flat.
 HC_MAX_DEGREE = 10**6
+# hcneg: a truncation-square walk, time linear in --truncation, not digits.
 HCNEG_MAX_TRUNCATION = 5 * 10**5
+# verify: one walk; time and check records (~0.2 KB a degree) linear.
 VERIFY_MAX_HC = 10**4
+# coeffs: ~j^2 log p digits, memory ~0.42 bytes a digit, time linear in them.
 COEFFS_MAX = 8001
+# zsets: a byte of sieve per odd integer; the text grows with the members.
 ZSETS_MAX = 10**7
+# density: a byte of sieve per odd integer up to --max, time linear too.
 DENSITY_MAX = 10**8
+# hp/hcneg --n-max: text and time linear in n_max, memory flat (runs).
 PRODUCT_MAX_N = 10**7 + 1
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ceilings
 import cychom
 from cychom import cli, gaps
 from cychom.cli import main
@@ -903,9 +904,8 @@ def test_ceilings_sit_above_benchmark_and_test_inputs():
     # The benchmark runs hc to degree 400, verify to --hc-max 120, coeffs
     # to j = 4001, density to --max 2.5*10**6 and the closed forms to
     # degree 2*10**6 with n_max = degree + 21; the tests run hc at degree
-    # 1002, coeffs at i = 4005 and verify at --hc-max 4000, and CI runs hc
-    # at degree 10**6 and verify at --hc-max 10**4.  Each ceiling is itself
-    # a valid value: hc-max even, coeffs indices and n_max odd.
+    # 1002, coeffs at i = 4005 and verify at --hc-max 4000.  Each ceiling
+    # is itself a valid value: hc-max even, coeffs indices and n_max odd.
     assert cli.HC_MAX_DEGREE >= 10**6 and cli.VERIFY_MAX_HC >= 10**4
     assert cli.COEFFS_MAX >= 4005 and cli.HCNEG_MAX_TRUNCATION >= 8
     assert cli.PRODUCT_MAX_N >= 2 * 10**6 + 21
@@ -913,8 +913,19 @@ def test_ceilings_sit_above_benchmark_and_test_inputs():
     assert cli.VERIFY_MAX_HC % 2 == 0 and cli.COEFFS_MAX % 2 == 1 and cli.PRODUCT_MAX_N % 2 == 1
 
 
-# The ceilings that README "CLI" and the CI console-script step state by
-# value: one past each is refused, the ceiling itself reaches the work.
+def test_ceiling_runs_sit_at_the_caps():
+    # tests/ceilings.py runs every command at its ceiling, and ceilings.json
+    # is its table: a ceiling that moves without a rerun fails here.
+    caps = (cli.HC_MAX_DEGREE, cli.HCNEG_MAX_TRUNCATION, cli.VERIFY_MAX_HC, cli.COEFFS_MAX, cli.ZSETS_MAX, cli.DENSITY_MAX, cli.PRODUCT_MAX_N)
+    for cap in caps:
+        assert any(cap in run.args for run in ceilings.RUNS), cap
+    table = json.loads(Path(ceilings.__file__).with_name("ceilings.json").read_text(encoding="utf-8"))
+    cells = sorted(cell["argv"] for cell in table["cells"])
+    assert cells == sorted(" ".join(run.argv(p, fmt)) for run in ceilings.RUNS for p in ceilings.PRIMES for fmt in ceilings.FORMATS)
+
+
+# The ceilings that README "CLI" states by value: one past each is
+# refused, the ceiling itself reaches the work.
 DOCUMENTED = [
     (["hc", "--prime", "3", "--degree"], 10**6, "staircase_cokernels"),
     (["hcneg", "--prime", "3", "--degree", "6", "--truncation"], 5 * 10**5, "staircase_cokernels"),

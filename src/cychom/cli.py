@@ -677,7 +677,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def entry() -> NoReturn:
+def entry():
     """Run ``main`` on ``sys.argv`` as a process, and exit with its code.
 
     However ``main`` ends, by its return or by argparse's SystemExit for

@@ -24,6 +24,8 @@ import tempfile
 from typing import Callable, NamedTuple
 
 from cychom import cli
+from cychom.gaps import enumerate_z2
+from cychom.padic import Prime
 
 PRIMES = (3, 101, 1009)
 FORMATS = ("table", "json", "csv")
@@ -74,6 +76,17 @@ def _coeffs(p, text):
     assert head == f"generator {j} in colimit {j}: head {rec['head']} (v={rec['head_valuation']})"
 
 
+def _zsets(p, text):
+    # At p = 3 only: Z2's members, one table line and one CSV cell, each
+    # the list enumerate_z2 makes, joined.
+    if p != 3:
+        return
+    _canonical(p, text)
+    members = list(map(str, enumerate_z2(Prime(3), cli.ZSETS_MAX)))
+    assert text("table").split("\n")[1] == " ".join(members)
+    assert next(csv.DictReader(io.StringIO(text("csv"), newline="")))["members"] == ";".join(members)
+
+
 def _hc(p, text):
     # The oracle's Connes length i + 1, and no disagreement with the closed form.
     _canonical(p, text)
@@ -98,7 +111,7 @@ RUNS = (
     # record: past the interpreter, the check records alone are held.
     Run("verify", 24, 100_000, ("verify", "--hc-max", cli.VERIFY_MAX_HC), _verify),
     # The member mask is the sieve itself, one byte per odd integer.
-    Run("zsets", 23, 20_000_000, ("zsets", "--max", cli.ZSETS_MAX, "--set", "z2")),
+    Run("zsets", 23, 20_000_000, ("zsets", "--max", cli.ZSETS_MAX, "--set", "z2"), _zsets),
     # About j^2 log p digits of text, written a row at a time.
     Run("coeffs", 64, 0, ("coeffs", "--j", cli.COEFFS_MAX, "--i", cli.COEFFS_MAX), _coeffs),
     # A torsion exponent per odd multiple of p, held and written as runs.

@@ -14,11 +14,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import ceilings
 import cychom
+import sweeps
 from cychom import cli, gaps
 from cychom.cli import main
 from cychom.gaps import enumerate_z1, enumerate_z2, in_z2
 from cychom.padic import Prime
 from valuation_rows import frac_vp
+
+ROOT = Path(__file__).resolve().parents[1]
 
 EXPECTED_SHAPE_KEYS = {
     "theory",
@@ -467,12 +470,29 @@ def test_installed_script_and_python_m_share_the_entry(monkeypatch):
     import re
     import runpy
 
-    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     target = re.search(r'^cychom = "cychom\.cli:(\w+)"$', text, re.MULTILINE).group(1)
     called = []
     monkeypatch.setattr(cli, target, lambda: called.append(target))
     runpy.run_module("cychom", run_name="__main__")
     assert called == [target] == ["entry"]
+
+
+def test_entry_annotations_resolve():
+    import typing
+
+    typing.get_type_hints(cli.entry)
+
+
+def test_readme_examples_exit_0(capsys):
+    # Each `cychom` line of the README's examples, its comment stripped,
+    # so none can name a flag the CLI no longer has.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    examples = [line.split("#")[0].split()[1:] for line in readme.splitlines() if line.startswith("cychom ")]
+    assert len(examples) >= 8
+    for argv in examples:
+        code, _, err = run(capsys, argv)
+        assert code == 0, (argv, err)
 
 
 def test_csv_and_out_file(tmp_path, capsys):
@@ -561,19 +581,37 @@ def test_huge_integer_argument_still_refused():
 
 def test_an_integer_past_the_str_limit_is_a_short_usage_error(capsys):
     # The refusal names the limit and the variable that lifts it, and
-    # echoes none of the 4,301 digits.
+    # echoes none of its digits, at 4,301 digits as at 20,001.
     import re
 
-    degree = "1" + "0" * 4299 + "4"
-    with pytest.raises(SystemExit) as exc:
-        main(["hcneg", "--prime", "3", "--degree", degree, "--n-max", "9", "--truncation", "2000"])
-    err = capsys.readouterr().err
-    assert exc.value.code == 2
-    assert len(err.encode()) < 1024 and not re.search(r"\d{10}", err)
-    assert err.endswith(
-        "error: argument --degree: 4301 digits, past Python's int-to-str limit of 4300"
-        " (PYTHONINTMAXSTRDIGITS=0 lifts it)\n"
-    )
+    for digits in (4301, 20001):
+        degree = "1" + "0" * (digits - 2) + "4"
+        with pytest.raises(SystemExit) as exc:
+            main(["hcneg", "--prime", "3", "--degree", degree, "--n-max", "9", "--truncation", "2000"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert len(err.encode()) < 1024 and not re.search(r"\d{10}", err)
+        assert err.endswith(
+            f"error: argument --degree: {digits} digits, past Python's int-to-str limit of 4300"
+            " (PYTHONINTMAXSTRDIGITS=0 lifts it)\n"
+        )
+
+
+def test_hcneg_at_a_20000_digit_degree_costs_its_walk_not_its_digits(tmp_path, monkeypatch):
+    # Each level loop stops at the level that decides; a walk of every
+    # level of 3 below the degree would take minutes.  The degree is read
+    # back as text, since this process keeps the int-to-str limit.  The
+    # bound is the README's for a query at its ceiling.
+    degree = "1" + "0" * 19998 + "4"  # 10**19999 + 4
+    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "0")
+    monkeypatch.setenv("PYTHONPATH", str(Path(cychom.__file__).resolve().parents[1]))
+    out = tmp_path / "hcneg.json"
+    argv = ["hcneg", "--prime", "3", "--degree", degree, "--n-max", "9", "--truncation", "2000", "--format", "json"]
+    code, cpu, _ = ceilings.measure(argv, str(out))
+    assert code == 0 and cpu < ceilings.CPU_S, (code, cpu)
+    rec = json.loads(out.read_text(encoding="utf-8"), parse_int=str)
+    assert rec["degree"] == degree
+    assert rec["probe"]["ok"] is True, rec["probe"]["covered_up_to"]
 
 
 def test_hcneg_probe_is_not_run_without_a_closed_form(capsys):
@@ -922,6 +960,18 @@ def test_ceiling_runs_sit_at_the_caps():
     table = json.loads(Path(ceilings.__file__).with_name("ceilings.json").read_text(encoding="utf-8"))
     cells = sorted(cell["argv"] for cell in table["cells"])
     assert cells == sorted(" ".join(run.argv(p, fmt)) for run in ceilings.RUNS for p in ceilings.PRIMES for fmt in ceilings.FORMATS)
+
+
+def test_the_wide_ci_step_runs_the_sweeps_the_table_names():
+    # CI widens the sweeps in one step, which must name exactly the
+    # table's tests: a sweep renamed or added fails here, not by dropping
+    # out of CI.
+    for test in sweeps.SIZES:
+        path, name = test.split("::")
+        assert f"\ndef {name}(" in (ROOT / path).read_text(encoding="utf-8"), test
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    (step,) = [line.split("run: ", 1)[1] for line in workflow.splitlines() if "CYCHOM_WIDE=1" in line]
+    assert step.split() == ["CYCHOM_WIDE=1", "PYTHONPATH=src", "python", "-m", "pytest", "-q", *sweeps.SIZES]
 
 
 # The ceilings that README "CLI" states by value: one past each is

@@ -1,6 +1,5 @@
 import gc
 import math
-import os
 import time
 import tracemalloc
 from fractions import Fraction
@@ -24,6 +23,7 @@ from cychom.gaps import (
     member_mask,
 )
 from cychom.padic import Prime, a_val, b_val
+from sweeps import size
 
 P3 = Prime(3)
 P5 = Prime(5)
@@ -150,8 +150,7 @@ def _hit_by_definition(prime: Prime, i: int, symmetric: bool) -> bool:
     return False
 
 
-# Every odd i up to this checks against the definition; CI raises it.
-MEMBERSHIP_MAX = int(os.environ.get("CYCHOM_MEMBERSHIP_MAX", 20001))
+MEMBERSHIP_MAX = size("tests/test_gaps.py::test_point_queries_against_wide_window_brute_force")
 
 
 def _level_edges(p: int) -> list[int]:

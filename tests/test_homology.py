@@ -1,4 +1,3 @@
-import os
 from collections import Counter
 from fractions import Fraction
 from itertools import count
@@ -28,6 +27,7 @@ from cychom.homology import (
 from cychom.linalg import ModuleShape, TRIVIAL_SHAPE
 from cychom.padic import Prime, a_val, b_val, odd_valuations, seq_b, vp
 from residue import residue
+from sweeps import size
 from valuation_rows import frac_vp
 
 P3 = Prime(3)
@@ -117,8 +117,7 @@ def test_two_routes_agree_near_degree_1000(p):
     assert covered >= 2
 
 
-# Tier-1 sweeps every even degree up to 10**4; CI sets CYCHOM_SWEEP_MAX=200000.
-SWEEP_MAX = int(os.environ.get("CYCHOM_SWEEP_MAX", "10000"))
+SWEEP_MAX = size("tests/test_homology.py::test_two_routes_agree_at_every_even_degree_to_10000")
 
 # The census: how many even degrees up to each bound no closed form covers.
 UNCOVERED = {
@@ -340,8 +339,7 @@ def test_presentation_matches_oracle(p, i):
     assert rep.ok, rep
 
 
-# Tier-1 checks every odd index below 200; CI sets CYCHOM_PRESENTATION_MAX=4000.
-PRESENTATION_MAX = int(os.environ.get("CYCHOM_PRESENTATION_MAX", "200"))
+PRESENTATION_MAX = size("tests/test_homology.py::test_presentation_matches_the_walk_at_every_odd_index_below_200")
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])

@@ -1,5 +1,4 @@
 import itertools
-import os
 import random
 from collections import Counter
 
@@ -18,6 +17,7 @@ from cychom.linalg import (
     submodule_equal_mod,
 )
 from cychom.padic import Prime, vp
+from sweeps import size
 from valuation_rows import valuation_rows
 
 try:
@@ -382,8 +382,7 @@ def _walk(rows, p):
     return blocks, longest
 
 
-# Tier-1 walks every even degree up to 600; CI sets CYCHOM_WALK_MAX=2000.
-WALK_MAX = int(os.environ.get("CYCHOM_WALK_MAX", "600"))
+WALK_MAX = size("tests/test_linalg.py::test_walk_matches_local_snf_at_every_even_degree")
 
 
 @pytest.mark.parametrize("p", [3, 101])

@@ -493,7 +493,6 @@ def cmd_coeffs(p: Prime, args):
     from . import homology
 
     j, i = args.j, args.i
-    _cap("--j", j, COEFFS_MAX, "coeffs prints about j^2 digits")
     # The largest odd j, a valid --j, with j^2 * max(bits of p, 10) <= COEFFS_MAX^2 * 10.
     ceiling = (isqrt(COEFFS_MAX**2 * 10 // max(p.p.bit_length(), 10)) - 1) | 1
     _cap(f"--j at p = {p.p}", j, ceiling, "coeffs prints about j^2 log p digits")

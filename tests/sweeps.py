@@ -17,9 +17,9 @@ SIZES = {
     "tests/test_gaps.py::test_point_queries_against_wide_window_brute_force": (20001, 200_000),
     # Every even degree of the oracle against the closed forms, its Connes
     # lengths, Pieri steps and HP stabilization, and the census.
-    "tests/test_homology.py::test_two_routes_agree_at_every_even_degree_to_10000": (10**4, 2 * 10**5),
+    "tests/test_homology.py::test_two_routes_agree_at_every_even_degree_of_the_sweep": (10**4, 2 * 10**5),
     # Every odd index below it of the colimit presentation against the walk.
-    "tests/test_homology.py::test_presentation_matches_the_walk_at_every_odd_index_below_200": (200, 4000),
+    "tests/test_homology.py::test_presentation_matches_the_walk_at_every_odd_index_of_the_sweep": (200, 4000),
 }
 
 WIDE = os.environ.get("CYCHOM_WIDE") == "1"

@@ -638,25 +638,6 @@ def test_hcneg_probe_is_not_run_without_a_closed_form(capsys):
     assert code == 0 and json.loads(out) == {"theory": "HCneg", "degree": 8, "closed_form": None}
 
 
-@pytest.mark.parametrize("degree", [8, 6])
-def test_hcneg_refuses_a_truncation_below_1_at_every_degree(capsys, degree):
-    # Refused with the other flags, before any closed form is made: degree 8
-    # at p = 7 has none, so it would never reach the probe's own refusal.
-    code, out, err = run(capsys, ["hcneg", "--prime", "7", "--degree", str(degree), "--truncation", "0"])
-    assert (code, out, err) == (1, "", "error: truncation must be >= 1\n")
-
-
-@pytest.mark.parametrize("degree", [7, 0])
-def test_hcneg_probe_refuses_an_odd_or_non_positive_degree(capsys, degree):
-    # The probe reads Z2 membership of degree - 1, which only an even
-    # degree >= 2 has; without --truncation the same degree is answered.
-    argv = ["hcneg", "--prime", "3", "--degree", str(degree)]
-    code, out, err = run(capsys, argv + ["--truncation", "10"])
-    assert (code, out) == (1, "")
-    assert err == f"error: --truncation needs an even --degree >= 2, got {degree}\n"
-    assert run(capsys, argv)[0] == 0
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -853,89 +834,85 @@ def test_json_text_is_json_dumps(value):
     assert cli._json_text(value) == json.dumps(value)
 
 
-def test_zsets_refuses_max_above_ceiling_before_sieving(capsys, monkeypatch):
-    from cychom import gaps
-
-    class Sieved(Exception):
-        pass
-
-    def sieve(*args, **kwargs):
-        raise Sieved
-
-    monkeypatch.setattr(gaps, "member_mask", sieve)
-    for fmt in ("table", "json", "csv"):
-        code, out, err = run(capsys, ["zsets", "--prime", "3", "--max", str(cli.ZSETS_MAX + 1), "--format", fmt])
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and str(cli.ZSETS_MAX) in err
-    # The ceiling itself is allowed: that query reaches the sieve.
-    with pytest.raises(Sieved):
-        main(["zsets", "--prime", "3", "--max", str(cli.ZSETS_MAX)])
-
-
-class Allocated(Exception):
+class WorkStarted(Exception):
     pass
 
 
-def _allocating(*args, **kwargs):
-    raise Allocated
+def _start(*args, **kwargs):
+    raise WorkStarted
 
 
-# argv up to the capped flag, the ceiling's name, and the first allocation
-# of that size.
-CAPPED = [
-    (["hc", "--prime", "3", "--degree"], "HC_MAX_DEGREE", "staircase_cokernels"),
-    (["hcneg", "--prime", "3", "--degree", "6", "--truncation"], "HCNEG_MAX_TRUNCATION", "staircase_cokernels"),
-    (["verify", "--prime", "3", "--hc-max"], "VERIFY_MAX_HC", "_hc_walk"),
-    (["hp", "--prime", "3", "--degree", "0", "--n-max"], "PRODUCT_MAX_N", "hp"),
-    (["hcneg", "--prime", "3", "--degree", "6", "--n-max"], "PRODUCT_MAX_N", "hc_neg_closed_form"),
-    (["coeffs", "--prime", "3", "--i", str(cli.COEFFS_MAX), "--j"], "COEFFS_MAX", "staircase_parts"),
-    (["coeffs", "--prime", "3", "--j", "3", "--i"], "COEFFS_MAX", "phi_coeff_texts"),
-    (["density", "--prime", "3", "--max"], "DENSITY_MAX", "gaps.density_bounds"),
+def _forbid(monkeypatch, work: str) -> None:
+    """Make each function named in ``work`` raise WorkStarted: a homology
+    function, or a function of gaps named with its module."""
+    from cychom import gaps, homology
+
+    for name in work.split():
+        module, _, attr = name.rpartition(".")
+        monkeypatch.setattr({"": homology, "gaps": gaps}[module], attr, _start)
+
+
+_N_MAX = "the answer lists a torsion exponent per odd multiple of p up to --n-max, so"
+_J = "coeffs prints about j^2 log p digits, so --j at p ="
+
+# What is refused before any work starts: (argv, the work it must not
+# start, an argv at the limit, which must reach that work, and the error
+# line the refusal ends with).  Each refused value is the least one past
+# its limit that every other check accepts, so only that limit refuses it.
+REFUSED = [
+    # The seven caps at p = 3, at the values README "CLI" states.
+    ("hc --prime 3 --degree 1000001", "staircase_cokernels", "hc --prime 3 --degree 1000000",
+     "hc walks a (degree/2+1)-square staircase, so --degree is capped at 1000000; got 1000001"),
+    ("hcneg --prime 3 --degree 6 --truncation 500001", "hc_neg_closed_form", "hcneg --prime 3 --degree 6 --truncation 500000",
+     "the probe walks a staircase of that size, so --truncation is capped at 500000; got 500001"),
+    ("verify --prime 3 --hc-max 10002", "_hc_walk", "verify --prime 3 --hc-max 10000",
+     "verify runs the oracle at every even degree up to --hc-max, so --hc-max is capped at 10000; got 10002"),
+    ("coeffs --prime 3 --j 8003 --i 8003", "phi_coeff_texts", "coeffs --prime 3 --j 8001 --i 8001",
+     f"{_J} 3 is capped at 8001; got 8003"),
+    ("coeffs --prime 3 --j 3 --i 8003", "phi_coeff_texts", "coeffs --prime 3 --j 3 --i 8001",
+     "coeffs prints a row per odd n <= i, so --i is capped at 8001; got 8003"),
+    ("zsets --prime 3 --max 10000001", "gaps.member_mask", "zsets --prime 3 --max 10000000",
+     "zsets lists every member, so --max is capped at 10000000; got 10000001"),
+    ("density --prime 3 --max 100000001", "gaps.density_bounds", "density --prime 3 --max 100000000",
+     "density sieves every odd number up to --max, so --max is capped at 100000000; got 100000001"),
+    ("hp --prime 3 --degree 0 --n-max 10000003", "hp", "hp --prime 3 --degree 0 --n-max 10000001",
+     f"{_N_MAX} --n-max is capped at 10000001; got 10000003"),
+    ("hcneg --prime 3 --degree 6 --n-max 10000003", "hc_neg_closed_form", "hcneg --prime 3 --degree 6 --n-max 10000001",
+     f"{_N_MAX} --n-max is capped at 10000001; got 10000003"),
+    # The default --n-max, the first odd number from degree + 20 on.
+    *((f"{command} --prime 3 --degree 9999982", work, f"{command} --prime 3 --degree 9999980",
+       f"{_N_MAX} the default --n-max for --degree 9999982 is capped at 10000001; got 10000003")
+      for command, work in (("hp", "hp"), ("hcneg", "hc_neg_closed_form"))),
+    # A p past 10 bits lowers the ceiling of --j to what --j 8001 prints at
+    # p = 1009, to an odd j; 3317044064679887385961813 is near the top of
+    # Prime's range.
+    *((f"coeffs --prime {p} --j {j + 2} --i {j + 2}", "phi_coeff_texts", f"coeffs --prime {p} --j {j} --i {j}",
+       f"{_J} {p} is capped at {j}; got {j + 2}")
+      for p, j in ((1009, 8001), (1021, 8001), (10**9 + 7, 4619), (3317044064679887385961813, 2793))),
+    # verify checks --hc-max before any check.
+    *((f"verify --prime 3 --hc-max {n}", "hochschild _hc_walk", f"verify --prime 3 --hc-max {ok}",
+       f"--hc-max must be even and >= 2, got {n}")
+      for n, ok in ((7, 8), (0, 2), (-2, 2), (1, 2))),
+    # hcneg refuses a truncation below 1 with the other flags: degree 8 at
+    # p = 7 has no closed form, so it would never reach the probe's own check.
+    *((f"hcneg --prime 7 --degree {m} --truncation 0", "hc_neg_closed_form",
+       f"hcneg --prime 7 --degree {m} --truncation 1", "truncation must be >= 1")
+      for m in (8, 6)),
+    # The probe reads Z2 membership of degree - 1, which only an even
+    # degree >= 2 has; without --truncation the same degree is answered.
+    *((f"hcneg --prime 3 --degree {m} --truncation 10", "hc_neg_closed_form", f"hcneg --prime 3 --degree {m}",
+       f"--truncation needs an even --degree >= 2, got {m}")
+      for m in (7, 0)),
 ]
 
 
-def _forbid(monkeypatch, allocator: str) -> None:
-    """Make the allocation ``allocator`` raise: a homology function, or a
-    function of another layer named with its module."""
-    from cychom import gaps, homology
-
-    module, _, name = allocator.rpartition(".")
-    monkeypatch.setattr({"": homology, "gaps": gaps}[module], name, _allocating)
-
-
-@pytest.mark.parametrize("argv, name, allocator", CAPPED, ids=[c[0][0] + c[0][-1] for c in CAPPED])
-def test_sizes_above_ceiling_refused_before_allocating(capsys, monkeypatch, argv, name, allocator):
-    ceiling = getattr(cli, name)
-    _forbid(monkeypatch, allocator)
+@pytest.mark.parametrize("argv, work, reached, error", REFUSED, ids=[row[0] for row in REFUSED])
+def test_refused_with_one_error_line_before_any_work(capsys, monkeypatch, argv, work, reached, error):
+    _forbid(monkeypatch, work)
     for fmt in ("table", "json", "csv"):
-        code, out, err = run(capsys, argv + [str(ceiling + 2), "--format", fmt])
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and str(ceiling) in err
-    # The ceiling itself is allowed: that query reaches the allocation.
-    with pytest.raises(Allocated):
-        main(argv + [str(ceiling)])
-
-
-def test_coeffs_caps_j_by_its_digits_before_any_coefficient(capsys, monkeypatch):
-    # The digits grow like j^2 log p, so a p past 10 bits lowers the ceiling
-    # of --j to what --j 8001 prints at p = 1009; every p below 1024 keeps
-    # 8001.  The refusal comes before any coefficient is made.
-    _forbid(monkeypatch, "phi_coeff_texts")
-    for fmt in ("table", "json", "csv"):
-        argv = ["coeffs", "--prime", "1000000007", "--j", "8001", "--i", "8001", "--format", fmt]
-        code, out, err = run(capsys, argv)
-        assert (code, out) == (1, "")
-        assert err == "error: coeffs prints about j^2 log p digits, so --j at p = 1000000007 is capped at 4619; got 8001\n"
-    with pytest.raises(Allocated):
-        main(["coeffs", "--prime", "1000000007", "--j", "4619", "--i", "4619"])
-    # Near the top of Prime's range the ceiling is odd, as --j must be.
-    top = "3317044064679887385961813"
-    assert run(capsys, ["coeffs", "--prime", top, "--j", "2795", "--i", "2795"])[2].endswith("capped at 2793; got 2795\n")
-    with pytest.raises(Allocated):
-        main(["coeffs", "--prime", top, "--j", "2793", "--i", "2793"])
-    for p in ("3", "1009", "1021"):
-        with pytest.raises(Allocated):
-            main(["coeffs", "--prime", p, "--j", str(cli.COEFFS_MAX), "--i", str(cli.COEFFS_MAX)])
+        assert run(capsys, argv.split() + ["--format", fmt]) == (1, "", f"error: {error}\n")
+        with pytest.raises(WorkStarted):
+            main(reached.split() + ["--format", fmt])
 
 
 def test_ceilings_sit_above_benchmark_and_test_inputs():
@@ -972,41 +949,6 @@ def test_the_wide_ci_step_runs_the_sweeps_the_table_names():
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
     (step,) = [line.split("run: ", 1)[1] for line in workflow.splitlines() if "CYCHOM_WIDE=1" in line]
     assert step.split() == ["CYCHOM_WIDE=1", "PYTHONPATH=src", "python", "-m", "pytest", "-q", *sweeps.SIZES]
-
-
-# The ceilings that README "CLI" states by value: one past each is
-# refused, the ceiling itself reaches the work.
-DOCUMENTED = [
-    (["hc", "--prime", "3", "--degree"], 10**6, "staircase_cokernels"),
-    (["hcneg", "--prime", "3", "--degree", "6", "--truncation"], 5 * 10**5, "staircase_cokernels"),
-    (["hp", "--prime", "3", "--degree", "0", "--n-max"], 10**7 + 1, "hp"),
-    (["density", "--prime", "3", "--max"], 10**8, "gaps.density_bounds"),
-]
-
-
-@pytest.mark.parametrize("argv, ceiling, allocator", DOCUMENTED, ids=[c[0][0] for c in DOCUMENTED])
-def test_documented_ceilings(capsys, monkeypatch, argv, ceiling, allocator):
-    _forbid(monkeypatch, allocator)
-    code, out, err = run(capsys, argv + [str(ceiling + 1)])
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and f"capped at {ceiling};" in err
-    with pytest.raises(Allocated):
-        main(argv + [str(ceiling)])
-
-
-@pytest.mark.parametrize("command, allocator", [("hp", "hp"), ("hcneg", "hc_neg_closed_form")])
-def test_default_n_max_is_capped_too(capsys, monkeypatch, command, allocator):
-    from cychom import homology
-
-    # Without --n-max the cutoff is the first odd number from degree + 20:
-    # the ceiling plus 2 at degree ceiling - 19, the ceiling at ceiling - 21.
-    monkeypatch.setattr(homology, allocator, _allocating)
-    top = cli.PRODUCT_MAX_N
-    code, out, err = run(capsys, [command, "--prime", "3", "--degree", str(top - 19)])
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and f"capped at {top}; got {top + 2}" in err
-    with pytest.raises(Allocated):
-        main([command, "--prime", "3", "--degree", str(top - 21)])
 
 
 @pytest.mark.parametrize("hh_max", ["5", "100001"])
@@ -1054,17 +996,6 @@ def test_verify_hochschild_reaches_both_blocks(capsys, monkeypatch, wrong):
     assert [line for line in lines if "hochschild" in line] == HH_LINES[wrong]
 
 
-@pytest.mark.parametrize("hc_max", ["7", "0", "-2", "1"])
-def test_verify_checks_hc_max_before_any_check(capsys, monkeypatch, hc_max):
-    from cychom import homology
-
-    monkeypatch.setattr(homology, "hc_oracle", _allocating)
-    monkeypatch.setattr(homology, "hochschild", _allocating)
-    code, out, err = run(capsys, ["verify", "--prime", "3", "--hc-max", hc_max])
-    assert code == 1 and out == ""
-    assert err == f"error: --hc-max must be even and >= 2, got {hc_max}\n"
-
-
 def test_coeffs_rows_match_phi_coeffs(capsys):
     from cychom.homology import phi_coeffs
 
@@ -1086,113 +1017,66 @@ def test_coeffs_rows_match_phi_coeffs(capsys):
         sys.set_int_max_str_digits(limit)
 
 
-def test_cli_import_loads_no_code_generation_modules():
-    # Every query is a fresh interpreter, so what importing the CLI loads
-    # is paid on each one; -S keeps site's own imports out of the count.
-    src = Path(cychom.__file__).resolve().parents[1]
-    probe = "import sys, cychom.cli; print(' '.join(sys.modules))"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    loaded = subprocess.run(
-        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"} & set(loaded)
+def _queries(*argvs) -> str:
+    """Probe code that runs each argv through the CLI, in every format."""
+    return f"""import os, cychom.cli
+for argv in {[argv.split() for argv in argvs]!r}:
+    for fmt in ("table", "json", "csv"):
+        assert cychom.cli.main(argv + ["--format", fmt, "--out", os.devnull]) == 0, argv
+"""
 
 
-def test_queries_import_no_fractions_decimal_or_csv():
-    # Only the commands that build a Fraction (density) or a Decimal
-    # (coeffs) need these; fractions imports decimal, verify reduces its
-    # coefficients from integers, and CSV is written by hand.  The probe
-    # runs each other command in every format, and the closed forms that
-    # the library serves on their own.
-    src = Path(cychom.__file__).resolve().parents[1]
-    probe = """if True:
-        import os, sys
-        import cychom.cli as c
-        c.build_parser()
-        print(" ".join(sys.modules))
-        from cychom import Prime, homology
-        homology.hc_closed_form(Prime(5), 2000)
-        homology.hc_neg_closed_form(Prime(5), 2000, 2021)
-        for argv in (
-            ["hc", "--prime", "3", "--degree", "40"],
-            ["hc", "--prime", "3", "--degree", "28"],
-            ["hc", "--prime", "5", "--degree", "41"],
-            ["hh", "--prime", "3", "--degree", "4"],
-            ["hp", "--prime", "3", "--degree", "0", "--n-max", "101"],
-            ["hcneg", "--prime", "3", "--degree", "6", "--truncation", "8"],
-            ["zsets", "--prime", "3", "--max", "1000", "--set", "z2"],
-            ["verify", "--prime", "3"],
-            ["verify", "--prime", "11", "--hc-max", "100"],
-        ):
-            for fmt in ("table", "json", "csv"):
-                assert c.main(argv + ["--format", fmt, "--out", os.devnull]) == 0, argv
-        print(" ".join(sys.modules))
-    """
-    env = dict(os.environ, PYTHONPATH=str(src))
-    lines = subprocess.run(
-        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout.splitlines()
-    assert len(lines) == 2 and "cychom.cli" in lines[0].split()
-    for line in lines:
-        assert not {"fractions", "decimal", "csv"} & set(line.split())
+# What each command loads: probe code a row, each run in its own
+# interpreter.  A row a command, each a few well-formed queries, and rows
+# for the bare import, the argparse parser and the closed forms that the
+# library serves on their own.
+LOADS = {
+    "import": "import cychom.cli",
+    "build_parser": "import cychom.cli; cychom.cli.build_parser()",
+    "closed forms": "from cychom import Prime, homology\n"
+    "homology.hc_closed_form(Prime(5), 2000)\nhomology.hc_neg_closed_form(Prime(5), 2000, 2021)",
+    "hh": _queries("hh --prime 3 --degree 4"),
+    "hc": _queries("hc --prime 3 --degree 40", "hc --prime 3 --degree 28", "hc --prime 5 --degree 41"),
+    "hcneg": _queries("hcneg --prime 3 --degree 6 --truncation 8", "hcneg --prime 3 --degree 6 --n-max 21 --truncation 8"),
+    "hp": _queries("hp --prime 3 --degree 0 --n-max 101"),
+    "zsets": _queries(*(f"zsets --prime {p} --max 1000 --set {z}" for p, z in ((3, "z1"), (3, "z2"), (5, "z2")))),
+    "density": _queries("density --prime 5 --max 1000", "density --prime 1009 --max 10"),
+    "coeffs": _queries("coeffs --prime 3 --j 3 --i 9"),
+    "verify": _queries("verify --prime 3", "verify --prime 3 --hc-max 12", "verify --prime 11 --hc-max 100"),
+}
 
-
-def test_well_formed_commands_import_neither_argparse_nor_json():
+# The modules a row must not load, by set, each with the rows it spares.
+# Every query is a fresh interpreter, so what it loads is paid each time.
+NOT_LOADED = [
+    # Code generation.
+    ({"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}, ()),
     # A well-formed command takes the grammar table's own parser, and its
-    # payload's scalars are written without json: every command, in every
-    # format, loads neither module.
-    src = Path(cychom.__file__).resolve().parents[1]
-    probe = """if True:
-        import os, sys
-        import cychom.cli as c
-        for argv in (
-            ["hh", "--prime", "3", "--degree", "4"],
-            ["hc", "--prime", "3", "--degree", "40"],
-            ["hc", "--prime", "3", "--degree", "28"],
-            ["hcneg", "--prime", "3", "--degree", "6", "--n-max", "21", "--truncation", "8"],
-            ["hp", "--prime", "3", "--degree", "0", "--n-max", "101"],
-            ["zsets", "--prime", "3", "--max", "1000", "--set", "z2"],
-            ["density", "--prime", "5", "--max", "1000"],
-            ["coeffs", "--prime", "3", "--j", "3", "--i", "9"],
-            ["verify", "--prime", "3", "--hc-max", "12"],
-        ):
-            for fmt in ("table", "json", "csv"):
-                assert c.main(argv + ["--format", fmt, "--out", os.devnull]) == 0, argv
-        print(" ".join(sys.modules))
-    """
-    env = dict(os.environ, PYTHONPATH=str(src))
-    loaded = subprocess.run(
-        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert "cychom.cli" in loaded
-    assert not {"argparse", "json"} & set(loaded)
+    # payload's scalars and its CSV are written by hand.
+    ({"argparse"}, ("build_parser",)),
+    ({"json", "csv"}, ()),
+    # Only density builds a Fraction, and fractions imports decimal; only
+    # coeffs builds a Decimal.  verify reduces its coefficients from integers.
+    ({"fractions"}, ("density",)),
+    ({"decimal"}, ("density", "coeffs")),
+    # The package resolves its re-exports on first use, and the CLI imports
+    # homology inside the commands that call it.
+    ({"cychom.linalg", "cychom.homology"}, ("closed forms", "hh", "hc", "hcneg", "hp", "coeffs", "verify")),
+]
 
 
-def test_zsets_and_density_load_neither_linalg_nor_homology():
-    # The package resolves its re-exports on first use and the CLI imports
-    # homology inside the commands that call it, so the sieve commands load
-    # padic, gaps and cli only.
-    src = Path(cychom.__file__).resolve().parents[1]
-    probe = """if True:
-        import os, sys
-        import cychom.cli as c
-        for argv in (
-            ["zsets", "--prime", "3", "--max", "1000", "--set", "z1"],
-            ["zsets", "--prime", "5", "--max", "1000", "--set", "z2"],
-            ["density", "--prime", "5", "--max", "1000"],
-            ["density", "--prime", "1009", "--max", "10"],
-        ):
-            for fmt in ("table", "json", "csv"):
-                assert c.main(argv + ["--format", fmt, "--out", os.devnull]) == 0, argv
-        print(" ".join(sys.modules))
-    """
-    env = dict(os.environ, PYTHONPATH=str(src))
-    loaded = set(
-        subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
-        .stdout.split()
-    )
-    assert {"cychom.cli", "cychom.gaps", "cychom.padic"} <= loaded
-    assert not {"cychom.linalg", "cychom.homology"} & loaded
+@pytest.mark.parametrize("row", LOADS)
+def test_loads_no_module_it_does_not_run(row):
+    # -S keeps site's own imports out of the count.
+    probe = LOADS[row] + "\nimport sys\nprint(' '.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cychom.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    for modules, spared in NOT_LOADED:
+        if row not in spared:
+            assert not modules & loaded, modules & loaded
+    if row == "import":
+        assert {"cychom.cli", "cychom.gaps", "cychom.padic"} <= loaded
 
 
 def test_help_still_goes_through_argparse(capsys):

@@ -117,7 +117,7 @@ def test_two_routes_agree_near_degree_1000(p):
     assert covered >= 2
 
 
-SWEEP_MAX = size("tests/test_homology.py::test_two_routes_agree_at_every_even_degree_to_10000")
+SWEEP_MAX = size("tests/test_homology.py::test_two_routes_agree_at_every_even_degree_of_the_sweep")
 
 # The census: how many even degrees up to each bound no closed form covers.
 UNCOVERED = {
@@ -147,7 +147,7 @@ def _horizontal_strip_of_two(big: ModuleShape, small: ModuleShape) -> bool:
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])
-def test_two_routes_agree_at_every_even_degree_to_10000(p):
+def test_two_routes_agree_at_every_even_degree_of_the_sweep(p):
     # Every even degree, covered or not, from one walk: the oracle's
     # p-length is i + 1 (Connes), its heads past the Z1 members never
     # fall, and a closed form, where one exists, its tail the periodic
@@ -339,11 +339,11 @@ def test_presentation_matches_oracle(p, i):
     assert rep.ok, rep
 
 
-PRESENTATION_MAX = size("tests/test_homology.py::test_presentation_matches_the_walk_at_every_odd_index_below_200")
+PRESENTATION_MAX = size("tests/test_homology.py::test_presentation_matches_the_walk_at_every_odd_index_of_the_sweep")
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])
-def test_presentation_matches_the_walk_at_every_odd_index_below_200(p):
+def test_presentation_matches_the_walk_at_every_odd_index_of_the_sweep(p):
     # Index i meets the walk's block of degree i + 1 as the walk reaches it.
     prime = Prime(p)
     shapes = _walk_shapes(prime, PRESENTATION_MAX)
@@ -781,6 +781,7 @@ def test_verify_kernel_generator_indices_are_the_first_three_z2_members_past_1(m
     indices = []
 
     def recorded(p, i, upto):
+        assert upto == 8
         indices.append(i)
         return True
 
@@ -794,3 +795,19 @@ def test_verify_kernel_generator_indices_are_the_first_three_z2_members_past_1(m
         for check in verify_checks(prime, 2):
             pass
         assert indices == [i for i in enumerate_z2(prime, 50 * p) if i > 1][:3], p
+
+
+def test_verify_kernel_generator_check_takes_five_generators_mod_p_to_the_a_i_plus_6(monkeypatch):
+    # How much the check covers, which its verdict alone does not show: at
+    # each index, psi_i(1) ... psi_{i+8}(1) with the head reduced mod p^(a_i + 6).
+    from cychom import homology
+
+    real, seen = homology.submodule_equal_mod, []
+
+    def spy(p, gens_a, gens_b, moduli):
+        seen.append((len(gens_a), moduli[0]))
+        return real(p, gens_a, gens_b, moduli)
+
+    monkeypatch.setattr(homology, "submodule_equal_mod", spy)
+    assert all(check.ok for check in verify_checks(P3, 2))
+    assert seen == [(5, 3 ** (a_val(P3, i) + 6)) for i in (5, 7, 11)]

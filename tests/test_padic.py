@@ -48,8 +48,15 @@ def test_prime_rejects_pseudoprimes(bad):
 
 
 def test_prime_refuses_beyond_certified_range():
-    with pytest.raises(ValueError, match="certified"):
-        Prime(2**89 - 1)  # prime, but above the Miller-Rabin bound
+    # 2**89 - 1 is prime, but above the Miller-Rabin bound.  The bound
+    # itself is composite and a strong pseudoprime to all 13 bases, so a
+    # bound check that let it through would take it as p.
+    limit = 3317044064679887385961981
+    assert limit == 1287836182261 * 2575672364521
+    for n in (2**89 - 1, limit):
+        with pytest.raises(ValueError, match="certified"):
+            Prime(n)
+    assert Prime(3317044064679887385961813).p == 3317044064679887385961813
 
 
 def test_primality_matches_eratosthenes_below_1e5():

@@ -11,7 +11,7 @@ imports: ``cychom.cli`` loads ``padic`` and ``gaps``, and ``linalg`` and
 _HOMES = {
     "padic": "Prime a_val b_val factorial_vp odd_valuations seq_a seq_b vp",
     "gaps": "DensityReport density_bounds enumerate_z1 enumerate_z2 gap in_z1 in_z2",
-    "linalg": "IntMatrix ModuleShape SnfResult TRIVIAL_SHAPE cokernel_shape local_snf snf"
+    "linalg": "IntMatrix ModuleShape SnfResult TRIVIAL_SHAPE cokernel_shape snf"
     " staircase_cokernels submodule_equal_mod",
     "homology": "Check CoeffVector HomologyResult connes_length_check cyclic_matrix hc_closed_form"
     " hc_neg_closed_form hc_neg_truncation_probe hc_oracle hochschild hp"

@@ -11,24 +11,14 @@ reads the cokernel off rows of {column: valuation}, and
 ``staircase_cokernels`` every leading square block of a staircase off its
 path of valuations, in one walk with a stack of small ints: the oracle.
 
-The integer engines take entries and a prime.  ``local_snf`` eliminates
-any matrix over Z/p^N, where every invariant factor of valuation below N
-is still visible and no entry outgrows p^N (Hafner-McCurley, SIAM J.
-Comput. 1991; Cohen, *A Course in Computational Algebraic Number
-Theory*, 2.4).  It is the kernel of ``submodule_equal_mod`` and the
-independent reference the tests hold the valuation routes to.  It never
-inverts anything mod p^N: scaling a row by a unit changes no invariant
-factor, so a pivot p^v * u clears a row with p^v * f in its column by
-row := u * row - f * pivot_row.  Matrices come as sparse rows, one
-{column: entry} dict per row, so a staircase with two diagonals costs
-memory linear in its size.
-
-``snf`` is the classical integer elimination on a dense ``IntMatrix``,
-kept as the reference the tests compare the local kernels against.
-``submodule_equal_mod`` compares submodules of a product of p-power cyclic
-groups by the lengths of their quotients, read off ``local_snf``.
-Everything runs over plain Python integers: no overflow, no floats, no
-tolerances.
+``snf``, the classical elimination over Z on a dense ``IntMatrix``, is
+the package's one integer engine.  It is the kernel of
+``submodule_equal_mod``, which compares submodules of a product of
+p-power cyclic groups by the lengths of their quotients.  Over Z such a
+quotient is a finite p-group, so each of its invariant factors is a power
+of p and their valuations sum to its length, with no precision to choose.
+The tests hold the valuation routes to ``snf`` too.  Everything runs over
+plain Python integers: no overflow, no floats, no tolerances.
 """
 
 from __future__ import annotations
@@ -40,7 +30,7 @@ from .padic import Prime, vp
 
 
 class IntMatrix:
-    """Dense integer matrix, row-major: the input of the reference ``snf``."""
+    """Dense integer matrix, row-major: the input of ``snf``."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -202,111 +192,6 @@ class ModuleShape(namedtuple("ModuleShape", "torsion free_rank complete_rank n_m
 TRIVIAL_SHAPE = ModuleShape(())
 
 
-def local_snf(rows: list[dict[int, int]], p: Prime, precision: int, rank: int) -> tuple[int, ...]:
-    """p-adic valuations of the rank invariant factors of a matrix over
-    Z_(p), ascending, computed by sparse elimination over Z/p^precision.
-
-    The matrix comes as sparse rows, one {column: entry} dict per row;
-    they are not modified.  Each step pivots on an entry x = p^v * u of
-    least valuation v, with u a unit, and clears its column without
-    inverting u: a row with entry y = p^v * f there becomes
-    u * row - f * pivot_row.  Scaling a row by a unit changes no
-    invariant factor.  Then the pivot's row and column are dropped: every
-    other entry of the pivot row is a multiple of the pivot, so the
-    column operations that would clear it touch nothing else.  The least
-    valuation never falls, so the pivots come out along the divisibility
-    chain.  Prime-to-p factors give valuation 0.
-
-    The answer is exact when every invariant factor has valuation below
-    the precision, which N = v_p(D) + 1 guarantees for any nonzero
-    rank x rank minor D.  A smaller modulus makes some nonzero row vanish
-    mod p^N, so fewer than ``rank`` pivots remain: that raises
-    ArithmeticError rather than returning a wrong shape.
-
-    >>> local_snf([{0: 3}, {0: 1, 1: 9}], Prime(3), 4, 2)
-    (0, 3)
-    """
-    import heapq  # here, not at the top: CLI start-up never needs it
-
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
-    q = p.p**precision
-    # Every live entry is kept with its valuation.  A row operation mostly
-    # predicts it: v(u*a - f*y) = min(v(a), v(f) + v(y)) unless the two
-    # are equal, and only then is it counted again.  A heap item names an
-    # entry by its valuation, not its value, so the heap holds no big
-    # integer, and a rescale, which keeps every valuation, keeps the row's
-    # items good.
-    live: list[dict[int, int]] = []
-    vals: list[dict[int, int]] = []
-    rows_in_col: dict[int, set[int]] = {}
-    heap: list[tuple[int, int, int]] = []  # (valuation, row, col); stale items skipped
-    for i, row in enumerate(rows):
-        entries, valuations = {}, {}
-        for c, x in row.items():
-            x %= q
-            if x:
-                entries[c] = x
-                valuations[c] = v = vp(p, x)
-                rows_in_col.setdefault(c, set()).add(i)
-                heap.append((v, i, c))
-        live.append(entries)
-        vals.append(valuations)
-    heapq.heapify(heap)
-    pivots: list[int] = []
-    while heap:
-        v, i, j = heapq.heappop(heap)
-        pivot_row, pivot_vals = live[i], vals[i]
-        if pivot_vals.get(j) != v:
-            continue
-        scale = p.p**v
-        u = pivot_row[j] // scale
-        rows_in_col[j].discard(i)
-        for r in rows_in_col.pop(j):
-            row, row_vals = live[r], vals[r]
-            f = row.pop(j) // scale
-            vf = row_vals.pop(j) - v
-            if u != 1:
-                for c, a in row.items():
-                    if c not in pivot_row:
-                        row[c] = a * u % q
-            for c, y in pivot_row.items():
-                if c == j:
-                    continue
-                w = vf + pivot_vals[c]  # v(f * y)
-                a = row.get(c)
-                if a is None:
-                    if w < precision:  # else f * y vanishes mod p^N
-                        row[c], row_vals[c] = -f * y % q, w
-                        rows_in_col[c].add(r)
-                        heapq.heappush(heap, (w, r, c))
-                    continue
-                z = (u * a - f * y) % q
-                va = row_vals[c]
-                if va != w:
-                    vz = min(va, w)
-                elif z:
-                    vz = vp(p, z)
-                else:
-                    del row[c], row_vals[c]
-                    rows_in_col[c].discard(r)
-                    continue
-                row[c] = z
-                if vz != va:
-                    row_vals[c] = vz
-                    heapq.heappush(heap, (vz, r, c))
-        for c in pivot_row:
-            if c != j:
-                rows_in_col[c].discard(i)
-        live[i], vals[i] = {}, {}
-        pivots.append(v)
-    if len(pivots) != rank:
-        raise ArithmeticError(
-            f"modulus p^{precision} too small: {len(pivots)} of {rank} invariant factors survive"
-        )
-    return tuple(pivots)
-
-
 def cokernel_shape(rows: list[dict[int, int]]) -> ModuleShape:
     """Shape of R^len(rows) / (column span of a matrix over Z_(p)),
     keeping only the p-primary part, from the valuations of its entries
@@ -429,13 +314,12 @@ def submodule_equal_mod(
 
     Each generator comes as a sparse row, {column: entry} with every
     column in range(len(moduli)).  The moduli must be powers of p.  For
-    X = A, B and A + B the quotient of prod Z/moduli_k by X is a finite
-    p-group, the cokernel of the matrix whose columns are the generators
-    of X and moduli_k * e_k; its length is the sum of the local Smith
-    valuations, which the transpose (those vectors as rows) shares.  Its
-    rank is the width, and the quotient is killed by the largest modulus
-    p^E, so precision E + 1 is exact.  A is contained in A + B, so A = B
-    exactly when the three lengths agree.
+    X = A, B and A + B the quotient of prod Z/moduli_k by X is Z^width
+    modulo the rows of the generators of X and moduli_k * e_k, the
+    cokernel over Z of their matrix.  It is a quotient of prod Z/moduli_k,
+    so a finite p-group: its ``snf`` has width invariant factors, each a
+    power of p, and its length is the sum of their valuations.  A is
+    contained in A + B, so A = B exactly when the three lengths agree.
 
     >>> submodule_equal_mod(Prime(3), [{0: 3, 1: 1}], [{1: 3}, {0: 3, 1: 4}], [9, 9])
     True
@@ -446,10 +330,10 @@ def submodule_equal_mod(
     for m in moduli:
         if m < 1 or p.p ** vp(p, m) != m:
             raise ValueError(f"moduli must be powers of p={p.p}, got {m}")
-    precision = max((vp(p, m) for m in moduli), default=0) + 1
     scaffold = [{k: m} for k, m in enumerate(moduli)]
 
     def length(rows: list[dict[int, int]]) -> int:
-        return sum(local_snf(rows + scaffold, p, precision, width))
+        dense = [[row.get(c, 0) for c in range(width)] for row in rows + scaffold]
+        return sum(vp(p, d) for d in snf(IntMatrix(dense, cols=width)).invariant_factors)
 
     return length(rows_a) == length(rows_a + rows_b) == length(rows_b)

@@ -207,15 +207,15 @@ def test_one_walk_gives_the_oracle_at_every_even_degree(p):
 
 
 def test_oracle_makes_no_integer_snf(monkeypatch):
-    # Nor any elimination over Z/p^N: every oracle reads valuations.
+    # Every oracle reads valuations: the package's one integer engine is
+    # left to verify's kernel-generator check.
     from cychom import homology, linalg
 
     def forbidden(*args):
-        raise AssertionError("snf or local_snf called")
+        raise AssertionError("snf called")
 
-    for name in ("snf", "local_snf"):
-        monkeypatch.setattr(linalg, name, forbidden)
-        monkeypatch.setattr(homology, name, forbidden, raising=False)
+    monkeypatch.setattr(linalg, "snf", forbidden)
+    monkeypatch.setattr(homology, "snf", forbidden, raising=False)
     for i in range(0, 13):
         hc_oracle(P3, i)
         hochschild(P5, i)
@@ -226,7 +226,7 @@ def test_oracle_makes_no_integer_snf(monkeypatch):
 def test_valuation_routes_take_no_integer(monkeypatch):
     # The walk and cokernel_shape read the valuations homology states each
     # matrix by; they take no prime and value no entry.  linalg's vp is
-    # left to its integer engines.
+    # left to submodule_equal_mod.
     from cychom import linalg
 
     def forbidden(*args):
@@ -811,3 +811,19 @@ def test_verify_kernel_generator_check_takes_five_generators_mod_p_to_the_a_i_pl
     monkeypatch.setattr(homology, "submodule_equal_mod", spy)
     assert all(check.ok for check in verify_checks(P3, 2))
     assert seen == [(5, 3 ** (a_val(P3, i) + 6)) for i in (5, 7, 11)]
+
+
+def test_verify_kernel_generator_check_reads_integer_snf_three_times_an_index(monkeypatch):
+    # submodule_equal_mod measures A, A + B and B by linalg.snf, at each of
+    # i = 5, 7 and 11; verify's other checks read valuations only.
+    from cychom import linalg
+
+    real, calls = linalg.snf, []
+
+    def spy(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(linalg, "snf", spy)
+    kernel = [check.ok for check in verify_checks(P3, 2) if check.name.startswith("kernel generators")]
+    assert kernel == [True, True, True] and len(calls) == 9

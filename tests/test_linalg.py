@@ -11,12 +11,12 @@ from cychom.linalg import (
     ModuleShape,
     TRIVIAL_SHAPE,
     cokernel_shape,
-    local_snf,
     snf,
     staircase_cokernels,
     submodule_equal_mod,
 )
 from cychom.padic import Prime, vp
+from local_snf import local_snf
 from sweeps import size
 from valuation_rows import valuation_rows
 
@@ -667,7 +667,7 @@ def test_submodule_verdict_ignores_a_column_no_generator_touches(case, e, data):
 
 
 def test_intmatrix_validation_and_det():
-    # IntMatrix only carries the reference snf's input.
+    # IntMatrix only carries snf's input.
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
     assert IntMatrix([[2, 1], [1, 2]]).data == [[2, 1], [1, 2]]

@@ -67,6 +67,7 @@ REMOVED_FUNCTIONS = [
     ("gaps", "_root_floor"),
     ("gaps", "_pow_upper"),
     ("gaps", "_exact_exponent"),
+    ("linalg", "local_snf"),
 ]
 REMOVED_MEMBERS = [
     ("linalg", "IntMatrix", "identity"),

@@ -1,9 +1,10 @@
 """Integer matrices as the valuation routes of ``cychom.linalg`` take them,
 and a test-side p-adic valuation of a Fraction.
 
-The tests keep their integer matrices, which ``local_snf``, the integer
-``snf`` and sympy read, and hand ``cokernel_shape`` and
-``staircase_cokernels`` the valuations of the same entries.
+The tests keep their integer matrices, which ``local_snf`` (in
+``tests/local_snf.py``), ``cychom.linalg.snf`` and sympy read, and hand
+``cokernel_shape`` and ``staircase_cokernels`` the valuations of the same
+entries.
 
 ``frac_vp`` is the reference for the Fractions of ``seq_a``, ``seq_b``
 and ``phi_coeffs``.  It does not use ``cychom.padic.vp``, which strips p

@@ -3,7 +3,9 @@
 Every engine operation is exposed through a subcommand with table, json,
 or csv output.  Exit codes: 0 success, 1 engine precondition failure,
 output that cannot be written or memory that runs out, 2 usage error, 3
-verification mismatch.
+verification mismatch, or an exactness guard that trips (an
+ArithmeticError, such as ``staircase_parts``' ``Inexact``/``Rounded``
+traps); no route raises on a disagreement.
 A handler ``cmd_*(p, args)`` only computes: it returns the payload, the
 table lines and the exit code.  ``main`` alone checks the prime, writes
 the answer once in the format asked for, and maps the errors to codes.
@@ -670,8 +672,8 @@ def main(argv: list[str] | None = None) -> int:
         print("error: out of memory", file=sys.stderr)
         return 1
     except ArithmeticError as exc:
-        # The engine raises ArithmeticError when its two routes disagree or
-        # an exactness guard trips.
+        # No route raises on a disagreement; an exactness guard, such as
+        # staircase_parts' Inexact and Rounded traps, raises ArithmeticError.
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

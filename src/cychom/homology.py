@@ -19,7 +19,11 @@ once (the oracle route, :func:`cychom.linalg.staircase_cokernels`).
 Independently, closed-form decompositions are available whenever
 the degree avoids the gap windows of :mod:`cychom.gaps`; they are driven by
 the coefficient sequences of :mod:`cychom.padic`.  The verify_* operations
-pit the two routes against each other.
+pit the two routes against each other.  Hochschild homology is a closed
+form alone.  The reduction itself, from the Hochschild and mixed
+complexes to these staircases, is checked in the tests: they build the
+normalized mixed complex of R//p from its chains and hold HH and the
+oracle's HC to its homology in low degrees.
 
 Degree bookkeeping: the staircase colimit with top odd index i computes
 cyclic homology in degree i+1; the kernel of the limit over the colimit at
@@ -76,25 +80,13 @@ def cyclic_matrix(p: Prime, i: int) -> list[dict[int, int]]:
 
 
 def hochschild(p: Prime, i: int) -> HomologyResult:
-    """Hochschild homology of R//p in degree i, oracle-checked.
-
-    The closed form (R/p at 0, R/p^2 in positive even degrees, 0 otherwise)
-    is recomputed from the valuations of the two-term total-complex blocks'
-    entries (p, 2, p), and the two must agree exactly.
-    """
+    """Hochschild homology of R//p in degree i, in closed form: R/p at 0,
+    R/p^2 in positive even degrees, 0 in odd ones.  The tests hold it to
+    the normalized Hochschild complex of R//p, built from its chains."""
     if i < 0:
         raise ValueError("negative degree")
-    oracle = cokernel_shape([{0: 1}] if i < 2 else [{0: 1, 1: 0}, {1: 1}])
-    if i % 2:
-        # The differential out of an odd degree is injective, so the
-        # homology there is zero: its matrix has full rank.
-        if oracle.free_rank:
-            raise ArithmeticError(f"HH differential out of degree {i} is not injective")
-        return HomologyResult("HH", i, TRIVIAL_SHAPE, "closed_form")
-    closed = ModuleShape((2 if i else 1,))
-    if oracle != closed:
-        raise ArithmeticError(f"HH oracle {oracle} disagrees with closed form {closed}")
-    return HomologyResult("HH", i, closed, "closed_form")
+    shape = TRIVIAL_SHAPE if i % 2 else ModuleShape((2 if i else 1,))
+    return HomologyResult("HH", i, shape, "closed_form")
 
 
 def _hc_walk(p: Prime, i_max: int) -> Iterator[tuple[Counter, list[int]]]:
@@ -322,27 +314,19 @@ def hp_stabilization_check(heads: list[int]) -> Check:
 
 
 def verify_checks(p: Prime, hc_max: int) -> Iterator[Check]:
-    """The ``verify`` battery, one check at a time: Hochschild in degrees
-    0..3, the even and odd branches of each of its two blocks (every later
-    degree repeats the elimination of degree 2 or 3); oracle against
-    closed form, whose tail is HP's, in every even degree 2..hc_max, both
-    shapes named on a mismatch only; the Connes lengths and the
-    stabilization's heads; the kernel generators at the first three Z2
-    indices past 1, each asked of ``in_z2`` in turn, so no member list is
-    made; and the colimit presentation at every odd index below
-    min(hc_max, 12).  One walk to hc_max gives the oracle's shapes, a
-    block at a time: each is dropped once its ``hc degree`` record is out,
-    and only its p-length, its head past a Z1 member and the shapes up to
-    degree 12 are kept.  hc_max < 2 raises before the first record."""
+    """The ``verify`` battery, one check at a time: oracle against closed
+    form, whose tail is HP's, in every even degree 2..hc_max, both shapes
+    named on a mismatch only; the Connes lengths and the stabilization's
+    heads; the kernel generators at the first three Z2 indices past 1,
+    each asked of ``in_z2`` in turn, so no member list is made; and the
+    colimit presentation at every odd index below min(hc_max, 12).
+    Hochschild homology has one route, its closed form, so no record.
+    One walk to hc_max gives the oracle's shapes, a block at a time: each
+    is dropped once its ``hc degree`` record is out, and only its
+    p-length, its head past a Z1 member and the shapes up to degree 12
+    are kept.  hc_max < 2 raises before the first record."""
     if hc_max < 2:
         raise ValueError("hc_max must be >= 2")
-    for i in range(4):
-        try:
-            hochschild(p, i)
-        except ArithmeticError as exc:
-            yield Check(f"hochschild degree {i}", False, str(exc))
-        else:
-            yield Check(f"hochschild degree {i}", True)
     lengths, heads, low = [], [], []
     for i, (pivots, tail) in zip(count(0, 2), _hc_walk(p, hc_max)):
         shape = ModuleShape(pivots + Counter(tail))

@@ -3,9 +3,9 @@ normal form and cokernel invariants.
 
 Every homology module in the package is the p-primary part of a cokernel,
 and over Z_(p) every integer prime to p is a unit.  The matrices the
-paper needs (the HH blocks, the cyclic and negative staircases, the
-colimit presentation) have a forest for support, and the cokernel of such
-a matrix is decided by the valuations of its entries alone.  The two
+paper needs (the cyclic and negative staircases, the colimit
+presentation) have a forest for support, and the cokernel of such a
+matrix is decided by the valuations of its entries alone.  The two
 valuation routes take those valuations and no prime: ``cokernel_shape``
 reads the cokernel off rows of {column: valuation}, and
 ``staircase_cokernels`` every leading square block of a staircase off its
@@ -212,8 +212,8 @@ def cokernel_shape(rows: list[dict[int, int]]) -> ModuleShape:
     is a forest (each row joined to the columns of its entries).  A fill
     joins z's row to y's column, which the path through x already joins,
     so its place was empty.  The step contracts that path, so what is left
-    is again a forest with at most two entries a row.  The HH blocks, the
-    staircases and the colimit presentation are such forests.
+    is again a forest with at most two entries a row.  The staircases and
+    the colimit presentation are such forests.
 
     The pivots are taken least valuation first.  A fill that lands on an
     entry could cancel it, so that raises ValueError rather than return a

@@ -20,6 +20,9 @@ SIZES = {
     "tests/test_homology.py::test_two_routes_agree_at_every_even_degree_of_the_sweep": (10**4, 2 * 10**5),
     # Every odd index below it of the colimit presentation against the walk.
     "tests/test_homology.py::test_presentation_matches_the_walk_at_every_odd_index_of_the_sweep": (200, 4000),
+    # Every degree of the mixed complex of R//p, built from its chains,
+    # against hochschild and the oracle, and its three identities.
+    "tests/test_mixed_complex.py::test_complex_gives_hh_and_hc_at_every_degree_of_the_sweep": (12, 14),
 }
 
 WIDE = os.environ.get("CYCHOM_WIDE") == "1"

@@ -150,12 +150,7 @@ def _force(monkeypatch, kind: str) -> None:
     from cychom import homology
     from cychom.linalg import ModuleShape
 
-    if kind == "hochschild":
-        # Every cokernel has a free summand, so no differential out of an
-        # odd degree is injective.  Only that check reads free_rank; the
-        # others compare whole shapes.
-        monkeypatch.setattr(ModuleShape, "free_rank", property(lambda shape: 1))
-    elif kind == "hc degree":
+    if kind == "hc degree":
         real = homology.hc_closed_form
         skewed = homology.HomologyResult("HC", 6, ModuleShape((99,)), "closed_form")
         monkeypatch.setattr(homology, "hc_closed_form", lambda p, i: skewed if i == 6 else real(p, i))
@@ -176,8 +171,7 @@ def _force(monkeypatch, kind: str) -> None:
 
 
 VERIFY_NAMES = (
-    [f"hochschild degree {i}" for i in range(4)]
-    + [f"hc degree {i}" for i in range(2, 41, 2)]
+    [f"hc degree {i}" for i in range(2, 41, 2)]
     + ["connes length recursion", "hp stabilization"]
     + [f"kernel generators at {i}" for i in (5, 7, 11)]
     + [f"colimit presentation {i}" for i in range(1, 12, 2)]
@@ -187,14 +181,12 @@ VERIFY_NAMES = (
 # Lines that each case prints, among others, in this order.
 VERIFY_LINES = {
     None: [
-        "ok   hochschild degree 0",
         "ok   hc degree 6",
         "ok   hc degree 28: not covered by a closed form",
         "ok   connes length recursion",
         "ok   kernel generators at 5",
         "ok   colimit presentation 11",
     ],
-    "hochschild": ["ok   hochschild degree 0", "FAIL hochschild degree 1: HH differential out of degree 1 is not injective"],
     "hc degree": ["FAIL hc degree 6: oracle R/p^6 x R/p vs closed R/p^99"],
     "connes": [
         "FAIL connes length recursion: degree 0: length 3 != 1; "
@@ -287,7 +279,7 @@ def test_verify_checks_keep_no_shape_past_its_degree():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(checks) == 4 + cli.VERIFY_MAX_HC // 2 + 2 + 3 + 6
+    assert len(checks) == cli.VERIFY_MAX_HC // 2 + 2 + 3 + 6
     assert peak < 2_000_000, peak
 
 
@@ -890,7 +882,7 @@ REFUSED = [
        f"{_J} {p} is capped at {j}; got {j + 2}")
       for p, j in ((1009, 8001), (1021, 8001), (10**9 + 7, 4619), (3317044064679887385961813, 2793))),
     # verify checks --hc-max before any check.
-    *((f"verify --prime 3 --hc-max {n}", "hochschild _hc_walk", f"verify --prime 3 --hc-max {ok}",
+    *((f"verify --prime 3 --hc-max {n}", "_hc_walk", f"verify --prime 3 --hc-max {ok}",
        f"--hc-max must be even and >= 2, got {n}")
       for n, ok in ((7, 8), (0, 2), (-2, 2), (1, 2))),
     # hcneg refuses a truncation below 1 with the other flags: degree 8 at
@@ -1018,47 +1010,12 @@ def test_the_wide_ci_step_runs_the_sweeps_the_table_names():
 
 @pytest.mark.parametrize("hh_max", ["5", "100001"])
 def test_verify_takes_no_hh_max(capsys, hh_max):
-    # Hochschild is checked in degrees 0-3 alone; the flag is a usage error.
+    # verify checks no Hochschild degree; the flag is a usage error.
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--prime", "3", "--hh-max", hh_max])
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and "unrecognized arguments: --hh-max" in out.err
-
-
-# The two blocks hochschild eliminates, by the first degree that reads
-# each, and the Hochschild lines of verify when that block alone is wrong.
-HH_BLOCKS = {0: [{0: 1}], 2: [{0: 1, 1: 0}, {1: 1}]}
-HH_LINES = {
-    0: [
-        "FAIL hochschild degree 0: HH oracle R x R/p disagrees with closed form R/p",
-        "FAIL hochschild degree 1: HH differential out of degree 1 is not injective",
-        "ok   hochschild degree 2",
-        "ok   hochschild degree 3",
-    ],
-    2: [
-        "ok   hochschild degree 0",
-        "ok   hochschild degree 1",
-        "FAIL hochschild degree 2: HH oracle R x R/p disagrees with closed form R/p^2",
-        "FAIL hochschild degree 3: HH differential out of degree 3 is not injective",
-    ],
-}
-
-
-@pytest.mark.parametrize("wrong", sorted(HH_BLOCKS))
-def test_verify_hochschild_reaches_both_blocks(capsys, monkeypatch, wrong):
-    # A cokernel wrong for one block alone, R x R/p, fails both the even
-    # and the odd degree that read that block, and no other verify line.
-    from cychom import homology
-    from cychom.linalg import ModuleShape
-
-    real = homology.cokernel_shape
-    bad = ModuleShape((1,), free_rank=1)
-    monkeypatch.setattr(homology, "cokernel_shape", lambda rows: bad if rows == HH_BLOCKS[wrong] else real(rows))
-    code, out, _ = run(capsys, ["verify", "--prime", "3"])
-    lines = out.splitlines()
-    assert code == 3 and lines[-1] == "2 failure(s)"
-    assert [line for line in lines if "hochschild" in line] == HH_LINES[wrong]
 
 
 def test_coeffs_rows_match_phi_coeffs(capsys):
@@ -1126,6 +1083,9 @@ NOT_LOADED = [
     # The package resolves its re-exports on first use, and the CLI imports
     # homology inside the commands that call it.
     ({"cychom.linalg", "cychom.homology"}, ("closed forms", "hh", "hc", "hcneg", "hp", "coeffs", "verify")),
+    # Only cokernel_shape uses a heap, and only verify's colimit
+    # presentations call it.
+    ({"heapq"}, ("verify",)),
 ]
 
 

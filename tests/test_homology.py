@@ -453,11 +453,11 @@ def test_hp_stabilization():
 @pytest.mark.parametrize("hc_max", [1, 0, -2])
 def test_verify_checks_refuses_hc_max_below_2_before_any_record(hc_max):
     # Degree 2 is the first that the hc records and the stabilization's
-    # heads read: a smaller hc_max is refused before the Hochschild records,
-    # not after them.
+    # heads read: a smaller hc_max is refused before the first record, and
+    # hc_max = 2 starts with that degree's.
     with pytest.raises(ValueError, match="hc_max must be >= 2"):
         next(verify_checks(P3, hc_max))
-    assert next(verify_checks(P3, 2)) == Check("hochschild degree 0", True, "")
+    assert next(verify_checks(P3, 2)) == Check("hc degree 2", True, "")
 
 
 @pytest.mark.parametrize("p, i_max, tested", [(P3, 14, [2, 6, 8, 12, 14]), (P5, 26, [2, 4, 8, 10, 12, 14, 18, 20, 22, 24])])

@@ -273,8 +273,9 @@ def _forests(draw):
     return Prime(p), n_cols, rows
 
 
-# The HH block of a positive even degree, and the colimit presentation at
-# i = 5: a star in column 0 with a pendant modulus on each row.
+# The SNF anchor [[p, 2], [0, p]] (acceptance criterion 2), and the colimit
+# presentation at i = 5: a star in column 0 with a pendant modulus on each
+# row.
 @example((Prime(5), 2, [{0: 5, 1: 2}, {1: 5}]))
 @example((P3, 4, [{0: 3**6}, {0: 3**6, 1: 1}, {0: 3**4, 2: 3}, {0: 3**2, 3: 5}]))
 @settings(max_examples=300, deadline=None)

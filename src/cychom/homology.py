@@ -302,12 +302,11 @@ def connes_length_check(lengths: list[int]) -> Check:
 def hp_stabilization_check(heads: list[int]) -> Check:
     """Watch finite cyclic homology converge onto the periodic closed form.
 
-    ``heads`` are the oracle's largest exponents at the even degrees i >= 2
-    with i-1 in Z1, in degree order.  There HC_i is R/p^(a_{i-1}+2) times
-    the periodic torsion cut at i-1; the ``hc degree i`` check compares
-    exactly that, the closed form, with the oracle.  What no one degree
-    states is left here: the heads must never fall.  The detail names each
-    fall.
+    ``heads`` are the largest exponents of the oracle's HC shapes in the
+    even degrees 0, 2, 4, ..., in order.  HH vanishes in odd degrees, so
+    Connes' SBI sequence makes HC_{i-2} a quotient of HC_i: the heads never
+    fall, in covered degrees or not.  Along the Z1 degrees the ``hc
+    degree`` records compare them too.  The detail names each fall.
     """
     falls = [f"head exponents decrease: {prev} -> {nxt}" for prev, nxt in zip(heads, heads[1:]) if nxt < prev]
     return Check("hp stabilization", not falls, "; ".join(falls))
@@ -315,28 +314,28 @@ def hp_stabilization_check(heads: list[int]) -> Check:
 
 def verify_checks(p: Prime, hc_max: int) -> Iterator[Check]:
     """The ``verify`` battery, one check at a time: oracle against closed
-    form, whose tail is HP's, in every even degree 2..hc_max, both shapes
-    named on a mismatch only; the Connes lengths and the stabilization's
-    heads; the kernel generators at the first three Z2 indices past 1,
-    each asked of ``in_z2`` in turn, so no member list is made; and the
-    colimit presentation at every odd index below min(hc_max, 12).
-    Hochschild homology has one route, its closed form, so no record.
-    One walk to hc_max gives the oracle's shapes, a block at a time: each
-    is dropped once its ``hc degree`` record is out, and only its
-    p-length, its head past a Z1 member and the shapes up to degree 12
-    are kept.  hc_max < 2 raises before the first record."""
+    form, whose tail is HP's, in every even degree 2..hc_max, both
+    shapes named on a mismatch only; the Connes lengths and every even
+    degree's head; the kernel generators at the first three Z2 indices
+    past 1, each asked of ``in_z2`` in turn, so no member list is made;
+    and the colimit presentation at every odd index below
+    min(hc_max, 12).  Hochschild homology has one route, its closed
+    form, so no record.  One walk to hc_max gives the oracle's shapes, a
+    block at a time: each is dropped once its ``hc degree`` record is
+    out, and only each p-length and head, and the shapes up to degree
+    12, are kept.  Z1 membership is asked in ``hc_closed_form`` alone.
+    hc_max < 2 raises before the first record."""
     if hc_max < 2:
         raise ValueError("hc_max must be >= 2")
     lengths, heads, low = [], [], []
     for i, (pivots, tail) in zip(count(0, 2), _hc_walk(p, hc_max)):
         shape = ModuleShape(pivots + Counter(tail))
         lengths.append(shape.p_length)
+        heads.append(shape.torsion[0][0])
         if i <= 12:
             low.append(shape)
         if i == 0:
             continue
-        if in_z1(p, i - 1):
-            heads.append(shape.torsion[0][0])
         closed = hc_closed_form(p, i)
         if closed is None:
             yield Check(f"hc degree {i}", True, "not covered by a closed form")

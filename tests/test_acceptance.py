@@ -146,13 +146,13 @@ def test_criterion_9_kernel_generators():
 
 
 def test_criterion_10_stabilization():
-    # The heads of one walk's blocks at the degrees 2 <= i <= 40 with i - 1
-    # in Z1, read as the walk reaches them.
+    # The heads of one walk's blocks at every even degree 0 <= i <= 40,
+    # read as the walk reaches them.
     ok = True
     for p in (Prime(3), Prime(5)):
         shapes = (ModuleShape(pivots + Counter(tail)) for pivots, tail in _hc_walk(p, 40))
-        heads = [shape.torsion[0][0] for i, shape in zip(range(0, 41, 2), shapes) if i and in_z1(p, i - 1)]
-        ok = ok and len(heads) > 10 and hp_stabilization_check(heads).ok
+        heads = [shape.torsion[0][0] for shape in shapes]
+        ok = ok and len(heads) == 21 and hp_stabilization_check(heads).ok
     for m in (2, 6, 8):
         ok = ok and hc_neg_truncation_probe(Prime(3), m, m + 6).ok
     _criterion(10, "HP stabilization for p in {3,5} to degree 40; truncation probes m in {2,6,8}", ok)

@@ -6,7 +6,8 @@ import math
 import os
 import subprocess
 import sys
-from itertools import compress
+from collections import Counter
+from itertools import compress, count
 from pathlib import Path
 
 import pytest
@@ -142,11 +143,7 @@ def test_verify_reports_mismatch_with_exit_3(capsys, monkeypatch):
 
 
 def _force(monkeypatch, kind: str) -> None:
-    """Make the checks of one kind fail, each through what only it reads.
-
-    The stabilization check has no such input: the oracle's heads are
-    read by the hc records too, and its failing detail is pinned in
-    ``test_homology``."""
+    """Make the checks of one kind fail, each through what only it reads."""
     from cychom import homology
     from cychom.linalg import ModuleShape
 
@@ -158,6 +155,21 @@ def _force(monkeypatch, kind: str) -> None:
         monkeypatch.setattr(ModuleShape, "p_length", property(lambda shape: 3))
     elif kind == "kernel generators":
         monkeypatch.setattr(homology, "submodule_equal_mod", lambda *args: False)
+    elif kind == "hp stabilization":
+        # HC_28, which no closed form covers, with its head one lower and
+        # the box a new R/p, so its p-length stays 29.
+        real = homology._hc_walk
+
+        def skewed(p, i_max):
+            for i, (pivots, tail) in zip(count(0, 2), real(p, i_max)):
+                if i == 28:
+                    pivots, tail = pivots + Counter(tail), []
+                    head = max(pivots)
+                    pivots[head] -= 1
+                    pivots.update([head - 1, 1])
+                yield pivots, tail
+
+        monkeypatch.setattr(homology, "_hc_walk", skewed)
     else:
         # A relation p times too large in its head, one more in its
         # valuation, rebuilds a wrong module.
@@ -192,6 +204,7 @@ VERIFY_LINES = {
         "FAIL connes length recursion: degree 0: length 3 != 1; "
         + "; ".join(f"degree {i}: length 3 != {i + 1}" for i in range(4, 41, 2))
     ],
+    "hp stabilization": ["FAIL hp stabilization: head exponents decrease: 22 -> 21"],
     "kernel generators": ["FAIL kernel generators at 5", "FAIL kernel generators at 7", "FAIL kernel generators at 11"],
     "colimit presentation": ["FAIL colimit presentation 1: rebuilt R/p^4 vs oracle R/p^3"],
 }

@@ -305,19 +305,19 @@ def test_sequences_are_p_local(p):
         assert b_val(p, j) >= 0
 
 
-def test_padic_rational_residue():
+def test_residue_of_a_fraction():
     # 81 * 5^{-1} mod 3^6: inverse of 5 mod 729 is 146, 81*146 = 11826 = 162 mod 729
     assert residue(Fraction(81, 5), 3**6) == (81 * pow(5, -1, 3**6)) % 3**6
     assert residue(Fraction(0), 27) == 0
 
 
-def test_padic_rational_rejects_bad_residue():
+def test_residue_rejects_a_non_invertible_denominator():
     # pow(3, -1, 27) would refuse too; the message shows residue's own check.
     with pytest.raises(ValueError, match="denominator not invertible"):
         residue(Fraction(1, 3), 27)
 
 
-def test_padic_rational_reduced_and_cached():
+def test_residue_of_an_unreduced_fraction():
     # A rational is held in lowest terms, so an unreduced input has the same
     # residue and valuation as its reduced form; 1/3 is not 3-local.
     x = Fraction(18, 12)

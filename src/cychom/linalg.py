@@ -11,20 +11,23 @@ reads the cokernel off rows of {column: valuation}, and
 ``staircase_cokernels`` every leading square block of a staircase off its
 path of valuations, in one walk with a stack of small ints: the oracle.
 
-``snf``, the classical elimination over Z on a dense ``IntMatrix``, is
-the package's one integer engine.  It is the kernel of
-``submodule_equal_mod``, which compares submodules of a product of
-p-power cyclic groups by the lengths of their quotients.  Over Z such a
-quotient is a finite p-group, so each of its invariant factors is a power
-of p and their valuations sum to its length, with no precision to choose.
-The tests hold the valuation routes to ``snf`` too.  Everything runs over
-plain Python integers: no overflow, no floats, no tolerances.
+``snf``, elimination over Z on a dense ``IntMatrix``, is the package's
+one integer engine.  It only diagonalizes: any diagonal gives the
+invariant factors, as Z/a x Z/b = Z/gcd(a, b) x Z/lcm(a, b).  It is
+the kernel of ``submodule_equal_mod``, which compares submodules of a
+product of p-power cyclic groups by the lengths of their quotients.
+Over Z such a quotient is a finite p-group, so each of its invariant
+factors is a power of p and their valuations sum to its length, with no
+precision to choose.  The tests hold the valuation routes to ``snf``
+too.  Everything runs over plain Python integers: no overflow, no
+floats, no tolerances.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Mapping
+from math import gcd
 
 from .padic import Prime, vp
 
@@ -50,81 +53,45 @@ SnfResult = namedtuple("SnfResult", "invariant_factors")
 SnfResult.__doc__ = """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix."""
 
 
-def _pivot(a: list[list[int]], t: int, rows: int, cols: int) -> tuple[int, int] | None:
-    # Minimal |entry| in the trailing block, ties broken by row then column.
-    best = None
-    best_val = None
-    for i in range(t, rows):
-        for j in range(t, cols):
-            v = abs(a[i][j])
-            if v and (best_val is None or v < best_val):
-                best, best_val = (i, j), v
-                if v == 1:
-                    return best
-    return best
-
-
 def snf(m: IntMatrix) -> SnfResult:
     """Smith normal form invariant factors, canonical (positive, dividing).
+
+    Row and column operations bring the matrix to a diagonal with the
+    same cokernel over Z.  That diagonal need not divide, but Z/a x Z/b
+    = Z/gcd(a, b) x Z/lcm(a, b): taking (gcd, lcm) of each pair s < t in
+    turn leaves d_s dividing every later entry.
 
     >>> snf(IntMatrix([[3, 2], [0, 3]])).invariant_factors
     (1, 9)
     """
-    a = [row[:] for row in m.data]
-    rows, cols = m.rows, m.cols
-    factors: list[int] = []
-    t = 0
-    while t < min(rows, cols):
-        pos = _pivot(a, t, rows, cols)
-        if pos is None:
-            break
-        pi, pj = pos
-        a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-        # Clear row and column t.  Division remainders stay behind in the
-        # pivot row/column and are strictly smaller than the pivot, so
-        # re-pivoting on the minimum terminates.
-        while True:
-            pivot = a[t][t]
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // pivot
-                    for j in range(t, cols):
-                        a[i][j] -= q * a[t][j]
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // pivot
-                    for i in range(t, rows):
-                        a[i][j] -= q * a[i][t]
-            if not any(a[i][t] for i in range(t + 1, rows)) and not any(
-                a[t][j] for j in range(t + 1, cols)
-            ):
-                break
-            pi, pj = _pivot(a, t, rows, cols)
-            a[t], a[pi] = a[pi], a[t]
-            if pj != t:
+    a = [row[:] for row in m.data if any(row)]
+    diagonal: list[int] = []
+    while a:
+        # The least nonzero |entry| pivots.  The two passes leave only
+        # remainders, smaller than it, in its column and its row; if one
+        # is nonzero the least |entry| has fallen, so picking again ends.
+        _, i, j = min((abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x)
+        prow = a[i]
+        pivot = prow[j]
+        for row in a:
+            if row is not prow and row[j]:
+                q = row[j] // pivot
+                row[:] = [x - q * y for x, y in zip(row, prow)]
+        for k, y in enumerate(prow):
+            if k != j and y:
+                q = y // pivot
                 for row in a:
-                    row[t], row[pj] = row[pj], row[t]
-        # Enforce divisibility into the trailing block: fold any bad entry
-        # into column t and redo the elimination at this step.
-        pivot = abs(a[t][t])
-        bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % pivot:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            for j in range(t, cols):
-                a[t][j] += a[bad][j]
+                    row[k] -= q * row[j]
+        if any(row[j] for row in a if row is not prow) or any(prow[:j] + prow[j + 1 :]):
             continue
-        factors.append(pivot)
-        t += 1
-    return SnfResult(tuple(factors))
+        diagonal.append(abs(pivot))
+        del a[i]
+        a = [row[:j] + row[j + 1 :] for row in a if any(row)]
+    for s in range(len(diagonal)):
+        for t in range(s + 1, len(diagonal)):
+            g = gcd(diagonal[s], diagonal[t])
+            diagonal[s], diagonal[t] = g, diagonal[s] * diagonal[t] // g
+    return SnfResult(tuple(diagonal))
 
 
 class ModuleShape(namedtuple("ModuleShape", "torsion free_rank complete_rank n_max")):

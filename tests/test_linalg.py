@@ -59,10 +59,18 @@ def test_snf_basics():
     assert snf(IntMatrix([[3, 0], [1, 9]])).invariant_factors == (1, 27)
     assert snf(IntMatrix([[0, 0]] * 3)).invariant_factors == ()
     assert snf(IntMatrix([], rows=0, cols=0)).invariant_factors == ()
+    # A diagonal that does not divide: the gcd/lcm pass.
+    assert snf(IntMatrix([[2, 0], [0, 3]])).invariant_factors == (1, 6)
+    assert snf(IntMatrix([[4, 0], [0, 6]])).invariant_factors == (2, 12)
+    # The first pivot leaves a remainder in its row, so it does not split.
+    assert snf(IntMatrix([[2, 3]])).invariant_factors == (1,)
+    # The second row goes to zero during the elimination.
+    assert snf(IntMatrix([[2, 4], [1, 2]])).invariant_factors == (1,)
 
 
 def test_snf_divisibility_and_sign():
     res = snf(IntMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
+    assert res.invariant_factors == (2, 2, 156)
     assert all(res.invariant_factors[k + 1] % res.invariant_factors[k] == 0 for k in range(len(res.invariant_factors) - 1))
     assert all(d > 0 for d in res.invariant_factors)
 
@@ -667,7 +675,7 @@ def test_submodule_verdict_ignores_a_column_no_generator_touches(case, e, data):
     assert submodule_equal_mod(p, shifted(rows_a), shifted(rows_b), wider) == verdict
 
 
-def test_intmatrix_validation_and_det():
+def test_intmatrix_validation_and_the_det_helper():
     # IntMatrix only carries snf's input.
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])

@@ -68,6 +68,7 @@ REMOVED_FUNCTIONS = [
     ("gaps", "_pow_upper"),
     ("gaps", "_exact_exponent"),
     ("linalg", "local_snf"),
+    ("linalg", "_pivot"),
 ]
 REMOVED_MEMBERS = [
     ("linalg", "IntMatrix", "identity"),

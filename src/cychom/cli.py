@@ -21,7 +21,7 @@ scalars of a payload itself and imports json only for the rest.
 
 Importing this module loads only ``padic`` and ``gaps``: the commands
 that need ``homology`` (and through it ``linalg``) import it when they
-run, so ``zsets`` and ``density`` never load either.
+run, so ``zsets``, ``density`` and ``coeffs`` never load either.
 
 ``entry`` is the process entry of ``python -m cychom`` and of the
 installed ``cychom`` script: it runs ``main`` and freezes the collector
@@ -40,7 +40,7 @@ from math import floor, inf, isfinite, isqrt, nextafter
 from operator import attrgetter
 from types import SimpleNamespace
 
-from . import gaps
+from . import gaps, padic
 from .padic import Prime
 
 
@@ -492,14 +492,21 @@ def _decimals_down(bound) -> str:
 
 
 def cmd_coeffs(p: Prime, args):
-    from . import homology
-
     j, i = args.j, args.i
     # The largest odd j, a valid --j, with j^2 * max(bits of p, 10) <= COEFFS_MAX^2 * 10.
     ceiling = (isqrt(COEFFS_MAX**2 * 10 // max(p.p.bit_length(), 10)) - 1) | 1
     _cap(f"--j at p = {p.p}", j, ceiling, "coeffs prints about j^2 log p digits")
     _cap("--i", i, COEFFS_MAX, "coeffs prints a row per odd n <= i")
-    head, head_valuation, rows = homology.phi_coeff_texts(p, j, i)
+    padic._check_phi_indices(j, i)
+    # Every exact product is made here, each text as its row is read: X_j,
+    # then X_{j-n} = B_{j-n} with b_{j-n} at each odd n <= j, zero past j.
+    parts = padic.staircase_parts(p, j)
+    head = "".join(next(parts))
+    rows = chain(
+        ((n, value, padic.b_val(p, j - n)) for n, value in zip(range(1, j + 1, 2), parts)),
+        ((n, ("0",), None) for n in range(j + 2, i + 1, 2)),
+    )
+    head_valuation = padic.a_val(p, j)
     # Both are lazy, and only the one the format writes reads the rows.
     payload = {
         "prime": args.prime,

@@ -1,9 +1,18 @@
 """Hochschild, cyclic, negative cyclic, and periodic homology of R//p over R.
 
 R//p is the universal differential graded algebra R[x], |x| = 1, dx = p,
-over a p-torsion-free Z_(p)-algebra R.  After reducing the standard
-bicomplexes, every homology module in sight is the cokernel of an explicit
-lower-bidiagonal integer "staircase" matrix:
+over a p-torsion-free Z_(p)-algebra R.  It is the tensor algebra on x, so
+Loday's small mixed complex gives its homology (Cyclic Homology, 3.1):
+alpha_0 = 1, alpha_m = x^m and beta_m = x^(m-1) (x) x for m >= 1, with
+b(beta_m) = 2 alpha_m and d(beta_m) = p beta_(m-1) for even m,
+B(alpha_m) = m beta_m and d(alpha_m) = p alpha_(m-1) for odd m, else 0.
+Along its one path, the boundary into even degree N reads p, 2, p,
+N - 1, p, 2, p, N - 3, ..., p, 2, p, 1, p.  Each 2, a unit at odd p,
+merges its neighbours p, p into one entry of valuation 2; what is left,
+read from the other end, is ``_staircase(p, 1, 2, 0, N/2 + 1)``, and the
+negative complex's truncations reduce alike.  So every homology module
+in sight is the cokernel of an explicit lower-bidiagonal "staircase"
+matrix:
 
   * cyclic, even degree i > 0:   (i/2+1)-square, diagonal (p, p^2, ..., p^2),
     subdiagonal (1, 3, 5, ..., i-1);
@@ -20,10 +29,9 @@ Independently, closed-form decompositions are available whenever
 the degree avoids the gap windows of :mod:`cychom.gaps`; they are driven by
 the coefficient sequences of :mod:`cychom.padic`.  The verify_* operations
 pit the two routes against each other.  Hochschild homology is a closed
-form alone.  The reduction itself, from the Hochschild and mixed
-complexes to these staircases, is checked in the tests: they build the
-normalized mixed complex of R//p from its chains and hold HH and the
-oracle's HC to its homology in low degrees.
+form alone.  The tests hold the small complex (``tests/small_complex.py``)
+to the chain-level mixed complex in low degrees, and HH, HC and the
+negative staircase's blocks to it at every degree of a sweep.
 
 Degree bookkeeping: the staircase colimit with top odd index i computes
 cyclic homology in degree i+1; the kernel of the limit over the colimit at
@@ -46,7 +54,7 @@ from .linalg import (
     staircase_cokernels,
     submodule_equal_mod,
 )
-from .padic import Prime, a_val, b_val, odd_valuations, seq_a, staircase_parts, staircase_residue, vp
+from .padic import Prime, _check_phi_indices, a_val, b_val, odd_valuations, seq_a, staircase_residue, vp
 
 
 HomologyResult = namedtuple("HomologyResult", "theory degree shape method")
@@ -175,11 +183,6 @@ colimit with top index i: a head entry (a Fraction) plus one
 (odd modulus n, Fraction) pair per component."""
 
 
-def _check_phi_indices(j: int, i: int) -> None:
-    if j % 2 == 0 or i % 2 == 0 or j < 1 or i < j:
-        raise ValueError("need odd indices 1 <= j <= i")
-
-
 def phi_coeffs(p: Prime, j: int, i: int) -> CoeffVector:
     """The image of the index-j generator in R + R/1 + R/3 + ... + R/i.
 
@@ -196,27 +199,6 @@ def phi_coeffs(p: Prime, j: int, i: int) -> CoeffVector:
         b.append(b[-1] * p2 / k)
     comps = tuple((n, b[(j - n) // 2] if n <= j else Fraction(0)) for n in range(1, i + 1, 2))
     return CoeffVector(seq_a(p, j), comps)
-
-
-def phi_coeff_texts(p: Prime, j: int, i: int) -> tuple[str, int, Iterator[tuple[int, tuple[str, ...], int | None]]]:
-    """``phi_coeffs(p, j, i)`` in decimal text: (head, head valuation, rows).
-
-    A row is (n, value, valuation) for each odd n <= i, in order, with the
-    value the parts whose join is ``str`` of its Fraction (digits and "/"
-    only) and valuation None for a zero component.  The texts come from
-    ``staircase_parts``, in time linear in the digits, and the valuations
-    from ``a_val``/``b_val``; no Fraction is built.  The rows come lazily,
-    each text made as its row is read, but every exact product is made
-    before this returns.
-    """
-    _check_phi_indices(j, i)
-    parts = staircase_parts(p, j)
-    head = "".join(next(parts))
-    rows = chain(
-        ((n, value, b_val(p, j - n)) for n, value in zip(range(1, j + 1, 2), parts)),
-        ((n, ("0",), None) for n in range(j + 2, i + 1, 2)),
-    )
-    return head, a_val(p, j), rows
 
 
 def _colimit_rows(p: Prime, i: int) -> list[dict[int, int]]:

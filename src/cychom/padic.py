@@ -180,6 +180,11 @@ def seq_b(p: Prime, j: int) -> Fraction:
     return Fraction(p.p**j, prod(range(j, 0, -2)))
 
 
+def _check_phi_indices(j: int, i: int) -> None:
+    if j % 2 == 0 or i % 2 == 0 or j < 1 or i < j:
+        raise ValueError("need odd indices 1 <= j <= i")
+
+
 def staircase_parts(p: Prime, j: int) -> Iterator[tuple[str, ...]]:
     """The texts ``str(Fraction(p**k, k!!))`` of X_j, X_{j-1}, X_{j-3}, ...
     in parts: (numerator,) for an integer X_k, else (numerator, "/",

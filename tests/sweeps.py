@@ -23,6 +23,9 @@ SIZES = {
     # Every degree of the mixed complex of R//p, built from its chains,
     # against hochschild and the oracle, and its three identities.
     "tests/test_mixed_complex.py::test_complex_gives_hh_and_hc_at_every_degree_of_the_sweep": (12, 16),
+    # Every degree of Loday's small mixed complex of R//p against
+    # hochschild and the oracle, odd degrees included.
+    "tests/test_small_complex.py::test_small_complex_gives_hh_and_hc_at_every_degree_of_the_sweep": (400, 800),
 }
 
 WIDE = os.environ.get("CYCHOM_WIDE") == "1"

@@ -849,12 +849,12 @@ def _start(*args, **kwargs):
 
 def _forbid(monkeypatch, work: str) -> None:
     """Make each function named in ``work`` raise WorkStarted: a homology
-    function, or a function of gaps named with its module."""
-    from cychom import gaps, homology
+    function, or a function of gaps or padic named with its module."""
+    from cychom import gaps, homology, padic
 
     for name in work.split():
         module, _, attr = name.rpartition(".")
-        monkeypatch.setattr({"": homology, "gaps": gaps}[module], attr, _start)
+        monkeypatch.setattr({"": homology, "gaps": gaps, "padic": padic}[module], attr, _start)
 
 
 _N_MAX = "the answer lists a torsion exponent per odd multiple of p up to --n-max, so"
@@ -872,9 +872,9 @@ REFUSED = [
      "the probe walks a staircase of that size, so --truncation is capped at 500000; got 500001"),
     ("verify --prime 3 --hc-max 10002", "_hc_walk", "verify --prime 3 --hc-max 10000",
      "verify runs the oracle at every even degree up to --hc-max, so --hc-max is capped at 10000; got 10002"),
-    ("coeffs --prime 3 --j 8003 --i 8003", "phi_coeff_texts", "coeffs --prime 3 --j 8001 --i 8001",
+    ("coeffs --prime 3 --j 8003 --i 8003", "padic.staircase_parts", "coeffs --prime 3 --j 8001 --i 8001",
      f"{_J} 3 is capped at 8001; got 8003"),
-    ("coeffs --prime 3 --j 3 --i 8003", "phi_coeff_texts", "coeffs --prime 3 --j 3 --i 8001",
+    ("coeffs --prime 3 --j 3 --i 8003", "padic.staircase_parts", "coeffs --prime 3 --j 3 --i 8001",
      "coeffs prints a row per odd n <= i, so --i is capped at 8001; got 8003"),
     ("zsets --prime 3 --max 10000001", "gaps.member_mask", "zsets --prime 3 --max 10000000",
      "zsets lists every member, so --max is capped at 10000000; got 10000001"),
@@ -891,7 +891,7 @@ REFUSED = [
     # A p past 10 bits lowers the ceiling of --j to what --j 8001 prints at
     # p = 1009, to an odd j; 3317044064679887385961813 is near the top of
     # Prime's range.
-    *((f"coeffs --prime {p} --j {j + 2} --i {j + 2}", "phi_coeff_texts", f"coeffs --prime {p} --j {j} --i {j}",
+    *((f"coeffs --prime {p} --j {j + 2} --i {j + 2}", "padic.staircase_parts", f"coeffs --prime {p} --j {j} --i {j}",
        f"{_J} {p} is capped at {j}; got {j + 2}")
       for p, j in ((1009, 8001), (1021, 8001), (10**9 + 7, 4619), (3317044064679887385961813, 2793))),
     # verify checks --hc-max before any check.
@@ -928,8 +928,8 @@ CAPPED = [
     (["verify", "--prime", "3", "--hc-max"], "VERIFY_MAX_HC", "_hc_walk"),
     (["hp", "--prime", "3", "--degree", "0", "--n-max"], "PRODUCT_MAX_N", "hp"),
     (["hcneg", "--prime", "3", "--degree", "6", "--n-max"], "PRODUCT_MAX_N", "hc_neg_closed_form"),
-    (["coeffs", "--prime", "3", "--i", str(cli.COEFFS_MAX), "--j"], "COEFFS_MAX", "staircase_parts"),
-    (["coeffs", "--prime", "3", "--j", "3", "--i"], "COEFFS_MAX", "phi_coeff_texts"),
+    (["coeffs", "--prime", "3", "--i", str(cli.COEFFS_MAX), "--j"], "COEFFS_MAX", "padic.staircase_parts"),
+    (["coeffs", "--prime", "3", "--j", "3", "--i"], "COEFFS_MAX", "padic.staircase_parts"),
     (["density", "--prime", "3", "--max"], "DENSITY_MAX", "gaps.density_bounds"),
 ]
 
@@ -949,7 +949,7 @@ def test_sizes_above_ceiling_refused_before_allocating(capsys, monkeypatch, argv
 def test_coeffs_caps_j_by_its_digits_before_any_coefficient(capsys, monkeypatch):
     # Every p below 1024 keeps --j at COEFFS_MAX; past 10 bits the ceiling
     # falls with the digits, and at 10^9+7 it refuses COEFFS_MAX itself.
-    _forbid(monkeypatch, "phi_coeff_texts")
+    _forbid(monkeypatch, "padic.staircase_parts")
     for fmt in ("table", "json", "csv"):
         argv = ["coeffs", "--prime", "1000000007", "--j", str(cli.COEFFS_MAX), "--i", str(cli.COEFFS_MAX), "--format", fmt]
         assert run(capsys, argv) == (1, "", f"error: {_J} 1000000007 is capped at 4619; got {cli.COEFFS_MAX}\n")
@@ -1094,8 +1094,8 @@ NOT_LOADED = [
     ({"fractions"}, ("density",)),
     ({"decimal"}, ("density", "coeffs")),
     # The package resolves its re-exports on first use, and the CLI imports
-    # homology inside the commands that call it.
-    ({"cychom.linalg", "cychom.homology"}, ("closed forms", "hh", "hc", "hcneg", "hp", "coeffs", "verify")),
+    # homology inside the commands that call it; coeffs reads padic alone.
+    ({"cychom.linalg", "cychom.homology"}, ("closed forms", "hh", "hc", "hcneg", "hp", "verify")),
     # Only cokernel_shape uses a heap, and only verify's colimit
     # presentations call it.
     ({"heapq"}, ("verify",)),

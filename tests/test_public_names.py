@@ -69,6 +69,7 @@ REMOVED_FUNCTIONS = [
     ("gaps", "_exact_exponent"),
     ("linalg", "local_snf"),
     ("linalg", "_pivot"),
+    ("homology", "phi_coeff_texts"),
 ]
 REMOVED_MEMBERS = [
     ("linalg", "IntMatrix", "identity"),

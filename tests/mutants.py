@@ -1,0 +1,236 @@
+"""Mutants as a checked table: each row of ``MUTANTS`` is a one-place change
+to the package or to a test reference, and the test that must fail under
+it.  Run it from anywhere, with no options:
+
+    python tests/mutants.py
+
+For each row it copies the checkout, less its history and caches, to a
+fresh temporary directory, replaces the row's old text by its new text,
+and runs only the row's test node there (``python -m pytest NODE`` with
+``PYTHONPATH=src``, at tier-1's sizes).  The row is killed when the node
+fails, or when it is still running at the row's timeout: a mutant that
+never ends, such as ``snf`` without its column pass, would hang any
+suite that reaches it.  First it runs every node once on an unmutated
+copy, where each must pass.  It prints a line a row and exits 1 if a
+mutant survives, if pytest cannot run a node (a usage or collection
+error kills nothing), or if a row's old text does not occur exactly once
+in its file.
+
+``EQUIVALENT`` lists mutants that no test can kill, each with its reason;
+they are not run.  ``tests/test_mutants.py`` checks in tier-1 that the old
+text of every row of both tables still occurs exactly once, so a change
+that moves one updates its row with the code.
+"""
+
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+# Left out of each copy: history and caches, which no test reads.
+SKIPPED = (".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks")
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str  # relative to the checkout's root
+    old: str  # occurs exactly once in the file
+    new: str
+    node: str  # the pytest node that must fail
+    timeout: float  # seconds; a node still running then counts as killed
+
+
+class Equivalent(NamedTuple):
+    id: str
+    file: str
+    old: str
+    new: str
+    reason: str
+
+
+CLI, HOMOLOGY, LINALG, PADIC = (f"src/cychom/{name}.py" for name in ("cli", "homology", "linalg", "padic"))
+LOADS = "tests/test_cli.py::test_loads_no_module_it_does_not_run"
+REFUSED = "tests/test_cli.py::test_refused_with_one_error_line_before_any_work"
+MIXED, SMALL = "tests/mixed_complex.py", "tests/small_complex.py"
+B_SIGN = "(-1) ** (n * i + s * (total - s))"
+DELTA_ON_BETA = '    if kind == "b" and m % 2 == 0:\n        return {("b", m - 1): q}\n'
+RESCALE = (
+    "            if u != 1:\n"
+    "                for c, a in row.items():\n"
+    "                    if c not in pivot_row:\n"
+    "                        row[c] = a * u\n"
+)
+PUSH = "                    row_vals[c] = vz\n                    heapq.heappush(heap, (vz, r, c))\n"
+HEAD = "        heads.append(shape.torsion[0][0])\n"
+
+MUTANTS = [
+    # The CLI's contracts: what each command loads, and what it refuses
+    # before any work.
+    Mutant("homology imports typing", HOMOLOGY, "from collections import Counter, namedtuple\n",
+           "import typing\nfrom collections import Counter, namedtuple\n", f"{LOADS}[hh]", 300),
+    Mutant("cli imports json at start-up", CLI, "import gc\n", "import gc\nimport json\n", f"{LOADS}[hc]", 300),
+    Mutant("cli imports homology at start-up", CLI, "from operator import attrgetter\n",
+           "from operator import attrgetter\n\nfrom . import homology\n", f"{LOADS}[import]", 300),
+    Mutant("hcneg computes its closed form before the truncation checks", CLI,
+           "    if args.truncation is not None:\n        if args.degree < 2",
+           "    homology.hc_neg_closed_form(p, args.degree, _n_max(args))\n"
+           "    if args.truncation is not None:\n        if args.degree < 2",
+           f"{REFUSED}[hcneg --prime 3 --degree 6 --truncation 500001]", 300),
+    Mutant("a cap refuses only past ceiling + 1", CLI, "    if value > ceiling:\n", "    if value > ceiling + 1:\n",
+           f"{REFUSED}[hc --prime 3 --degree 1000001]", 300),
+    Mutant("a cap refuses the ceiling itself", CLI, "    if value > ceiling:\n", "    if value >= ceiling:\n",
+           f"{REFUSED}[zsets --prime 3 --max 10000001]", 300),
+    Mutant("Prime takes the Miller-Rabin bound", PADIC, "    if n >= _MR_LIMIT:", "    if n > _MR_LIMIT:",
+           "tests/test_padic.py::test_prime_refuses_beyond_certified_range", 300),
+    # verify's kernel generator check.
+    Mutant("kernel generators over no range", HOMOLOGY, "verify_kernel_generators(p, i, upto=8)",
+           "verify_kernel_generators(p, i, upto=0)",
+           "tests/test_homology.py::test_verify_kernel_generator_indices_are_the_first_three_z2_members_past_1", 300),
+    Mutant("kernel generators' head modulo p^(a_i + 1)", HOMOLOGY, "head_mod = p.p ** (a_val(p, i) + 6)",
+           "head_mod = p.p ** (a_val(p, i) + 1)",
+           "tests/test_homology.py::test_verify_kernel_generator_check_takes_five_generators_mod_p_to_the_a_i_plus_6",
+           300),
+    Mutant("submodule length skips the first factor", LINALG,
+           "snf(IntMatrix(dense, cols=width)).invariant_factors)",
+           "snf(IntMatrix(dense, cols=width)).invariant_factors[1:])",
+           "tests/test_linalg.py::test_submodule_detects_strict_containment", 300),
+    Mutant("submodule length without the moduli", LINALG, "for row in rows + scaffold]", "for row in rows]",
+           "tests/test_linalg.py::test_submodule_equal_trivialities", 300),
+    Mutant("submodules compared without A + B", LINALG,
+           "return length(rows_a) == length(rows_a + rows_b) == length(rows_b)",
+           "return length(rows_a) == length(rows_b)",
+           "tests/test_linalg.py::test_submodule_equal_trivialities", 300),
+    # The chain-level mixed complex and Hochschild homology.
+    Mutant("b's wrap-around sign flipped", MIXED, "(-1) ** (n + chain[n] * sum(chain[:n])))",
+           "-(-1) ** (n + chain[n] * sum(chain[:n])))",
+           "tests/test_mixed_complex.py::test_complex_gives_hh_and_hc_at_every_degree_of_the_sweep[3]", 300),
+    Mutant("n dropped from delta's sign", MIXED, "p * (-1) ** (n + sum(chain[:i]))", "p * (-1) ** sum(chain[:i])",
+           "tests/test_mixed_complex.py::test_complex_gives_hh_and_hc_at_every_degree_of_the_sweep[3]", 300),
+    *(
+        Mutant(f"B's sign flipped at {at}", MIXED, B_SIGN, f"(-1) ** (n * i + s * (total - s) + ({at}))",
+               "tests/test_mixed_complex.py::test_complex_gives_hh_and_hc_at_every_degree_of_the_sweep[3]", 300)
+        for at in ("i == 0", "i == 1", "i == n")
+    ),
+    Mutant("hochschild answers R/p in positive even degrees", HOMOLOGY, "ModuleShape((2 if i else 1,))",
+           "ModuleShape((1,))", "tests/test_homology.py::test_hochschild_table", 300),
+    # The stabilization check reads every even degree's head.
+    Mutant("heads gated by Z1", HOMOLOGY, HEAD,
+           "        if i == 0 or in_z1(p, i - 1):\n    " + HEAD,
+           "tests/test_homology.py::test_hp_stabilization_reads_the_head_of_every_degree", 300),
+    Mutant("heads read only where a closed form covers", HOMOLOGY, HEAD,
+           "        if i == 0 or hc_closed_form(p, i) is not None:\n    " + HEAD,
+           "tests/test_cli.py::test_verify_writes_its_check_records[hp stabilization]", 300),
+    Mutant("a fall of one is let through", HOMOLOGY, "zip(heads, heads[1:]) if nxt < prev]",
+           "zip(heads, heads[1:]) if nxt < prev - 1]",
+           "tests/test_homology.py::test_hp_stabilization_names_each_fall", 300),
+    # snf: a diagonalization plus the gcd/lcm rule.
+    Mutant("snf without its gcd/lcm pass", LINALG, "    for s in range(len(diagonal)):", "    for s in range(0):",
+           "tests/test_linalg.py::test_snf_basics", 300),
+    Mutant("snf's lcm dropped", LINALG, "diagonal[s], diagonal[t] = g, diagonal[s] * diagonal[t] // g",
+           "diagonal[s], diagonal[t] = g, diagonal[t]", "tests/test_linalg.py::test_snf_matches_gcd_of_minors", 300),
+    Mutant("snf's pivot always splits", LINALG,
+           "        if any(row[j] for row in a if row is not prow) or any(prow[:j] + prow[j + 1 :]):\n"
+           "            continue\n", "", "tests/test_linalg.py::test_snf_anchor_block[3]", 300),
+    # Never ends: the test loops, and the timeout is the kill.
+    Mutant("snf without its column pass", LINALG, "            if k != j and y:", "            if False:",
+           "tests/test_linalg.py::test_snf_anchor_block[3]", 30),
+    # Loday's small mixed complex.
+    Mutant("B's coefficient m read as m + 2", SMALL, '{("b", m): m} if kind == "a"', '{("b", m): m + 2} if kind == "a"',
+           "tests/test_small_complex.py::test_small_complex_has_the_chain_level_homology[3]", 300),
+    Mutant("delta on beta dropped", SMALL, DELTA_ON_BETA, "",
+           "tests/test_small_complex.py::test_small_complex_has_the_chain_level_homology[3]", 300),
+    Mutant("b's 1 - t read as 1 + t", SMALL, '{("a", m): 1 - t}', '{("a", m): 1 + t}',
+           "tests/test_small_complex.py::test_small_complex_has_the_chain_level_homology[3]", 300),
+    # coeffs.
+    Mutant("coeffs reads b_(j-n+2)", CLI, "padic.b_val(p, j - n)", "padic.b_val(p, j - n + 2)",
+           "tests/test_cli.py::test_coeffs_rows_match_phi_coeffs_at_every_odd_j_below_60", 300),
+    Mutant("coeffs without its index check", CLI, "    padic._check_phi_indices(j, i)\n", "",
+           "tests/test_cli.py::test_coeffs_refuses_the_indices_phi_coeffs_refuses", 300),
+    # The walk's reference, local_snf: each is killed by an @example.
+    Mutant("local_snf predicts the larger valuation", "tests/local_snf.py", "vz = min(va, w)", "vz = max(va, w)",
+           "tests/test_linalg.py::test_local_snf_matches_integer_snf_with_non_unit_pivots", 300),
+    Mutant("local_snf does not rescale by the pivot's unit", "tests/local_snf.py", RESCALE, "",
+           "tests/test_linalg.py::test_local_snf_matches_integer_snf_with_non_unit_pivots", 300),
+    Mutant("local_snf loses a valuation that falls", "tests/local_snf.py", PUSH, "                    row_vals[c] = vz\n",
+           "tests/test_linalg.py::test_local_snf_matches_integer_snf_with_non_unit_pivots", 300),
+]
+
+EQUIVALENT = [
+    Equivalent("b's 2 read as 1", SMALL, '{("a", m): 1 - t}', '{("a", m): (1 - t) // 2}',
+               "2 is a unit of Z_(p) at every odd p, and the small complex runs at odd p only"),
+    Equivalent("local_snf rescales by u = 1 too", "tests/local_snf.py", "            if u != 1:\n",
+               "            if True:\n", "the test only skips a loop that would multiply by 1"),
+    Equivalent("the probe's unit factors popped", HOMOLOGY, "    del stable[0]  # the unit factors",
+               "    stable.pop(0, None)  # the unit factors",
+               "stable is a Counter, whose del ignores a missing key as pop(0, None) does"),
+]
+
+
+def _run(nodes: list[str], timeout: float, row: Mutant | None = None) -> tuple[int | None, str]:
+    """pytest's exit code and output on ``nodes`` in a copy of the
+    checkout with ``row`` applied; the code is None if pytest was still
+    running at ``timeout`` seconds."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp, "checkout")
+        shutil.copytree(ROOT, root, ignore=shutil.ignore_patterns(*SKIPPED))
+        if row is not None:
+            path = root / row.file
+            path.write_text(path.read_text().replace(row.old, row.new))
+        env = {k: v for k, v in os.environ.items() if k != "CYCHOM_WIDE"}
+        env.update(PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *nodes]
+        # A session of its own, so a timeout also stops what the node started.
+        with subprocess.Popen(argv, cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                              start_new_session=True) as proc:
+            try:
+                out, _ = proc.communicate(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                out, _ = proc.communicate()
+                return None, out.decode(errors="replace")
+    return proc.returncode, out.decode(errors="replace")
+
+
+def _tail(out: str) -> str:
+    return " | ".join(out.strip().splitlines()[-3:])
+
+
+def main() -> int:
+    misplaced = [
+        f"{row.id}: old text occurs {n} times in {row.file}"
+        for row in MUTANTS + EQUIVALENT
+        if (n := (ROOT / row.file).read_text().count(row.old)) != 1
+    ]
+    if misplaced:
+        print("\n".join(misplaced))
+        return 1
+    start = time.monotonic()
+    # A node that fails on the code as it is would kill every mutant.
+    code, out = _run(list(dict.fromkeys(row.node for row in MUTANTS)), 600)
+    if code != 0:
+        print(f"the nodes fail on the unmutated copy (pytest exit {code}): {_tail(out)}")
+        return 1
+    live = 0
+    for row in MUTANTS:
+        t = time.monotonic()
+        code, out = _run([row.node], row.timeout, row)
+        verdict = {None: "killed (timeout)", 0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+        live += not verdict.startswith("killed")
+        print(f"{time.monotonic() - t:6.1f} s  {verdict:<16}  {row.id}", flush=True)
+        if verdict.startswith("ERROR"):
+            print(f"          {_tail(out)}")
+    print(
+        f"{len(MUTANTS) - live} of {len(MUTANTS)} mutants killed, {len(EQUIVALENT)} equivalent ones not run, "
+        f"in {time.monotonic() - start:.0f} s"
+    )
+    return 1 if live else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,6 +9,7 @@ import sys
 from collections import Counter
 from itertools import compress, count
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -1050,6 +1051,38 @@ def test_coeffs_rows_match_phi_coeffs(capsys):
             assert row["valuation"] == (None if v == 0 else frac_vp(Prime(3), v))
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _coeffs_rows(p, j, i):
+    """What ``coeffs`` prints of generator j in colimit i, as
+    ``cli.cmd_coeffs`` makes it: (head, head valuation, rows), a row
+    (n, the parts of its value, valuation) per odd n <= i."""
+    payload, _, _ = cli.cmd_coeffs(p, SimpleNamespace(prime=p.p, j=j, i=i))
+    rows = [(row["modulus"], row["value"], row["valuation"]) for row in payload["rows"].records]
+    return payload["head"], payload["head_valuation"], rows
+
+
+@pytest.mark.parametrize("p", [Prime(3), Prime(5), Prime(7), Prime(101)])
+def test_coeffs_rows_match_phi_coeffs_at_every_odd_j_below_60(p):
+    from cychom.homology import phi_coeffs
+
+    for j in range(1, 60, 2):
+        vec = phi_coeffs(p, j, j + 4)
+        head, head_valuation, rows = _coeffs_rows(p, j, j + 4)
+        assert (head, head_valuation) == (str(vec.head), frac_vp(p, vec.head))
+        # A row's value is the parts of its text: the digits, then "/" and
+        # the digits of the denominator when it is not 1.
+        rows = [(n, "".join(parts), v) for n, parts, v in rows if parts[1:] in ((), ("/", parts[-1]))]
+        assert rows == [(n, str(v), None if v == 0 else frac_vp(p, v)) for n, v in vec.components]
+
+
+@pytest.mark.parametrize("j,i", [(5, 3), (2, 5), (3, 4), (0, 5), (-1, 1)])
+def test_coeffs_refuses_the_indices_phi_coeffs_refuses(j, i):
+    from cychom.homology import phi_coeffs
+
+    for f in (phi_coeffs, _coeffs_rows):
+        with pytest.raises(ValueError, match="need odd indices"):
+            f(Prime(3), j, i)
 
 
 def _queries(*argvs) -> str:

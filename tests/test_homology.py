@@ -1,12 +1,10 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import count
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cychom import cli
 from cychom.gaps import enumerate_z2, gap, in_z1, in_z2
 from cychom.homology import (
     Check,
@@ -306,34 +304,6 @@ def test_phi_coeffs_zero_pattern(p):
         for n, value in vec.components:
             if n < j and vp(p, n) > 0 and frac_vp(p, value) < vp(p, n):
                 assert j - n <= gap(p, n)
-
-
-def _coeffs_rows(p, j, i):
-    """What ``coeffs`` prints of generator j in colimit i, as
-    ``cli.cmd_coeffs`` makes it: (head, head valuation, rows), a row
-    (n, the parts of its value, valuation) per odd n <= i."""
-    payload, _, _ = cli.cmd_coeffs(p, SimpleNamespace(prime=p.p, j=j, i=i))
-    rows = [(row["modulus"], row["value"], row["valuation"]) for row in payload["rows"].records]
-    return payload["head"], payload["head_valuation"], rows
-
-
-@pytest.mark.parametrize("p", [P3, P5, P7, Prime(101)])
-def test_phi_coeff_texts_match_phi_coeffs(p):
-    for j in range(1, 60, 2):
-        vec = phi_coeffs(p, j, j + 4)
-        head, head_valuation, rows = _coeffs_rows(p, j, j + 4)
-        assert (head, head_valuation) == (str(vec.head), frac_vp(p, vec.head))
-        # A row's value is the parts of its text: the digits, then "/" and
-        # the digits of the denominator when it is not 1.
-        rows = [(n, "".join(parts), v) for n, parts, v in rows if parts[1:] in ((), ("/", parts[-1]))]
-        assert rows == [(n, str(v), None if v == 0 else frac_vp(p, v)) for n, v in vec.components]
-
-
-@pytest.mark.parametrize("j,i", [(5, 3), (2, 5), (3, 4), (0, 5), (-1, 1)])
-def test_phi_coeff_texts_rejects_what_phi_coeffs_rejects(j, i):
-    for f in (phi_coeffs, _coeffs_rows):
-        with pytest.raises(ValueError, match="need odd indices"):
-            f(P3, j, i)
 
 
 # At (3, 27) the relation's entries must sit on their own coordinates: read

@@ -199,10 +199,9 @@ def _snf_shape(m, p):
 
 def _check_against_factors(rows, p, factors):
     """Sparse rows against the integer invariant factors of their matrix:
-    ``local_snf`` at the precision those set, and ``cokernel_shape``,
-    which may refuse a matrix that is not a forest, wherever it answers."""
-    vals = tuple(vp(p, d) for d in factors)
-    assert local_snf(rows, p, max(vals, default=0) + 1, len(vals)) == vals
+    ``local_snf``, and ``cokernel_shape``, which may refuse a matrix that
+    is not a forest, wherever it answers."""
+    assert local_snf(rows, p) == tuple(vp(p, d) for d in factors)
     try:
         got = cokernel_shape(valuation_rows(rows, p))
     except ValueError:
@@ -319,26 +318,13 @@ def test_cokernel_shape_matches_integer_snf_on_staircases(p):
         assert cokernel_shape(valuation_rows(m, prime)) == _snf_shape(_dense(m), prime)
 
 
-def test_local_snf_modulus_guard():
-    # HC_6 at p = 3 is R/p^6 x R/p: any precision that hides the head
-    # factor raises instead of answering.
-    m = cyclic_matrix(P3, 6)
-    for precision in range(1, 7):
-        with pytest.raises(ArithmeticError, match="too small"):
-            local_snf(m, P3, precision, len(m))
-    for precision in (7, 8, 20):
-        assert local_snf(m, P3, precision, len(m)) == (0, 0, 1, 6)
-    with pytest.raises(ArithmeticError):
-        local_snf([{0: 27}], P3, 3, 1)
-    with pytest.raises(ValueError):
-        local_snf(m, P3, 0, len(m))
-    # The input rows are read, not changed.
-    assert m == cyclic_matrix(P3, 6)
-
-
 def test_local_snf_keeps_unit_factors():
-    assert local_snf([{0: 10}, {1: 4}], Prime(5), 2, 2) == (0, 1)
-    assert local_snf([{}, {}], P3, 1, 0) == ()
+    assert local_snf([{0: 10}, {1: 4}], Prime(5)) == (0, 1)
+    assert local_snf([{}, {}], P3) == local_snf([{0: 0}], P3) == ()
+    # HC_6 at p = 3 is R/p^6 x R/p; the input rows are read, not changed.
+    m = cyclic_matrix(P3, 6)
+    assert local_snf(m, P3) == (0, 0, 1, 6)
+    assert m == cyclic_matrix(P3, 6)
 
 
 @st.composite
@@ -363,15 +349,16 @@ def _unit_pivot_matrices(draw):
 @example((P3, [[2, 2, 0], [1, 3, 1], [0, 1, 1]]))
 # The pivot 2 rescales the row below it to 2 * (1, 3) - (2, 0) = (0, 6).
 # The heap item of the entry 3 there must still find the 6, the next
-# pivot; a lost pivot would trip the modulus guard.
+# pivot; a lost pivot would leave its factor out.
 @example((P3, [[2, 0], [1, 3]]))
+# The pivot 2 turns row (2, 6) into 2 * (2, 6) - 2 * (2, 2) = (0, 8): the
+# entry's valuation falls from 1 to 0, and only a new heap item finds it.
+@example((P3, [[2, 2], [2, 6]]))
 @settings(max_examples=200, deadline=None)
 @given(_unit_pivot_matrices())
 def test_local_snf_matches_integer_snf_with_non_unit_pivots(case):
-    # The precision comes from the reference: its largest valuation + 1.
     p, data = case
-    want = tuple(vp(p, d) for d in snf(IntMatrix(data)).invariant_factors)
-    assert local_snf(_sparse(data), p, max(want, default=0) + 1, len(want)) == want
+    assert local_snf(_sparse(data), p) == tuple(vp(p, d) for d in snf(IntMatrix(data)).invariant_factors)
 
 
 def _path(rows):
@@ -397,28 +384,24 @@ WALK_MAX = size("tests/test_linalg.py::test_walk_matches_local_snf_at_every_even
 @pytest.mark.parametrize("p", [3, 101])
 def test_walk_matches_local_snf_at_every_even_degree(p):
     # Block k of the largest cyclic staircase presents HC in degree
-    # 2(k - 1); the staircase is triangular, so its determinant is the
-    # diagonal product.  The walk's stack never holds more than three
-    # entries, so a tail has at most two.  Each block is a path, so
-    # cokernel_shape reads it too.  The oracle walks the same valuations.
+    # 2(k - 1).  The walk's stack never holds more than three entries, so
+    # a tail has at most two.  Each block is a path, so cokernel_shape
+    # reads it too.  The oracle walks the same valuations.
     prime = Prime(p)
     rows = cyclic_matrix(prime, WALK_MAX)
     vrows = valuation_rows(rows, prime)
     assert _path(vrows) == list(_staircase(prime, 1, 2, 0, WALK_MAX // 2 + 1))
     blocks, longest = _walk(rows, prime)
     assert len(blocks) == WALK_MAX // 2 + 1 and longest <= 2
-    v_det = 0
     for k, got in enumerate(blocks, 1):
-        v_det += vrows[k - 1][k - 1]
-        assert got == local_snf(rows[:k], prime, v_det + 1, k), k
+        assert got == local_snf(rows[:k], prime), k
         assert cokernel_shape(vrows[:k]) == ModuleShape(got), k
 
 
 @pytest.mark.parametrize("p", [3, 101])
 def test_walk_matches_local_snf_on_negative_staircases(p):
     # Every m < 80 and truncation K < 60: p^2 down the diagonal and m + 1,
-    # m + 3, ... below it, so the determinant is p^(2K).  The probe walks
-    # the same valuations.
+    # m + 3, ... below it.  The probe walks the same valuations.
     prime = Prime(p)
     for m in range(2, 80, 2):
         rows = [{0: p * p}] + [{k - 1: m + 2 * k - 1, k: p * p} for k in range(1, 59)]
@@ -426,7 +409,7 @@ def test_walk_matches_local_snf_on_negative_staircases(p):
         blocks, longest = _walk(rows, prime)
         assert longest <= 2
         for k, got in enumerate(blocks, 1):
-            assert got == local_snf(rows[:k], prime, 2 * k + 1, k), (m, k)
+            assert got == local_snf(rows[:k], prime), (m, k)
 
 
 def test_staircase_carries_valuations_above_255():
@@ -468,10 +451,8 @@ def _staircases(draw):
 def test_walk_matches_local_snf_and_sympy_on_random_staircases(case):
     p, rows = case
     blocks, _ = _walk(rows, p)
-    v_det = 0
     for k, got in enumerate(blocks, 1):
-        v_det += vp(p, rows[k - 1][k - 1])
-        assert got == local_snf(rows[:k], p, v_det + 1, k), k
+        assert got == local_snf(rows[:k], p), k
     if sympy is not None:
         n = len(rows)
         dense = sympy.Matrix(_dense(rows).data)

@@ -4,11 +4,13 @@ Every engine operation is exposed through a subcommand with table, json,
 or csv output.  Exit codes: 0 success, 1 engine precondition failure,
 output that cannot be written or memory that runs out, 2 usage error, 3
 verification mismatch, or an exactness guard that trips (an
-ArithmeticError, such as ``staircase_parts``' ``Inexact``/``Rounded``
+ArithmeticError, such as ``staircase_terms``' ``Inexact``/``Rounded``
 traps); no route raises on a disagreement.
 A handler ``cmd_*(p, args)`` only computes: it returns the payload, the
 table lines and the exit code.  ``main`` alone checks the prime, writes
 the answer once in the format asked for, and maps the errors to codes.
+The engines make no text: ``coeffs`` writes each exact term that
+``padic.staircase_terms`` yields, with its valuation, as parts.
 
 The grammar is one table, ``GRAMMAR``, which two parsers read.  A
 well-formed command, ``COMMAND --flag value ...`` with each flag one of
@@ -119,8 +121,8 @@ class Rows:
     """A payload's records, made as they are written: an iterator of
     non-empty dicts of str keys and str, int, bool or None values, or
     parts: a tuple of str whose join is the value's text, digits and "/"
-    only, as ``padic.staircase_parts`` makes them.  It is read once; a
-    command that gives one has at least one record."""
+    only, as ``_fraction_parts`` makes them.  It is read once; a command
+    that gives one has at least one record."""
 
     __slots__ = ("records",)
 
@@ -148,6 +150,12 @@ class Rows:
                     text = f"{text}{head}{_json_text(value)},"
             yield text[:-1] + close
             text = sep + "{"
+
+
+def _fraction_parts(numerator, denominator) -> tuple[str, ...]:
+    """A term's text as parts, from its Decimal integers in lowest terms:
+    (numerator,) at a denominator of 1, else (numerator, "/", denominator)."""
+    return (str(numerator),) if denominator == 1 else (str(numerator), "/", str(denominator))
 
 
 def _exponent_view(shape) -> Repeats:
@@ -498,15 +506,15 @@ def cmd_coeffs(p: Prime, args):
     _cap(f"--j at p = {p.p}", j, ceiling, "coeffs prints about j^2 log p digits")
     _cap("--i", i, COEFFS_MAX, "coeffs prints a row per odd n <= i")
     padic._check_phi_indices(j, i)
-    # Every exact product is made here, each text as its row is read: X_j,
-    # then X_{j-n} = B_{j-n} with b_{j-n} at each odd n <= j, zero past j.
-    parts = padic.staircase_parts(p, j)
-    head = "".join(next(parts))
+    # One exact pass makes every term here, with its valuation, and each text
+    # comes as its row is read: X_j, then X_{j-n} = B_{j-n} at each odd n <= j.
+    terms = padic.staircase_terms(p, j)
+    head_valuation, *head = next(terms)
+    head = "".join(_fraction_parts(*head))
     rows = chain(
-        ((n, value, padic.b_val(p, j - n)) for n, value in zip(range(1, j + 1, 2), parts)),
+        ((n, _fraction_parts(*value), v) for n, (v, *value) in zip(range(1, j + 1, 2), terms)),
         ((n, ("0",), None) for n in range(j + 2, i + 1, 2)),
     )
-    head_valuation = padic.a_val(p, j)
     # Both are lazy, and only the one the format writes reads the rows.
     payload = {
         "prime": args.prime,
@@ -680,7 +688,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ArithmeticError as exc:
         # No route raises on a disagreement; an exactness guard, such as
-        # staircase_parts' Inexact and Rounded traps, raises ArithmeticError.
+        # staircase_terms' Inexact and Rounded traps, raises ArithmeticError.
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -18,12 +18,12 @@ in O(log j) (``a_val``, ``b_val``); ``vp`` strips p from an
 integer one division at a time; ``odd_valuations`` gives the
 multiset {v_p(n) : n odd in [lo, hi]}, as a count per valuation, by
 counting odd multiples of each p^e, without visiting the n;
-``staircase_parts`` writes p^k / k!! in decimal, for k = j and every
-k < j of the other parity, from one exact pass, each text made in parts
-as it is read (in a Decimal context, built by each call, that raises
-rather than round, so only a process that prints coefficients imports
-decimal); and ``staircase_residue`` reduces p^k / k!! modulo a power of
-p from integers.  Primality of ``Prime`` is decided by deterministic
+``staircase_terms`` gives p^k / k!! exactly, with its valuation, for
+k = j and every k < j of the other parity, from one pass (in a Decimal
+context, built by each call, that raises rather than round, so only a
+process that prints coefficients imports decimal); and
+``staircase_residue`` reduces p^k / k!! modulo a power of p from
+integers.  Primality of ``Prime`` is decided by deterministic
 Miller-Rabin.
 """
 
@@ -185,33 +185,29 @@ def _check_phi_indices(j: int, i: int) -> None:
         raise ValueError("need odd indices 1 <= j <= i")
 
 
-def staircase_parts(p: Prime, j: int) -> Iterator[tuple[str, ...]]:
-    """The texts ``str(Fraction(p**k, k!!))`` of X_j, X_{j-1}, X_{j-3}, ...
-    in parts: (numerator,) for an integer X_k, else (numerator, "/",
-    denominator), so a writer passes the digits on without copying them
-    into one text.
+def staircase_terms(p: Prime, j: int) -> Iterator[tuple[int, Decimal, Decimal]]:
+    """X_j, X_{j-1}, X_{j-3}, ... as (e, p^e, d), X_k = p^e / d in lowest
+    terms with e = v_p(X_k): the numerator and denominator are Decimal
+    integers.
 
     That is X_j, then X_k for every k < j of the other parity, from the
     top down: what column j of the staircase prints (the head, then the
     component at each odd n <= j).
 
     X_k = p^k / k!! satisfies X_k = p^2 X_{k-2} / k with X_0 = 1 and
-    X_1 = p, so X_k = A_k for odd k and B_k for even k.  In lowest terms
-    X_k = p^e / d: each step strips the p-part p^w of k, multiplies d by
-    k / p^w and adds 2 - w to e.  Numerator and denominator are Decimal
-    integers: a product by a small factor and the decimal text take time
-    linear in the digits, where CPython's int->str is quadratic.  The chain
-    of j's parity is carried along but kept only at k = j.
+    X_1 = p, so X_k = A_k for odd k and B_k for even k.  Each step strips
+    the p-part p^w of k, multiplies d by k / p^w and adds 2 - w to e, so
+    d stays prime to p.  They are Decimals, as a product by a small factor
+    and the decimal text take time linear in the digits, where CPython's
+    int->str is quadratic.  The chain of j's parity is carried along but
+    kept only at k = j.
 
     Every product is made before this returns, so an inexact one raises
-    here.  What is kept is each printed X_k as its Decimal numerator and
-    denominator, about 0.42 bytes a digit; the parts come one X_k at a
-    time, as they are read, and each X_k is let go once its parts are made.
+    here.  What is kept is each printed X_k, about 0.42 bytes a digit,
+    handed out one at a time from the top.
 
-    >>> list(staircase_parts(Prime(3), 3))
-    [('9',), ('9', '/', '2'), ('1',)]
-    >>> list(staircase_parts(Prime(3), 4))
-    [('81', '/', '8'), ('9',), ('3',)]
+    >>> [(e, int(n), int(d)) for e, n, d in staircase_terms(Prime(3), 4)]
+    [(4, 81, 8), (2, 9, 1), (1, 3, 1)]
     """
     from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 
@@ -221,7 +217,7 @@ def staircase_parts(p: Prime, j: int) -> Iterator[tuple[str, ...]]:
     q = p.p
     # Per parity of k: [e, p^e, d] for the last X_k of that parity.
     chains = [[0, Decimal(1), Decimal(1)], [1, Decimal(q), Decimal(1)]]
-    kept = []  # (p^e, d) of each printed X_k, bottom up
+    kept = []  # (e, p^e, d) of each printed X_k, bottom up
     for k in range(j + 1):
         chain = chains[k & 1]
         if k >= 2:
@@ -230,18 +226,12 @@ def staircase_parts(p: Prime, j: int) -> Iterator[tuple[str, ...]]:
                 u //= q
                 step -= 1
             chain[0] += step
-            if step >= 0:
-                chain[1] = exact.multiply(chain[1], q**step)
-            else:  # p^3 | k; a Decimal division at MAX_PREC would exhaust memory
-                chain[1] = exact.power(q, chain[0])
+            # step < 0 where p^3 | k: a Decimal division at MAX_PREC would exhaust memory.
+            chain[1] = exact.multiply(chain[1], q**step) if step >= 0 else exact.power(q, chain[0])
             chain[2] = exact.multiply(chain[2], u)
         if (j - k) & 1 or k == j:
-            kept.append((chain[1], chain[2]))
-    return (_fraction_parts(*kept.pop()) for _ in range(len(kept)))
-
-
-def _fraction_parts(numerator: Decimal, denominator: Decimal) -> tuple[str, ...]:
-    return (str(numerator),) if denominator == 1 else (str(numerator), "/", str(denominator))
+            kept.append(tuple(chain))
+    return (kept.pop() for _ in range(len(kept)))
 
 
 def staircase_residue(p: Prime, k: int, modulus: int) -> int:

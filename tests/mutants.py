@@ -125,7 +125,7 @@ MUTANTS = [
            "tests/test_homology.py::test_hp_stabilization_reads_the_head_of_every_degree", 300),
     Mutant("heads read only where a closed form covers", HOMOLOGY, HEAD,
            "        if i == 0 or hc_closed_form(p, i) is not None:\n    " + HEAD,
-           "tests/test_cli.py::test_verify_writes_its_check_records[hp stabilization]", 300),
+           "tests/test_homology.py::test_hp_stabilization_reads_the_head_of_every_degree[p2-30-z1_degrees2]", 300),
     Mutant("a fall of one is let through", HOMOLOGY, "zip(heads, heads[1:]) if nxt < prev]",
            "zip(heads, heads[1:]) if nxt < prev - 1]",
            "tests/test_homology.py::test_hp_stabilization_names_each_fall", 300),
@@ -147,9 +147,16 @@ MUTANTS = [
            "tests/test_small_complex.py::test_small_complex_has_the_chain_level_homology[3]", 300),
     Mutant("b's 1 - t read as 1 + t", SMALL, '{("a", m): 1 - t}', '{("a", m): 1 + t}',
            "tests/test_small_complex.py::test_small_complex_has_the_chain_level_homology[3]", 300),
-    # coeffs.
-    Mutant("coeffs reads b_(j-n+2)", CLI, "padic.b_val(p, j - n)", "padic.b_val(p, j - n + 2)",
+    # coeffs: each valuation it prints is the one its single pass carries.
+    Mutant("the valuation step skips stripping p from k", PADIC, "            chain[0] += step\n",
+           "            chain[0] += 2\n",
+           "tests/test_padic.py::test_staircase_term_valuations_are_legendres_at_the_coeffs_ceiling[3]", 300),
+    Mutant("coeffs reads the head's term as the first row", CLI, "    head_valuation, *head = next(terms)\n",
+           "    head_valuation, *head = next(padic.staircase_terms(p, j))\n",
            "tests/test_cli.py::test_coeffs_rows_match_phi_coeffs_at_every_odd_j_below_60", 300),
+    Mutant("coeffs gives every row the head's valuation", CLI, "_fraction_parts(*value), v) for",
+           "_fraction_parts(*value), head_valuation) for",
+           "tests/test_cli.py::test_coeffs_text_matches_fractions", 300),
     Mutant("coeffs without its index check", CLI, "    padic._check_phi_indices(j, i)\n", "",
            "tests/test_cli.py::test_coeffs_refuses_the_indices_phi_coeffs_refuses", 300),
     # The walk's reference, local_snf: each is killed by an @example.

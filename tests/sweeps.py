@@ -1,11 +1,10 @@
 """How far each exhaustive sweep goes, keyed by the test that reads it.
 
 Each entry is (tier-1's size, the wide size).  ``CYCHOM_WIDE=1`` selects
-the wide column; CI runs exactly these tests so:
+the wide column.  Run as a script, this prints the keys of ``SIZES``, one
+a line, and CI's wide step runs exactly those tests:
 
-    CYCHOM_WIDE=1 PYTHONPATH=src python -m pytest -q TEST ...
-
-with every key of ``SIZES`` as a TEST.
+    CYCHOM_WIDE=1 PYTHONPATH=src python -m pytest -q $(python tests/sweeps.py)
 """
 
 import os
@@ -34,3 +33,7 @@ WIDE = os.environ.get("CYCHOM_WIDE") == "1"
 def size(test: str) -> int:
     """The size the sweep ``test`` (a key of ``SIZES``) runs to."""
     return SIZES[test][WIDE]
+
+
+if __name__ == "__main__":
+    print("\n".join(SIZES))

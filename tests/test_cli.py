@@ -873,9 +873,9 @@ REFUSED = [
      "the probe walks a staircase of that size, so --truncation is capped at 500000; got 500001"),
     ("verify --prime 3 --hc-max 10002", "_hc_walk", "verify --prime 3 --hc-max 10000",
      "verify runs the oracle at every even degree up to --hc-max, so --hc-max is capped at 10000; got 10002"),
-    ("coeffs --prime 3 --j 8003 --i 8003", "padic.staircase_parts", "coeffs --prime 3 --j 8001 --i 8001",
+    ("coeffs --prime 3 --j 8003 --i 8003", "padic.staircase_terms", "coeffs --prime 3 --j 8001 --i 8001",
      f"{_J} 3 is capped at 8001; got 8003"),
-    ("coeffs --prime 3 --j 3 --i 8003", "padic.staircase_parts", "coeffs --prime 3 --j 3 --i 8001",
+    ("coeffs --prime 3 --j 3 --i 8003", "padic.staircase_terms", "coeffs --prime 3 --j 3 --i 8001",
      "coeffs prints a row per odd n <= i, so --i is capped at 8001; got 8003"),
     ("zsets --prime 3 --max 10000001", "gaps.member_mask", "zsets --prime 3 --max 10000000",
      "zsets lists every member, so --max is capped at 10000000; got 10000001"),
@@ -892,7 +892,7 @@ REFUSED = [
     # A p past 10 bits lowers the ceiling of --j to what --j 8001 prints at
     # p = 1009, to an odd j; 3317044064679887385961813 is near the top of
     # Prime's range.
-    *((f"coeffs --prime {p} --j {j + 2} --i {j + 2}", "padic.staircase_parts", f"coeffs --prime {p} --j {j} --i {j}",
+    *((f"coeffs --prime {p} --j {j + 2} --i {j + 2}", "padic.staircase_terms", f"coeffs --prime {p} --j {j} --i {j}",
        f"{_J} {p} is capped at {j}; got {j + 2}")
       for p, j in ((1009, 8001), (1021, 8001), (10**9 + 7, 4619), (3317044064679887385961813, 2793))),
     # verify checks --hc-max before any check.
@@ -929,8 +929,8 @@ CAPPED = [
     (["verify", "--prime", "3", "--hc-max"], "VERIFY_MAX_HC", "_hc_walk"),
     (["hp", "--prime", "3", "--degree", "0", "--n-max"], "PRODUCT_MAX_N", "hp"),
     (["hcneg", "--prime", "3", "--degree", "6", "--n-max"], "PRODUCT_MAX_N", "hc_neg_closed_form"),
-    (["coeffs", "--prime", "3", "--i", str(cli.COEFFS_MAX), "--j"], "COEFFS_MAX", "padic.staircase_parts"),
-    (["coeffs", "--prime", "3", "--j", "3", "--i"], "COEFFS_MAX", "padic.staircase_parts"),
+    (["coeffs", "--prime", "3", "--i", str(cli.COEFFS_MAX), "--j"], "COEFFS_MAX", "padic.staircase_terms"),
+    (["coeffs", "--prime", "3", "--j", "3", "--i"], "COEFFS_MAX", "padic.staircase_terms"),
     (["density", "--prime", "3", "--max"], "DENSITY_MAX", "gaps.density_bounds"),
 ]
 
@@ -950,7 +950,7 @@ def test_sizes_above_ceiling_refused_before_allocating(capsys, monkeypatch, argv
 def test_coeffs_caps_j_by_its_digits_before_any_coefficient(capsys, monkeypatch):
     # Every p below 1024 keeps --j at COEFFS_MAX; past 10 bits the ceiling
     # falls with the digits, and at 10^9+7 it refuses COEFFS_MAX itself.
-    _forbid(monkeypatch, "padic.staircase_parts")
+    _forbid(monkeypatch, "padic.staircase_terms")
     for fmt in ("table", "json", "csv"):
         argv = ["coeffs", "--prime", "1000000007", "--j", str(cli.COEFFS_MAX), "--i", str(cli.COEFFS_MAX), "--format", fmt]
         assert run(capsys, argv) == (1, "", f"error: {_J} 1000000007 is capped at 4619; got {cli.COEFFS_MAX}\n")
@@ -1011,15 +1011,22 @@ def test_ceiling_runs_sit_at_the_caps():
 
 
 def test_the_wide_ci_step_runs_the_sweeps_the_table_names():
-    # CI widens the sweeps in one step, which must name exactly the
-    # table's tests: a sweep renamed or added fails here, not by dropping
-    # out of CI.
+    # CI widens the sweeps in one step, which runs the test ids that
+    # tests/sweeps.py prints, and fails if it prints none: a sweep renamed
+    # or added fails here, not by dropping out of CI.
     for test in sweeps.SIZES:
         path, name = test.split("::")
         assert f"\ndef {name}(" in (ROOT / path).read_text(encoding="utf-8"), test
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
-    (step,) = [line.split("run: ", 1)[1] for line in workflow.splitlines() if "CYCHOM_WIDE=1" in line]
-    assert step.split() == ["CYCHOM_WIDE=1", "PYTHONPATH=src", "python", "-m", "pytest", "-q", *sweeps.SIZES]
+    step = (
+        "        run: |\n"
+        "          tests=$(python tests/sweeps.py)\n"
+        '          test -n "$tests"\n'
+        "          CYCHOM_WIDE=1 PYTHONPATH=src python -m pytest -q $tests\n"
+    )
+    assert workflow.count(step) == 1 and workflow.count("CYCHOM_WIDE=1") == 1
+    script = subprocess.run([sys.executable, "tests/sweeps.py"], cwd=ROOT, capture_output=True, text=True, check=True)
+    assert script.stdout.splitlines() == list(sweeps.SIZES) and script.stderr == ""
 
 
 @pytest.mark.parametrize("hh_max", ["5", "100001"])
@@ -1384,10 +1391,14 @@ def _coeffs_reference(p: int, j: int, i: int) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("p, j, i", [(3, 1, 1), (3, 5, 9), (7, 11, 15), (101, 501, 503), (3, 4001, 4005)])
-def test_coeffs_text_matches_fractions(p, j, i):
+def test_coeffs_text_matches_fractions(monkeypatch, p, j, i):
     # i > j in all but the first, so the zero rows past j are covered too.
+    # The valuations come from the pass that makes the values: coeffs asks
+    # Legendre's formula for none.
     argv = ["coeffs", "--prime", str(p), "--j", str(j), "--i", str(i)]
-    assert _texts(argv) == _coeffs_reference(p, j, i)
+    reference = _coeffs_reference(p, j, i)
+    _forbid(monkeypatch, "padic.a_val padic.b_val")
+    assert _texts(argv) == reference
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])

@@ -435,10 +435,18 @@ def test_verify_checks_refuses_hc_max_below_2_before_any_record(hc_max):
     assert next(verify_checks(P3, 2)) == Check("hc degree 2", True, "")
 
 
-@pytest.mark.parametrize("p, i_max, z1_degrees", [(P3, 14, [2, 6, 8, 12, 14]), (P5, 26, [2, 4, 8, 10, 12, 14, 18, 20, 22, 24])])
+@pytest.mark.parametrize(
+    "p, i_max, z1_degrees",
+    [
+        (P3, 14, [2, 6, 8, 12, 14]),
+        (P5, 26, [2, 4, 8, 10, 12, 14, 18, 20, 22, 24]),
+        (P3, 30, [2, 6, 8, 12, 14, 18, 20, 24, 26]),
+    ],
+)
 def test_hp_stabilization_reads_the_head_of_every_degree(monkeypatch, p, i_max, z1_degrees):
     # verify hands the stabilization check the head of every even degree
-    # from 0, in order, and asks nothing of Z1 for it.  The degrees i with
+    # from 0, in order, and asks nothing of Z1 for it, nor whether a closed
+    # form covers the degree: degree 28 at p = 3 has none.  The degrees i with
     # i - 1 in Z1 have the head a_{i-1} + 2 over HP's torsion cut at i - 1,
     # and the ``hc degree i`` record compares the oracle with exactly that
     # closed form: one such head raised by one, in the walk verify reads,

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cychom.cli import _fraction_parts
 from cychom.padic import (
     Prime,
     a_val,
@@ -16,8 +17,8 @@ from cychom.padic import (
     odd_valuations,
     seq_a,
     seq_b,
-    staircase_parts,
     staircase_residue,
+    staircase_terms,
     vp,
 )
 from residue import residue
@@ -191,9 +192,14 @@ def test_seq_closed_forms_follow_the_recursion(p):
             assert seq_b(p, j) == b
 
 
+def _parts(p, j):
+    """The parts ``coeffs`` writes of each term of ``staircase_terms``."""
+    return [_fraction_parts(numerator, denominator) for _, numerator, denominator in staircase_terms(p, j)]
+
+
 def _texts(p, j):
-    """The text each value of ``staircase_parts`` joins to."""
-    return list(map("".join, staircase_parts(p, j)))
+    """The text each term of ``staircase_terms`` is written as."""
+    return list(map("".join, _parts(p, j)))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 101])
@@ -223,7 +229,7 @@ def test_staircase_texts_small_columns(j):
 
 def test_staircase_texts_rejects_negative_index():
     with pytest.raises(ValueError):
-        staircase_parts(P3, -1)
+        staircase_terms(P3, -1)
 
 
 def test_staircase_texts_raise_rather_than_round(monkeypatch):
@@ -232,7 +238,7 @@ def test_staircase_texts_raise_rather_than_round(monkeypatch):
     # so on the call, before any text is read.
     monkeypatch.setattr(decimal, "MAX_PREC", 30)
     with pytest.raises(decimal.Inexact):
-        staircase_parts(P3, 201)
+        staircase_terms(P3, 201)
 
 
 @pytest.mark.parametrize("j", [0, -1, 4, 10])
@@ -356,9 +362,33 @@ def test_staircase_parts_join_to_the_texts(p):
     # Digits, or digits "/" digits: nothing a JSON or CSV writer escapes.
     # Column j holds X_j, then X_k for every k < j of the other parity.
     for j in (0, 1, 2, 301, 302):
-        parts = list(staircase_parts(Prime(p), j))
+        parts = _parts(Prime(p), j)
         ks = [j, *range(j - 1, -1, -2)]
         assert list(map("".join, parts)) == [str(seq_a(Prime(p), k) if k % 2 else seq_b(Prime(p), k)) for k in ks]
         for value in parts:
             assert len(value) in (1, 3) and value[1:2] in ((), ("/",))
             assert all(part.isdigit() for part in value[::2])
+
+
+@pytest.mark.parametrize("p", [3, 5, 101])
+def test_staircase_terms_are_the_fractions_in_lowest_terms(p):
+    # Each term is (v, p^v, d) with X_k = p^v / d and d prime to p, so
+    # v = v_p(X_k).  At p = 3 and 5 the columns pass multiples of p^3,
+    # where the numerator falls.
+    for j in (0, 1, 2, 301, 302):
+        ks = [j, *range(j - 1, -1, -2)]
+        terms = list(staircase_terms(Prime(p), j))
+        assert len(terms) == len(ks)
+        for k, (v, numerator, denominator) in zip(ks, terms):
+            x = seq_a(Prime(p), k) if k % 2 else seq_b(Prime(p), k)
+            assert (int(numerator), int(denominator)) == (x.numerator, x.denominator), k
+            assert x.numerator == p**v and x.denominator % p != 0, k
+
+
+@pytest.mark.parametrize("p", [3, 101, 1009])
+def test_staircase_term_valuations_are_legendres_at_the_coeffs_ceiling(p):
+    # Column 8001, the largest coeffs reads at these p: the valuation the
+    # pass carries is a_j at the head and b_k below it, by Legendre's
+    # formula, with no Fraction built.
+    valuations = [v for v, _, _ in staircase_terms(Prime(p), 8001)]
+    assert valuations == [a_val(Prime(p), 8001), *(b_val(Prime(p), k) for k in range(8000, -1, -2))]

@@ -70,6 +70,8 @@ REMOVED_FUNCTIONS = [
     ("linalg", "local_snf"),
     ("linalg", "_pivot"),
     ("homology", "phi_coeff_texts"),
+    ("padic", "staircase_parts"),
+    ("padic", "_fraction_parts"),
 ]
 REMOVED_MEMBERS = [
     ("linalg", "IntMatrix", "identity"),

@@ -154,6 +154,9 @@ MUTANTS = [
     Mutant("coeffs reads the head's term as the first row", CLI, "    head_valuation, *head = next(terms)\n",
            "    head_valuation, *head = next(padic.staircase_terms(p, j))\n",
            "tests/test_cli.py::test_coeffs_rows_match_phi_coeffs_at_every_odd_j_below_60", 300),
+    Mutant("coeffs reads b_(j-n+2)", CLI, "_fraction_parts(*value), v) for",
+           "_fraction_parts(*value), padic.b_val(p, j - n + 2)) for",
+           "tests/test_cli.py::test_coeffs_rows_match_phi_coeffs_at_every_odd_j_below_60", 300),
     Mutant("coeffs gives every row the head's valuation", CLI, "_fraction_parts(*value), v) for",
            "_fraction_parts(*value), head_valuation) for",
            "tests/test_cli.py::test_coeffs_text_matches_fractions", 300),

@@ -9,8 +9,8 @@ traps); no route raises on a disagreement.
 A handler ``cmd_*(p, args)`` only computes: it returns the payload, the
 table lines and the exit code.  ``main`` alone checks the prime, writes
 the answer once in the format asked for, and maps the errors to codes.
-The engines make no text: ``coeffs`` writes each exact term that
-``padic.staircase_terms`` yields, with its valuation, as parts.
+``padic.staircase_terms`` makes no text: it yields exact terms, and
+``coeffs`` writes each one, with its valuation, as parts.
 
 The grammar is one table, ``GRAMMAR``, which two parsers read.  A
 well-formed command, ``COMMAND --flag value ...`` with each flag one of

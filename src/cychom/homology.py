@@ -204,9 +204,14 @@ def phi_coeffs(p: Prime, j: int, i: int) -> CoeffVector:
 def _colimit_rows(p: Prime, i: int) -> list[dict[int, int]]:
     """The colimit with top index i and its head relation imposed, as rows
     of {column: valuation}: the relation's 2 + a_i in row 0 and 2 + b_{i-n}
-    in row k of column 0, and v_p of the modulus n = 2k - 1 in column k."""
+    in row k of column 0, and v_p of the modulus n = (2k - 1)p in column k.
+
+    Only the odd multiples n of p have a row.  For n prime to p the factor
+    R/n is 0: its row's pendant entry has valuation 0, so it pivots first
+    and leaves no fill, and dropping that row and its column leaves the
+    cokernel, free_rank included, as it was."""
     return [{0: 2 + a_val(p, i)}] + [
-        {0: 2 + b_val(p, i - n), k: vp(p, n)} for k, n in enumerate(range(1, i + 1, 2), 1)
+        {0: 2 + b_val(p, i - n), k: vp(p, n)} for k, n in enumerate(range(p.p, i + 1, 2 * p.p), 1)
     ]
 
 
@@ -221,6 +226,8 @@ def verify_presentation(p: Prime, i: int, shape: ModuleShape) -> Check:
     pendant edge on one of its rows, so by ``cokernel_shape`` their
     valuations 2 + a_i and 2 + b_{i-n}, with the moduli's v_p(n), decide
     the cokernel: the relation is rebuilt from those valuations alone.
+    The star lists only the odd multiples of p: a factor R/n with n prime
+    to p is 0, and its row changes nothing (``_colimit_rows``).
     """
     if i < 1 or i % 2 == 0:
         raise ValueError("colimit index must be odd and positive")

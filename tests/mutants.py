@@ -54,7 +54,7 @@ class Equivalent(NamedTuple):
     reason: str
 
 
-CLI, HOMOLOGY, LINALG, PADIC = (f"src/cychom/{name}.py" for name in ("cli", "homology", "linalg", "padic"))
+CLI, GAPS, HOMOLOGY, LINALG, PADIC = (f"src/cychom/{name}.py" for name in ("cli", "gaps", "homology", "linalg", "padic"))
 LOADS = "tests/test_cli.py::test_loads_no_module_it_does_not_run"
 REFUSED = "tests/test_cli.py::test_refused_with_one_error_line_before_any_work"
 MIXED, SMALL = "tests/mixed_complex.py", "tests/small_complex.py"
@@ -67,7 +67,14 @@ RESCALE = (
     "                        row[c] = a * u\n"
 )
 PUSH = "                    row_vals[c] = vz\n                    heapq.heappush(heap, (vz, r, c))\n"
+# Why any reach from L = bit_length(i) on gives the same sets.
+POINT_RULE = (
+    "each level's test is exact at any reach, and every level that can hit is reached once the reach is L: "
+    "d never falls as v rises, g(p^v) = 0 for v <= 2, and for v >= 3 a level that hits has "
+    "d <= g(p^v) < 4v/3 and p^v <= i + d, so L > log2(i) > log2(3^v - 4v/3) > 4v/3 > d >= every earlier d"
+)
 HEAD = "        heads.append(shape.torsion[0][0])\n"
+REACH = "0, 2 * i.bit_length()\n"
 
 MUTANTS = [
     # The CLI's contracts: what each command loads, and what it refuses
@@ -86,8 +93,19 @@ MUTANTS = [
            f"{REFUSED}[hc --prime 3 --degree 1000001]", 300),
     Mutant("a cap refuses the ceiling itself", CLI, "    if value > ceiling:\n", "    if value >= ceiling:\n",
            f"{REFUSED}[zsets --prime 3 --max 10000001]", 300),
+    Mutant("hcneg skips the probe", CLI, '        if res is None:\n            payload["probe"] = None\n',
+           '        if True:\n            payload["probe"] = None\n',
+           f"{REFUSED}[hcneg --prime 3 --degree 8 --truncation 500001]", 300),
+    Mutant("the probe's ceiling below the README's", CLI, "HCNEG_MAX_TRUNCATION = 5 * 10**5\n",
+           "HCNEG_MAX_TRUNCATION = 5 * 10**5 - 2\n", f"{REFUSED}[hcneg --prime 3 --degree 6 --truncation 500001]", 300),
+    Mutant("coeffs' --j ceiling rounded up to odd", CLI, "10)) - 1) | 1", "10))) | 1",
+           f"{REFUSED}[coeffs --prime 3317044064679887385961813 --j 2795 --i 2795]", 300),
     Mutant("Prime takes the Miller-Rabin bound", PADIC, "    if n >= _MR_LIMIT:", "    if n > _MR_LIMIT:",
            "tests/test_padic.py::test_prime_refuses_beyond_certified_range", 300),
+    # Z1/Z2 membership by the point rule: at reach L/2 it stops at i = 25
+    # (Z2, p = 3) before level 3, whose window [27 - 2, 27 + 2] holds it.
+    Mutant("the point rule stops at half its reach", GAPS, REACH, "0, i.bit_length() // 2\n",
+           "tests/test_gaps.py::test_enumerate_agrees_with_point_queries", 300),
     # verify's kernel generator check.
     Mutant("kernel generators over no range", HOMOLOGY, "verify_kernel_generators(p, i, upto=8)",
            "verify_kernel_generators(p, i, upto=0)",
@@ -179,6 +197,10 @@ EQUIVALENT = [
     Equivalent("the probe's unit factors popped", HOMOLOGY, "    del stable[0]  # the unit factors",
                "    stable.pop(0, None)  # the unit factors",
                "stable is a Counter, whose del ignores a missing key as pop(0, None) does"),
+    *(
+        Equivalent(f"the point rule's reach {name}", GAPS, REACH, f"0, {new}\n", POINT_RULE)
+        for name, new in (("L", "i.bit_length()"), ("2L + 2", "2 * i.bit_length() + 2"))
+    ),
 ]
 
 

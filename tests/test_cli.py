@@ -871,6 +871,10 @@ REFUSED = [
      "hc walks a (degree/2+1)-square staircase, so --degree is capped at 1000000; got 1000001"),
     ("hcneg --prime 3 --degree 6 --truncation 500001", "hc_neg_closed_form", "hcneg --prime 3 --degree 6 --truncation 500000",
      "the probe walks a staircase of that size, so --truncation is capped at 500000; got 500001"),
+    # 7 is in Z2 at p = 3, so degree 8 has a closed form and the limit
+    # reaches the probe's walk.
+    ("hcneg --prime 3 --degree 8 --truncation 500001", "staircase_cokernels", "hcneg --prime 3 --degree 8 --truncation 500000",
+     "the probe walks a staircase of that size, so --truncation is capped at 500000; got 500001"),
     ("verify --prime 3 --hc-max 10002", "_hc_walk", "verify --prime 3 --hc-max 10000",
      "verify runs the oracle at every even degree up to --hc-max, so --hc-max is capped at 10000; got 10002"),
     ("coeffs --prime 3 --j 8003 --i 8003", "padic.staircase_terms", "coeffs --prime 3 --j 8001 --i 8001",
@@ -919,71 +923,6 @@ def test_refused_with_one_error_line_before_any_work(capsys, monkeypatch, argv, 
         assert run(capsys, argv.split() + ["--format", fmt]) == (1, "", f"error: {error}\n")
         with pytest.raises(WorkStarted):
             main(reached.split() + ["--format", fmt])
-
-
-# The same caps read from cli's constants: argv up to the capped flag, the
-# ceiling's name, and the first work of that size.
-CAPPED = [
-    (["hc", "--prime", "3", "--degree"], "HC_MAX_DEGREE", "staircase_cokernels"),
-    (["hcneg", "--prime", "3", "--degree", "6", "--truncation"], "HCNEG_MAX_TRUNCATION", "staircase_cokernels"),
-    (["verify", "--prime", "3", "--hc-max"], "VERIFY_MAX_HC", "_hc_walk"),
-    (["hp", "--prime", "3", "--degree", "0", "--n-max"], "PRODUCT_MAX_N", "hp"),
-    (["hcneg", "--prime", "3", "--degree", "6", "--n-max"], "PRODUCT_MAX_N", "hc_neg_closed_form"),
-    (["coeffs", "--prime", "3", "--i", str(cli.COEFFS_MAX), "--j"], "COEFFS_MAX", "padic.staircase_terms"),
-    (["coeffs", "--prime", "3", "--j", "3", "--i"], "COEFFS_MAX", "padic.staircase_terms"),
-    (["density", "--prime", "3", "--max"], "DENSITY_MAX", "gaps.density_bounds"),
-]
-
-
-@pytest.mark.parametrize("argv, name, work", CAPPED, ids=[c[0][0] + c[0][-1] for c in CAPPED])
-def test_sizes_above_ceiling_refused_before_allocating(capsys, monkeypatch, argv, name, work):
-    ceiling = getattr(cli, name)
-    _forbid(monkeypatch, work)
-    for fmt in ("table", "json", "csv"):
-        code, out, err = run(capsys, argv + [str(ceiling + 2), "--format", fmt])
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and str(ceiling) in err
-    with pytest.raises(WorkStarted):
-        main(argv + [str(ceiling)])
-
-
-def test_coeffs_caps_j_by_its_digits_before_any_coefficient(capsys, monkeypatch):
-    # Every p below 1024 keeps --j at COEFFS_MAX; past 10 bits the ceiling
-    # falls with the digits, and at 10^9+7 it refuses COEFFS_MAX itself.
-    _forbid(monkeypatch, "padic.staircase_terms")
-    for fmt in ("table", "json", "csv"):
-        argv = ["coeffs", "--prime", "1000000007", "--j", str(cli.COEFFS_MAX), "--i", str(cli.COEFFS_MAX), "--format", fmt]
-        assert run(capsys, argv) == (1, "", f"error: {_J} 1000000007 is capped at 4619; got {cli.COEFFS_MAX}\n")
-    with pytest.raises(WorkStarted):
-        main(["coeffs", "--prime", "1000000007", "--j", "4619", "--i", "4619"])
-    # Near the top of Prime's range the ceiling is odd, as --j must be.
-    top = "3317044064679887385961813"
-    assert run(capsys, ["coeffs", "--prime", top, "--j", "2795", "--i", "2795"])[2].endswith("capped at 2793; got 2795\n")
-    with pytest.raises(WorkStarted):
-        main(["coeffs", "--prime", top, "--j", "2793", "--i", "2793"])
-    for p in ("3", "1009", "1021"):
-        with pytest.raises(WorkStarted):
-            main(["coeffs", "--prime", p, "--j", str(cli.COEFFS_MAX), "--i", str(cli.COEFFS_MAX)])
-
-
-# The ceilings that README "CLI" states by value: one past each is
-# refused, the ceiling itself reaches the work.
-DOCUMENTED = [
-    (["hc", "--prime", "3", "--degree"], 10**6, "staircase_cokernels"),
-    (["hcneg", "--prime", "3", "--degree", "6", "--truncation"], 5 * 10**5, "staircase_cokernels"),
-    (["hp", "--prime", "3", "--degree", "0", "--n-max"], 10**7 + 1, "hp"),
-    (["density", "--prime", "3", "--max"], 10**8, "gaps.density_bounds"),
-]
-
-
-@pytest.mark.parametrize("argv, ceiling, work", DOCUMENTED, ids=[c[0][0] for c in DOCUMENTED])
-def test_documented_ceilings(capsys, monkeypatch, argv, ceiling, work):
-    _forbid(monkeypatch, work)
-    code, out, err = run(capsys, argv + [str(ceiling + 1)])
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and f"capped at {ceiling};" in err
-    with pytest.raises(WorkStarted):
-        main(argv + [str(ceiling)])
 
 
 def test_ceilings_sit_above_benchmark_and_test_inputs():

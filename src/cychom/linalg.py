@@ -37,15 +37,11 @@ class IntMatrix:
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, data: list[list[int]], rows: int | None = None, cols: int | None = None):
-        if rows is None:
-            rows = len(data)
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ValueError("ragged or mismatched matrix data")
-        self.rows = rows
-        self.cols = cols
+    def __init__(self, data: list[list[int]]):
+        self.rows = len(data)
+        self.cols = len(data[0]) if data else 0
+        if any(len(r) != self.cols for r in data):
+            raise ValueError("ragged matrix data")
         self.data = [list(map(int, r)) for r in data]
 
 
@@ -301,6 +297,6 @@ def submodule_equal_mod(
 
     def length(rows: list[dict[int, int]]) -> int:
         dense = [[row.get(c, 0) for c in range(width)] for row in rows + scaffold]
-        return sum(vp(p, d) for d in snf(IntMatrix(dense, cols=width)).invariant_factors)
+        return sum(vp(p, d) for d in snf(IntMatrix(dense)).invariant_factors)
 
     return length(rows_a) == length(rows_a + rows_b) == length(rows_b)

@@ -100,12 +100,29 @@ MUTANTS = [
            "HCNEG_MAX_TRUNCATION = 5 * 10**5 - 2\n", f"{REFUSED}[hcneg --prime 3 --degree 6 --truncation 500001]", 300),
     Mutant("coeffs' --j ceiling rounded up to odd", CLI, "10)) - 1) | 1", "10))) | 1",
            f"{REFUSED}[coeffs --prime 3317044064679887385961813 --j 2795 --i 2795]", 300),
+    # verify's exit code when a check fails.
+    Mutant("verify exits 1 on a failed check", CLI, "3 if failures else 0", "1 if failures else 0",
+           "tests/test_cli.py::test_verify_writes_its_check_records[hc degree]", 300),
+    # The writers: a run of more than 4096 items spans chunks.
+    Mutant("a full chunk of a run drops an item", CLI, "(sep + text) * (n - 1)", "(sep + text) * (min(n, 4095) - 1)",
+           "tests/test_cli.py::test_views_at_any_depth_write_their_lists", 300),
     Mutant("Prime takes the Miller-Rabin bound", PADIC, "    if n >= _MR_LIMIT:", "    if n > _MR_LIMIT:",
            "tests/test_padic.py::test_prime_refuses_beyond_certified_range", 300),
     # Z1/Z2 membership by the point rule: at reach L/2 it stops at i = 25
     # (Z2, p = 3) before level 3, whose window [27 - 2, 27 + 2] holds it.
     Mutant("the point rule stops at half its reach", GAPS, REACH, "0, i.bit_length() // 2\n",
            "tests/test_gaps.py::test_enumerate_agrees_with_point_queries", 300),
+    # g(n), the largest even j with b_j < v_p(n): the paper's values, and
+    # the density's count of odd numbers.
+    Mutant("g(n) takes the j with b_j = v_p(n)", GAPS, "        if b_val(p, j) < v:\n",
+           "        if b_val(p, j) <= v:\n", "tests/test_acceptance.py::test_criterion_3_gap_values", 300),
+    Mutant("density counts N // 2 + 1 odd numbers", GAPS, "    x_count = (upper + 1) // 2\n",
+           "    x_count = upper // 2 + 1\n",
+           "tests/test_gaps.py::test_member_mask_is_the_point_membership_and_density_counts_it", 300),
+    # hc_oracle, the per-degree walk that hc runs.
+    Mutant("hc_oracle walks to the degree below", HOMOLOGY, "    for pivots, tail in _hc_walk(p, i):\n",
+           "    for pivots, tail in _hc_walk(p, max(i - 2, 0)):\n",
+           "tests/test_homology.py::test_one_walk_gives_the_oracle_at_every_even_degree[5]", 300),
     # verify's kernel generator check.
     Mutant("kernel generators over no range", HOMOLOGY, "verify_kernel_generators(p, i, upto=8)",
            "verify_kernel_generators(p, i, upto=0)",
@@ -115,8 +132,8 @@ MUTANTS = [
            "tests/test_homology.py::test_verify_kernel_generator_check_takes_five_generators_mod_p_to_the_a_i_plus_6",
            300),
     Mutant("submodule length skips the first factor", LINALG,
-           "snf(IntMatrix(dense, cols=width)).invariant_factors)",
-           "snf(IntMatrix(dense, cols=width)).invariant_factors[1:])",
+           "snf(IntMatrix(dense)).invariant_factors)",
+           "snf(IntMatrix(dense)).invariant_factors[1:])",
            "tests/test_linalg.py::test_submodule_detects_strict_containment", 300),
     Mutant("submodule length without the moduli", LINALG, "for row in rows + scaffold]", "for row in rows]",
            "tests/test_linalg.py::test_submodule_equal_trivialities", 300),
@@ -178,6 +195,13 @@ MUTANTS = [
     Mutant("coeffs gives every row the head's valuation", CLI, "_fraction_parts(*value), v) for",
            "_fraction_parts(*value), head_valuation) for",
            "tests/test_cli.py::test_coeffs_text_matches_fractions", 300),
+    Mutant("coeffs lifts the int-to-str limit", CLI, "    terms = padic.staircase_terms(p, j)\n",
+           "    sys.set_int_max_str_digits(0)\n    terms = padic.staircase_terms(p, j)\n",
+           "tests/test_cli.py::test_coeffs_text_matches_fractions[3-4001-4005]", 300),
+    # A value's parts join to its text, so the writers see no difference.
+    Mutant("a fraction is written as one part", CLI, '(str(numerator), "/", str(denominator))',
+           '(f"{numerator}/{denominator}",)', "tests/test_padic.py::test_staircase_texts_match_str_of_fraction[3]",
+           300),
     Mutant("coeffs without its index check", CLI, "    padic._check_phi_indices(j, i)\n", "",
            "tests/test_cli.py::test_coeffs_refuses_the_indices_phi_coeffs_refuses", 300),
     # The walk's reference, local_snf: each is killed by an @example.

@@ -22,37 +22,12 @@ from cychom.gaps import (
     in_z2,
     member_mask,
 )
-from cychom.padic import Prime, a_val, b_val
+from cychom.padic import Prime, b_val
 from sweeps import size
 
 P3 = Prime(3)
 P5 = Prime(5)
 P7 = Prime(7)
-
-# The p = 3 reference listings (odd non-multiples of 3 below 200 minus the
-# window-excluded elements); 1 is a member by definition.
-Z1_REF = [5, 7, 11, 13, 17, 19, 23, 25, 31, 35, 37, 41, 43, 47, 49, 53, 55, 59,
-          61, 65, 67, 71, 73, 77, 79, 85, 89, 91, 95, 97, 101, 103, 107, 109,
-          113, 115, 119, 121, 125, 127, 131, 133, 139, 143, 145, 149, 151, 155,
-          157, 161, 163, 167, 169, 173, 175, 179, 181, 185, 187, 193, 197, 199]
-Z2_REF = [5, 7, 11, 13, 17, 19, 23, 31, 35, 37, 41, 43, 47, 49, 53, 55, 59, 61,
-          65, 67, 71, 73, 77, 85, 89, 91, 95, 97, 101, 103, 107, 109, 113, 115,
-          119, 121, 125, 127, 131, 139, 143, 145, 149, 151, 155, 157, 161, 163,
-          167, 169, 173, 175, 179, 181, 185, 193, 197, 199]
-
-
-@pytest.mark.parametrize("p", [P3, P5, P7])
-def test_gap_values(p):
-    q = p.p
-    assert gap(p, q) == 0
-    assert gap(p, q**2) == 0
-    assert gap(p, q**3) == 2
-    assert gap(p, q**4) == 2
-    assert gap(p, q**5) == 4
-
-
-def test_gap_36():
-    assert gap(P3, 3**6) == 6
 
 
 def test_gap_depends_only_on_valuation():
@@ -121,11 +96,6 @@ def test_enumerate_small():
     assert enumerate_z1(P3, 30) == [1, 5, 7, 11, 13, 17, 19, 23, 25]
     assert enumerate_z2(P3, 32) == [1, 5, 7, 11, 13, 17, 19, 23, 31]
     assert enumerate_z2(P5, 10) == [1, 3, 7, 9]
-
-
-def test_enumerate_matches_reference_listings():
-    assert enumerate_z1(P3, 200) == [1] + Z1_REF
-    assert enumerate_z2(P3, 200) == [1] + Z2_REF
 
 
 def _levels(p: int, x: int) -> int:
@@ -337,15 +307,6 @@ def test_sieve_matches_per_element_scan(p, upper):
     assert enumerate_z2(prime, upper) == [i for i in _scanned(p, "z2") if i <= upper]
 
 
-@pytest.mark.parametrize("p", [P3, P5, P7])
-@pytest.mark.parametrize("upper", [1, 2, 99, 4001])
-def test_density_counts_match_enumeration(p, upper):
-    rep = density_bounds(p, upper)
-    x_count = (upper + 1) // 2
-    assert rep.empirical_z1 == Fraction(len(enumerate_z1(p, upper)), x_count)
-    assert rep.empirical_z2 == Fraction(len(enumerate_z2(p, upper)), x_count)
-
-
 @st.composite
 def _bound_near_a_level(draw):
     """(p, N) with N anywhere up to 10^5, or within 2v + 2 of some p^v."""
@@ -384,9 +345,11 @@ def _point_members(p: int, symmetric: bool) -> bytes:
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([3, 5, 7, 101]), st.integers(1, 10**5))
 @example(3, 1)
+@example(5, 2)  # an even N: (N+1)//2 odd numbers, not N//2 + 1
 @example(101, 100)  # N < p
 @example(3, 10**5)
 @example(7, 7**5 + 3)
+@example(7, 4001)
 def test_member_mask_is_the_point_membership_and_density_counts_it(p, upper):
     # The sieve's bytes are the members, byte for byte, and the empirical
     # densities are their counts over the (N+1)//2 odd numbers up to N.

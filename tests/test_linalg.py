@@ -58,7 +58,7 @@ def test_snf_basics():
     assert snf(identity).invariant_factors == (1, 1, 1, 1)
     assert snf(IntMatrix([[3, 0], [1, 9]])).invariant_factors == (1, 27)
     assert snf(IntMatrix([[0, 0]] * 3)).invariant_factors == ()
-    assert snf(IntMatrix([], rows=0, cols=0)).invariant_factors == ()
+    assert snf(IntMatrix([])).invariant_factors == ()
     # A diagonal that does not divide: the gcd/lcm pass.
     assert snf(IntMatrix([[2, 0], [0, 3]])).invariant_factors == (1, 6)
     assert snf(IntMatrix([[4, 0], [0, 6]])).invariant_factors == (2, 12)
@@ -92,7 +92,7 @@ def _matmul(a, b):
         [sum(a.data[i][k] * b.data[k][j] for k in range(a.cols)) for j in range(b.cols)]
         for i in range(a.rows)
     ]
-    return IntMatrix(data, a.rows, b.cols)
+    return IntMatrix(data)
 
 
 def test_snf_invariant_under_unimodular_transforms():
@@ -224,13 +224,13 @@ def small_matrices(draw):
     cols = draw(st.integers(min_value=0, max_value=5))
     entries = st.integers(min_value=-30, max_value=30)
     if draw(st.booleans()):
-        return IntMatrix([[draw(entries) for _ in range(cols)] for _ in range(rows)], rows, cols)
+        return IntMatrix([[draw(entries) for _ in range(cols)] for _ in range(rows)])
     inner = draw(st.integers(min_value=0, max_value=max(0, min(rows, cols) - 1)))
     small = st.integers(min_value=-6, max_value=6)
     left = [[draw(small) for _ in range(inner)] for _ in range(rows)]
     right = [[draw(small) for _ in range(cols)] for _ in range(inner)]
     data = [[sum(left[i][k] * right[k][j] for k in range(inner)) for j in range(cols)] for i in range(rows)]
-    return IntMatrix(data, rows, cols)
+    return IntMatrix(data)
 
 
 @settings(max_examples=200, deadline=None)
@@ -291,7 +291,7 @@ def test_cokernel_shape_matches_integer_snf_and_sympy_on_forests(case):
     p, cols, rows = case
     data = [[row.get(c, 0) for c in range(cols)] for row in rows]
     got = cokernel_shape(valuation_rows(rows, p))
-    assert got == _snf_shape(IntMatrix(data, len(rows), cols), p)
+    assert got == _snf_shape(IntMatrix(data), p)
     if sympy is not None and rows and cols:
         assert got == _factors_shape(_sympy_factors(data), len(rows), p)
 

@@ -50,7 +50,7 @@ def _matrices(draw):
 @given(_matrices(), st.sampled_from([3, 5, 7]))
 def test_zp_pivots_are_the_valuations_of_the_integer_snf(data, q):
     rows = [{c: x for c, x in enumerate(row) if x} for row in data]
-    factors = snf(IntMatrix(data, len(data), len(data[0]) if data else 0)).invariant_factors
+    factors = snf(IntMatrix(data)).invariant_factors
     assert sorted(zp_pivots(rows, Prime(q))) == sorted(vp(Prime(q), f) for f in factors)
     assert rows == [{c: x for c, x in enumerate(row) if x} for row in data]  # not modified
 

@@ -206,17 +206,20 @@ def _texts(p, j):
 def test_staircase_texts_match_str_of_fraction(p):
     # k!! built by its own running product; every text stays below the
     # 4300-digit int->str limit at k <= 1201.  Column 1201 writes X_1201
-    # and the even X_k, column 1200 X_1200 and the odd X_k.
+    # and the even X_k, column 1200 X_1200 and the odd X_k.  Each value is
+    # digits, or digits "/" digits: nothing a JSON or CSV writer escapes.
     double_fact = [1, 1]
     for k in range(2, 1202):
         double_fact.append(double_fact[k - 2] * k)
     seen = set()
     for j in (1201, 1200):
-        texts = _texts(Prime(p), j)
+        parts = _parts(Prime(p), j)
         ks = [j, *range(j - 1, -1, -2)]
-        assert len(texts) == len(ks)
-        for k, text in zip(ks, texts):
-            assert text == str(Fraction(p**k, double_fact[k])), k
+        assert len(parts) == len(ks)
+        for k, value in zip(ks, parts):
+            assert len(value) in (1, 3) and value[1:2] in ((), ("/",)), k
+            assert all(part.isdigit() for part in value[::2]), k
+            assert "".join(value) == str(Fraction(p**k, double_fact[k])), k
         seen.update(ks)
     assert seen == set(range(1202))
 
@@ -355,19 +358,6 @@ def test_staircase_residue_is_residue_of_the_fraction(p, k, e):
 def test_staircase_residue_rejects_negative_index():
     with pytest.raises(ValueError):
         staircase_residue(P3, -1, 27)
-
-
-@pytest.mark.parametrize("p", [3, 5, 101])
-def test_staircase_parts_join_to_the_texts(p):
-    # Digits, or digits "/" digits: nothing a JSON or CSV writer escapes.
-    # Column j holds X_j, then X_k for every k < j of the other parity.
-    for j in (0, 1, 2, 301, 302):
-        parts = _parts(Prime(p), j)
-        ks = [j, *range(j - 1, -1, -2)]
-        assert list(map("".join, parts)) == [str(seq_a(Prime(p), k) if k % 2 else seq_b(Prime(p), k)) for k in ks]
-        for value in parts:
-            assert len(value) in (1, 3) and value[1:2] in ((), ("/",))
-            assert all(part.isdigit() for part in value[::2])
 
 
 @pytest.mark.parametrize("p", [3, 5, 101])

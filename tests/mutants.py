@@ -11,10 +11,11 @@ and runs only the row's test node there (``python -m pytest NODE`` with
 fails, or when it is still running at the row's timeout: a mutant that
 never ends, such as ``snf`` without its column pass, would hang any
 suite that reaches it.  First it runs every node once on an unmutated
-copy, where each must pass.  It prints a line a row and exits 1 if a
-mutant survives, if pytest cannot run a node (a usage or collection
-error kills nothing), or if a row's old text does not occur exactly once
-in its file.
+copy, where each must pass.  Then the rows run ``os.cpu_count()`` at a
+time, each in its own pytest child.  It prints a line a row, in table
+order, and exits 1 if a mutant survives, if pytest cannot run a node (a
+usage or collection error kills nothing), or if a row's old text does
+not occur exactly once in its file.
 
 ``EQUIVALENT`` lists mutants that no test can kill, each with its reason;
 they are not run.  ``tests/test_mutants.py`` checks in tier-1 that the old
@@ -29,6 +30,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -56,6 +58,8 @@ class Equivalent(NamedTuple):
 
 CLI, GAPS, HOMOLOGY, LINALG, PADIC = (f"src/cychom/{name}.py" for name in ("cli", "gaps", "homology", "linalg", "padic"))
 LOADS = "tests/test_cli.py::test_loads_no_module_it_does_not_run"
+SPAN = "tests/test_linalg.py::test_submodule_equal_matches_span_enumeration"
+ANCHOR = "tests/test_acceptance.py::test_criterion_2_snf_anchor"
 REFUSED = "tests/test_cli.py::test_refused_with_one_error_line_before_any_work"
 MIXED, SMALL = "tests/mixed_complex.py", "tests/small_complex.py"
 B_SIGN = "(-1) ** (n * i + s * (total - s))"
@@ -108,6 +112,10 @@ MUTANTS = [
            "tests/test_cli.py::test_views_at_any_depth_write_their_lists", 300),
     Mutant("Prime takes the Miller-Rabin bound", PADIC, "    if n >= _MR_LIMIT:", "    if n > _MR_LIMIT:",
            "tests/test_padic.py::test_prime_refuses_beyond_certified_range", 300),
+    # seq_b's condition line is b_val's too; the message tells them apart.
+    Mutant("b_val accepts an odd index", PADIC, 'j % 2 == 1:\n        raise ValueError(f"b defined',
+           'j % 2 == 2:\n        raise ValueError(f"b defined', "tests/test_padic.py::test_seq_b_rejects_bad_indices[b_val-1]",
+           300),
     # Z1/Z2 membership by the point rule: at reach L/2 it stops at i = 25
     # (Z2, p = 3) before level 3, whose window [27 - 2, 27 + 2] holds it.
     Mutant("the point rule stops at half its reach", GAPS, REACH, "0, i.bit_length() // 2\n",
@@ -124,6 +132,8 @@ MUTANTS = [
            "    for pivots, tail in _hc_walk(p, max(i - 2, 0)):\n",
            "tests/test_homology.py::test_one_walk_gives_the_oracle_at_every_even_degree[5]", 300),
     # verify's kernel generator check.
+    Mutant("kernel generators refuse i = 1", HOMOLOGY, "i % 2 == 0 or i < 1:", "i % 2 == 0 or i <= 1:",
+           "tests/test_homology.py::test_kernel_generators", 300),
     Mutant("kernel generators over no range", HOMOLOGY, "verify_kernel_generators(p, i, upto=8)",
            "verify_kernel_generators(p, i, upto=0)",
            "tests/test_homology.py::test_verify_kernel_generator_indices_are_the_first_three_z2_members_past_1", 300),
@@ -134,13 +144,11 @@ MUTANTS = [
     Mutant("submodule length skips the first factor", LINALG,
            "snf(IntMatrix(dense)).invariant_factors)",
            "snf(IntMatrix(dense)).invariant_factors[1:])",
-           "tests/test_linalg.py::test_submodule_detects_strict_containment", 300),
-    Mutant("submodule length without the moduli", LINALG, "for row in rows + scaffold]", "for row in rows]",
-           "tests/test_linalg.py::test_submodule_equal_trivialities", 300),
+           SPAN, 300),
+    Mutant("submodule length without the moduli", LINALG, "for row in rows + scaffold]", "for row in rows]", SPAN, 300),
     Mutant("submodules compared without A + B", LINALG,
            "return length(rows_a) == length(rows_a + rows_b) == length(rows_b)",
-           "return length(rows_a) == length(rows_b)",
-           "tests/test_linalg.py::test_submodule_equal_trivialities", 300),
+           "return length(rows_a) == length(rows_b)", SPAN, 300),
     # The chain-level mixed complex and Hochschild homology.
     Mutant("b's wrap-around sign flipped", MIXED, "(-1) ** (n + chain[n] * sum(chain[:n])))",
            "-(-1) ** (n + chain[n] * sum(chain[:n])))",
@@ -154,6 +162,12 @@ MUTANTS = [
     ),
     Mutant("hochschild answers R/p in positive even degrees", HOMOLOGY, "ModuleShape((2 if i else 1,))",
            "ModuleShape((1,))", "tests/test_homology.py::test_hochschild_table", 300),
+    Mutant("hochschild answers R/p from degree 8", HOMOLOGY, "ModuleShape((2 if i else 1,))",
+           "ModuleShape((2 if 0 < i < 8 else 1,))", "tests/test_acceptance.py::test_criterion_1_hochschild_table", 300),
+    # The probe with no pivot to compare claims nothing, and is ok.
+    Mutant("the probe's vacuous report is not ok", HOMOLOGY, "TruncationProbeReport(True, True, (), None",
+           "TruncationProbeReport(False, True, (), None",
+           "tests/test_homology.py::test_truncation_probe_is_the_closed_form_comparison[p0]", 300),
     # The stabilization check reads every even degree's head.
     Mutant("heads gated by Z1", HOMOLOGY, HEAD,
            "        if i == 0 or in_z1(p, i - 1):\n    " + HEAD,
@@ -164,6 +178,9 @@ MUTANTS = [
     Mutant("a fall of one is let through", HOMOLOGY, "zip(heads, heads[1:]) if nxt < prev]",
            "zip(heads, heads[1:]) if nxt < prev - 1]",
            "tests/test_homology.py::test_hp_stabilization_names_each_fall", 300),
+    Mutant("the stabilization check fails an empty list", HOMOLOGY, 'return Check("hp stabilization", not falls',
+           'return Check("hp stabilization", bool(heads) and not falls',
+           "tests/test_homology.py::test_hp_stabilization_passes_a_raised_head_while_the_heads_rise", 300),
     # snf: a diagonalization plus the gcd/lcm rule.
     Mutant("snf without its gcd/lcm pass", LINALG, "    for s in range(len(diagonal)):", "    for s in range(0):",
            "tests/test_linalg.py::test_snf_basics", 300),
@@ -171,10 +188,11 @@ MUTANTS = [
            "diagonal[s], diagonal[t] = g, diagonal[t]", "tests/test_linalg.py::test_snf_matches_gcd_of_minors", 300),
     Mutant("snf's pivot always splits", LINALG,
            "        if any(row[j] for row in a if row is not prow) or any(prow[:j] + prow[j + 1 :]):\n"
-           "            continue\n", "", "tests/test_linalg.py::test_snf_anchor_block[3]", 300),
+           "            continue\n", "", ANCHOR, 300),
     # Never ends: the test loops, and the timeout is the kill.
-    Mutant("snf without its column pass", LINALG, "            if k != j and y:", "            if False:",
-           "tests/test_linalg.py::test_snf_anchor_block[3]", 30),
+    Mutant("snf without its column pass", LINALG, "            if k != j and y:", "            if False:", ANCHOR, 30),
+    Mutant("snf keeps the pivot's sign", LINALG, "diagonal.append(abs(pivot))", "diagonal.append(pivot)",
+           "tests/test_linalg.py::test_snf_matches_gcd_of_minors", 300),
     # Loday's small mixed complex.
     Mutant("B's coefficient m read as m + 2", SMALL, '{("b", m): m} if kind == "a"', '{("b", m): m + 2} if kind == "a"',
            "tests/test_small_complex.py::test_small_complex_has_the_chain_level_homology[3]", 300),
@@ -253,6 +271,13 @@ def _run(nodes: list[str], timeout: float, row: Mutant | None = None) -> tuple[i
     return proc.returncode, out.decode(errors="replace")
 
 
+def _timed(row: Mutant) -> tuple[float, int | None, str]:
+    """The seconds that ``row``'s run took, and ``_run``'s code and output."""
+    start = time.monotonic()
+    code, out = _run([row.node], row.timeout, row)
+    return time.monotonic() - start, code, out
+
+
 def _tail(out: str) -> str:
     return " | ".join(out.strip().splitlines()[-3:])
 
@@ -273,14 +298,13 @@ def main() -> int:
         print(f"the nodes fail on the unmutated copy (pytest exit {code}): {_tail(out)}")
         return 1
     live = 0
-    for row in MUTANTS:
-        t = time.monotonic()
-        code, out = _run([row.node], row.timeout, row)
-        verdict = {None: "killed (timeout)", 0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
-        live += not verdict.startswith("killed")
-        print(f"{time.monotonic() - t:6.1f} s  {verdict:<16}  {row.id}", flush=True)
-        if verdict.startswith("ERROR"):
-            print(f"          {_tail(out)}")
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        for row, (seconds, code, out) in zip(MUTANTS, pool.map(_timed, MUTANTS)):
+            verdict = {None: "killed (timeout)", 0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+            live += not verdict.startswith("killed")
+            print(f"{seconds:6.1f} s  {verdict:<16}  {row.id}", flush=True)
+            if verdict.startswith("ERROR"):
+                print(f"          {_tail(out)}")
     print(
         f"{len(MUTANTS) - live} of {len(MUTANTS)} mutants killed, {len(EQUIVALENT)} equivalent ones not run, "
         f"in {time.monotonic() - start:.0f} s"

@@ -91,12 +91,6 @@ def test_bad_prime_exit_code(capsys):
     assert code == 1
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["hh", "--prime", "3"])  # missing --degree
-    assert exc.value.code == 2
-
-
 def test_verify_walks_once(capsys, monkeypatch):
     from cychom import homology
 
@@ -1029,7 +1023,8 @@ def test_loads_no_module_it_does_not_run(row):
 
 
 def test_help_still_goes_through_argparse(capsys):
-    # A usage error does too: test_usage_error_exit_code.
+    # A usage error does too, with exit 2:
+    # test_entry_freezes_the_collector_on_every_way_out[usage].
     with pytest.raises(SystemExit) as exc:
         main(["hc", "--help"])
     assert exc.value.code == 0

@@ -47,12 +47,6 @@ def _det(data):
     return sum((-1) ** c * x * _det([row[:c] + row[c + 1 :] for row in data[1:]]) for c, x in enumerate(data[0]) if x)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11])
-def test_snf_anchor_block(p):
-    res = snf(IntMatrix([[p, 2], [0, p]]))
-    assert res.invariant_factors == (1, p * p)
-
-
 def test_snf_basics():
     identity = IntMatrix([[int(r == c) for c in range(4)] for r in range(4)])
     assert snf(identity).invariant_factors == (1, 1, 1, 1)
@@ -75,65 +69,6 @@ def test_snf_divisibility_and_sign():
     assert all(d > 0 for d in res.invariant_factors)
 
 
-def _random_unimodular(n, rng):
-    m = IntMatrix([[int(r == c) for c in range(n)] for r in range(n)])
-    for _ in range(4 * n):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.randint(-3, 3)
-        for k in range(n):
-            m.data[i][k] += c * m.data[j][k]
-    return m
-
-
-def _matmul(a, b):
-    data = [
-        [sum(a.data[i][k] * b.data[k][j] for k in range(a.cols)) for j in range(b.cols)]
-        for i in range(a.rows)
-    ]
-    return IntMatrix(data)
-
-
-def test_snf_invariant_under_unimodular_transforms():
-    rng = random.Random(20240811)
-    for _ in range(25):
-        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        m = IntMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
-        left = _random_unimodular(rows, rng)
-        right = _random_unimodular(cols, rng)
-        transformed = _matmul(_matmul(left, m), right)
-        assert snf(transformed).invariant_factors == snf(m).invariant_factors
-
-
-def test_snf_invariant_under_permutations():
-    rng = random.Random(7)
-    m = IntMatrix([[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)])
-    perm = IntMatrix([row[::-1] for row in reversed(m.data)])
-    assert snf(perm).invariant_factors == snf(m).invariant_factors
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.integers(min_value=-20, max_value=20), min_size=3, max_size=3),
-        min_size=3,
-        max_size=3,
-    )
-)
-def test_snf_product_equals_det(rows):
-    m = IntMatrix(rows)
-    det = _det(rows)
-    factors = snf(m).invariant_factors
-    prod = 1
-    for d in factors:
-        prod *= d
-    if det == 0:
-        assert len(factors) < 3
-    else:
-        assert prod == abs(det)
-
-
 def _minors_oracle(m):
     # Independent route: d_1 * ... * d_k is the gcd of all k x k minors.
     from itertools import combinations
@@ -153,14 +88,6 @@ def _minors_oracle(m):
     return tuple(facs)
 
 
-def test_snf_matches_gcd_of_minors():
-    rng = random.Random(99)
-    for _ in range(60):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        m = IntMatrix([[rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)])
-        assert snf(m).invariant_factors == _minors_oracle(m)
-
-
 def test_cokernel_shapes():
     # Rows of {column: valuation}: the matrices (3; 1 9) and (3 2; 0 3)
     # at p = 3.
@@ -173,18 +100,6 @@ def test_cokernel_shapes():
     assert rows == [{0: 1}, {0: 0, 1: 2}]
     # An entry 0 has no valuation, so its row does not list it.
     assert cokernel_shape(valuation_rows([{0: 0}, {0: 3, 1: 0}], P3)) == ModuleShape((1,), free_rank=1)
-
-
-def test_cokernel_drops_prime_to_p_part():
-    # coker = Z/10: only the 5-part survives for p=5, nothing for p=3.
-    m = [{0: 10}]
-    assert cokernel_shape(valuation_rows(m, Prime(5))) == ModuleShape((1,))
-    assert cokernel_shape(valuation_rows(m, P3)) == TRIVIAL_SHAPE
-
-
-def test_cokernel_p_length_matches_det_valuation():
-    for data in ([[3, 0], [1, 9]], [[9, 0], [7, 9]], [[27]]):
-        assert cokernel_shape(valuation_rows(_sparse(data), P3)).p_length == vp(P3, _det(data))
 
 
 def _factors_shape(factors, rows, p):
@@ -233,10 +148,29 @@ def small_matrices(draw):
     return IntMatrix(data)
 
 
+# Z/10 keeps its 5-part at p = 5 and nothing at p = 3; R/p^3 from a
+# lower-triangular block and from a single entry.
+@example(IntMatrix([[10]]), 5)
+@example(IntMatrix([[10]]), 3)
+@example(IntMatrix([[9, 0], [7, 9]]), 3)
+@example(IntMatrix([[27]]), 3)
 @settings(max_examples=200, deadline=None)
 @given(small_matrices(), st.sampled_from([3, 5, 7]))
 def test_cokernel_shape_matches_integer_snf(m, p):
     _check_against_factors(_sparse(m.data), Prime(p), snf(m).invariant_factors)
+
+
+# A diagonal that does not divide; an upper-triangular block; a full-rank
+# and a singular 3 x 3; and entries past 100.
+@example(IntMatrix([[4, 0], [0, 6]]))
+@example(IntMatrix([[3, 2], [0, 3]]))
+@example(IntMatrix([[-5, 2, 7], [1, 0, -3], [4, 4, 4]]))
+@example(IntMatrix([[2, 4, 4], [1, 2, 2], [0, 0, 0]]))
+@example(IntMatrix([[1234, -987, 55], [610, 377, -233], [144, 89, 21]]))
+@settings(max_examples=200, deadline=None)
+@given(small_matrices())
+def test_snf_matches_gcd_of_minors(m):
+    assert snf(m).invariant_factors == _minors_oracle(m)
 
 
 def test_cokernel_shape_matches_sympy_snf():
@@ -530,35 +464,6 @@ def test_module_shape_canonical_form_matches_filter_then_sort(exponents, given_a
     assert shape.p_length == sum(want)
 
 
-def test_submodule_equal_trivialities():
-    gens = [{0: 1}, {1: 1}]
-    assert submodule_equal_mod(P3, gens, gens, [9, 9])
-    assert not submodule_equal_mod(P3, [{0: 1}], [{1: 1}], [9, 9])
-
-
-def test_submodule_change_of_generators():
-    p = 3
-    assert submodule_equal_mod(
-        P3,
-        [{0: p}, {1: 1}],
-        [{0: p, 1: 1}, {1: 1}],
-        [p**3, p],
-    )
-
-
-def test_submodule_invariant_under_recombination():
-    gens = [{0: 3, 1: 1}, {1: 3, 2: 3}]
-    mixed = [{0: 3, 1: 1}, {0: 3, 1: 4, 2: 3}, {1: -3, 2: -3}]
-    moduli = [27, 27, 9]
-    assert submodule_equal_mod(P3, gens, mixed, moduli)
-    assert submodule_equal_mod(P3, list(reversed(gens)), gens, moduli)
-
-
-def test_submodule_detects_strict_containment():
-    # <p*e1> is strictly inside <e1>.
-    assert not submodule_equal_mod(P3, [{0: 3}], [{0: 1}], [27])
-
-
 def test_submodule_rejects_dimension_mismatch():
     # A zero entry still names its column, and Z/9 has no column 1.
     with pytest.raises(ValueError):
@@ -625,6 +530,14 @@ def _submodule_pairs(draw):
     return Prime(p), gens_a, gens_b, moduli
 
 
+# A span against itself, and e1 against e2; a change of generators; a
+# recombination, and a reordering; p*e1 strictly inside e1.
+@example((P3, [[1, 0], [0, 1]], [[1, 0], [0, 1]], [9, 9]))
+@example((P3, [[1, 0]], [[0, 1]], [9, 9]))
+@example((P3, [[3, 0], [0, 1]], [[3, 1], [0, 1]], [27, 3]))
+@example((P3, [[3, 1, 0], [0, 3, 3]], [[3, 1, 0], [3, 4, 3], [0, -3, -3]], [27, 27, 9]))
+@example((P3, [[0, 3, 3], [3, 1, 0]], [[3, 1, 0], [0, 3, 3]], [27, 27, 9]))
+@example((P3, [[3]], [[1]], [27]))
 # Equal spans that a Hermite form reduced above its pivots from the last
 # pivot upwards tells apart: rows (3, 0, -36) against (3, 0, 189).
 @example((P3, [[15, -19, -11], [0, -28, 28]], [[0, -94, 22], [15, 94, -67], [0, -75, -45]], [9, 3, 3]))

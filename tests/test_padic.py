@@ -244,16 +244,22 @@ def test_staircase_texts_raise_rather_than_round(monkeypatch):
         staircase_terms(P3, 201)
 
 
-@pytest.mark.parametrize("j", [0, -1, 4, 10])
-def test_seq_a_rejects_bad_indices(j):
-    with pytest.raises(ValueError):
-        seq_a(P3, j)
+# The coefficient and its valuation refuse the same indices; the
+# coefficient's cases keep their bare ids.
+@pytest.mark.parametrize(
+    "f, j", [pytest.param(f, j, id=f"{name}{j}") for name, f in (("", seq_a), ("a_val-", a_val)) for j in (0, -1, 4, 10)]
+)
+def test_seq_a_rejects_bad_indices(f, j):
+    with pytest.raises(ValueError, match="odd positive"):
+        f(P3, j)
 
 
-@pytest.mark.parametrize("j", [-2, 1, 7])
-def test_seq_b_rejects_bad_indices(j):
-    with pytest.raises(ValueError):
-        seq_b(P3, j)
+@pytest.mark.parametrize(
+    "f, j", [pytest.param(f, j, id=f"{name}{j}") for name, f in (("", seq_b), ("b_val-", b_val)) for j in (-2, 1, 7)]
+)
+def test_seq_b_rejects_bad_indices(f, j):
+    with pytest.raises(ValueError, match="even nonnegative"):
+        f(P3, j)
 
 
 def test_a_val_examples():

@@ -122,22 +122,21 @@ def hc_oracle(p: Prime, i: int) -> HomologyResult:
 def hc_closed_form(p: Prime, i: int) -> HomologyResult | None:
     """Closed-form cyclic homology in even degree i >= 2, when covered.
 
-    Covered degrees: i-1 in Z1 gives head exponent a_{i-1} + 2; failing
-    that, i+1 in Z2 gives head exponent a_{i+1}.  Both carry the same tail,
-    the torsion of HP cut at i-1, R/1 x R/3 x ... x R/(i-1), read off
-    ``hp``: so every covered degree that ``verify`` checks ties the HP
-    closed form to the oracle.  Returns None outside both sets.
+    Covered degrees: i-1 in Z1, or failing that, i+1 in Z2, where the
+    paper's head a_{i+1} is a_{i-1} + 2 - v_p(i+1) = a_{i-1} + 2: every
+    odd multiple of p lies in its own window, so p does not divide i+1.
+    Both carry the head a_{i-1} + 2 over the same tail, the torsion of HP
+    cut at i-1, R/1 x R/3 x ... x R/(i-1), read off ``hp``: so every
+    covered degree that ``verify`` checks ties the HP closed form to the
+    oracle.  Returns None outside both sets.
     """
     if i % 2 == 1:
         raise ValueError("closed forms exist in even degrees only")
     if i < 2:
         raise ValueError("closed form needs degree >= 2")
-    if in_z1(p, i - 1):
-        head = a_val(p, i - 1) + 2
-    elif in_z2(p, i + 1):
-        head = a_val(p, i + 1)
-    else:
+    if not (in_z1(p, i - 1) or in_z2(p, i + 1)):
         return None
+    head = a_val(p, i - 1) + 2
     counts = dict(hp(p, 0, i - 1).shape.torsion)
     counts[head] = counts.get(head, 0) + 1
     return HomologyResult("HC", i, ModuleShape(counts), "closed_form")

@@ -112,6 +112,12 @@ MUTANTS = [
            "tests/test_cli.py::test_views_at_any_depth_write_their_lists", 300),
     Mutant("Prime takes the Miller-Rabin bound", PADIC, "    if n >= _MR_LIMIT:", "    if n > _MR_LIMIT:",
            "tests/test_padic.py::test_prime_refuses_beyond_certified_range", 300),
+    Mutant("vp stops at a negative n", PADIC, "    while n % p.p == 0:", "    while n > 0 and n % p.p == 0:",
+           "tests/test_padic.py::test_vp_of_prime_power_times_unit", 300),
+    Mutant("factorial_vp takes m = -1", PADIC, "    if m < 0:", "    if m < -1:",
+           "tests/test_padic.py::test_factorial_vp_refuses_a_negative_m", 300),
+    Mutant("b_val reads v_p(j!)", PADIC, "return j - factorial_vp(p, j // 2)", "return j - factorial_vp(p, j)",
+           "tests/test_acceptance.py::test_criterion_7_sequence_identities", 300),
     # seq_b's condition line is b_val's too; the message tells them apart.
     Mutant("b_val accepts an odd index", PADIC, 'j % 2 == 1:\n        raise ValueError(f"b defined',
            'j % 2 == 2:\n        raise ValueError(f"b defined', "tests/test_padic.py::test_seq_b_rejects_bad_indices[b_val-1]",
@@ -120,6 +126,11 @@ MUTANTS = [
     # (Z2, p = 3) before level 3, whose window [27 - 2, 27 + 2] holds it.
     Mutant("the point rule stops at half its reach", GAPS, REACH, "0, i.bit_length() // 2\n",
            "tests/test_gaps.py::test_enumerate_agrees_with_point_queries", 300),
+    Mutant("Z2 reads only the multiple above", GAPS, "d = min(d, (q - i) % (2 * q))", "d = (q - i) % (2 * q)",
+           "tests/test_acceptance.py::test_criterion_4_set_enumeration", 300),
+    Mutant("enumerate_z2 drops an odd top", GAPS, "range(1, upper + 1, 2), member_mask(p, upper, symmetric=True)",
+           "range(1, upper, 2), member_mask(p, upper, symmetric=True)",
+           "tests/test_gaps.py::test_sieve_matches_per_element_scan", 300),
     # g(n), the largest even j with b_j < v_p(n): the paper's values, and
     # the density's count of odd numbers.
     Mutant("g(n) takes the j with b_j = v_p(n)", GAPS, "        if b_val(p, j) < v:\n",
@@ -127,12 +138,19 @@ MUTANTS = [
     Mutant("density counts N // 2 + 1 odd numbers", GAPS, "    x_count = (upper + 1) // 2\n",
            "    x_count = upper // 2 + 1\n",
            "tests/test_gaps.py::test_member_mask_is_the_point_membership_and_density_counts_it", 300),
+    # The closed form: its head, and the degrees it refuses.
+    Mutant("the covered head read as a_(i+1)", HOMOLOGY, "head = a_val(p, i - 1) + 2", "head = a_val(p, i + 1)",
+           "tests/test_homology.py::test_two_routes_agree_at_every_even_degree_of_the_sweep[3]", 300),
+    Mutant("the closed form takes degree 0", HOMOLOGY, "    if i < 2:\n", "    if i < 0:\n",
+           "tests/test_homology.py::test_hc_closed_form_tail_is_the_odd_valuations_from_3[3]", 300),
     # hc_oracle, the per-degree walk that hc runs.
     Mutant("hc_oracle walks to the degree below", HOMOLOGY, "    for pivots, tail in _hc_walk(p, i):\n",
            "    for pivots, tail in _hc_walk(p, max(i - 2, 0)):\n",
            "tests/test_homology.py::test_one_walk_gives_the_oracle_at_every_even_degree[5]", 300),
     # verify's kernel generator check.
     Mutant("kernel generators refuse i = 1", HOMOLOGY, "i % 2 == 0 or i < 1:", "i % 2 == 0 or i <= 1:",
+           "tests/test_homology.py::test_kernel_generators", 300),
+    Mutant("kernel generators take an even index", HOMOLOGY, "i % 2 == 0 or i < 1:", "i < 1:",
            "tests/test_homology.py::test_kernel_generators", 300),
     Mutant("kernel generators over no range", HOMOLOGY, "verify_kernel_generators(p, i, upto=8)",
            "verify_kernel_generators(p, i, upto=0)",
@@ -168,6 +186,11 @@ MUTANTS = [
     Mutant("the probe's vacuous report is not ok", HOMOLOGY, "TruncationProbeReport(True, True, (), None",
            "TruncationProbeReport(False, True, (), None",
            "tests/test_homology.py::test_truncation_probe_is_the_closed_form_comparison[p0]", 300),
+    Mutant("the probe takes truncation 0", HOMOLOGY, "    if truncation < 1:", "    if truncation < 0:",
+           "tests/test_homology.py::test_truncation_probe_is_the_closed_form_comparison[p0]", 300),
+    # The colimit presentation against the walk.
+    Mutant("the colimit's head relation reads 1 + a_i", HOMOLOGY, "[{0: 2 + a_val(p, i)}]", "[{0: 1 + a_val(p, i)}]",
+           "tests/test_homology.py::test_presentation_matches_the_walk_at_every_odd_index_of_the_sweep[3]", 300),
     # The stabilization check reads every even degree's head.
     Mutant("heads gated by Z1", HOMOLOGY, HEAD,
            "        if i == 0 or in_z1(p, i - 1):\n    " + HEAD,

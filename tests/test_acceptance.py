@@ -105,7 +105,8 @@ def test_criterion_7_sequence_identities():
     for q in (3, 5, 7):
         p = Prime(q)
         for j in range(1, 401, 2):
-            ok = ok and a_val(p, j) == b_val(p, 2 * j) - b_val(p, j - 1) - 1
+            aj = a_val(p, j)
+            ok = ok and aj >= 0 and aj == b_val(p, 2 * j) - b_val(p, j - 1) - 1
             ok = ok and seq_a(p, j).denominator % q != 0
         for j in range(2, 801, 2):
             bj = b_val(p, j)

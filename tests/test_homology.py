@@ -77,14 +77,6 @@ def test_cyclic_matrix_entries():
         cyclic_matrix(P3, 5)
 
 
-def test_hc_oracle_values():
-    assert hc_oracle(P3, 0).shape == ModuleShape((1,))
-    assert hc_oracle(P3, 2).shape == ModuleShape((3,))
-    assert hc_oracle(P3, 6).shape == ModuleShape((6, 1))
-    assert hc_oracle(P5, 5).shape == TRIVIAL_SHAPE
-    assert hc_oracle(P3, 11).shape == TRIVIAL_SHAPE
-
-
 def test_hc_oracle_walks_no_staircase_at_an_odd_degree(monkeypatch):
     # An odd degree is zero because the staircase map is injective; the
     # walk would only confirm that.
@@ -210,25 +202,6 @@ def test_valuation_routes_take_no_integer(monkeypatch):
     assert hc_neg_truncation_probe(P3, 6, 300).ok
 
 
-def test_hc_closed_form_examples():
-    assert hc_closed_form(P3, 6).shape == hc_oracle(P3, 6).shape == ModuleShape((6, 1))
-    # 29 is excluded from Z1 but 31 is in Z2: covered through the second clause.
-    r30 = hc_closed_form(P3, 30)
-    assert r30.shape.torsion_exponents[0] == a_val(P3, 31)
-    assert r30.shape == hc_oracle(P3, 30).shape
-    assert hc_closed_form(P3, 28) is None
-    with pytest.raises(ValueError):
-        hc_closed_form(P3, 7)
-
-
-def test_hc_closed_form_clauses_agree_when_both_apply():
-    for i in range(2, 40, 2):
-        from cychom.gaps import in_z1, in_z2
-
-        if in_z1(P3, i - 1) and in_z2(P3, i + 1):
-            assert a_val(P3, i - 1) + 2 == a_val(P3, i + 1)
-
-
 def test_hp_shapes():
     assert hp(P3, 0, 11).shape == ModuleShape((1, 2), complete_rank=1, n_max=11)
     assert hp(P5, -4, 9).shape == ModuleShape((1,), complete_rank=1, n_max=9)
@@ -278,20 +251,14 @@ def test_phi_coeffs_zero_pattern(p):
                 assert j - n <= gap(p, n)
 
 
-# At (3, 27) the relation's entries must sit on their own coordinates: read
-# in reverse order, they rebuild the wrong module there.
-@pytest.mark.parametrize("p,i", [(P3, 1), (P3, 5), (P3, 9), (P5, 7), (P7, 3), (P3, 27)])
-def test_presentation_matches_oracle(p, i):
-    rep = verify_presentation(p, i, hc_oracle(p, i + 1).shape)
-    assert rep.ok, rep
-
-
 PRESENTATION_MAX = size("tests/test_homology.py::test_presentation_matches_the_walk_at_every_odd_index_of_the_sweep")
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009])
 def test_presentation_matches_the_walk_at_every_odd_index_of_the_sweep(p):
     # Index i meets the walk's block of degree i + 1 as the walk reaches it.
+    # At (3, 27) the relation's entries must sit on their own coordinates:
+    # read in reverse order, they rebuild the wrong module there.
     prime = Prime(p)
     shapes = _walk_shapes(prime, PRESENTATION_MAX)
     next(shapes)  # degree 0
@@ -312,6 +279,9 @@ def test_kernel_generators():
         verify_kernel_generators(P3, 25, 0)
     with pytest.raises(ValueError):
         verify_kernel_generators(P3, 5, 3)
+    for i in (4, -1):
+        with pytest.raises(ValueError, match="odd and positive"):
+            verify_kernel_generators(P3, i, 0)
     # The product is the head and the odd multiples of p in [i, i + upto]
     # alone, so upto has no ceiling tied to i: 3i + 3 and past it hold too.
     assert verify_kernel_generators(P3, 5, 16) is True
@@ -511,6 +481,11 @@ def test_hc_closed_form_tail_is_the_odd_valuations_from_3(p):
     for i in range(2, 10**4 + 1, 2):
         closed = hc_closed_form(prime, i)
         assert (closed and closed.shape) == _closed_form_reference(prime, i), i
+    with pytest.raises(ValueError, match="even degrees only"):
+        hc_closed_form(prime, 7)
+    for i in (0, -2):
+        with pytest.raises(ValueError, match="degree >= 2"):
+            hc_closed_form(prime, i)
 
 
 def test_a_skewed_hp_fails_the_covered_hc_degree_records(monkeypatch):
@@ -624,6 +599,8 @@ def test_truncation_probe_is_the_closed_form_comparison(p):
             with pytest.raises(ValueError, match="Z2"):
                 hc_neg_truncation_probe(p, m, 1)
             continue
+        with pytest.raises(ValueError, match="truncation must be >= 1"):
+            hc_neg_truncation_probe(p, m, 0)
         for k in range(1, 41):
             rep = hc_neg_truncation_probe(p, m, k)
             assert rep.ok and rep == _probe_by_the_closed_form(p, m, k), (m, k)

@@ -171,7 +171,7 @@ def _emit(payload: dict, fmt: str, out: str | None, table_lines) -> None:
         chunks = _csv_chunks(payload)
     else:
         chunks = _table_chunks(table_lines)
-    if out:
+    if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
     else:
@@ -679,7 +679,7 @@ def main(argv: list[str] | None = None) -> int:
         # A precondition failed, or the output could not be opened or written;
         # then what stdout still buffers goes to devnull, not to an error at exit.
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, OSError) and not args.out:
+        if isinstance(exc, OSError) and args.out is None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except MemoryError:

@@ -79,6 +79,11 @@ POINT_RULE = (
 )
 HEAD = "        heads.append(shape.torsion[0][0])\n"
 REACH = "0, 2 * i.bit_length()\n"
+SIEVE = "tests/test_gaps.py::test_sieve_matches_per_element_scan"
+PRINTED = "tests/test_cli.py::test_density_bounds_are_printed_rounded_down"
+VIEWS = "tests/test_cli.py::test_views_at_any_depth_write_their_lists"
+PAYLOADS = "tests/test_cli.py::test_json_payloads_hold_only_json_types"
+LARGE = "tests/test_homology.py::test_closed_forms_at_large_degree_match_elementwise_tail[p0]"
 
 MUTANTS = [
     # The CLI's contracts: what each command loads, and what it refuses
@@ -109,9 +114,26 @@ MUTANTS = [
            "tests/test_cli.py::test_verify_writes_its_check_records[hc degree]", 300),
     # The writers: a run of more than 4096 items spans chunks.
     Mutant("a full chunk of a run drops an item", CLI, "(sep + text) * (n - 1)", "(sep + text) * (min(n, 4095) - 1)",
-           "tests/test_cli.py::test_views_at_any_depth_write_their_lists", 300),
+           VIEWS, 300),
+    # Each call's text is its own: none depends on an earlier one.
+    Mutant("each JSON text ends in one newline more than the last", CLI, '    yield "\\n"\n\n\ndef _json_value(',
+           '    _json_chunks.calls = getattr(_json_chunks, "calls", 0) + 1\n    yield "\\n" * _json_chunks.calls\n\n\n'
+           "def _json_value(", VIEWS, 300),
+    Mutant("a table line drops the completion", CLI, 'Repeats(res.shape.factors()).chunks(" x ")',
+           'Repeats(res.shape.factors()[1:]).chunks(" x ")', "tests/test_cli.py::test_exponent_runs_text_matches_shape",
+           300),
+    # CSV names a nested view's column by its path.
+    Mutant("a nested column loses its prefix", CLI, 'flat.update(_flatten(value, f"{prefix}{key}."))',
+           "flat.update(_flatten(value, prefix))", f"{PAYLOADS}[argv1]", 300),
+    Mutant("a nested record is one cell", CLI, "        if isinstance(value, dict):\n            flat.update",
+           "        if False:\n            flat.update", f"{PAYLOADS}[argv4]", 300),
+    Mutant("--out echoes its answer to stdout", CLI, "            fh.writelines(chunks)\n",
+           "            for chunk in chunks:\n                fh.write(chunk)\n                sys.stdout.write(chunk)\n",
+           "tests/test_cli.py::test_exponent_lists_are_written_from_runs[json-hp]", 300),
     Mutant("Prime takes the Miller-Rabin bound", PADIC, "    if n >= _MR_LIMIT:", "    if n > _MR_LIMIT:",
            "tests/test_padic.py::test_prime_refuses_beyond_certified_range", 300),
+    Mutant("Prime takes an even number", PADIC, "p < 3 or not _is_prime(p)", "p < 3 or not (_is_prime(p) or p % 2 == 0)",
+           "tests/test_padic.py::test_prime_rejects_non_odd_primes[4]", 300),
     Mutant("vp stops at a negative n", PADIC, "    while n % p.p == 0:", "    while n > 0 and n % p.p == 0:",
            "tests/test_padic.py::test_vp_of_prime_power_times_unit", 300),
     Mutant("factorial_vp takes m = -1", PADIC, "    if m < 0:", "    if m < -1:",
@@ -124,13 +146,17 @@ MUTANTS = [
            300),
     # Z1/Z2 membership by the point rule: at reach L/2 it stops at i = 25
     # (Z2, p = 3) before level 3, whose window [27 - 2, 27 + 2] holds it.
-    Mutant("the point rule stops at half its reach", GAPS, REACH, "0, i.bit_length() // 2\n",
-           "tests/test_gaps.py::test_enumerate_agrees_with_point_queries", 300),
+    Mutant("the point rule stops at half its reach", GAPS, REACH, "0, i.bit_length() // 2\n", SIEVE, 300),
+    # At p = 3 only level 3's edge, 27 + 2, takes 29 out of Z2, so degree
+    # 28 would be covered.
+    Mutant("the point rule leaves out a window's edge", GAPS, "d <= _gap_for_valuation(p, v)",
+           "d < _gap_for_valuation(p, v)", "tests/test_acceptance.py::test_criterion_4_set_enumeration", 300),
     Mutant("Z2 reads only the multiple above", GAPS, "d = min(d, (q - i) % (2 * q))", "d = (q - i) % (2 * q)",
            "tests/test_acceptance.py::test_criterion_4_set_enumeration", 300),
     Mutant("enumerate_z2 drops an odd top", GAPS, "range(1, upper + 1, 2), member_mask(p, upper, symmetric=True)",
-           "range(1, upper, 2), member_mask(p, upper, symmetric=True)",
-           "tests/test_gaps.py::test_sieve_matches_per_element_scan", 300),
+           "range(1, upper, 2), member_mask(p, upper, symmetric=True)", SIEVE, 300),
+    Mutant("zsets lists the other set", CLI, 'symmetric=args.set == "z2"', 'symmetric=args.set == "z1"',
+           "tests/test_cli.py::test_zsets_text_matches_enumerated_members", 300),
     # g(n), the largest even j with b_j < v_p(n): the paper's values, and
     # the density's count of odd numbers.
     Mutant("g(n) takes the j with b_j = v_p(n)", GAPS, "        if b_val(p, j) < v:\n",
@@ -138,11 +164,30 @@ MUTANTS = [
     Mutant("density counts N // 2 + 1 odd numbers", GAPS, "    x_count = (upper + 1) // 2\n",
            "    x_count = upper // 2 + 1\n",
            "tests/test_gaps.py::test_member_mask_is_the_point_membership_and_density_counts_it", 300),
+    Mutant("g(p^v) reads the next even j", GAPS, "            best = j\n", "            best = j + 2\n",
+           "tests/test_gaps.py::test_level_gap_is_nondecreasing_and_below_2v[3]", 300),
+    # The density bounds: each must stay below the densities it bounds.
+    Mutant("lambda read as (2p - 2)/(2p - 1)", GAPS, "lam = Fraction(2 * pk - 3, 2 * pk - 2)",
+           "lam = Fraction(2 * pk - 2, 2 * pk - 1)", "tests/test_gaps.py::test_density_bounds_are_monotone_in_sharpness",
+           300),
+    Mutant("the density bounds drop p^-3", GAPS, "Fraction(1, pk**3) + Fraction(1, pk**5) + tail",
+           "Fraction(1, pk**5) + tail", f"{PRINTED}[999-3]", 300),
+    Mutant("the density bounds drop the finite-N correction", GAPS,
+           "    correction = (log_up + 1) / (lam * x_count)\n", "    correction = 0\n", f"{PRINTED}[10000-5]", 300),
+    Mutant("the tail remainder divides by p - 1", GAPS, "* (q - 1))", "// (q - 1))",
+           "tests/test_gaps.py::test_tail_remainder_bounds_the_level_terms_from_k_60[3]", 300),
     # The closed form: its head, and the degrees it refuses.
     Mutant("the covered head read as a_(i+1)", HOMOLOGY, "head = a_val(p, i - 1) + 2", "head = a_val(p, i + 1)",
            "tests/test_homology.py::test_two_routes_agree_at_every_even_degree_of_the_sweep[3]", 300),
     Mutant("the closed form takes degree 0", HOMOLOGY, "    if i < 2:\n", "    if i < 0:\n",
            "tests/test_homology.py::test_hc_closed_form_tail_is_the_odd_valuations_from_3[3]", 300),
+    Mutant("the closed form's head counted twice", HOMOLOGY, "counts[head] = counts.get(head, 0) + 1",
+           "counts[head] = counts.get(head, 0) + 2", "tests/test_cli.py::test_verify_writes_its_check_records[None]", 300),
+    # HP and HC-: the degrees that take the periodic product.
+    Mutant("hp takes its product in odd degrees", HOMOLOGY, 'TRIVIAL_SHAPE if i % 2 else shape, "closed_form")',
+           'shape, "closed_form")', LARGE, 300),
+    Mutant("hc_neg asks Z2 at a non-positive degree", HOMOLOGY, "    if m > 0 and not in_z2(p, m - 1):\n",
+           "    if not in_z2(p, abs(m - 1)):\n", LARGE, 300),
     # hc_oracle, the per-degree walk that hc runs.
     Mutant("hc_oracle walks to the degree below", HOMOLOGY, "    for pivots, tail in _hc_walk(p, i):\n",
            "    for pivots, tail in _hc_walk(p, max(i - 2, 0)):\n",
@@ -182,6 +227,8 @@ MUTANTS = [
            "ModuleShape((1,))", "tests/test_homology.py::test_hochschild_table", 300),
     Mutant("hochschild answers R/p from degree 8", HOMOLOGY, "ModuleShape((2 if i else 1,))",
            "ModuleShape((2 if 0 < i < 8 else 1,))", "tests/test_acceptance.py::test_criterion_1_hochschild_table", 300),
+    Mutant("hochschild answers R/p^2 in odd degrees from 3", HOMOLOGY, "shape = TRIVIAL_SHAPE if i % 2 else",
+           "shape = TRIVIAL_SHAPE if i % 2 and i < 3 else", "tests/test_homology.py::test_hochschild_table", 300),
     # The probe with no pivot to compare claims nothing, and is ok.
     Mutant("the probe's vacuous report is not ok", HOMOLOGY, "TruncationProbeReport(True, True, (), None",
            "TruncationProbeReport(False, True, (), None",
@@ -245,6 +292,9 @@ MUTANTS = [
            300),
     Mutant("coeffs without its index check", CLI, "    padic._check_phi_indices(j, i)\n", "",
            "tests/test_cli.py::test_coeffs_refuses_the_indices_phi_coeffs_refuses", 300),
+    Mutant("the index check takes an even j", PADIC, "j % 2 == 0 or i % 2 == 0 or j < 1 or i < j",
+           "i % 2 == 0 or j < 1 or i < j", "tests/test_cli.py::test_coeffs_refuses_the_indices_phi_coeffs_refuses[2-5]",
+           300),
     # The walk's reference, local_snf: each is killed by an @example.
     Mutant("local_snf predicts the larger valuation", "tests/local_snf.py", "vz = min(va, w)", "vz = max(va, w)",
            "tests/test_linalg.py::test_local_snf_matches_integer_snf_with_non_unit_pivots", 300),
@@ -266,6 +316,15 @@ EQUIVALENT = [
         Equivalent(f"the point rule's reach {name}", GAPS, REACH, f"0, {new}\n", POINT_RULE)
         for name, new in (("L", "i.bit_length()"), ("2L + 2", "2 * i.bit_length() + 2"))
     ),
+    Equivalent("the point rule takes d = 2v", GAPS, "d < 2 * v", "d <= 2 * v",
+               "the rule's other clause asks d <= g(p^v), and g(p^v) < 2v by the level bound"),
+    Equivalent("staircase_terms keeps k by j + k", PADIC, "(j - k) & 1", "(j + k) & 1",
+               "j - k and j + k differ by 2k, so they have the same parity"),
+    # seq_b's return line is the same; seq_a's error message tells them apart.
+    Equivalent("seq_a stops at 3", PADIC,
+               'odd positive indices, got {j}")\n    return Fraction(p.p**j, prod(range(j, 0, -2)))',
+               'odd positive indices, got {j}")\n    return Fraction(p.p**j, prod(range(j, 1, -2)))',
+               "j is odd, so the range ends at 1 and range(j, 1, -2) drops only the factor 1"),
 ]
 
 

@@ -202,22 +202,6 @@ def test_valuation_routes_take_no_integer(monkeypatch):
     assert hc_neg_truncation_probe(P3, 6, 300).ok
 
 
-def test_hp_shapes():
-    assert hp(P3, 0, 11).shape == ModuleShape((1, 2), complete_rank=1, n_max=11)
-    assert hp(P5, -4, 9).shape == ModuleShape((1,), complete_rank=1, n_max=9)
-    assert hp(P3, 3, 9).shape == TRIVIAL_SHAPE
-    with pytest.raises(ValueError):
-        hp(P3, 0, 10)
-
-
-def test_hc_neg_closed_form():
-    assert hc_neg_closed_form(P3, -2, 9).shape == hp(P3, 0, 9).shape
-    r = hc_neg_closed_form(P3, 6, 15)
-    assert r.shape == ModuleShape((2, 1), complete_rank=1, n_max=15)
-    assert hc_neg_closed_form(P3, 26, 29) is None
-    assert hc_neg_closed_form(P3, 5, 9).shape == TRIVIAL_SHAPE
-
-
 def test_phi_coeffs_examples():
     base = phi_coeffs(P3, 1, 1)
     assert base == (3, ((1, 1),))
@@ -679,8 +663,12 @@ def test_closed_forms_at_large_degree_match_elementwise_tail(p):
         assert neg.shape == ModuleShape(tors, complete_rank=1, n_max=i + 21)
     else:
         assert neg is None
-    tors = tuple(vp(p, n) for n in range(1, i + 2, 2))
-    assert hp(p, 0, i + 1).shape == ModuleShape(tors, complete_rank=1, n_max=i + 1)
+    # HP is one shape in every even degree, and HC- is HP in every
+    # non-positive even one; both vanish in odd degrees.
+    periodic = ModuleShape(tuple(vp(p, n) for n in range(1, i + 2, 2)), complete_rank=1, n_max=i + 1)
+    for m in (0, -2, -4):
+        assert hp(p, m, i + 1).shape == hc_neg_closed_form(p, m, i + 1).shape == periodic
+    assert hp(p, i + 1, 9).shape == hc_neg_closed_form(p, i + 1, 9).shape == TRIVIAL_SHAPE
 
 
 @pytest.mark.parametrize("p", [3, 5, 1009])

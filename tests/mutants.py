@@ -84,6 +84,9 @@ PRINTED = "tests/test_cli.py::test_density_bounds_are_printed_rounded_down"
 VIEWS = "tests/test_cli.py::test_views_at_any_depth_write_their_lists"
 PAYLOADS = "tests/test_cli.py::test_json_payloads_hold_only_json_types"
 LARGE = "tests/test_homology.py::test_closed_forms_at_large_degree_match_elementwise_tail[p0]"
+RAISED = "tests/test_homology.py::test_hp_stabilization_passes_a_raised_head_while_the_heads_rise"
+MINORS = "tests/test_linalg.py::test_snf_matches_gcd_of_minors"
+HOCHSCHILD = "tests/test_acceptance.py::test_criterion_1_hochschild_table"
 
 MUTANTS = [
     # The CLI's contracts: what each command loads, and what it refuses
@@ -119,6 +122,9 @@ MUTANTS = [
     Mutant("each JSON text ends in one newline more than the last", CLI, '    yield "\\n"\n\n\ndef _json_value(',
            '    _json_chunks.calls = getattr(_json_chunks, "calls", 0) + 1\n    yield "\\n" * _json_chunks.calls\n\n\n'
            "def _json_value(", VIEWS, 300),
+    # A list of str one dict down takes its own indent.
+    Mutant("a list one dict down keeps the top's indent", CLI, '_json_strs(value, "," + inner)',
+           '_json_strs(value, ",\\n    ")', "tests/test_cli.py::test_lists_are_written_item_by_item", 300),
     Mutant("a table line drops the completion", CLI, 'Repeats(res.shape.factors()).chunks(" x ")',
            'Repeats(res.shape.factors()[1:]).chunks(" x ")', "tests/test_cli.py::test_exponent_runs_text_matches_shape",
            300),
@@ -138,6 +144,8 @@ MUTANTS = [
            "tests/test_padic.py::test_vp_of_prime_power_times_unit", 300),
     Mutant("factorial_vp takes m = -1", PADIC, "    if m < 0:", "    if m < -1:",
            "tests/test_padic.py::test_factorial_vp_refuses_a_negative_m", 300),
+    Mutant("a_j reads v_p(((j+1)/2)!)", PADIC, "factorial_vp(p, (j - 1) // 2)", "factorial_vp(p, (j + 1) // 2)",
+           "tests/test_acceptance.py::test_criterion_5_oracle_equals_closed_form", 300),
     Mutant("b_val reads v_p(j!)", PADIC, "return j - factorial_vp(p, j // 2)", "return j - factorial_vp(p, j)",
            "tests/test_acceptance.py::test_criterion_7_sequence_identities", 300),
     # seq_b's condition line is b_val's too; the message tells them apart.
@@ -155,6 +163,8 @@ MUTANTS = [
            "tests/test_acceptance.py::test_criterion_4_set_enumeration", 300),
     Mutant("enumerate_z2 drops an odd top", GAPS, "range(1, upper + 1, 2), member_mask(p, upper, symmetric=True)",
            "range(1, upper, 2), member_mask(p, upper, symmetric=True)", SIEVE, 300),
+    Mutant("a block without members writes its prefix", CLI, "            if body:\n", "            if True:\n",
+           "tests/test_cli.py::test_zsets_text_matches_enumerated_members", 300),
     Mutant("zsets lists the other set", CLI, 'symmetric=args.set == "z2"', 'symmetric=args.set == "z1"',
            "tests/test_cli.py::test_zsets_text_matches_enumerated_members", 300),
     # g(n), the largest even j with b_j < v_p(n): the paper's values, and
@@ -204,6 +214,11 @@ MUTANTS = [
            "head_mod = p.p ** (a_val(p, i) + 1)",
            "tests/test_homology.py::test_verify_kernel_generator_check_takes_five_generators_mod_p_to_the_a_i_plus_6",
            300),
+    Mutant("submodule_equal_mod measures A twice", LINALG,
+           "return length(rows_a) == length(rows_a + rows_b) == length(rows_b)",
+           "return length(rows_a) == length(rows_a) == length(rows_a + rows_b) == length(rows_b)",
+           "tests/test_homology.py::test_verify_kernel_generator_check_takes_five_generators_mod_p_to_the_a_i_plus_6",
+           300),
     Mutant("submodule length skips the first factor", LINALG,
            "snf(IntMatrix(dense)).invariant_factors)",
            "snf(IntMatrix(dense)).invariant_factors[1:])",
@@ -224,11 +239,15 @@ MUTANTS = [
         for at in ("i == 0", "i == 1", "i == n")
     ),
     Mutant("hochschild answers R/p in positive even degrees", HOMOLOGY, "ModuleShape((2 if i else 1,))",
-           "ModuleShape((1,))", "tests/test_homology.py::test_hochschild_table", 300),
+           "ModuleShape((1,))", HOCHSCHILD, 300),
     Mutant("hochschild answers R/p from degree 8", HOMOLOGY, "ModuleShape((2 if i else 1,))",
-           "ModuleShape((2 if 0 < i < 8 else 1,))", "tests/test_acceptance.py::test_criterion_1_hochschild_table", 300),
+           "ModuleShape((2 if 0 < i < 8 else 1,))", HOCHSCHILD, 300),
     Mutant("hochschild answers R/p^2 in odd degrees from 3", HOMOLOGY, "shape = TRIVIAL_SHAPE if i % 2 else",
-           "shape = TRIVIAL_SHAPE if i % 2 and i < 3 else", "tests/test_homology.py::test_hochschild_table", 300),
+           "shape = TRIVIAL_SHAPE if i % 2 and i < 3 else", HOCHSCHILD, 300),
+    Mutant("hochschild takes a negative degree", HOMOLOGY,
+           '    if i < 0:\n        raise ValueError("negative degree")\n    shape = TRIVIAL_SHAPE',
+           "    shape = TRIVIAL_SHAPE",
+           "tests/test_homology.py::test_one_walk_gives_the_oracle_at_every_even_degree[3]", 300),
     # The probe with no pivot to compare claims nothing, and is ok.
     Mutant("the probe's vacuous report is not ok", HOMOLOGY, "TruncationProbeReport(True, True, (), None",
            "TruncationProbeReport(False, True, (), None",
@@ -238,6 +257,12 @@ MUTANTS = [
     # The colimit presentation against the walk.
     Mutant("the colimit's head relation reads 1 + a_i", HOMOLOGY, "[{0: 2 + a_val(p, i)}]", "[{0: 1 + a_val(p, i)}]",
            "tests/test_homology.py::test_presentation_matches_the_walk_at_every_odd_index_of_the_sweep[3]", 300),
+    # verify's valuation routes take no integer SNF.
+    Mutant("the colimit presentation takes an integer snf", HOMOLOGY,
+           "    rebuilt = cokernel_shape(_colimit_rows(p, i))\n",
+           "    from .linalg import IntMatrix, snf\n\n    snf(IntMatrix([[p.p]]))\n"
+           "    rebuilt = cokernel_shape(_colimit_rows(p, i))\n",
+           "tests/test_homology.py::test_valuation_routes_take_no_integer", 300),
     # The stabilization check reads every even degree's head.
     Mutant("heads gated by Z1", HOMOLOGY, HEAD,
            "        if i == 0 or in_z1(p, i - 1):\n    " + HEAD,
@@ -246,23 +271,30 @@ MUTANTS = [
            "        if i == 0 or hc_closed_form(p, i) is not None:\n    " + HEAD,
            "tests/test_homology.py::test_hp_stabilization_reads_the_head_of_every_degree[p2-30-z1_degrees2]", 300),
     Mutant("a fall of one is let through", HOMOLOGY, "zip(heads, heads[1:]) if nxt < prev]",
-           "zip(heads, heads[1:]) if nxt < prev - 1]",
-           "tests/test_homology.py::test_hp_stabilization_names_each_fall", 300),
+           "zip(heads, heads[1:]) if nxt < prev - 1]", RAISED, 300),
+    Mutant("the stabilization detail names its first fall only", HOMOLOGY, '"; ".join(falls)', '"; ".join(falls[:1])',
+           RAISED, 300),
+    Mutant("connes names the degree by its index", HOMOLOGY, 'f"degree {i}: length {n} != {i + 1}"',
+           'f"degree {i // 2}: length {n} != {i + 1}"',
+           "tests/test_cli.py::test_verify_writes_its_check_records[connes]", 300),
     Mutant("the stabilization check fails an empty list", HOMOLOGY, 'return Check("hp stabilization", not falls',
            'return Check("hp stabilization", bool(heads) and not falls',
-           "tests/test_homology.py::test_hp_stabilization_passes_a_raised_head_while_the_heads_rise", 300),
+           RAISED, 300),
     # snf: a diagonalization plus the gcd/lcm rule.
     Mutant("snf without its gcd/lcm pass", LINALG, "    for s in range(len(diagonal)):", "    for s in range(0):",
-           "tests/test_linalg.py::test_snf_basics", 300),
+           MINORS, 300),
     Mutant("snf's lcm dropped", LINALG, "diagonal[s], diagonal[t] = g, diagonal[s] * diagonal[t] // g",
-           "diagonal[s], diagonal[t] = g, diagonal[t]", "tests/test_linalg.py::test_snf_matches_gcd_of_minors", 300),
+           "diagonal[s], diagonal[t] = g, diagonal[t]", MINORS, 300),
+    Mutant("snf keeps a row that goes to zero", LINALG, "for row in a if any(row)]", "for row in a]", MINORS, 300),
     Mutant("snf's pivot always splits", LINALG,
            "        if any(row[j] for row in a if row is not prow) or any(prow[:j] + prow[j + 1 :]):\n"
            "            continue\n", "", ANCHOR, 300),
     # Never ends: the test loops, and the timeout is the kill.
     Mutant("snf without its column pass", LINALG, "            if k != j and y:", "            if False:", ANCHOR, 30),
-    Mutant("snf keeps the pivot's sign", LINALG, "diagonal.append(abs(pivot))", "diagonal.append(pivot)",
-           "tests/test_linalg.py::test_snf_matches_gcd_of_minors", 300),
+    Mutant("snf keeps the pivot's sign", LINALG, "diagonal.append(abs(pivot))", "diagonal.append(pivot)", MINORS, 300),
+    # The staircase walk of no entries.
+    Mutant("the walk of no entries yields a block", LINALG, "enumerate(valuations)", "enumerate(valuations or [0])",
+           "tests/test_linalg.py::test_walk_matches_cokernel_shape_on_random_valuation_paths", 300),
     # Loday's small mixed complex.
     Mutant("B's coefficient m read as m + 2", SMALL, '{("b", m): m} if kind == "a"', '{("b", m): m + 2} if kind == "a"',
            "tests/test_small_complex.py::test_small_complex_has_the_chain_level_homology[3]", 300),
@@ -270,6 +302,13 @@ MUTANTS = [
            "tests/test_small_complex.py::test_small_complex_has_the_chain_level_homology[3]", 300),
     Mutant("b's 1 - t read as 1 + t", SMALL, '{("a", m): 1 - t}', '{("a", m): 1 + t}',
            "tests/test_small_complex.py::test_small_complex_has_the_chain_level_homology[3]", 300),
+    # phi_coeffs: its head, its B pass and its index check.
+    Mutant("phi_coeffs' head read at i", HOMOLOGY, "CoeffVector(seq_a(p, j), comps)", "CoeffVector(seq_a(p, i), comps)",
+           "tests/test_cli.py::test_coeffs_text_matches_fractions[3-5-9]", 300),
+    Mutant("the B pass forgets B_(k-2)", HOMOLOGY, "b.append(b[-1] * p2 / k)", "b.append(p2 / k)",
+           "tests/test_homology.py::test_phi_coeffs_components_are_seq_b[p0]", 300),
+    Mutant("phi_coeffs without its index check", HOMOLOGY, "    _check_phi_indices(j, i)\n    p2", "    p2",
+           "tests/test_cli.py::test_coeffs_refuses_the_indices_phi_coeffs_refuses[5-3]", 300),
     # coeffs: each valuation it prints is the one its single pass carries.
     Mutant("the valuation step skips stripping p from k", PADIC, "            chain[0] += step\n",
            "            chain[0] += 2\n",

@@ -640,23 +640,6 @@ def test_json_output_is_json_dumps_indent_2(capsys, argv):
 
 _TRICKY_TEXT = st.sampled_from(["", "two\nlines", 'say "hi"', "back\\slash", "ünïcødé ☃ \U0001d11e", "\t\r\x00"])
 _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text() | _TRICKY_TEXT
-# The only lists a command puts in a payload hold str.
-_VALUES = st.recursive(
-    _SCALARS | st.lists(st.text() | _TRICKY_TEXT, max_size=4),
-    lambda inner: st.dictionaries(st.text() | _TRICKY_TEXT, inner, max_size=4),
-    max_leaves=12,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.dictionaries(st.text() | _TRICKY_TEXT, _VALUES, max_size=6))
-def test_emit_json_matches_json_dumps(payload):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        cli._emit(payload, "json", None, [])
-    assert buf.getvalue() == json.dumps(payload, indent=2) + "\n"
-
-
 @settings(max_examples=500, deadline=None)
 @given(
     _SCALARS  # floats include nan and +-inf
@@ -1061,27 +1044,19 @@ _ZSETS_PRIMES = [3, 5, 7, 11, 13, 101]
     | st.builds(lambda k, d: 1000 * k + d, st.integers(1, 40), st.sampled_from([-1, 0, 1])),
     st.sampled_from(["z1", "z2"]),
 )
+# 1, 2 and p + 2, and the edges of the 1000-wide blocks.  At p = 3 the Z1
+# window of 999 = 27 * 37 is [999, 1001], so block 1 is empty up to --max
+# 1001 and must write nothing, not its bare prefix "1".
+@example(3, 1001, "z1")
+@example(3, 1, "z2")
+@example(5, 2, "z1")
+@example(7, 9, "z2")
+@example(11, 999, "z1")
+@example(13, 1000, "z2")
+@example(101, 2001, "z1")
+@example(5, 10_000, "z2")
 def test_zsets_text_matches_enumerated_members(p, top, which):
     assert _zsets_texts(p, top, which) == _zsets_reference(p, top, which)
-
-
-@pytest.mark.parametrize("which", ["z1", "z2"])
-@pytest.mark.parametrize("p", _ZSETS_PRIMES)
-def test_zsets_text_at_block_edges(p, which):
-    # 1 and p, values below 1000, and the edges of the 1000-wide blocks.
-    for top in (1, 2, p, p + 2, 499, 997, 999, 1000, 1001, 1999, 2000, 2001, 9999, 10_000, 10_001):
-        assert _zsets_texts(p, top, which) == _zsets_reference(p, top, which), top
-
-
-def test_zsets_skips_a_block_without_members():
-    # At p = 3 the Z1 window of 999 = 27 * 37 is [999, 1001], so block 1
-    # is empty up to --max 1001 and must write nothing, not its bare
-    # prefix "1".
-    top = 1001
-    assert enumerate_z1(Prime(3), top)[-1] < 1000
-    texts = _zsets_texts(3, top, "z1")
-    assert texts == _zsets_reference(3, top, "z1")
-    assert texts["table"].split("\n")[1].split()[-1] != "1"
 
 
 def test_zsets_builds_no_member_list(monkeypatch):
@@ -1279,12 +1254,13 @@ def test_nested_exponent_lists_are_written_from_runs(tmp_path, argv, fmt):
 )
 @example(["ok", "a,b"] * 6)
 def test_lists_are_written_item_by_item(texts):
-    # A list of any length, long items among them, as verify's "failures";
-    # each item is quoted by _json_text.  Each item is a chunk of its own,
-    # so a list of two or more is never joined into a copy: the chunks are
-    # at least as many as its items (a joined list makes at most 7,
-    # whatever its length).  CSV writes no list: it writes the records.
-    payload = {"failures": texts, "n": 1}
+    # A list of any length, long items among them, as verify's "failures",
+    # at the top and one dict down; each item is quoted by _json_text.
+    # Each item is a chunk of its own, so a list of two or more is never
+    # joined into a copy: the chunks are at least as many as its items (a
+    # joined list makes at most 7, whatever its length).  CSV writes no
+    # list: it writes the records.
+    payload = {"failures": texts, "n": 1, "a": {"failures": texts}}
     json_chunks = list(cli._json_chunks(payload))
     assert "".join(json_chunks) == json.dumps(payload, indent=2) + "\n"
     if len(texts) >= 2:
@@ -1297,6 +1273,18 @@ _VIEW_PAIRS = st.lists(st.tuples(st.integers(-5, 10**6), st.integers(0, 5000)), 
 ) | st.binary(max_size=1200).map(lambda raw: bytearray(b"\x01" + bytes(x & 1 for x in raw))).map(
     lambda mask: (cli.Members(mask), list(compress(range(1, 2 * len(mask), 2), mask)))
 )
+
+
+def _flat_reference(record: dict, path: tuple = ()) -> dict:
+    """The record with each value nested in dicts under its dotted path:
+    the one CSV row's columns."""
+    flat = {}
+    for key, value in record.items():
+        if type(value) is dict:
+            flat.update(_flat_reference(value, path + (key,)))
+        else:
+            flat[".".join(path + (key,))] = value
+    return flat
 
 
 def _nest(children):
@@ -1327,12 +1315,12 @@ def test_views_at_any_depth_write_their_lists(pairs, first, second, nested):
     # Views in dicts at any depth, and at least two views in the CSV row:
     # one at the top, the other at the top or one dict down.  The JSON is
     # json.dumps', the CSV csv.writer's, byte for byte: quotes, commas and
-    # line ends included.
+    # line ends included, each column named by its value's dotted path.
     payload, plain = pairs
     payload = {**payload, "v": first[0], "w": {"x": second[0]} if nested else second[0]}
     plain = {**plain, "v": first[1], "w": {"x": second[1]} if nested else second[1]}
     assert "".join(cli._json_chunks(payload)) == json.dumps(plain, indent=2) + "\n"
-    assert "".join(cli._csv_chunks(payload)) == _csv_reference([cli._flatten(plain)])
+    assert "".join(cli._csv_chunks(payload)) == _csv_reference([_flat_reference(plain)])
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import count
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cychom.gaps import enumerate_z2, gap, in_z1, in_z2
 from cychom.homology import (
@@ -24,7 +24,7 @@ from cychom.homology import (
     _hc_walk,
 )
 from cychom.linalg import ModuleShape, TRIVIAL_SHAPE
-from cychom.padic import Prime, a_val, b_val, odd_valuations, seq_b, vp
+from cychom.padic import Prime, a_val, odd_valuations, seq_b, vp
 from residue import residue
 from sweeps import size
 from valuation_rows import frac_vp
@@ -56,14 +56,6 @@ def _fed_walk(shapes):
     """A stand-in for ``_hc_walk`` that yields ``shapes`` as its blocks'
     (pivots, tail), one a degree."""
     return lambda p, i_max: ((Counter(dict(shape.torsion)), []) for shape in shapes)
-
-
-def test_hochschild_table():
-    assert hochschild(P3, 0).shape == ModuleShape((1,))
-    assert hochschild(P5, 4).shape == ModuleShape((2,))
-    assert hochschild(P7, 3).shape == TRIVIAL_SHAPE
-    with pytest.raises(ValueError):
-        hochschild(P3, -1)
 
 
 def test_cyclic_matrix_entries():
@@ -165,36 +157,25 @@ def test_one_walk_gives_the_oracle_at_every_even_degree(p):
     assert list(_walk_shapes(prime, 0)) == [ModuleShape((1,))]
     with pytest.raises(ValueError):
         hc_oracle(prime, -2)
-
-
-def test_oracle_makes_no_integer_snf(monkeypatch):
-    # Every oracle reads valuations: the package's one integer engine is
-    # left to verify's kernel-generator check.
-    from cychom import homology, linalg
-
-    def forbidden(*args):
-        raise AssertionError("snf called")
-
-    monkeypatch.setattr(linalg, "snf", forbidden)
-    monkeypatch.setattr(homology, "snf", forbidden, raising=False)
-    for i in range(0, 13):
-        hc_oracle(P3, i)
-    assert hc_neg_truncation_probe(P3, 6, 6).ok
-    assert verify_presentation(P3, 5, hc_oracle(P3, 6).shape).ok
+    with pytest.raises(ValueError, match="negative degree"):
+        hochschild(prime, -1)
 
 
 def test_valuation_routes_take_no_integer(monkeypatch):
     # The walk and cokernel_shape read the valuations homology states each
-    # matrix by; they take no prime and value no entry.  linalg's vp is
-    # left to submodule_equal_mod.
+    # matrix by; they take no prime and value no entry.  linalg's vp, and
+    # its one integer engine snf, are left to submodule_equal_mod, which
+    # verify's kernel-generator check alone runs.
     from cychom import linalg
 
     def forbidden(*args):
-        raise AssertionError("linalg.vp called")
+        raise AssertionError("an integer route called")
 
     monkeypatch.setattr(linalg, "vp", forbidden)
+    monkeypatch.setattr(linalg, "snf", forbidden)
     assert hc_oracle(P3, 400).shape == hc_closed_form(P3, 400).shape
     assert hc_oracle(P3, 400).shape.p_length == 401
+    assert hc_oracle(P3, 401).shape == TRIVIAL_SHAPE
     shapes = list(_walk_shapes(Prime(101), 40))
     assert connes_length_check([shape.p_length for shape in shapes]).ok
     for i in range(1, 40, 2):
@@ -202,27 +183,13 @@ def test_valuation_routes_take_no_integer(monkeypatch):
     assert hc_neg_truncation_probe(P3, 6, 300).ok
 
 
-def test_phi_coeffs_examples():
-    base = phi_coeffs(P3, 1, 1)
-    assert base == (3, ((1, 1),))
-    mid = phi_coeffs(P3, 3, 5)
-    assert mid.head == 9
-    assert mid.components == ((1, seq_b(P3, 2)), (3, 1), (5, 0))
-    assert {type(mid.head)} | {type(v) for _, v in mid.components} == {Fraction}
-    top = phi_coeffs(P3, 5, 5)
-    assert frac_vp(P3, top.head) == 4
-    assert top.components[-1] == (5, 1)
-    with pytest.raises(ValueError):
-        phi_coeffs(P3, 5, 3)
-    with pytest.raises(ValueError):
-        phi_coeffs(P3, 2, 5)
-
-
 @pytest.mark.parametrize("p", [P3, P5])
 def test_phi_coeffs_components_are_seq_b(p):
+    # Zero past j, and every coordinate a Fraction.
     for j in range(1, 82, 2):
-        vec = phi_coeffs(p, j, j)
-        assert vec.components == tuple((n, seq_b(p, j - n)) for n in range(1, j + 1, 2))
+        vec = phi_coeffs(p, j, j + 2)
+        assert vec.components == tuple((n, seq_b(p, j - n)) for n in range(1, j + 1, 2)) + ((j + 2, 0),)
+        assert {type(vec.head)} | {type(v) for _, v in vec.components} == {Fraction}
 
 
 @pytest.mark.parametrize("p", [P3, P5])
@@ -255,10 +222,6 @@ def test_presentation_matches_the_walk_at_every_odd_index_of_the_sweep(p):
 
 
 def test_kernel_generators():
-    # A plain bool, never a record, which would test true either way.
-    assert verify_kernel_generators(P3, 5, 0) is True
-    assert verify_kernel_generators(P3, 5, 6) is True
-    assert verify_kernel_generators(P3, 7, 8) is True
     with pytest.raises(ValueError, match="Z2"):
         verify_kernel_generators(P3, 25, 0)
     with pytest.raises(ValueError):
@@ -268,6 +231,8 @@ def test_kernel_generators():
             verify_kernel_generators(P3, i, 0)
     # The product is the head and the odd multiples of p in [i, i + upto]
     # alone, so upto has no ceiling tied to i: 3i + 3 and past it hold too.
+    # Each verdict is a plain bool, never a record, which would test true
+    # either way.
     assert verify_kernel_generators(P3, 5, 16) is True
     assert verify_kernel_generators(P3, 5, 18) is True
     assert verify_kernel_generators(P3, 7, 24) is True
@@ -313,28 +278,13 @@ def test_kernel_generator_check_fails_at_25_in_its_own_coordinates(monkeypatch):
     assert verify_kernel_generators(P3, 27, 0) is False
 
 
-def test_connes_length_recursion():
-    lengths = [shape.p_length for shape in _shapes(P3, 12).values()]
-    assert lengths == list(range(1, 14, 2))
-    assert connes_length_check(lengths) == Check("connes length recursion", True, "")
-    assert connes_length_check([1]).ok  # vacuous base
-    # The check reads the length of every degree, the first and last too:
-    # one more factor R/p anywhere breaks it there.
-    for k in range(7):
-        rep = connes_length_check([n + (j == k) for j, n in enumerate(lengths)])
-        assert rep == Check("connes length recursion", False, f"degree {2 * k}: length {2 * k + 2} != {2 * k + 1}"), k
-    # The k-th length is degree 2k's, whatever the others are.
-    rep = connes_length_check([1, 3, 4, 7])
-    assert not rep.ok
-    assert rep.detail == "degree 4: length 4 != 5"
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from([3, 5, 101]),
     st.integers(0, 10),
     st.lists(st.tuples(st.integers(0, 10), st.integers(0, 3), st.lists(st.integers(1, 4), max_size=3)), max_size=4),
 )
+@example(3, 0, [])  # the vacuous base: degree 0 alone
 def test_connes_verdict_is_the_two_clause_one(p, k, perturbations):
     # The oracle's shapes up to degree 2k, some of them with their smallest
     # factors dropped and others added, which may cancel: the length clause
@@ -419,27 +369,8 @@ def test_hp_stabilization_passes_a_raised_head_while_the_heads_rise():
             falls = "" if rises else f"head exponents decrease: {head + 1} -> {head}"
             assert hp_stabilization_check(raised) == Check("hp stabilization", rises, falls), (p, k)
     assert hp_stabilization_check([]).ok  # vacuous
-
-
-def test_hp_stabilization_names_each_fall(monkeypatch):
-    # The heads of the even degrees 0..14 are 1, 3, 4, 6, 8, 8, 10, 12.
-    # In the walk verify reads, degree 4's lowered to 3 is no fall, and
-    # degree 10's and 14's lowered are two; 10 - 1 is not in Z1.
-    from cychom import homology
-
-    shapes = list(_walk_shapes(P3, 14))
-    assert _heads(shapes) == [1, 3, 4, 6, 8, 8, 10, 12]
-    monkeypatch.setattr(homology, "_hc_walk", _fed_walk(shapes))
-
-    def stabilization():
-        return next(c for c in verify_checks(P3, 14) if c.name == "hp stabilization")
-
-    shapes[2] = ModuleShape((3, 1, 1))
-    assert stabilization().ok
-    shapes[5] = ModuleShape((7, 2, 1, 1))
-    shapes[7] = ModuleShape((9, 2, 1, 1))
+    # Each fall is named, in order.
     falls = "head exponents decrease: 8 -> 7; head exponents decrease: 10 -> 9"
-    assert stabilization() == Check("hp stabilization", False, falls)
     assert hp_stabilization_check([1, 3, 3, 6, 8, 7, 10, 9]) == Check("hp stabilization", False, falls)
 
 
@@ -626,23 +557,6 @@ def test_truncation_probe_asks_z2_once_and_builds_no_closed_form(monkeypatch, m,
     assert rep.ok and not rep.vacuous and asked == [m - 1]
 
 
-def test_z2_indices_give_head_without_shift():
-    # For i in Z2 (i > 1), degree i-1 carries head exponent a_i exactly.
-    for i in [x for x in enumerate_z2(P3, 60) if x > 1]:
-        oracle = hc_oracle(P3, i - 1).shape
-        assert oracle.torsion_exponents[0] == a_val(P3, i)
-
-
-def test_b_val_controls_component_vanishing():
-    # c_{j,n} = B_{j-n} dies in R/n exactly when b_{j-n} >= v_p(n).
-    for j in (9, 15, 27):
-        vec = phi_coeffs(P3, j, 27)
-        for n, value in vec.components:
-            if vp(P3, n) > 0 and n < j:
-                dead = residue(value, 3 ** vp(P3, n)) == 0
-                assert dead == (b_val(P3, j - n) >= vp(P3, n))
-
-
 @pytest.mark.parametrize("p", [P3, P5])
 def test_closed_forms_at_large_degree_match_elementwise_tail(p):
     # The tails as one v_p call per odd n, and the head by the valuation
@@ -712,30 +626,19 @@ def test_verify_kernel_generator_indices_are_the_first_three_z2_members_past_1(m
 def test_verify_kernel_generator_check_takes_five_generators_mod_p_to_the_a_i_plus_6(monkeypatch):
     # How much the check covers, which its verdict alone does not show: at
     # each index, psi_i(1) ... psi_{i+8}(1) with the head reduced mod p^(a_i + 6).
-    from cychom import homology
+    # submodule_equal_mod measures A, A + B and B by linalg.snf at each of
+    # i = 5, 7 and 11; verify's other checks read valuations only.
+    from cychom import homology, linalg
 
     real, seen = homology.submodule_equal_mod, []
+    real_snf, snfs = linalg.snf, []
 
     def spy(p, gens_a, gens_b, moduli):
         seen.append((len(gens_a), moduli[0]))
         return real(p, gens_a, gens_b, moduli)
 
     monkeypatch.setattr(homology, "submodule_equal_mod", spy)
+    monkeypatch.setattr(linalg, "snf", lambda m: snfs.append(m) or real_snf(m))
     assert all(check.ok for check in verify_checks(P3, 2))
     assert seen == [(5, 3 ** (a_val(P3, i) + 6)) for i in (5, 7, 11)]
-
-
-def test_verify_kernel_generator_check_reads_integer_snf_three_times_an_index(monkeypatch):
-    # submodule_equal_mod measures A, A + B and B by linalg.snf, at each of
-    # i = 5, 7 and 11; verify's other checks read valuations only.
-    from cychom import linalg
-
-    real, calls = linalg.snf, []
-
-    def spy(m):
-        calls.append(m)
-        return real(m)
-
-    monkeypatch.setattr(linalg, "snf", spy)
-    kernel = [check.ok for check in verify_checks(P3, 2) if check.name.startswith("kernel generators")]
-    assert kernel == [True, True, True] and len(calls) == 9
+    assert len(snfs) == 9

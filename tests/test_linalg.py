@@ -47,28 +47,6 @@ def _det(data):
     return sum((-1) ** c * x * _det([row[:c] + row[c + 1 :] for row in data[1:]]) for c, x in enumerate(data[0]) if x)
 
 
-def test_snf_basics():
-    identity = IntMatrix([[int(r == c) for c in range(4)] for r in range(4)])
-    assert snf(identity).invariant_factors == (1, 1, 1, 1)
-    assert snf(IntMatrix([[3, 0], [1, 9]])).invariant_factors == (1, 27)
-    assert snf(IntMatrix([[0, 0]] * 3)).invariant_factors == ()
-    assert snf(IntMatrix([])).invariant_factors == ()
-    # A diagonal that does not divide: the gcd/lcm pass.
-    assert snf(IntMatrix([[2, 0], [0, 3]])).invariant_factors == (1, 6)
-    assert snf(IntMatrix([[4, 0], [0, 6]])).invariant_factors == (2, 12)
-    # The first pivot leaves a remainder in its row, so it does not split.
-    assert snf(IntMatrix([[2, 3]])).invariant_factors == (1,)
-    # The second row goes to zero during the elimination.
-    assert snf(IntMatrix([[2, 4], [1, 2]])).invariant_factors == (1,)
-
-
-def test_snf_divisibility_and_sign():
-    res = snf(IntMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
-    assert res.invariant_factors == (2, 2, 156)
-    assert all(res.invariant_factors[k + 1] % res.invariant_factors[k] == 0 for k in range(len(res.invariant_factors) - 1))
-    assert all(d > 0 for d in res.invariant_factors)
-
-
 def _minors_oracle(m):
     # Independent route: d_1 * ... * d_k is the gcd of all k x k minors.
     from itertools import combinations
@@ -160,11 +138,21 @@ def test_cokernel_shape_matches_integer_snf(m, p):
     _check_against_factors(_sparse(m.data), Prime(p), snf(m).invariant_factors)
 
 
-# A diagonal that does not divide; an upper-triangular block; a full-rank
-# and a singular 3 x 3; and entries past 100.
+# Diagonals that do not divide, and the identity; a pivot that leaves a
+# remainder in its row, so it does not split; a row that goes to zero in
+# the elimination; no rows, and zero rows; triangular blocks; full-rank
+# 3 x 3s and a singular one; and entries past 100.
+@example(IntMatrix([[2, 0], [0, 3]]))
 @example(IntMatrix([[4, 0], [0, 6]]))
+@example(IntMatrix([[int(r == c) for c in range(4)] for r in range(4)]))
+@example(IntMatrix([[2, 3]]))
+@example(IntMatrix([[2, 4], [1, 2]]))
+@example(IntMatrix([]))
+@example(IntMatrix([[0, 0]] * 3))
+@example(IntMatrix([[3, 0], [1, 9]]))
 @example(IntMatrix([[3, 2], [0, 3]]))
 @example(IntMatrix([[-5, 2, 7], [1, 0, -3], [4, 4, 4]]))
+@example(IntMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
 @example(IntMatrix([[2, 4, 4], [1, 2, 2], [0, 0, 0]]))
 @example(IntMatrix([[1234, -987, 55], [610, 377, -233], [144, 89, 21]]))
 @settings(max_examples=200, deadline=None)
@@ -407,7 +395,9 @@ def _blocks(path):
             yield [dict(row) for row in rows]
 
 
-# A path that ends below the diagonal has no block for its last entry.
+# A path that ends below the diagonal has no block for its last entry;
+# an empty path has no block at all.
+@example([])
 @example([0, 6])
 @example([6, 5, 4, 3, 2, 1, 0])
 @settings(max_examples=300, deadline=None)
@@ -420,10 +410,6 @@ def test_walk_matches_cokernel_shape_on_random_valuation_paths(path):
         assert sum(pivots.values()) + len(tail) == k
         assert ModuleShape(pivots + Counter(tail)) == cokernel_shape(rows), (k, rows)
     assert next(walked, None) is None
-
-
-def test_walk_of_no_rows_yields_nothing():
-    assert list(staircase_cokernels([])) == []
 
 
 def test_module_shape_canonical_form():
